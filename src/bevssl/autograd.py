@@ -18,9 +18,8 @@ from .errors import ConfigurationError, ContractError, NumericError
 LOG_CLAMP = 1e-12
 
 OP_KINDS = (
-    "add", "sub", "mul", "matmul", "conv2d", "relu", "sigmoid", "mean",
-    "sum", "scale", "concat", "slice", "masked_fill", "log", "powc",
-    "upsample",
+    "add", "sub", "mul", "conv2d", "relu", "sigmoid", "mean", "sum", "scale",
+    "slice", "masked_fill", "log", "powc", "upsample",
 )
 
 
@@ -45,10 +44,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, node={self.node_id})"
-
-
-def const(values) -> Tensor:
-    return Tensor(values)
 
 
 class TapeNode:
@@ -168,13 +163,6 @@ def _fw_mul(vals, attrs):
     return a * b
 
 
-def _fw_matmul(vals, attrs):
-    a, b = vals
-    _require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0],
-             "matmul", f"incompatible shapes {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
     n, c, h, w = x.shape
     if pad > 0:
@@ -242,17 +230,6 @@ def _fw_scale(vals, attrs):
     return vals[0] * float(attrs["factor"])
 
 
-def _fw_concat(vals, attrs):
-    axis = attrs["axis"]
-    base = list(vals[0].shape)
-    for v in vals[1:]:
-        other = list(v.shape)
-        other[axis] = base[axis]
-        _require(other == base, "concat",
-                 f"non-axis dims differ: {vals[0].shape} vs {v.shape}")
-    return np.concatenate(vals, axis=axis)
-
-
 def _slice_obj(x_ndim, attrs):
     sl = [slice(None)] * x_ndim
     sl[attrs["axis"]] = slice(attrs.get("start"), attrs.get("stop"),
@@ -289,11 +266,11 @@ def _fw_upsample(vals, attrs):
 
 
 _FORWARD_RULES: dict[str, Callable] = {
-    "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "matmul": _fw_matmul,
-    "conv2d": _fw_conv2d, "relu": _fw_relu, "sigmoid": _fw_sigmoid,
-    "mean": _fw_mean, "sum": _fw_sum, "scale": _fw_scale,
-    "concat": _fw_concat, "slice": _fw_slice, "masked_fill": _fw_masked_fill,
-    "log": _fw_log, "powc": _fw_powc, "upsample": _fw_upsample,
+    "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
+    "relu": _fw_relu, "sigmoid": _fw_sigmoid, "mean": _fw_mean,
+    "sum": _fw_sum, "scale": _fw_scale, "slice": _fw_slice,
+    "masked_fill": _fw_masked_fill, "log": _fw_log, "powc": _fw_powc,
+    "upsample": _fw_upsample,
 }
 
 
@@ -309,10 +286,6 @@ def _bw_sub(node, g, ins):
 
 def _bw_mul(node, g, ins):
     return [(g * ins[1], True), (g * ins[0], True)]
-
-
-def _bw_matmul(node, g, ins):
-    return [(g @ ins[1].T, True), (ins[0].T @ g, True)]
 
 
 def _bw_conv2d(node, g, ins):
@@ -364,13 +337,6 @@ def _bw_scale(node, g, ins):
     return [(g * float(node.saved["factor"]), True)]
 
 
-def _bw_concat(node, g, ins):
-    axis = node.saved["axis"]
-    sizes = [v.shape[axis] for v in ins]
-    pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-    return [(p, False) for p in pieces]
-
-
 def _bw_slice(node, g, ins):
     dx = np.zeros(ins[0].shape)
     dx[_slice_obj(ins[0].ndim, node.saved)] = g
@@ -408,11 +374,11 @@ def _bw_upsample(node, g, ins):
 
 
 _BACKWARD_RULES: dict[str, Callable] = {
-    "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "matmul": _bw_matmul,
-    "conv2d": _bw_conv2d, "relu": _bw_relu, "sigmoid": _bw_sigmoid,
-    "mean": _bw_mean, "sum": _bw_sum, "scale": _bw_scale,
-    "concat": _bw_concat, "slice": _bw_slice, "masked_fill": _bw_masked_fill,
-    "log": _bw_log, "powc": _bw_powc, "upsample": _bw_upsample,
+    "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
+    "relu": _bw_relu, "sigmoid": _bw_sigmoid, "mean": _bw_mean,
+    "sum": _bw_sum, "scale": _bw_scale, "slice": _bw_slice,
+    "masked_fill": _bw_masked_fill, "log": _bw_log, "powc": _bw_powc,
+    "upsample": _bw_upsample,
 }
 
 

@@ -21,7 +21,7 @@ from .augment import AugmentConfig
 from .autograd import ParamSet, load_checkpoint, save_checkpoint
 from .engine import OptimConfig, PseudoLabelConfig, Trainer
 from .errors import ConfigurationError
-from .geometry import GRID_PRESETS, Raster
+from .geometry import GRID_PRESETS
 from .losses import LossWeights
 from .model import ModelConfig, forward, init_params
 from .rng import Stream, mix64
@@ -90,13 +90,14 @@ class IoUAccumulator:
                        self.fn.tolist(), per_class, miou, absent)
 
 
-def compute_iou(pred_probs, gt, binarize_at: float = 0.5) -> Metrics:
-    """Metrics for a single (prediction, ground-truth) raster pair."""
-    pv = pred_probs.values if isinstance(pred_probs, Raster) else pred_probs
-    gv = gt.values if isinstance(gt, Raster) else gt
-    acc = IoUAccumulator(binarize_at)
-    acc.update(pv, gv)
-    return acc.metrics()
+def predict_split(params: ParamSet, dataset: Dataset, seq_ids,
+                  model_cfg: ModelConfig):
+    """Yield (probs, gt) per frame of `seq_ids`, sequence then frame order,
+    from plain (weak) observations."""
+    for sid in seq_ids:
+        for sample in dataset.sequences[sid].samples:
+            trace = forward(params, sample.observation, None, None, model_cfg)
+            yield trace.prob_values, sample.gt.values
 
 
 def evaluate_pairs(pairs, split: str, step: int) -> Metrics:
@@ -219,7 +220,16 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             kwargs[section] = cls(**coerced)
         except TypeError as exc:
             raise ConfigurationError(f"bad '{section}' config: {exc}") from exc
-    return ScenarioConfig(**kwargs)
+    cfg = ScenarioConfig(**kwargs)
+    # the engine configs check their own values; run those checks now,
+    # before any data generation
+    probe = RunSpec(cfg.name, Variant(cfg.kind), 0, cfg)
+    try:
+        _weights_for(probe)
+        _pseudo_for(probe)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad 'ssl' or 'train' config: {exc}") from exc
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -399,7 +409,8 @@ def run_one(spec: RunSpec) -> RunResult:
                "w_feat": rep.w_feat, "pseudo_kept_frac": rep.pseudo_kept_frac,
                "val_miou": ""}
         if (step + 1) % t.eval_every == 0 or step + 1 == t.total_steps:
-            m = evaluate_pairs(trainer.evaluate(dataset.split.val, eval_params()),
+            m = evaluate_pairs(predict_split(eval_params(), dataset,
+                                             dataset.split.val, cfg.model),
                                "val", step + 1)
             row["val_miou"] = m.miou
             if m.miou > best_miou:
@@ -411,10 +422,12 @@ def run_one(spec: RunSpec) -> RunResult:
 
     best_params = init_params(cfg.model, 0)
     best_params.load_values(best_vals)
-    val_m = evaluate_pairs(_eval_with(best_params, trainer, dataset.split.val),
+    val_m = evaluate_pairs(predict_split(best_params, dataset,
+                                         dataset.split.val, cfg.model),
                            "val", best_step)
-    test_m = evaluate_pairs(_eval_with(best_params, trainer, dataset.split.test),
-                            "test", best_step)
+    test_pairs = list(predict_split(best_params, dataset, dataset.split.test,
+                                    cfg.model))
+    test_m = evaluate_pairs(test_pairs, "test", best_step)
 
     checkpoint = {f"student.{k}": v for k, v in
                   trainer.student.values_dict().items()}
@@ -423,22 +436,12 @@ def run_one(spec: RunSpec) -> RunResult:
                            trainer.teacher.params.values_dict().items()})
     checkpoint.update({f"best.{k}": v for k, v in best_vals.items()})
 
-    preview = _preview_rasters(best_params, trainer, dataset)
+    pred, gt = test_pairs[0]
+    preview = {"pred": pred.copy(), "gt": gt.copy(),
+               "spec": dataset.spec.to_dict()}
     return RunResult(spec.scenario, spec.variant.name, spec.seed, best_step,
                      val_m, test_m, final_losses, train_log, checkpoint,
                      preview)
-
-
-def _eval_with(params: ParamSet, trainer: Trainer, seq_ids):
-    return trainer.evaluate(seq_ids, params)
-
-
-def _preview_rasters(params, trainer, dataset) -> dict:
-    sid = dataset.split.test[0]
-    sample = dataset.sequences[sid].samples[0]
-    trace = forward(params, sample.observation, None, None, trainer.model_cfg)
-    return {"pred": trace.prob_values.copy(), "gt": sample.gt.values.copy(),
-            "spec": dataset.spec.to_dict()}
 
 
 def _run_one_safe(spec: RunSpec) -> RunResult:
@@ -628,10 +631,6 @@ class ResultsTable:
 
     def csv_text(self) -> str:
         return "\n".join(self.csv_rows()) + "\n"
-
-    def test_mious(self, variant: str) -> list[float]:
-        return [r.test.miou for r in self.results
-                if r.variant == variant and r.error is None]
 
     @property
     def errors(self) -> list[RunResult]:

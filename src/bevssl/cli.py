@@ -17,7 +17,6 @@ from .bench import (ScenarioConfig, canonical_json, evaluate_pairs,
                     run_scenario)
 from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import GRID_PRESETS
-from .model import forward
 from .world import STYLE_PRESETS, generate_world, read_raster
 
 
@@ -94,8 +93,8 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
-def _run_and_export(cfg: ScenarioConfig, args) -> int:
-    table = run_scenario(cfg, workers=max(1, args.threads))
+def _run_and_export(cfg: ScenarioConfig, args, variants=None) -> int:
+    table = run_scenario(cfg, workers=max(1, args.threads), variants=variants)
     export_artifacts(table, cfg, args.out)
     for agg in table.aggregates:
         print(f"{agg['variant']}: mIoU {agg['mean_miou']:.4f} "
@@ -109,7 +108,8 @@ def _run_and_export(cfg: ScenarioConfig, args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    if cfg.kind not in ("supervised", "ssl"):
+    # ablation grids and city adaptation have subcommands of their own
+    if cfg.kind not in ("supervised", "ssl", "label-sweep"):
         cfg = replace(cfg, kind="ssl" if cfg.train.ssl else "supervised")
     return _run_and_export(cfg, args)
 
@@ -120,12 +120,7 @@ def cmd_ablate(args) -> int:
     variants = bench.template_variants(template)
     cfg = replace(cfg, kind="ablation-grid" if template == "components"
                   else cfg.kind, name=f"{cfg.name}-{template}")
-    table = run_scenario(cfg, workers=max(1, args.threads), variants=variants)
-    export_artifacts(table, cfg, args.out)
-    for agg in table.aggregates:
-        print(f"{agg['variant']}: mIoU {agg['mean_miou']:.4f} "
-              f"+- {agg['std_miou']:.4f} (n={agg['n']})")
-    return 0 if not table.errors else 3
+    return _run_and_export(cfg, args, variants)
 
 
 def cmd_adapt(args) -> int:
@@ -141,12 +136,8 @@ def cmd_eval(args) -> int:
                          cfg.eval.seeds[0], cfg)
     dataset = bench._build_run_dataset(spec)
     seq_ids = dataset.split.val if args.split == "val" else dataset.split.test
-    pairs = []
-    for sid in seq_ids:
-        for sample in dataset.sequences[sid].samples:
-            trace = forward(params, sample.observation, None, None, cfg.model)
-            pairs.append((trace.prob_values, sample.gt.values))
-    metrics = evaluate_pairs(pairs, args.split, 0)
+    metrics = evaluate_pairs(bench.predict_split(params, dataset, seq_ids,
+                                                 cfg.model), args.split, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = {"split": args.split, "miou": metrics.miou,

@@ -61,6 +61,8 @@ class PseudoLabelConfig:
             raise ConfigurationError("fusion_extra >= 0 and max_range > 0 required")
         if self.confidence not in ("two_sided", "positive"):
             raise ConfigurationError(f"unknown confidence rule '{self.confidence}'")
+        if self.fusion_warp not in ("nearest", "bilinear"):
+            raise ConfigurationError(f"unknown warp mode '{self.fusion_warp}'")
 
 
 @dataclass
@@ -222,7 +224,7 @@ def fuse_teacher(current: ForwardTrace,
         prov = np.full(fused.shape, current_index, dtype=np.int64)
         for fi, rel, trace in ordered:
             warped = warp_raster(Raster(spec, trace.prob_values), rel,
-                                 _IDENTITY, "nearest")
+                                 _IDENTITY, warp_mode)
             wconf = np.abs(warped.values - 0.5)
             take = warped.valid[None] & (wconf > conf)
             fused[take] = warped.values[take]
@@ -251,7 +253,7 @@ def fuse_teacher(current: ForwardTrace,
 
 @dataclass(frozen=True)
 class OptimConfig:
-    lr: float = 1e-3
+    lr: float = 3e-3
     wd: float = 1e-4
     betas: tuple[float, float] = (0.9, 0.999)
     ema_keep: float = 0.99
@@ -420,14 +422,3 @@ class Trainer:
             else:
                 t_tap = teacher_trace.decoded_feats.values
         return feature_similarity_loss(s_tap, t_tap, self.weights.feat_mode)
-
-    def evaluate(self, seq_ids, params: ParamSet | None = None):
-        """Per-sample (probs, gt) pairs on the plain (weak) observations."""
-        params = params or self.student
-        out = []
-        for sid in seq_ids:
-            for sample in self.dataset.sequences[sid].samples:
-                trace = forward(params, sample.observation, None, None,
-                                self.model_cfg)
-                out.append((trace.prob_values, sample.gt.values))
-        return out

@@ -55,12 +55,6 @@ def relative_pose(frame_a: Pose2, frame_b: Pose2) -> Pose2:
     return compose(inverse(frame_a), frame_b)
 
 
-def transform_point(pose: Pose2, x: float, y: float) -> tuple[float, float]:
-    """Map a point from `pose`'s frame into its parent frame."""
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    return pose.x + c * x - s * y, pose.y + s * x + c * y
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """BEV region of interest; extents must be integer multiples of `cell`."""
@@ -115,10 +109,6 @@ SMALL_GRID = GridSpec(-24.0, 24.0, -8.0, 8.0, 0.5)
 GRID_PRESETS = {"paper": PAPER_GRID, "small": SMALL_GRID}
 
 
-def cell_center(spec: GridSpec, row: int, col: int) -> tuple[float, float]:
-    return spec.cell_center(row, col)
-
-
 class Raster:
     """Multi-channel grid data with a shared validity plane."""
 
@@ -151,10 +141,6 @@ class Raster:
 
     def copy(self) -> "Raster":
         return Raster(self.spec, self.values.copy(), self.valid.copy())
-
-    @classmethod
-    def zeros(cls, spec: GridSpec, channels: int) -> "Raster":
-        return cls(spec, np.zeros((channels, spec.rows, spec.cols)))
 
 
 def warp_raster(src: Raster, src_pose: Pose2, dst_pose: Pose2,

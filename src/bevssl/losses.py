@@ -21,7 +21,7 @@ class LossWeights:
     w_feat: float = 0.25
     rampup_fraction: float = 1.0 / 3.0
     focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
+    focal_alpha: float = 0.75
     feat_mode: str = "cosine"   # "cosine" | "mse"
     feat_level: str = "late"    # "early" | "late"
 

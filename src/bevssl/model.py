@@ -71,10 +71,6 @@ class ForwardTrace:
     def prob_values(self) -> np.ndarray:
         return self.probs.values[0]
 
-    @property
-    def logit_values(self) -> np.ndarray:
-        return self.logits.values[0]
-
 
 def init_params(config: ModelConfig, seed: int) -> ParamSet:
     """Weights uniform in +-sqrt(1/fan_in), biases zero, per-layer streams."""

@@ -91,9 +91,6 @@ class Stream:
         u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
         return low + (high - low) * u
 
-    def normal(self, scale: float = 1.0) -> float:
-        return float(self.normals(1, scale)[0])
-
     def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Box-Muller; consumes exactly 2n raw draws."""
         raw = self.u64_array(2 * n)
@@ -133,6 +130,3 @@ class Stream:
         order = list(range(n))
         self.shuffle(order)
         return order
-
-    def choice(self, items: list):
-        return items[self.randint(len(items))]

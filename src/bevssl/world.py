@@ -614,9 +614,6 @@ class Dataset:
     sequences: dict[int, SequenceData]
     split: DatasetSplit
 
-    def samples_of(self, seq_ids) -> list[Sample]:
-        return [s for sid in seq_ids for s in self.sequences[sid].samples]
-
 
 def build_sequence(world: WorldMap, world_index: int, sequence_id: int,
                    seed: int, spec: GridSpec, n_frames: int = 12,

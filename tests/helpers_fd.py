@@ -30,11 +30,6 @@ def make_case(kind: str, stream: Stream):
         params.add("a", _arr(stream, shape))
         params.add("b", _arr(stream, shape))
         inputs = ("a", "b")
-    elif kind == "matmul":
-        m, k, n = (stream.randrange(1, 5) for _ in range(3))
-        params.add("a", _arr(stream, (m, k)))
-        params.add("b", _arr(stream, (k, n)))
-        inputs = ("a", "b")
     elif kind == "conv2d":
         n = stream.randrange(1, 3)
         ci, co = stream.randrange(1, 4), stream.randrange(1, 4)
@@ -61,16 +56,6 @@ def make_case(kind: str, stream: Stream):
         params.add("a", _arr(stream, (stream.randrange(2, 5),)))
         attrs["factor"] = stream.uniform(-2.0, 2.0)
         inputs = ("a",)
-    elif kind == "concat":
-        axis = stream.randint(2)
-        base = [stream.randrange(2, 5), stream.randrange(2, 5)]
-        sa, sb = list(base), list(base)
-        sa[axis] = stream.randrange(1, 4)
-        sb[axis] = stream.randrange(1, 4)
-        params.add("a", _arr(stream, sa))
-        params.add("b", _arr(stream, sb))
-        attrs["axis"] = axis
-        inputs = ("a", "b")
     elif kind == "slice":
         shape = (stream.randrange(4, 8), stream.randrange(4, 8))
         params.add("a", _arr(stream, shape))

@@ -35,16 +35,18 @@ def warp_nearest_bruteforce(src: Raster, src_pose: Pose2,
 
 def fuse_probs_bruteforce(spec: GridSpec, current_probs: np.ndarray,
                           current_index: int,
-                          extras: list[tuple[int, Pose2, np.ndarray]]):
+                          extras: list[tuple[int, Pose2, np.ndarray]],
+                          warp=warp_nearest_bruteforce):
     """Per-cell max-confidence fusion enumerator.
 
-    extras: (frame_index, pose of that frame in the current frame, probs).
+    extras: (frame_index, pose of that frame in the current frame, probs);
+    warp(src, src_pose, dst_pose) resamples each extra into the current frame.
     Returns (fused probs, provenance).
     """
     identity = Pose2(0.0, 0.0, 0.0)
     fused = current_probs.copy()
     prov = np.full(current_probs.shape, current_index, dtype=np.int64)
-    warped = [(fi, warp_nearest_bruteforce(Raster(spec, probs), rel, identity))
+    warped = [(fi, warp(Raster(spec, probs), rel, identity))
               for fi, rel, probs in sorted(extras, key=lambda e: e[0])]
     for r in range(spec.rows):
         for q in range(spec.cols):

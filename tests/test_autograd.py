@@ -48,14 +48,10 @@ def test_conv2d_hand_oracle_with_padding():
     assert np.allclose(out.values, expect, atol=1e-12)
 
 
-def test_matmul_and_concat_and_slice():
-    a = Tensor(np.arange(6.0).reshape(2, 3))
-    b = Tensor(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(forward_op("matmul", a, b).values, a.values @ b.values)
-    cat = forward_op("concat", a, a, axis=0)
-    assert cat.shape == (4, 3)
-    sl = forward_op("slice", cat, axis=0, start=1, stop=4, step=2)
-    assert np.array_equal(sl.values, cat.values[1:4:2])
+def test_slice_with_step():
+    a = Tensor(np.arange(12.0).reshape(4, 3))
+    sl = forward_op("slice", a, axis=0, start=1, stop=4, step=2)
+    assert np.array_equal(sl.values, a.values[1:4:2])
 
 
 def test_upsample_nearest():
@@ -180,7 +176,7 @@ def test_tape_replay_bit_identical():
 
 
 def test_tape_topological_ids():
-    params, f = make_case("matmul", Stream(9).child("topo"))
+    params, f = make_case("mul", Stream(9).child("topo"))
     loss = f(params)
     for nid, node in enumerate(loss.tape.nodes):
         assert all(i < nid for i in node.input_ids)
@@ -191,8 +187,6 @@ def test_tape_topological_ids():
 def test_shape_mismatch_is_configuration_error():
     with pytest.raises(ConfigurationError, match="add"):
         forward_op("add", Tensor(np.ones(3)), Tensor(np.ones(4)))
-    with pytest.raises(ConfigurationError, match="matmul"):
-        forward_op("matmul", Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ConfigurationError):
         forward_op("conv2d", Tensor(np.ones((1, 2, 3, 3))),
                    Tensor(np.ones((1, 3, 3, 3))), padding=0)

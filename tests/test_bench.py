@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
-                          best_validation_step, canonical_json, compute_iou,
-                          config_from_dict, expand_runs, export_artifacts,
+                          _pseudo_for, _weights_for, best_validation_step,
+                          canonical_json, config_from_dict, evaluate_pairs,
+                          expand_runs, export_artifacts,
                           load_checkpoint_params, run_one, run_scenario,
                           scenario_variants, template_variants, write_pgm,
                           write_ppm)
 from bevssl.bench import EvalConfig, TrainConfig, WorldConfig
+from bevssl.engine import OptimConfig, PseudoLabelConfig
 from bevssl.errors import ConfigurationError
+from bevssl.losses import LossWeights
 from bevssl.model import ModelConfig
 from bevssl.rng import Stream
 
@@ -37,7 +40,7 @@ def tiny_config(kind="ssl", **over) -> ScenarioConfig:
 def test_iou_perfect_prediction():
     st = Stream(1)
     gt = (st.uniforms(3 * 8 * 8).reshape(3, 8, 8) > 0.7).astype(float)
-    m = compute_iou(gt.copy(), gt)
+    m = evaluate_pairs([(gt.copy(), gt)], "", 0)
     assert m.per_class == [1.0, 1.0, 1.0]
     assert m.miou == 1.0
 
@@ -47,7 +50,7 @@ def test_iou_disjoint_prediction_is_zero():
     pred = np.zeros((3, 4, 4))
     gt[:, 0, 0] = 1.0
     pred[:, 1, 1] = 1.0
-    m = compute_iou(pred, gt)
+    m = evaluate_pairs([(pred, gt)], "", 0)
     assert m.per_class == [0.0, 0.0, 0.0]
     assert m.miou == 0.0
 
@@ -71,7 +74,7 @@ def test_iou_absent_class_excluded_with_warning():
     gt = np.zeros((3, 4, 4))
     pred[0, 0, 0] = 1.0
     gt[0, 0, 0] = 1.0
-    m = compute_iou(pred, gt)
+    m = evaluate_pairs([(pred, gt)], "", 0)
     assert m.per_class[0] == 1.0
     assert m.per_class[1] is None and m.per_class[2] is None
     assert m.absent == ["divider", "boundary"]
@@ -83,7 +86,7 @@ def test_iou_matches_bruteforce_counter():
         st = Stream(800 + case)
         pred = st.uniforms(3 * 5 * 5).reshape(3, 5, 5)
         gt = (st.uniforms(3 * 5 * 5).reshape(3, 5, 5) > 0.5).astype(float)
-        m = compute_iou(pred, gt)
+        m = evaluate_pairs([(pred, gt)], "", 0)
         for c in range(3):
             tp = fp = fn = 0
             for r in range(5):
@@ -114,6 +117,17 @@ def test_config_echo_roundtrip():
     echo = canonical_json(cfg.to_dict())
     back = config_from_dict(_strip_defaults(json.loads(echo)))
     assert back.to_dict() == cfg.to_dict()
+
+
+def test_default_config_maps_to_engine_defaults():
+    # a Trainer built from engine defaults optimises what a CLI run of {} does
+    cfg = config_from_dict({})
+    spec = expand_runs(cfg)[0]
+    t = cfg.train
+    assert _weights_for(spec) == LossWeights()
+    assert _pseudo_for(spec) == PseudoLabelConfig()
+    assert OptimConfig(t.lr, t.wd, (t.beta1, t.beta2), t.ema_keep) \
+        == OptimConfig()
 
 
 def _strip_defaults(doc):

@@ -54,6 +54,12 @@ def test_train_eval_cycle(tmp_path, capsys):
     assert doc["split"] == "test"
     assert 0.0 <= doc["miou"] <= 1.0
     assert "mIoU" in capsys.readouterr().out
+    # the checkpoint is the run's best one, so both evaluations must agree
+    assert ckpt.name == "run_ssl_s0.ckpt"
+    rows = [r.split(",") for r in
+            (out / "metrics.csv").read_text().splitlines()[1:]]
+    (miou,) = [r[7] for r in rows if r[4] == "test" and r[5] == "all"]
+    assert doc["miou"] == float(miou)
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -62,6 +68,28 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out",
                  str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ssl", [{"threshold": 1.5}, {"fusion_mode": "nope"},
+                                 {"fusion_warp": "nope"}],
+                         ids=["threshold", "fusion_mode", "fusion_warp"])
+def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
+    cfg = _write_cfg(tmp_path, {**TINY_DOC, "ssl": ssl})
+    assert main(["train", "--config", str(cfg), "--out",
+                 str(tmp_path / "x")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_train_runs_label_sweep(tmp_path):
+    doc = {**TINY_DOC, "kind": "label-sweep",
+           "eval": {"seeds": [0], "sweep_utilisations": [0.5, 1.0]}}
+    out = tmp_path / "sweep"
+    assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    variants = list(dict.fromkeys(r.split(",")[1] for r in rows))
+    assert variants == ["supervised@0.5", "ssl@0.5", "supervised@1"]
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

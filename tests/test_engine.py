@@ -11,7 +11,7 @@ from bevssl.engine import (OptimConfig, PseudoLabelConfig, TeacherState,
                            select_fusion_frames, sharpen,
                            trajectory_distances)
 from bevssl.errors import ConfigurationError, ContractError
-from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID
+from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
 from bevssl.losses import LossWeights
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
@@ -290,6 +290,24 @@ def test_fusion_matches_bruteforce_enumerator():
             [(fi, pose, _trace_from_probs(p)) for fi, pose, p in extras],
             "probs", spec, current_index=0)
         want_vals, want_prov = fuse_probs_bruteforce(spec, cur, 0, extras)
+        assert np.array_equal(got.probs.values, want_vals)
+        assert np.array_equal(got.provenance, want_prov)
+
+
+def test_fusion_probs_honours_bilinear_warp():
+    spec = GridSpec(-4.0, 4.0, -4.0, 4.0, 0.5)
+    bilinear = lambda src, a, b: warp_raster(src, a, b, "bilinear")
+    for case in range(10):
+        st = Stream(5500 + case)
+        cur = random_prob_raster(st, spec).values
+        extras = [(fi, random_pose(st, span=3.0),
+                   random_prob_raster(st, spec).values) for fi in (1, 2)]
+        got = fuse_teacher(
+            _trace_from_probs(cur),
+            [(fi, pose, _trace_from_probs(p)) for fi, pose, p in extras],
+            "probs", spec, current_index=0, warp_mode="bilinear")
+        want_vals, want_prov = fuse_probs_bruteforce(spec, cur, 0, extras,
+                                                     warp=bilinear)
         assert np.array_equal(got.probs.values, want_vals)
         assert np.array_equal(got.provenance, want_prov)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bevssl.errors import ConfigurationError, ContractError
 from bevssl.geometry import (GridSpec, PAPER_GRID, Pose2, Raster, SMALL_GRID,
-                             cell_center, compose, inverse, normalize_angle,
+                             compose, inverse, normalize_angle,
                              relative_pose, warp_raster)
 from bevssl.rng import Stream
 
@@ -83,13 +83,13 @@ def test_extent_multiple_validation():
 
 
 def test_cell_center_examples():
-    assert cell_center(PAPER_GRID, 0, 0) == (-44.85, -14.85)
-    x, y = cell_center(PAPER_GRID, 150, 50)
+    assert PAPER_GRID.cell_center(0, 0) == (-44.85, -14.85)
+    x, y = PAPER_GRID.cell_center(150, 50)
     assert abs(x - 0.15) < 1e-12 and abs(y - 0.15) < 1e-12
     one = GridSpec(0.0, 1.0, 0.0, 1.0, 1.0)
     assert one.cell_center(0, 0) == (0.5, 0.5)
     with pytest.raises(ContractError):
-        cell_center(PAPER_GRID, 300, 0)
+        PAPER_GRID.cell_center(300, 0)
 
 
 def test_raster_shape_validation():
