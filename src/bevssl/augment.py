@@ -16,7 +16,7 @@ from .errors import ConfigurationError
 from .geometry import Raster
 from .losses import LossMask
 from .rng import Stream
-from .world import N_CLASSES, N_SECTORS
+from .world import N_CLASSES, N_SECTORS, compute_sector_map
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def bevdrop_mask(rows: int, cols: int, rate: float, stream: Stream) -> np.ndarra
     return stream.uniforms(rows * cols).reshape(rows, cols) < rate
 
 
-def strong_augment(obs: Raster, sector_map: np.ndarray, cfg: AugmentConfig,
-                   stream: Stream) -> tuple[Raster, LossMask, np.ndarray | None]:
+def strong_augment(obs: Raster, cfg: AugmentConfig, stream: Stream,
+                   ) -> tuple[Raster, LossMask, np.ndarray | None]:
     """Full student-view pipeline: photometric, CutOut, CamDrop, plus the
     feature-dropout mask.  Returns (view, fov mask, drop mask or None)."""
     view = obs
@@ -128,8 +128,8 @@ def strong_augment(obs: Raster, sector_map: np.ndarray, cfg: AugmentConfig,
         view = cutout(view, stream.child("cutout"), cfg.cutout_fraction)
     rows, cols = obs.spec.rows, obs.spec.cols
     if cfg.camdrop:
-        view, fov = camdrop(view, sector_map, stream.child("camdrop"),
-                            cfg.camdrop_count)
+        view, fov = camdrop(view, compute_sector_map(obs.spec),
+                            stream.child("camdrop"), cfg.camdrop_count)
     else:
         fov = LossMask.full((N_CLASSES, rows, cols))
     drop = (bevdrop_mask(rows, cols, cfg.bevdrop_rate, stream.child("bevdrop"))

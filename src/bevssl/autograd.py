@@ -8,6 +8,7 @@ pay no recording cost.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Callable, Iterable
 
@@ -587,19 +588,28 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         data = fh.read()
     if data[:8] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"bad checkpoint magic in {path!s}")
-    out: dict[str, np.ndarray] = {}
     off = 8
+
+    def take(n: int) -> bytes:
+        # every length, rank and dim is checked against the bytes left
+        nonlocal off
+        if n > len(data) - off:
+            raise ConfigurationError(
+                f"truncated checkpoint {path!s}: {n} bytes needed at offset "
+                f"{off}, {len(data) - off} left")
+        off += n
+        return data[off - n:off]
+
+    out: dict[str, np.ndarray] = {}
     while off < len(data):
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        out[name] = arr.reshape(dims)
+        (nlen,) = struct.unpack("<I", take(4))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"bad parameter name in checkpoint {path!s}") from exc
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        out[name] = values.reshape(dims).copy()
     return out

@@ -274,7 +274,6 @@ class RunResult:
     best_step: int
     val: Metrics | None
     test: Metrics | None
-    final_losses: dict
     train_log: list[dict]
     checkpoint: dict
     preview: dict
@@ -400,14 +399,8 @@ def run_one(spec: RunSpec) -> RunResult:
     best_vals: dict | None = None
     best_miou, best_step = -1.0, 0
     train_log: list[dict] = []
-    final_losses = {"loss_sup": 0.0, "loss_cls": 0.0, "loss_feat": 0.0}
     for step in range(t.total_steps):
-        rep = trainer.train_step()
-        row = {"step": rep.step, "loss_total": rep.loss_total,
-               "loss_sup": rep.loss_sup, "loss_cls": rep.loss_cls,
-               "loss_feat": rep.loss_feat, "w_cls": rep.w_cls,
-               "w_feat": rep.w_feat, "pseudo_kept_frac": rep.pseudo_kept_frac,
-               "val_miou": ""}
+        row = {**asdict(trainer.train_step()), "val_miou": ""}
         if (step + 1) % t.eval_every == 0 or step + 1 == t.total_steps:
             m = evaluate_pairs(predict_split(eval_params(), dataset,
                                              dataset.split.val, cfg.model),
@@ -417,8 +410,6 @@ def run_one(spec: RunSpec) -> RunResult:
                 best_miou, best_step = m.miou, step + 1
                 best_vals = eval_params().values_dict()
         train_log.append(row)
-        final_losses = {"loss_sup": rep.loss_sup, "loss_cls": rep.loss_cls,
-                        "loss_feat": rep.loss_feat}
 
     best_params = init_params(cfg.model, 0)
     best_params.load_values(best_vals)
@@ -440,8 +431,7 @@ def run_one(spec: RunSpec) -> RunResult:
     preview = {"pred": pred.copy(), "gt": gt.copy(),
                "spec": dataset.spec.to_dict()}
     return RunResult(spec.scenario, spec.variant.name, spec.seed, best_step,
-                     val_m, test_m, final_losses, train_log, checkpoint,
-                     preview)
+                     val_m, test_m, train_log, checkpoint, preview)
 
 
 def _run_one_safe(spec: RunSpec) -> RunResult:
@@ -449,7 +439,7 @@ def _run_one_safe(spec: RunSpec) -> RunResult:
         return run_one(spec)
     except Exception:
         return RunResult(spec.scenario, spec.variant.name, spec.seed, 0, None,
-                         None, {}, [], {}, {},
+                         None, [], {}, {},
                          error=traceback.format_exc(limit=10))
 
 
@@ -614,6 +604,7 @@ class ResultsTable:
         for r in self.results:
             if r.error is not None:
                 continue
+            last = r.train_log[-1]
             for metrics in (r.val, r.test):
                 for c, name in enumerate(CLASS_NAMES):
                     iou = metrics.per_class[c]
@@ -624,9 +615,8 @@ class ResultsTable:
                 rows.append(",".join([
                     r.scenario, r.variant, str(r.seed), str(r.best_step),
                     metrics.split, "all", "", _fmt(metrics.miou),
-                    _fmt(r.final_losses.get("loss_sup", 0.0)),
-                    _fmt(r.final_losses.get("loss_cls", 0.0)),
-                    _fmt(r.final_losses.get("loss_feat", 0.0))]))
+                    _fmt(last["loss_sup"]), _fmt(last["loss_cls"]),
+                    _fmt(last["loss_feat"])]))
         return rows
 
     def csv_text(self) -> str:
@@ -639,6 +629,14 @@ class ResultsTable:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _log_cell(value) -> str:
+    """Train-log cell: the step as an integer, floats round-tripping, and
+    an empty cell where no validation ran."""
+    if isinstance(value, int) or value == "":
+        return str(value)
+    return _fmt(value)
 
 
 def best_validation_step(train_log: list[dict]) -> tuple[int, float]:
@@ -712,10 +710,6 @@ def export_raster_images(out_dir: Path, name: str, values: np.ndarray) -> None:
         write_ppm(out_dir / f"{name}_rgb.ppm", values[:3])
 
 
-TRAIN_LOG_HEADER = ("step,loss_total,loss_sup,loss_cls,loss_feat,w_cls,"
-                    "w_feat,pseudo_kept_frac,val_miou")
-
-
 def export_artifacts(table: ResultsTable, cfg: ScenarioConfig, out_dir) -> None:
     """Metrics CSV, canonical config echo, checkpoints, logs, and images."""
     out = Path(out_dir)
@@ -732,13 +726,8 @@ def export_artifacts(table: ResultsTable, cfg: ScenarioConfig, out_dir) -> None:
             continue
         tag = f"{_safe(r.variant)}_s{r.seed}"
         save_checkpoint(out / f"run_{tag}.ckpt", r.checkpoint)
-        lines = [TRAIN_LOG_HEADER]
-        for row in r.train_log:
-            lines.append(",".join([
-                str(row["step"]), _fmt(row["loss_total"]), _fmt(row["loss_sup"]),
-                _fmt(row["loss_cls"]), _fmt(row["loss_feat"]), _fmt(row["w_cls"]),
-                _fmt(row["w_feat"]), _fmt(row["pseudo_kept_frac"]),
-                _fmt(row["val_miou"]) if row["val_miou"] != "" else ""]))
+        lines = [",".join(r.train_log[0])]
+        lines += [",".join(map(_log_cell, row.values())) for row in r.train_log]
         (out / f"train_log_{tag}.csv").write_text("\n".join(lines) + "\n")
         if r.preview:
             export_raster_images(out, f"pred_{tag}", r.preview["pred"])

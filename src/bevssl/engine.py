@@ -307,33 +307,23 @@ class Trainer:
         seq = self.dataset.sequences[seq_ids[stream.randint(len(seq_ids))]]
         return seq.samples[stream.randint(len(seq.samples))]
 
-    def _teacher_trace(self, sample: Sample) -> ForwardTrace:
-        # weak view: the teacher always sees the unaugmented observation
-        return forward(self.teacher.params, sample.observation, None, None,
-                       self.model_cfg)
-
     def _fused_pseudo(self, sample: Sample, stream: Stream,
                       ) -> tuple[PseudoLabelBundle, ForwardTrace, FusionResult]:
         cfg = self.pseudo_cfg
+        seq = self.dataset.sequences[sample.sequence_id]
         sel: list[tuple[int, Pose2]] = []
         if cfg.fusion_mode != "none" and cfg.fusion_extra > 0:
-            seq = self.dataset.sequences[sample.sequence_id]
             sel = select_fusion_frames(seq.poses, sample.frame_index,
                                        cfg.fusion_extra, cfg.fusion_max_range,
                                        stream.child("frames"))
-        if sel:
-            # one batched teacher pass over current + fusion frames
-            seq = self.dataset.sequences[sample.sequence_id]
-            frames = [sample] + [seq.samples[fi] for fi, _ in sel]
-            batch = np.stack([f.observation.values for f in frames])
-            bt = forward(self.teacher.params, batch, None, None, self.model_cfg)
-            views = [_trace_view(bt, k) for k in range(len(frames))]
-            cur = views[0]
-            extras = [(fi, rel, views[k + 1])
-                      for k, (fi, rel) in enumerate(sel)]
-        else:
-            cur = self._teacher_trace(sample)
-            extras = []
+        # one batched teacher pass over the current and fusion frames; the
+        # teacher always sees the unaugmented observations (weak view)
+        frames = [sample] + [seq.samples[fi] for fi, _ in sel]
+        batch = np.stack([f.observation.values for f in frames])
+        bt = forward(self.teacher.params, batch, None, None, self.model_cfg)
+        views = [_trace_view(bt, k) for k in range(len(frames))]
+        cur = views[0]
+        extras = [(fi, rel, views[k + 1]) for k, (fi, rel) in enumerate(sel)]
         fusion = fuse_teacher(cur, extras, cfg.fusion_mode, self.dataset.spec,
                               self.teacher.params, sample.frame_index,
                               cfg.fusion_warp)
@@ -355,8 +345,8 @@ class Trainer:
         for b in range(self.batch_labelled):
             sb = st.child(f"sup{b}")
             sample = self._pick(sb.child("pick"), split.labelled)
-            view, fov, _ = strong_augment(sample.observation, sample.sector_map,
-                                          self.sup_augment, sb.child("aug"))
+            view, fov, _ = strong_augment(sample.observation, self.sup_augment,
+                                          sb.child("aug"))
             trace = forward(self.student, view, None, tape, self.model_cfg)
             loss, _ = focal_loss(trace.probs, sample.gt.values[None],
                                  fov.include[None], self.weights.focal_gamma,
@@ -378,8 +368,7 @@ class Trainer:
                 bundle, cur_trace, fusion = self._fused_pseudo(
                     sample, su.child("fusion"))
                 view, fov, drop = strong_augment(
-                    sample.observation, sample.sector_map, self.augment_cfg,
-                    su.child("aug"))
+                    sample.observation, self.augment_cfg, su.child("aug"))
                 trace = forward(self.student, view, drop, tape, self.model_cfg)
                 mask = bundle.mask.intersect(fov)
                 loss, n_inc = focal_loss(trace.probs, bundle.targets[None],

@@ -132,7 +132,6 @@ class Sample:
     pose: Pose2
     observation: Raster
     gt: Raster
-    sector_map: np.ndarray
 
 
 @dataclass
@@ -498,12 +497,13 @@ def compute_sector_map(spec: GridSpec) -> np.ndarray:
     return np.clip(sector, 0, N_SECTORS - 1)
 
 
-def _range_maps(spec: GridSpec):
+def _range_norm(spec: GridSpec) -> np.ndarray:
+    """Distance of each cell from the ego, as a fraction of the farthest
+    grid corner."""
     xs, ys = spec.centers()
-    r = np.hypot(xs, ys)
     r_max = math.hypot(max(abs(spec.x_min), abs(spec.x_max)),
                        max(abs(spec.y_min), abs(spec.y_max)))
-    return r, r / r_max
+    return np.hypot(xs, ys) / r_max
 
 
 def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
@@ -512,15 +512,12 @@ def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
                      for c in range(N_CLASSES)])
 
 
-def render_observation(world: WorldMap, pose: Pose2, spec: GridSpec,
-                       noise_seed: int,
-                       calibration: Calibration | None = None,
-                       ) -> tuple[Raster, np.ndarray]:
-    """Noisy ego-frame observation (5 channels) plus the sector map."""
+def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
+                       calibration: Calibration | None = None) -> Raster:
+    """Noisy 5-channel observation of a frame, on its ground truth's grid."""
     cal = calibration or Calibration()
-    style = world.style
-    gt = rasterize_gt(world, pose, spec).values
-    _, rnorm = _range_maps(spec)
+    spec = gt.spec
+    rnorm = _range_norm(spec)
     rows, cols = spec.rows, spec.cols
     stream = Stream(noise_seed)
 
@@ -551,7 +548,7 @@ def render_observation(world: WorldMap, pose: Pose2, spec: GridSpec,
         q0 = ds.randint(max(1, cols - w))
         drop_mask[r0:r0 + h, q0:q0 + w] = True
 
-    signal = smoothed_signal(gt)
+    signal = smoothed_signal(gt.values)
     mix = np.asarray(cal.mix)
     mixed = np.einsum("ij,jhw->ihw", mix, signal)
     if cal.vis_frac is not None:
@@ -569,7 +566,7 @@ def render_observation(world: WorldMap, pose: Pose2, spec: GridSpec,
     cch[drop_mask] = 0.0
     values[3] = np.clip(cch, 0.0, 1.0)
     values[4] = rnorm
-    return Raster(spec, values), compute_sector_map(spec)
+    return Raster(spec, values)
 
 
 # ------------------------------------------------------------------ splits --
@@ -624,9 +621,9 @@ def build_sequence(world: WorldMap, world_index: int, sequence_id: int,
     samples = []
     for idx, pose in poses:
         noise_seed = mix64(seed ^ mix64(1000 + idx))
-        obs, sectors = render_observation(world, pose, spec, noise_seed, cal)
         gt = rasterize_gt(world, pose, spec)
-        samples.append(Sample(sequence_id, idx, pose, obs, gt, sectors))
+        obs = render_observation(gt, world.style, noise_seed, cal)
+        samples.append(Sample(sequence_id, idx, pose, obs, gt))
     return SequenceData(sequence_id, world_index, [p for _, p in poses], samples)
 
 
@@ -673,14 +670,22 @@ def read_raster(path) -> Raster:
         data = fh.read()
     if data[:8] != RASTER_MAGIC:
         raise ConfigurationError(f"bad raster magic in {path!s}")
-    x_min, x_max, y_min, y_max, cell = struct.unpack_from("<5d", data, 8)
+    if len(data) < 52:
+        raise ConfigurationError(f"truncated raster header in {path!s}")
+    extent = struct.unpack_from("<5d", data, 8)
     (channels,) = struct.unpack_from("<I", data, 48)
-    spec = GridSpec(x_min, x_max, y_min, y_max, cell)
-    count = channels * spec.rows * spec.cols
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=52).copy()
-    off = 52 + 8 * count
+    if not all(map(math.isfinite, extent)):
+        raise ConfigurationError(f"non-finite raster extent in {path!s}")
+    spec = GridSpec(*extent)
     nbits = spec.rows * spec.cols
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=off),
+    count = channels * nbits
+    size = 52 + 8 * count + (nbits + 7) // 8
+    if len(data) != size:
+        raise ConfigurationError(
+            f"raster {path!s} is {len(data)} bytes; its header implies {size}")
+    values = np.frombuffer(data, dtype="<f8", count=count, offset=52).copy()
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8,
+                                       offset=52 + 8 * count),
                          bitorder="little")[:nbits]
     return Raster(spec, values.reshape(channels, spec.rows, spec.cols),
                   bits.astype(bool).reshape(spec.rows, spec.cols))
@@ -707,7 +712,7 @@ def export_dataset(out_dir, dataset: Dataset) -> None:
 
 
 def import_sequence(seq_dir) -> SequenceData:
-    """Read one exported sequence directory; sector maps are recomputed."""
+    """Read one exported sequence directory."""
     d = Path(seq_dir)
     sid = int(d.name.split("_")[1])
     poses = []
@@ -720,6 +725,5 @@ def import_sequence(seq_dir) -> SequenceData:
     for idx, pose in poses:
         obs = read_raster(d / f"frame_{idx:03d}_obs.bevras")
         gt = read_raster(d / f"frame_{idx:03d}_gt.bevras")
-        samples.append(Sample(sid, idx, pose, obs, gt,
-                              compute_sector_map(obs.spec)))
+        samples.append(Sample(sid, idx, pose, obs, gt))
     return SequenceData(sid, -1, [p for _, p in poses], samples)

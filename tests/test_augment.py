@@ -158,20 +158,29 @@ def test_strong_augment_defaults_reproduce_winning_combination():
     assert cfg.cutout_fraction == 0.25
     assert cfg.bevdrop_rate == 0.5
     obs = _obs(23)
-    view, fov, drop = strong_augment(obs, compute_sector_map(SMALL_GRID), cfg,
-                                     Stream(24))
+    view, fov, drop = strong_augment(obs, cfg, Stream(24))
     assert fov.include.all()          # no camdrop: nothing excluded
     assert drop is not None and drop.shape == (96, 32)
-    v2, _, d2 = strong_augment(obs, compute_sector_map(SMALL_GRID), cfg,
-                               Stream(24))
+    v2, _, d2 = strong_augment(obs, cfg, Stream(24))
     assert np.array_equal(view.values, v2.values)
     assert np.array_equal(drop, d2)
 
 
+def test_strong_augment_camdrop_drops_grid_sectors():
+    obs = _obs(27)
+    cfg = AugmentConfig(photometric=False, cutout=False, camdrop=True,
+                        camdrop_count=2, bevdrop=False)
+    view, fov, drop = strong_augment(obs, cfg, Stream(28))
+    ref, ref_fov = camdrop(obs, compute_sector_map(SMALL_GRID),
+                           Stream(28).child("camdrop"), 2)
+    assert np.array_equal(view.values, ref.values)
+    assert np.array_equal(fov.include, ref_fov.include)
+    assert not fov.include.all() and drop is None
+
+
 def test_augment_none_is_identity():
     obs = _obs(25)
-    view, fov, drop = strong_augment(obs, compute_sector_map(SMALL_GRID),
-                                     AugmentConfig.none(), Stream(26))
+    view, fov, drop = strong_augment(obs, AugmentConfig.none(), Stream(26))
     assert np.array_equal(view.values, obs.values)
     assert fov.include.all()
     assert drop is None

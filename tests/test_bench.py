@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bevssl import bench
 from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           _pseudo_for, _weights_for, best_validation_step,
                           canonical_json, config_from_dict, evaluate_pairs,
@@ -10,12 +11,13 @@ from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           load_checkpoint_params, run_one, run_scenario,
                           scenario_variants, template_variants, write_pgm,
                           write_ppm)
-from bevssl.bench import EvalConfig, TrainConfig, WorldConfig
+from bevssl.bench import EvalConfig, RunSpec, TrainConfig, WorldConfig
 from bevssl.engine import OptimConfig, PseudoLabelConfig
 from bevssl.errors import ConfigurationError
 from bevssl.losses import LossWeights
 from bevssl.model import ModelConfig
 from bevssl.rng import Stream
+from bevssl.world import CITY_A, CITY_B
 
 TINY_MODEL = dict(enc_widths=[3, 4], lift_channels=4, dec_widths=[4])
 
@@ -164,6 +166,43 @@ def test_label_sweep_variants():
     names = [v.name for v in scenario_variants(cfg)]
     assert "supervised@0.025" in names and "ssl@0.1" in names
     assert "ssl@1" not in names  # nothing unlabelled at full utilisation
+
+
+def _adapt_datasets(cfg):
+    bench._DATASET_CACHE.clear()
+    return {v.adapt_unlabelled: bench._build_run_dataset(
+        RunSpec(cfg.name, v, cfg.eval.seeds[0], cfg))
+        for v in scenario_variants(cfg)}
+
+
+def test_adapt_dataset_splits_source_and_target_worlds():
+    cfg = tiny_config("city-adapt", world={
+        "n_frames": 3, "val_worlds": 1, "test_worlds": 1},
+        eval={"seeds": [0], "adapt_source_worlds": 2,
+              "adapt_unlabelled_counts": [0, 2]})
+    built = _adapt_datasets(cfg)
+    assert sorted(built) == [0, 2]
+    # worlds 0-1 are the source city, 2-3 the target-city training pool,
+    # 4 and 5 the target-city val and test worlds
+    for n, ds in built.items():
+        styles = [ds.worlds[ds.sequences[sid].world_index].style
+                  for sid in sorted(ds.sequences)]
+        assert styles == [CITY_A] * 2 + [CITY_B] * 4
+        assert ds.split.labelled == [0, 1]
+        assert len(ds.split.unlabelled) == n
+        assert set(ds.split.unlabelled) <= {2, 3}
+        assert (ds.split.val, ds.split.test) == ([4], [5])
+        assert all(len(seq.samples) == 3 for seq in ds.sequences.values())
+
+    again = _adapt_datasets(cfg)
+    for n, ds in built.items():
+        assert again[n].split == ds.split
+        for sid, seq in ds.sequences.items():
+            for a, b in zip(seq.samples, again[n].sequences[sid].samples):
+                assert a.pose == b.pose
+                assert np.array_equal(a.observation.values,
+                                      b.observation.values)
+                assert np.array_equal(a.gt.values, b.gt.values)
 
 
 # ------------------------------------------------------------------- runs ---

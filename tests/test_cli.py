@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bevssl.autograd import save_checkpoint
 from bevssl.cli import main
 from bevssl.geometry import SMALL_GRID, Raster
 from bevssl.rng import Stream
@@ -107,6 +108,36 @@ def test_render_writes_images(tmp_path, capsys):
     assert (out / "sample_ch0.pgm").exists()
     assert (out / "sample_rgb.ppm").exists()
     assert (out / "sample_ch0.pgm").read_bytes().startswith(b"P5\n32 96\n255\n")
+
+
+@pytest.mark.parametrize("command", ["render", "eval"])
+def test_truncated_container_exits_2(tmp_path, capsys, command):
+    if command == "render":
+        path = tmp_path / "cut.bevras"
+        write_raster(path, Raster(SMALL_GRID, np.zeros((3, 96, 32))))
+        argv = ["render", "--raster", str(path)]
+    else:
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, {"best.head.b": np.zeros(3)})
+        argv = ["eval", "--checkpoint", str(path), "--config",
+                str(_write_cfg(tmp_path))]
+    path.write_bytes(path.read_bytes()[:-4])
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+def test_adapt_writes_one_variant_per_target_count(tmp_path):
+    doc = {**TINY_DOC, "world": {"n_frames": 3, "val_worlds": 1,
+                                 "test_worlds": 1},
+           "train": {"total_steps": 4, "eval_every": 2},
+           "eval": {"seeds": [0], "adapt_source_worlds": 2,
+                    "adapt_unlabelled_counts": [0, 2]}}
+    out = tmp_path / "adapt"
+    assert main(["adapt", "--config", str(_write_cfg(tmp_path, doc)),
+                 "--out", str(out)]) == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(r.split(",")[1] for r in rows)) \
+        == ["adapt@0", "adapt@2"]
 
 
 def test_unknown_template_exits_2(tmp_path):

@@ -165,8 +165,8 @@ def test_observation_noiseless_limit_equals_smoothed_gt():
                         lane_width=3.6, crossing_frequency=0.7,
                         noise_level=0.0, clutter_density=0.0)
     w = straight_world(clean)
-    obs, _ = render_observation(w, Pose2(0, 0, 0), SMALL_GRID, 42)
     gt = rasterize_gt(w, Pose2(0, 0, 0), SMALL_GRID)
+    obs = render_observation(gt, clean, 42)
     signal = smoothed_signal(gt.values)
     for ch in range(3):
         assert np.array_equal(obs.values[ch],
@@ -186,7 +186,7 @@ def test_observation_snr_degrades_with_range():
     far = (rng_map > 38.0) & (rng_map < 42.0)
     snr_near, snr_far = [], []
     for seed in range(50):
-        obs, _ = render_observation(w, pose, spec, seed)
+        obs = render_observation(gt, w.style, seed)
         noise = obs.values[:3] - np.clip(signal, 0, 1)
         sig_pow = (signal ** 2)[:, near].mean(), (signal ** 2)[:, far].mean()
         noise_pow = (noise ** 2)[:, near].mean(), (noise ** 2)[:, far].mean()
@@ -206,19 +206,20 @@ def test_sector_of_cell_directly_ahead_is_front():
 
 def test_observation_deterministic_in_noise_seed():
     w = straight_world()
-    o1, s1 = render_observation(w, Pose2(1, 0, 0.1), SMALL_GRID, 99)
-    o2, s2 = render_observation(w, Pose2(1, 0, 0.1), SMALL_GRID, 99)
-    o3, _ = render_observation(w, Pose2(1, 0, 0.1), SMALL_GRID, 100)
+    gt = rasterize_gt(w, Pose2(1, 0, 0.1), SMALL_GRID)
+    o1 = render_observation(gt, w.style, 99)
+    o2 = render_observation(gt, w.style, 99)
+    o3 = render_observation(gt, w.style, 100)
     assert np.array_equal(o1.values, o2.values)
-    assert np.array_equal(s1, s2)
     assert not np.array_equal(o1.values, o3.values)
 
 
 def test_observation_calibration_changes_evidence():
     w = straight_world()
-    base, _ = render_observation(w, Pose2(0, 0, 0), SMALL_GRID, 7)
+    gt = rasterize_gt(w, Pose2(0, 0, 0), SMALL_GRID)
+    base = render_observation(gt, w.style, 7)
     cal = Calibration(gains=(1.3, 1.3, 1.3), biases=(0.05, 0.05, 0.05))
-    mod, _ = render_observation(w, Pose2(0, 0, 0), SMALL_GRID, 7, cal)
+    mod = render_observation(gt, w.style, 7, cal)
     assert not np.array_equal(base.values[:3], mod.values[:3])
     assert np.array_equal(base.values[4], mod.values[4])
 
@@ -279,9 +280,22 @@ def test_samples_satisfy_invariants():
             world = d.worlds[seq.world_index]
             again = rasterize_gt(world, s.pose, d.spec)
             assert np.array_equal(s.gt.values, again.values)
-            assert np.array_equal(s.sector_map, compute_sector_map(d.spec))
             assert s.observation.channels == 5
             assert set(np.unique(s.gt.values)) <= {0.0, 1.0}
+
+
+def test_build_sequence_rasterizes_each_frame_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rasterize_gt(*args)
+
+    monkeypatch.setattr("bevssl.world.rasterize_gt", counting)
+    w = generate_world(3, CITY_A)
+    seq = build_sequence(w, 0, 0, 21, SMALL_GRID, n_frames=4)
+    assert len(calls) == len(seq.samples) == 4
+    assert [pose for _, pose, _ in calls] == [s.pose for s in seq.samples]
 
 
 # --------------------------------------------------------------- container --
@@ -314,4 +328,3 @@ def test_dataset_export_import_roundtrip(tmp_path):
         assert np.array_equal(a.gt.values, b.gt.values)
         assert abs(a.pose.x - b.pose.x) < 1e-15
         assert abs(a.pose.yaw - b.pose.yaw) < 1e-15
-        assert np.array_equal(a.sector_map, b.sector_map)
