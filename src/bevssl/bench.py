@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import traceback
-from dataclasses import asdict, dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +27,9 @@ from .geometry import GRID_PRESETS
 from .losses import LossWeights
 from .model import ModelConfig, forward, init_params
 from .rng import Stream, mix64
-from .world import (CLASS_NAMES, Dataset, DatasetSplit, STYLE_PRESETS,
-                    build_dataset, build_sequence, generate_world)
-
-N_CLASSES = len(CLASS_NAMES)
+from .world import (CLASS_NAMES, N_CLASSES, Dataset, DatasetSplit,
+                    STYLE_PRESETS, build_dataset, build_sequences,
+                    generate_world)
 
 METRICS_HEADER = ("scenario,variant,seed,step,split,class,iou,miou,"
                   "loss_sup,loss_cls,loss_feat")
@@ -51,22 +52,17 @@ class Metrics:
 class IoUAccumulator:
     """Per-class intersection/union counts over any number of rasters."""
 
-    def __init__(self, binarize_at: float = 0.5):
-        self.binarize_at = binarize_at
+    def __init__(self):
         self.tp = np.zeros(N_CLASSES, dtype=np.int64)
         self.fp = np.zeros(N_CLASSES, dtype=np.int64)
         self.fn = np.zeros(N_CLASSES, dtype=np.int64)
 
-    def update(self, pred_probs: np.ndarray, gt: np.ndarray,
-               valid: np.ndarray | None = None) -> None:
+    def update(self, pred_probs: np.ndarray, gt: np.ndarray) -> None:
         if pred_probs.shape != gt.shape:
             raise ConfigurationError(
                 f"prediction {pred_probs.shape} vs gt {gt.shape}")
-        pred = pred_probs > self.binarize_at
+        pred = pred_probs > 0.5
         truth = gt > 0.5
-        if valid is not None:
-            pred = pred & valid
-            truth = truth & valid
         for c in range(N_CLASSES):
             self.tp[c] += int(np.sum(pred[c] & truth[c]))
             self.fp[c] += int(np.sum(pred[c] & ~truth[c]))
@@ -190,9 +186,33 @@ _SECTION_TYPES = {"world": WorldConfig, "model": ModelConfig,
                   "train": TrainConfig, "augment": AugmentConfig,
                   "ssl": SslConfig, "eval": EvalConfig}
 
-_TUPLE_FIELDS = {"enc_widths", "dec_widths", "seeds", "sweep_utilisations",
-                 "adapt_unlabelled_counts", "gain_range", "bias_range",
-                 "betas"}
+
+# the names a value must be one of, by section and field
+_CHOICES = {("world", "grid_preset"): GRID_PRESETS,
+            ("world", "style"): STYLE_PRESETS,
+            ("eval", "adapt_target_style"): STYLE_PRESETS,
+            ("train", "eval_model"): ("student", "teacher"),
+            ("train", "supervised_augment"): ("none", "same")}
+
+
+def _check_values(cfg: ScenarioConfig) -> None:
+    """Reject values the runs would otherwise trip over after data
+    generation."""
+    for section in ("world", "train"):
+        for f in fields(_SECTION_TYPES[section]):
+            value = getattr(getattr(cfg, section), f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, int)):
+                raise ConfigurationError(
+                    f"{section}.{f.name} must be an integer, got {value!r}")
+    for (section, name), choices in _CHOICES.items():
+        value = getattr(getattr(cfg, section), name)
+        if value not in tuple(choices):
+            raise ConfigurationError(f"{section}.{name} must be one of "
+                                     f"{sorted(choices)}, got {value!r}")
+    if cfg.train.eval_every < 1:
+        raise ConfigurationError(
+            f"train.eval_every must be >= 1, got {cfg.train.eval_every}")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -209,18 +229,19 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         src = data.get(section, {})
         if not isinstance(src, dict):
             raise ConfigurationError(f"config section '{section}' must be an object")
-        fields = {f.name for f in cls.__dataclass_fields__.values()}
-        bad = set(src) - fields
+        types = {f.name: f.type for f in fields(cls)}
+        bad = set(src) - set(types)
         if bad:
             raise ConfigurationError(
                 f"unknown keys in '{section}': {sorted(bad)}")
-        coerced = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list)
-                   else v for k, v in src.items()}
+        coerced = {k: tuple(v) if types[k].startswith("tuple")
+                   and isinstance(v, list) else v for k, v in src.items()}
         try:
             kwargs[section] = cls(**coerced)
         except TypeError as exc:
             raise ConfigurationError(f"bad '{section}' config: {exc}") from exc
     cfg = ScenarioConfig(**kwargs)
+    _check_values(cfg)
     # the engine configs check their own values; run those checks now,
     # before any data generation
     probe = RunSpec(cfg.name, Variant(cfg.kind), 0, cfg)
@@ -252,8 +273,7 @@ class Variant:
     name: str
     ssl: bool = True
     augment: AugmentConfig | None = None
-    weights_override: dict = field(default_factory=dict)
-    pseudo_override: dict = field(default_factory=dict)
+    overrides: dict = field(default_factory=dict)   # `ssl`-section fields
     utilisation: float | None = None
     adapt_unlabelled: int | None = None
 
@@ -280,93 +300,79 @@ class RunResult:
     error: str | None = None
 
 
+def _engine_config(cls, spec: RunSpec):
+    """`cls` with every field read from the section declaring that name:
+    the run's `ssl` section with the variant's overrides, else `train`."""
+    ssl = replace(spec.cfg.ssl, **spec.variant.overrides)
+    values = {**asdict(spec.cfg.train), **asdict(ssl)}
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+
 def _weights_for(spec: RunSpec) -> LossWeights:
-    s, t = spec.cfg.ssl, spec.cfg.train
-    base = dict(w_cls=s.w_cls, w_feat=s.w_feat,
-                rampup_fraction=s.rampup_fraction, focal_gamma=t.focal_gamma,
-                focal_alpha=t.focal_alpha, feat_mode=s.feat_mode,
-                feat_level=s.feat_level)
-    base.update(spec.variant.weights_override)
-    return LossWeights(**base)
+    return _engine_config(LossWeights, spec)
 
 
 def _pseudo_for(spec: RunSpec) -> PseudoLabelConfig:
-    s = spec.cfg.ssl
-    base = dict(threshold=s.threshold, temperature=s.temperature, hard=s.hard,
-                fusion_mode=s.fusion_mode, fusion_extra=s.fusion_extra,
-                fusion_max_range=s.fusion_max_range, fusion_warp=s.fusion_warp,
-                confidence=s.confidence)
-    base.update(spec.variant.pseudo_override)
-    return PseudoLabelConfig(**base)
+    return _engine_config(PseudoLabelConfig, spec)
 
 
-_DATASET_CACHE: dict = {}
+_DATASET_CACHE: dict = {}   # the last dataset built
 
 
 def _build_run_dataset(spec: RunSpec) -> Dataset:
-    w = spec.cfg.world
-    grid = GRID_PRESETS[w.grid_preset]
-    util = (spec.variant.utilisation if spec.variant.utilisation is not None
-            else w.utilisation)
+    w, ev = spec.cfg.world, spec.cfg.eval
+    if spec.variant.utilisation is not None:
+        w = replace(w, utilisation=spec.variant.utilisation)
+    adapt = spec.variant.adapt_unlabelled is not None
     data_seed = Stream(spec.seed).child("data").seed
-    if spec.variant.adapt_unlabelled is None:
-        key = (w.grid_preset, w.style, data_seed, w.n_worlds, w.seqs_per_world,
-               w.n_frames, util, w.val_worlds, w.test_worlds, w.speed_min,
-               w.speed_max)
-        if key not in _DATASET_CACHE:
-            if len(_DATASET_CACHE) > 4:
-                _DATASET_CACHE.clear()
+    key = (w, data_seed, (ev.adapt_target_style, ev.adapt_source_worlds,
+                          max(ev.adapt_unlabelled_counts)) if adapt else None)
+    if key not in _DATASET_CACHE:
+        _DATASET_CACHE.clear()
+        grid = GRID_PRESETS[w.grid_preset]
+        speed_range = (w.speed_min, w.speed_max)
+        if adapt:
+            # source-style worlds, then the target-style pool and the val
+            # and test worlds; each variant takes its own split below
+            n_tgt = (max(ev.adapt_unlabelled_counts) + w.val_worlds
+                     + w.test_worlds)
+            worlds = ([generate_world(mix64(data_seed ^ mix64(i)),
+                                      STYLE_PRESETS[w.style])
+                       for i in range(ev.adapt_source_worlds)]
+                      + [generate_world(mix64(data_seed ^ mix64(50000 + i)),
+                                        STYLE_PRESETS[ev.adapt_target_style])
+                         for i in range(n_tgt)])
+            _DATASET_CACHE[key] = Dataset(
+                grid, worlds, build_sequences(worlds, data_seed, grid,
+                                              w.n_frames, speed_range, 1),
+                None)
+        else:
             _DATASET_CACHE[key] = build_dataset(
                 grid, STYLE_PRESETS[w.style], data_seed, n_worlds=w.n_worlds,
                 seqs_per_world=w.seqs_per_world, n_frames=w.n_frames,
-                utilisation=util, val_worlds=w.val_worlds,
-                test_worlds=w.test_worlds,
-                speed_range=(w.speed_min, w.speed_max))
-        return _DATASET_CACHE[key]
-    return _build_adapt_dataset(spec, grid, data_seed)
+                utilisation=w.utilisation, val_worlds=w.val_worlds,
+                test_worlds=w.test_worlds, speed_range=speed_range)
+    dataset = _DATASET_CACHE[key]
+    if adapt:
+        return replace(dataset, split=_adapt_split(spec, data_seed))
+    return dataset
 
 
-def _build_adapt_dataset(spec: RunSpec, grid, data_seed: int) -> Dataset:
-    """Source-style labelled worlds plus target-style unlabelled/val/test."""
+def _adapt_split(spec: RunSpec, data_seed: int) -> DatasetSplit:
+    """Labelled source worlds plus the variant's share of the target pool."""
     w, ev = spec.cfg.world, spec.cfg.eval
-    n_target = max(ev.adapt_unlabelled_counts)
-    key = ("adapt", w.grid_preset, w.style, ev.adapt_target_style, data_seed,
-           ev.adapt_source_worlds, n_target, w.val_worlds, w.test_worlds,
-           w.n_frames, w.speed_min, w.speed_max)
-    if key not in _DATASET_CACHE:
-        if len(_DATASET_CACHE) > 4:
-            _DATASET_CACHE.clear()
-        src_style = STYLE_PRESETS[w.style]
-        tgt_style = STYLE_PRESETS[ev.adapt_target_style]
-        worlds = []
-        for i in range(ev.adapt_source_worlds):
-            worlds.append(generate_world(mix64(data_seed ^ mix64(i)), src_style))
-        n_tgt_worlds = n_target + w.val_worlds + w.test_worlds
-        for i in range(n_tgt_worlds):
-            worlds.append(generate_world(mix64(data_seed ^ mix64(50000 + i)),
-                                         tgt_style))
-        sequences = {}
-        for sid, world in enumerate(worlds):
-            seq_seed = mix64(data_seed ^ mix64(7777 + sid))
-            sequences[sid] = build_sequence(world, sid, sid, seq_seed, grid,
-                                            w.n_frames,
-                                            (w.speed_min, w.speed_max))
-        _DATASET_CACHE[key] = (worlds, sequences)
-    worlds, sequences = _DATASET_CACHE[key]
-
-    n_src = ev.adapt_source_worlds
+    n_src, n_target = ev.adapt_source_worlds, max(ev.adapt_unlabelled_counts)
     tgt_train = list(range(n_src, n_src + n_target))
     order = Stream(data_seed).child("adapt-pick").permutation(n_target)
     n_use = spec.variant.adapt_unlabelled or 0
     unlabelled = sorted(tgt_train[i] for i in order[:n_use])
     val_lo = n_src + n_target
-    split = DatasetSplit(
+    return DatasetSplit(
         labelled=list(range(n_src)), unlabelled=unlabelled,
         val=list(range(val_lo, val_lo + w.val_worlds)),
         test=list(range(val_lo + w.val_worlds, val_lo + w.val_worlds
                         + w.test_worlds)),
         label_utilisation=1.0)
-    return Dataset(grid, worlds, sequences, split)
 
 
 def run_one(spec: RunSpec) -> RunResult:
@@ -428,19 +434,28 @@ def run_one(spec: RunSpec) -> RunResult:
     checkpoint.update({f"best.{k}": v for k, v in best_vals.items()})
 
     pred, gt = test_pairs[0]
-    preview = {"pred": pred.copy(), "gt": gt.copy(),
-               "spec": dataset.spec.to_dict()}
+    preview = {"pred": pred.copy(), "gt": gt.copy()}
     return RunResult(spec.scenario, spec.variant.name, spec.seed, best_step,
                      val_m, test_m, train_log, checkpoint, preview)
+
+
+def _failed_run(spec: RunSpec, error: str) -> RunResult:
+    return RunResult(spec.scenario, spec.variant.name, spec.seed, 0, None,
+                     None, [], {}, {}, error=error)
 
 
 def _run_one_safe(spec: RunSpec) -> RunResult:
     try:
         return run_one(spec)
     except Exception:
-        return RunResult(spec.scenario, spec.variant.name, spec.seed, 0, None,
-                         None, [], {}, {},
-                         error=traceback.format_exc(limit=10))
+        return _failed_run(spec, traceback.format_exc(limit=10))
+
+
+def _worker_result(future, spec: RunSpec) -> RunResult:
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return _failed_run(spec, f"worker process died: {exc}")
 
 
 # ------------------------------------------------------- scenario variants --
@@ -466,110 +481,78 @@ def scenario_variants(cfg: ScenarioConfig) -> list[Variant]:
     raise ConfigurationError(f"unknown scenario kind '{kind}'")
 
 
+# the teacher-student core: no feature similarity, threshold or fusion
+CORE_OVERRIDES = {"w_feat": 0.0, "threshold": None, "fusion_mode": "none"}
+
+
 def components_variants() -> list[Variant]:
     """Incremental component stack: Core, +Augs, +Fusion, +Featsim, +Thr, +Hard."""
-    none_aug = AugmentConfig.none()
-    core = dict(weights_override={"w_feat": 0.0},
-                pseudo_override={"threshold": None, "fusion_mode": "none"})
-    plus_augs = dict(weights_override={"w_feat": 0.0},
-                     pseudo_override={"threshold": None, "fusion_mode": "none"})
-    plus_fusion = dict(weights_override={"w_feat": 0.0},
-                       pseudo_override={"threshold": None})
-    plus_featsim = dict(pseudo_override={"threshold": None})
-    plus_thr: dict = {}
-    plus_hard = dict(pseudo_override={"hard": True})
     return [
-        Variant("Core", augment=none_aug, **core),
-        Variant("+Augs", **plus_augs),
-        Variant("+Fusion", **plus_fusion),
-        Variant("+Featsim", **plus_featsim),
-        Variant("+Thr", **plus_thr),
-        Variant("+Hard", **plus_hard),
+        Variant("Core", augment=AugmentConfig.none(), overrides=CORE_OVERRIDES),
+        Variant("+Augs", overrides=CORE_OVERRIDES),
+        Variant("+Fusion", overrides={"w_feat": 0.0, "threshold": None}),
+        Variant("+Featsim", overrides={"threshold": None}),
+        Variant("+Thr"),
+        Variant("+Hard", overrides={"hard": True}),
     ]
 
 
 def augmentation_variants() -> list[Variant]:
     """Augmentation combinations mirroring the strong-augmentation study."""
-    base = dict(weights_override={"w_feat": 0.0},
-                pseudo_override={"threshold": None, "fusion_mode": "none"})
     mk = AugmentConfig
-    return [
-        Variant("none", augment=mk.none(), **base),
-        Variant("photo", augment=mk(cutout=False, camdrop=False, bevdrop=False),
-                **base),
-        Variant("photo+camdrop", augment=mk(cutout=False, camdrop=True,
-                                            bevdrop=False), **base),
-        Variant("photo+cutout", augment=mk(camdrop=False, bevdrop=False),
-                **base),
-        Variant("photo+cutout+bevdrop", augment=mk(camdrop=False), **base),
-    ]
+    augments = {
+        "none": mk.none(),
+        "photo": mk(cutout=False, camdrop=False, bevdrop=False),
+        "photo+camdrop": mk(cutout=False, camdrop=True, bevdrop=False),
+        "photo+cutout": mk(camdrop=False, bevdrop=False),
+        "photo+cutout+bevdrop": mk(camdrop=False),
+    }
+    return [Variant(name, augment=aug, overrides=CORE_OVERRIDES)
+            for name, aug in augments.items()]
 
 
 def threshold_variants(taus=(0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9),
                        ) -> list[Variant]:
-    out = []
-    for tau in taus:
-        for hard in (False, True):
-            tag = "thr+hard" if hard else "thr"
-            out.append(Variant(
-                f"{tag}@{tau:g}", weights_override={"w_feat": 0.0},
-                pseudo_override={"threshold": tau, "hard": hard,
-                                 "fusion_mode": "none"}))
-    return out
+    return [Variant(f"{'thr+hard' if hard else 'thr'}@{tau:g}",
+                    overrides={**CORE_OVERRIDES, "threshold": tau,
+                               "hard": hard})
+            for tau in taus for hard in (False, True)]
 
 
 def temperature_variants(temps=(0.05, 0.1, 0.25, 0.5, 0.75, 0.95),
                          ) -> list[Variant]:
-    out = []
-    for temp in temps:
-        for name, over in (("nothr", {"threshold": None}),
-                           ("thr", {}), ("thr+hard", {"hard": True})):
-            pseudo = {"temperature": temp, "fusion_mode": "none", **over}
-            out.append(Variant(f"T{temp:g}+{name}",
-                               weights_override={"w_feat": 0.0},
-                               pseudo_override=pseudo))
-    return out
+    # "thr" keeps the configured threshold
+    return [Variant(f"T{temp:g}+{name}",
+                    overrides={"w_feat": 0.0, "fusion_mode": "none",
+                               "temperature": temp, **over})
+            for temp in temps
+            for name, over in (("nothr", {"threshold": None}), ("thr", {}),
+                               ("thr+hard", {"hard": True}))]
 
 
 def featsim_variants(weights=(0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5),
                      ) -> list[Variant]:
-    out = []
-    for w in weights:
-        for mode in ("mse", "cosine"):
-            for level in ("early", "late"):
-                out.append(Variant(
-                    f"{mode}-{level}@{w:g}",
-                    weights_override={"w_feat": w, "feat_mode": mode,
-                                      "feat_level": level},
-                    pseudo_override={"threshold": None, "fusion_mode": "none"}))
-    return out
+    return [Variant(f"{mode}-{level}@{w:g}",
+                    overrides={**CORE_OVERRIDES, "w_feat": w,
+                               "feat_mode": mode, "feat_level": level})
+            for w in weights for mode in ("mse", "cosine")
+            for level in ("early", "late")]
 
 
 def fusion_variants(ranges=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
                     ) -> list[Variant]:
-    out = []
-    for rng in ranges:
-        for mode in ("probs", "feats"):
-            for thr_name, thr in (("nothr", None), ("thr", 0.6)):
-                out.append(Variant(
-                    f"{mode}-{thr_name}@{rng:g}m",
-                    weights_override={"w_feat": 0.0},
-                    pseudo_override={"fusion_mode": mode,
-                                     "fusion_max_range": rng,
-                                     "threshold": thr}))
-    return out
+    return [Variant(f"{mode}-{thr_name}@{rng:g}m",
+                    overrides={**CORE_OVERRIDES, "fusion_mode": mode,
+                               "fusion_max_range": rng, "threshold": thr})
+            for rng in ranges for mode in ("probs", "feats")
+            for thr_name, thr in (("nothr", None), ("thr", 0.6))]
 
 
 def fusion_frames_variants(counts=(2, 4, 6)) -> list[Variant]:
-    out = []
-    for n in counts:
-        for mode in ("probs", "feats"):
-            out.append(Variant(
-                f"{mode}-n{n}", weights_override={"w_feat": 0.0},
-                pseudo_override={"fusion_mode": mode, "fusion_extra": n,
-                                 "fusion_max_range": 20.0,
-                                 "threshold": None}))
-    return out
+    return [Variant(f"{mode}-n{n}",
+                    overrides={**CORE_OVERRIDES, "fusion_mode": mode,
+                               "fusion_extra": n, "fusion_max_range": 20.0})
+            for n in counts for mode in ("probs", "feats")]
 
 
 SCENARIO_TEMPLATES = {
@@ -661,11 +644,16 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
                  variants: list[Variant] | None = None) -> ResultsTable:
     variants = variants if variants is not None else scenario_variants(cfg)
     specs = expand_runs(cfg, variants)
-    if workers > 1 and len(specs) > 1:
-        with multiprocessing.get_context("fork").Pool(min(workers, len(specs))) as pool:
-            results = pool.map(_run_one_safe, specs)
+    # seed-major, so that runs sharing a dataset run back to back
+    todo = sorted(specs, key=lambda s: s.seed)
+    if workers > 1 and len(todo) > 1:
+        with ProcessPoolExecutor(
+                min(workers, len(todo)),
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_run_one_safe, s) for s in todo]
+            results = [_worker_result(f, s) for f, s in zip(futures, todo)]
     else:
-        results = [_run_one_safe(s) for s in specs]
+        results = [_run_one_safe(s) for s in todo]
 
     order = {(s.variant.name, s.seed): i for i, s in enumerate(specs)}
     results.sort(key=lambda r: order[(r.variant, r.seed)])
@@ -729,9 +717,8 @@ def export_artifacts(table: ResultsTable, cfg: ScenarioConfig, out_dir) -> None:
         lines = [",".join(r.train_log[0])]
         lines += [",".join(map(_log_cell, row.values())) for row in r.train_log]
         (out / f"train_log_{tag}.csv").write_text("\n".join(lines) + "\n")
-        if r.preview:
-            export_raster_images(out, f"pred_{tag}", r.preview["pred"])
-            export_raster_images(out, f"gt_{tag}", r.preview["gt"])
+        export_raster_images(out, f"pred_{tag}", r.preview["pred"])
+        export_raster_images(out, f"gt_{tag}", r.preview["gt"])
 
 
 def _safe(name: str) -> str:
@@ -740,7 +727,8 @@ def _safe(name: str) -> str:
 
 def load_checkpoint_params(path, model_cfg: ModelConfig, which: str = "best",
                            ) -> ParamSet:
-    """Rebuild a ParamSet from a prefixed run checkpoint."""
+    """Rebuild a ParamSet from a prefixed run checkpoint or a bare one; it
+    must hold exactly the model's parameters."""
     raw = load_checkpoint(path)
     prefix = which + "."
     vals = {k[len(prefix):]: v for k, v in raw.items() if k.startswith(prefix)}
@@ -748,5 +736,9 @@ def load_checkpoint_params(path, model_cfg: ModelConfig, which: str = "best",
         # bare checkpoint without prefixes
         vals = raw
     params = init_params(model_cfg, 0)
-    params.load_values(vals)
+    missing = set(params.names()) - set(vals)
+    if missing:
+        raise ConfigurationError(
+            f"checkpoint {path!s} lacks parameters {sorted(missing)}")
+    params.load_values(vals)   # rejects unknown names and wrong shapes
     return params

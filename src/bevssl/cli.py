@@ -132,9 +132,7 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     params = load_checkpoint_params(args.checkpoint, cfg.model)
-    spec = bench.RunSpec(cfg.name, bench.scenario_variants(cfg)[0],
-                         cfg.eval.seeds[0], cfg)
-    dataset = bench._build_run_dataset(spec)
+    dataset = bench._build_run_dataset(bench.expand_runs(cfg)[0])
     seq_ids = dataset.split.val if args.split == "val" else dataset.split.test
     metrics = evaluate_pairs(bench.predict_split(params, dataset, seq_ids,
                                                  cfg.model), args.split, 0)

@@ -98,10 +98,6 @@ class GridSpec:
         return np.repeat(xs[:, None], self.cols, axis=1), \
             np.repeat(ys[None, :], self.rows, axis=0)
 
-    def to_dict(self) -> dict:
-        return {"x_min": self.x_min, "x_max": self.x_max,
-                "y_min": self.y_min, "y_max": self.y_max, "cell": self.cell}
-
 
 PAPER_GRID = GridSpec(-45.0, 45.0, -15.0, 15.0, 0.3)
 SMALL_GRID = GridSpec(-24.0, 24.0, -8.0, 8.0, 0.5)

@@ -627,6 +627,21 @@ def build_sequence(world: WorldMap, world_index: int, sequence_id: int,
     return SequenceData(sequence_id, world_index, [p for _, p in poses], samples)
 
 
+def build_sequences(worlds: list[WorldMap], seed: int, spec: GridSpec,
+                    n_frames: int, speed_range: tuple[float, float],
+                    seqs_per_world: int) -> dict[int, SequenceData]:
+    """`seqs_per_world` sequences of each world, keyed by sequence id
+    world_index * seqs_per_world + j, each seeded from `seed` and its id."""
+    sequences: dict[int, SequenceData] = {}
+    for wi, world in enumerate(worlds):
+        for j in range(seqs_per_world):
+            sid = wi * seqs_per_world + j
+            sequences[sid] = build_sequence(world, wi, sid,
+                                            mix64(seed ^ mix64(7777 + sid)),
+                                            spec, n_frames, speed_range)
+    return sequences
+
+
 def build_dataset(spec: GridSpec, style: StyleParams, seed: int, *,
                   n_worlds: int, seqs_per_world: int, n_frames: int = 12,
                   utilisation: float = 0.1, val_worlds: int = 1,
@@ -638,14 +653,8 @@ def build_dataset(spec: GridSpec, style: StyleParams, seed: int, *,
     split = make_splits(worlds, utilisation, seed,
                         seqs_per_world=seqs_per_world,
                         val_worlds=val_worlds, test_worlds=test_worlds)
-    sequences: dict[int, SequenceData] = {}
-    for wi in range(n_worlds):
-        for j in range(seqs_per_world):
-            sid = wi * seqs_per_world + j
-            seq_seed = mix64(seed ^ mix64(7777 + sid))
-            sequences[sid] = build_sequence(worlds[wi], wi, sid, seq_seed,
-                                            spec, n_frames, speed_range)
-    return Dataset(spec, worlds, sequences, split)
+    return Dataset(spec, worlds, build_sequences(
+        worlds, seed, spec, n_frames, speed_range, seqs_per_world), split)
 
 
 # -------------------------------------------------------- raster container --

@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           load_checkpoint_params, run_one, run_scenario,
                           scenario_variants, template_variants, write_pgm,
                           write_ppm)
-from bevssl.bench import EvalConfig, RunSpec, TrainConfig, WorldConfig
+from bevssl.bench import (EvalConfig, RunSpec, SslConfig, TrainConfig,
+                          Variant, WorldConfig)
 from bevssl.engine import OptimConfig, PseudoLabelConfig
 from bevssl.errors import ConfigurationError
 from bevssl.losses import LossWeights
@@ -132,6 +136,18 @@ def test_default_config_maps_to_engine_defaults():
         == OptimConfig()
 
 
+def test_engine_fields_come_from_one_section():
+    # a field no section declares would silently keep its engine default
+    ssl = {f.name for f in fields(SslConfig)}
+    train = {f.name for f in fields(TrainConfig)}
+    read = set()
+    for cls in (LossWeights, PseudoLabelConfig):
+        for f in fields(cls):
+            assert (f.name in ssl) + (f.name in train) == 1, f.name
+            read.add(f.name)
+    assert ssl <= read
+
+
 def _strip_defaults(doc):
     # the echo contains every resolved field; feeding it back must reproduce
     # the config exactly, so nothing needs stripping
@@ -143,19 +159,19 @@ def test_scenario_variants_cover_study_axes():
         == ["Core", "+Augs", "+Fusion", "+Featsim", "+Thr", "+Hard"]
     names = [v.name for v in template_variants("augmentations")]
     assert names[0] == "none" and "photo+cutout+bevdrop" in names
-    taus = [v.pseudo_override["threshold"]
+    taus = [v.overrides["threshold"]
             for v in template_variants("threshold")]
     assert min(taus) == 0.55 and max(taus) == 0.9
-    temps = {v.pseudo_override["temperature"]
+    temps = {v.overrides["temperature"]
              for v in template_variants("temperature")}
     assert temps == {0.05, 0.1, 0.25, 0.5, 0.75, 0.95}
-    fr = {v.pseudo_override["fusion_max_range"]
+    fr = {v.overrides["fusion_max_range"]
           for v in template_variants("fusion")}
     assert fr == {10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0}
-    counts = {v.pseudo_override["fusion_extra"]
+    counts = {v.overrides["fusion_extra"]
               for v in template_variants("fusion-frames")}
     assert counts == {2, 4, 6}
-    ws = {v.weights_override["w_feat"] for v in template_variants("featsim")}
+    ws = {v.overrides["w_feat"] for v in template_variants("featsim")}
     assert ws == {0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5}
     with pytest.raises(ConfigurationError):
         template_variants("nonexistent")
@@ -244,6 +260,46 @@ def test_run_scenario_deterministic_and_exported(tmp_path):
     from bevssl.autograd import load_checkpoint, save_checkpoint
     save_checkpoint(again, load_checkpoint(ckpts[0]))
     assert again.read_bytes() == ckpts[0].read_bytes()
+
+
+def test_grid_holds_one_dataset_at_a_time(monkeypatch):
+    cfg = tiny_config("ablation-grid", eval={"seeds": [0, 1, 2]},
+                      train={"total_steps": 2, "eval_every": 1,
+                             "batch_labelled": 1, "batch_unlabelled": 1})
+    builds = []
+    real_build = bench.build_dataset
+    monkeypatch.setattr(bench, "build_dataset",
+                        lambda *a, **k: builds.append(a) or real_build(*a, **k))
+    bench._DATASET_CACHE.clear()
+    table = run_scenario(cfg)
+    assert not table.errors and len(table.results) == 6 * 3
+    # seed-major order: each seed's dataset is built once for all variants
+    assert len(builds) == 3
+    assert len(bench._DATASET_CACHE) <= 1
+
+
+def test_dead_worker_recorded_not_awaited(monkeypatch):
+    real_run_one = bench.run_one
+
+    def run_one(spec):
+        if spec.variant.name == "dies":
+            os._exit(1)
+        return real_run_one(spec)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_scenario still waits on a dead worker")
+
+    monkeypatch.setattr(bench, "run_one", run_one)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        table = run_scenario(tiny_config(), workers=2,
+                             variants=[Variant("dies"), Variant("ssl")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [r.variant for r in table.results] == ["dies", "ssl"]
+    assert "worker process died" in table.results[0].error
 
 
 def test_failed_run_recorded_not_raised(tmp_path):

@@ -82,6 +82,29 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("section,values", [
+    ("world", {"grid_preset": "huge"}), ("world", {"style": "city_Z"}),
+    ("eval", {"adapt_target_style": "x"}), ("train", {"eval_every": 0}),
+    ("train", {"total_steps": "5"}), ("train", {"eval_model": "techer"}),
+    ("train", {"supervised_augment": "sme"}), ("world", {"n_frames": True})],
+    ids=["grid_preset", "style", "adapt_target_style", "eval_every",
+         "total_steps", "eval_model", "supervised_augment", "bool_as_int"])
+def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
+    doc = {**TINY_DOC, section: {**TINY_DOC[section], **values}}
+    assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_partial_checkpoint_exits_2(tmp_path, capsys):
+    path = tmp_path / "part.ckpt"
+    save_checkpoint(path, {"best.head.b": np.zeros(3)})
+    assert main(["eval", "--checkpoint", str(path), "--config",
+                 str(_write_cfg(tmp_path)), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_train_runs_label_sweep(tmp_path):
     doc = {**TINY_DOC, "kind": "label-sweep",
            "eval": {"seeds": [0], "sweep_utilisations": [0.5, 1.0]}}
