@@ -14,7 +14,7 @@ import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .world import (CLASS_NAMES, N_CLASSES, Dataset, DatasetSplit,
                     STYLE_PRESETS, build_dataset, build_sequences,
                     generate_world)
 
+_FORK = multiprocessing.get_context("fork")
 METRICS_HEADER = ("scenario,variant,seed,step,split,class,iou,miou,"
                   "loss_sup,loss_cls,loss_feat")
 
@@ -135,7 +136,6 @@ class TrainConfig:
     ema_keep: float = 0.99
     focal_gamma: float = 2.0
     focal_alpha: float = 0.75
-    ssl: bool = True
     eval_model: str = "student"   # "student" | "teacher"
     supervised_augment: str = "none"  # "none" | "same"
 
@@ -159,7 +159,6 @@ class SslConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    scenario: str = "components"
     seeds: tuple[int, ...] = (0, 1, 2)
     sweep_utilisations: tuple[float, ...] = (0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
     adapt_target_style: str = "city_B"
@@ -195,24 +194,50 @@ _CHOICES = {("world", "grid_preset"): GRID_PRESETS,
             ("train", "supervised_augment"): ("none", "same")}
 
 
+_SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _type_ok(value, annotation: str) -> bool:
+    """Whether `value` has the type a field's annotation names; ints are
+    valid floats, and only booleans are valid bools."""
+    if annotation.endswith(" | None"):
+        return value is None or _type_ok(value, annotation[:-len(" | None")])
+    if annotation.startswith("tuple["):
+        items = annotation[len("tuple["):-1].split(", ")
+        if isinstance(value, tuple) and items[-1] == "...":
+            items = items[:1] * len(value)
+        return (isinstance(value, tuple) and len(items) == len(value)
+                and all(map(_type_ok, value, items)))
+    return (isinstance(value, _SCALARS[annotation])
+            and isinstance(value, bool) == (annotation == "bool"))
+
+
+def _check_types(obj, prefix: str = "") -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _check_types(value, f"{f.name}.")
+        elif not _type_ok(value, f.type):
+            raise ConfigurationError(
+                f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
+
 def _check_values(cfg: ScenarioConfig) -> None:
     """Reject values the runs would otherwise trip over after data
     generation."""
-    for section in ("world", "train"):
-        for f in fields(_SECTION_TYPES[section]):
-            value = getattr(getattr(cfg, section), f.name)
-            if f.type == "int" and (isinstance(value, bool)
-                                    or not isinstance(value, int)):
-                raise ConfigurationError(
-                    f"{section}.{f.name} must be an integer, got {value!r}")
+    _check_types(cfg)
+    if cfg.kind not in SCENARIOS:
+        raise ConfigurationError(f"kind must be one of {sorted(SCENARIOS)}, "
+                                 f"got {cfg.kind!r}")
     for (section, name), choices in _CHOICES.items():
         value = getattr(getattr(cfg, section), name)
         if value not in tuple(choices):
             raise ConfigurationError(f"{section}.{name} must be one of "
                                      f"{sorted(choices)}, got {value!r}")
-    if cfg.train.eval_every < 1:
-        raise ConfigurationError(
-            f"train.eval_every must be >= 1, got {cfg.train.eval_every}")
+    for name in ("total_steps", "eval_every"):
+        if getattr(cfg.train, name) < 1:
+            raise ConfigurationError(f"train.{name} must be >= 1, "
+                                     f"got {getattr(cfg.train, name)}")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -221,10 +246,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     unknown = set(data) - known_top
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-    kwargs: dict = {}
-    for key in ("kind", "name"):
-        if key in data:
-            kwargs[key] = data[key]
+    kwargs: dict = {k: data[k] for k in ("kind", "name") if k in data}
     for section, cls in _SECTION_TYPES.items():
         src = data.get(section, {})
         if not isinstance(src, dict):
@@ -451,41 +473,25 @@ def _run_one_safe(spec: RunSpec) -> RunResult:
         return _failed_run(spec, traceback.format_exc(limit=10))
 
 
-def _worker_result(future, spec: RunSpec) -> RunResult:
+def _worker_result(future, spec: RunSpec, retry: bool = True) -> RunResult:
+    """The run's result.  A dying worker breaks the whole pool, so each run
+    cut off runs once more alone; it fails only if that worker dies too."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
-        return _failed_run(spec, f"worker process died: {exc}")
+        if not retry:
+            return _failed_run(spec, f"worker process died: {exc}")
+    with ProcessPoolExecutor(1, mp_context=_FORK) as pool:
+        return _worker_result(pool.submit(_run_one_safe, spec), spec, False)
 
 
 # ------------------------------------------------------- scenario variants --
-
-def scenario_variants(cfg: ScenarioConfig) -> list[Variant]:
-    kind = cfg.kind
-    if kind == "supervised":
-        return [Variant("supervised", ssl=False)]
-    if kind == "ssl":
-        return [Variant("ssl")]
-    if kind == "ablation-grid":
-        return components_variants()
-    if kind == "label-sweep":
-        out = []
-        for u in cfg.eval.sweep_utilisations:
-            out.append(Variant(f"supervised@{u:g}", ssl=False, utilisation=u))
-            if u < 1.0:
-                out.append(Variant(f"ssl@{u:g}", utilisation=u))
-        return out
-    if kind == "city-adapt":
-        return [Variant(f"adapt@{n}", adapt_unlabelled=n)
-                for n in cfg.eval.adapt_unlabelled_counts]
-    raise ConfigurationError(f"unknown scenario kind '{kind}'")
-
 
 # the teacher-student core: no feature similarity, threshold or fusion
 CORE_OVERRIDES = {"w_feat": 0.0, "threshold": None, "fusion_mode": "none"}
 
 
-def components_variants() -> list[Variant]:
+def components_variants(_cfg) -> list[Variant]:
     """Incremental component stack: Core, +Augs, +Fusion, +Featsim, +Thr, +Hard."""
     return [
         Variant("Core", augment=AugmentConfig.none(), overrides=CORE_OVERRIDES),
@@ -497,7 +503,7 @@ def components_variants() -> list[Variant]:
     ]
 
 
-def augmentation_variants() -> list[Variant]:
+def augmentation_variants(_cfg) -> list[Variant]:
     """Augmentation combinations mirroring the strong-augmentation study."""
     mk = AugmentConfig
     augments = {
@@ -511,51 +517,59 @@ def augmentation_variants() -> list[Variant]:
             for name, aug in augments.items()]
 
 
-def threshold_variants(taus=(0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9),
-                       ) -> list[Variant]:
+def threshold_variants(_cfg) -> list[Variant]:
     return [Variant(f"{'thr+hard' if hard else 'thr'}@{tau:g}",
                     overrides={**CORE_OVERRIDES, "threshold": tau,
                                "hard": hard})
-            for tau in taus for hard in (False, True)]
+            for tau in (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
+            for hard in (False, True)]
 
 
-def temperature_variants(temps=(0.05, 0.1, 0.25, 0.5, 0.75, 0.95),
-                         ) -> list[Variant]:
+def temperature_variants(_cfg) -> list[Variant]:
     # "thr" keeps the configured threshold
     return [Variant(f"T{temp:g}+{name}",
                     overrides={"w_feat": 0.0, "fusion_mode": "none",
                                "temperature": temp, **over})
-            for temp in temps
+            for temp in (0.05, 0.1, 0.25, 0.5, 0.75, 0.95)
             for name, over in (("nothr", {"threshold": None}), ("thr", {}),
                                ("thr+hard", {"hard": True}))]
 
 
-def featsim_variants(weights=(0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5),
-                     ) -> list[Variant]:
+def featsim_variants(_cfg) -> list[Variant]:
     return [Variant(f"{mode}-{level}@{w:g}",
                     overrides={**CORE_OVERRIDES, "w_feat": w,
                                "feat_mode": mode, "feat_level": level})
-            for w in weights for mode in ("mse", "cosine")
-            for level in ("early", "late")]
+            for w in (0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5)
+            for mode in ("mse", "cosine") for level in ("early", "late")]
 
 
-def fusion_variants(ranges=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0),
-                    ) -> list[Variant]:
+def fusion_variants(_cfg) -> list[Variant]:
     return [Variant(f"{mode}-{thr_name}@{rng:g}m",
                     overrides={**CORE_OVERRIDES, "fusion_mode": mode,
                                "fusion_max_range": rng, "threshold": thr})
-            for rng in ranges for mode in ("probs", "feats")
+            for rng in (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+            for mode in ("probs", "feats")
             for thr_name, thr in (("nothr", None), ("thr", 0.6))]
 
 
-def fusion_frames_variants(counts=(2, 4, 6)) -> list[Variant]:
+def fusion_frames_variants(_cfg) -> list[Variant]:
     return [Variant(f"{mode}-n{n}",
                     overrides={**CORE_OVERRIDES, "fusion_mode": mode,
                                "fusion_extra": n, "fusion_max_range": 20.0})
-            for n in counts for mode in ("probs", "feats")]
+            for n in (2, 4, 6) for mode in ("probs", "feats")]
 
 
-SCENARIO_TEMPLATES = {
+# every set of runs a config's `kind` can name, as a function of the config
+SCENARIOS = {
+    "supervised": lambda cfg: [Variant("supervised", ssl=False)],
+    "ssl": lambda cfg: [Variant("ssl")],
+    # supervised only at full utilisation, where nothing is unlabelled
+    "label-sweep": lambda cfg: [
+        Variant(f"{name}@{u:g}", ssl=name == "ssl", utilisation=u)
+        for u in cfg.eval.sweep_utilisations for name in ("supervised", "ssl")
+        if u < 1.0 or name == "supervised"],
+    "city-adapt": lambda cfg: [Variant(f"adapt@{n}", adapt_unlabelled=n)
+                               for n in cfg.eval.adapt_unlabelled_counts],
     "components": components_variants,
     "augmentations": augmentation_variants,
     "threshold": threshold_variants,
@@ -566,12 +580,8 @@ SCENARIO_TEMPLATES = {
 }
 
 
-def template_variants(name: str) -> list[Variant]:
-    if name not in SCENARIO_TEMPLATES:
-        raise ConfigurationError(
-            f"unknown scenario template '{name}' "
-            f"(have {sorted(SCENARIO_TEMPLATES)})")
-    return SCENARIO_TEMPLATES[name]()
+def scenario_variants(cfg: ScenarioConfig) -> list[Variant]:
+    return SCENARIOS[cfg.kind](cfg)
 
 
 # --------------------------------------------------------------- results ---
@@ -633,25 +643,20 @@ def best_validation_step(train_log: list[dict]) -> tuple[int, float]:
     return best_step, best
 
 
-def expand_runs(cfg: ScenarioConfig,
-                variants: list[Variant] | None = None) -> list[RunSpec]:
-    variants = variants if variants is not None else scenario_variants(cfg)
+def expand_runs(cfg: ScenarioConfig) -> list[RunSpec]:
     return [RunSpec(cfg.name, v, seed, cfg)
-            for v in variants for seed in cfg.eval.seeds]
+            for v in scenario_variants(cfg) for seed in cfg.eval.seeds]
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1,
-                 variants: list[Variant] | None = None) -> ResultsTable:
-    variants = variants if variants is not None else scenario_variants(cfg)
-    specs = expand_runs(cfg, variants)
+def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> ResultsTable:
+    specs = expand_runs(cfg)
     # seed-major, so that runs sharing a dataset run back to back
     todo = sorted(specs, key=lambda s: s.seed)
     if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(
-                min(workers, len(todo)),
-                mp_context=multiprocessing.get_context("fork")) as pool:
+        with ProcessPoolExecutor(min(workers, len(todo)),
+                                 mp_context=_FORK) as pool:
             futures = [pool.submit(_run_one_safe, s) for s in todo]
-            results = [_worker_result(f, s) for f, s in zip(futures, todo)]
+        results = [_worker_result(f, s) for f, s in zip(futures, todo)]
     else:
         results = [_run_one_safe(s) for s in todo]
 
@@ -659,12 +664,12 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1,
     results.sort(key=lambda r: order[(r.variant, r.seed)])
 
     aggregates = []
-    for v in variants:
+    for name in dict.fromkeys(s.variant.name for s in specs):
         mious = [r.test.miou for r in results
-                 if r.variant == v.name and r.error is None]
+                 if r.variant == name and r.error is None]
         if mious:
             aggregates.append({
-                "variant": v.name, "n": len(mious),
+                "variant": name, "n": len(mious),
                 "mean_miou": float(np.mean(mious)),
                 "std_miou": float(np.std(mious)),
                 "median_miou": float(np.median(mious))})

@@ -39,15 +39,16 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--style", choices=sorted(STYLE_PRESETS), default="city_A")
     g.add_argument("--out", required=True)
 
-    for name, help_text in (("train", "train one model per configured seed"),
+    for name, help_text in (("train", "run every run of the config's kind"),
                             ("ablate", "run an ablation scenario"),
                             ("adapt", "run the city-adaptation scenario")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         if name == "ablate":
-            p.add_argument("--scenario", default=None,
-                           help="ablation template (default: config eval.scenario)")
+            p.add_argument("--scenario", choices=sorted(bench.SCENARIOS),
+                           default="components",
+                           help="the set of runs (default: components)")
         _add_common(p)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -93,8 +94,8 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
-def _run_and_export(cfg: ScenarioConfig, args, variants=None) -> int:
-    table = run_scenario(cfg, workers=max(1, args.threads), variants=variants)
+def _run_and_export(cfg: ScenarioConfig, args) -> int:
+    table = run_scenario(cfg, workers=max(1, args.threads))
     export_artifacts(table, cfg, args.out)
     for agg in table.aggregates:
         print(f"{agg['variant']}: mIoU {agg['mean_miou']:.4f} "
@@ -107,26 +108,19 @@ def _run_and_export(cfg: ScenarioConfig, args, variants=None) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    # ablation grids and city adaptation have subcommands of their own
-    if cfg.kind not in ("supervised", "ssl", "label-sweep"):
-        cfg = replace(cfg, kind="ssl" if cfg.train.ssl else "supervised")
-    return _run_and_export(cfg, args)
+    return _run_and_export(_apply_overrides(load_config(args.config), args),
+                           args)
 
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    template = args.scenario or cfg.eval.scenario
-    variants = bench.template_variants(template)
-    cfg = replace(cfg, kind="ablation-grid" if template == "components"
-                  else cfg.kind, name=f"{cfg.name}-{template}")
-    return _run_and_export(cfg, args, variants)
+    cfg = replace(cfg, kind=args.scenario, name=f"{cfg.name}-{args.scenario}")
+    return _run_and_export(cfg, args)
 
 
 def cmd_adapt(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    cfg = replace(cfg, kind="city-adapt")
-    return _run_and_export(cfg, args)
+    return _run_and_export(replace(cfg, kind="city-adapt"), args)
 
 
 def cmd_eval(args) -> int:

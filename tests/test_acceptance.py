@@ -204,7 +204,7 @@ def test_criterion_5_masking_soundness():
 
 def test_criterion_10_reproducibility(tmp_path):
     doc = {
-        "kind": "ablation-grid",
+        "kind": "components",
         "name": "repro",
         "world": {"n_worlds": 8, "seqs_per_world": 1, "n_frames": 5,
                   "val_worlds": 1, "test_worlds": 2, "utilisation": 0.34},

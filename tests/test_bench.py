@@ -1,7 +1,7 @@
 import json
 import os
 import signal
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           canonical_json, config_from_dict, evaluate_pairs,
                           expand_runs, export_artifacts,
                           load_checkpoint_params, run_one, run_scenario,
-                          scenario_variants, template_variants, write_pgm,
-                          write_ppm)
+                          scenario_variants, write_pgm, write_ppm)
 from bevssl.bench import (EvalConfig, RunSpec, SslConfig, TrainConfig,
                           Variant, WorldConfig)
 from bevssl.engine import OptimConfig, PseudoLabelConfig
@@ -154,27 +153,40 @@ def _strip_defaults(doc):
     return doc
 
 
+def _variants_of(kind):
+    return scenario_variants(tiny_config(kind))
+
+
 def test_scenario_variants_cover_study_axes():
-    assert [v.name for v in scenario_variants(tiny_config("ablation-grid"))] \
+    assert [v.name for v in _variants_of("components")] \
         == ["Core", "+Augs", "+Fusion", "+Featsim", "+Thr", "+Hard"]
-    names = [v.name for v in template_variants("augmentations")]
+    names = [v.name for v in _variants_of("augmentations")]
     assert names[0] == "none" and "photo+cutout+bevdrop" in names
-    taus = [v.overrides["threshold"]
-            for v in template_variants("threshold")]
+    taus = [v.overrides["threshold"] for v in _variants_of("threshold")]
     assert min(taus) == 0.55 and max(taus) == 0.9
-    temps = {v.overrides["temperature"]
-             for v in template_variants("temperature")}
+    temps = {v.overrides["temperature"] for v in _variants_of("temperature")}
     assert temps == {0.05, 0.1, 0.25, 0.5, 0.75, 0.95}
-    fr = {v.overrides["fusion_max_range"]
-          for v in template_variants("fusion")}
+    fr = {v.overrides["fusion_max_range"] for v in _variants_of("fusion")}
     assert fr == {10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0}
     counts = {v.overrides["fusion_extra"]
-              for v in template_variants("fusion-frames")}
+              for v in _variants_of("fusion-frames")}
     assert counts == {2, 4, 6}
-    ws = {v.overrides["w_feat"] for v in template_variants("featsim")}
+    ws = {v.overrides["w_feat"] for v in _variants_of("featsim")}
     assert ws == {0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5}
-    with pytest.raises(ConfigurationError):
-        template_variants("nonexistent")
+    with pytest.raises(ConfigurationError, match="kind must be one of"):
+        tiny_config("nonexistent")
+
+
+def test_every_scenario_expands_with_unique_names_and_ssl_overrides():
+    cfg = config_from_dict({})
+    ssl_fields = {f.name for f in fields(SslConfig)}
+    for kind, make in bench.SCENARIOS.items():
+        variants = scenario_variants(replace(cfg, kind=kind))
+        assert variants == make(cfg), kind
+        names = [v.name for v in variants]
+        assert names and len(set(names)) == len(names), kind
+        for v in variants:
+            assert set(v.overrides) <= ssl_fields, (kind, v.name)
 
 
 def test_label_sweep_variants():
@@ -263,7 +275,7 @@ def test_run_scenario_deterministic_and_exported(tmp_path):
 
 
 def test_grid_holds_one_dataset_at_a_time(monkeypatch):
-    cfg = tiny_config("ablation-grid", eval={"seeds": [0, 1, 2]},
+    cfg = tiny_config("components", eval={"seeds": [0, 1, 2]},
                       train={"total_steps": 2, "eval_every": 1,
                              "batch_labelled": 1, "batch_unlabelled": 1})
     builds = []
@@ -290,20 +302,26 @@ def test_dead_worker_recorded_not_awaited(monkeypatch):
         raise TimeoutError("run_scenario still waits on a dead worker")
 
     monkeypatch.setattr(bench, "run_one", run_one)
+    monkeypatch.setitem(bench.SCENARIOS, "ssl", lambda cfg: [
+        Variant("dies"), Variant("ssl"), Variant("lives")])
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(120)
     try:
-        table = run_scenario(tiny_config(), workers=2,
-                             variants=[Variant("dies"), Variant("ssl")])
+        table = run_scenario(tiny_config(), workers=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert [r.variant for r in table.results] == ["dies", "ssl"]
+    assert [r.variant for r in table.results] == ["dies", "ssl", "lives"]
     assert "worker process died" in table.results[0].error
+    # the dead worker broke the pool; the runs it cut off ran again
+    assert [r.error for r in table.results[1:]] == [None, None]
 
 
 def test_failed_run_recorded_not_raised(tmp_path):
-    bad = tiny_config(train={"total_steps": 0, "eval_every": 1})
+    # total_steps 0 fails at load; set after loading, it reaches the
+    # Trainer's own check at run time
+    cfg = tiny_config(train={"eval_every": 1})
+    bad = replace(cfg, train=replace(cfg.train, total_steps=0))
     table = run_scenario(bad)
     assert table.errors and table.errors[0].error is not None
     assert "total_steps" in table.errors[0].error

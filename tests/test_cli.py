@@ -86,11 +86,23 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("world", {"grid_preset": "huge"}), ("world", {"style": "city_Z"}),
     ("eval", {"adapt_target_style": "x"}), ("train", {"eval_every": 0}),
     ("train", {"total_steps": "5"}), ("train", {"eval_model": "techer"}),
-    ("train", {"supervised_augment": "sme"}), ("world", {"n_frames": True})],
+    ("train", {"supervised_augment": "sme"}), ("world", {"n_frames": True}),
+    ("train", {"total_steps": 0}),
+    ("world", {"utilisation": "0.5"}), ("world", {"speed_max": "12"}),
+    ("train", {"lr": "0.003"}), ("train", {"wd": True}),
+    ("train", {"ema_keep": "0.99"}), ("augment", {"photometric": "no"}),
+    ("augment", {"camdrop_count": True}),
+    ("augment", {"gain_range": ["a", "b"]}), ("model", {"kernel_size": 3.0}),
+    ("ssl", {"hard": "yes"}), ("ssl", {"fusion_extra": 2.5}),
+    ("eval", {"seeds": ["0"]})],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
-         "total_steps", "eval_model", "supervised_augment", "bool_as_int"])
+         "total_steps", "eval_model", "supervised_augment", "bool_as_int",
+         "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
+         "wd_bool", "ema_keep_str", "photometric_str", "camdrop_count_bool",
+         "gain_range_str", "kernel_size_float", "hard_str",
+         "fusion_extra_float", "seeds_str"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
-    doc = {**TINY_DOC, section: {**TINY_DOC[section], **values}}
+    doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
                  "--out", str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -163,10 +175,46 @@ def test_adapt_writes_one_variant_per_target_count(tmp_path):
         == ["adapt@0", "adapt@2"]
 
 
-def test_unknown_template_exits_2(tmp_path):
+def test_unknown_template_exits_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
-    assert main(["ablate", "--config", str(cfg), "--scenario", "nonsense",
-                 "--out", str(tmp_path / "x")]) == 2
+    # argparse rejects a name outside the scenario table
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--config", str(cfg), "--scenario", "nonsense",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_unknown_kind_exits_2_at_load(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {**TINY_DOC, "kind": "sl"})
+    assert main(["train", "--config", str(cfg), "--out",
+                 str(tmp_path / "x")]) == 2
+    assert "kind must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+RERUN_DOC = {**TINY_DOC,
+             "world": {"n_worlds": 6, "n_frames": 3, "val_worlds": 1,
+                       "test_worlds": 1, "utilisation": 0.34},
+             "train": {"total_steps": 4, "eval_every": 2},
+             "eval": {"seeds": [0], "adapt_source_worlds": 2,
+                      "adapt_unlabelled_counts": [0, 2]}}
+
+
+@pytest.mark.parametrize("argv", [["train"],
+                                  ["ablate", "--scenario", "fusion-frames"],
+                                  ["adapt"]], ids=["train", "ablate", "adapt"])
+def test_config_echo_reruns_the_same_runs(tmp_path, argv):
+    out, again = tmp_path / "out", tmp_path / "again"
+    assert main([argv[0], "--config", str(_write_cfg(tmp_path, RERUN_DOC)),
+                 "--out", str(out), *argv[1:]]) == 0
+    assert main(["train", "--config", str(out / "config_echo.json"),
+                 "--out", str(again)]) == 0
+    ckpts = sorted(p.name for p in out.glob("run_*.ckpt"))
+    assert ckpts == sorted(p.name for p in again.glob("run_*.ckpt"))
+    for name in ["metrics.csv", "aggregates.json", *ckpts]:
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_preset_and_seed_overrides(tmp_path):
