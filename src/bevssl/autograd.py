@@ -20,7 +20,7 @@ LOG_CLAMP = 1e-12
 
 OP_KINDS = (
     "add", "sub", "mul", "conv2d", "relu", "sigmoid", "mean", "sum", "scale",
-    "slice", "masked_fill", "log", "powc", "upsample",
+    "slice", "masked_fill", "log", "powc",
 )
 
 
@@ -180,10 +180,44 @@ def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
     return windows.reshape(n, c * kh * kw, hh * ww), hh, ww
 
 
+def _tap_index(n_out: int, size: int, factor: int, pad: int, k: int,
+               n_low: int) -> np.ndarray:
+    """(k, n_out) low-res index that tap t reads at output position i along
+    one axis of an upsample-crop-pad conv; `n_low` (the zero slot) where the
+    tap falls in the padding or past the crop."""
+    u = np.arange(n_out)[None, :] + np.arange(k)[:, None] - pad
+    return np.where((u >= 0) & (u < size), u // factor, n_low)
+
+
+def _fw_upconv(x, w, pad, attrs):
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    rows, cols = attrs["size"]
+    f = attrs["upsample"]
+    rmap = _tap_index(rows + 2 * pad - kh + 1, rows, f, pad, kh, h)
+    cmap = _tap_index(cols + 2 * pad - kw + 1, cols, f, pad, kw, wd)
+    # every tap's response on the low-res grid, plus a zero row and column
+    wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+    taps = np.zeros((n, kh, kw, co, h + 1, wd + 1))
+    taps[..., :h, :wd] = (wtap @ x.reshape(n, ci, h * wd)).reshape(
+        n, kh, kw, co, h, wd)
+    # gathered to full resolution: columns per tap, then rows per tap row
+    part = sum(taps[:, :, b].take(cmap[b], axis=-1) for b in range(kw))
+    out = sum(part[:, a].take(rmap[a], axis=-2) for a in range(kh))
+    attrs["_rmap"] = rmap
+    attrs["_cmap"] = cmap
+    return out
+
+
 def _fw_conv2d(vals, attrs):
+    # attrs: `padding` zero-pads the input.  `upsample=f` with
+    # `size=(rows, cols)` first nearest-upsamples the input by f and crops
+    # it to `size`; that is computed per kernel tap on the input as given,
+    # without building the upsampled tensor.
     x, w = vals[0], vals[1]
     b = vals[2] if len(vals) > 2 else None
     pad = attrs.get("padding", 0)
+    f = attrs.get("upsample")
     _require(x.ndim == 4 and w.ndim == 4, "conv2d",
              f"need 4D input and kernel, got {x.shape} and {w.shape}")
     _require(x.shape[1] == w.shape[1], "conv2d",
@@ -191,21 +225,29 @@ def _fw_conv2d(vals, attrs):
     _require(pad >= 0, "conv2d", "padding must be >= 0")
     n, _, h, wd = x.shape
     co, _, kh, kw = w.shape
+    if f is not None:
+        _require(f >= 1, "conv2d", "upsample must be >= 1")
+        h, wd = attrs["size"]
+        _require(0 < h <= x.shape[2] * f and 0 < wd <= x.shape[3] * f,
+                 "conv2d", f"size {(h, wd)} is not a crop of the input "
+                 f"upsampled x{f}")
     _require(h + 2 * pad >= kh and wd + 2 * pad >= kw, "conv2d",
              f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{wd + 2 * pad}")
     if b is not None:
         _require(b.shape == (co,), "conv2d",
                  f"bias shape {b.shape} != ({co},)")
-    cols, hh, ww = _im2col(x, kh, kw, pad)
-    wm = w.reshape(co, -1)
-    out = np.empty((n, co, hh * ww), dtype=np.float64)
-    for i in range(n):
-        np.matmul(wm, cols[i], out=out[i])
-    out = out.reshape(n, co, hh, ww)
+    if f is not None:
+        out = _fw_upconv(x, w, pad, attrs)
+    else:
+        cols, hh, ww = _im2col(x, kh, kw, pad)
+        wm = w.reshape(co, -1)
+        out = np.empty((n, co, hh * ww), dtype=np.float64)
+        for i in range(n):
+            np.matmul(wm, cols[i], out=out[i])
+        out = out.reshape(n, co, hh, ww)
+        attrs["_cols"] = cols
     if b is not None:
         out += b[None, :, None, None]
-    attrs["_cols"] = cols
-    attrs["_outhw"] = (hh, ww)
     return out
 
 
@@ -259,19 +301,11 @@ def _fw_powc(vals, attrs):
         return np.power(vals[0], float(attrs["exponent"]))
 
 
-def _fw_upsample(vals, attrs):
-    x = vals[0]
-    f = int(attrs["factor"])
-    _require(x.ndim >= 2 and f >= 1, "upsample", "need >=2D input, factor >= 1")
-    return x.repeat(f, axis=-2).repeat(f, axis=-1)
-
-
 _FORWARD_RULES: dict[str, Callable] = {
     "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
     "relu": _fw_relu, "sigmoid": _fw_sigmoid, "mean": _fw_mean,
     "sum": _fw_sum, "scale": _fw_scale, "slice": _fw_slice,
     "masked_fill": _fw_masked_fill, "log": _fw_log, "powc": _fw_powc,
-    "upsample": _fw_upsample,
 }
 
 
@@ -289,14 +323,62 @@ def _bw_mul(node, g, ins):
     return [(g * ins[1], True), (g * ins[0], True)]
 
 
+def _segment_sum(g: np.ndarray, idx: np.ndarray, n_low: int,
+                 axis: int) -> np.ndarray:
+    """Transpose of `take(idx, axis)` from a grid of `n_low` plus a zero
+    slot: sums the entries of `g` with one index into that index's bin.  The
+    kept indices run over consecutive bins in order, as `_tap_index` makes
+    them."""
+    shape = list(g.shape)
+    shape[axis] = n_low
+    out = np.zeros(shape)
+    keep = np.flatnonzero(idx < n_low)
+    if keep.size:
+        bins = idx[keep]
+        src = [slice(None)] * g.ndim
+        src[axis] = slice(keep[0], keep[-1] + 1)
+        dst = list(src)
+        dst[axis] = slice(bins[0], bins[-1] + 1)
+        out[tuple(dst)] = np.add.reduceat(
+            g[tuple(src)], np.flatnonzero(np.diff(bins, prepend=-1)), axis)
+    return out
+
+
+def _bw_upconv(node, g, x, w, need_dx):
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    rmap, cmap = node.saved["_rmap"], node.saved["_cmap"]
+    # g scattered onto the low-res grid once per tap: rows, then columns
+    part = np.stack([_segment_sum(g, rmap[a], h, -2) for a in range(kh)], 1)
+    gtap = np.stack([_segment_sum(part, cmap[b], wd, -1)
+                     for b in range(kw)], 2).reshape(n, kh * kw * co, h * wd)
+    xf = x.reshape(n, ci, h * wd)
+    dwtap = sum(gtap[i] @ xf[i].T for i in range(n))
+    dw = dwtap.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
+    wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+    dx = (wtap.T @ gtap).reshape(x.shape) if need_dx else None
+    return dx, dw
+
+
 def _bw_conv2d(node, g, ins):
     x, w = ins[0], ins[1]
+    need_dx = not node.input_needs or node.input_needs[0]
+    if "_rmap" in node.saved:
+        dx, dw = _bw_upconv(node, g, x, w, need_dx)
+    else:
+        dx, dw = _bw_im2col(node, g, x, w, need_dx)
+    grads = [(dx, True), (dw, True)]
+    if len(node.input_ids) > 2:
+        grads.append((g.reshape(*g.shape[:2], -1).sum(axis=(0, 2)), True))
+    return grads
+
+
+def _bw_im2col(node, g, x, w, need_dx):
     pad = node.saved.get("padding", 0)
     cols = node.saved["_cols"]
-    hh, ww = node.saved["_outhw"]
     n, _, h, wd = x.shape
     co, ci, kh, kw = w.shape
-    need_dx = not node.input_needs or node.input_needs[0]
+    hh, ww = g.shape[2:]
     gflat = g.reshape(n, co, hh * ww)
     dw = np.zeros((co, ci * kh * kw))
     dxp = (np.zeros((n, ci, h + 2 * pad, wd + 2 * pad)) if need_dx else None)
@@ -310,10 +392,7 @@ def _bw_conv2d(node, g, ins):
                     dxp[i, :, a:a + hh, b:b + ww] += dcols[:, a, b]
     dx = ((dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp)
           if need_dx else None)
-    grads = [(dx, True), (dw.reshape(w.shape), True)]
-    if len(node.input_ids) > 2:
-        grads.append((gflat.sum(axis=(0, 2)), True))
-    return grads
+    return dx, dw.reshape(w.shape)
 
 
 def _bw_relu(node, g, ins):
@@ -364,22 +443,11 @@ def _bw_powc(node, g, ins):
     return [(g * dx, True)]
 
 
-def _bw_upsample(node, g, ins):
-    f = int(node.saved["factor"])
-    if f == 1:
-        return [(g, False)]
-    shp = ins[0].shape
-    lead = shp[:-2]
-    h, w = shp[-2], shp[-1]
-    return [(g.reshape(*lead, h, f, w, f).sum(axis=(-3, -1)), True)]
-
-
 _BACKWARD_RULES: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
     "relu": _bw_relu, "sigmoid": _bw_sigmoid, "mean": _bw_mean,
     "sum": _bw_sum, "scale": _bw_scale, "slice": _bw_slice,
     "masked_fill": _bw_masked_fill, "log": _bw_log, "powc": _bw_powc,
-    "upsample": _bw_upsample,
 }
 
 

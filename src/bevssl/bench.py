@@ -234,10 +234,27 @@ def _check_values(cfg: ScenarioConfig) -> None:
         if value not in tuple(choices):
             raise ConfigurationError(f"{section}.{name} must be one of "
                                      f"{sorted(choices)}, got {value!r}")
-    for name in ("total_steps", "eval_every"):
+    for name in ("total_steps", "eval_every", "batch_labelled"):
         if getattr(cfg.train, name) < 1:
             raise ConfigurationError(f"train.{name} must be >= 1, "
                                      f"got {getattr(cfg.train, name)}")
+    w = cfg.world
+    for u in (w.utilisation, *cfg.eval.sweep_utilisations):
+        if not 0.0 < u <= 1.0:
+            raise ConfigurationError(
+                f"world.utilisation and eval.sweep_utilisations must be in "
+                f"(0, 1], got {u}")
+    if w.speed_min > w.speed_max:
+        raise ConfigurationError(f"world.speed_min {w.speed_min} exceeds "
+                                 f"world.speed_max {w.speed_max}")
+    if not cfg.eval.seeds:
+        raise ConfigurationError("eval.seeds must name at least one seed")
+    # city adaptation draws its worlds from the eval section instead
+    if (cfg.kind != "city-adapt"
+            and w.n_worlds < w.val_worlds + w.test_worlds + 1):
+        raise ConfigurationError(
+            f"world.n_worlds {w.n_worlds} cannot cover train/val/test "
+            f"({w.val_worlds} val + {w.test_worlds} test + 1 train)")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:

@@ -1,11 +1,12 @@
 """Segmentation-style mapping network: encoder, BEV lift, decoder, head.
 
 The encoder downsamples by 2 per stage (stride-1 conv + stride-2 subsample);
-the lift projects back to grid resolution with nearest upsampling, a crop,
-and a learned conv; a convolutional bottleneck decodes; a 1x1 head produces
-per-class logits.  All four stage outputs are exposed on the trace because
-the training scheme taps intermediate features and inserts feature dropout
-between lift and decoder.
+the lift is one conv that reads the low-res encoder map and writes grid
+resolution (its input nearest-upsampled and cropped to the grid, computed
+per kernel tap at encoder resolution); a convolutional bottleneck decodes; a
+1x1 head produces per-class logits.  All four stage outputs are exposed on
+the trace because the training scheme taps intermediate features and
+inserts feature dropout between lift and decoder.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ def init_params(config: ModelConfig, seed: int) -> ParamSet:
 
 
 def _conv_block(params: ParamSet, tape: Tape | None, name: str, x: Tensor,
-                padding: int) -> Tensor:
+                padding: int, **attrs) -> Tensor:
     w = params.leaf(tape, f"{name}.w")
     b = params.leaf(tape, f"{name}.b")
-    return forward_op("relu", forward_op("conv2d", x, w, b, padding=padding))
+    return forward_op("relu", forward_op("conv2d", x, w, b, padding=padding,
+                                         **attrs))
 
 
 def forward(params: ParamSet, observation: Raster | np.ndarray,
@@ -119,10 +121,9 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
         x = forward_op("slice", x, axis=3, step=2)
     encoder_feats = x
 
-    up = forward_op("upsample", x, factor=2 ** len(cfg.enc_widths))
-    up = forward_op("slice", up, axis=2, start=0, stop=rows)
-    up = forward_op("slice", up, axis=3, start=0, stop=cols)
-    bev_feats = _conv_block(params, tape, "lift", up, pad)
+    bev_feats = _conv_block(params, tape, "lift", x, pad,
+                            upsample=2 ** len(cfg.enc_widths),
+                            size=(rows, cols))
 
     x = bev_feats
     if bev_drop_mask is not None:

@@ -37,6 +37,14 @@ def make_case(kind: str, stream: Stream):
         pad = stream.randint(2)
         h = stream.randrange(kh, kh + 4)
         w = stream.randrange(kw, kw + 4)
+        f = stream.randint(4)
+        if f:
+            # nearest-upsample by f, then crop to (h, w): the crop is smaller
+            # than the upsampled input and, for f > 1, not a multiple of f
+            h += int(f > 1 and h % f == 0)
+            w += int(f > 1 and w % f == 0)
+            attrs.update(upsample=f, size=(h, w))
+            h, w = h // f + 1, w // f + 1
         params.add("a", _arr(stream, (n, ci, h, w)))
         params.add("b", _arr(stream, (co, ci, kh, kw)))
         params.add("c", _arr(stream, (co,)))
@@ -78,12 +86,6 @@ def make_case(kind: str, stream: Stream):
         shape = (stream.randrange(2, 5), stream.randrange(2, 5))
         params.add("a", _arr(stream, shape, 0.2, 2.0))
         attrs["exponent"] = [0.5, 2.0, 3.0, -1.0][stream.randint(4)]
-        inputs = ("a",)
-    elif kind == "upsample":
-        shape = (stream.randrange(1, 3), stream.randrange(1, 3),
-                 stream.randrange(2, 4), stream.randrange(2, 4))
-        params.add("a", _arr(stream, shape))
-        attrs["factor"] = stream.randrange(1, 4)
         inputs = ("a",)
     else:
         raise AssertionError(f"no case builder for op '{kind}'")

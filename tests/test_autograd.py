@@ -54,14 +54,6 @@ def test_slice_with_step():
     assert np.array_equal(sl.values, a.values[1:4:2])
 
 
-def test_upsample_nearest():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    up = forward_op("upsample", x, factor=2)
-    assert np.array_equal(up.values,
-                          np.array([[1, 1, 2, 2], [1, 1, 2, 2],
-                                    [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float))
-
-
 def test_masked_fill_and_log_clamp():
     x = Tensor(np.array([0.5, -2.0, 3.0]))
     out = forward_op("masked_fill", x, mask=np.array([False, True, False]),
@@ -180,6 +172,63 @@ def test_tape_topological_ids():
     loss = f(params)
     for nid, node in enumerate(loss.tape.nodes):
         assert all(i < nid for i in node.input_ids)
+
+
+# ------------------------------------------------------- upsampling conv --
+
+def _conv_grads(x, w, b, probe, **attrs):
+    """y, dx, dW, db of sum(conv2d(x, w, b) * probe)."""
+    ps = ParamSet()
+    for name, v in (("x", x), ("w", w), ("b", b)):
+        ps.add(name, v)
+    tape = Tape()
+    y = forward_op("conv2d", *(ps.leaf(tape, n) for n in ("x", "w", "b")),
+                   **attrs)
+    backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
+    return y.values, ps["x"].grad, ps["w"].grad, ps["b"].grad
+
+
+def _upsample_conv_reference(x, w, b, probe, factor, size, padding):
+    """The fused op spelled out: np.repeat, crop, plain conv2d; dx summed
+    back over each factor x factor block."""
+    n, c, h, wd = x.shape
+    up = x.repeat(factor, axis=-2).repeat(factor, axis=-1)
+    y, dup, dw, db = _conv_grads(up[..., :size[0], :size[1]], w, b, probe,
+                                 padding=padding)
+    full = np.zeros(up.shape)
+    full[..., :size[0], :size[1]] = dup
+    dx = full.reshape(n, c, h, factor, wd, factor).sum(axis=(3, 5))
+    return y, dx, dw, db
+
+
+@pytest.mark.parametrize("n,ci,co,k,low,factor,size", [
+    (1, 3, 4, 1, (5, 4), 3, (13, 11)), (3, 3, 4, 1, (5, 4), 3, (13, 11)),
+    (1, 3, 4, 3, (5, 4), 3, (14, 10)), (3, 3, 4, 3, (4, 6), 2, (7, 11)),
+    (1, 2, 3, 5, (4, 3), 4, (15, 9)), (3, 2, 3, 5, (4, 3), 4, (15, 9)),
+    (1, 8, 8, 3, (38, 13), 8, (300, 100))],
+    ids=["k1-b1", "k1-b3", "k3-b1", "k3-b3", "k5-b1", "k5-b3", "paper"])
+def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
+                                                    size):
+    st = Stream(31).child(f"{n}-{k}-{low}")
+    x = st.uniforms(n * ci * low[0] * low[1], -1, 1).reshape(n, ci, *low)
+    w = st.uniforms(co * ci * k * k, -1, 1).reshape(co, ci, k, k)
+    b = st.uniforms(co, -1, 1)
+    pad = k // 2
+    probe = st.uniforms(n * co * size[0] * size[1], -1, 1).reshape(
+        n, co, *size)
+    fused = _conv_grads(x, w, b, probe, padding=pad, upsample=factor,
+                        size=size)
+    ref = _upsample_conv_reference(x, w, b, probe, factor, size, pad)
+    for name, got, want in zip(("y", "dx", "dW", "db"), fused, ref):
+        assert got.shape == want.shape, name
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-12, (name, rel)
+
+
+def test_upsampling_conv_rejects_a_size_past_the_upsampled_input():
+    x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
+    with pytest.raises(ConfigurationError, match="not a crop"):
+        forward_op("conv2d", x, w, padding=1, upsample=2, size=(5, 4))
 
 
 # ---------------------------------------------------------------- errors ---

@@ -94,13 +94,20 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("augment", {"camdrop_count": True}),
     ("augment", {"gain_range": ["a", "b"]}), ("model", {"kernel_size": 3.0}),
     ("ssl", {"hard": "yes"}), ("ssl", {"fusion_extra": 2.5}),
-    ("eval", {"seeds": ["0"]})],
+    ("eval", {"seeds": ["0"]}),
+    ("world", {"speed_min": 5.0, "speed_max": 1.0}), ("eval", {"seeds": []}),
+    ("world", {"utilisation": 2.0}), ("world", {"utilisation": 0.0}),
+    ("eval", {"sweep_utilisations": [0.5, 0.0]}),
+    ("eval", {"sweep_utilisations": [1.5]}),
+    ("train", {"batch_labelled": 0}), ("world", {"n_worlds": 3})],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
          "wd_bool", "ema_keep_str", "photometric_str", "camdrop_count_bool",
          "gain_range_str", "kernel_size_float", "hard_str",
-         "fusion_extra_float", "seeds_str"])
+         "fusion_extra_float", "seeds_str", "speed_min_gt_max", "seeds_empty",
+         "utilisation_above_1", "utilisation_0", "sweep_utilisation_0",
+         "sweep_utilisation_above_1", "batch_labelled_0", "n_worlds_short"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),

@@ -149,3 +149,24 @@ def test_odd_grid_dims_still_map_to_grid_resolution():
     obs = Stream(12).uniforms(5 * 25 * 9).reshape(5, 25, 9)
     trace = forward(params, obs, None, None, cfg)
     assert trace.probs.shape == (1, 3, 25, 9)
+
+
+def test_lift_is_one_conv_reading_the_encoder_map():
+    """The taped lift is one conv2d node on the last encoder slice, with no
+    upsampled or cropped copy and no saved im2col columns on the tape."""
+    params = init_params(TINY, 2)
+    tape = Tape()
+    trace = forward(params, _obs(Stream(13), 30, 18), None, tape, TINY)
+    nodes = tape.nodes
+    leaf_param = {nid: n.saved.get("param") for nid, n in enumerate(nodes)
+                  if n.kind == "leaf"}
+    lift = [n for n in nodes if n.kind == "conv2d"
+            and leaf_param.get(n.input_ids[1]) == "lift.w"]
+    assert len(lift) == 1
+    assert nodes[lift[0].input_ids[0]].values is trace.encoder_feats.values
+    assert "_cols" not in lift[0].saved
+    assert lift[0].values.shape[2:] == (30, 18)
+    kinds = [n.kind for n in nodes]
+    assert "upsample" not in kinds
+    assert kinds.count("slice") == 2 * len(TINY.enc_widths)
+    assert tape.replay()
