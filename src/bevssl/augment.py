@@ -87,11 +87,6 @@ def cutout(obs: Raster, stream: Stream, fraction: float = 0.25) -> Raster:
     return Raster(obs.spec, out, obs.valid.copy())
 
 
-def max_cutout_rect_area(spec) -> int:
-    """Largest single rectangle cutout() can draw on this grid."""
-    return max(3, spec.rows // 4) * max(3, spec.cols // 4)
-
-
 def camdrop(obs: Raster, sector_map: np.ndarray, stream: Stream,
             n_drop: int = 1) -> tuple[Raster, LossMask]:
     """Zero whole camera sectors and exclude exactly their cells (all three

@@ -20,7 +20,7 @@ LOG_CLAMP = 1e-12
 
 OP_KINDS = (
     "add", "sub", "mul", "conv2d", "relu", "sigmoid", "mean", "sum", "scale",
-    "slice", "masked_fill", "log", "powc",
+    "masked_fill", "log", "powc",
 )
 
 
@@ -78,20 +78,6 @@ class Tape:
         self.nodes.append(TapeNode("leaf", (), {"param": param_name}, values,
                                    param_name is not None))
         return len(self.nodes) - 1
-
-    def replay(self) -> bool:
-        """Recompute every op node from recorded leaves; True if bit-identical."""
-        memo: dict[int, np.ndarray] = {}
-        for nid, node in enumerate(self.nodes):
-            if node.kind == "leaf":
-                memo[nid] = node.values
-                continue
-            inputs = [memo[i] for i in node.input_ids]
-            out = _FORWARD_RULES[node.kind](inputs, node.saved)
-            if out.shape != node.values.shape or not np.array_equal(out, node.values):
-                return False
-            memo[nid] = out
-        return True
 
 
 def _bind(tensor: Tensor, tape: Tape) -> int:
@@ -164,69 +150,77 @@ def _fw_mul(vals, attrs):
     return a * b
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int = 1):
     n, c, h, w = x.shape
     if pad > 0:
         xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
         xp[:, :, pad:pad + h, pad:pad + w] = x
         x = xp
-    hh = h + 2 * pad - kh + 1
-    ww = w + 2 * pad - kw + 1
-    if kh == 1 and kw == 1:
+    hh = (h + 2 * pad - kh) // stride + 1
+    ww = (w + 2 * pad - kw) // stride + 1
+    if kh == 1 and kw == 1 and stride == 1:
         return np.ascontiguousarray(x.reshape(n, c, hh * ww)), hh, ww
     s = x.strides
     windows = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, hh, ww), (s[0], s[1], s[2], s[3], s[2], s[3]))
+        x, (n, c, kh, kw, hh, ww),
+        (s[0], s[1], s[2], s[3], stride * s[2], stride * s[3]))
     return windows.reshape(n, c * kh * kw, hh * ww), hh, ww
 
 
-def _tap_index(n_out: int, size: int, factor: int, pad: int, k: int,
-               n_low: int) -> np.ndarray:
-    """(k, n_out) low-res index that tap t reads at output position i along
-    one axis of an upsample-crop-pad conv; `n_low` (the zero slot) where the
-    tap falls in the padding or past the crop."""
+def _tap_matrix(n_out: int, size: int, factor: int, pad: int, k: int,
+                n_low: int) -> np.ndarray:
+    """(k, n_out, n_low) 0/1 matrix along one axis of an upsample-crop-pad
+    conv: entry (t, i, j) is 1 where tap t at output position i reads
+    low-res position j.  Rows are zero where the tap falls in the padding or
+    past the crop."""
     u = np.arange(n_out)[None, :] + np.arange(k)[:, None] - pad
-    return np.where((u >= 0) & (u < size), u // factor, n_low)
+    u = np.where((u >= 0) & (u < size), u // factor, -1)
+    return (u[..., None] == np.arange(n_low)).astype(np.float64)
 
 
-def _fw_upconv(x, w, pad, attrs):
-    n, ci, h, wd = x.shape
-    co, _, kh, kw = w.shape
+def _tap_matrices(x_shape, w_shape, attrs):
+    """Row and column tap matrices of an upsampling conv; cheap enough to
+    rebuild in backward instead of saving them on the tape."""
+    pad = attrs.get("padding", 0)
     rows, cols = attrs["size"]
     f = attrs["upsample"]
-    rmap = _tap_index(rows + 2 * pad - kh + 1, rows, f, pad, kh, h)
-    cmap = _tap_index(cols + 2 * pad - kw + 1, cols, f, pad, kw, wd)
-    # every tap's response on the low-res grid, plus a zero row and column
+    kh, kw = w_shape[2:]
+    return (_tap_matrix(rows + 2 * pad - kh + 1, rows, f, pad, kh, x_shape[2]),
+            _tap_matrix(cols + 2 * pad - kw + 1, cols, f, pad, kw, x_shape[3]))
+
+
+def _fw_upconv(x, w, attrs):
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    rmat, cmat = _tap_matrices(x.shape, w.shape, attrs)
+    # every tap's response on the low-res grid, then read at full resolution
     wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-    taps = np.zeros((n, kh, kw, co, h + 1, wd + 1))
-    taps[..., :h, :wd] = (wtap @ x.reshape(n, ci, h * wd)).reshape(
-        n, kh, kw, co, h, wd)
-    # gathered to full resolution: columns per tap, then rows per tap row
-    part = sum(taps[:, :, b].take(cmap[b], axis=-1) for b in range(kw))
-    out = sum(part[:, a].take(rmap[a], axis=-2) for a in range(kh))
-    attrs["_rmap"] = rmap
-    attrs["_cmap"] = cmap
-    return out
+    taps = (wtap @ x.reshape(n, ci, h * wd)).reshape(n, kh, kw, co, h, wd)
+    return np.einsum("aih,bjw,nabchw->ncij", rmat, cmat, taps, optimize=True)
 
 
 def _fw_conv2d(vals, attrs):
-    # attrs: `padding` zero-pads the input.  `upsample=f` with
-    # `size=(rows, cols)` first nearest-upsamples the input by f and crops
-    # it to `size`; that is computed per kernel tap on the input as given,
-    # without building the upsampled tensor.
+    # attrs: `padding` zero-pads the input; `stride=s` keeps every s-th
+    # output row and column.  `upsample=f` with `size=(rows, cols)` first
+    # nearest-upsamples the input by f and crops it to `size`; that is
+    # computed per kernel tap on the input as given, without building the
+    # upsampled tensor.
     x, w = vals[0], vals[1]
     b = vals[2] if len(vals) > 2 else None
     pad = attrs.get("padding", 0)
+    stride = attrs.get("stride", 1)
     f = attrs.get("upsample")
     _require(x.ndim == 4 and w.ndim == 4, "conv2d",
              f"need 4D input and kernel, got {x.shape} and {w.shape}")
     _require(x.shape[1] == w.shape[1], "conv2d",
              f"channel mismatch {x.shape} vs {w.shape}")
     _require(pad >= 0, "conv2d", "padding must be >= 0")
+    _require(stride >= 1, "conv2d", "stride must be >= 1")
     n, _, h, wd = x.shape
     co, _, kh, kw = w.shape
     if f is not None:
         _require(f >= 1, "conv2d", "upsample must be >= 1")
+        _require(stride == 1, "conv2d", "upsample needs stride 1")
         h, wd = attrs["size"]
         _require(0 < h <= x.shape[2] * f and 0 < wd <= x.shape[3] * f,
                  "conv2d", f"size {(h, wd)} is not a crop of the input "
@@ -237,9 +231,9 @@ def _fw_conv2d(vals, attrs):
         _require(b.shape == (co,), "conv2d",
                  f"bias shape {b.shape} != ({co},)")
     if f is not None:
-        out = _fw_upconv(x, w, pad, attrs)
+        out = _fw_upconv(x, w, attrs)
     else:
-        cols, hh, ww = _im2col(x, kh, kw, pad)
+        cols, hh, ww = _im2col(x, kh, kw, pad, stride)
         wm = w.reshape(co, -1)
         out = np.empty((n, co, hh * ww), dtype=np.float64)
         for i in range(n):
@@ -273,19 +267,6 @@ def _fw_scale(vals, attrs):
     return vals[0] * float(attrs["factor"])
 
 
-def _slice_obj(x_ndim, attrs):
-    sl = [slice(None)] * x_ndim
-    sl[attrs["axis"]] = slice(attrs.get("start"), attrs.get("stop"),
-                              attrs.get("step"))
-    return tuple(sl)
-
-
-def _fw_slice(vals, attrs):
-    step = attrs.get("step")
-    _require(step is None or step > 0, "slice", "step must be positive")
-    return vals[0][_slice_obj(vals[0].ndim, attrs)].copy()
-
-
 def _fw_masked_fill(vals, attrs):
     x = vals[0]
     mask = np.broadcast_to(np.asarray(attrs["mask"], dtype=bool), x.shape)
@@ -304,54 +285,32 @@ def _fw_powc(vals, attrs):
 _FORWARD_RULES: dict[str, Callable] = {
     "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
     "relu": _fw_relu, "sigmoid": _fw_sigmoid, "mean": _fw_mean,
-    "sum": _fw_sum, "scale": _fw_scale, "slice": _fw_slice,
-    "masked_fill": _fw_masked_fill, "log": _fw_log, "powc": _fw_powc,
+    "sum": _fw_sum, "scale": _fw_scale, "masked_fill": _fw_masked_fill,
+    "log": _fw_log, "powc": _fw_powc,
 }
 
 
 # --------------------------------------------------------------- backward --
 
 def _bw_add(node, g, ins):
-    return [(g, False), (g, False)]
+    return [g, g]
 
 
 def _bw_sub(node, g, ins):
-    return [(g, False), (-g, True)]
+    return [g, -g]
 
 
 def _bw_mul(node, g, ins):
-    return [(g * ins[1], True), (g * ins[0], True)]
-
-
-def _segment_sum(g: np.ndarray, idx: np.ndarray, n_low: int,
-                 axis: int) -> np.ndarray:
-    """Transpose of `take(idx, axis)` from a grid of `n_low` plus a zero
-    slot: sums the entries of `g` with one index into that index's bin.  The
-    kept indices run over consecutive bins in order, as `_tap_index` makes
-    them."""
-    shape = list(g.shape)
-    shape[axis] = n_low
-    out = np.zeros(shape)
-    keep = np.flatnonzero(idx < n_low)
-    if keep.size:
-        bins = idx[keep]
-        src = [slice(None)] * g.ndim
-        src[axis] = slice(keep[0], keep[-1] + 1)
-        dst = list(src)
-        dst[axis] = slice(bins[0], bins[-1] + 1)
-        out[tuple(dst)] = np.add.reduceat(
-            g[tuple(src)], np.flatnonzero(np.diff(bins, prepend=-1)), axis)
-    return out
+    return [g * ins[1], g * ins[0]]
 
 
 def _bw_upconv(node, g, x, w, need_dx):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    rmap, cmap = node.saved["_rmap"], node.saved["_cmap"]
-    # g scattered onto the low-res grid once per tap: rows, then columns
-    part = np.stack([_segment_sum(g, rmap[a], h, -2) for a in range(kh)], 1)
-    gtap = np.stack([_segment_sum(part, cmap[b], wd, -1)
-                     for b in range(kw)], 2).reshape(n, kh * kw * co, h * wd)
+    rmat, cmat = _tap_matrices(x.shape, w.shape, node.saved)
+    # g read back onto the low-res grid once per tap
+    gtap = np.einsum("aih,bjw,ncij->nabchw", rmat, cmat, g,
+                     optimize=True).reshape(n, kh * kw * co, h * wd)
     xf = x.reshape(n, ci, h * wd)
     dwtap = sum(gtap[i] @ xf[i].T for i in range(n))
     dw = dwtap.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
@@ -363,18 +322,18 @@ def _bw_upconv(node, g, x, w, need_dx):
 def _bw_conv2d(node, g, ins):
     x, w = ins[0], ins[1]
     need_dx = not node.input_needs or node.input_needs[0]
-    if "_rmap" in node.saved:
+    if node.saved.get("upsample") is not None:
         dx, dw = _bw_upconv(node, g, x, w, need_dx)
     else:
         dx, dw = _bw_im2col(node, g, x, w, need_dx)
-    grads = [(dx, True), (dw, True)]
     if len(node.input_ids) > 2:
-        grads.append((g.reshape(*g.shape[:2], -1).sum(axis=(0, 2)), True))
-    return grads
+        return [dx, dw, g.reshape(*g.shape[:2], -1).sum(axis=(0, 2))]
+    return [dx, dw]
 
 
 def _bw_im2col(node, g, x, w, need_dx):
     pad = node.saved.get("padding", 0)
+    s = node.saved.get("stride", 1)
     cols = node.saved["_cols"]
     n, _, h, wd = x.shape
     co, ci, kh, kw = w.shape
@@ -389,50 +348,45 @@ def _bw_im2col(node, g, x, w, need_dx):
             dcols = (wm_t @ gflat[i]).reshape(ci, kh, kw, hh, ww)
             for a in range(kh):
                 for b in range(kw):
-                    dxp[i, :, a:a + hh, b:b + ww] += dcols[:, a, b]
+                    dxp[i, :, a:a + s * (hh - 1) + 1:s,
+                        b:b + s * (ww - 1) + 1:s] += dcols[:, a, b]
     dx = ((dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp)
           if need_dx else None)
     return dx, dw.reshape(w.shape)
 
 
 def _bw_relu(node, g, ins):
-    return [(g * (ins[0] > 0), True)]
+    return [g * (ins[0] > 0)]
 
 
 def _bw_sigmoid(node, g, ins):
     s = node.values
-    return [(g * s * (1.0 - s), True)]
+    return [g * s * (1.0 - s)]
 
 
 def _bw_mean(node, g, ins):
     x = ins[0]
-    return [(np.full(x.shape, float(g) / x.size), True)]
+    return [np.full(x.shape, float(g) / x.size)]
 
 
 def _bw_sum(node, g, ins):
-    return [(np.full(ins[0].shape, float(g)), True)]
+    return [np.full(ins[0].shape, float(g))]
 
 
 def _bw_scale(node, g, ins):
-    return [(g * float(node.saved["factor"]), True)]
-
-
-def _bw_slice(node, g, ins):
-    dx = np.zeros(ins[0].shape)
-    dx[_slice_obj(ins[0].ndim, node.saved)] = g
-    return [(dx, True)]
+    return [g * float(node.saved["factor"])]
 
 
 def _bw_masked_fill(node, g, ins):
     mask = np.broadcast_to(np.asarray(node.saved["mask"], dtype=bool),
                            ins[0].shape)
-    return [(g * ~mask, True)]
+    return [g * ~mask]
 
 
 def _bw_log(node, g, ins):
     x = ins[0]
     inside = x >= LOG_CLAMP
-    return [(np.where(inside, g / np.maximum(x, LOG_CLAMP), 0.0), True)]
+    return [np.where(inside, g / np.maximum(x, LOG_CLAMP), 0.0)]
 
 
 def _bw_powc(node, g, ins):
@@ -440,14 +394,14 @@ def _bw_powc(node, g, ins):
     x = ins[0]
     # derivative taken as 0 at x == 0 (subgradient choice for c < 1)
     dx = np.where(x > 0, c * np.power(np.where(x > 0, x, 1.0), c - 1.0), 0.0)
-    return [(g * dx, True)]
+    return [g * dx]
 
 
 _BACKWARD_RULES: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
     "relu": _bw_relu, "sigmoid": _bw_sigmoid, "mean": _bw_mean,
-    "sum": _bw_sum, "scale": _bw_scale, "slice": _bw_slice,
-    "masked_fill": _bw_masked_fill, "log": _bw_log, "powc": _bw_powc,
+    "sum": _bw_sum, "scale": _bw_scale, "masked_fill": _bw_masked_fill,
+    "log": _bw_log, "powc": _bw_powc,
 }
 
 
@@ -530,13 +484,6 @@ def backward(loss: Tensor, params: ParamSet) -> None:
     grads: dict[int, np.ndarray] = {
         loss.node_id: np.ones_like(tape.nodes[loss.node_id].values)}
 
-    def acc(nid: int, contrib: np.ndarray, fresh: bool) -> None:
-        cur = grads.get(nid)
-        if cur is None:
-            grads[nid] = contrib if fresh else contrib.copy()
-        else:
-            cur += contrib
-
     for nid in range(loss.node_id, -1, -1):
         g = grads.get(nid)
         if g is None:
@@ -548,11 +495,13 @@ def backward(loss: Tensor, params: ParamSet) -> None:
                 params[name].grad += g
             continue
         ins = [tape.nodes[i].values for i in node.input_ids]
-        for (contrib, fresh), in_id, needed in zip(
+        for contrib, in_id, needed in zip(
                 _BACKWARD_RULES[node.kind](node, g, ins), node.input_ids,
                 node.input_needs):
             if needed and contrib is not None:
-                acc(in_id, contrib, fresh)
+                # out of place: a rule may hand one array to two inputs
+                cur = grads.get(in_id)
+                grads[in_id] = contrib if cur is None else cur + contrib
 
 
 # -------------------------------------------------------------- optimizer --

@@ -234,10 +234,16 @@ def _check_values(cfg: ScenarioConfig) -> None:
         if value not in tuple(choices):
             raise ConfigurationError(f"{section}.{name} must be one of "
                                      f"{sorted(choices)}, got {value!r}")
-    for name in ("total_steps", "eval_every", "batch_labelled"):
-        if getattr(cfg.train, name) < 1:
-            raise ConfigurationError(f"train.{name} must be >= 1, "
-                                     f"got {getattr(cfg.train, name)}")
+    for section, names in (
+            ("train", ("total_steps", "eval_every", "batch_labelled",
+                       "batch_unlabelled")),
+            ("world", ("seqs_per_world", "n_frames", "val_worlds",
+                       "test_worlds"))):
+        for name in names:
+            value = getattr(getattr(cfg, section), name)
+            if value < 1:
+                raise ConfigurationError(
+                    f"{section}.{name} must be >= 1, got {value}")
     w = cfg.world
     for u in (w.utilisation, *cfg.eval.sweep_utilisations):
         if not 0.0 < u <= 1.0:
@@ -247,8 +253,13 @@ def _check_values(cfg: ScenarioConfig) -> None:
     if w.speed_min > w.speed_max:
         raise ConfigurationError(f"world.speed_min {w.speed_min} exceeds "
                                  f"world.speed_max {w.speed_max}")
-    if not cfg.eval.seeds:
-        raise ConfigurationError("eval.seeds must name at least one seed")
+    for name in ("seeds", "sweep_utilisations", "adapt_unlabelled_counts"):
+        if not getattr(cfg.eval, name):
+            raise ConfigurationError(f"eval.{name} must not be empty")
+    if min(cfg.eval.adapt_unlabelled_counts) < 0:
+        raise ConfigurationError(
+            f"eval.adapt_unlabelled_counts must be >= 0, got "
+            f"{list(cfg.eval.adapt_unlabelled_counts)}")
     # city adaptation draws its worlds from the eval section instead
     if (cfg.kind != "city-adapt"
             and w.n_worlds < w.val_worlds + w.test_worlds + 1):
@@ -442,7 +453,7 @@ def run_one(spec: RunSpec) -> RunResult:
         return trainer.student
 
     best_vals: dict | None = None
-    best_miou, best_step = -1.0, 0
+    best_m: Metrics | None = None
     train_log: list[dict] = []
     for step in range(t.total_steps):
         row = {**asdict(trainer.train_step()), "val_miou": ""}
@@ -451,19 +462,16 @@ def run_one(spec: RunSpec) -> RunResult:
                                              dataset.split.val, cfg.model),
                                "val", step + 1)
             row["val_miou"] = m.miou
-            if m.miou > best_miou:
-                best_miou, best_step = m.miou, step + 1
+            if best_m is None or m.miou > best_m.miou:
+                best_m = m
                 best_vals = eval_params().values_dict()
         train_log.append(row)
 
     best_params = init_params(cfg.model, 0)
     best_params.load_values(best_vals)
-    val_m = evaluate_pairs(predict_split(best_params, dataset,
-                                         dataset.split.val, cfg.model),
-                           "val", best_step)
     test_pairs = list(predict_split(best_params, dataset, dataset.split.test,
                                     cfg.model))
-    test_m = evaluate_pairs(test_pairs, "test", best_step)
+    test_m = evaluate_pairs(test_pairs, "test", best_m.step)
 
     checkpoint = {f"student.{k}": v for k, v in
                   trainer.student.values_dict().items()}
@@ -474,8 +482,8 @@ def run_one(spec: RunSpec) -> RunResult:
 
     pred, gt = test_pairs[0]
     preview = {"pred": pred.copy(), "gt": gt.copy()}
-    return RunResult(spec.scenario, spec.variant.name, spec.seed, best_step,
-                     val_m, test_m, train_log, checkpoint, preview)
+    return RunResult(spec.scenario, spec.variant.name, spec.seed, best_m.step,
+                     best_m, test_m, train_log, checkpoint, preview)
 
 
 def _failed_run(spec: RunSpec, error: str) -> RunResult:
@@ -647,17 +655,6 @@ def _log_cell(value) -> str:
     if isinstance(value, int) or value == "":
         return str(value)
     return _fmt(value)
-
-
-def best_validation_step(train_log: list[dict]) -> tuple[int, float]:
-    """(step, mIoU) of the checkpoint a run must have exported: the first
-    validation evaluation attaining the maximum mIoU."""
-    best_step, best = 0, -1.0
-    for row in train_log:
-        if row["val_miou"] != "" and float(row["val_miou"]) > best:
-            best = float(row["val_miou"])
-            best_step = int(row["step"]) + 1
-    return best_step, best
 
 
 def expand_runs(cfg: ScenarioConfig) -> list[RunSpec]:

@@ -1,6 +1,6 @@
 """Segmentation-style mapping network: encoder, BEV lift, decoder, head.
 
-The encoder downsamples by 2 per stage (stride-1 conv + stride-2 subsample);
+The encoder downsamples by 2 per stage (one stride-2 conv per stage);
 the lift is one conv that reads the low-res encoder map and writes grid
 resolution (its input nearest-upsampled and cropped to the grid, computed
 per kernel tap at encoder resolution); a convolutional bottleneck decodes; a
@@ -33,10 +33,12 @@ class ModelConfig:
     n_classes: int = N_CLASSES
 
     def __post_init__(self):
-        widths = (self.obs_channels, self.lift_channels, *self.enc_widths,
-                  *self.dec_widths)
+        widths = (self.lift_channels, *self.enc_widths, *self.dec_widths)
         if any(w <= 0 for w in widths):
             raise ConfigurationError("all channel widths must be positive")
+        if self.obs_channels != OBS_CHANNELS:
+            raise ConfigurationError(
+                f"observation channels fixed at {OBS_CHANNELS}")
         if self.n_classes != N_CLASSES:
             raise ConfigurationError(f"output classes fixed at {N_CLASSES}")
         if self.kernel_size % 2 != 1 or self.kernel_size < 1:
@@ -116,9 +118,7 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
 
     x = Tensor(values)
     for i in range(len(cfg.enc_widths)):
-        x = _conv_block(params, tape, f"enc{i}", x, pad)
-        x = forward_op("slice", x, axis=2, step=2)
-        x = forward_op("slice", x, axis=3, step=2)
+        x = _conv_block(params, tape, f"enc{i}", x, pad, stride=2)
     encoder_feats = x
 
     bev_feats = _conv_block(params, tape, "lift", x, pad,

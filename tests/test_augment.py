@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bevssl.augment import (AugmentConfig, bevdrop_mask, camdrop, cutout,
-                            max_cutout_rect_area, photometric, strong_augment)
+                            photometric, strong_augment)
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import Raster, SMALL_GRID
 from bevssl.losses import LossMask, focal_loss
@@ -50,6 +50,11 @@ def test_cutout_fraction_zero_is_identity():
     obs = _obs()
     out = cutout(obs, Stream(5), 0.0)
     assert np.array_equal(out.values, obs.values)
+
+
+def max_cutout_rect_area(spec) -> int:
+    """Largest single rectangle cutout() can draw on this grid."""
+    return max(3, spec.rows // 4) * max(3, spec.cols // 4)
 
 
 def test_cutout_area_bound():

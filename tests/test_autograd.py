@@ -7,7 +7,7 @@ from bevssl.autograd import (CHECKPOINT_MAGIC, ParamSet, Tape, Tensor,
 from bevssl.errors import ConfigurationError, ContractError, NumericError
 from bevssl.rng import Stream
 
-from helpers_fd import ALL_KINDS, make_case
+from helpers_fd import ALL_KINDS, make_case, replay
 
 
 # ------------------------------------------------------------ op examples --
@@ -46,12 +46,6 @@ def test_conv2d_hand_oracle_with_padding():
                     expect[n, o, i, j] = (
                         xp[n, :, i:i + 3, j:j + 3] * w[o]).sum() + b[o]
     assert np.allclose(out.values, expect, atol=1e-12)
-
-
-def test_slice_with_step():
-    a = Tensor(np.arange(12.0).reshape(4, 3))
-    sl = forward_op("slice", a, axis=0, start=1, stop=4, step=2)
-    assert np.array_equal(sl.values, a.values[1:4:2])
 
 
 def test_masked_fill_and_log_clamp():
@@ -99,6 +93,21 @@ def test_unreachable_parameter_gets_exact_zero():
     backward(loss, ps)
     assert ps["unused"].grad.tolist() == [0.0, 0.0]
     assert ps["used"].grad.tolist() == [1.0]
+
+
+def test_gradient_handed_to_two_inputs_is_not_mutated():
+    """`add` hands one gradient array to both inputs; a later contribution
+    to one input must not change what the other receives."""
+    ps = ParamSet()
+    ps.add("a", np.array([0.5, -2.0]))
+    ps.add("b", np.array([3.0, 1.0]))
+    tape = Tape()
+    a, b = ps.leaf(tape, "a"), ps.leaf(tape, "b")
+    sq = forward_op("mul", a, a)
+    loss = forward_op("sum", forward_op("add", forward_op("add", a, b), sq))
+    backward(loss, ps)
+    assert ps["a"].grad.tolist() == [2.0, -3.0]
+    assert ps["b"].grad.tolist() == [1.0, 1.0]
 
 
 def test_backward_requires_scalar_loss():
@@ -164,7 +173,7 @@ def test_fd_check_constant_loss_exact():
 def test_tape_replay_bit_identical():
     params, f = make_case("conv2d", Stream(7).child("replay"))
     loss = f(params)
-    assert loss.tape.replay()
+    assert replay(loss.tape)
 
 
 def test_tape_topological_ids():
@@ -174,7 +183,7 @@ def test_tape_topological_ids():
         assert all(i < nid for i in node.input_ids)
 
 
-# ------------------------------------------------------- upsampling conv --
+# ------------------------------------------------ strided and upsampling --
 
 def _conv_grads(x, w, b, probe, **attrs):
     """y, dx, dW, db of sum(conv2d(x, w, b) * probe)."""
@@ -186,6 +195,40 @@ def _conv_grads(x, w, b, probe, **attrs):
                    **attrs)
     backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
     return y.values, ps["x"].grad, ps["w"].grad, ps["b"].grad
+
+
+@pytest.mark.parametrize("n,k,size,stride", [
+    (1, 1, (7, 6), 2), (3, 1, (8, 9), 3), (1, 3, (9, 8), 2),
+    (3, 3, (10, 7), 2), (1, 5, (11, 12), 3), (3, 5, (12, 11), 2)],
+    ids=["k1-b1", "k1-b3", "k3-b1", "k3-b3", "k5-b1", "k5-b3"])
+def test_strided_conv_matches_stride_1_then_slice(n, k, size, stride):
+    st = Stream(37).child(f"{n}-{k}-{size}")
+    ci, co, pad = 3, 4, k // 2
+    x = st.uniforms(n * ci * size[0] * size[1], -1, 1).reshape(n, ci, *size)
+    w = st.uniforms(co * ci * k * k, -1, 1).reshape(co, ci, k, k)
+    b = st.uniforms(co, -1, 1)
+    hh, ww = ((d + 2 * pad - k) // stride + 1 for d in size)
+    probe = st.uniforms(n * co * hh * ww, -1, 1).reshape(n, co, hh, ww)
+    strided = _conv_grads(x, w, b, probe, padding=pad, stride=stride)
+    # the reference computes every stride-1 output; the probe weighs only
+    # the kept ones
+    full = np.zeros((n, co, *(d + 2 * pad - k + 1 for d in size)))
+    full[..., ::stride, ::stride] = probe
+    y, dx, dw, db = _conv_grads(x, w, b, full, padding=pad)
+    ref = (y[..., ::stride, ::stride], dx, dw, db)
+    for name, got, want in zip(("y", "dx", "dW", "db"), strided, ref):
+        assert got.shape == want.shape, name
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-12, (name, rel)
+
+
+def test_conv_rejects_a_bad_stride():
+    x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+    with pytest.raises(ConfigurationError, match="stride"):
+        forward_op("conv2d", x, w, padding=1, stride=0)
+    with pytest.raises(ConfigurationError, match="stride"):
+        forward_op("conv2d", x, w, padding=1, stride=2, upsample=2,
+                   size=(8, 8))
 
 
 def _upsample_conv_reference(x, w, b, probe, factor, size, padding):

@@ -8,11 +8,11 @@ import pytest
 
 from bevssl import bench
 from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
-                          _pseudo_for, _weights_for, best_validation_step,
-                          canonical_json, config_from_dict, evaluate_pairs,
-                          expand_runs, export_artifacts,
-                          load_checkpoint_params, run_one, run_scenario,
-                          scenario_variants, write_pgm, write_ppm)
+                          _pseudo_for, _weights_for, canonical_json,
+                          config_from_dict, evaluate_pairs, expand_runs,
+                          export_artifacts, load_checkpoint_params, run_one,
+                          run_scenario, scenario_variants, write_pgm,
+                          write_ppm)
 from bevssl.bench import (EvalConfig, RunSpec, SslConfig, TrainConfig,
                           Variant, WorldConfig)
 from bevssl.engine import OptimConfig, PseudoLabelConfig
@@ -234,6 +234,17 @@ def test_adapt_dataset_splits_source_and_target_worlds():
 
 
 # ------------------------------------------------------------------- runs ---
+
+def best_validation_step(train_log: list[dict]) -> tuple[int, float]:
+    """(step, mIoU) of the checkpoint a run must have exported: the first
+    validation evaluation attaining the maximum mIoU."""
+    best_step, best = 0, -1.0
+    for row in train_log:
+        if row["val_miou"] != "" and float(row["val_miou"]) > best:
+            best = float(row["val_miou"])
+            best_step = int(row["step"]) + 1
+    return best_step, best
+
 
 def test_run_one_and_best_selection(tmp_path):
     cfg = tiny_config()

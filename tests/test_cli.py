@@ -99,7 +99,13 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("world", {"utilisation": 2.0}), ("world", {"utilisation": 0.0}),
     ("eval", {"sweep_utilisations": [0.5, 0.0]}),
     ("eval", {"sweep_utilisations": [1.5]}),
-    ("train", {"batch_labelled": 0}), ("world", {"n_worlds": 3})],
+    ("train", {"batch_labelled": 0}), ("world", {"n_worlds": 3}),
+    ("model", {"obs_channels": 4}), ("train", {"batch_unlabelled": 0}),
+    ("train", {"batch_unlabelled": -1}), ("world", {"n_frames": 0}),
+    ("world", {"seqs_per_world": 0}), ("world", {"val_worlds": -1}),
+    ("world", {"test_worlds": 0}), ("eval", {"sweep_utilisations": []}),
+    ("eval", {"adapt_unlabelled_counts": []}),
+    ("eval", {"adapt_unlabelled_counts": [0, -1]})],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
@@ -107,7 +113,11 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
          "gain_range_str", "kernel_size_float", "hard_str",
          "fusion_extra_float", "seeds_str", "speed_min_gt_max", "seeds_empty",
          "utilisation_above_1", "utilisation_0", "sweep_utilisation_0",
-         "sweep_utilisation_above_1", "batch_labelled_0", "n_worlds_short"])
+         "sweep_utilisation_above_1", "batch_labelled_0", "n_worlds_short",
+         "obs_channels_4", "batch_unlabelled_0", "batch_unlabelled_neg",
+         "n_frames_0", "seqs_per_world_0", "val_worlds_neg", "test_worlds_0",
+         "sweep_utilisations_empty", "adapt_counts_empty",
+         "adapt_count_neg"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),

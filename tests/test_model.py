@@ -9,6 +9,8 @@ from bevssl.geometry import GridSpec
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 
+from helpers_fd import replay
+
 TINY = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
 
 
@@ -152,21 +154,27 @@ def test_odd_grid_dims_still_map_to_grid_resolution():
 
 
 def test_lift_is_one_conv_reading_the_encoder_map():
-    """The taped lift is one conv2d node on the last encoder slice, with no
-    upsampled or cropped copy and no saved im2col columns on the tape."""
+    """Each encoder stage is one stride-2 conv; the taped lift is one conv2d
+    node on the last encoder map, with no upsampled or cropped copy and no
+    saved arrays on the tape."""
     params = init_params(TINY, 2)
     tape = Tape()
     trace = forward(params, _obs(Stream(13), 30, 18), None, tape, TINY)
     nodes = tape.nodes
     leaf_param = {nid: n.saved.get("param") for nid, n in enumerate(nodes)
                   if n.kind == "leaf"}
+    strided = [n for n in nodes
+               if n.kind == "conv2d" and n.saved.get("stride") == 2]
+    assert [leaf_param[n.input_ids[1]] for n in strided] == [
+        f"enc{i}.w" for i in range(len(TINY.enc_widths))]
+    # ceil(30 / 2) x ceil(18 / 2), then ceil(15 / 2) x ceil(9 / 2)
+    assert [n.values.shape[2:] for n in strided] == [(15, 9), (8, 5)]
     lift = [n for n in nodes if n.kind == "conv2d"
             and leaf_param.get(n.input_ids[1]) == "lift.w"]
     assert len(lift) == 1
     assert nodes[lift[0].input_ids[0]].values is trace.encoder_feats.values
-    assert "_cols" not in lift[0].saved
+    assert not any(isinstance(v, np.ndarray) for v in lift[0].saved.values())
     assert lift[0].values.shape[2:] == (30, 18)
     kinds = [n.kind for n in nodes]
-    assert "upsample" not in kinds
-    assert kinds.count("slice") == 2 * len(TINY.enc_widths)
-    assert tape.replay()
+    assert "upsample" not in kinds and "slice" not in kinds
+    assert replay(tape)
