@@ -4,6 +4,12 @@ The op catalog is closed: every kind has a hand-written backward rule that is
 finite-difference tested on its own.  Forward values are recorded on a `Tape`
 when any input is differentiable; inference-style calls (no tape anywhere)
 pay no recording cost.
+
+The tape keeps no im2col columns: `conv2d` builds one sample's columns at a
+time in one module-level workspace, in forward and again for dW in backward.
+At stride 1 its dx is the full convolution of the output gradient with the
+flipped, transposed kernel.  Importing the module also warms the heap (see
+the note at `_workspace`).
 """
 
 from __future__ import annotations
@@ -150,21 +156,42 @@ def _fw_mul(vals, attrs):
     return a * b
 
 
+# One buffer for every conv's columns, grown to the largest request and
+# reused.  Each `_im2col` call overwrites it, so its result is used at once.
+_workspace = np.empty(0)
+
+# Warm heap.  glibc serves each malloc of 128 KB or more with a fresh mmap
+# until an mmapped chunk is freed; that free lifts the mmap threshold (up to
+# 32 MB) to the chunk's size.  Below the threshold, per-step activations
+# reuse heap pages instead of taking a page fault on every first touch.  One
+# 24 MB array, allocated and freed here, puts the threshold above the small
+# preset's largest per-step array.
+_warm = np.empty(3 << 20)
+del _warm
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int = 1):
-    n, c, h, w = x.shape
+    """Columns (c*kh*kw, hh*ww) of one sample `x` (c, h, w), a view of the
+    shared workspace.  A 1x1 stride-1 conv reads its padded input as is."""
+    global _workspace
+    c, h, w = x.shape
     if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-        xp[:, :, pad:pad + h, pad:pad + w] = x
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + w] = x
         x = xp
     hh = (h + 2 * pad - kh) // stride + 1
     ww = (w + 2 * pad - kw) // stride + 1
     if kh == 1 and kw == 1 and stride == 1:
-        return np.ascontiguousarray(x.reshape(n, c, hh * ww)), hh, ww
+        return x.reshape(c, hh * ww)
+    size = c * kh * kw * hh * ww
+    if _workspace.size < size:
+        _workspace = np.empty(size)
+    cols = _workspace[:size].reshape(c, kh, kw, hh, ww)
     s = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x, (n, c, kh, kw, hh, ww),
-        (s[0], s[1], s[2], s[3], stride * s[2], stride * s[3]))
-    return windows.reshape(n, c * kh * kw, hh * ww), hh, ww
+    cols[...] = np.lib.stride_tricks.as_strided(
+        x, (c, kh, kw, hh, ww),
+        (s[0], s[1], s[2], stride * s[1], stride * s[2]))
+    return cols.reshape(c * kh * kw, hh * ww)
 
 
 def _tap_matrix(n_out: int, size: int, factor: int, pad: int, k: int,
@@ -233,13 +260,13 @@ def _fw_conv2d(vals, attrs):
     if f is not None:
         out = _fw_upconv(x, w, attrs)
     else:
-        cols, hh, ww = _im2col(x, kh, kw, pad, stride)
+        hh = (h + 2 * pad - kh) // stride + 1
+        ww = (wd + 2 * pad - kw) // stride + 1
         wm = w.reshape(co, -1)
         out = np.empty((n, co, hh * ww), dtype=np.float64)
         for i in range(n):
-            np.matmul(wm, cols[i], out=out[i])
+            np.matmul(wm, _im2col(x[i], kh, kw, pad, stride), out=out[i])
         out = out.reshape(n, co, hh, ww)
-        attrs["_cols"] = cols
     if b is not None:
         out += b[None, :, None, None]
     return out
@@ -334,25 +361,54 @@ def _bw_conv2d(node, g, ins):
 def _bw_im2col(node, g, x, w, need_dx):
     pad = node.saved.get("padding", 0)
     s = node.saved.get("stride", 1)
-    cols = node.saved["_cols"]
     n, _, h, wd = x.shape
     co, ci, kh, kw = w.shape
     hh, ww = g.shape[2:]
     gflat = g.reshape(n, co, hh * ww)
     dw = np.zeros((co, ci * kh * kw))
-    dxp = (np.zeros((n, ci, h + 2 * pad, wd + 2 * pad)) if need_dx else None)
+    for i in range(n):
+        dw += gflat[i] @ _im2col(x[i], kh, kw, pad, s).T
+    dw = dw.reshape(w.shape)
+    if not need_dx:
+        return None, dw
+    if s > 1:
+        return _col2im(g, w, x.shape, pad, s), dw
+    # stride 1: dx is the full convolution of g with the flipped, transposed
+    # kernel, i.e. g padded by k-1-pad (cropped where pad > k-1) and
+    # convolved without padding
+    wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
+    rows_to, rows_from = _shifted(h + kh - 1, hh, kh - 1 - pad)
+    cols_to, cols_from = _shifted(wd + kw - 1, ww, kw - 1 - pad)
+    gp = np.zeros((co, h + kh - 1, wd + kw - 1))
+    dx = np.empty((n, ci, h * wd))
+    for i in range(n):
+        gp[:, rows_to, cols_to] = g[i, :, rows_from, cols_from]
+        np.matmul(wflip, _im2col(gp, kh, kw, 0), out=dx[i])
+    return dx.reshape(x.shape), dw
+
+
+def _shifted(n_to: int, n_from: int, shift: int) -> tuple[slice, slice]:
+    """Slices `to`, `from` along one axis with to[j] = from[j - shift] over
+    the positions both have."""
+    lo, hi = max(shift, 0), min(n_to, n_from + shift)
+    return slice(lo, hi), slice(lo - shift, hi - shift)
+
+
+def _col2im(g, w, x_shape, pad, s):
+    """dx of a strided conv: each sample's column gradients scatter-added
+    back onto the padded input, one kernel tap at a time."""
+    n, ci, h, wd = x_shape
+    co, _, kh, kw = w.shape
+    hh, ww = g.shape[2:]
+    dxp = np.zeros((n, ci, h + 2 * pad, wd + 2 * pad))
     wm_t = w.reshape(co, -1).T
     for i in range(n):
-        dw += gflat[i] @ cols[i].T
-        if need_dx:
-            dcols = (wm_t @ gflat[i]).reshape(ci, kh, kw, hh, ww)
-            for a in range(kh):
-                for b in range(kw):
-                    dxp[i, :, a:a + s * (hh - 1) + 1:s,
-                        b:b + s * (ww - 1) + 1:s] += dcols[:, a, b]
-    dx = ((dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp)
-          if need_dx else None)
-    return dx, dw.reshape(w.shape)
+        dcols = (wm_t @ g[i].reshape(co, -1)).reshape(ci, kh, kw, hh, ww)
+        for a in range(kh):
+            for b in range(kw):
+                dxp[i, :, a:a + s * (hh - 1) + 1:s,
+                    b:b + s * (ww - 1) + 1:s] += dcols[:, a, b]
+    return dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
 
 
 def _bw_relu(node, g, ins):
@@ -485,7 +541,8 @@ def backward(loss: Tensor, params: ParamSet) -> None:
         loss.node_id: np.ones_like(tape.nodes[loss.node_id].values)}
 
     for nid in range(loss.node_id, -1, -1):
-        g = grads.get(nid)
+        # a node's gradient is dead once its rule has run
+        g = grads.pop(nid, None)
         if g is None:
             continue
         node = tape.nodes[nid]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,25 @@ def test_gradient_handed_to_two_inputs_is_not_mutated():
     assert ps["b"].grad.tolist() == [1.0, 1.0]
 
 
+def test_backward_drops_each_gradient_once_its_rule_has_run():
+    """Backward through a chain of 20 ops on a 1 MB leaf holds about two
+    gradients at a time, not one per node."""
+    ps = _scalar_param(np.ones(1 << 17))
+    tape = Tape()
+    y = ps.leaf(tape, "p")
+    for _ in range(20):
+        y = forward_op("scale", y, factor=0.9)
+    loss = forward_op("sum", y)
+    tracemalloc.start()
+    try:
+        backward(loss, ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert np.allclose(ps["p"].grad, 0.9 ** 20, rtol=1e-12)
+
+
 def test_backward_requires_scalar_loss():
     ps = _scalar_param(np.ones(3))
     tape = Tape()
@@ -215,10 +236,65 @@ def test_strided_conv_matches_stride_1_then_slice(n, k, size, stride):
     full = np.zeros((n, co, *(d + 2 * pad - k + 1 for d in size)))
     full[..., ::stride, ::stride] = probe
     y, dx, dw, db = _conv_grads(x, w, b, full, padding=pad)
-    ref = (y[..., ::stride, ::stride], dx, dw, db)
-    for name, got, want in zip(("y", "dx", "dW", "db"), strided, ref):
-        assert got.shape == want.shape, name
-        rel = np.abs(got - want).max() / np.abs(want).max()
+    _assert_close(strided, (y[..., ::stride, ::stride], dx, dw, db))
+
+
+def _saved_columns_conv(x, w, b, probe, pad, stride):
+    """y, dx, dW, db of sum(conv2d(x, w, b) * probe) by saved columns: the
+    whole batch's im2col columns built once and reused for dW, and dx
+    scatter-added back one kernel tap at a time."""
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    hh = (h + 2 * pad - kh) // stride + 1
+    ww = (wd + 2 * pad - kw) // stride + 1
+    s = xp.strides
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (n, ci, kh, kw, hh, ww),
+        (s[0], s[1], s[2], s[3], stride * s[2], stride * s[3]),
+    ).reshape(n, ci * kh * kw, hh * ww)
+    wm = w.reshape(co, -1)
+    y = np.stack([wm @ cols[i] for i in range(n)]).reshape(n, co, hh, ww)
+    gflat = probe.reshape(n, co, hh * ww)
+    dw = sum(gflat[i] @ cols[i].T for i in range(n)).reshape(w.shape)
+    dxp = np.zeros(xp.shape)
+    for i in range(n):
+        dcols = (wm.T @ gflat[i]).reshape(ci, kh, kw, hh, ww)
+        for a in range(kh):
+            for c in range(kw):
+                dxp[i, :, a:a + stride * (hh - 1) + 1:stride,
+                    c:c + stride * (ww - 1) + 1:stride] += dcols[:, a, c]
+    dx = dxp[:, :, pad:pad + h, pad:pad + wd]
+    return (y + b[:, None, None], dx, dw, probe.sum(axis=(0, 2, 3)))
+
+
+_PARITY_CASES = [(k, pad, stride, n, size)
+                 for k in (1, 3, 5) for pad in range(k) for stride in (1, 2, 3)
+                 for n in (1, 3) for size in ((9, 7), (10, 8))]
+
+
+@pytest.mark.parametrize(
+    "k,pad,stride,n,size", _PARITY_CASES,
+    ids=[f"k{k}-p{p}-s{s}-b{n}-{'odd' if size[0] % 2 else 'even'}"
+         for k, p, s, n, size in _PARITY_CASES])
+def test_conv_matches_saved_columns_reference(k, pad, stride, n, size):
+    st = Stream(41).child(f"{k}-{pad}-{stride}-{n}-{size}")
+    ci, co = 3, 4
+    x = st.uniforms(n * ci * size[0] * size[1], -1, 1).reshape(n, ci, *size)
+    w = st.uniforms(co * ci * k * k, -1, 1).reshape(co, ci, k, k)
+    b = st.uniforms(co, -1, 1)
+    hh, ww = ((d + 2 * pad - k) // stride + 1 for d in size)
+    probe = st.uniforms(n * co * hh * ww, -1, 1).reshape(n, co, hh, ww)
+    _assert_close(_conv_grads(x, w, b, probe, padding=pad, stride=stride),
+                  _saved_columns_conv(x, w, b, probe, pad, stride))
+
+
+def _assert_close(got, want):
+    """y, dx, dW, db each within 1e-12 of `want`, relative to its largest
+    entry."""
+    for name, g, wt in zip(("y", "dx", "dW", "db"), got, want):
+        assert g.shape == wt.shape, name
+        rel = np.abs(g - wt).max() / np.abs(wt).max()
         assert rel <= 1e-12, (name, rel)
 
 
@@ -261,11 +337,8 @@ def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
         n, co, *size)
     fused = _conv_grads(x, w, b, probe, padding=pad, upsample=factor,
                         size=size)
-    ref = _upsample_conv_reference(x, w, b, probe, factor, size, pad)
-    for name, got, want in zip(("y", "dx", "dW", "db"), fused, ref):
-        assert got.shape == want.shape, name
-        rel = np.abs(got - want).max() / np.abs(want).max()
-        assert rel <= 1e-12, (name, rel)
+    _assert_close(fused,
+                  _upsample_conv_reference(x, w, b, probe, factor, size, pad))
 
 
 def test_upsampling_conv_rejects_a_size_past_the_upsampled_input():

@@ -424,3 +424,14 @@ def test_trainer_teacher_tracks_student_ema():
     init = init_params(TINY, 21)  # same seed as trainer student
     expect = alpha * init[name].values + (1 - alpha) * tr.student[name].values
     assert np.allclose(tr.teacher.params[name].values, expect, atol=1e-12)
+
+
+def test_trainer_never_reads_unlabelled_ground_truth():
+    clean, blind = _tiny_dataset(), _tiny_dataset()
+    for sid in blind.split.unlabelled:
+        for sample in blind.sequences[sid].samples:
+            sample.gt.values[...] = np.nan
+    a, b = _mk_trainer(clean), _mk_trainer(blind)
+    reports = [(a.train_step(), b.train_step()) for _ in range(3)]
+    assert all(ra == rb for ra, rb in reports)
+    assert reports[-1][0].w_cls > 0.0  # the unlabelled branch ran

@@ -155,8 +155,8 @@ def test_odd_grid_dims_still_map_to_grid_resolution():
 
 def test_lift_is_one_conv_reading_the_encoder_map():
     """Each encoder stage is one stride-2 conv; the taped lift is one conv2d
-    node on the last encoder map, with no upsampled or cropped copy and no
-    saved arrays on the tape."""
+    node on the last encoder map, with no upsampled or cropped copy; no
+    conv2d node saves an array on the tape."""
     params = init_params(TINY, 2)
     tape = Tape()
     trace = forward(params, _obs(Stream(13), 30, 18), None, tape, TINY)
@@ -173,7 +173,10 @@ def test_lift_is_one_conv_reading_the_encoder_map():
             and leaf_param.get(n.input_ids[1]) == "lift.w"]
     assert len(lift) == 1
     assert nodes[lift[0].input_ids[0]].values is trace.encoder_feats.values
-    assert not any(isinstance(v, np.ndarray) for v in lift[0].saved.values())
+    convs = [n for n in nodes if n.kind == "conv2d"]
+    assert len(convs) == len(TINY.enc_widths) + len(TINY.dec_widths) + 2
+    assert not any(isinstance(v, np.ndarray)
+                   for n in convs for v in n.saved.values())
     assert lift[0].values.shape[2:] == (30, 18)
     kinds = [n.kind for n in nodes]
     assert "upsample" not in kinds and "slice" not in kinds

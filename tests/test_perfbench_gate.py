@@ -1,6 +1,11 @@
 """The benchmark's loss reference gate, run as a test: numerical drift in a
-rewrite of the model or the trainer fails here, not only in the benchmark."""
+rewrite of the model or the trainer fails here, not only in the benchmark.
+Also the benchmark's trainer held to a warm heap: steady steps take no page
+faults."""
 
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,7 +13,8 @@ import pytest
 
 from bevssl import bench
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 
@@ -21,3 +27,35 @@ def test_reference_losses_match(name):
     workloads.reference_gate(trainer, wl, checks)
     assert checks.attempted == len(wl.ref_losses) + 1
     assert checks.failed == 0, checks.errors
+
+
+_FAULTS_PER_STEP = """
+import resource, statistics
+import workloads
+from bevssl import bench
+wl = workloads.WORKLOADS["ssl_small"]
+trainer = workloads.build_trainer(bench.config_from_dict(wl.config),
+                                  workloads.REFERENCE_SEED)
+for _ in range(3):
+    trainer.train_step()
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    trainer.train_step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(statistics.median(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the warm heap is a glibc malloc property")
+def test_steady_training_step_takes_no_page_faults():
+    # a fresh process: this one's heap depends on the tests run before
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench"),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    assert float(out.stdout.split()[-1]) <= 100, out.stdout
