@@ -7,9 +7,10 @@ pay no recording cost.
 
 The tape keeps no im2col columns: `conv2d` builds one sample's columns at a
 time in one module-level workspace, in forward and again for dW in backward.
-At stride 1 its dx is the full convolution of the output gradient with the
-flipped, transposed kernel.  Importing the module also warms the heap (see
-the note at `_workspace`).
+At every stride its dx is the full convolution of the output gradient with
+the flipped, transposed kernel, run through the forward's per-sample GEMM
+loop.  Importing the module also warms the heap (see the note at
+`_workspace`).
 """
 
 from __future__ import annotations
@@ -194,6 +195,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int = 1):
     return cols.reshape(c * kh * kw, hh * ww)
 
 
+def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad: int,
+          stride: int = 1) -> np.ndarray:
+    """(n, co, hh, ww) convolution of `x` (n, c, h, w) by the flattened
+    kernel `wm` (co, c*kh*kw): one GEMM per sample on its columns."""
+    n, _, h, wd = x.shape
+    hh = (h + 2 * pad - kh) // stride + 1
+    ww = (wd + 2 * pad - kw) // stride + 1
+    out = np.empty((n, wm.shape[0], hh * ww))
+    for i in range(n):
+        np.matmul(wm, _im2col(x[i], kh, kw, pad, stride), out=out[i])
+    return out.reshape(n, -1, hh, ww)
+
+
 def _tap_matrix(n_out: int, size: int, factor: int, pad: int, k: int,
                 n_low: int) -> np.ndarray:
     """(k, n_out, n_low) 0/1 matrix along one axis of an upsample-crop-pad
@@ -243,7 +257,7 @@ def _fw_conv2d(vals, attrs):
              f"channel mismatch {x.shape} vs {w.shape}")
     _require(pad >= 0, "conv2d", "padding must be >= 0")
     _require(stride >= 1, "conv2d", "stride must be >= 1")
-    n, _, h, wd = x.shape
+    h, wd = x.shape[2:]
     co, _, kh, kw = w.shape
     if f is not None:
         _require(f >= 1, "conv2d", "upsample must be >= 1")
@@ -260,13 +274,7 @@ def _fw_conv2d(vals, attrs):
     if f is not None:
         out = _fw_upconv(x, w, attrs)
     else:
-        hh = (h + 2 * pad - kh) // stride + 1
-        ww = (wd + 2 * pad - kw) // stride + 1
-        wm = w.reshape(co, -1)
-        out = np.empty((n, co, hh * ww), dtype=np.float64)
-        for i in range(n):
-            np.matmul(wm, _im2col(x[i], kh, kw, pad, stride), out=out[i])
-        out = out.reshape(n, co, hh, ww)
+        out = _conv(x, w.reshape(co, -1), kh, kw, pad, stride)
     if b is not None:
         out += b[None, :, None, None]
     return out
@@ -371,44 +379,24 @@ def _bw_im2col(node, g, x, w, need_dx):
     dw = dw.reshape(w.shape)
     if not need_dx:
         return None, dw
-    if s > 1:
-        return _col2im(g, w, x.shape, pad, s), dw
-    # stride 1: dx is the full convolution of g with the flipped, transposed
-    # kernel, i.e. g padded by k-1-pad (cropped where pad > k-1) and
-    # convolved without padding
+    # dx is the full convolution of g with the flipped, transposed kernel:
+    # g[i] sits at s*i + k-1-pad in a zero frame of the input's size plus
+    # k-1 (cropped where pad > k-1), convolved without padding
+    rows_to, rows_from = _spread(h + kh - 1, hh, kh - 1 - pad, s)
+    cols_to, cols_from = _spread(wd + kw - 1, ww, kw - 1 - pad, s)
+    gp = np.zeros((n, co, h + kh - 1, wd + kw - 1))
+    gp[:, :, rows_to, cols_to] = g[:, :, rows_from, cols_from]
     wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-    rows_to, rows_from = _shifted(h + kh - 1, hh, kh - 1 - pad)
-    cols_to, cols_from = _shifted(wd + kw - 1, ww, kw - 1 - pad)
-    gp = np.zeros((co, h + kh - 1, wd + kw - 1))
-    dx = np.empty((n, ci, h * wd))
-    for i in range(n):
-        gp[:, rows_to, cols_to] = g[i, :, rows_from, cols_from]
-        np.matmul(wflip, _im2col(gp, kh, kw, 0), out=dx[i])
-    return dx.reshape(x.shape), dw
+    return _conv(gp, wflip, kh, kw, 0), dw
 
 
-def _shifted(n_to: int, n_from: int, shift: int) -> tuple[slice, slice]:
-    """Slices `to`, `from` along one axis with to[j] = from[j - shift] over
-    the positions both have."""
-    lo, hi = max(shift, 0), min(n_to, n_from + shift)
-    return slice(lo, hi), slice(lo - shift, hi - shift)
-
-
-def _col2im(g, w, x_shape, pad, s):
-    """dx of a strided conv: each sample's column gradients scatter-added
-    back onto the padded input, one kernel tap at a time."""
-    n, ci, h, wd = x_shape
-    co, _, kh, kw = w.shape
-    hh, ww = g.shape[2:]
-    dxp = np.zeros((n, ci, h + 2 * pad, wd + 2 * pad))
-    wm_t = w.reshape(co, -1).T
-    for i in range(n):
-        dcols = (wm_t @ g[i].reshape(co, -1)).reshape(ci, kh, kw, hh, ww)
-        for a in range(kh):
-            for b in range(kw):
-                dxp[i, :, a:a + s * (hh - 1) + 1:s,
-                    b:b + s * (ww - 1) + 1:s] += dcols[:, a, b]
-    return dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
+def _spread(n_to: int, n_from: int, shift: int,
+            step: int) -> tuple[slice, slice]:
+    """Slices `to`, `from` along one axis with to[step*i + shift] = from[i]
+    over the positions both have."""
+    lo = max(0, -(shift // step))
+    hi = max(lo, min(n_from, (n_to - 1 - shift) // step + 1))
+    return slice(step * lo + shift, step * hi + shift, step), slice(lo, hi)
 
 
 def _bw_relu(node, g, ins):

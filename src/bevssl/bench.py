@@ -238,12 +238,21 @@ def _check_values(cfg: ScenarioConfig) -> None:
             ("train", ("total_steps", "eval_every", "batch_labelled",
                        "batch_unlabelled")),
             ("world", ("seqs_per_world", "n_frames", "val_worlds",
-                       "test_worlds"))):
+                       "test_worlds")),
+            ("eval", ("adapt_source_worlds",))):
         for name in names:
             value = getattr(getattr(cfg, section), name)
             if value < 1:
                 raise ConfigurationError(
                     f"{section}.{name} must be >= 1, got {value}")
+    t = cfg.train
+    for name, ok, want in (("lr", t.lr >= 0, ">= 0"), ("wd", t.wd >= 0, ">= 0"),
+                           ("beta1", 0 <= t.beta1 < 1, "in [0, 1)"),
+                           ("beta2", 0 <= t.beta2 < 1, "in [0, 1)"),
+                           ("ema_keep", 0 <= t.ema_keep <= 1, "in [0, 1]")):
+        if not ok:
+            raise ConfigurationError(
+                f"train.{name} must be {want}, got {getattr(t, name)}")
     w = cfg.world
     for u in (w.utilisation, *cfg.eval.sweep_utilisations):
         if not 0.0 < u <= 1.0:
@@ -254,8 +263,12 @@ def _check_values(cfg: ScenarioConfig) -> None:
         raise ConfigurationError(f"world.speed_min {w.speed_min} exceeds "
                                  f"world.speed_max {w.speed_max}")
     for name in ("seeds", "sweep_utilisations", "adapt_unlabelled_counts"):
-        if not getattr(cfg.eval, name):
+        values = getattr(cfg.eval, name)
+        if not values:
             raise ConfigurationError(f"eval.{name} must not be empty")
+        if len(set(values)) < len(values):
+            raise ConfigurationError(
+                f"eval.{name} must not repeat an entry, got {list(values)}")
     if min(cfg.eval.adapt_unlabelled_counts) < 0:
         raise ConfigurationError(
             f"eval.adapt_unlabelled_counts must be >= 0, got "

@@ -96,9 +96,6 @@ def sharpen(logits, temperature: float):
     """Rescale logits by 1/T; T < 1 raises certainty, T > 1 lowers it."""
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be positive, got {temperature}")
-    if isinstance(logits, Raster):
-        return Raster(logits.spec, logits.values / temperature,
-                      logits.valid.copy())
     return np.asarray(logits) / temperature
 
 

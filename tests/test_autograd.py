@@ -269,7 +269,8 @@ def _saved_columns_conv(x, w, b, probe, pad, stride):
 
 
 _PARITY_CASES = [(k, pad, stride, n, size)
-                 for k in (1, 3, 5) for pad in range(k) for stride in (1, 2, 3)
+                 for k in (1, 3, 5) for pad in range(k + 2)
+                 for stride in (1, 2, 3)
                  for n in (1, 3) for size in ((9, 7), (10, 8))]
 
 

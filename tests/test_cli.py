@@ -105,7 +105,12 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("world", {"seqs_per_world": 0}), ("world", {"val_worlds": -1}),
     ("world", {"test_worlds": 0}), ("eval", {"sweep_utilisations": []}),
     ("eval", {"adapt_unlabelled_counts": []}),
-    ("eval", {"adapt_unlabelled_counts": [0, -1]})],
+    ("eval", {"adapt_unlabelled_counts": [0, -1]}), ("train", {"lr": -1}),
+    ("train", {"wd": -1e-4}), ("train", {"beta1": 1.0}),
+    ("train", {"beta2": -0.1}), ("train", {"ema_keep": 5.0}),
+    ("eval", {"adapt_source_worlds": 0}), ("eval", {"seeds": [0, 0]}),
+    ("eval", {"sweep_utilisations": [0.5, 0.5]}),
+    ("eval", {"adapt_unlabelled_counts": [0, 8, 8]})],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
@@ -117,7 +122,9 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
          "obs_channels_4", "batch_unlabelled_0", "batch_unlabelled_neg",
          "n_frames_0", "seqs_per_world_0", "val_worlds_neg", "test_worlds_0",
          "sweep_utilisations_empty", "adapt_counts_empty",
-         "adapt_count_neg"])
+         "adapt_count_neg", "lr_neg", "wd_neg", "beta1_1", "beta2_neg",
+         "ema_keep_5", "adapt_source_worlds_0", "seeds_repeated",
+         "sweep_utilisations_repeated", "adapt_counts_repeated"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
