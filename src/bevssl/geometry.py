@@ -66,6 +66,9 @@ class GridSpec:
     cell: float
 
     def __post_init__(self):
+        fields = (self.x_min, self.x_max, self.y_min, self.y_max, self.cell)
+        if not all(map(math.isfinite, fields)):
+            raise ConfigurationError(f"non-finite grid {fields}")
         if self.cell <= 0:
             raise ConfigurationError(f"cell size must be positive, got {self.cell}")
         for lo, hi, name in ((self.x_min, self.x_max, "x"),

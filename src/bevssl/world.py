@@ -8,6 +8,11 @@ distance-growing noise, per-sequence sensor calibration, and dropout blobs),
 one clutter channel of false structures that also leaks into the evidence,
 and one normalized-range channel.  Six 60-degree camera sectors are assigned
 by bearing.  Everything is a pure function of the seeds.
+
+A frame is built from the map near the ego: ground truth skips every
+polyline whose bounding box misses the square around the disk that holds
+the grid, samples all strokes of a class in one vectorized pass, and the
+observation blurs its three class planes and its clutter plane as one stack.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ DEFAULT_EXTENT = (-120.0, 120.0, -120.0, 120.0)
 # rendering amplitude per class channel (thin strokes need boosting to stay
 # visible after smoothing)
 SIGNAL_GAIN = (1.0, 1.8, 1.8)
+_GAIN_PLANES = np.array(SIGNAL_GAIN)[:, None, None]
 # leak of clutter structures into each evidence channel
 _CLUTTER_LEAK = (0.25, 0.25, 0.25)
 # per-sequence sensor calibration spreads
@@ -157,9 +163,7 @@ def _clip_polyline(verts: np.ndarray, extent) -> list[np.ndarray]:
     """Split a polyline into maximal runs inside the extent rectangle,
     interpolating the crossing points on the boundary."""
     x0, x1, y0, y1 = extent
-
-    def inside(p):
-        return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+    verts = np.asarray(verts, dtype=np.float64)
 
     def boundary_point(p, q):
         # walk from inside point p toward outside point q, clip against each edge
@@ -174,24 +178,24 @@ def _clip_polyline(verts: np.ndarray, extent) -> list[np.ndarray]:
                     if x0 - 1e-9 <= cand[0] <= x1 + 1e-9 and \
                        y0 - 1e-9 <= cand[1] <= y1 + 1e-9:
                         t_best = t
-        return np.array([min(max(p[0] + t_best * dx, x0), x1),
-                         min(max(p[1] + t_best * dy, y0), y1)])
+        return np.array([[min(max(p[0] + t_best * dx, x0), x1),
+                          min(max(p[1] + t_best * dy, y0), y1)]])
 
-    runs: list[list[np.ndarray]] = []
-    cur: list[np.ndarray] = []
-    for i, p in enumerate(verts):
-        if inside(p):
-            if not cur and i > 0 and not inside(verts[i - 1]):
-                cur.append(boundary_point(p, verts[i - 1]))
-            cur.append(np.asarray(p, dtype=np.float64))
-        else:
-            if cur:
-                cur.append(boundary_point(cur[-1], p))
-                runs.append(cur)
-                cur = []
-    if cur:
-        runs.append(cur)
-    return [np.array(r) for r in runs if len(r) >= 2]
+    inside = ((x0 <= verts[:, 0]) & (verts[:, 0] <= x1)
+              & (y0 <= verts[:, 1]) & (verts[:, 1] <= y1))
+    # runs of inside vertices are [starts[k], stops[k])
+    edges = np.diff(np.concatenate([[0], inside.view(np.int8), [0]]))
+    starts, stops = np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
+    runs = []
+    for a, b in zip(starts.tolist(), stops.tolist()):
+        run = [verts[a:b]]
+        if a > 0:
+            run.insert(0, boundary_point(verts[a], verts[a - 1]))
+        if b < len(verts):
+            run.append(boundary_point(verts[b - 1], verts[b]))
+        if sum(map(len, run)) >= 2:
+            runs.append(np.concatenate(run))
+    return runs
 
 
 def _clip_polygon(verts: np.ndarray, extent) -> np.ndarray | None:
@@ -415,24 +419,60 @@ def _world_to_ego(pose: Pose2, pts: np.ndarray) -> np.ndarray:
     return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=1)
 
 
-def _mark_line(grid: np.ndarray, spec: GridSpec, verts: np.ndarray) -> None:
+def _corner_distance(spec: GridSpec) -> float:
+    """Distance from the ego to the farthest grid corner."""
+    return math.hypot(max(abs(spec.x_min), abs(spec.x_max)),
+                      max(abs(spec.y_min), abs(spec.y_max)))
+
+
+def _near_ego(polylines, pose: Pose2, spec: GridSpec) -> list[tuple[str, np.ndarray]]:
+    """The polylines whose world-frame bounding box meets the square
+    pose ± reach, reach being the farthest grid corner plus one cell.
+
+    The grid lies inside the disk of that radius, so no other polyline can
+    mark a cell; the extra cell absorbs the rounding of the ego transform.
+    """
+    kept = [(c, v) for c, v in polylines if len(v)]
+    if not kept:
+        return []
+    lengths = [len(v) for _, v in kept]
+    verts = np.concatenate([v for _, v in kept])
+    starts = np.cumsum(lengths) - lengths
+    lo = np.minimum.reduceat(verts, starts)
+    hi = np.maximum.reduceat(verts, starts)
+    reach = _corner_distance(spec) + spec.cell
+    near = ((hi[:, 0] >= pose.x - reach) & (lo[:, 0] <= pose.x + reach)
+            & (hi[:, 1] >= pose.y - reach) & (lo[:, 1] <= pose.y + reach))
+    return [kept[i] for i in np.nonzero(near)[0]]
+
+
+def _mark_line(grid: np.ndarray, spec: GridSpec, a: np.ndarray,
+               b: np.ndarray) -> None:
+    """Mark the cells under the segments a[i] → b[i], each sampled at
+    `linspace(0, 1, n)` with n set by its length (about 3 samples per cell)."""
     rows, cols = spec.rows, spec.cols
-    step = spec.cell * 0.35
-    lo = np.minimum(verts[:-1], verts[1:])
-    hi = np.maximum(verts[:-1], verts[1:])
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
     near = ((hi[:, 0] >= spec.x_min) & (lo[:, 0] <= spec.x_max)
             & (hi[:, 1] >= spec.y_min) & (lo[:, 1] <= spec.y_max))
-    for i in np.nonzero(near)[0]:
-        a, b = verts[i], verts[i + 1]
-        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
-        n = max(2, int(seg_len / step) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        xs = a[0] + ts * (b[0] - a[0])
-        ys = a[1] + ts * (b[1] - a[1])
-        r = np.floor((xs - spec.x_min) / spec.cell).astype(np.int64)
-        q = np.floor((ys - spec.y_min) / spec.cell).astype(np.int64)
-        ok = (r >= 0) & (r < rows) & (q >= 0) & (q < cols)
-        grid[r[ok], q[ok]] = 1.0
+    a = a[near]
+    d = b[near] - a
+    # math.hypot, not np.hypot, which may round differently and move n
+    seg_len = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())),
+                       dtype=np.float64)
+    n = np.maximum(2, (seg_len / (spec.cell * 0.35)).astype(np.int64) + 1)
+    # sample j of segment i is t = j * (1 / (n_i - 1)), its last pinned to
+    # 1.0: exactly what np.linspace(0, 1, n_i) computes
+    seg = np.repeat(np.arange(len(n)), n)
+    first = np.cumsum(n) - n
+    t = (np.arange(len(seg)) - first[seg]) * (1.0 / (n - 1))[seg]
+    t[first + n - 1] = 1.0
+    xs = a[seg, 0] + t * d[seg, 0]
+    ys = a[seg, 1] + t * d[seg, 1]
+    r = np.floor((xs - spec.x_min) / spec.cell).astype(np.int64)
+    q = np.floor((ys - spec.y_min) / spec.cell).astype(np.int64)
+    ok = (r >= 0) & (r < rows) & (q >= 0) & (q < cols)
+    grid[r[ok], q[ok]] = 1.0
 
 
 def _fill_polygon(grid: np.ndarray, spec: GridSpec, poly: np.ndarray) -> None:
@@ -463,28 +503,48 @@ def rasterize_gt(world: WorldMap, pose: Pose2, spec: GridSpec) -> Raster:
     """Three binary channels in the ego frame: crossings filled, dividers and
     boundaries stroked one cell wide.  Channels are independent."""
     out = np.zeros((N_CLASSES, spec.rows, spec.cols))
-    for cls, verts in world.polylines:
-        ego = _world_to_ego(pose, verts)
-        ch = CLASS_NAMES.index(cls)
+    near = _near_ego(world.polylines, pose, spec)
+    if not near:
+        return Raster(spec, out)
+    lens = [len(v) for _, v in near]
+    ends = np.cumsum(lens)
+    ego = _world_to_ego(pose, np.concatenate([v for _, v in near]))
+    chan = np.repeat([CLASS_NAMES.index(c) for c, _ in near], lens)
+    # vertex i starts a segment unless it ends its polyline
+    joins = np.ones(len(ego), dtype=bool)
+    joins[ends - 1] = False
+    for ch, cls in enumerate(CLASS_NAMES):
         if cls == "ped_crossing":
-            _fill_polygon(out[ch], spec, ego)
+            for (c, _), end, n in zip(near, ends.tolist(), lens):
+                if c == cls:
+                    _fill_polygon(out[ch], spec, ego[end - n:end])
         else:
-            _mark_line(out[ch], spec, ego)
+            i = np.nonzero(joins & (chan == ch))[0]
+            _mark_line(out[ch], spec, ego[i], ego[i + 1])
     return Raster(spec, out)
 
 
 # ----------------------------------------------------------- observations --
 
 def blur3(x: np.ndarray) -> np.ndarray:
-    """3x3 binomial blur with zero padding; the observation 'smoothing'."""
-    p = np.pad(x, 1)
+    """3x3 binomial blur with zero padding over the last two axes; the
+    observation 'smoothing'."""
     k = ((1, 2, 1), (2, 4, 2), (1, 2, 1))
-    out = np.zeros_like(x, dtype=np.float64)
-    h, w = x.shape
+    h, w = x.shape[-2:]
+    padded = np.zeros(x.shape[:-2] + (h + 2, w + 2))
+    padded[..., 1:-1, 1:-1] = x
+    # flattened, tap (i, j) is a shift by (i - 1)(w + 2) + (j - 1): each
+    # interior cell sums its nine taps in order; the border sums are dropped
+    flat = padded.reshape(-1)
+    m = w + 3
+    n = flat.size - 2 * m
+    out = np.zeros_like(flat)
+    acc, tmp = out[m:m + n], np.empty(n)
     for i in range(3):
         for j in range(3):
-            out += k[i][j] * p[i:i + h, j:j + w]
-    return out / 16.0
+            start = m + (i - 1) * (w + 2) + (j - 1)
+            acc += np.multiply(flat[start:start + n], k[i][j], out=tmp)
+    return out.reshape(padded.shape)[..., 1:-1, 1:-1] / 16.0
 
 
 def compute_sector_map(spec: GridSpec) -> np.ndarray:
@@ -501,15 +561,12 @@ def _range_norm(spec: GridSpec) -> np.ndarray:
     """Distance of each cell from the ego, as a fraction of the farthest
     grid corner."""
     xs, ys = spec.centers()
-    r_max = math.hypot(max(abs(spec.x_min), abs(spec.x_max)),
-                       max(abs(spec.y_min), abs(spec.y_max)))
-    return np.hypot(xs, ys) / r_max
+    return np.hypot(xs, ys) / _corner_distance(spec)
 
 
 def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
     """Clean per-class evidence: blurred ground truth at class amplitude."""
-    return np.stack([SIGNAL_GAIN[c] * blur3(gt_values[c])
-                     for c in range(N_CLASSES)])
+    return _GAIN_PLANES * blur3(gt_values[:N_CLASSES])
 
 
 def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
@@ -526,16 +583,20 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
     clutter = np.zeros((rows, cols))
     cl = stream.child("clutter")
     n_clutter = cl.poisson(style.clutter_density * 3.0)
+    strokes = np.zeros((n_clutter, 4))
     for i in range(n_clutter):
         cs = cl.child(f"c{i}")
         ax = cs.uniform(spec.x_min, spec.x_max)
         ay = cs.uniform(spec.y_min, spec.y_max)
         heading = cs.uniform(-math.pi, math.pi)
         ln = cs.uniform(3.0, 14.0)
-        bx = ax + ln * math.cos(heading)
-        by = ay + ln * math.sin(heading)
-        _mark_line(clutter, spec, np.array([[ax, ay], [bx, by]]))
-    clutter = blur3(clutter) * (0.5 + 0.5 * stream.child("camp").uniform())
+        strokes[i] = (ax, ay, ax + ln * math.cos(heading),
+                      ay + ln * math.sin(heading))
+    _mark_line(clutter, spec, strokes[:, :2], strokes[:, 2:])
+    # the class evidence and the clutter plane share one blur
+    blurred = blur3(np.concatenate([gt.values[:N_CLASSES], clutter[None]]))
+    signal = _GAIN_PLANES * blurred[:N_CLASSES]
+    clutter = blurred[N_CLASSES] * (0.5 + 0.5 * stream.child("camp").uniform())
 
     drop_mask = np.zeros((rows, cols), dtype=bool)
     dr = stream.child("drop")
@@ -548,7 +609,6 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
         q0 = ds.randint(max(1, cols - w))
         drop_mask[r0:r0 + h, q0:q0 + w] = True
 
-    signal = smoothed_signal(gt.values)
     mix = np.asarray(cal.mix)
     mixed = np.einsum("ij,jhw->ihw", mix, signal)
     if cal.vis_frac is not None:

@@ -82,6 +82,15 @@ def test_extent_multiple_validation():
         GridSpec(0.0, 1.0, 0.0, 1.0, 0.3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(5))
+def test_non_finite_grid_rejected(field, bad):
+    args = [0.0, 1.0, 0.0, 1.0, 0.5]
+    args[field] = bad
+    with pytest.raises(ConfigurationError):
+        GridSpec(*args)
+
+
 def test_cell_center_examples():
     assert PAPER_GRID.cell_center(0, 0) == (-44.85, -14.85)
     x, y = PAPER_GRID.cell_center(150, 50)

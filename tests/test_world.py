@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bevssl import world as world_mod
 from bevssl.errors import ConfigurationError
-from bevssl.geometry import GridSpec, Pose2, SMALL_GRID, warp_raster
+from bevssl.geometry import (GridSpec, PAPER_GRID, Pose2, Raster, SMALL_GRID,
+                             warp_raster)
 from bevssl.rng import Stream, mix64
 from bevssl.world import (CITY_A, CITY_B, CLASS_NAMES, Calibration,
                           StyleParams, WorldMap, blur3, build_dataset,
@@ -304,7 +306,6 @@ def test_raster_container_roundtrip(tmp_path):
     st = Stream(31)
     vals = st.uniforms(5 * 96 * 32).reshape(5, 96, 32)
     valid = st.uniforms(96 * 32).reshape(96, 32) < 0.9
-    from bevssl.geometry import Raster
     r = Raster(SMALL_GRID, vals, valid)
     path = tmp_path / "frame.bevras"
     write_raster(path, r)
@@ -328,3 +329,290 @@ def test_dataset_export_import_roundtrip(tmp_path):
         assert np.array_equal(a.gt.values, b.gt.values)
         assert abs(a.pose.x - b.pose.x) < 1e-15
         assert abs(a.pose.yaw - b.pose.yaw) < 1e-15
+
+
+# ------------------------------------------------ reference frame builder --
+# The per-segment sampler, full-scan rasterizer, per-plane blur, per-channel
+# observation and per-vertex clipper that the vectorized frame builder
+# replaced.  Every output of the builder must equal theirs bit for bit.
+
+def ref_clip_polyline(verts, extent):
+    x0, x1, y0, y1 = extent
+
+    def inside(p):
+        return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
+
+    def boundary_point(p, q):
+        t_best = 1.0
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        for bound, delta, start in ((x0, dx, p[0]), (x1, dx, p[0]),
+                                    (y0, dy, p[1]), (y1, dy, p[1])):
+            if delta != 0.0:
+                t = (bound - start) / delta
+                if 0.0 <= t < t_best:
+                    cand = (p[0] + t * dx, p[1] + t * dy)
+                    if x0 - 1e-9 <= cand[0] <= x1 + 1e-9 and \
+                       y0 - 1e-9 <= cand[1] <= y1 + 1e-9:
+                        t_best = t
+        return np.array([min(max(p[0] + t_best * dx, x0), x1),
+                         min(max(p[1] + t_best * dy, y0), y1)])
+
+    runs, cur = [], []
+    for i, p in enumerate(verts):
+        if inside(p):
+            if not cur and i > 0 and not inside(verts[i - 1]):
+                cur.append(boundary_point(p, verts[i - 1]))
+            cur.append(np.asarray(p, dtype=np.float64))
+        else:
+            if cur:
+                cur.append(boundary_point(cur[-1], p))
+                runs.append(cur)
+                cur = []
+    if cur:
+        runs.append(cur)
+    return [np.array(r) for r in runs if len(r) >= 2]
+
+
+def ref_mark_line(grid, spec, verts):
+    step = spec.cell * 0.35
+    lo = np.minimum(verts[:-1], verts[1:])
+    hi = np.maximum(verts[:-1], verts[1:])
+    near = ((hi[:, 0] >= spec.x_min) & (lo[:, 0] <= spec.x_max)
+            & (hi[:, 1] >= spec.y_min) & (lo[:, 1] <= spec.y_max))
+    for i in np.nonzero(near)[0]:
+        a, b = verts[i], verts[i + 1]
+        seg_len = math.hypot(b[0] - a[0], b[1] - a[1])
+        n = max(2, int(seg_len / step) + 1)
+        ts = np.linspace(0.0, 1.0, n)
+        xs = a[0] + ts * (b[0] - a[0])
+        ys = a[1] + ts * (b[1] - a[1])
+        r = np.floor((xs - spec.x_min) / spec.cell).astype(np.int64)
+        q = np.floor((ys - spec.y_min) / spec.cell).astype(np.int64)
+        ok = (r >= 0) & (r < spec.rows) & (q >= 0) & (q < spec.cols)
+        grid[r[ok], q[ok]] = 1.0
+
+
+def ref_rasterize_gt(world, pose, spec):
+    out = np.zeros((3, spec.rows, spec.cols))
+    for cls, verts in world.polylines:
+        ego = world_mod._world_to_ego(pose, verts)
+        ch = CLASS_NAMES.index(cls)
+        if cls == "ped_crossing":
+            world_mod._fill_polygon(out[ch], spec, ego)
+        else:
+            ref_mark_line(out[ch], spec, ego)
+    return out
+
+
+def ref_blur3(x):
+    p = np.pad(x, 1)
+    k = ((1, 2, 1), (2, 4, 2), (1, 2, 1))
+    out = np.zeros_like(x, dtype=np.float64)
+    h, w = x.shape
+    for i in range(3):
+        for j in range(3):
+            out += k[i][j] * p[i:i + h, j:j + w]
+    return out / 16.0
+
+
+def ref_render_observation(gt, style, noise_seed, cal):
+    spec = gt.spec
+    rnorm = world_mod._range_norm(spec)
+    rows, cols = spec.rows, spec.cols
+    stream = Stream(noise_seed)
+    sigma = style.noise_level * (0.15 + 0.85 * rnorm)
+    clutter = np.zeros((rows, cols))
+    cl = stream.child("clutter")
+    for i in range(cl.poisson(style.clutter_density * 3.0)):
+        cs = cl.child(f"c{i}")
+        ax = cs.uniform(spec.x_min, spec.x_max)
+        ay = cs.uniform(spec.y_min, spec.y_max)
+        heading = cs.uniform(-math.pi, math.pi)
+        ln = cs.uniform(3.0, 14.0)
+        bx = ax + ln * math.cos(heading)
+        by = ay + ln * math.sin(heading)
+        ref_mark_line(clutter, spec, np.array([[ax, ay], [bx, by]]))
+    clutter = ref_blur3(clutter) * (0.5 + 0.5 * stream.child("camp").uniform())
+    drop_mask = np.zeros((rows, cols), dtype=bool)
+    dr = stream.child("drop")
+    lam = 3.0 * min(1.0, style.noise_level * 2.5) * cal.drop_scale
+    for i in range(dr.poisson(lam)):
+        ds = dr.child(f"d{i}")
+        h = ds.randrange(2, max(3, rows // 8))
+        w = ds.randrange(2, max(3, cols // 4))
+        r0 = ds.randint(max(1, rows - h))
+        q0 = ds.randint(max(1, cols - w))
+        drop_mask[r0:r0 + h, q0:q0 + w] = True
+    signal = np.stack([world_mod.SIGNAL_GAIN[c] * ref_blur3(gt.values[c])
+                       for c in range(3)])
+    mixed = np.einsum("ij,jhw->ihw", np.asarray(cal.mix), signal)
+    if cal.vis_frac is not None:
+        mixed = mixed * (1.0 / (1.0 + np.exp((rnorm - cal.vis_frac) / 0.08)))
+    values = np.zeros((5, rows, cols))
+    for ch in range(3):
+        noise = stream.child(f"noise{ch}").normals(rows * cols).reshape(rows, cols)
+        ev = (mixed[ch] * cal.gains[ch] + cal.biases[ch]
+              + world_mod._CLUTTER_LEAK[ch] * clutter + sigma * noise)
+        ev[drop_mask] = 0.0
+        values[ch] = np.clip(ev, 0.0, 1.0)
+    cnoise = stream.child("cnoise").normals(rows * cols).reshape(rows, cols)
+    cch = clutter * cal.clutter_gain + 0.5 * sigma * cnoise
+    cch[drop_mask] = 0.0
+    values[3] = np.clip(cch, 0.0, 1.0)
+    values[4] = rnorm
+    return values
+
+
+def frame_poses(world, seed):
+    """Poses along a trajectory plus poses at random spots and headings."""
+    poses = [p for _, p in generate_sequence(world, seed, 6, (2.0, 9.0))]
+    st = Stream(seed).child("poses")
+    x0, x1, y0, y1 = world.extent
+    poses += [Pose2(st.uniform(x0, x1), st.uniform(y0, y1),
+                    st.uniform(-math.pi, math.pi)) for _ in range(4)]
+    return poses
+
+
+def one_line_world(cls, verts):
+    verts = np.asarray(verts, dtype=np.float64)
+    return WorldMap([(cls, verts)], [verts], CITY_A,
+                    (-200.0, 200.0, -200.0, 200.0), 0)
+
+
+# ---------------------------------------------------- frame builder parity --
+
+@pytest.mark.parametrize("style", ["city_A", "city_B"])
+@pytest.mark.parametrize("spec", [SMALL_GRID, PAPER_GRID],
+                         ids=["small", "paper"])
+def test_frames_match_reference_builder(style, spec):
+    style_params = world_mod.STYLE_PRESETS[style]
+    for wi in range(3):
+        seed = mix64(41 ^ mix64(wi))
+        world = generate_world(seed, style_params)
+        cal = Calibration.draw(Stream(seed).child("calibration"))
+        for k, pose in enumerate(frame_poses(world, seed)):
+            gt = rasterize_gt(world, pose, spec)
+            assert np.array_equal(gt.values,
+                                  ref_rasterize_gt(world, pose, spec)), (wi, k)
+            obs = render_observation(gt, style_params, seed + k, cal)
+            ref = ref_render_observation(gt, style_params, seed + k, cal)
+            assert obs.values.tobytes() == ref.tobytes(), (wi, k)
+
+
+@pytest.mark.parametrize("style", ["city_A", "city_B"])
+def test_world_polylines_match_reference_clipper(style, monkeypatch):
+    style_params = world_mod.STYLE_PRESETS[style]
+    seeds = [mix64(5 ^ mix64(wi)) for wi in range(4)]
+    worlds = [generate_world(s, style_params) for s in seeds]
+    monkeypatch.setattr(world_mod, "_clip_polyline", ref_clip_polyline)
+    for seed, world in zip(seeds, worlds):
+        ref = generate_world(seed, style_params)
+        assert [c for c, _ in world.polylines] == [c for c, _ in ref.polylines]
+        for (_, v), (_, r) in zip(world.polylines, ref.polylines):
+            assert v.dtype == r.dtype and np.array_equal(v, r)
+
+
+def test_clip_polyline_matches_reference_on_hard_cases():
+    extent = (-10.0, 10.0, -5.0, 5.0)
+    st = Stream(8)
+    cases = [
+        [[-20.0, 0.0], [20.0, 0.0]],                   # crosses, no vertex in
+        [[-20.0, 0.0], [0.0, 0.0], [20.0, 0.0]],       # one vertex inside
+        [[10.0, 5.0], [0.0, 0.0], [-10.0, -5.0]],      # ends on corners
+        [[10.0, 0.0], [12.0, 0.0], [10.0, 1.0]],       # leaves and re-enters
+        [[0.0, 0.0], [0.0, 0.0], [30.0, 0.0]],         # repeated vertex
+        [[0.0, 0.0]],                                  # a single vertex
+        [[20.0, 20.0], [30.0, 30.0]],                  # fully outside
+    ]
+    cases += [(np.cumsum(st.normals(2 * n).reshape(n, 2), axis=0) * 6.0)
+              for n in range(1, 40)]
+    for k, verts in enumerate(cases):
+        verts = np.asarray(verts, dtype=np.float64)
+        got = world_mod._clip_polyline(verts, extent)
+        ref = ref_clip_polyline(verts, extent)
+        assert len(got) == len(ref), k
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r), k
+
+
+def test_blur3_matches_per_plane_reference():
+    st = Stream(12)
+    for shape in [(4, 7, 5), (3, 1, 6), (2, 5, 1), (1, 1, 1)]:
+        x = st.normals(int(np.prod(shape))).reshape(shape)
+        stacked = blur3(x)
+        for c in range(shape[0]):
+            ref = ref_blur3(x[c])
+            assert stacked[c].tobytes() == ref.tobytes()
+            assert blur3(x[c]).tobytes() == ref.tobytes()
+
+
+# ------------------------------------------------- rasterizer edge cases ---
+
+@pytest.mark.parametrize("pose", [Pose2(0, 0, 0), Pose2(3.3, -1.7, 0.9)])
+def test_segment_crossing_grid_with_no_vertex_inside(pose):
+    world = one_line_world("divider", [[-100.0, -30.0], [100.0, 30.0]])
+    gt = rasterize_gt(world, pose, SMALL_GRID).values
+    assert gt[1].sum() > 0
+    assert np.array_equal(gt, ref_rasterize_gt(world, pose, SMALL_GRID))
+
+
+def test_zero_length_segment_marks_its_cell():
+    world = one_line_world("boundary", [[1.2, 0.7], [1.2, 0.7]])
+    gt = rasterize_gt(world, Pose2(0, 0, 0), SMALL_GRID).values
+    assert np.nonzero(gt[2]) == ([50], [17])
+    assert np.array_equal(gt, ref_rasterize_gt(world, Pose2(0, 0, 0),
+                                               SMALL_GRID))
+
+
+def test_vertices_on_the_far_grid_edges():
+    spec = SMALL_GRID
+    pose = Pose2(0, 0, 0)
+    lines = {
+        "on x_max": [[spec.x_max, -3.0], [spec.x_max, 3.0]],
+        "on y_max": [[-3.0, spec.y_max], [3.0, spec.y_max]],
+        "into the corner": [[20.0, 4.0], [spec.x_max, spec.y_max]],
+    }
+    for name, verts in lines.items():
+        world = one_line_world("divider", verts)
+        gt = rasterize_gt(world, pose, spec).values
+        assert np.array_equal(gt, ref_rasterize_gt(world, pose, spec)), name
+    # a point on x_max or y_max lies outside the half-open grid
+    assert not rasterize_gt(one_line_world("divider", lines["on x_max"]),
+                            pose, spec).values.any()
+    quad = [[spec.x_max - 1.0, spec.y_max - 1.0], [spec.x_max, spec.y_max - 1.0],
+            [spec.x_max, spec.y_max], [spec.x_max - 1.0, spec.y_max]]
+    world = one_line_world("ped_crossing", quad)
+    gt = rasterize_gt(world, pose, spec).values
+    assert gt[0].sum() == 4
+    assert np.array_equal(gt, ref_rasterize_gt(world, pose, spec))
+
+
+def test_last_sample_lands_exactly_on_the_end_vertex():
+    # 50 samples, and 49 * (1 / 49) rounds below 1: only the pinned last
+    # sample reaches the cell that starts at y = 0
+    assert 49 * (1.0 / 49) != 1.0
+    world = one_line_world("divider", [[0.25, -8.625], [0.25, 0.0]])
+    gt = rasterize_gt(world, Pose2(0, 0, 0), SMALL_GRID).values
+    assert np.nonzero(gt[1][48])[0].tolist() == list(range(17))
+    assert np.array_equal(gt, ref_rasterize_gt(world, Pose2(0, 0, 0),
+                                               SMALL_GRID))
+
+
+@pytest.mark.parametrize("spec", [SMALL_GRID, PAPER_GRID],
+                         ids=["small", "paper"])
+def test_cull_keeps_polylines_just_inside_the_reach(spec):
+    pose = Pose2(10.0, -5.0, 0.7)
+    corner = math.hypot(max(-spec.x_min, spec.x_max),
+                        max(-spec.y_min, spec.y_max))
+    reach = corner + spec.cell
+    polylines = []
+    for gap in (-1e-6, 1e-6):
+        x = pose.x + reach + gap
+        y = pose.y - reach - gap
+        polylines += [("divider", np.array([[x, pose.y - 3.0], [x, pose.y + 3.0]])),
+                      ("boundary", np.array([[pose.x - 3.0, y], [pose.x + 3.0, y]]))]
+    near = world_mod._near_ego(polylines, pose, spec)
+    assert [id(v) for _, v in near] == [id(v) for _, v in polylines[:2]]
+    world = WorldMap(polylines, [], CITY_A, (-200.0, 200.0, -200.0, 200.0), 0)
+    assert np.array_equal(rasterize_gt(world, pose, spec).values,
+                          ref_rasterize_gt(world, pose, spec))
