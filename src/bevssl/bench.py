@@ -482,9 +482,9 @@ def run_one(spec: RunSpec) -> RunResult:
 
     best_params = init_params(cfg.model, 0)
     best_params.load_values(best_vals)
-    test_pairs = list(predict_split(best_params, dataset, dataset.split.test,
-                                    cfg.model))
-    test_m = evaluate_pairs(test_pairs, "test", best_m.step)
+    test_m = evaluate_pairs(predict_split(best_params, dataset,
+                                          dataset.split.test, cfg.model),
+                            "test", best_m.step)
 
     checkpoint = {f"student.{k}": v for k, v in
                   trainer.student.values_dict().items()}
@@ -493,8 +493,12 @@ def run_one(spec: RunSpec) -> RunResult:
                            trainer.teacher.params.values_dict().items()})
     checkpoint.update({f"best.{k}": v for k, v in best_vals.items()})
 
-    pred, gt = test_pairs[0]
-    preview = {"pred": pred.copy(), "gt": gt.copy()}
+    # the first test frame, predicted again: each read of a frame's GT is a
+    # fresh array, so holding every test pair until here would hold a copy
+    # of every test GT
+    pred, gt = next(predict_split(best_params, dataset, dataset.split.test[:1],
+                                  cfg.model))
+    preview = {"pred": pred.copy(), "gt": gt}
     return RunResult(spec.scenario, spec.variant.name, spec.seed, best_m.step,
                      best_m, test_m, train_log, checkpoint, preview)
 

@@ -13,11 +13,16 @@ A frame is built from the map near the ego: ground truth skips every
 polyline whose bounding box misses the square around the disk that holds
 the grid, samples all strokes of a class in one vectorized pass, and the
 observation blurs its three class planes and its clutter plane as one stack.
+
+A `Sample` holds its frame compactly: four float64 sensor planes and three
+bool GT planes.  The range plane and the camera-sector map depend on the grid
+alone and are computed once per `GridSpec`, read-only.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -53,6 +58,8 @@ _DROP_SCALE_RANGE = (0.5, 1.5)
 # sensing range: evidence fades out around this fraction of the grid radius,
 # so distant structure must be inferred, not read off
 _VIS_FRAC_RANGE = (0.45, 0.75)
+# bit pattern of 1.0, the only GT value besides +0.0 a Sample can hold
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -131,13 +138,63 @@ class Calibration:
         )
 
 
-@dataclass
 class Sample:
-    sequence_id: int
-    frame_index: int
-    pose: Pose2
-    observation: Raster
-    gt: Raster
+    """One frame, held compactly.
+
+    Stored: the observation's four sensor channels as one float64 array, the
+    ground truth as one bool array, and the grid.  The range channel is the
+    grid's shared `_range_norm` plane and every cell is valid, so neither is
+    stored.  `observation` and `gt` rebuild fresh float64 rasters on each
+    read; writing into one does not change the frame.
+
+    The constructor rejects, with `ConfigurationError`, what this form cannot
+    hold exactly: a GT value other than 0 or 1, a range channel that is not
+    the grid's, or an invalid cell.
+    """
+
+    __slots__ = ("sequence_id", "frame_index", "pose", "spec", "_sensor",
+                 "_gt")
+
+    def __init__(self, sequence_id: int, frame_index: int, pose: Pose2,
+                 observation: Raster, gt: Raster):
+        spec = gt.spec
+        where = f"sequence {sequence_id} frame {frame_index}"
+        if observation.spec != spec:
+            raise ConfigurationError(f"{where}: observation and GT grids differ")
+        if observation.channels != OBS_CHANNELS or gt.channels != N_CLASSES:
+            raise ConfigurationError(
+                f"{where}: expected {OBS_CHANNELS} observation and {N_CLASSES} "
+                f"GT channels, got {observation.channels} and {gt.channels}")
+        if not (observation.valid.all() and gt.valid.all()):
+            raise ConfigurationError(f"{where}: raster has invalid cells")
+        # compared as bit patterns: -0.0 is not 0.0, and NaN never matches
+        bits = np.ascontiguousarray(gt.values).view(np.uint64)
+        is_one = bits == _ONE_BITS
+        if not (is_one | (bits == 0)).all():
+            raise ConfigurationError(f"{where}: GT values must be exactly 0 or 1")
+        rng = np.ascontiguousarray(observation.values[OBS_CHANNELS - 1])
+        if not np.array_equal(rng.view(np.uint64),
+                              _range_norm(spec).view(np.uint64)):
+            raise ConfigurationError(
+                f"{where}: observation channel {OBS_CHANNELS - 1} is not the "
+                "grid's range plane")
+        self.sequence_id = sequence_id
+        self.frame_index = frame_index
+        self.pose = pose
+        self.spec = spec
+        self._sensor = observation.values[:OBS_CHANNELS - 1].copy()
+        self._gt = is_one
+
+    @property
+    def observation(self) -> Raster:
+        values = np.empty((OBS_CHANNELS, self.spec.rows, self.spec.cols))
+        values[:OBS_CHANNELS - 1] = self._sensor
+        values[OBS_CHANNELS - 1] = _range_norm(self.spec)
+        return Raster(self.spec, values)
+
+    @property
+    def gt(self) -> Raster:
+        return Raster(self.spec, self._gt.astype(np.float64))
 
 
 @dataclass
@@ -547,21 +604,31 @@ def blur3(x: np.ndarray) -> np.ndarray:
     return out.reshape(padded.shape)[..., 1:-1, 1:-1] / 16.0
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+# The planes below depend on the grid alone; each is computed once per
+# GridSpec and shared read-only by every frame and every view.
+
+@functools.lru_cache(maxsize=8)
 def compute_sector_map(spec: GridSpec) -> np.ndarray:
     """Camera sector of each cell: 0 is dead ahead, increasing
-    counterclockwise, 60 degrees each."""
+    counterclockwise, 60 degrees each.  Read-only."""
     xs, ys = spec.centers()
     bearing = np.arctan2(ys, xs)
     sector = np.floor(((bearing + math.pi / 6.0) % (2.0 * math.pi))
                       / (math.pi / 3.0)).astype(np.int64)
-    return np.clip(sector, 0, N_SECTORS - 1)
+    return _read_only(np.clip(sector, 0, N_SECTORS - 1))
 
 
+@functools.lru_cache(maxsize=8)
 def _range_norm(spec: GridSpec) -> np.ndarray:
     """Distance of each cell from the ego, as a fraction of the farthest
-    grid corner."""
+    grid corner: the observation's last channel.  Read-only."""
     xs, ys = spec.centers()
-    return np.hypot(xs, ys) / _corner_distance(spec)
+    return _read_only(np.hypot(xs, ys) / _corner_distance(spec))
 
 
 def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from bevssl.errors import ConfigurationError
 from bevssl.geometry import (GridSpec, PAPER_GRID, Pose2, Raster, SMALL_GRID,
                              warp_raster)
 from bevssl.rng import Stream, mix64
-from bevssl.world import (CITY_A, CITY_B, CLASS_NAMES, Calibration,
+from bevssl.world import (CITY_A, CITY_B, CLASS_NAMES, Calibration, Sample,
                           StyleParams, WorldMap, blur3, build_dataset,
                           build_sequence, compute_sector_map, export_dataset,
                           generate_sequence, generate_world, import_sequence,
@@ -319,16 +322,24 @@ def test_raster_container_roundtrip(tmp_path):
 def test_dataset_export_import_roundtrip(tmp_path):
     d = build_dataset(SMALL_GRID, CITY_A, 13, n_worlds=4, seqs_per_world=1,
                       n_frames=3, utilisation=0.5, val_worlds=1, test_worlds=1)
-    export_dataset(tmp_path, d)
+    export_dataset(tmp_path / "a", d)
     sid = d.split.labelled[0]
-    seq = import_sequence(tmp_path / f"seq_{sid:04d}")
+    seq = import_sequence(tmp_path / "a" / f"seq_{sid:04d}")
     orig = d.sequences[sid]
     assert len(seq.samples) == len(orig.samples)
     for a, b in zip(seq.samples, orig.samples):
-        assert np.array_equal(a.observation.values, b.observation.values)
-        assert np.array_equal(a.gt.values, b.gt.values)
+        assert a.observation.values.tobytes() == b.observation.values.tobytes()
+        assert a.gt.values.tobytes() == b.gt.values.tobytes()
         assert abs(a.pose.x - b.pose.x) < 1e-15
         assert abs(a.pose.yaw - b.pose.yaw) < 1e-15
+    # exporting the imported sequence writes the same bytes again
+    again = world_mod.Dataset(d.spec, d.worlds, {sid: seq}, d.split)
+    export_dataset(tmp_path / "b", again)
+    files = sorted(p.name for p in (tmp_path / "a" / f"seq_{sid:04d}").iterdir())
+    assert len(files) == 2 * 3 + 1
+    for name in files:
+        assert (tmp_path / "a" / f"seq_{sid:04d}" / name).read_bytes() == \
+            (tmp_path / "b" / f"seq_{sid:04d}" / name).read_bytes(), name
 
 
 # ------------------------------------------------ reference frame builder --
@@ -415,9 +426,16 @@ def ref_blur3(x):
     return out / 16.0
 
 
+def ref_range_norm(spec):
+    xs, ys = spec.centers()
+    corner = math.hypot(max(-spec.x_min, spec.x_max),
+                        max(-spec.y_min, spec.y_max))
+    return np.hypot(xs, ys) / corner
+
+
 def ref_render_observation(gt, style, noise_seed, cal):
     spec = gt.spec
-    rnorm = world_mod._range_norm(spec)
+    rnorm = ref_range_norm(spec)
     rows, cols = spec.rows, spec.cols
     stream = Stream(noise_seed)
     sigma = style.noise_level * (0.15 + 0.85 * rnorm)
@@ -616,3 +634,175 @@ def test_cull_keeps_polylines_just_inside_the_reach(spec):
     world = WorldMap(polylines, [], CITY_A, (-200.0, 200.0, -200.0, 200.0), 0)
     assert np.array_equal(rasterize_gt(world, pose, spec).values,
                           ref_rasterize_gt(world, pose, spec))
+
+
+# ------------------------------------------------------ compact samples ----
+# Frames used to be held as full float64 rasters: five observation planes,
+# three GT planes and a validity plane each.  RefSample and
+# ref_build_dataset keep that construction as the reference.
+
+@dataclass
+class RefSample:
+    sequence_id: int
+    frame_index: int
+    pose: Pose2
+    observation: Raster
+    gt: Raster
+
+
+def ref_build_dataset(spec, style, seed, *, n_worlds, seqs_per_world,
+                      n_frames):
+    worlds = [generate_world(mix64(seed ^ mix64(wi)), style)
+              for wi in range(n_worlds)]
+    samples = {}
+    for wi, world in enumerate(worlds):
+        for j in range(seqs_per_world):
+            sid = wi * seqs_per_world + j
+            sseed = mix64(seed ^ mix64(7777 + sid))
+            cal = Calibration.draw(Stream(sseed).child("calibration"))
+            frames = []
+            for idx, pose in generate_sequence(world, sseed, n_frames):
+                gt = rasterize_gt(world, pose, spec)
+                obs = render_observation(gt, style, mix64(sseed ^ mix64(1000 + idx)),
+                                         cal)
+                frames.append(RefSample(sid, idx, pose, obs, gt))
+            samples[sid] = frames
+    return samples
+
+
+def small_dataset(spec=SMALL_GRID, style=CITY_A, seed=13, n_frames=3):
+    return build_dataset(spec, style, seed, n_worlds=4, seqs_per_world=1,
+                         n_frames=n_frames, utilisation=0.5, val_worlds=1,
+                         test_worlds=1)
+
+
+@pytest.mark.parametrize("style", ["city_A", "city_B"])
+@pytest.mark.parametrize("spec", [SMALL_GRID, PAPER_GRID],
+                         ids=["small", "paper"])
+def test_samples_read_back_the_uncompacted_frames(style, spec):
+    style_params = world_mod.STYLE_PRESETS[style]
+    d = small_dataset(spec, style_params, seed=29)
+    ref = ref_build_dataset(spec, style_params, 29, n_worlds=4,
+                            seqs_per_world=1, n_frames=3)
+    assert sorted(d.sequences) == sorted(ref)
+    for sid, seq in d.sequences.items():
+        assert len(seq.samples) == len(ref[sid])
+        for s, r in zip(seq.samples, ref[sid]):
+            assert (s.sequence_id, s.frame_index, s.pose) == \
+                (r.sequence_id, r.frame_index, r.pose)
+            for got, want in ((s.observation, r.observation), (s.gt, r.gt)):
+                assert got.spec == want.spec
+                assert got.values.dtype == np.float64
+                assert got.values.shape == want.values.shape
+                assert got.values.tobytes() == want.values.tobytes()
+                assert got.valid.all()
+
+
+def test_writes_into_a_read_back_frame_do_not_persist():
+    s = small_dataset().sequences[0].samples[1]
+    obs, gt = s.observation, s.gt
+    obs_before, gt_before = obs.values.copy(), gt.values.copy()
+    obs.values[...] = np.nan
+    obs.valid[...] = False
+    gt.values[...] = 0.5
+    assert s.observation.values.tobytes() == obs_before.tobytes()
+    assert s.observation.valid.all()
+    assert s.gt.values.tobytes() == gt_before.tobytes()
+
+
+@pytest.mark.parametrize("spec", [SMALL_GRID, PAPER_GRID],
+                         ids=["small", "paper"])
+def test_grid_planes_are_cached_read_only(spec):
+    rnorm = world_mod._range_norm(spec)
+    sectors = compute_sector_map(spec)
+    assert world_mod._range_norm(spec) is rnorm
+    assert compute_sector_map(GridSpec(spec.x_min, spec.x_max, spec.y_min,
+                                       spec.y_max, spec.cell)) is sectors
+    assert rnorm.tobytes() == ref_range_norm(spec).tobytes()
+    for plane in (rnorm, sectors):
+        with pytest.raises(ValueError):
+            plane[0, 0] = 0
+        with pytest.raises(ValueError):
+            plane += 1
+
+
+def exported_frame(tmp_path):
+    d = small_dataset()
+    export_dataset(tmp_path, d)
+    seq_dir = tmp_path / "seq_0000"
+    return seq_dir, seq_dir / "frame_001_obs.bevras", seq_dir / "frame_001_gt.bevras"
+
+
+def test_import_rejects_a_fractional_gt_cell(tmp_path):
+    seq_dir, _, gt_path = exported_frame(tmp_path)
+    r = read_raster(gt_path)
+    r.values[1, 10, 5] = 0.5
+    write_raster(gt_path, r)
+    with pytest.raises(ConfigurationError, match="exactly 0 or 1"):
+        import_sequence(seq_dir)
+
+
+def test_import_rejects_a_range_channel_off_by_one_ulp(tmp_path):
+    seq_dir, obs_path, _ = exported_frame(tmp_path)
+    r = read_raster(obs_path)
+    r.values[4, 40, 7] = np.nextafter(r.values[4, 40, 7], 2.0)
+    write_raster(obs_path, r)
+    with pytest.raises(ConfigurationError, match="range plane"):
+        import_sequence(seq_dir)
+
+
+@pytest.mark.parametrize("which", ["obs", "gt"])
+def test_import_rejects_an_invalid_cell(tmp_path, which):
+    seq_dir, obs_path, gt_path = exported_frame(tmp_path)
+    path = obs_path if which == "obs" else gt_path
+    r = read_raster(path)
+    r.valid[3, 3] = False
+    write_raster(path, r)
+    with pytest.raises(ConfigurationError, match="invalid cells"):
+        import_sequence(seq_dir)
+
+
+def test_sample_rejects_what_it_cannot_hold():
+    s = small_dataset().sequences[0].samples[0]
+    for bad in (-0.0, np.nan):
+        gt = s.gt
+        gt.values[2, 0, 0] = bad
+        with pytest.raises(ConfigurationError, match="exactly 0 or 1"):
+            Sample(s.sequence_id, s.frame_index, s.pose, s.observation, gt)
+    four = Raster(SMALL_GRID, s.observation.values[:4])
+    with pytest.raises(ConfigurationError, match="channels"):
+        Sample(s.sequence_id, s.frame_index, s.pose, four, s.gt)
+    shifted = GridSpec(-23.5, 24.5, -8.0, 8.0, 0.5)
+    with pytest.raises(ConfigurationError, match="grids differ"):
+        Sample(s.sequence_id, s.frame_index, s.pose,
+               Raster(shifted, s.observation.values), s.gt)
+
+
+def test_frames_are_held_compactly():
+    """Bytes a built frame keeps: four float64 sensor planes and three bool
+    GT planes per cell, plus a small constant.  Full float64 rasters with
+    validity planes keep 8 * 8 + 2 bytes per cell."""
+    spec = SMALL_GRID
+    kwargs = dict(n_worlds=4, seqs_per_world=2, utilisation=0.5,
+                  val_worlds=1, test_worlds=1)
+    build_dataset(spec, CITY_A, 3, n_frames=1, **kwargs)  # warm grid caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        short = build_dataset(spec, CITY_A, 3, n_frames=2, **kwargs)
+        gc.collect()
+        mid = tracemalloc.get_traced_memory()[0]
+        long = build_dataset(spec, CITY_A, 3, n_frames=6, **kwargs)
+        gc.collect()
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the worlds are the same in both builds; the difference is 4 frames
+    # per sequence
+    extra_frames = sum(len(s.samples) for s in long.sequences.values()) \
+        - sum(len(s.samples) for s in short.sequences.values())
+    assert extra_frames == 4 * 8
+    per_frame = ((end - mid) - (mid - start)) / extra_frames
+    cells = spec.rows * spec.cols
+    assert per_frame <= (4 * 8 + 3) * cells + 2048, per_frame / cells
