@@ -5,12 +5,14 @@ finite-difference tested on its own.  Forward values are recorded on a `Tape`
 when any input is differentiable; inference-style calls (no tape anywhere)
 pay no recording cost.
 
-The tape keeps no im2col columns: `conv2d` builds one sample's columns at a
-time in one module-level workspace, in forward and again for dW in backward.
-At every stride its dx is the full convolution of the output gradient with
-the flipped, transposed kernel, run through the forward's per-sample GEMM
-loop.  Importing the module also warms the heap (see the note at
-`_workspace`).
+The tape keeps no im2col columns: `conv2d` builds the columns of one band
+of output rows at a time in one module-level workspace that never grows past
+a fixed budget, in forward and again for dW in backward.  At every stride its
+dx is the full convolution of the output gradient with the flipped,
+transposed kernel, run through the forward's banded GEMM loop.  With
+`relu=True`, `conv2d` rectifies its output in place and masks the gradient
+by that output, so a conv block is one node on the tape.  Importing the
+module also warms the heap (see the note at `_workspace`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import ConfigurationError, ContractError, NumericError
 LOG_CLAMP = 1e-12
 
 OP_KINDS = (
-    "add", "sub", "mul", "conv2d", "relu", "sigmoid", "mean", "sum", "scale",
+    "add", "sub", "mul", "conv2d", "sigmoid", "mean", "sum", "scale",
     "masked_fill", "log", "powc",
 )
 
@@ -157,8 +159,14 @@ def _fw_mul(vals, attrs):
     return a * b
 
 
-# One buffer for every conv's columns, grown to the largest request and
-# reused.  Each `_im2col` call overwrites it, so its result is used at once.
+# One buffer for every conv's columns.  `_column_bands` fills it with one
+# band of output rows at a time, as many rows as fit `_BAND_DOUBLES` (at
+# least one), so it grows to the budget and no further.  1 MB of doubles,
+# from timing dec0's and dec1's forward + backward on both grid presets:
+# 0.25 MB bands took 6-13% longer, 4 MB bands saved 3-9% for 3 MB more, and
+# one sample's full columns (13.5 MB small, 138 MB paper) took 20-28% longer
+# on the paper grid.
+_BAND_DOUBLES = 1 << 17
 _workspace = np.empty(0)
 
 # Warm heap.  glibc serves each malloc of 128 KB or more with a fresh mmap
@@ -166,45 +174,61 @@ _workspace = np.empty(0)
 # 32 MB) to the chunk's size.  Below the threshold, per-step activations
 # reuse heap pages instead of taking a page fault on every first touch.  One
 # 24 MB array, allocated and freed here, puts the threshold above the small
-# preset's largest per-step array.
+# preset's largest per-step array: the teacher batch's padded dec0 input,
+# 4.9 MB for 3 frames and 11.4 MB for 7.  With 16 MB, a 7-frame fusion step
+# still takes ~3000 page faults.
 _warm = np.empty(3 << 20)
 del _warm
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int = 1):
-    """Columns (c*kh*kw, hh*ww) of one sample `x` (c, h, w), a view of the
-    shared workspace.  A 1x1 stride-1 conv reads its padded input as is."""
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """`x` (n, c, h, w) with `pad` zeros around each map."""
+    if pad == 0:
+        return x
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: int):
+    """Yield (lo, hi, cols) over bands of output rows of one padded sample
+    `xp` (c, h, w): `cols` (c*kh*kw, (hi-lo)*ww) are the im2col columns of
+    rows lo..hi-1, a view of the shared workspace that the next band
+    overwrites.  A 1x1 stride-1 conv reads its input as is, in one band."""
     global _workspace
-    c, h, w = x.shape
-    if pad > 0:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        xp[:, pad:pad + h, pad:pad + w] = x
-        x = xp
-    hh = (h + 2 * pad - kh) // stride + 1
-    ww = (w + 2 * pad - kw) // stride + 1
+    c, h, w = xp.shape
+    hh = (h - kh) // stride + 1
+    ww = (w - kw) // stride + 1
     if kh == 1 and kw == 1 and stride == 1:
-        return x.reshape(c, hh * ww)
-    size = c * kh * kw * hh * ww
-    if _workspace.size < size:
-        _workspace = np.empty(size)
-    cols = _workspace[:size].reshape(c, kh, kw, hh, ww)
-    s = x.strides
-    cols[...] = np.lib.stride_tricks.as_strided(
-        x, (c, kh, kw, hh, ww),
-        (s[0], s[1], s[2], stride * s[1], stride * s[2]))
-    return cols.reshape(c * kh * kw, hh * ww)
+        yield 0, hh, xp.reshape(c, hh * ww)
+        return
+    rows = max(1, _BAND_DOUBLES // (c * kh * kw * ww))
+    s = xp.strides
+    for lo in range(0, hh, rows):
+        hi = min(lo + rows, hh)
+        size = c * kh * kw * (hi - lo) * ww
+        if _workspace.size < size:
+            _workspace = np.empty(size)
+        cols = _workspace[:size].reshape(c, kh, kw, hi - lo, ww)
+        cols[...] = np.lib.stride_tricks.as_strided(
+            xp[:, stride * lo:], (c, kh, kw, hi - lo, ww),
+            (s[0], s[1], s[2], stride * s[1], stride * s[2]))
+        yield lo, hi, cols.reshape(c * kh * kw, (hi - lo) * ww)
 
 
 def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad: int,
           stride: int = 1) -> np.ndarray:
     """(n, co, hh, ww) convolution of `x` (n, c, h, w) by the flattened
-    kernel `wm` (co, c*kh*kw): one GEMM per sample on its columns."""
-    n, _, h, wd = x.shape
-    hh = (h + 2 * pad - kh) // stride + 1
-    ww = (wd + 2 * pad - kw) // stride + 1
+    kernel `wm` (co, c*kh*kw): one GEMM per band of output rows."""
+    xp = _pad(x, pad)
+    n, _, h, wd = xp.shape
+    hh = (h - kh) // stride + 1
+    ww = (wd - kw) // stride + 1
     out = np.empty((n, wm.shape[0], hh * ww))
     for i in range(n):
-        np.matmul(wm, _im2col(x[i], kh, kw, pad, stride), out=out[i])
+        for lo, hi, cols in _column_bands(xp[i], kh, kw, stride):
+            np.matmul(wm, cols, out=out[i, :, lo * ww:hi * ww])
     return out.reshape(n, -1, hh, ww)
 
 
@@ -245,7 +269,7 @@ def _fw_conv2d(vals, attrs):
     # output row and column.  `upsample=f` with `size=(rows, cols)` first
     # nearest-upsamples the input by f and crops it to `size`; that is
     # computed per kernel tap on the input as given, without building the
-    # upsampled tensor.
+    # upsampled tensor.  `relu=True` rectifies the biased output in place.
     x, w = vals[0], vals[1]
     b = vals[2] if len(vals) > 2 else None
     pad = attrs.get("padding", 0)
@@ -277,11 +301,10 @@ def _fw_conv2d(vals, attrs):
         out = _conv(x, w.reshape(co, -1), kh, kw, pad, stride)
     if b is not None:
         out += b[None, :, None, None]
+    if attrs.get("relu"):
+        _finite(out, "conv2d", None)  # rectifying would hide a -inf
+        np.maximum(out, 0.0, out=out)
     return out
-
-
-def _fw_relu(vals, attrs):
-    return np.maximum(vals[0], 0.0)
 
 
 def _fw_sigmoid(vals, attrs):
@@ -319,9 +342,9 @@ def _fw_powc(vals, attrs):
 
 _FORWARD_RULES: dict[str, Callable] = {
     "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
-    "relu": _fw_relu, "sigmoid": _fw_sigmoid, "mean": _fw_mean,
-    "sum": _fw_sum, "scale": _fw_scale, "masked_fill": _fw_masked_fill,
-    "log": _fw_log, "powc": _fw_powc,
+    "sigmoid": _fw_sigmoid, "mean": _fw_mean, "sum": _fw_sum,
+    "scale": _fw_scale, "masked_fill": _fw_masked_fill, "log": _fw_log,
+    "powc": _fw_powc,
 }
 
 
@@ -356,6 +379,9 @@ def _bw_upconv(node, g, x, w, need_dx):
 
 def _bw_conv2d(node, g, ins):
     x, w = ins[0], ins[1]
+    if node.saved.get("relu"):
+        # the rectified output is positive exactly where its input was
+        g = g * (node.values > 0)
     need_dx = not node.input_needs or node.input_needs[0]
     if node.saved.get("upsample") is not None:
         dx, dw = _bw_upconv(node, g, x, w, need_dx)
@@ -373,9 +399,12 @@ def _bw_im2col(node, g, x, w, need_dx):
     co, ci, kh, kw = w.shape
     hh, ww = g.shape[2:]
     gflat = g.reshape(n, co, hh * ww)
+    xp = _pad(x, pad)
     dw = np.zeros((co, ci * kh * kw))
     for i in range(n):
-        dw += gflat[i] @ _im2col(x[i], kh, kw, pad, s).T
+        for lo, hi, cols in _column_bands(xp[i], kh, kw, s):
+            dw += gflat[i, :, lo * ww:hi * ww] @ cols.T
+    del xp  # before dx builds its frame
     dw = dw.reshape(w.shape)
     if not need_dx:
         return None, dw
@@ -397,10 +426,6 @@ def _spread(n_to: int, n_from: int, shift: int,
     lo = max(0, -(shift // step))
     hi = max(lo, min(n_from, (n_to - 1 - shift) // step + 1))
     return slice(step * lo + shift, step * hi + shift, step), slice(lo, hi)
-
-
-def _bw_relu(node, g, ins):
-    return [g * (ins[0] > 0)]
 
 
 def _bw_sigmoid(node, g, ins):
@@ -443,9 +468,9 @@ def _bw_powc(node, g, ins):
 
 _BACKWARD_RULES: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
-    "relu": _bw_relu, "sigmoid": _bw_sigmoid, "mean": _bw_mean,
-    "sum": _bw_sum, "scale": _bw_scale, "masked_fill": _bw_masked_fill,
-    "log": _bw_log, "powc": _bw_powc,
+    "sigmoid": _bw_sigmoid, "mean": _bw_mean, "sum": _bw_sum,
+    "scale": _bw_scale, "masked_fill": _bw_masked_fill, "log": _bw_log,
+    "powc": _bw_powc,
 }
 
 

@@ -2,9 +2,12 @@
 teacher fusion, and the per-step training transaction.
 
 The teacher never touches a tape: its forwards are plain numeric evaluation
-and its weights move only through the EMA update.  Every random draw comes
-from a stream keyed by (seed, step, role), so disabling one branch cannot
-perturb another and fixed seeds give bit-identical trajectories.
+and its weights move only through the EMA update.  One batched teacher pass
+covers the current frame and its fusion frames; the batch is dropped once
+fusion is done, and only a copy of the current frame's trace lives on into
+the student's loss.  Every random draw comes from a stream keyed by (seed,
+step, role), so disabling one branch cannot perturb another and fixed seeds
+give bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, strong_augment
-from .autograd import ParamSet, Tape, backward, optimizer_step
+from .autograd import ParamSet, Tape, Tensor, backward, optimizer_step
 from .errors import ConfigurationError, ContractError
 from .geometry import Pose2, Raster, relative_pose, warp_raster
 from .losses import (LossMask, LossWeights, feature_similarity_loss,
@@ -27,10 +30,13 @@ from .world import Dataset, Sample
 _IDENTITY = Pose2(0.0, 0.0, 0.0)
 
 
-def _trace_view(trace: ForwardTrace, k: int) -> ForwardTrace:
-    """Single-frame view into a batched trace (no copies)."""
-    from .autograd import Tensor
-    pick = lambda t: Tensor(t.values[k:k + 1])
+def _trace_view(trace: ForwardTrace, k: int,
+                copy: bool = False) -> ForwardTrace:
+    """Frame `k` of a batched trace: views into the batch, or with `copy`
+    standalone arrays that do not keep the batch alive."""
+    def pick(t: Tensor) -> Tensor:
+        v = t.values[k:k + 1]
+        return Tensor(v.copy() if copy else v)
     return ForwardTrace(pick(trace.encoder_feats), pick(trace.bev_feats),
                         pick(trace.decoded_feats), pick(trace.logits),
                         pick(trace.probs))
@@ -318,9 +324,12 @@ class Trainer:
         frames = [sample] + [seq.samples[fi] for fi, _ in sel]
         batch = np.stack([f.observation.values for f in frames])
         bt = forward(self.teacher.params, batch, None, None, self.model_cfg)
-        views = [_trace_view(bt, k) for k in range(len(frames))]
-        cur = views[0]
-        extras = [(fi, rel, views[k + 1]) for k, (fi, rel) in enumerate(sel)]
+        # the current frame's trace outlives this call (the feature term
+        # keeps it until backward), so it is copied out of the batch, which
+        # is freed on return
+        cur = _trace_view(bt, 0, copy=True)
+        extras = [(fi, rel, _trace_view(bt, k + 1))
+                  for k, (fi, rel) in enumerate(sel)]
         fusion = fuse_teacher(cur, extras, cfg.fusion_mode, self.dataset.spec,
                               self.teacher.params, sample.frame_index,
                               cfg.fusion_warp)

@@ -4,9 +4,11 @@ The encoder downsamples by 2 per stage (one stride-2 conv per stage);
 the lift is one conv that reads the low-res encoder map and writes grid
 resolution (its input nearest-upsampled and cropped to the grid, computed
 per kernel tap at encoder resolution); a convolutional bottleneck decodes; a
-1x1 head produces per-class logits.  All four stage outputs are exposed on
-the trace because the training scheme taps intermediate features and
-inserts feature dropout between lift and decoder.
+1x1 head produces per-class logits.  Every conv but the head is one
+`conv2d` node that applies its ReLU in place, so the tape holds one array per
+block.  All four stage outputs are exposed on the trace because the training
+scheme taps intermediate features and inserts feature dropout between lift
+and decoder.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ def _conv_block(params: ParamSet, tape: Tape | None, name: str, x: Tensor,
                 padding: int, **attrs) -> Tensor:
     w = params.leaf(tape, f"{name}.w")
     b = params.leaf(tape, f"{name}.b")
-    return forward_op("relu", forward_op("conv2d", x, w, b, padding=padding,
-                                         **attrs))
+    return forward_op("conv2d", x, w, b, padding=padding, relu=True, **attrs)
 
 
 def forward(params: ParamSet, observation: Raster | np.ndarray,

@@ -3,7 +3,8 @@ replay check.
 
 Each case packs the differentiable inputs of one op into a ParamSet and
 returns a closure building `sum(op(...) * W)` for a fixed random weighting W,
-so transposition mistakes in backward rules cannot cancel out.
+so transposition mistakes in backward rules cannot cancel out.  A conv2d case
+applies its ReLU (`relu=True`) half the time.
 """
 
 from __future__ import annotations
@@ -33,33 +34,13 @@ def make_case(kind: str, stream: Stream):
         params.add("b", _arr(stream, shape))
         inputs = ("a", "b")
     elif kind == "conv2d":
-        n = stream.randrange(1, 3)
-        ci, co = stream.randrange(1, 4), stream.randrange(1, 4)
-        kh, kw = stream.randrange(1, 4), stream.randrange(1, 4)
-        pad = stream.randint(2)
-        h = stream.randrange(kh, kh + 4)
-        w = stream.randrange(kw, kw + 4)
-        f = stream.randint(4)
-        if f:
-            # nearest-upsample by f, then crop to (h, w): the crop is smaller
-            # than the upsampled input and, for f > 1, not a multiple of f
-            h += int(f > 1 and h % f == 0)
-            w += int(f > 1 and w % f == 0)
-            attrs.update(upsample=f, size=(h, w))
-            h, w = h // f + 1, w // f + 1
-        else:
-            attrs["stride"] = stream.randrange(1, 4)
-        params.add("a", _arr(stream, (n, ci, h, w)))
-        params.add("b", _arr(stream, (co, ci, kh, kw)))
-        params.add("c", _arr(stream, (co,)))
+        relu = bool(stream.randint(2))
+        while True:
+            params, attrs = _conv_case(stream)
+            if not relu or _clear_of_kink(params, attrs):
+                break
+        attrs["relu"] = relu
         inputs = ("a", "b", "c")
-        attrs["padding"] = pad
-    elif kind == "relu":
-        shape = (stream.randrange(2, 5), stream.randrange(2, 5))
-        vals = _arr(stream, shape)
-        vals[np.abs(vals) < 0.05] = 0.2  # keep clear of the kink
-        params.add("a", vals)
-        inputs = ("a",)
     elif kind in ("sigmoid", "mean", "sum"):
         shape = (stream.randrange(2, 5), stream.randrange(2, 5))
         params.add("a", _arr(stream, shape))
@@ -98,6 +79,41 @@ def make_case(kind: str, stream: Stream):
         return forward_op("sum", forward_op("mul", out, Tensor(consts["probe"])))
 
     return params, f
+
+
+def _conv_case(stream: Stream):
+    """Input, kernel and bias of a random conv2d, and its attrs."""
+    params = ParamSet()
+    attrs: dict = {}
+    n = stream.randrange(1, 3)
+    ci, co = stream.randrange(1, 4), stream.randrange(1, 4)
+    kh, kw = stream.randrange(1, 4), stream.randrange(1, 4)
+    pad = stream.randint(2)
+    h = stream.randrange(kh, kh + 4)
+    w = stream.randrange(kw, kw + 4)
+    f = stream.randint(4)
+    if f:
+        # nearest-upsample by f, then crop to (h, w): the crop is smaller
+        # than the upsampled input and, for f > 1, not a multiple of f
+        h += int(f > 1 and h % f == 0)
+        w += int(f > 1 and w % f == 0)
+        attrs.update(upsample=f, size=(h, w))
+        h, w = h // f + 1, w // f + 1
+    else:
+        attrs["stride"] = stream.randrange(1, 4)
+    params.add("a", _arr(stream, (n, ci, h, w)))
+    params.add("b", _arr(stream, (co, ci, kh, kw)))
+    params.add("c", _arr(stream, (co,)))
+    attrs["padding"] = pad
+    return params, attrs
+
+
+def _clear_of_kink(params, attrs):
+    """True if no pre-activation lies within 0.01 of 0, so the finite
+    differences of a ReLU'd conv never straddle its kink."""
+    args = [Tensor(params[name].values) for name in ("a", "b", "c")]
+    pre = forward_op("conv2d", *args, **attrs).values
+    return np.abs(pre).min() > 0.01
 
 
 def _out_shape(kind, params, inputs, attrs):

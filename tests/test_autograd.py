@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bevssl import autograd
 from bevssl.autograd import (CHECKPOINT_MAGIC, ParamSet, Tape, Tensor,
                              backward, finite_difference_check, forward_op,
                              load_checkpoint, optimizer_step, save_checkpoint)
@@ -19,8 +20,19 @@ def test_sigmoid_at_zero():
 
 
 def test_relu_definition():
-    out = forward_op("relu", Tensor(np.array([-3.2, 3.2])))
-    assert out.values.tolist() == [0.0, 3.2]
+    """`relu=True` rectifies after the bias, and backward passes the
+    gradient only where the output is positive."""
+    ps = ParamSet()
+    ps.add("x", np.array([-3.2, 0.5, 3.2]).reshape(1, 1, 1, 3))
+    ps.add("w", np.ones((1, 1, 1, 1)))
+    ps.add("b", np.array([-1.0]))
+    tape = Tape()
+    out = forward_op("conv2d", *(ps.leaf(tape, n) for n in ("x", "w", "b")),
+                     padding=0, relu=True)
+    assert out.values.ravel().tolist() == [0.0, 0.0, 2.2]
+    backward(forward_op("sum", out), ps)
+    assert ps["x"].grad.ravel().tolist() == [0.0, 0.0, 1.0]
+    assert ps["b"].grad.tolist() == [1.0]
 
 
 def test_conv2d_all_ones_3x3():
@@ -134,7 +146,7 @@ def test_backward_drops_each_gradient_once_its_rule_has_run():
 def test_backward_requires_scalar_loss():
     ps = _scalar_param(np.ones(3))
     tape = Tape()
-    out = forward_op("relu", ps.leaf(tape, "p"))
+    out = forward_op("scale", ps.leaf(tape, "p"), factor=2.0)
     with pytest.raises(ContractError):
         backward(out, ps)
 
@@ -290,6 +302,49 @@ def test_conv_matches_saved_columns_reference(k, pad, stride, n, size):
                   _saved_columns_conv(x, w, b, probe, pad, stride))
 
 
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3],
+                         ids=["bands-1x7", "bands-2-2-2-1", "bands-3-3-1"])
+def test_banded_columns_match_saved_columns_reference(monkeypatch, rows,
+                                                      stride):
+    """A budget of `rows` output rows splits the 7 output rows of the
+    forward into uneven bands, the last of one row; dx and dW run through
+    bands of their own."""
+    st = Stream(43).child(f"{rows}-{stride}")
+    n, ci, co, k, pad = 2, 3, 4, 3, 1
+    size = (6 * stride + 1, 6)
+    hh, ww = ((d + 2 * pad - k) // stride + 1 for d in size)
+    assert hh == 7
+    monkeypatch.setattr(autograd, "_BAND_DOUBLES", rows * ci * k * k * ww)
+    x = st.uniforms(n * ci * size[0] * size[1], -1, 1).reshape(n, ci, *size)
+    w = st.uniforms(co * ci * k * k, -1, 1).reshape(co, ci, k, k)
+    b = st.uniforms(co, -1, 1)
+    probe = st.uniforms(n * co * hh * ww, -1, 1).reshape(n, co, hh, ww)
+    _assert_close(_conv_grads(x, w, b, probe, padding=pad, stride=stride),
+                  _saved_columns_conv(x, w, b, probe, pad, stride))
+
+
+@pytest.mark.parametrize("upsample", [None, 2])
+def test_relu_conv_is_the_conv_rectified_and_masked(upsample):
+    """`relu=True` gives exactly max(y, 0), and exactly the gradients of the
+    plain conv with the probe zeroed where y <= 0."""
+    st = Stream(47).child(str(upsample))
+    x = st.uniforms(2 * 3 * 6 * 5, -1, 1).reshape(2, 3, 6, 5)
+    w = st.uniforms(4 * 3 * 3 * 3, -1, 1).reshape(4, 3, 3, 3)
+    b = st.uniforms(4, -1, 1)
+    attrs = ({"stride": 1} if upsample is None
+             else {"upsample": upsample, "size": (11, 9)})
+    y = forward_op("conv2d", Tensor(x), Tensor(w), Tensor(b), padding=1,
+                   **attrs).values
+    assert (y < 0).any() and (y > 0).any()
+    probe = st.uniforms(y.size, -1, 1).reshape(y.shape)
+    got = _conv_grads(x, w, b, probe, padding=1, relu=True, **attrs)
+    want = _conv_grads(x, w, b, probe * (y > 0), padding=1, **attrs)
+    assert np.array_equal(got[0], np.maximum(want[0], 0.0))
+    for g, wt in zip(got[1:], want[1:]):
+        assert np.array_equal(g, wt)
+
+
 def _assert_close(got, want):
     """y, dx, dW, db each within 1e-12 of `want`, relative to its largest
     entry."""
@@ -361,6 +416,11 @@ def test_shape_mismatch_is_configuration_error():
 def test_nonfinite_output_is_numeric_error():
     with pytest.raises(NumericError, match="powc"):
         forward_op("powc", Tensor(np.array([0.0, 1.0])), exponent=-1.0)
+    # checked before the in-place ReLU, which would turn -inf into 0
+    with pytest.raises(NumericError, match="conv2d"):
+        forward_op("conv2d", Tensor(np.ones((1, 1, 2, 2))),
+                   Tensor(np.ones((1, 1, 1, 1))), Tensor(np.array([-np.inf])),
+                   relu=True)
 
 
 def test_unknown_kind_rejected():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bevssl import engine
 from bevssl.augment import AugmentConfig
 from bevssl.autograd import Tensor
 from bevssl.engine import (OptimConfig, PseudoLabelConfig, TeacherState,
@@ -424,6 +425,30 @@ def test_trainer_teacher_tracks_student_ema():
     init = init_params(TINY, 21)  # same seed as trainer student
     expect = alpha * init[name].values + (1 - alpha) * tr.student[name].values
     assert np.allclose(tr.teacher.params[name].values, expect, atol=1e-12)
+
+
+def test_fused_pseudo_current_trace_owns_one_frame(monkeypatch):
+    """The current frame's teacher trace is copied out of the batched
+    teacher pass, so holding it does not keep the batch alive."""
+    ds = _tiny_dataset()
+    tr = _mk_trainer(ds)
+    batches = []
+
+    def spy(params, obs, *args):
+        batches.append(np.shape(obs)[0])
+        return forward(params, obs, *args)
+
+    monkeypatch.setattr(engine, "forward", spy)
+    sample = ds.sequences[ds.split.unlabelled[0]].samples[2]
+    _, cur, _ = tr._fused_pseudo(sample, Stream(3).child("fusion"))
+    assert batches == [1 + PseudoLabelConfig().fusion_extra]
+    solo = forward(tr.teacher.params, sample.observation, None, None, TINY)
+    for field in ("encoder_feats", "bev_feats", "decoded_feats", "logits",
+                  "probs"):
+        got, want = getattr(cur, field).values, getattr(solo, field).values
+        assert got.base is None, field
+        assert got.shape == want.shape and got.shape[0] == 1, field
+        assert np.allclose(got, want, rtol=0, atol=1e-12), field
 
 
 class _BlindSample(Sample):

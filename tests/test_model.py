@@ -181,3 +181,26 @@ def test_lift_is_one_conv_reading_the_encoder_map():
     kinds = [n.kind for n in nodes]
     assert "upsample" not in kinds and "slice" not in kinds
     assert replay(tape)
+
+
+def test_conv_blocks_are_one_rectified_conv_node_each():
+    """A taped default forward records no separate ReLU: each conv block is
+    one conv2d node with `relu=True` whose values are >= 0, and only the
+    head is left unrectified."""
+    cfg = ModelConfig()
+    params = init_params(cfg, 4)
+    tape = Tape()
+    forward(params, _obs(Stream(14), 24, 16), None, tape, cfg)
+    nodes = tape.nodes
+    assert "relu" not in {n.kind for n in nodes}
+    convs = {nodes[n.input_ids[1]].saved["param"]: n for n in nodes
+             if n.kind == "conv2d"}
+    blocks = [name for name, _ in cfg.layer_shapes() if name != "head"]
+    assert sorted(convs) == sorted(f"{name}.w" for name in [*blocks, "head"])
+    for name in blocks:
+        node = convs[f"{name}.w"]
+        assert node.saved["relu"] is True, name
+        assert (node.values >= 0).all() and (node.values > 0).any(), name
+    assert not convs["head.w"].saved.get("relu")
+    # one node per block, then the head and its sigmoid
+    assert sum(n.kind != "leaf" for n in nodes) == len(blocks) + 2

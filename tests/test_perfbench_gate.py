@@ -1,7 +1,7 @@
 """The benchmark's loss reference gate, run as a test: numerical drift in a
 rewrite of the model or the trainer fails here, not only in the benchmark.
-Also the benchmark's trainer held to a warm heap: steady steps take no page
-faults."""
+Also the benchmark's trainer held to a warm heap, where steady steps take no
+page faults, and to a conv workspace no larger than its band budget."""
 
 import os
 import platform
@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bevssl import bench
+from bevssl import autograd, bench
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -27,6 +28,20 @@ def test_reference_losses_match(name):
     workloads.reference_gate(trainer, wl, checks)
     assert checks.attempted == len(wl.ref_losses) + 1
     assert checks.failed == 0, checks.errors
+
+
+def test_conv_workspace_stays_within_the_band_budget(monkeypatch):
+    """im2col columns are built a band of output rows at a time, so three
+    small-preset steps leave the shared workspace no larger than the band
+    budget (one sample's full columns are 13.5 MB here)."""
+    monkeypatch.setattr(autograd, "_workspace", np.empty(0))
+    wl = workloads.WORKLOADS["ssl_small"]
+    assert wl.config == {}
+    trainer = workloads.build_trainer(bench.config_from_dict(wl.config),
+                                      workloads.REFERENCE_SEED)
+    for _ in range(3):
+        trainer.train_step()
+    assert 0 < autograd._workspace.nbytes <= 8 * autograd._BAND_DOUBLES
 
 
 _FAULTS_PER_STEP = """
