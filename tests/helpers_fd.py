@@ -3,8 +3,9 @@ replay check.
 
 Each case packs the differentiable inputs of one op into a ParamSet and
 returns a closure building `sum(op(...) * W)` for a fixed random weighting W,
-so transposition mistakes in backward rules cannot cancel out.  A conv2d case
-applies its ReLU (`relu=True`) half the time.
+so transposition mistakes in backward rules cannot cancel out.  Besides one
+case per op kind there is a `relu` case: the conv2d op with `relu=True`, its
+pre-activations kept clear of the kink.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bevssl.autograd import (_FORWARD_RULES, OP_KINDS, ParamSet, Tape, Tensor,
                              forward_op)
 from bevssl.rng import Stream
 
-ALL_KINDS = list(OP_KINDS)
+ALL_KINDS = list(OP_KINDS) + ["relu"]
 
 
 def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
@@ -24,6 +25,7 @@ def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
 
 def make_case(kind: str, stream: Stream):
     """(params, f) such that f(params) is a scalar Tensor applying `kind`."""
+    op = "conv2d" if kind == "relu" else kind
     params = ParamSet()
     attrs: dict = {}
     consts: dict = {}
@@ -34,12 +36,14 @@ def make_case(kind: str, stream: Stream):
         params.add("b", _arr(stream, shape))
         inputs = ("a", "b")
     elif kind == "conv2d":
-        relu = bool(stream.randint(2))
+        params, attrs = _conv_case(stream)
+        inputs = ("a", "b", "c")
+    elif kind == "relu":
         while True:
             params, attrs = _conv_case(stream)
-            if not relu or _clear_of_kink(params, attrs):
+            if _clear_of_kink(params, attrs):
                 break
-        attrs["relu"] = relu
+        attrs["relu"] = True
         inputs = ("a", "b", "c")
     elif kind in ("sigmoid", "mean", "sum"):
         shape = (stream.randrange(2, 5), stream.randrange(2, 5))
@@ -67,13 +71,13 @@ def make_case(kind: str, stream: Stream):
     else:
         raise AssertionError(f"no case builder for op '{kind}'")
 
-    probe_shape = _out_shape(kind, params, inputs, attrs)
+    probe_shape = _out_shape(op, params, inputs, attrs)
     consts["probe"] = _arr(stream, probe_shape, -1.0, 1.0)
 
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()
         args = [ps.leaf(tape, name) for name in inputs]
-        out = forward_op(kind, *args, **attrs)
+        out = forward_op(op, *args, **attrs)
         if out.values.ndim == 0:
             return out
         return forward_op("sum", forward_op("mul", out, Tensor(consts["probe"])))
