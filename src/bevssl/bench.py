@@ -10,18 +10,19 @@ bytes do not depend on scheduling.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .augment import AugmentConfig
 from .autograd import ParamSet, load_checkpoint, save_checkpoint
-from .engine import OptimConfig, PseudoLabelConfig, Trainer
+from .engine import OptimConfig, SslConfig, Trainer
 from .errors import ConfigurationError
 from .geometry import GRID_PRESETS
 from .losses import LossWeights
@@ -141,23 +142,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class SslConfig:
-    w_cls: float = 1.0
-    w_feat: float = 0.25
-    rampup_fraction: float = 1.0 / 3.0
-    feat_mode: str = "cosine"
-    feat_level: str = "late"
-    threshold: float | None = 0.6
-    temperature: float | None = None
-    hard: bool = False
-    fusion_mode: str = "probs"
-    fusion_extra: int = 2
-    fusion_max_range: float = 30.0
-    fusion_warp: str = "nearest"
-    confidence: str = "two_sided"
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     sweep_utilisations: tuple[float, ...] = (0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
@@ -199,7 +183,8 @@ _SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 def _type_ok(value, annotation: str) -> bool:
     """Whether `value` has the type a field's annotation names; ints are
-    valid floats, and only booleans are valid bools."""
+    valid floats, only finite numbers are valid floats, and only booleans are
+    valid bools."""
     if annotation.endswith(" | None"):
         return value is None or _type_ok(value, annotation[:-len(" | None")])
     if annotation.startswith("tuple["):
@@ -209,23 +194,20 @@ def _type_ok(value, annotation: str) -> bool:
         return (isinstance(value, tuple) and len(items) == len(value)
                 and all(map(_type_ok, value, items)))
     return (isinstance(value, _SCALARS[annotation])
-            and isinstance(value, bool) == (annotation == "bool"))
+            and isinstance(value, bool) == (annotation == "bool")
+            and (annotation != "float" or math.isfinite(value)))
 
 
-def _check_types(obj, prefix: str = "") -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            _check_types(value, f"{f.name}.")
-        elif not _type_ok(value, f.type):
-            raise ConfigurationError(
-                f"{prefix}{f.name} must be {f.type}, got {value!r}")
+def _check_type(where: str, value, annotation: str) -> None:
+    if not _type_ok(value, annotation):
+        raise ConfigurationError(
+            f"{where} must be {annotation.replace('float', 'finite float')}, "
+            f"got {value!r}")
 
 
-def _check_values(cfg: ScenarioConfig) -> None:
+def check_config(cfg: ScenarioConfig) -> None:
     """Reject values the runs would otherwise trip over after data
-    generation."""
-    _check_types(cfg)
+    generation; the sections' own checks ran when they were built."""
     if cfg.kind not in SCENARIOS:
         raise ConfigurationError(f"kind must be one of {sorted(SCENARIOS)}, "
                                  f"got {cfg.kind!r}")
@@ -249,7 +231,10 @@ def _check_values(cfg: ScenarioConfig) -> None:
     for name, ok, want in (("lr", t.lr >= 0, ">= 0"), ("wd", t.wd >= 0, ">= 0"),
                            ("beta1", 0 <= t.beta1 < 1, "in [0, 1)"),
                            ("beta2", 0 <= t.beta2 < 1, "in [0, 1)"),
-                           ("ema_keep", 0 <= t.ema_keep <= 1, "in [0, 1]")):
+                           ("ema_keep", 0 <= t.ema_keep <= 1, "in [0, 1]"),
+                           ("focal_gamma", t.focal_gamma >= 0, ">= 0"),
+                           ("focal_alpha", 0 <= t.focal_alpha <= 1,
+                            "in [0, 1]")):
         if not ok:
             raise ConfigurationError(
                 f"train.{name} must be {want}, got {getattr(t, name)}")
@@ -282,12 +267,18 @@ def _check_values(cfg: ScenarioConfig) -> None:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON document, rejecting unknown keys."""
+    """Build a ScenarioConfig from a JSON document, rejecting unknown keys
+    and values of the wrong type before any section checks its values."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"the config must be a JSON object, got {type(data).__name__}")
     known_top = {"kind", "name", *_SECTION_TYPES}
     unknown = set(data) - known_top
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
     kwargs: dict = {k: data[k] for k in ("kind", "name") if k in data}
+    for k, value in kwargs.items():
+        _check_type(k, value, "str")
     for section, cls in _SECTION_TYPES.items():
         src = data.get(section, {})
         if not isinstance(src, dict):
@@ -299,29 +290,23 @@ def config_from_dict(data: dict) -> ScenarioConfig:
                 f"unknown keys in '{section}': {sorted(bad)}")
         coerced = {k: tuple(v) if types[k].startswith("tuple")
                    and isinstance(v, list) else v for k, v in src.items()}
-        try:
-            kwargs[section] = cls(**coerced)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad '{section}' config: {exc}") from exc
+        for k, value in coerced.items():
+            _check_type(f"{section}.{k}", value, types[k])
+        kwargs[section] = cls(**coerced)
     cfg = ScenarioConfig(**kwargs)
-    _check_values(cfg)
-    # the engine configs check their own values; run those checks now,
-    # before any data generation
-    probe = RunSpec(cfg.name, Variant(cfg.kind), 0, cfg)
-    try:
-        _weights_for(probe)
-        _pseudo_for(probe)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad 'ssl' or 'train' config: {exc}") from exc
+    check_config(cfg)
     return cfg
 
 
 def load_config(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!s}: {exc}") from exc
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ConfigurationError(f"the config {path!s} must be a JSON object "
+                                 f"in UTF-8: {exc}") from exc
     return config_from_dict(data)
 
 
@@ -363,20 +348,13 @@ class RunResult:
     error: str | None = None
 
 
-def _engine_config(cls, spec: RunSpec):
-    """`cls` with every field read from the section declaring that name:
-    the run's `ssl` section with the variant's overrides, else `train`."""
-    ssl = replace(spec.cfg.ssl, **spec.variant.overrides)
-    values = {**asdict(spec.cfg.train), **asdict(ssl)}
-    return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-
 def _weights_for(spec: RunSpec) -> LossWeights:
-    return _engine_config(LossWeights, spec)
+    return LossWeights(spec.cfg.train.focal_gamma, spec.cfg.train.focal_alpha)
 
 
-def _pseudo_for(spec: RunSpec) -> PseudoLabelConfig:
-    return _engine_config(PseudoLabelConfig, spec)
+def _pseudo_for(spec: RunSpec) -> SslConfig:
+    """The run's `ssl` section with its variant's overrides."""
+    return replace(spec.cfg.ssl, **spec.variant.overrides)
 
 
 _DATASET_CACHE: dict = {}   # the last dataset built

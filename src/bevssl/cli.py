@@ -12,9 +12,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench
-from .bench import (ScenarioConfig, canonical_json, evaluate_pairs,
-                    export_artifacts, load_checkpoint_params, load_config,
-                    run_scenario)
+from .bench import (ScenarioConfig, canonical_json, check_config,
+                    evaluate_pairs, export_artifacts, load_checkpoint_params,
+                    load_config, run_scenario)
 from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import GRID_PRESETS
 from .world import STYLE_PRESETS, generate_world, read_raster
@@ -64,12 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    if getattr(args, "preset", None):
+def _load(args, **changes) -> ScenarioConfig:
+    """The config a command runs: the file with `--preset`, `--seed` and
+    `changes` applied, checked again as a whole."""
+    cfg = load_config(args.config)
+    if args.preset:
         cfg = replace(cfg, world=replace(cfg.world, grid_preset=args.preset))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seeds = (args.seed, *cfg.eval.seeds[1:])
         cfg = replace(cfg, eval=replace(cfg.eval, seeds=seeds))
+    cfg = replace(cfg, **changes)
+    check_config(cfg)
     return cfg
 
 
@@ -108,23 +113,21 @@ def _run_and_export(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_train(args) -> int:
-    return _run_and_export(_apply_overrides(load_config(args.config), args),
-                           args)
+    return _run_and_export(_load(args), args)
 
 
 def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    cfg = replace(cfg, kind=args.scenario, name=f"{cfg.name}-{args.scenario}")
-    return _run_and_export(cfg, args)
+    cfg = _load(args, kind=args.scenario)
+    return _run_and_export(
+        replace(cfg, name=f"{cfg.name}-{args.scenario}"), args)
 
 
 def cmd_adapt(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    return _run_and_export(replace(cfg, kind="city-adapt"), args)
+    return _run_and_export(_load(args, kind="city-adapt"), args)
 
 
 def cmd_eval(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = _load(args)
     params = load_checkpoint_params(args.checkpoint, cfg.model)
     dataset = bench._build_run_dataset(bench.expand_runs(cfg)[0])
     seq_ids = dataset.split.val if args.split == "val" else dataset.split.test

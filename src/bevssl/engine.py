@@ -43,10 +43,18 @@ def _trace_view(trace: ForwardTrace, k: int,
 
 
 @dataclass(frozen=True)
-class PseudoLabelConfig:
-    """Defaults reproduce the final scheme: fusion of probabilities over two
+class SslConfig:
+    """The config file's `ssl` section: the unsupervised loss weights and
+    their ramp-up, the feature-similarity term, and the pseudo-label scheme.
+
+    Defaults reproduce the final scheme: fusion of probabilities over two
     extra frames within 30 m, soft targets, confidence threshold 0.6."""
 
+    w_cls: float = 1.0
+    w_feat: float = 0.25
+    rampup_fraction: float = 1.0 / 3.0
+    feat_mode: str = "cosine"       # "cosine" | "mse"
+    feat_level: str = "late"        # "early" | "late"
     threshold: float | None = 0.6
     temperature: float | None = None
     hard: bool = False
@@ -57,6 +65,14 @@ class PseudoLabelConfig:
     confidence: str = "two_sided"   # "two_sided" | "positive"
 
     def __post_init__(self):
+        if min(self.w_cls, self.w_feat) < 0:
+            raise ConfigurationError("w_cls and w_feat must be nonnegative")
+        if not 0.0 < self.rampup_fraction <= 1.0:
+            raise ConfigurationError("rampup_fraction must be in (0, 1]")
+        if self.feat_mode not in ("cosine", "mse"):
+            raise ConfigurationError(f"unknown feat_mode '{self.feat_mode}'")
+        if self.feat_level not in ("early", "late"):
+            raise ConfigurationError(f"unknown feat_level '{self.feat_level}'")
         if self.threshold is not None and not 0.5 <= self.threshold < 1.0:
             raise ConfigurationError("threshold must be in [0.5, 1) or None")
         if self.temperature is not None and self.temperature <= 0:
@@ -110,7 +126,7 @@ def prob_logit(p: np.ndarray) -> np.ndarray:
     return np.log(pc / (1.0 - pc))
 
 
-def make_pseudo_labels(probs: Raster, cfg: PseudoLabelConfig,
+def make_pseudo_labels(probs: Raster, cfg: SslConfig,
                        validity: np.ndarray | None = None,
                        provenance: np.ndarray | None = None,
                        ) -> PseudoLabelBundle:
@@ -279,7 +295,7 @@ class Trainer:
 
     def __init__(self, dataset: Dataset, model_cfg: ModelConfig,
                  weights: LossWeights, augment_cfg: AugmentConfig,
-                 pseudo_cfg: PseudoLabelConfig, optim: OptimConfig,
+                 ssl_cfg: SslConfig, optim: OptimConfig,
                  seed: int, total_steps: int, ssl: bool = True,
                  batch_labelled: int = 1, batch_unlabelled: int = 1,
                  supervised_augment: AugmentConfig | None = None):
@@ -293,7 +309,7 @@ class Trainer:
         self.augment_cfg = augment_cfg
         self.sup_augment = (supervised_augment if supervised_augment is not None
                             else augment_cfg)
-        self.pseudo_cfg = pseudo_cfg
+        self.ssl_cfg = ssl_cfg
         self.optim = optim
         self.total_steps = total_steps
         self.ssl = ssl and bool(dataset.split.unlabelled)
@@ -312,7 +328,7 @@ class Trainer:
 
     def _fused_pseudo(self, sample: Sample, stream: Stream,
                       ) -> tuple[PseudoLabelBundle, ForwardTrace, FusionResult]:
-        cfg = self.pseudo_cfg
+        cfg = self.ssl_cfg
         seq = self.dataset.sequences[sample.sequence_id]
         sel: list[tuple[int, Pose2]] = []
         if cfg.fusion_mode != "none" and cfg.fusion_extra > 0:
@@ -361,10 +377,11 @@ class Trainer:
 
         cls_terms, feat_terms = [], []
         kept = total_cells = 0
-        w_cls_eff = rampup_weight(step, self.total_steps, self.weights.w_cls,
-                                  self.weights.rampup_fraction)
-        w_feat_eff = rampup_weight(step, self.total_steps, self.weights.w_feat,
-                                   self.weights.rampup_fraction)
+        cfg = self.ssl_cfg
+        w_cls_eff = rampup_weight(step, self.total_steps, cfg.w_cls,
+                                  cfg.rampup_fraction)
+        w_feat_eff = rampup_weight(step, self.total_steps, cfg.w_feat,
+                                   cfg.rampup_fraction)
         use_unsup = (self.ssl and self.teacher is not None
                      and (w_cls_eff > 0.0 or w_feat_eff > 0.0))
         if use_unsup:
@@ -388,7 +405,7 @@ class Trainer:
                     feat_terms.append(self._feat_term(trace, cur_trace, fusion))
 
         total, breakdown = total_loss(sup_terms, cls_terms, feat_terms,
-                                      self.weights, step, self.total_steps)
+                                      w_cls_eff, w_feat_eff)
         backward(total, self.student)
         if self.teacher is not None:
             for _, p in self.teacher.params.items():
@@ -401,19 +418,20 @@ class Trainer:
         self.step_count += 1
         return StepReport(step, breakdown["loss_total"], breakdown["loss_sup"],
                           breakdown["loss_cls"], breakdown["loss_feat"],
-                          breakdown["w_cls"], breakdown["w_feat"],
+                          w_cls_eff, w_feat_eff,
                           kept / total_cells if total_cells else 0.0)
 
     def _feat_term(self, student_trace: ForwardTrace, teacher_trace: ForwardTrace,
                    fusion: FusionResult):
-        level = self.weights.feat_level
+        cfg = self.ssl_cfg
+        level = cfg.feat_level
         if level == "early":
             s_tap = student_trace.bev_feats
             t_tap = teacher_trace.bev_feats.values
         else:
             s_tap = student_trace.decoded_feats
-            if self.pseudo_cfg.fusion_mode == "feats" and fusion.fused_feats is not None:
+            if cfg.fusion_mode == "feats" and fusion.fused_feats is not None:
                 t_tap = fusion.fused_feats[None]
             else:
                 t_tap = teacher_trace.decoded_feats.values
-        return feature_similarity_loss(s_tap, t_tap, self.weights.feat_mode)
+        return feature_similarity_loss(s_tap, t_tap, cfg.feat_mode)

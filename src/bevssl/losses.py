@@ -17,24 +17,10 @@ from .errors import ConfigurationError, ContractError
 
 @dataclass(frozen=True)
 class LossWeights:
-    w_cls: float = 1.0
-    w_feat: float = 0.25
-    rampup_fraction: float = 1.0 / 3.0
+    """The focal loss's focusing exponent and positive-class weight."""
+
     focal_gamma: float = 2.0
     focal_alpha: float = 0.75
-    feat_mode: str = "cosine"   # "cosine" | "mse"
-    feat_level: str = "late"    # "early" | "late"
-
-    def __post_init__(self):
-        if min(self.w_cls, self.w_feat, self.focal_gamma) < 0 or \
-                not 0.0 <= self.focal_alpha <= 1.0:
-            raise ConfigurationError("loss weights must be nonnegative, alpha in [0,1]")
-        if not 0.0 < self.rampup_fraction <= 1.0:
-            raise ConfigurationError("rampup_fraction must be in (0, 1]")
-        if self.feat_mode not in ("cosine", "mse"):
-            raise ConfigurationError(f"unknown feat_mode '{self.feat_mode}'")
-        if self.feat_level not in ("early", "late"):
-            raise ConfigurationError(f"unknown feat_level '{self.feat_level}'")
 
 
 class LossMask:
@@ -135,13 +121,10 @@ def rampup_weight(step: int, total_steps: int, base: float,
 
 
 def total_loss(sup_terms: list[Tensor], unsup_cls_terms: list[Tensor],
-               unsup_feat_terms: list[Tensor], weights: LossWeights,
-               step: int, total_steps: int) -> tuple[Tensor, dict]:
-    """Supervised sum plus ramp-weighted pseudo-label and feature terms."""
-    w_cls = rampup_weight(step, total_steps, weights.w_cls,
-                          weights.rampup_fraction)
-    w_feat = rampup_weight(step, total_steps, weights.w_feat,
-                           weights.rampup_fraction)
+               unsup_feat_terms: list[Tensor], w_cls: float,
+               w_feat: float) -> tuple[Tensor, dict]:
+    """Supervised sum plus the pseudo-label and feature terms scaled by their
+    (ramped) weights."""
     total: Tensor | None = None
 
     def accumulate(total, term):
@@ -159,7 +142,5 @@ def total_loss(sup_terms: list[Tensor], unsup_cls_terms: list[Tensor],
         total = accumulate(total, forward_op("scale", t, factor=w_feat))
     if total is None:
         total = Tensor(np.zeros(()))
-    return total, {
-        "loss_total": total.item(), "loss_sup": sup_val, "loss_cls": cls_val,
-        "loss_feat": feat_val, "w_cls": w_cls, "w_feat": w_feat,
-    }
+    return total, {"loss_total": total.item(), "loss_sup": sup_val,
+                   "loss_cls": cls_val, "loss_feat": feat_val}

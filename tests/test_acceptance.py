@@ -18,7 +18,7 @@ from bevssl.autograd import (ParamSet, Tape, Tensor, backward,
 from bevssl.bench import (ScenarioConfig, config_from_dict, evaluate_pairs,
                           expand_runs, run_one, run_scenario)
 from bevssl.cli import main as cli_main
-from bevssl.engine import (OptimConfig, PseudoLabelConfig, TeacherState,
+from bevssl.engine import (OptimConfig, SslConfig, TeacherState,
                            Trainer, ema_update, fuse_teacher,
                            make_pseudo_labels, prob_logit, sharpen)
 from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
@@ -135,7 +135,7 @@ def test_criterion_4_pseudo_label_pipeline():
         tau = st.uniform(0.5, 0.95)
         bundle = make_pseudo_labels(
             Raster(spec, p, valid),
-            PseudoLabelConfig(threshold=tau, fusion_mode="none"))
+            SslConfig(threshold=tau, fusion_mode="none"))
         brute = sum(1 for c in range(3) for r in range(6) for q in range(6)
                     if valid[r, q] and max(p[c, r, q], 1 - p[c, r, q]) >= tau)
         assert bundle.mask.count == brute, case
@@ -154,8 +154,8 @@ def test_criterion_4_pseudo_label_pipeline():
     st = Stream(42_000)
     p = st.uniforms(3 * 36, 0.01, 0.99).reshape(3, 6, 6)
     hard = make_pseudo_labels(
-        Raster(spec, p), PseudoLabelConfig(threshold=0.6, hard=True,
-                                           fusion_mode="none"))
+        Raster(spec, p), SslConfig(threshold=0.6, hard=True,
+                                   fusion_mode="none"))
     assert set(np.unique(hard.targets)) <= {0.0, 1.0}
     _report("C4 pseudo-label-pipeline", True,
             "(mask counts exact, sharpening strict, hard binary)")
@@ -183,7 +183,7 @@ def test_criterion_5_masking_soundness():
                              "nearest")
         bundle = make_pseudo_labels(
             Raster(spec, p, warped.valid),
-            PseudoLabelConfig(threshold=0.6, fusion_mode="none"))
+            SslConfig(threshold=0.6, fusion_mode="none"))
         mask = bundle.mask.intersect(fov)
         excluded = ~mask.include
         if not excluded.any() or not mask.include.any():
@@ -240,10 +240,10 @@ def test_criterion_6_degenerate_weight_equivalence():
                        n_frames=6, utilisation=0.4, val_worlds=1,
                        test_worlds=2)
     common = dict(seed=7, total_steps=200, batch_labelled=1)
-    ssl = Trainer(ds, cfg, LossWeights(w_cls=0.0, w_feat=0.0),
-                  AugmentConfig(), PseudoLabelConfig(), OptimConfig(),
+    ssl = Trainer(ds, cfg, LossWeights(), AugmentConfig(),
+                  SslConfig(w_cls=0.0, w_feat=0.0), OptimConfig(),
                   ssl=True, **common)
-    sup = Trainer(ds, cfg, LossWeights(), AugmentConfig(), PseudoLabelConfig(),
+    sup = Trainer(ds, cfg, LossWeights(), AugmentConfig(), SslConfig(),
                   OptimConfig(), ssl=False, **common)
     for _ in range(200):
         ssl.train_step()

@@ -1,7 +1,9 @@
 import json
 import os
 import signal
+import typing
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           export_artifacts, load_checkpoint_params, run_one,
                           run_scenario, scenario_variants, write_pgm,
                           write_ppm)
-from bevssl.bench import (EvalConfig, RunSpec, SslConfig, TrainConfig,
-                          Variant, WorldConfig)
-from bevssl.engine import OptimConfig, PseudoLabelConfig
+from bevssl.bench import RunSpec, Variant
+from bevssl.engine import OptimConfig, SslConfig
 from bevssl.errors import ConfigurationError
 from bevssl.losses import LossWeights
 from bevssl.model import ModelConfig
@@ -124,27 +125,34 @@ def test_config_echo_roundtrip():
     assert back.to_dict() == cfg.to_dict()
 
 
-def test_default_config_maps_to_engine_defaults():
-    # a Trainer built from engine defaults optimises what a CLI run of {} does
+def test_ssl_section_is_the_engine_config():
+    # the `ssl` section is the engine's own config, declared once
+    assert typing.get_type_hints(ScenarioConfig)["ssl"] is SslConfig
     cfg = config_from_dict({})
+    assert type(cfg.ssl) is SslConfig
+    # a run reads the section with its variant's overrides applied
+    (hard,) = [v for v in scenario_variants(replace(cfg, kind="components"))
+               if v.name == "+Hard"]
+    got = _pseudo_for(RunSpec(cfg.name, hard, 0, cfg))
+    assert got == replace(cfg.ssl, hard=True)
+    assert [f.name for f in fields(SslConfig)
+            if getattr(got, f.name) != getattr(cfg.ssl, f.name)] == ["hard"]
+    # the focal and optimiser values `train` still mirrors keep the engine's
+    # defaults, so a Trainer built from them optimises what a CLI run of {}
+    # does
     spec = expand_runs(cfg)[0]
     t = cfg.train
     assert _weights_for(spec) == LossWeights()
-    assert _pseudo_for(spec) == PseudoLabelConfig()
     assert OptimConfig(t.lr, t.wd, (t.beta1, t.beta2), t.ema_keep) \
         == OptimConfig()
 
 
-def test_engine_fields_come_from_one_section():
-    # a field no section declares would silently keep its engine default
-    ssl = {f.name for f in fields(SslConfig)}
-    train = {f.name for f in fields(TrainConfig)}
-    read = set()
-    for cls in (LossWeights, PseudoLabelConfig):
-        for f in fields(cls):
-            assert (f.name in ssl) + (f.name in train) == 1, f.name
-            read.add(f.name)
-    assert ssl <= read
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration file\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = config_from_dict(json.loads(example))
+    assert cfg.ssl == SslConfig(**json.loads(example)["ssl"])
 
 
 def _strip_defaults(doc):

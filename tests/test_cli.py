@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bevssl.autograd import save_checkpoint
+from bevssl.bench import load_config
 from bevssl.cli import main
 from bevssl.geometry import SMALL_GRID, Raster
 from bevssl.rng import Stream
@@ -110,7 +111,10 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("train", {"beta2": -0.1}), ("train", {"ema_keep": 5.0}),
     ("eval", {"adapt_source_worlds": 0}), ("eval", {"seeds": [0, 0]}),
     ("eval", {"sweep_utilisations": [0.5, 0.5]}),
-    ("eval", {"adapt_unlabelled_counts": [0, 8, 8]})],
+    ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
+    ("ssl", {"w_cls": -1}), ("ssl", {"rampup_fraction": 0}),
+    ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
+    ("train", {"focal_gamma": -1}), ("train", {"focal_alpha": 1.5})],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
@@ -124,13 +128,68 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
          "sweep_utilisations_empty", "adapt_counts_empty",
          "adapt_count_neg", "lr_neg", "wd_neg", "beta1_1", "beta2_neg",
          "ema_keep_5", "adapt_source_worlds_0", "seeds_repeated",
-         "sweep_utilisations_repeated", "adapt_counts_repeated"])
+         "sweep_utilisations_repeated", "adapt_counts_repeated",
+         "w_cls_neg", "rampup_fraction_0", "feat_mode_l1", "feat_level_mid",
+         "focal_gamma_neg", "focal_alpha_above_1"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
                  "--out", str(tmp_path / "x")]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def _rejected_at_load(tmp_path, capsys, argv, cfg_path):
+    assert main([*argv, "--config", str(cfg_path), "--out",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert not (tmp_path / "x").exists()
+    return err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section,values", [
+    ("ssl", {"fusion_max_range": NAN}), ("ssl", {"w_feat": NAN}),
+    ("ssl", {"temperature": NAN}), ("train", {"focal_gamma": NAN}),
+    ("world", {"speed_min": NAN}), ("world", {"speed_max": NAN}),
+    ("train", {"lr": INF}), ("ssl", {"w_cls": INF}),
+    ("train", {"wd": -INF}), ("augment", {"gain_range": [NAN, 1.0]})],
+    ids=["fusion_max_range_nan", "w_feat_nan", "temperature_nan",
+         "focal_gamma_nan", "speed_min_nan", "speed_max_nan", "lr_inf",
+         "w_cls_inf", "wd_neg_inf", "gain_range_nan"])
+def test_non_finite_number_exits_2_at_load(tmp_path, capsys, section,
+                                           values):
+    # json writes and reads these as NaN, Infinity and -Infinity
+    doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
+    err = _rejected_at_load(tmp_path, capsys, ["train"],
+                            _write_cfg(tmp_path, doc))
+    assert "finite float" in err
+
+
+@pytest.mark.parametrize("text", [b"[]", b"3", b"null", b'"ssl"',
+                                  b'{"name": "caf\xe9"}'],
+                         ids=["list", "number", "null", "string", "latin1"])
+def test_non_object_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    err = _rejected_at_load(tmp_path, capsys, ["train"], path)
+    assert "must be a JSON object" in err
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["train", "--seed", "1"], {**TINY_DOC, "eval": {"seeds": [0, 1]}}),
+    (["ablate", "--scenario", "ssl"],
+     {**TINY_DOC, "kind": "city-adapt",
+      "world": {**TINY_DOC["world"], "n_worlds": 2}})],
+    ids=["seed_repeats_a_seed", "kind_needs_more_worlds"])
+def test_cli_overrides_are_checked_at_load(tmp_path, capsys, argv, doc):
+    # the file alone loads; the config the command would run does not
+    cfg = _write_cfg(tmp_path, doc)
+    load_config(cfg)
+    _rejected_at_load(tmp_path, capsys, argv, cfg)
 
 
 def test_partial_checkpoint_exits_2(tmp_path, capsys):

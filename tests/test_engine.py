@@ -6,7 +6,7 @@ import pytest
 from bevssl import engine
 from bevssl.augment import AugmentConfig
 from bevssl.autograd import Tensor
-from bevssl.engine import (OptimConfig, PseudoLabelConfig, TeacherState,
+from bevssl.engine import (OptimConfig, SslConfig, TeacherState,
                            Trainer, draw_fusion_distance, ema_update,
                            fuse_teacher, make_pseudo_labels, prob_logit,
                            select_fusion_frames, sharpen,
@@ -122,7 +122,7 @@ def test_sharpen_rejects_nonpositive_temperature():
     with pytest.raises(ConfigurationError):
         sharpen(np.zeros(3), 0.0)
     with pytest.raises(ConfigurationError):
-        PseudoLabelConfig(temperature=-1.0)
+        SslConfig(temperature=-1.0)
 
 
 # ----------------------------------------------------------- pseudo labels --
@@ -135,7 +135,7 @@ def _prob_raster(values):
 
 def test_threshold_two_sided_cases():
     probs = _prob_raster([[[0.61, 0.55, 0.2]]])
-    cfg = PseudoLabelConfig(threshold=0.6, fusion_mode="none")
+    cfg = SslConfig(threshold=0.6, fusion_mode="none")
     bundle = make_pseudo_labels(probs, cfg)
     assert bundle.mask.include[0, 0].tolist() == [True, False, True]
     assert bundle.targets[0, 0, 0] == 0.61
@@ -144,7 +144,7 @@ def test_threshold_two_sided_cases():
 
 def test_threshold_positive_only_variant():
     probs = _prob_raster([[[0.61, 0.55, 0.2]]])
-    cfg = PseudoLabelConfig(threshold=0.6, fusion_mode="none",
+    cfg = SslConfig(threshold=0.6, fusion_mode="none",
                             confidence="positive")
     bundle = make_pseudo_labels(probs, cfg)
     assert bundle.mask.include[0, 0].tolist() == [True, False, False]
@@ -152,7 +152,7 @@ def test_threshold_positive_only_variant():
 
 def test_hard_mode_binarizes():
     probs = _prob_raster([[[0.7, 0.3, 0.5]]])
-    cfg = PseudoLabelConfig(threshold=None, hard=True, fusion_mode="none")
+    cfg = SslConfig(threshold=None, hard=True, fusion_mode="none")
     bundle = make_pseudo_labels(probs, cfg)
     assert bundle.targets[0, 0].tolist() == [1.0, 0.0, 0.0]
     assert set(np.unique(bundle.targets)) <= {0.0, 1.0}
@@ -165,7 +165,7 @@ def test_masked_count_matches_bruteforce():
         p = st.uniforms(3 * 6 * 6, 0.01, 0.99).reshape(3, 6, 6)
         valid = st.uniforms(36).reshape(6, 6) < 0.85
         tau = st.uniform(0.5, 0.95)
-        cfg = PseudoLabelConfig(threshold=tau, fusion_mode="none")
+        cfg = SslConfig(threshold=tau, fusion_mode="none")
         bundle = make_pseudo_labels(
             Raster(GridSpec(0, 6, 0, 6, 1.0), p, valid), cfg)
         count = 0
@@ -180,14 +180,14 @@ def test_masked_count_matches_bruteforce():
 def test_validity_always_excludes():
     probs = _prob_raster([[[0.99, 0.99]]])
     probs.valid[0, 1] = False
-    cfg = PseudoLabelConfig(threshold=None, fusion_mode="none")
+    cfg = SslConfig(threshold=None, fusion_mode="none")
     bundle = make_pseudo_labels(probs, cfg)
     assert bundle.mask.include[0, 0].tolist() == [True, False]
 
 
 def test_sharpening_applied_to_targets_in_logit_space():
     probs = _prob_raster([[[0.8]]])
-    cfg = PseudoLabelConfig(threshold=None, temperature=0.5,
+    cfg = SslConfig(threshold=None, temperature=0.5,
                             fusion_mode="none")
     bundle = make_pseudo_labels(probs, cfg)
     z = prob_logit(np.array(0.8)) / 0.5
@@ -346,9 +346,9 @@ def _tiny_dataset(seed=11):
                          val_worlds=1, test_worlds=2)
 
 
-def _mk_trainer(ds, ssl=True, seed=21, weights=None, total=50, **kw):
-    return Trainer(ds, TINY, weights or LossWeights(), AugmentConfig(),
-                   PseudoLabelConfig(), OptimConfig(), seed=seed,
+def _mk_trainer(ds, ssl=True, seed=21, ssl_cfg=None, total=50, **kw):
+    return Trainer(ds, TINY, LossWeights(), AugmentConfig(),
+                   ssl_cfg or SslConfig(), OptimConfig(), seed=seed,
                    total_steps=total, ssl=ssl, **kw)
 
 
@@ -365,7 +365,7 @@ def test_trainer_deterministic_loss_trajectory():
 def test_trainer_zero_weights_match_supervised_bitwise():
     ds = _tiny_dataset()
     ssl = _mk_trainer(ds, ssl=True,
-                      weights=LossWeights(w_cls=0.0, w_feat=0.0))
+                      ssl_cfg=SslConfig(w_cls=0.0, w_feat=0.0))
     sup = _mk_trainer(ds, ssl=False)
     for _ in range(8):
         ssl.train_step()
@@ -389,7 +389,7 @@ def test_trainer_step_zero_gradient_is_supervised_only():
 def test_trainer_full_threshold_masks_everything():
     ds = _tiny_dataset()
     tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(),
-                 PseudoLabelConfig(threshold=0.999), OptimConfig(), seed=5,
+                 SslConfig(threshold=0.999), OptimConfig(), seed=5,
                  total_steps=50, ssl=True)
     for _ in range(3):
         rep = tr.train_step()
@@ -441,7 +441,7 @@ def test_fused_pseudo_current_trace_owns_one_frame(monkeypatch):
     monkeypatch.setattr(engine, "forward", spy)
     sample = ds.sequences[ds.split.unlabelled[0]].samples[2]
     _, cur, _ = tr._fused_pseudo(sample, Stream(3).child("fusion"))
-    assert batches == [1 + PseudoLabelConfig().fusion_extra]
+    assert batches == [1 + SslConfig().fusion_extra]
     solo = forward(tr.teacher.params, sample.observation, None, None, TINY)
     for field in ("encoder_feats", "bev_feats", "decoded_feats", "logits",
                   "probs"):

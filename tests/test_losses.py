@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bevssl.autograd import ParamSet, Tape, Tensor, backward, forward_op
+from bevssl.engine import SslConfig
 from bevssl.errors import ConfigurationError, ContractError
-from bevssl.losses import (LossMask, LossWeights, feature_similarity_loss,
-                           focal_loss, rampup_weight, total_loss)
+from bevssl.losses import (LossMask, feature_similarity_loss, focal_loss,
+                           rampup_weight, total_loss)
 from bevssl.rng import Stream
 
 
@@ -161,36 +162,43 @@ def _const_loss(x):
     return Tensor(np.asarray(x, dtype=float))
 
 
+def _ramped(cfg, step, total_steps):
+    """The (w_cls, w_feat) a training step passes to `total_loss`."""
+    return (rampup_weight(step, total_steps, cfg.w_cls, cfg.rampup_fraction),
+            rampup_weight(step, total_steps, cfg.w_feat, cfg.rampup_fraction))
+
+
 def test_total_loss_supervised_only():
-    total, bd = total_loss([_const_loss(1.5)], [], [], LossWeights(),
-                           step=200, total_steps=300)
+    total, bd = total_loss([_const_loss(1.5)], [], [],
+                           *_ramped(SslConfig(), 200, 300))
     assert total.item() == 1.5
     assert bd["loss_cls"] == 0.0
 
 
 def test_total_loss_step_zero_masks_unsup():
-    total, bd = total_loss([_const_loss(1.0)], [_const_loss(7.0)],
-                           [_const_loss(3.0)], LossWeights(), 0, 300)
+    w = _ramped(SslConfig(), 0, 300)
+    total, _ = total_loss([_const_loss(1.0)], [_const_loss(7.0)],
+                          [_const_loss(3.0)], *w)
     assert total.item() == 1.0
-    assert bd["w_cls"] == 0.0 and bd["w_feat"] == 0.0
+    assert w == (0.0, 0.0)
 
 
 def test_total_loss_weighted_sum_example():
     # sum(sup) + w_cls * sum(cls) + w_feat * sum(feat), ramp complete
-    w = LossWeights(w_cls=1.0, w_feat=0.25)
-    total, bd = total_loss([_const_loss(1.0)], [_const_loss(2.0)],
-                           [_const_loss(4.0)], w, step=250, total_steps=300)
+    w = SslConfig(w_cls=1.0, w_feat=0.25)
+    total, _ = total_loss([_const_loss(1.0)], [_const_loss(2.0)],
+                          [_const_loss(4.0)], *_ramped(w, 250, 300))
     assert abs(total.item() - (1.0 + 1.0 * 2.0 + 0.25 * 4.0)) < 1e-12
-    assert bd["w_cls"] == 1.0 and bd["w_feat"] == 0.25
+    assert _ramped(w, 250, 300) == (1.0, 0.25)
     half, _ = total_loss([_const_loss(1.0)], [_const_loss(2.0)],
-                         [_const_loss(4.0)], w, step=50, total_steps=300)
+                         [_const_loss(4.0)], *_ramped(w, 50, 300))
     assert abs(half.item() - (1.0 + 0.5 * 2.0 + 0.125 * 4.0)) < 1e-12
 
 
 def test_loss_weights_validation():
     with pytest.raises(ConfigurationError):
-        LossWeights(w_cls=-1.0)
+        SslConfig(w_cls=-1.0)
     with pytest.raises(ConfigurationError):
-        LossWeights(rampup_fraction=0.0)
+        SslConfig(rampup_fraction=0.0)
     with pytest.raises(ConfigurationError):
-        LossWeights(feat_mode="l1")
+        SslConfig(feat_mode="l1")
