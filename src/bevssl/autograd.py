@@ -171,12 +171,16 @@ _workspace = np.empty(0)
 
 # Warm heap.  glibc serves each malloc of 128 KB or more with a fresh mmap
 # until an mmapped chunk is freed; that free lifts the mmap threshold (up to
-# 32 MB) to the chunk's size.  Below the threshold, per-step activations
-# reuse heap pages instead of taking a page fault on every first touch.  One
-# 24 MB array, allocated and freed here, puts the threshold above the small
-# preset's largest per-step array: the teacher batch's padded dec0 input,
-# 4.9 MB for 3 frames and 11.4 MB for 7.  With 16 MB, a 7-frame fusion step
-# still takes ~3000 page faults.
+# 32 MB) to the chunk's size, and the heap's trim threshold to twice that.
+# Below the mmap threshold, per-step activations reuse heap pages instead of
+# taking a page fault on every first touch, and below the trim threshold the
+# pages a step frees stay with the heap for the next step.  One 24 MB array,
+# allocated and freed here, sets both.  The small preset's largest per-step
+# array is 1.6 MB, a 64-channel map padded by one cell (dec0's input, and
+# dec1's dx frame), so what sizes the array is the trim threshold: a step
+# swings the heap by ~20 MB.  Measured with 12 MB, steady `ssl_small` and
+# `fusion_feats6_small` steps take 1-2 faults; with 8 MB (a 16 MB trim
+# threshold) ~4600 and ~5000.
 _warm = np.empty(3 << 20)
 del _warm
 
@@ -542,12 +546,15 @@ class ParamSet:
 
 
 def backward(loss: Tensor, params: ParamSet) -> None:
-    """Populate `params` gradients from a scalar loss (zeroes them first)."""
+    """Add the gradients of a scalar loss to `params`' `grad` arrays.
+
+    Gradients accumulate: a caller that wants this loss's gradient alone
+    zeroes them first (`ParamSet.zero_grad`).  A loss split over several
+    tapes is backpropagated one tape at a time, each adding its share."""
     if loss.values.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
-    params.zero_grad()
 
     tape = loss.tape
     grads: dict[int, np.ndarray] = {
@@ -622,6 +629,7 @@ def finite_difference_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
     if eps <= 0:
         raise ContractError("eps must be positive")
     loss = f(params)
+    params.zero_grad()
     backward(loss, params)
     analytic = {name: p.grad.copy() for name, p in params.items()}
 

@@ -2,18 +2,23 @@
 teacher fusion, and the per-step training transaction.
 
 The teacher never touches a tape: its forwards are plain numeric evaluation
-and its weights move only through the EMA update.  One batched teacher pass
-covers the current frame and its fusion frames; the batch is dropped once
-fusion is done, and only a copy of the current frame's trace lives on into
-the student's loss.  Every random draw comes from a stream keyed by (seed,
-step, role), so disabling one branch cannot perturb another and fixed seeds
-give bit-identical trajectories.
+and its weights move only through the EMA update.  It runs one frame at a
+time: the current frame, then each fusion frame as `fuse_teacher` folds it
+in and drops it, so one extra frame's trace is alive at most; only the
+current frame's trace lives on into the student's loss.  Each sample of a
+step gets a tape of its own that is backpropagated as soon as its loss
+exists, so one sample's graph is alive at a time, and the per-sample
+gradients add up in the order one tape over the whole step would add them.
+Every random draw comes from a stream keyed by (seed, step, role), so
+disabling one branch cannot perturb another and fixed seeds give
+bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -28,18 +33,6 @@ from .rng import Stream
 from .world import Dataset, Sample
 
 _IDENTITY = Pose2(0.0, 0.0, 0.0)
-
-
-def _trace_view(trace: ForwardTrace, k: int,
-                copy: bool = False) -> ForwardTrace:
-    """Frame `k` of a batched trace: views into the batch, or with `copy`
-    standalone arrays that do not keep the batch alive."""
-    def pick(t: Tensor) -> Tensor:
-        v = t.values[k:k + 1]
-        return Tensor(v.copy() if copy else v)
-    return ForwardTrace(pick(trace.encoder_feats), pick(trace.bev_feats),
-                        pick(trace.decoded_feats), pick(trace.logits),
-                        pick(trace.probs))
 
 
 @dataclass(frozen=True)
@@ -218,30 +211,44 @@ def _apply_head(params: ParamSet, feats: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-logits))
 
 
+def _in_frame_order(extras: Iterable[tuple[int, Pose2, ForwardTrace]]):
+    """`extras` one at a time, checked to come in ascending frame index.
+    A frame is dropped here once handed on, so a lazy `extras` computes the
+    next trace only after the caller let go of the last one."""
+    last = -math.inf
+    for extra in extras:
+        if extra[0] < last:
+            raise ContractError("fusion frames must come in ascending "
+                                "frame index")
+        last = extra[0]
+        yield extra
+        del extra
+
+
 def fuse_teacher(current: ForwardTrace,
-                 extras: list[tuple[int, Pose2, ForwardTrace]],
+                 extras: Iterable[tuple[int, Pose2, ForwardTrace]],
                  mode: str, spec, params: ParamSet | None = None,
                  current_index: int = 0,
                  warp_mode: str = "nearest") -> FusionResult:
     """Combine teacher predictions from nearby frames in the current frame.
 
+    `extras` yields (frame index, pose in the current frame, trace) in
+    ascending frame index and is folded in one frame at a time: given a lazy
+    iterable, at most one extra frame's trace is alive.
     probs mode keeps, per cell and class, the prediction of maximal
     confidence |p - 0.5| (ties: current frame, then lower frame index).
     feats mode averages warped decoded features over valid contributors and
     re-applies the classification head.
     """
     cur_probs = current.prob_values
-    if mode == "none" or not extras:
-        return FusionResult(Raster(spec, cur_probs.copy()),
-                            np.full(cur_probs.shape, current_index, np.int64))
-    ordered = sorted(extras, key=lambda e: e[0])
+    prov = np.full(cur_probs.shape, current_index, dtype=np.int64)
+    if mode == "none":
+        return FusionResult(Raster(spec, cur_probs.copy()), prov)
 
     if mode == "probs":
         fused = cur_probs.copy()
         conf = np.abs(fused - 0.5)
-        valid_any = np.ones((spec.rows, spec.cols), dtype=bool)
-        prov = np.full(fused.shape, current_index, dtype=np.int64)
-        for fi, rel, trace in ordered:
+        for fi, rel, trace in _in_frame_order(extras):
             warped = warp_raster(Raster(spec, trace.prob_values), rel,
                                  _IDENTITY, warp_mode)
             wconf = np.abs(warped.values - 0.5)
@@ -249,7 +256,8 @@ def fuse_teacher(current: ForwardTrace,
             fused[take] = warped.values[take]
             conf[take] = wconf[take]
             prov[take] = fi
-        return FusionResult(Raster(spec, fused, valid_any), prov)
+            del trace, warped   # before the next frame's trace is computed
+        return FusionResult(Raster(spec, fused), prov)
 
     if mode != "feats":
         raise ConfigurationError(f"unknown fusion mode '{mode}'")
@@ -257,15 +265,18 @@ def fuse_teacher(current: ForwardTrace,
         raise ContractError("feats fusion needs the teacher parameters")
     acc = current.decoded_feats.values[0].copy()
     count = np.ones((spec.rows, spec.cols))
-    for fi, rel, trace in ordered:
+    folded = False
+    for fi, rel, trace in _in_frame_order(extras):
         warped = warp_raster(Raster(spec, trace.decoded_feats.values[0]),
                              rel, _IDENTITY, warp_mode)
-        acc[:, warped.valid] += warped.values[:, warped.valid]
+        acc += warped.values        # an invalid cell comes back exactly 0
         count[warped.valid] += 1.0
+        folded = True
+        del trace, warped   # before the next frame's trace is computed
+    if not folded:   # no extra frame: the current frame's own prediction
+        return FusionResult(Raster(spec, cur_probs.copy()), prov)
     feats = acc / count
-    probs = _apply_head(params, feats)
-    prov = np.full(probs.shape, current_index, dtype=np.int64)
-    return FusionResult(Raster(spec, probs), prov, feats)
+    return FusionResult(Raster(spec, _apply_head(params, feats)), prov, feats)
 
 
 # -------------------------------------------------------------- trainer ---
@@ -335,20 +346,15 @@ class Trainer:
             sel = select_fusion_frames(seq.poses, sample.frame_index,
                                        cfg.fusion_extra, cfg.fusion_max_range,
                                        stream.child("frames"))
-        # one batched teacher pass over the current and fusion frames; the
-        # teacher always sees the unaugmented observations (weak view)
-        frames = [sample] + [seq.samples[fi] for fi, _ in sel]
-        batch = np.stack([f.observation.values for f in frames])
-        bt = forward(self.teacher.params, batch, None, None, self.model_cfg)
-        # the current frame's trace outlives this call (the feature term
-        # keeps it until backward), so it is copied out of the batch, which
-        # is freed on return
-        cur = _trace_view(bt, 0, copy=True)
-        extras = [(fi, rel, _trace_view(bt, k + 1))
-                  for k, (fi, rel) in enumerate(sel)]
+        # the teacher sees the unaugmented observations (weak view), one
+        # frame per forward; the extras are computed as fusion folds them in
+        params, model_cfg = self.teacher.params, self.model_cfg
+        cur = forward(params, sample.observation, None, None, model_cfg)
+        extras = ((fi, rel, forward(params, seq.samples[fi].observation,
+                                    None, None, model_cfg))
+                  for fi, rel in sorted(sel, key=lambda e: e[0]))
         fusion = fuse_teacher(cur, extras, cfg.fusion_mode, self.dataset.spec,
-                              self.teacher.params, sample.frame_index,
-                              cfg.fusion_warp)
+                              params, sample.frame_index, cfg.fusion_warp)
         bundle = make_pseudo_labels(fusion.probs, cfg,
                                     provenance=fusion.provenance)
         return bundle, cur, fusion
@@ -361,22 +367,6 @@ class Trainer:
         if not split.labelled:
             raise ContractError("empty labelled batch")
         st = Stream(self.seed).child("train").child(step)
-        tape = Tape()
-
-        sup_terms = []
-        for b in range(self.batch_labelled):
-            sb = st.child(f"sup{b}")
-            sample = self._pick(sb.child("pick"), split.labelled)
-            view, fov, _ = strong_augment(sample.observation, self.sup_augment,
-                                          sb.child("aug"))
-            trace = forward(self.student, view, None, tape, self.model_cfg)
-            loss, _ = focal_loss(trace.probs, sample.gt.values[None],
-                                 fov.include[None], self.weights.focal_gamma,
-                                 self.weights.focal_alpha)
-            sup_terms.append(loss)
-
-        cls_terms, feat_terms = [], []
-        kept = total_cells = 0
         cfg = self.ssl_cfg
         w_cls_eff = rampup_weight(step, self.total_steps, cfg.w_cls,
                                   cfg.rampup_fraction)
@@ -384,29 +374,27 @@ class Trainer:
                                    cfg.rampup_fraction)
         use_unsup = (self.ssl and self.teacher is not None
                      and (w_cls_eff > 0.0 or w_feat_eff > 0.0))
-        if use_unsup:
-            for b in range(self.batch_unlabelled):
-                su = st.child(f"unsup{b}")
-                sample = self._pick(su.child("pick"), split.unlabelled)
-                bundle, cur_trace, fusion = self._fused_pseudo(
-                    sample, su.child("fusion"))
-                view, fov, drop = strong_augment(
-                    sample.observation, self.augment_cfg, su.child("aug"))
-                trace = forward(self.student, view, drop, tape, self.model_cfg)
-                mask = bundle.mask.intersect(fov)
-                loss, n_inc = focal_loss(trace.probs, bundle.targets[None],
-                                         mask.include[None],
-                                         self.weights.focal_gamma,
-                                         self.weights.focal_alpha)
-                cls_terms.append(loss)
-                kept += n_inc
-                total_cells += mask.include.size
-                if w_feat_eff > 0.0:
-                    feat_terms.append(self._feat_term(trace, cur_trace, fusion))
 
-        total, breakdown = total_loss(sup_terms, cls_terms, feat_terms,
-                                      w_cls_eff, w_feat_eff)
-        backward(total, self.student)
+        # One tape per sample, backpropagated as soon as its loss exists, so
+        # one sample's graph is alive at a time.  The branches run in the
+        # reverse of their order in the objective, so each parameter
+        # gradient adds its per-sample contributions in the order one tape
+        # over the whole objective would add them.
+        self.student.zero_grad()
+        n_unsup = self.batch_unlabelled if use_unsup else 0
+        unsup = [self._unsup_branch(st.child(f"unsup{b}"), w_cls_eff,
+                                    w_feat_eff)
+                 for b in reversed(range(n_unsup))][::-1]
+        sup = [self._sup_branch(st.child(f"sup{b}"))
+               for b in reversed(range(self.batch_labelled))][::-1]
+        # the objective's value, summed in its order from the branch values
+        _, breakdown = total_loss(
+            [Tensor(v) for v in sup], [Tensor(u[0]) for u in unsup],
+            [Tensor(u[1]) for u in unsup if w_feat_eff > 0.0],
+            w_cls_eff, w_feat_eff)
+        kept = sum(u[2] for u in unsup)
+        total_cells = sum(u[3] for u in unsup)
+
         if self.teacher is not None:
             for _, p in self.teacher.params.items():
                 if p.grad.any():
@@ -420,6 +408,43 @@ class Trainer:
                           breakdown["loss_cls"], breakdown["loss_feat"],
                           w_cls_eff, w_feat_eff,
                           kept / total_cells if total_cells else 0.0)
+
+    def _sup_branch(self, sb: Stream) -> float:
+        """One labelled sample's focal loss, backpropagated on its own tape;
+        returns the loss value."""
+        sample = self._pick(sb.child("pick"), self.dataset.split.labelled)
+        view, fov, _ = strong_augment(sample.observation, self.sup_augment,
+                                      sb.child("aug"))
+        trace = forward(self.student, view, None, Tape(), self.model_cfg)
+        loss, _ = focal_loss(trace.probs, sample.gt.values[None],
+                             fov.include[None], self.weights.focal_gamma,
+                             self.weights.focal_alpha)
+        if loss.tape is not None:   # untaped when every cell is masked out
+            backward(loss, self.student)
+        return loss.item()
+
+    def _unsup_branch(self, su: Stream, w_cls: float, w_feat: float,
+                      ) -> tuple[float, float, int, int]:
+        """One unlabelled sample's pseudo-label and feature terms, weighted
+        and backpropagated on their own tape.  Returns the two unweighted
+        values (the feature term 0 when it is off), the included cells and
+        the candidate cells."""
+        sample = self._pick(su.child("pick"), self.dataset.split.unlabelled)
+        bundle, cur_trace, fusion = self._fused_pseudo(sample,
+                                                       su.child("fusion"))
+        view, fov, drop = strong_augment(sample.observation, self.augment_cfg,
+                                         su.child("aug"))
+        trace = forward(self.student, view, drop, Tape(), self.model_cfg)
+        mask = bundle.mask.intersect(fov)
+        cls, n_inc = focal_loss(trace.probs, bundle.targets[None],
+                                mask.include[None], self.weights.focal_gamma,
+                                self.weights.focal_alpha)
+        feat = ([self._feat_term(trace, cur_trace, fusion)]
+                if w_feat > 0.0 else [])
+        loss, parts = total_loss([], [cls], feat, w_cls, w_feat)
+        if loss.tape is not None:   # untaped when every cell is masked out
+            backward(loss, self.student)
+        return parts["loss_cls"], parts["loss_feat"], n_inc, mask.include.size
 
     def _feat_term(self, student_trace: ForwardTrace, teacher_trace: ForwardTrace,
                    fusion: FusionResult):

@@ -158,7 +158,7 @@ def warp_raster(src: Raster, src_pose: Pose2, dst_pose: Pose2,
     sx = rel.x + c * xs - s * ys
     sy = rel.y + s * xs + c * ys
 
-    out = np.zeros_like(src.values)
+    out = np.zeros(src.values.shape)
     if mode == "nearest":
         r = np.floor((sx - spec.x_min) / spec.cell).astype(np.int64)
         q = np.floor((sy - spec.y_min) / spec.cell).astype(np.int64)
@@ -182,12 +182,19 @@ def warp_raster(src: Raster, src_pose: Pose2, dst_pose: Pose2,
     corners_valid = (src.valid[r0c, q0c] & src.valid[r0c + 1, q0c]
                      & src.valid[r0c, q0c + 1] & src.valid[r0c + 1, q0c + 1])
     valid = inb & corners_valid
-    w00 = (1 - fu) * (1 - fv)
-    w10 = fu * (1 - fv)
-    w01 = (1 - fu) * fv
-    w11 = fu * fv
-    blend = (src.values[:, r0c, q0c] * w00 + src.values[:, r0c + 1, q0c] * w10
-             + src.values[:, r0c, q0c + 1] * w01
-             + src.values[:, r0c + 1, q0c + 1] * w11)
-    out[:, valid] = blend[:, valid]
+    # blend only the cells that come back valid, by flat-index gathers; the
+    # corners are summed in place in the order w00, w10, w01, w11
+    idx = np.flatnonzero(valid)
+    fu, fv = fu.ravel()[idx], fv.ravel()[idx]
+    i00 = r0c.ravel()[idx] * spec.cols + q0c.ravel()[idx]
+    flat = src.values.reshape(src.channels, -1)
+    blend = np.take(flat, i00, axis=1)
+    blend *= (1 - fu) * (1 - fv)
+    for corner, weight in ((i00 + spec.cols, fu * (1 - fv)),
+                           (i00 + 1, (1 - fu) * fv),
+                           (i00 + spec.cols + 1, fu * fv)):
+        term = np.take(flat, corner, axis=1)
+        term *= weight
+        blend += term
+    out.reshape(src.channels, -1)[:, idx] = blend
     return Raster(spec, out, valid)

@@ -33,6 +33,35 @@ def warp_nearest_bruteforce(src: Raster, src_pose: Pose2,
     return Raster(spec, out, valid)
 
 
+def warp_bilinear_bruteforce(src: Raster, src_pose: Pose2,
+                             dst_pose: Pose2) -> Raster:
+    spec = src.spec
+    rel = relative_pose(src_pose, dst_pose)
+    c, s = math.cos(rel.yaw), math.sin(rel.yaw)
+    out = np.zeros_like(src.values)
+    valid = np.zeros((spec.rows, spec.cols), dtype=bool)
+    for r in range(spec.rows):
+        for q in range(spec.cols):
+            x = spec.x_min + (r + 0.5) * spec.cell
+            y = spec.y_min + (q + 0.5) * spec.cell
+            u = (rel.x + c * x - s * y - spec.x_min) / spec.cell - 0.5
+            v = (rel.y + s * x + c * y - spec.y_min) / spec.cell - 0.5
+            r0, q0 = math.floor(u), math.floor(v)
+            if not (0 <= r0 < spec.rows - 1 and 0 <= q0 < spec.cols - 1):
+                continue
+            if not src.valid[r0:r0 + 2, q0:q0 + 2].all():
+                continue
+            fu, fv = u - r0, v - q0
+            valid[r, q] = True
+            for ch in range(src.channels):
+                px = src.values[ch]
+                out[ch, r, q] = (px[r0, q0] * ((1 - fu) * (1 - fv))
+                                 + px[r0 + 1, q0] * (fu * (1 - fv))
+                                 + px[r0, q0 + 1] * ((1 - fu) * fv)
+                                 + px[r0 + 1, q0 + 1] * (fu * fv))
+    return Raster(spec, out, valid)
+
+
 def fuse_probs_bruteforce(spec: GridSpec, current_probs: np.ndarray,
                           current_index: int,
                           extras: list[tuple[int, Pose2, np.ndarray]],

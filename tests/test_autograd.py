@@ -143,6 +143,20 @@ def test_backward_drops_each_gradient_once_its_rule_has_run():
     assert np.allclose(ps["p"].grad, 0.9 ** 20, rtol=1e-12)
 
 
+def test_backward_adds_to_the_gradient():
+    """Gradients accumulate: two backward calls on one tape leave twice the
+    gradient of one."""
+    vals = np.array([1.0, -2.0, 0.5])
+    ps = _scalar_param(vals)
+    tape = Tape()
+    p = ps.leaf(tape, "p")
+    loss = forward_op("sum", forward_op("mul", p, p))
+    backward(loss, ps)
+    assert np.array_equal(ps["p"].grad, 2.0 * vals)
+    backward(loss, ps)
+    assert np.array_equal(ps["p"].grad, 4.0 * vals)
+
+
 def test_backward_requires_scalar_loss():
     ps = _scalar_param(np.ones(3))
     tape = Tape()
@@ -174,6 +188,14 @@ def test_gradients_match_finite_differences(kind):
         assert report.passed, (
             f"{kind} case {case}: max rel err {report.max_error:.3e}, "
             f"failures {report.failures[:3]}")
+
+
+def test_fd_check_ignores_a_stale_gradient():
+    params, f = make_case("conv2d", Stream(1000).child("conv2d"))
+    for _, p in params.items():
+        p.grad[...] = 1e3
+    report = finite_difference_check(f, params, eps=1e-5, tol=1e-4)
+    assert report.passed, report.failures[:3]
 
 
 def test_fd_check_quadratic_tight():

@@ -1,19 +1,21 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from bevssl import engine
-from bevssl.augment import AugmentConfig
-from bevssl.autograd import Tensor
-from bevssl.engine import (OptimConfig, SslConfig, TeacherState,
+from bevssl.augment import AugmentConfig, strong_augment
+from bevssl.autograd import Tape, Tensor, backward, optimizer_step
+from bevssl.engine import (OptimConfig, SslConfig, StepReport, TeacherState,
                            Trainer, draw_fusion_distance, ema_update,
                            fuse_teacher, make_pseudo_labels, prob_logit,
                            select_fusion_frames, sharpen,
                            trajectory_distances)
 from bevssl.errors import ConfigurationError, ContractError
 from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
-from bevssl.losses import LossWeights
+from bevssl.losses import LossWeights, focal_loss, rampup_weight, total_loss
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 from bevssl.world import CITY_A, Sample, build_dataset
@@ -21,6 +23,8 @@ from bevssl.world import CITY_A, Sample, build_dataset
 from helpers_geo import fuse_probs_bruteforce, random_pose, random_prob_raster
 
 TINY = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
+TRACE_FIELDS = ("encoder_feats", "bev_feats", "decoded_feats", "logits",
+                "probs")
 
 
 def _param_sets(seed=1):
@@ -346,8 +350,9 @@ def _tiny_dataset(seed=11):
                          val_worlds=1, test_worlds=2)
 
 
-def _mk_trainer(ds, ssl=True, seed=21, ssl_cfg=None, total=50, **kw):
-    return Trainer(ds, TINY, LossWeights(), AugmentConfig(),
+def _mk_trainer(ds, ssl=True, seed=21, ssl_cfg=None, total=50, cls=Trainer,
+                **kw):
+    return cls(ds, TINY, LossWeights(), AugmentConfig(),
                    ssl_cfg or SslConfig(), OptimConfig(), seed=seed,
                    total_steps=total, ssl=ssl, **kw)
 
@@ -427,28 +432,259 @@ def test_trainer_teacher_tracks_student_ema():
     assert np.allclose(tr.teacher.params[name].values, expect, atol=1e-12)
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns the buffer under `a`."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _held_bytes(arrays) -> int:
+    """Bytes of the distinct buffers under `arrays`."""
+    return sum({id(r): r.nbytes for r in map(_root, arrays)}.values())
+
+
 def test_fused_pseudo_current_trace_owns_one_frame(monkeypatch):
-    """The current frame's teacher trace is copied out of the batched
-    teacher pass, so holding it does not keep the batch alive."""
+    """One teacher forward per frame, the current frame first.  The extras
+    are computed as fusion folds them in, and each is dropped once folded:
+    with six extras, no earlier extra frame's trace is alive when the next
+    one is computed."""
     ds = _tiny_dataset()
-    tr = _mk_trainer(ds)
-    batches = []
+    tr = _mk_trainer(ds, ssl_cfg=SslConfig(fusion_mode="feats", fusion_extra=6,
+                                           fusion_warp="bilinear"))
+    seen, alive_before, buffers = [], [], []
 
     def spy(params, obs, *args):
-        batches.append(np.shape(obs)[0])
-        return forward(params, obs, *args)
+        seen.append(obs)
+        alive_before.append(sum(any(r() is not None for r in refs)
+                                for refs in buffers[1:]))
+        trace = forward(params, obs, *args)
+        buffers.append([weakref.ref(_root(getattr(trace, f).values))
+                        for f in TRACE_FIELDS])
+        return trace
 
     monkeypatch.setattr(engine, "forward", spy)
     sample = ds.sequences[ds.split.unlabelled[0]].samples[2]
     _, cur, _ = tr._fused_pseudo(sample, Stream(3).child("fusion"))
-    assert batches == [1 + SslConfig().fusion_extra]
+    assert len(seen) == 1 + 6
+    assert np.array_equal(seen[0].values, sample.observation.values)
+    assert all(obs.values.ndim == 3 for obs in seen)
+    assert alive_before == [0] * 7
+    assert not any(r() is not None for refs in buffers[1:] for r in refs)
     solo = forward(tr.teacher.params, sample.observation, None, None, TINY)
-    for field in ("encoder_feats", "bev_feats", "decoded_feats", "logits",
-                  "probs"):
-        got, want = getattr(cur, field).values, getattr(solo, field).values
-        assert got.base is None, field
-        assert got.shape == want.shape and got.shape[0] == 1, field
-        assert np.allclose(got, want, rtol=0, atol=1e-12), field
+    for field in TRACE_FIELDS:
+        assert np.array_equal(getattr(cur, field).values,
+                              getattr(solo, field).values), field
+
+
+def test_fusion_feats_matches_masked_accumulation():
+    """feats fusion adds every warped map whole: an invalid warped cell is
+    exactly 0, so the sum equals adding the valid cells alone, bit for bit."""
+    spec = GridSpec(-4.0, 4.0, -4.0, 4.0, 0.5)
+    params = init_params(TINY, 4)
+    for case in range(10):
+        st = Stream(7000 + case)
+        maps = [st.uniforms(6 * 16 * 16).reshape(1, 6, 16, 16)
+                for _ in range(3)]
+        poses = [random_pose(st, span=3.0) for _ in range(2)]
+        traces = [ForwardTrace(None, None, Tensor(m), None,
+                               Tensor(np.full((1, 3, 16, 16), 0.5)))
+                  for m in maps]
+        got = fuse_teacher(traces[0], [(1, poses[0], traces[1]),
+                                       (2, poses[1], traces[2])],
+                           "feats", spec, params, 0, "bilinear")
+        acc, count = maps[0][0].copy(), np.ones((16, 16))
+        for m, pose in zip(maps[1:], poses):
+            w = warp_raster(Raster(spec, m[0]), pose, Pose2(), "bilinear")
+            acc[:, w.valid] += w.values[:, w.valid]
+            count[w.valid] += 1.0
+        assert count.max() > 1.0
+        assert np.array_equal(got.fused_feats, acc / count), case
+
+
+def test_fusion_rejects_frames_out_of_order():
+    spec = GridSpec(0, 1, 0, 1, 1.0)
+    trace = _trace_from_probs(np.full((3, 1, 1), 0.6))
+    with pytest.raises(ContractError, match="frame index"):
+        fuse_teacher(trace, [(2, Pose2(), trace), (1, Pose2(), trace)],
+                     "probs", spec)
+
+
+# -------------------------------------- reference: one tape over the step --
+# The training step as it was before each sample got a tape of its own: one
+# batched teacher pass over the current and fusion frames, every sample on
+# one tape, one backward.  The per-sample step must reproduce it bit for bit.
+
+def _ref_trace_view(trace: ForwardTrace, k: int,
+                    copy: bool = False) -> ForwardTrace:
+    def pick(t: Tensor) -> Tensor:
+        v = t.values[k:k + 1]
+        return Tensor(v.copy() if copy else v)
+    return ForwardTrace(*(pick(getattr(trace, f)) for f in TRACE_FIELDS))
+
+
+class _OneTapeTrainer(Trainer):
+    def _fused_pseudo(self, sample, stream):
+        cfg = self.ssl_cfg
+        seq = self.dataset.sequences[sample.sequence_id]
+        sel = []
+        if cfg.fusion_mode != "none" and cfg.fusion_extra > 0:
+            sel = select_fusion_frames(seq.poses, sample.frame_index,
+                                       cfg.fusion_extra, cfg.fusion_max_range,
+                                       stream.child("frames"))
+        frames = [sample] + [seq.samples[fi] for fi, _ in sel]
+        batch = np.stack([f.observation.values for f in frames])
+        bt = forward(self.teacher.params, batch, None, None, self.model_cfg)
+        cur = _ref_trace_view(bt, 0, copy=True)
+        extras = sorted(((fi, rel, _ref_trace_view(bt, k + 1))
+                         for k, (fi, rel) in enumerate(sel)),
+                        key=lambda e: e[0])
+        fusion = fuse_teacher(cur, extras, cfg.fusion_mode, self.dataset.spec,
+                              self.teacher.params, sample.frame_index,
+                              cfg.fusion_warp)
+        bundle = make_pseudo_labels(fusion.probs, cfg,
+                                    provenance=fusion.provenance)
+        return bundle, cur, fusion
+
+    def train_step(self):
+        step = self.step_count
+        split = self.dataset.split
+        st = Stream(self.seed).child("train").child(step)
+        tape = Tape()
+        sup_terms = []
+        for b in range(self.batch_labelled):
+            sb = st.child(f"sup{b}")
+            sample = self._pick(sb.child("pick"), split.labelled)
+            view, fov, _ = strong_augment(sample.observation, self.sup_augment,
+                                          sb.child("aug"))
+            trace = forward(self.student, view, None, tape, self.model_cfg)
+            loss, _ = focal_loss(trace.probs, sample.gt.values[None],
+                                 fov.include[None], self.weights.focal_gamma,
+                                 self.weights.focal_alpha)
+            sup_terms.append(loss)
+        cls_terms, feat_terms = [], []
+        kept = total_cells = 0
+        cfg = self.ssl_cfg
+        w_cls = rampup_weight(step, self.total_steps, cfg.w_cls,
+                              cfg.rampup_fraction)
+        w_feat = rampup_weight(step, self.total_steps, cfg.w_feat,
+                               cfg.rampup_fraction)
+        if self.ssl and (w_cls > 0.0 or w_feat > 0.0):
+            for b in range(self.batch_unlabelled):
+                su = st.child(f"unsup{b}")
+                sample = self._pick(su.child("pick"), split.unlabelled)
+                bundle, cur_trace, fusion = self._fused_pseudo(
+                    sample, su.child("fusion"))
+                view, fov, drop = strong_augment(
+                    sample.observation, self.augment_cfg, su.child("aug"))
+                trace = forward(self.student, view, drop, tape, self.model_cfg)
+                mask = bundle.mask.intersect(fov)
+                loss, n_inc = focal_loss(trace.probs, bundle.targets[None],
+                                         mask.include[None],
+                                         self.weights.focal_gamma,
+                                         self.weights.focal_alpha)
+                cls_terms.append(loss)
+                kept += n_inc
+                total_cells += mask.include.size
+                if w_feat > 0.0:
+                    feat_terms.append(self._feat_term(trace, cur_trace, fusion))
+        total, parts = total_loss(sup_terms, cls_terms, feat_terms, w_cls,
+                                  w_feat)
+        self.student.zero_grad()
+        backward(total, self.student)
+        optimizer_step(self.student, self.optim.lr, self.optim.wd,
+                       self.optim.betas, step + 1)
+        ema_update(self.teacher, self.student)
+        self.step_count += 1
+        return StepReport(step, parts["loss_total"], parts["loss_sup"],
+                          parts["loss_cls"], parts["loss_feat"], w_cls, w_feat,
+                          kept / total_cells if total_cells else 0.0)
+
+
+# (ssl overrides, batch_labelled, batch_unlabelled)
+_STEP_CASES = {
+    "fusion-none": (dict(fusion_mode="none"), 1, 1),
+    "probs-nearest-mse-early": (dict(threshold=None, feat_mode="mse",
+                                     feat_level="early"), 2, 2),
+    "probs-bilinear-early": (dict(fusion_warp="bilinear",
+                                  feat_level="early"), 3, 1),
+    "feats-nearest-mse": (dict(fusion_mode="feats", feat_mode="mse"), 1, 2),
+    "feats-bilinear-6": (dict(fusion_mode="feats", fusion_warp="bilinear",
+                              fusion_extra=6, threshold=None), 2, 1),
+    "untaped-branch": (dict(threshold=0.999, w_feat=0.0), 1, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_STEP_CASES))
+def test_step_matches_one_tape_reference(case):
+    overrides, n_lab, n_unl = _STEP_CASES[case]
+    ds = _tiny_dataset()
+    kw = dict(ssl_cfg=SslConfig(**overrides), total=12,
+              batch_labelled=n_lab, batch_unlabelled=n_unl)
+    new = _mk_trainer(ds, **kw)
+    ref = _mk_trainer(ds, cls=_OneTapeTrainer, **kw)
+    reports = [new.train_step() for _ in range(8)]
+    assert reports == [ref.train_step() for _ in range(8)]
+    assert reports[-1].w_cls == 1.0  # every branch ran at full weight
+    if case == "untaped-branch":
+        # every cell masked out: the branch's loss is an untaped constant
+        assert reports[-1].loss_cls == 0.0 == reports[-1].loss_feat
+    for got, want in ((new.student, ref.student),
+                      (new.teacher.params, ref.teacher.params)):
+        for name, p in got.items():
+            q = want[name]
+            assert np.array_equal(p.values, q.values), name
+            assert np.array_equal(p.m, q.m), name
+            assert np.array_equal(p.v, q.v), name
+
+
+def test_teacher_gradient_is_rejected(monkeypatch):
+    """A backward that lands in the teacher's parameters fails the step."""
+    ds = _tiny_dataset()
+    tr = _mk_trainer(ds, total=12)
+    tr.train_step()
+    monkeypatch.setattr(engine, "backward",
+                        lambda loss, params: backward(loss, tr.teacher.params))
+    with pytest.raises(ContractError, match="teacher received gradient"):
+        tr.train_step()
+
+
+# ------------------------------------------------------------ step memory --
+
+def _step_peak(tr: Trainer) -> int:
+    """tracemalloc peak of one training step after four warm-up steps."""
+    for _ in range(4):
+        tr.train_step()
+    tracemalloc.start()
+    try:
+        tr.train_step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_peak_holds_one_extra_teacher_frame():
+    ds = _tiny_dataset()
+    peaks = {n: _step_peak(_mk_trainer(
+        ds, total=12, ssl_cfg=SslConfig(fusion_mode="feats", fusion_extra=n,
+                                        fusion_warp="bilinear")))
+        for n in (0, 6)}
+    obs = ds.sequences[ds.split.unlabelled[0]].samples[0].observation
+    trace = forward(init_params(TINY, 1), obs, None, None, TINY)
+    frame = _held_bytes(getattr(trace, f).values for f in TRACE_FIELDS)
+    assert peaks[6] - peaks[0] < frame, (peaks, frame)
+
+
+def test_step_peak_holds_one_sample_graph():
+    ds = _tiny_dataset()
+    peaks = {b: _step_peak(_mk_trainer(ds, total=12, batch_labelled=b))
+             for b in (1, 3)}
+    sample = ds.sequences[ds.split.labelled[0]].samples[0]
+    tape = Tape()
+    trace = forward(init_params(TINY, 1), sample.observation, None, tape, TINY)
+    focal_loss(trace.probs, sample.gt.values[None], np.ones((1, 3, 96, 32)))
+    graph = _held_bytes(node.values for node in tape.nodes)
+    assert peaks[3] - peaks[1] < graph, (peaks, graph)
 
 
 class _BlindSample(Sample):

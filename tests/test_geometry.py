@@ -11,7 +11,8 @@ from bevssl.geometry import (GridSpec, PAPER_GRID, Pose2, Raster, SMALL_GRID,
                              relative_pose, warp_raster)
 from bevssl.rng import Stream
 
-from helpers_geo import random_pose, random_prob_raster, warp_nearest_bruteforce
+from helpers_geo import (random_pose, random_prob_raster,
+                         warp_bilinear_bruteforce, warp_nearest_bruteforce)
 
 finite_coord = st.floats(-100.0, 100.0)
 any_angle = st.floats(-10.0, 10.0)
@@ -201,6 +202,20 @@ def test_warp_bilinear_identity_interior_and_blend():
     r, q = 5, 5
     expect = 0.5 * (src.values[:, r, q] + src.values[:, r + 1, q])
     assert np.allclose(half.values[:, r, q], expect, atol=1e-12)
+
+
+def test_warp_bilinear_matches_bruteforce():
+    spec = _small16()
+    for case in range(40):
+        st = Stream(9000 + case)
+        src = random_prob_raster(st, spec, channels=5)
+        src.valid[st.uniforms(256).reshape(16, 16) < 0.1] = False
+        a, b = random_pose(st, span=3.0), random_pose(st, span=3.0)
+        fast = warp_raster(src, a, b, "bilinear")
+        slow = warp_bilinear_bruteforce(src, a, b)
+        assert fast.valid.any(), case
+        assert np.array_equal(fast.valid, slow.valid), case
+        assert np.array_equal(fast.values, slow.values), case
 
 
 def test_warp_rejects_unknown_mode():

@@ -75,6 +75,21 @@ def test_forward_deterministic():
     assert np.array_equal(t1.decoded_feats.values, t2.decoded_feats.values)
 
 
+def test_batched_forward_equals_one_frame_forwards_bitwise():
+    """The teacher runs one frame per forward; each frame's trace is the one
+    a batched pass would give, bit for bit (default model, small grid)."""
+    cfg = ModelConfig()
+    params = init_params(cfg, 3)
+    obs = Stream(7).uniforms(7 * 5 * 96 * 32).reshape(7, 5, 96, 32)
+    batch = forward(params, obs, None, None, cfg)
+    for k in range(7):
+        one = forward(params, obs[k], None, None, cfg)
+        for field in ("encoder_feats", "bev_feats", "decoded_feats",
+                      "logits", "probs"):
+            assert np.array_equal(getattr(one, field).values[0],
+                                  getattr(batch, field).values[k]), (k, field)
+
+
 def test_full_drop_mask_gives_spatially_constant_output():
     params = init_params(TINY, 6)
     obs = _obs(Stream(5))

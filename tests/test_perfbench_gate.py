@@ -1,7 +1,9 @@
 """The benchmark's loss reference gate, run as a test: numerical drift in a
 rewrite of the model or the trainer fails here, not only in the benchmark.
-Also the benchmark's trainer held to a warm heap, where steady steps take no
-page faults, and to a conv workspace no larger than its band budget."""
+Also a short traced run, so a signature the tracer's wrappers no longer fit
+fails here too; and the benchmark's trainer held to a warm heap, where
+steady steps take no page faults, and to a conv workspace no larger than its
+band budget."""
 
 import os
 import platform
@@ -16,6 +18,7 @@ from bevssl import autograd, bench
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -28,6 +31,16 @@ def test_reference_losses_match(name):
     workloads.reference_gate(trainer, wl, checks)
     assert checks.attempted == len(wl.ref_losses) + 1
     assert checks.failed == 0, checks.errors
+
+
+def test_traced_run_completes():
+    """The tracer wraps engine functions by their positional signatures."""
+    tracer = spans.Tracer()
+    res = workloads.run_workload("fusion_feats6_small", 1, 1, tracer)
+    assert res["failed"] == 0, res["errors"]
+    metrics = tracer.metrics(res["step_ms"], res["traced_step_ms"])
+    assert metrics["trace.steps_traced"]["value"] >= 1
+    assert metrics["engine.teacher_frames_per_step"]["value"] == 7
 
 
 def test_conv_workspace_stays_within_the_band_budget(monkeypatch):
@@ -45,10 +58,10 @@ def test_conv_workspace_stays_within_the_band_budget(monkeypatch):
 
 
 _FAULTS_PER_STEP = """
-import resource, statistics
+import resource, statistics, sys
 import workloads
 from bevssl import bench
-wl = workloads.WORKLOADS["ssl_small"]
+wl = workloads.WORKLOADS[sys.argv[1]]
 trainer = workloads.build_trainer(bench.config_from_dict(wl.config),
                                   workloads.REFERENCE_SEED)
 for _ in range(3):
@@ -65,11 +78,12 @@ print(statistics.median(faults))
 @pytest.mark.skipif(not sys.platform.startswith("linux")
                     or platform.libc_ver()[0] != "glibc",
                     reason="the warm heap is a glibc malloc property")
-def test_steady_training_step_takes_no_page_faults():
+@pytest.mark.parametrize("name", ["ssl_small", "fusion_feats6_small"])
+def test_steady_training_step_takes_no_page_faults(name):
     # a fresh process: this one's heap depends on the tests run before
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench"),
                             os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP],
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP, name],
                          env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=300,
                          check=True)
