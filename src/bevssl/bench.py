@@ -1,10 +1,10 @@
 """Metrics, the experiment harness, and file outputs.
 
 A scenario expands into (variant, seed) runs; each run generates its data,
-trains, selects the best-on-validation checkpoint, and evaluates it on the
-held-out test split.  Runs are independent and may execute in worker
-processes; the results table is assembled in canonical order so output
-bytes do not depend on scheduling.
+trains, selects the best-on-validation checkpoint, evaluates it on the
+held-out test split, and writes its own files.  Runs are independent and may
+execute in worker processes; the results table is assembled in canonical
+order so output bytes do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .augment import AugmentConfig
 from .autograd import ParamSet, load_checkpoint, save_checkpoint
-from .engine import OptimConfig, SslConfig, Trainer
+from .engine import OptimConfig, SslConfig, StepReport, Trainer
 from .errors import ConfigurationError
 from .geometry import GRID_PRESETS
 from .losses import LossWeights
@@ -307,6 +307,9 @@ def load_config(path) -> ScenarioConfig:
     except ValueError as exc:   # not UTF-8, or not JSON
         raise ConfigurationError(f"the config {path!s} must be a JSON object "
                                  f"in UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError(
+            f"the config {path!s} nests too deeply to parse") from exc
     return config_from_dict(data)
 
 
@@ -336,15 +339,14 @@ class RunSpec:
 
 @dataclass
 class RunResult:
+    """A run's metrics; its checkpoint, train log and previews are files."""
     scenario: str
     variant: str
     seed: int
-    best_step: int
-    val: Metrics | None
-    test: Metrics | None
-    train_log: list[dict]
-    checkpoint: dict
-    preview: dict
+    best_step: int = 0
+    val: Metrics | None = None
+    test: Metrics | None = None
+    last_losses: tuple[float, ...] = ()   # loss_sup, loss_cls, loss_feat
     error: str | None = None
 
 
@@ -416,8 +418,9 @@ def _adapt_split(spec: RunSpec, data_seed: int) -> DatasetSplit:
         label_utilisation=1.0)
 
 
-def run_one(spec: RunSpec) -> RunResult:
-    """Generate data, train, pick best-on-validation, evaluate on test."""
+def run_one(spec: RunSpec, out) -> RunResult:
+    """Generate data, train, pick best-on-validation, evaluate on test, and
+    write the run's checkpoint, train log and previews into `out`."""
     cfg = spec.cfg
     t = cfg.train
     dataset = _build_run_dataset(spec)
@@ -443,66 +446,64 @@ def run_one(spec: RunSpec) -> RunResult:
             return trainer.teacher.params
         return trainer.student
 
-    best_vals: dict | None = None
+    best: ParamSet | None = None
     best_m: Metrics | None = None
-    train_log: list[dict] = []
+    log = [",".join([*(f.name for f in fields(StepReport)), "val_miou"])]
     for step in range(t.total_steps):
-        row = {**asdict(trainer.train_step()), "val_miou": ""}
+        report = trainer.train_step()
+        val_miou = ""
         if (step + 1) % t.eval_every == 0 or step + 1 == t.total_steps:
             m = evaluate_pairs(predict_split(eval_params(), dataset,
                                              dataset.split.val, cfg.model),
                                "val", step + 1)
-            row["val_miou"] = m.miou
+            val_miou = _fmt(m.miou)
             if best_m is None or m.miou > best_m.miou:
-                best_m = m
-                best_vals = eval_params().values_dict()
-        train_log.append(row)
-
-    best_params = init_params(cfg.model, 0)
-    best_params.load_values(best_vals)
-    test_m = evaluate_pairs(predict_split(best_params, dataset,
-                                          dataset.split.test, cfg.model),
-                            "test", best_m.step)
-
-    checkpoint = {f"student.{k}": v for k, v in
-                  trainer.student.values_dict().items()}
-    if trainer.teacher is not None:
-        checkpoint.update({f"teacher.{k}": v for k, v in
-                           trainer.teacher.params.values_dict().items()})
-    checkpoint.update({f"best.{k}": v for k, v in best_vals.items()})
-
+                best_m, best = m, eval_params().copy()
+        log.append(",".join([*map(_log_cell, astuple(report)), val_miou]))
+    test_m = evaluate_pairs(predict_split(best, dataset, dataset.split.test,
+                                          cfg.model), "test", best_m.step)
     # the first test frame, predicted again: each read of a frame's GT is a
     # fresh array, so holding every test pair until here would hold a copy
     # of every test GT
-    pred, gt = next(predict_split(best_params, dataset, dataset.split.test[:1],
+    pred, gt = next(predict_split(best, dataset, dataset.split.test[:1],
                                   cfg.model))
-    preview = {"pred": pred.copy(), "gt": gt}
+
+    out, tag = Path(out), f"{_safe(spec.variant.name)}_s{spec.seed}"
+    checkpoint = {f"student.{k}": p.values for k, p in trainer.student.items()}
+    if trainer.teacher is not None:
+        checkpoint.update({f"teacher.{k}": p.values
+                           for k, p in trainer.teacher.params.items()})
+    checkpoint.update({f"best.{k}": p.values for k, p in best.items()})
+    save_checkpoint(out / f"run_{tag}.ckpt", checkpoint)
+    (out / f"train_log_{tag}.csv").write_text("\n".join(log) + "\n")
+    export_raster_images(out, f"pred_{tag}", pred)
+    export_raster_images(out, f"gt_{tag}", gt)
     return RunResult(spec.scenario, spec.variant.name, spec.seed, best_m.step,
-                     best_m, test_m, train_log, checkpoint, preview)
+                     best_m, test_m, (report.loss_sup, report.loss_cls,
+                                      report.loss_feat))
 
 
-def _failed_run(spec: RunSpec, error: str) -> RunResult:
-    return RunResult(spec.scenario, spec.variant.name, spec.seed, 0, None,
-                     None, [], {}, {}, error=error)
-
-
-def _run_one_safe(spec: RunSpec) -> RunResult:
+def _run_one_safe(spec: RunSpec, out) -> RunResult:
     try:
-        return run_one(spec)
+        return run_one(spec, out)
     except Exception:
-        return _failed_run(spec, traceback.format_exc(limit=10))
+        return RunResult(spec.scenario, spec.variant.name, spec.seed,
+                         error=traceback.format_exc(limit=10))
 
 
-def _worker_result(future, spec: RunSpec, retry: bool = True) -> RunResult:
+def _worker_result(future, spec: RunSpec, out, retry: bool = True,
+                   ) -> RunResult:
     """The run's result.  A dying worker breaks the whole pool, so each run
     cut off runs once more alone; it fails only if that worker dies too."""
     try:
         return future.result()
     except BrokenProcessPool as exc:
         if not retry:
-            return _failed_run(spec, f"worker process died: {exc}")
+            return RunResult(spec.scenario, spec.variant.name, spec.seed,
+                             error=f"worker process died: {exc}")
     with ProcessPoolExecutor(1, mp_context=_FORK) as pool:
-        return _worker_result(pool.submit(_run_one_safe, spec), spec, False)
+        return _worker_result(pool.submit(_run_one_safe, spec, out), spec,
+                              out, False)
 
 
 # ------------------------------------------------------- scenario variants --
@@ -608,32 +609,8 @@ def scenario_variants(cfg: ScenarioConfig) -> list[Variant]:
 
 @dataclass
 class ResultsTable:
-    scenario: str
     results: list[RunResult]
     aggregates: list[dict]
-
-    def csv_rows(self) -> list[str]:
-        rows = [METRICS_HEADER]
-        for r in self.results:
-            if r.error is not None:
-                continue
-            last = r.train_log[-1]
-            for metrics in (r.val, r.test):
-                for c, name in enumerate(CLASS_NAMES):
-                    iou = metrics.per_class[c]
-                    rows.append(",".join([
-                        r.scenario, r.variant, str(r.seed), str(r.best_step),
-                        metrics.split, name,
-                        _fmt(iou) if iou is not None else "", "", "", "", ""]))
-                rows.append(",".join([
-                    r.scenario, r.variant, str(r.seed), str(r.best_step),
-                    metrics.split, "all", "", _fmt(metrics.miou),
-                    _fmt(last["loss_sup"]), _fmt(last["loss_cls"]),
-                    _fmt(last["loss_feat"])]))
-        return rows
-
-    def csv_text(self) -> str:
-        return "\n".join(self.csv_rows()) + "\n"
 
     @property
     def errors(self) -> list[RunResult]:
@@ -645,11 +622,25 @@ def _fmt(x: float) -> str:
 
 
 def _log_cell(value) -> str:
-    """Train-log cell: the step as an integer, floats round-tripping, and
-    an empty cell where no validation ran."""
-    if isinstance(value, int) or value == "":
-        return str(value)
-    return _fmt(value)
+    """Train-log cell: the step as an integer, floats round-tripping."""
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
+def _metrics_csv(results: list[RunResult]) -> str:
+    rows = [METRICS_HEADER]
+    for r in results:
+        if r.error is not None:
+            continue
+        for metrics in (r.val, r.test):
+            run = [r.scenario, r.variant, str(r.seed), str(r.best_step),
+                   metrics.split]
+            for c, name in enumerate(CLASS_NAMES):
+                iou = metrics.per_class[c]
+                rows.append(",".join([*run, name, "" if iou is None
+                                      else _fmt(iou), "", "", "", ""]))
+            rows.append(",".join([*run, "all", "", _fmt(metrics.miou),
+                                  *map(_fmt, r.last_losses)]))
+    return "\n".join(rows) + "\n"
 
 
 def expand_runs(cfg: ScenarioConfig) -> list[RunSpec]:
@@ -657,17 +648,24 @@ def expand_runs(cfg: ScenarioConfig) -> list[RunSpec]:
             for v in scenario_variants(cfg) for seed in cfg.eval.seeds]
 
 
-def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> ResultsTable:
+def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1,
+                 ) -> ResultsTable:
+    """Run every run of `cfg` into `out_dir`.  Each run writes its own files
+    as it ends; `metrics.csv`, `aggregates.json` and `errors.txt` follow the
+    last run, in canonical order whatever the scheduling."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config_echo.json").write_text(canonical_json(cfg.to_dict()))
     specs = expand_runs(cfg)
     # seed-major, so that runs sharing a dataset run back to back
     todo = sorted(specs, key=lambda s: s.seed)
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(min(workers, len(todo)),
                                  mp_context=_FORK) as pool:
-            futures = [pool.submit(_run_one_safe, s) for s in todo]
-        results = [_worker_result(f, s) for f, s in zip(futures, todo)]
+            futures = [pool.submit(_run_one_safe, s, out) for s in todo]
+        results = [_worker_result(f, s, out) for f, s in zip(futures, todo)]
     else:
-        results = [_run_one_safe(s) for s in todo]
+        results = [_run_one_safe(s, out) for s in todo]
 
     order = {(s.variant.name, s.seed): i for i, s in enumerate(specs)}
     results.sort(key=lambda r: order[(r.variant, r.seed)])
@@ -682,7 +680,14 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1) -> ResultsTable:
                 "mean_miou": float(np.mean(mious)),
                 "std_miou": float(np.std(mious)),
                 "median_miou": float(np.median(mious))})
-    return ResultsTable(cfg.name, results, aggregates)
+    table = ResultsTable(results, aggregates)
+    (out / "metrics.csv").write_text(_metrics_csv(results))
+    (out / "aggregates.json").write_text(canonical_json(
+        {"scenario": cfg.name, "aggregates": aggregates}))
+    if table.errors:
+        (out / "errors.txt").write_text("\n\n".join(
+            f"{r.variant} seed={r.seed}\n{r.error}" for r in table.errors))
+    return table
 
 
 # --------------------------------------------------------------- artifacts --
@@ -710,29 +715,6 @@ def export_raster_images(out_dir: Path, name: str, values: np.ndarray) -> None:
         write_pgm(out_dir / f"{name}_ch{c}.pgm", values[c])
     if values.shape[0] >= 3:
         write_ppm(out_dir / f"{name}_rgb.ppm", values[:3])
-
-
-def export_artifacts(table: ResultsTable, cfg: ScenarioConfig, out_dir) -> None:
-    """Metrics CSV, canonical config echo, checkpoints, logs, and images."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(table.csv_text())
-    (out / "config_echo.json").write_text(canonical_json(cfg.to_dict()))
-    (out / "aggregates.json").write_text(canonical_json(
-        {"scenario": table.scenario, "aggregates": table.aggregates}))
-    if table.errors:
-        (out / "errors.txt").write_text("\n\n".join(
-            f"{r.variant} seed={r.seed}\n{r.error}" for r in table.errors))
-    for r in table.results:
-        if r.error is not None:
-            continue
-        tag = f"{_safe(r.variant)}_s{r.seed}"
-        save_checkpoint(out / f"run_{tag}.ckpt", r.checkpoint)
-        lines = [",".join(r.train_log[0])]
-        lines += [",".join(map(_log_cell, row.values())) for row in r.train_log]
-        (out / f"train_log_{tag}.csv").write_text("\n".join(lines) + "\n")
-        export_raster_images(out, f"pred_{tag}", r.preview["pred"])
-        export_raster_images(out, f"gt_{tag}", r.preview["gt"])
 
 
 def _safe(name: str) -> str:

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from . import bench
 from .bench import (ScenarioConfig, canonical_json, check_config,
-                    evaluate_pairs, export_artifacts, load_checkpoint_params,
-                    load_config, run_scenario)
+                    evaluate_pairs, load_checkpoint_params, load_config,
+                    run_scenario)
 from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import GRID_PRESETS
 from .world import STYLE_PRESETS, generate_world, read_raster
@@ -99,9 +99,8 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
-def _run_and_export(cfg: ScenarioConfig, args) -> int:
-    table = run_scenario(cfg, workers=max(1, args.threads))
-    export_artifacts(table, cfg, args.out)
+def _run(cfg: ScenarioConfig, args) -> int:
+    table = run_scenario(cfg, args.out, workers=max(1, args.threads))
     for agg in table.aggregates:
         print(f"{agg['variant']}: mIoU {agg['mean_miou']:.4f} "
               f"+- {agg['std_miou']:.4f} (n={agg['n']})")
@@ -113,17 +112,16 @@ def _run_and_export(cfg: ScenarioConfig, args) -> int:
 
 
 def cmd_train(args) -> int:
-    return _run_and_export(_load(args), args)
+    return _run(_load(args), args)
 
 
 def cmd_ablate(args) -> int:
     cfg = _load(args, kind=args.scenario)
-    return _run_and_export(
-        replace(cfg, name=f"{cfg.name}-{args.scenario}"), args)
+    return _run(replace(cfg, name=f"{cfg.name}-{args.scenario}"), args)
 
 
 def cmd_adapt(args) -> int:
-    return _run_and_export(_load(args, kind="city-adapt"), args)
+    return _run(_load(args, kind="city-adapt"), args)
 
 
 def cmd_eval(args) -> int:

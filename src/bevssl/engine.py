@@ -374,6 +374,8 @@ class Trainer:
                                    cfg.rampup_fraction)
         use_unsup = (self.ssl and self.teacher is not None
                      and (w_cls_eff > 0.0 or w_feat_eff > 0.0))
+        if not use_unsup:   # no unsupervised branch applies a ramp weight
+            w_cls_eff = w_feat_eff = 0.0
 
         # One tape per sample, backpropagated as soon as its loss exists, so
         # one sample's graph is alive at a time.  The branches run in the

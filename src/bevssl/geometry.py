@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError
 
 
 def normalize_angle(a: float) -> float:
@@ -87,12 +87,6 @@ class GridSpec:
     @property
     def cols(self) -> int:
         return round((self.y_max - self.y_min) / self.cell)
-
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ContractError(f"cell ({row}, {col}) outside {self.rows}x{self.cols}")
-        return (self.x_min + (row + 0.5) * self.cell,
-                self.y_min + (col + 0.5) * self.cell)
 
     def centers(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrids (rows x cols) of cell-center coordinates."""

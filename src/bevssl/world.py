@@ -631,11 +631,6 @@ def _range_norm(spec: GridSpec) -> np.ndarray:
     return _read_only(np.hypot(xs, ys) / _corner_distance(spec))
 
 
-def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
-    """Clean per-class evidence: blurred ground truth at class amplitude."""
-    return _GAIN_PLANES * blur3(gt_values[:N_CLASSES])
-
-
 def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
                        calibration: Calibration | None = None) -> Raster:
     """Noisy 5-channel observation of a frame, on its ground truth's grid."""

@@ -12,12 +12,11 @@ from bevssl import bench
 from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           _pseudo_for, _weights_for, canonical_json,
                           config_from_dict, evaluate_pairs, expand_runs,
-                          export_artifacts, load_checkpoint_params, run_one,
-                          run_scenario, scenario_variants, write_pgm,
-                          write_ppm)
+                          load_checkpoint_params, run_one, run_scenario,
+                          scenario_variants, write_pgm, write_ppm)
 from bevssl.bench import RunSpec, Variant
 from bevssl.engine import OptimConfig, SslConfig
-from bevssl.errors import ConfigurationError
+from bevssl.errors import ConfigurationError, NumericError
 from bevssl.losses import LossWeights
 from bevssl.model import ModelConfig
 from bevssl.rng import Stream
@@ -254,27 +253,45 @@ def best_validation_step(train_log: list[dict]) -> tuple[int, float]:
     return best_step, best
 
 
+def read_train_log(path) -> list[dict]:
+    header, *rows = path.read_text().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def run_files(tag: str) -> set[str]:
+    """The files one run writes, by its tag `<variant>_s<seed>`."""
+    previews = {f"{kind}_{tag}_{ch}.{ext}" for kind in ("pred", "gt")
+                for ch, ext in (("ch0", "pgm"), ("ch1", "pgm"), ("ch2", "pgm"),
+                                ("rgb", "ppm"))}
+    return {f"run_{tag}.ckpt", f"train_log_{tag}.csv", *previews}
+
+
 def test_run_one_and_best_selection(tmp_path):
     cfg = tiny_config()
     spec = expand_runs(cfg)[0]
-    res = run_one(spec)
+    res = run_one(spec, tmp_path)
     assert res.error is None
     assert res.val is not None and res.test is not None
+    assert {p.name for p in tmp_path.iterdir()} == run_files("ssl_s0")
     # exported metric corresponds to the best-validation checkpoint
-    step, miou = best_validation_step(res.train_log)
+    log = read_train_log(tmp_path / "train_log_ssl_s0.csv")
+    assert len(log) == cfg.train.total_steps
+    step, miou = best_validation_step(log)
     assert res.best_step == step
     assert abs(res.val.miou - miou) < 1e-12
+    last = log[-1]
+    assert res.last_losses == tuple(float(last[k]) for k in
+                                    ("loss_sup", "loss_cls", "loss_feat"))
+    # the result the grid keeps holds metrics, not arrays
+    assert not any(isinstance(v, (np.ndarray, dict, list))
+                   for v in vars(res).values())
 
 
 def test_run_scenario_deterministic_and_exported(tmp_path):
     cfg = tiny_config()
-    t1 = run_scenario(cfg)
-    t2 = run_scenario(cfg)
-    assert t1.csv_text() == t2.csv_text()
-
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    export_artifacts(t1, cfg, out1)
-    export_artifacts(t2, cfg, out2)
+    run_scenario(cfg, out1)
+    run_scenario(cfg, out2)
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
     assert (out1 / "config_echo.json").read_bytes() == \
         (out2 / "config_echo.json").read_bytes()
@@ -293,7 +310,7 @@ def test_run_scenario_deterministic_and_exported(tmp_path):
     assert again.read_bytes() == ckpts[0].read_bytes()
 
 
-def test_grid_holds_one_dataset_at_a_time(monkeypatch):
+def test_grid_holds_one_dataset_at_a_time(monkeypatch, tmp_path):
     cfg = tiny_config("components", eval={"seeds": [0, 1, 2]},
                       train={"total_steps": 2, "eval_every": 1,
                              "batch_labelled": 1, "batch_unlabelled": 1})
@@ -302,20 +319,20 @@ def test_grid_holds_one_dataset_at_a_time(monkeypatch):
     monkeypatch.setattr(bench, "build_dataset",
                         lambda *a, **k: builds.append(a) or real_build(*a, **k))
     bench._DATASET_CACHE.clear()
-    table = run_scenario(cfg)
+    table = run_scenario(cfg, tmp_path)
     assert not table.errors and len(table.results) == 6 * 3
     # seed-major order: each seed's dataset is built once for all variants
     assert len(builds) == 3
     assert len(bench._DATASET_CACHE) <= 1
 
 
-def test_dead_worker_recorded_not_awaited(monkeypatch):
+def test_dead_worker_recorded_not_awaited(monkeypatch, tmp_path):
     real_run_one = bench.run_one
 
-    def run_one(spec):
+    def run_one(spec, out):
         if spec.variant.name == "dies":
             os._exit(1)
-        return real_run_one(spec)
+        return real_run_one(spec, out)
 
     def hung(signum, frame):
         raise TimeoutError("run_scenario still waits on a dead worker")
@@ -326,7 +343,7 @@ def test_dead_worker_recorded_not_awaited(monkeypatch):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(120)
     try:
-        table = run_scenario(tiny_config(), workers=2)
+        table = run_scenario(tiny_config(), tmp_path, workers=2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -334,6 +351,9 @@ def test_dead_worker_recorded_not_awaited(monkeypatch):
     assert "worker process died" in table.results[0].error
     # the dead worker broke the pool; the runs it cut off ran again
     assert [r.error for r in table.results[1:]] == [None, None]
+    written = {p.name for p in tmp_path.iterdir()}
+    assert run_files("ssl_s0") | run_files("lives_s0") <= written
+    assert not run_files("dies_s0") & written
 
 
 def test_failed_run_recorded_not_raised(tmp_path):
@@ -341,12 +361,59 @@ def test_failed_run_recorded_not_raised(tmp_path):
     # Trainer's own check at run time
     cfg = tiny_config(train={"eval_every": 1})
     bad = replace(cfg, train=replace(cfg.train, total_steps=0))
-    table = run_scenario(bad)
+    table = run_scenario(bad, tmp_path)
     assert table.errors and table.errors[0].error is not None
     assert "total_steps" in table.errors[0].error
-    export_artifacts(table, bad, tmp_path)  # still emits a table
-    assert (tmp_path / "metrics.csv").exists()
+    # still emits a table
+    assert (tmp_path / "metrics.csv").read_text() == bench.METRICS_HEADER + "\n"
     assert (tmp_path / "errors.txt").exists()
+    assert not list(tmp_path.glob("run_*"))
+
+
+def test_serial_grid_writes_each_run_as_it_ends(monkeypatch, tmp_path):
+    # the second run raises on its last step, after its training
+    seen = []
+    real_trainer = bench.Trainer
+
+    class Recording(real_trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append({p.name for p in tmp_path.iterdir()})
+            self.breaks = len(seen) == 2
+
+        def train_step(self):
+            if self.breaks and self.step_count + 1 == self.total_steps:
+                raise NumericError("the second run breaks")
+            return super().train_step()
+
+    monkeypatch.setattr(bench, "Trainer", Recording)
+    monkeypatch.setitem(bench.SCENARIOS, "ssl", lambda cfg: [
+        Variant("first"), Variant("breaks"), Variant("third")])
+    table = run_scenario(tiny_config(), tmp_path)
+    assert [r.error is None for r in table.results] == [True, False, True]
+    first, breaks, third = (run_files(f"{v}_s0")
+                            for v in ("first", "breaks", "third"))
+    assert seen[0] == {"config_echo.json"}
+    assert seen[1] == {"config_echo.json"} | first
+    assert seen[2] == {"config_echo.json"} | first
+    assert {p.name for p in tmp_path.iterdir()} == (
+        {"config_echo.json", "metrics.csv", "aggregates.json", "errors.txt"}
+        | first | third)
+
+
+def test_grid_files_do_not_depend_on_workers(tmp_path):
+    cfg = tiny_config("components", eval={"seeds": [0, 1]},
+                      train={"total_steps": 4, "eval_every": 2,
+                             "batch_labelled": 1, "batch_unlabelled": 1})
+    serial, pooled = tmp_path / "w1", tmp_path / "w2"
+    run_scenario(cfg, serial, workers=1)
+    run_scenario(cfg, pooled, workers=2)
+    names = sorted(p.name for p in serial.iterdir())
+    # 6 variants x 2 seeds x (checkpoint, log, 8 previews) + 3 grid files
+    assert len(names) == 6 * 2 * 10 + 3
+    assert names == sorted(p.name for p in pooled.iterdir())
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
 # --------------------------------------------------------------- artifacts --

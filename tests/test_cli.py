@@ -179,6 +179,13 @@ def test_non_object_config_exits_2(tmp_path, capsys, text):
     assert "must be a JSON object" in err
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    err = _rejected_at_load(tmp_path, capsys, ["train"], path)
+    assert "nests too deeply" in err
+
+
 @pytest.mark.parametrize("argv,doc", [
     (["train", "--seed", "1"], {**TINY_DOC, "eval": {"seeds": [0, 1]}}),
     (["ablate", "--scenario", "ssl"],

@@ -391,6 +391,26 @@ def test_trainer_step_zero_gradient_is_supervised_only():
     assert np.array_equal(a.student[name].values, b.student[name].values)
 
 
+def test_trainer_reports_only_the_ramp_weights_it_applies():
+    ds = _tiny_dataset()
+    no_pool = build_dataset(SMALL_GRID, CITY_A, 11, n_worlds=6,
+                            seqs_per_world=1, n_frames=5, utilisation=1.0,
+                            val_worlds=1, test_worlds=2)
+    # no unsupervised branch: a supervised run, or no unlabelled frames
+    for trainer in (_mk_trainer(ds, ssl=False, total=6),
+                    _mk_trainer(no_pool, ssl=True, total=6)):
+        reports = [trainer.train_step() for _ in range(6)]
+        assert [(r.w_cls, r.w_feat) for r in reports] == [(0.0, 0.0)] * 6
+    ssl = _mk_trainer(ds, ssl=True, total=6)
+    cfg = ssl.ssl_cfg
+    for step in range(6):
+        r = ssl.train_step()
+        assert (r.w_cls, r.w_feat) == (
+            rampup_weight(step, 6, cfg.w_cls, cfg.rampup_fraction),
+            rampup_weight(step, 6, cfg.w_feat, cfg.rampup_fraction))
+    assert r.w_cls == cfg.w_cls and r.w_feat == cfg.w_feat
+
+
 def test_trainer_full_threshold_masks_everything():
     ds = _tiny_dataset()
     tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(),

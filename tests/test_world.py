@@ -16,7 +16,13 @@ from bevssl.world import (CITY_A, CITY_B, CLASS_NAMES, Calibration, Sample,
                           build_sequence, compute_sector_map, export_dataset,
                           generate_sequence, generate_world, import_sequence,
                           make_splits, rasterize_gt, read_raster,
-                          render_observation, smoothed_signal, write_raster)
+                          render_observation, write_raster)
+
+
+def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
+    """Clean per-class evidence: blurred ground truth at class amplitude."""
+    return (np.array(world_mod.SIGNAL_GAIN)[:, None, None]
+            * blur3(gt_values[:len(CLASS_NAMES)]))
 
 
 def straight_world(style=CITY_A, length=400.0) -> WorldMap:
