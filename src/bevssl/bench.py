@@ -684,9 +684,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1,
     (out / "metrics.csv").write_text(_metrics_csv(results))
     (out / "aggregates.json").write_text(canonical_json(
         {"scenario": cfg.name, "aggregates": aggregates}))
+    # an errors.txt left by an earlier grid would outlive a clean rerun
+    errors = out / "errors.txt"
     if table.errors:
-        (out / "errors.txt").write_text("\n\n".join(
+        errors.write_text("\n\n".join(
             f"{r.variant} seed={r.seed}\n{r.error}" for r in table.errors))
+    else:
+        errors.unlink(missing_ok=True)
     return table
 
 

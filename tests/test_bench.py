@@ -370,6 +370,17 @@ def test_failed_run_recorded_not_raised(tmp_path):
     assert not list(tmp_path.glob("run_*"))
 
 
+def test_clean_rerun_removes_an_earlier_errors_txt(tmp_path):
+    cfg = tiny_config(train={"total_steps": 2, "eval_every": 2,
+                             "batch_labelled": 1, "batch_unlabelled": 1})
+    bad = replace(cfg, train=replace(cfg.train, total_steps=0))
+    run_scenario(bad, tmp_path)
+    assert (tmp_path / "errors.txt").exists()
+    table = run_scenario(cfg, tmp_path)
+    assert not table.errors
+    assert not (tmp_path / "errors.txt").exists()
+
+
 def test_serial_grid_writes_each_run_as_it_ends(monkeypatch, tmp_path):
     # the second run raises on its last step, after its training
     seen = []

@@ -748,6 +748,17 @@ def test_import_rejects_a_fractional_gt_cell(tmp_path):
         import_sequence(seq_dir)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_import_rejects_a_non_finite_sensor_cell(tmp_path, bad):
+    seq_dir, obs_path, _ = exported_frame(tmp_path)
+    r = read_raster(obs_path)
+    r.values[2, 30, 9] = bad
+    write_raster(obs_path, r)
+    with pytest.raises(ConfigurationError, match="finite"):
+        import_sequence(seq_dir)
+
+
 def test_import_rejects_a_range_channel_off_by_one_ulp(tmp_path):
     seq_dir, obs_path, _ = exported_frame(tmp_path)
     r = read_raster(obs_path)
@@ -784,10 +795,36 @@ def test_sample_rejects_what_it_cannot_hold():
                Raster(shifted, s.observation.values), s.gt)
 
 
+def test_sample_reads_back_every_bit_pattern():
+    """Cells are stored by bit pattern: +0.0 is left out, and -0.0, 1.0, a
+    subnormal and the double below 1 come back verbatim, in a plane that is
+    all +0.0, a plane with no +0.0 cell, and a frame with no stored value."""
+    spec = SMALL_GRID
+    shape = (spec.rows, spec.cols)
+    specials = np.array([0.0, -0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)])
+    st = Stream(41)
+    cells = st.child("cells").uniforms(shape[0] * shape[1]).reshape(shape)
+    mixed = np.resize(specials, shape)
+    dense = np.resize(specials[1:], shape)
+    sparse = np.where(cells < 0.4, 0.0, cells)
+    gt = (st.child("gt").uniforms(3 * shape[0] * shape[1])
+          .reshape(3, *shape) < 0.3).astype(np.float64)
+    rnorm = world_mod._range_norm(spec)
+    for sensor in ([mixed, np.zeros(shape), dense, sparse],
+                   [np.zeros(shape)] * 4):
+        obs = np.stack([*sensor, rnorm])
+        s = Sample(0, 0, Pose2(0.0, 0.0, 0.0), Raster(spec, obs.copy()),
+                   Raster(spec, gt.copy()))
+        assert s.observation.values.tobytes() == obs.tobytes()
+        assert s.gt.values.tobytes() == gt.tobytes()
+        assert s.observation.valid.all() and s.gt.valid.all()
+
+
 def test_frames_are_held_compactly():
-    """Bytes a built frame keeps: four float64 sensor planes and three bool
-    GT planes per cell, plus a small constant.  Full float64 rasters with
-    validity planes keep 8 * 8 + 2 bytes per cell."""
+    """Bytes a built frame keeps: 8 per sensor value that is not +0.0, one
+    bit per sensor cell, one bit per GT cell, plus a small constant.  Four
+    float64 sensor planes and three bool GT planes, 35 bytes per cell, fail
+    this bound at the +0.0 share of these frames."""
     spec = SMALL_GRID
     kwargs = dict(n_worlds=4, seqs_per_world=2, utilisation=0.5,
                   val_worlds=1, test_worlds=1)
@@ -804,11 +841,21 @@ def test_frames_are_held_compactly():
         end = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+
+    def stored(d):
+        """Frames, and bytes of their stored sensor values and bit-planes."""
+        frames = [s for seq in d.sequences.values() for s in seq.samples]
+        sensor = np.stack([s.observation.values[:4] for s in frames])
+        values = 8 * np.count_nonzero(sensor.view(np.uint64))
+        cells = spec.rows * spec.cols
+        return len(frames), values + len(frames) * (
+            (4 * cells + 7) // 8 + (3 * cells + 7) // 8)
+
     # the worlds are the same in both builds; the difference is 4 frames
     # per sequence
-    extra_frames = sum(len(s.samples) for s in long.sequences.values()) \
-        - sum(len(s.samples) for s in short.sequences.values())
+    (n_short, b_short), (n_long, b_long) = stored(short), stored(long)
+    extra_frames = n_long - n_short
     assert extra_frames == 4 * 8
-    per_frame = ((end - mid) - (mid - start)) / extra_frames
-    cells = spec.rows * spec.cols
-    assert per_frame <= (4 * 8 + 3) * cells + 2048, per_frame / cells
+    extra_bytes = (end - mid) - (mid - start)
+    assert extra_bytes <= (b_long - b_short) + 2048 * extra_frames, \
+        (extra_bytes - (b_long - b_short)) / extra_frames
