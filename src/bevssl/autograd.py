@@ -11,12 +11,17 @@ a fixed budget, in forward and again for dW in backward.  At every stride its
 dx is the full convolution of the output gradient with the flipped,
 transposed kernel, run through the forward's banded GEMM loop.  With
 `relu=True`, `conv2d` rectifies its output in place and masks the gradient
-by that output, so a conv block is one node on the tape.  Importing the
-module also warms the heap (see the note at `_workspace`).
+by that output, so a conv block is one node on the tape.  A conv that
+reads its input nearest-upsampled (`upsample`) computes each distinct
+output once, through 0/1 tap matrices at input resolution; with
+`compact=True` it writes only those, and a conv with `expand` reads such a
+compact map as the full one.  Importing the module also warms the heap (see
+the note at `_workspace`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Callable, Iterable
@@ -236,36 +241,79 @@ def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad: int,
     return out.reshape(n, -1, hh, ww)
 
 
-def _tap_matrix(n_out: int, size: int, factor: int, pad: int, k: int,
-                n_low: int) -> np.ndarray:
-    """(k, n_out, n_low) 0/1 matrix along one axis of an upsample-crop-pad
-    conv: entry (t, i, j) is 1 where tap t at output position i reads
-    low-res position j.  Rows are zero where the tap falls in the padding or
-    past the crop."""
-    u = np.arange(n_out)[None, :] + np.arange(k)[:, None] - pad
-    u = np.where((u >= 0) & (u < size), u // factor, -1)
-    return (u[..., None] == np.arange(n_low)).astype(np.float64)
+@functools.lru_cache(maxsize=None)
+def _axis_runs(size: int, factor: int, k: int, pad: int,
+               lift: tuple | None = None):
+    """(reads, first, index) along one axis of a k-tap conv, padded by
+    `pad`, whose input is a low-res axis nearest-upsampled by `factor` and
+    cropped to `size`.  Neighbouring outputs whose taps read the same input
+    positions form a run and are equal: `first` is each run's first output,
+    `index` each output's run, and `reads` (k, runs) the input position
+    tap t of run r reads, -1 in the padding.  With `lift=(k', pad')` the
+    input is instead the compact output of a k'-tap conv padded by pad' over
+    that upsampled axis, whose position u is its run.  The arrays are
+    cached read-only, so the tape saves only the scalars they come from."""
+    src = np.arange(size) // factor
+    if lift is not None:
+        src = _axis_runs(size, factor, *lift)[2]
+    u = (np.arange(src.size + 2 * pad - k + 1)[None, :]
+         + np.arange(k)[:, None] - pad)
+    inside = (u >= 0) & (u < src.size)
+    reads = np.where(inside, src[np.where(inside, u, 0)], -1)
+    starts = np.diff(reads, prepend=-2).any(axis=0)
+    first, index = np.flatnonzero(starts), np.cumsum(starts) - 1
+    out = (reads[:, first], first, index)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def distinct_outputs(size: tuple[int, int], factor: int,
+                     kernel: tuple[int, int], pad: int) -> tuple[int, int]:
+    """Rows and columns of the compact output of a conv reading its input
+    nearest-upsampled by `factor` and cropped to `size` (`compact=True`)."""
+    return tuple(_axis_runs(n, factor, k, pad)[1].size
+                 for n, k in zip(size, kernel))
 
 
 def _tap_matrices(x_shape, w_shape, attrs):
-    """Row and column tap matrices of an upsampling conv; cheap enough to
-    rebuild in backward instead of saving them on the tape."""
+    """Per axis of a conv that reads its input through `upsample` or
+    `expand`: the (k, runs, n_in) 0/1 matrix that is 1 where tap t of run r
+    reads input position j, and the runs' `first` and `index` (see
+    `_axis_runs`)."""
     pad = attrs.get("padding", 0)
-    rows, cols = attrs["size"]
-    f = attrs["upsample"]
-    kh, kw = w_shape[2:]
-    return (_tap_matrix(rows + 2 * pad - kh + 1, rows, f, pad, kh, x_shape[2]),
-            _tap_matrix(cols + 2 * pad - kw + 1, cols, f, pad, kw, x_shape[3]))
+    f = attrs.get("upsample")
+    lifts = (None, None)
+    if f is None:
+        f, lkh, lkw, lpad = attrs["expand"]
+        lifts = ((lkh, lpad), (lkw, lpad))
+    axes = []
+    for n, k, lift, n_in in zip(attrs["size"], w_shape[2:], lifts,
+                                x_shape[2:]):
+        reads, first, index = _axis_runs(n, f, k, pad, lift)
+        axes.append(((reads[..., None] == np.arange(n_in)).astype(np.float64),
+                     first, index))
+    return axes
 
 
 def _fw_upconv(x, w, attrs):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    rmat, cmat = _tap_matrices(x.shape, w.shape, attrs)
-    # every tap's response on the low-res grid, then read at full resolution
+    (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
+                                                         attrs)
+    rows, cols = rmat.shape[1], cmat.shape[1]
+    # every tap's response on the input grid, then read once per distinct
+    # output: one GEMM over the column taps, one over the row taps
     wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
     taps = (wtap @ x.reshape(n, ci, h * wd)).reshape(n, kh, kw, co, h, wd)
-    return np.einsum("aih,bjw,nabchw->ncij", rmat, cmat, taps, optimize=True)
+    out = (taps.transpose(0, 1, 3, 4, 2, 5).reshape(n, kh, co * h, kw * wd)
+           @ cmat.transpose(0, 2, 1).reshape(kw * wd, cols))
+    out = out.reshape(n, kh, co, h, cols).transpose(0, 2, 1, 3, 4)
+    out = (rmat.transpose(1, 0, 2).reshape(rows, kh * h)
+           @ out.reshape(n, co, kh * h, cols))
+    if attrs.get("compact"):
+        return out
+    return out.take(rindex, axis=2).take(cindex, axis=3)
 
 
 def _fw_conv2d(vals, attrs):
@@ -273,18 +321,30 @@ def _fw_conv2d(vals, attrs):
     # output row and column.  `upsample=f` with `size=(rows, cols)` first
     # nearest-upsamples the input by f and crops it to `size`; that is
     # computed per kernel tap on the input as given, without building the
-    # upsampled tensor.  `relu=True` rectifies the biased output in place.
+    # upsampled tensor.  With `compact=True` as well, only the distinct
+    # output rows and columns are written: the first of each run of outputs
+    # whose taps all read the same input cells.  `expand=(f, kh, kw, p)`
+    # with `size` reads an input that is such a compact output, of a
+    # kh x kw conv padded by p, as the full map it stands for, again per
+    # tap on the compact input.  Every attr is a scalar or a tuple of them;
+    # the tap matrices are rebuilt from them.  `relu=True` rectifies the
+    # biased output in place.
     x, w = vals[0], vals[1]
     b = vals[2] if len(vals) > 2 else None
     pad = attrs.get("padding", 0)
     stride = attrs.get("stride", 1)
     f = attrs.get("upsample")
+    expand = attrs.get("expand")
     _require(x.ndim == 4 and w.ndim == 4, "conv2d",
              f"need 4D input and kernel, got {x.shape} and {w.shape}")
     _require(x.shape[1] == w.shape[1], "conv2d",
              f"channel mismatch {x.shape} vs {w.shape}")
     _require(pad >= 0, "conv2d", "padding must be >= 0")
     _require(stride >= 1, "conv2d", "stride must be >= 1")
+    _require(f is not None or not attrs.get("compact"), "conv2d",
+             "compact needs upsample")
+    _require(f is None or expand is None, "conv2d",
+             "upsample and expand exclude each other")
     h, wd = x.shape[2:]
     co, _, kh, kw = w.shape
     if f is not None:
@@ -294,12 +354,24 @@ def _fw_conv2d(vals, attrs):
         _require(0 < h <= x.shape[2] * f and 0 < wd <= x.shape[3] * f,
                  "conv2d", f"size {(h, wd)} is not a crop of the input "
                  f"upsampled x{f}")
+    if expand is not None:
+        lf, lkh, lkw, lpad = expand
+        rows, cols = attrs["size"]
+        _require(stride == 1, "conv2d", "expand needs stride 1")
+        _require(lf >= 1 and lpad >= 0 and rows > 0 and cols > 0
+                 and rows + 2 * lpad >= lkh >= 1
+                 and cols + 2 * lpad >= lkw >= 1, "conv2d",
+                 f"expand {expand} with size {(rows, cols)} is no conv")
+        maps = distinct_outputs((rows, cols), lf, (lkh, lkw), lpad)
+        _require(x.shape[2:] == maps, "conv2d",
+                 f"compact input {x.shape[2:]} does not match its maps {maps}")
+        h, wd = rows + 2 * lpad - lkh + 1, cols + 2 * lpad - lkw + 1
     _require(h + 2 * pad >= kh and wd + 2 * pad >= kw, "conv2d",
              f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{wd + 2 * pad}")
     if b is not None:
         _require(b.shape == (co,), "conv2d",
                  f"bias shape {b.shape} != ({co},)")
-    if f is not None:
+    if f is not None or expand is not None:
         out = _fw_upconv(x, w, attrs)
     else:
         out = _conv(x, w.reshape(co, -1), kh, kw, pad, stride)
@@ -369,10 +441,16 @@ def _bw_mul(node, g, ins):
 def _bw_upconv(node, g, x, w, need_dx):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    rmat, cmat = _tap_matrices(x.shape, w.shape, node.saved)
-    # g read back onto the low-res grid once per tap
-    gtap = np.einsum("aih,bjw,ncij->nabchw", rmat, cmat, g,
-                     optimize=True).reshape(n, kh * kw * co, h * wd)
+    (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
+                                                         node.saved)
+    if not node.saved.get("compact"):
+        # each output reads the taps of its distinct output
+        rmat, cmat = rmat[:, rindex], cmat[:, cindex]
+    # g read back onto the input grid once per tap: rows, then columns
+    gtap = ((rmat.transpose(0, 2, 1).reshape(kh * h, -1) @ g)
+            @ cmat.transpose(1, 0, 2).reshape(-1, kw * wd))
+    gtap = gtap.reshape(n, co, kh, h, kw, wd).transpose(0, 2, 4, 1, 3, 5)
+    gtap = gtap.reshape(n, kh * kw * co, h * wd)
     xf = x.reshape(n, ci, h * wd)
     dwtap = sum(gtap[i] @ xf[i].T for i in range(n))
     dw = dwtap.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
@@ -387,7 +465,8 @@ def _bw_conv2d(node, g, ins):
         # the rectified output is positive exactly where its input was
         g = g * (node.values > 0)
     need_dx = not node.input_needs or node.input_needs[0]
-    if node.saved.get("upsample") is not None:
+    if (node.saved.get("upsample") is not None
+            or node.saved.get("expand") is not None):
         dx, dw = _bw_upconv(node, g, x, w, need_dx)
     else:
         dx, dw = _bw_im2col(node, g, x, w, need_dx)

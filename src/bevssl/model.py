@@ -1,24 +1,32 @@
 """Segmentation-style mapping network: encoder, BEV lift, decoder, head.
 
 The encoder downsamples by 2 per stage (one stride-2 conv per stage);
-the lift is one conv that reads the low-res encoder map and writes grid
-resolution (its input nearest-upsampled and cropped to the grid, computed
-per kernel tap at encoder resolution); a convolutional bottleneck decodes; a
-1x1 head produces per-class logits.  Every conv but the head is one
-`conv2d` node that applies its ReLU in place, so the tape holds one array per
-block.  All four stage outputs are exposed on the trace because the training
-scheme taps intermediate features and inserts feature dropout between lift
-and decoder.
+the lift is one conv that reads the low-res encoder map nearest-upsampled
+and cropped to the grid, computed per kernel tap at encoder resolution; a
+convolutional bottleneck decodes; a 1x1 head produces per-class logits.
+Every conv but the head is one `conv2d` node that applies its ReLU in place,
+so the tape holds one array per block.  All four stage outputs are exposed
+on the trace because the training scheme taps intermediate features and
+inserts feature dropout between lift and decoder.
+
+The upsampling repeats cells: at x8 and kernel 3 only 36 x 12 of the small
+grid's 96 x 32 lift outputs differ.  So when the dropout mask drops nothing,
+the lift writes only its distinct rows and columns and the first decoder
+conv reads that compact map as the grid (one GEMM of its taps at compact
+resolution); the grid-resolution `bev_feats` is built only when read.  A
+mask that drops cells, or a geometry without repeats, takes the dense path:
+the lift writes grid resolution and the mask is applied to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .autograd import ParamSet, Tape, Tensor, forward_op
+from .autograd import ParamSet, Tape, Tensor, distinct_outputs, forward_op
 from .errors import ConfigurationError
 from .geometry import Raster
 from .rng import Stream
@@ -62,15 +70,28 @@ class ModelConfig:
         return layers
 
 
-@dataclass
 class ForwardTrace:
-    """All intermediates of one forward pass (batch dim kept at 1)."""
+    """All intermediates of one forward pass (batch dim kept at 1).
 
-    encoder_feats: Tensor
-    bev_feats: Tensor       # post-lift, before feature dropout ("early" tap)
-    decoded_feats: Tensor   # post-decoder ("late" tap)
-    logits: Tensor
-    probs: Tensor
+    `bev_feats` may be given as a callable that builds the map: it runs on
+    the first read, so a forward whose lift is computed compactly builds the
+    full-resolution map only for a reader that asks for it."""
+
+    def __init__(self, encoder_feats: Tensor, bev_feats, decoded_feats: Tensor,
+                 logits: Tensor, probs: Tensor):
+        self.encoder_feats = encoder_feats
+        self._bev_feats = bev_feats
+        self.decoded_feats = decoded_feats   # post-decoder ("late" tap)
+        self.logits = logits
+        self.probs = probs
+
+    @property
+    def bev_feats(self) -> Tensor:
+        """Post-lift map at grid resolution, before feature dropout (the
+        "early" tap)."""
+        if callable(self._bev_feats):
+            self._bev_feats = self._bev_feats()
+        return self._bev_feats
 
     @property
     def prob_values(self) -> np.ndarray:
@@ -122,15 +143,28 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
         x = _conv_block(params, tape, f"enc{i}", x, pad, stride=2)
     encoder_feats = x
 
-    bev_feats = _conv_block(params, tape, "lift", x, pad,
-                            upsample=2 ** len(cfg.enc_widths),
-                            size=(rows, cols))
-
-    x = bev_feats
-    if bev_drop_mask is not None:
-        x = forward_op("masked_fill", x, mask=bev_drop_mask[None, None],
-                       value=0.0)
-    for i in range(len(cfg.dec_widths)):
+    k, f = cfg.kernel_size, 2 ** len(cfg.enc_widths)
+    lift = dict(upsample=f, size=(rows, cols))
+    drops = bev_drop_mask is not None and bev_drop_mask.any()
+    if drops or distinct_outputs((rows, cols), f, (k, k), pad) == (rows, cols):
+        bev_feats = x = _conv_block(params, tape, "lift", x, pad, **lift)
+        if bev_drop_mask is not None:
+            x = forward_op("masked_fill", x, mask=bev_drop_mask[None, None],
+                           value=0.0)
+        dec = range(len(cfg.dec_widths))
+    else:
+        # the lift at its distinct rows and columns only; dec0 reads them
+        # as the full map, and the map itself is built only if read
+        compact = _conv_block(params, tape, "lift", x, pad, compact=True,
+                              **lift)
+        expand = dict(expand=(f, k, k, pad), size=(rows, cols))
+        channels = cfg.lift_channels
+        eye = np.eye(channels).reshape(channels, channels, 1, 1)
+        bev_feats = partial(forward_op, "conv2d", compact, Tensor(eye),
+                            padding=0, **expand)
+        x = _conv_block(params, tape, "dec0", compact, pad, **expand)
+        dec = range(1, len(cfg.dec_widths))
+    for i in dec:
         x = _conv_block(params, tape, f"dec{i}", x, pad)
     decoded_feats = x
 

@@ -5,7 +5,9 @@ Each case packs the differentiable inputs of one op into a ParamSet and
 returns a closure building `sum(op(...) * W)` for a fixed random weighting W,
 so transposition mistakes in backward rules cannot cancel out.  Besides one
 case per op kind there is a `relu` case: the conv2d op with `relu=True`, its
-pre-activations kept clear of the kink.
+pre-activations kept clear of the kink, and a `compact` case: an upsampling
+conv2d that writes only its distinct outputs (`compact=True`) feeding a
+conv2d that reads them as the full map (`expand`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from bevssl.autograd import (_FORWARD_RULES, OP_KINDS, ParamSet, Tape, Tensor,
                              forward_op)
 from bevssl.rng import Stream
 
-ALL_KINDS = list(OP_KINDS) + ["relu"]
+ALL_KINDS = list(OP_KINDS) + ["relu", "compact"]
 
 
 def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
@@ -25,6 +27,8 @@ def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
 
 def make_case(kind: str, stream: Stream):
     """(params, f) such that f(params) is a scalar Tensor applying `kind`."""
+    if kind == "compact":
+        return _compact_case(stream)
     op = "conv2d" if kind == "relu" else kind
     params = ParamSet()
     attrs: dict = {}
@@ -110,6 +114,34 @@ def _conv_case(stream: Stream):
     params.add("c", _arr(stream, (co,)))
     attrs["padding"] = pad
     return params, attrs
+
+
+def _compact_case(stream: Stream):
+    """A compact upsampling conv (input `a`, kernel `b`, bias `c`) read by
+    an expanding conv (kernel `d`, bias `e`), weighted by a random probe."""
+    params = ParamSet()
+    n = stream.randrange(1, 3)
+    ci, cm, co = (stream.randrange(1, 4) for _ in range(3))
+    k1, k2 = (2 * stream.randint(3) + 1 for _ in range(2))
+    up = stream.randrange(2, 5)
+    size = (stream.randrange(k1, 3 * up + 2), stream.randrange(k1, 3 * up + 2))
+    lift = dict(upsample=up, size=size, padding=k1 // 2)
+    read = dict(expand=(up, k1, k1, k1 // 2), size=size, padding=k2 // 2)
+    params.add("a", _arr(stream, (n, ci, *(-(-d // up) for d in size))))
+    params.add("b", _arr(stream, (cm, ci, k1, k1)))
+    params.add("c", _arr(stream, (cm,)))
+    params.add("d", _arr(stream, (co, cm, k2, k2)))
+    params.add("e", _arr(stream, (co,)))
+    probe = _arr(stream, (n, co, *size), -1.0, 1.0)
+
+    def f(ps: ParamSet) -> Tensor:
+        tape = Tape()
+        a, b, c, d, e = (ps.leaf(tape, name) for name in "abcde")
+        mid = forward_op("conv2d", a, b, c, compact=True, **lift)
+        out = forward_op("conv2d", mid, d, e, **read)
+        return forward_op("sum", forward_op("mul", out, Tensor(probe)))
+
+    return params, f
 
 
 def _clear_of_kink(params, attrs):

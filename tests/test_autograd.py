@@ -425,6 +425,86 @@ def test_upsampling_conv_rejects_a_size_past_the_upsampled_input():
         forward_op("conv2d", x, w, padding=1, upsample=2, size=(5, 4))
 
 
+_COMPACT_CASES = [(f, size, k) for f in (1, 2, 4, 8)
+                  for size in ((4 * f, 2 * f), (30, 18), (25, 9))
+                  for k in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("f,size,k", _COMPACT_CASES,
+                         ids=[f"f{f}-{r}x{c}-k{k}"
+                              for f, (r, c), k in _COMPACT_CASES])
+def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
+    """A lift that writes its distinct outputs only, read by a conv that
+    expands them, gives the dense lift -> dense conv's output, both kernel
+    gradients and dx."""
+    st = Stream(53).child(f"{f}-{size}-{k}")
+    n, ci, cm, co, pad = 2, 3, 4, 5, k // 2
+    low = tuple(-(-d // f) for d in size)
+    ps = ParamSet()
+    ps.add("x", st.uniforms(n * ci * low[0] * low[1], -1, 1).reshape(
+        n, ci, *low))
+    ps.add("w1", st.uniforms(cm * ci * k * k, -1, 1).reshape(cm, ci, k, k))
+    ps.add("w2", st.uniforms(co * cm * k * k, -1, 1).reshape(co, cm, k, k))
+    probe = st.uniforms(n * co * size[0] * size[1], -1, 1).reshape(
+        n, co, *size)
+    lift = dict(upsample=f, size=size, padding=pad)
+    results = []
+    for compact in (False, True):
+        ps.zero_grad()
+        tape = Tape()
+        x, w1, w2 = (ps.leaf(tape, name) for name in ("x", "w1", "w2"))
+        if compact:
+            mid = forward_op("conv2d", x, w1, compact=True, **lift)
+            assert mid.shape[2:] == autograd.distinct_outputs(size, f, (k, k),
+                                                              pad)
+            y = forward_op("conv2d", mid, w2, padding=pad, size=size,
+                           expand=(f, k, k, pad))
+        else:
+            y = forward_op("conv2d", forward_op("conv2d", x, w1, **lift), w2,
+                           padding=pad)
+        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
+        results.append((y.values, ps["x"].grad.copy(), ps["w1"].grad.copy(),
+                        ps["w2"].grad.copy()))
+    dense, compact = results
+    for name, g, wt in zip(("y", "dx", "dW1", "dW2"), compact, dense):
+        assert g.shape == wt.shape, name
+        rel = np.abs(g - wt).max() / np.abs(wt).max()
+        assert rel <= 1e-12, (name, rel)
+
+
+def test_distinct_outputs_of_the_model_geometries():
+    """x8 at kernel 3 repeats cells (36 x 12 of the small grid's 96 x 32,
+    114 x 39 of the paper grid's 300 x 100); x2 at kernel 3 repeats none."""
+    assert autograd.distinct_outputs((96, 32), 8, (3, 3), 1) == (36, 12)
+    assert autograd.distinct_outputs((300, 100), 8, (3, 3), 1) == (114, 39)
+    assert autograd.distinct_outputs((30, 18), 2, (3, 3), 1) == (30, 18)
+
+
+def test_compact_conv_rejects_a_size_past_the_upsampled_input():
+    x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
+    with pytest.raises(ConfigurationError, match="not a crop"):
+        forward_op("conv2d", x, w, padding=1, upsample=2, size=(5, 4),
+                   compact=True)
+    with pytest.raises(ConfigurationError, match="compact needs upsample"):
+        forward_op("conv2d", x, w, padding=1, compact=True)
+
+
+def test_expanding_conv_rejects_a_compact_input_off_its_maps():
+    w = Tensor(np.ones((1, 1, 3, 3)))
+    attrs = dict(padding=1, size=(16, 8), expand=(4, 3, 3, 1))
+    assert autograd.distinct_outputs((16, 8), 4, (3, 3), 1) == (12, 6)
+    forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, **attrs)
+    for shape in ((12, 5), (16, 8), (4, 2)):
+        with pytest.raises(ConfigurationError, match="does not match its maps"):
+            forward_op("conv2d", Tensor(np.ones((1, 1, *shape))), w, **attrs)
+    with pytest.raises(ConfigurationError, match="exclude each other"):
+        forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, upsample=2,
+                   **attrs)
+    with pytest.raises(ConfigurationError, match="stride"):
+        forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, stride=2,
+                   **attrs)
+
+
 # ---------------------------------------------------------------- errors ---
 
 def test_shape_mismatch_is_configuration_error():

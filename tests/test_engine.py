@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bevssl import engine
+from bevssl import engine, model
 from bevssl.augment import AugmentConfig, strong_augment
 from bevssl.autograd import Tape, Tensor, backward, optimizer_step
 from bevssl.engine import (OptimConfig, SslConfig, StepReport, TeacherState,
@@ -667,6 +667,39 @@ def test_teacher_gradient_is_rejected(monkeypatch):
                         lambda loss, params: backward(loss, tr.teacher.params))
     with pytest.raises(ContractError, match="teacher received gradient"):
         tr.train_step()
+
+
+def test_unlabelled_gradients_match_the_dense_path(monkeypatch):
+    """Without bevdrop the unlabelled student forward takes the compact
+    path; with the early feature tap its gradients match the dense path's
+    to rounding."""
+    ds = _tiny_dataset()
+    grads, lifts = [], []
+
+    def spy(params, obs, drop=None, tape=None, config=None):
+        trace = forward(params, obs, drop, tape, config)
+        if tape is not None:
+            lifts.append(next(n for n in tape.nodes if n.kind == "conv2d"
+                              and tape.nodes[n.input_ids[1]].saved.get(
+                                  "param") == "lift.w"))
+        return trace
+
+    monkeypatch.setattr(engine, "forward", spy)
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(model, "distinct_outputs",
+                                lambda size, *_: size)
+        tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(bevdrop=False),
+                     SslConfig(feat_level="early", threshold=None),
+                     OptimConfig(), seed=21, total_steps=12)
+        tr.student.zero_grad()
+        tr._unsup_branch(Stream(5).child("unsup0"), 1.0, 1.0)
+        grads.append({name: p.grad.copy() for name, p in tr.student.items()})
+    assert [n.saved.get("compact", False) for n in lifts] == [True, False]
+    for name, want in grads[1].items():
+        got = grads[0][name]
+        assert np.abs(want).max() > 0, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 # ------------------------------------------------------------ step memory --

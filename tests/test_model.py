@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bevssl.autograd import Tape, finite_difference_check, forward_op
+from bevssl import model
+from bevssl.autograd import (Tape, distinct_outputs, finite_difference_check,
+                             forward_op)
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import GridSpec
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
@@ -192,7 +194,7 @@ def test_lift_is_one_conv_reading_the_encoder_map():
     assert len(convs) == len(TINY.enc_widths) + len(TINY.dec_widths) + 2
     assert not any(isinstance(v, np.ndarray)
                    for n in convs for v in n.saved.values())
-    assert lift[0].values.shape[2:] == (30, 18)
+    assert lift[0].values.shape[2:] == (23, 14)
     kinds = [n.kind for n in nodes]
     assert "upsample" not in kinds and "slice" not in kinds
     assert replay(tape)
@@ -219,3 +221,88 @@ def test_conv_blocks_are_one_rectified_conv_node_each():
     assert not convs["head.w"].saved.get("relu")
     # one node per block, then the head and its sigmoid
     assert sum(n.kind != "leaf" for n in nodes) == len(blocks) + 2
+
+
+# ---------------------------------------------------------- compact lift --
+
+TRACE_FIELDS = ("encoder_feats", "bev_feats", "decoded_feats", "logits",
+                "probs")
+
+
+def _lift_node(tape: Tape):
+    nodes = tape.nodes
+    return next(n for n in nodes if n.kind == "conv2d"
+                and nodes[n.input_ids[1]].saved.get("param") == "lift.w")
+
+
+def _force_dense(monkeypatch):
+    """Make every lift geometry look free of repeated cells."""
+    monkeypatch.setattr(model, "distinct_outputs", lambda size, *_: size)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["none", "all-false"])
+def test_a_mask_that_drops_nothing_takes_the_compact_path(empty):
+    params = init_params(TINY, 7)
+    tape = Tape()
+    drop = np.zeros((16, 16), dtype=bool) if empty else None
+    trace = forward(params, _obs(Stream(6)), drop, tape, TINY)
+    lift = _lift_node(tape)
+    assert lift.saved["compact"] is True
+    assert lift.values.shape[2:] == distinct_outputs((16, 16), 4, (3, 3), 1)
+    assert lift.values.shape[2:] == (12, 12)
+    assert "masked_fill" not in {n.kind for n in tape.nodes}
+    assert trace.decoded_feats.shape == (1, 6, 16, 16)
+
+
+def test_a_mask_that_drops_one_cell_takes_the_dense_path():
+    params = init_params(TINY, 7)
+    tape = Tape()
+    drop = np.zeros((16, 16), dtype=bool)
+    drop[3, 5] = True
+    forward(params, _obs(Stream(6)), drop, tape, TINY)
+    lift = _lift_node(tape)
+    assert "compact" not in lift.saved
+    assert lift.values.shape[2:] == (16, 16)
+    assert "masked_fill" in {n.kind for n in tape.nodes}
+
+
+def test_a_lift_without_repeated_cells_takes_the_dense_path():
+    """x2 at kernel 3: every output row and column reads its own taps."""
+    cfg = ModelConfig(enc_widths=(3,), lift_channels=4, dec_widths=(3,))
+    tape = Tape()
+    forward(init_params(cfg, 2), _obs(Stream(9), 30, 18), None, tape, cfg)
+    lift = _lift_node(tape)
+    assert "compact" not in lift.saved
+    assert lift.values.shape[2:] == (30, 18)
+
+
+@pytest.mark.parametrize("rows,cols", [(16, 16), (30, 18), (25, 9)])
+def test_compact_path_matches_the_dense_path(monkeypatch, rows, cols):
+    """Every trace field, `bev_feats` at full resolution included, equals
+    the dense path's to rounding."""
+    params = init_params(TINY, 5)
+    obs = _obs(Stream(8), rows, cols)
+    compact = forward(params, obs, None, None, TINY)
+    _force_dense(monkeypatch)
+    dense = forward(params, obs, None, None, TINY)
+    assert compact.bev_feats.shape == (1, 8, rows, cols)
+    for field in TRACE_FIELDS:
+        got, want = getattr(compact, field).values, getattr(dense, field).values
+        assert got.shape == want.shape, field
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), field
+
+
+def test_bev_feats_is_built_on_first_read_on_the_trace_tape():
+    params = init_params(TINY, 3)
+    tape = Tape()
+    trace = forward(params, _obs(Stream(10)), None, tape, TINY)
+    n_nodes = len(tape.nodes)
+    bev = trace.bev_feats
+    n_read = len(tape.nodes)
+    assert n_read > n_nodes and bev.tape is tape
+    assert trace.bev_feats is bev and len(tape.nodes) == n_read
+    assert bev.shape == (1, 8, 16, 16)
+    convs = [n for n in tape.nodes if n.kind == "conv2d"]
+    assert not any(isinstance(v, np.ndarray)
+                   for n in convs for v in n.saved.values())
+    assert replay(tape)
