@@ -7,16 +7,20 @@ pay no recording cost.
 
 The tape keeps no im2col columns: `conv2d` builds the columns of one band
 of output rows at a time in one module-level workspace that never grows past
-a fixed budget, in forward and again for dW in backward.  At every stride its
-dx is the full convolution of the output gradient with the flipped,
-transposed kernel, run through the forward's banded GEMM loop.  With
+a fixed budget, in forward and again for dW in backward, which skips dW
+when the kernel needs no gradient.  At stride 1 dx is the full convolution
+of the output gradient with the flipped, transposed kernel, run through the
+forward's banded GEMM loop; at stride > 1 it comes from dW's bands, each
+band's column gradient added back into the padded input.  With
 `relu=True`, `conv2d` rectifies its output in place and masks the gradient
 by that output, so a conv block is one node on the tape.  A conv that
 reads its input nearest-upsampled (`upsample`) computes each distinct
 output once, through 0/1 tap matrices at input resolution; with
 `compact=True` it writes only those, and a conv with `expand` reads such a
-compact map as the full one.  Importing the module also warms the heap (see
-the note at `_workspace`).
+compact map as the full one, with the cells of a `drop` mask read as zeros.
+That bool mask is the one array a conv node saves (3 KB for the small
+grid's dec0, 30 KB for the paper grid's).  Importing the module also warms
+the heap (see the note at `_workspace`).
 """
 
 from __future__ import annotations
@@ -130,12 +134,16 @@ def forward_op(kind: str, *inputs: Tensor, **attrs) -> Tensor:
                     f"op '{kind}' mixes tensors from two tapes; detach one "
                     "by wrapping its values in a new Tensor")
             tape = t.tape
+    # a rectified conv checks its output before the ReLU (`_fw_conv2d`)
+    checked = kind == "conv2d" and attrs.get("relu")
     if tape is None:
-        _finite(out, kind, None)
+        if not checked:
+            _finite(out, kind, None)
         return Tensor(out)
     ids = tuple(_bind(t, tape) for t in inputs)
     nid = tape._record(kind, ids, dict(attrs), out)
-    _finite(out, kind, nid)
+    if not checked:
+        _finite(out, kind, nid)
     return Tensor(out, tape, nid)
 
 
@@ -214,15 +222,16 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: int):
         return
     rows = max(1, _BAND_DOUBLES // (c * kh * kw * ww))
     s = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, hh, ww),
+        (s[0], s[1], s[2], stride * s[1], stride * s[2]))
     for lo in range(0, hh, rows):
         hi = min(lo + rows, hh)
         size = c * kh * kw * (hi - lo) * ww
         if _workspace.size < size:
             _workspace = np.empty(size)
         cols = _workspace[:size].reshape(c, kh, kw, hi - lo, ww)
-        cols[...] = np.lib.stride_tricks.as_strided(
-            xp[:, stride * lo:], (c, kh, kw, hi - lo, ww),
-            (s[0], s[1], s[2], stride * s[1], stride * s[2]))
+        cols[...] = windows[:, :, :, lo:hi]
         yield lo, hi, cols.reshape(c * kh * kw, (hi - lo) * ww)
 
 
@@ -296,7 +305,49 @@ def _tap_matrices(x_shape, w_shape, attrs):
     return axes
 
 
+def _drop_index(x_shape, w_shape, attrs):
+    """(kh*kw, rows, cols): the flat position in the compact input of an
+    `expand` conv that tap t of each output reads, or the zero slot h*w
+    past its end where the tap reads padding or a cell of the `drop`
+    mask."""
+    f, lkh, lkw, lpad = attrs["expand"]
+    pad = attrs.get("padding", 0)
+    drop = attrs["drop"]
+    h, wd = x_shape[2:]
+    src_r = _axis_runs(attrs["size"][0], f, lkh, lpad)[2]
+    src_c = _axis_runs(attrs["size"][1], f, lkw, lpad)[2]
+    flat = np.full((drop.shape[0] + 2 * pad, drop.shape[1] + 2 * pad), h * wd)
+    flat[pad:pad + drop.shape[0], pad:pad + drop.shape[1]] = np.where(
+        drop, h * wd, src_r[:, None] * wd + src_c)
+    windows = np.lib.stride_tricks.sliding_window_view(flat, w_shape[2:])
+    return windows.transpose(2, 3, 0, 1).reshape(-1, *windows.shape[:2])
+
+
+def _fw_dropconv(x, w, attrs):
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+    index = _drop_index(x.shape, w.shape, attrs)
+    # every tap's response at compact resolution, with a zero slot at the
+    # end; each output sums its taps' responses, one take per tap
+    taps = np.empty((n, kh * kw * co, h * wd + 1))
+    taps[:, :, -1] = 0.0
+    np.matmul(wtap, x.reshape(n, ci, h * wd), out=taps[:, :, :-1])
+    taps = taps.reshape(n, kh * kw, co, h * wd + 1)
+    out = np.empty((n, co, *index.shape[1:]))
+    index = index.reshape(kh * kw, -1)
+    read = np.empty((co, index.shape[1]))
+    for i in range(n):
+        outi = out[i].reshape(co, -1)
+        taps[i, 0].take(index[0], axis=1, out=outi, mode="clip")
+        for t in range(1, kh * kw):
+            outi += taps[i, t].take(index[t], axis=1, out=read, mode="clip")
+    return out
+
+
 def _fw_upconv(x, w, attrs):
+    if attrs.get("drop") is not None:
+        return _fw_dropconv(x, w, attrs)
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
@@ -326,7 +377,8 @@ def _fw_conv2d(vals, attrs):
     # whose taps all read the same input cells.  `expand=(f, kh, kw, p)`
     # with `size` reads an input that is such a compact output, of a
     # kh x kw conv padded by p, as the full map it stands for, again per
-    # tap on the compact input.  Every attr is a scalar or a tuple of them;
+    # tap on the compact input; `drop`, a bool mask of that full map, reads
+    # its cells as zeros.  Every other attr is a scalar or a tuple of them;
     # the tap matrices are rebuilt from them.  `relu=True` rectifies the
     # biased output in place.
     x, w = vals[0], vals[1]
@@ -366,6 +418,12 @@ def _fw_conv2d(vals, attrs):
         _require(x.shape[2:] == maps, "conv2d",
                  f"compact input {x.shape[2:]} does not match its maps {maps}")
         h, wd = rows + 2 * lpad - lkh + 1, cols + 2 * lpad - lkw + 1
+    drop = attrs.get("drop")
+    if drop is not None:
+        _require(expand is not None, "conv2d", "drop needs expand")
+        _require(isinstance(drop, np.ndarray) and drop.dtype == bool
+                 and drop.shape == (h, wd), "conv2d",
+                 f"drop is no bool mask of the expanded input {(h, wd)}")
     _require(h + 2 * pad >= kh and wd + 2 * pad >= kw, "conv2d",
              f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{wd + 2 * pad}")
     if b is not None:
@@ -438,7 +496,7 @@ def _bw_mul(node, g, ins):
     return [g * ins[1], g * ins[0]]
 
 
-def _bw_upconv(node, g, x, w, need_dx):
+def _bw_upconv(node, g, x, w, need_dx, need_dw):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
@@ -446,14 +504,35 @@ def _bw_upconv(node, g, x, w, need_dx):
     if not node.saved.get("compact"):
         # each output reads the taps of its distinct output
         rmat, cmat = rmat[:, rindex], cmat[:, cindex]
-    # g read back onto the input grid once per tap: rows, then columns
-    gtap = ((rmat.transpose(0, 2, 1).reshape(kh * h, -1) @ g)
-            @ cmat.transpose(1, 0, 2).reshape(-1, kw * wd))
-    gtap = gtap.reshape(n, co, kh, h, kw, wd).transpose(0, 2, 4, 1, 3, 5)
+    drop = node.saved.get("drop")
+    if drop is None:
+        # g read back onto the input grid once per tap: rows, then columns
+        gtap = ((rmat.transpose(0, 2, 1).reshape(kh * h, -1) @ g)
+                @ cmat.transpose(1, 0, 2).reshape(-1, kw * wd))
+        gtap = gtap.reshape(n, co, kh, h, kw, wd).transpose(0, 2, 4, 1, 3, 5)
+    else:
+        # per tap, g where the tap reads a kept cell, its columns leading
+        # so that each axis is one wide GEMM: columns, then rows
+        keep = _drop_index(x.shape, w.shape, node.saved) != h * wd
+        rows, cols = g.shape[2:]
+        keep = np.ascontiguousarray(
+            keep.reshape(kh, kw, rows, cols).transpose(0, 1, 3, 2), float)
+        kept = np.empty((cols, co, rows))
+        gtap = np.empty((n, kh, kw, wd, co, h))
+        for i in range(n):
+            gcols = g[i].transpose(2, 0, 1).copy()
+            for a, b in np.ndindex(kh, kw):
+                np.multiply(gcols, keep[a, b, :, None], out=kept)
+                by_cols = cmat[b].T @ kept.reshape(cols, -1)
+                np.matmul(by_cols.reshape(-1, rows), rmat[a],
+                          out=gtap[i, a, b].reshape(-1, h))
+        gtap = gtap.transpose(0, 1, 2, 4, 5, 3)
     gtap = gtap.reshape(n, kh * kw * co, h * wd)
-    xf = x.reshape(n, ci, h * wd)
-    dwtap = sum(gtap[i] @ xf[i].T for i in range(n))
-    dw = dwtap.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
+    dw = None
+    if need_dw:
+        xf = x.reshape(n, ci, h * wd)
+        dwtap = sum(gtap[i] @ xf[i].T for i in range(n))
+        dw = dwtap.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
     wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
     dx = (wtap.T @ gtap).reshape(x.shape) if need_dx else None
     return dx, dw
@@ -465,50 +544,68 @@ def _bw_conv2d(node, g, ins):
         # the rectified output is positive exactly where its input was
         g = g * (node.values > 0)
     need_dx = not node.input_needs or node.input_needs[0]
+    need_dw = not node.input_needs or node.input_needs[1]
     if (node.saved.get("upsample") is not None
             or node.saved.get("expand") is not None):
-        dx, dw = _bw_upconv(node, g, x, w, need_dx)
+        dx, dw = _bw_upconv(node, g, x, w, need_dx, need_dw)
     else:
-        dx, dw = _bw_im2col(node, g, x, w, need_dx)
+        dx, dw = _bw_im2col(node, g, x, w, need_dx, need_dw)
     if len(node.input_ids) > 2:
         return [dx, dw, g.reshape(*g.shape[:2], -1).sum(axis=(0, 2))]
     return [dx, dw]
 
 
-def _bw_im2col(node, g, x, w, need_dx):
+def _bw_im2col(node, g, x, w, need_dx, need_dw):
     pad = node.saved.get("padding", 0)
     s = node.saved.get("stride", 1)
     n, _, h, wd = x.shape
     co, ci, kh, kw = w.shape
     hh, ww = g.shape[2:]
     gflat = g.reshape(n, co, hh * ww)
-    xp = _pad(x, pad)
-    dw = np.zeros((co, ci * kh * kw))
-    for i in range(n):
-        for lo, hi, cols in _column_bands(xp[i], kh, kw, s):
-            dw += gflat[i, :, lo * ww:hi * ww] @ cols.T
-    del xp  # before dx builds its frame
-    dw = dw.reshape(w.shape)
+    # at stride > 1, dx comes from the same bands as dW: the column
+    # gradient W^T g of each band, added back into the padded input
+    strided = need_dx and s > 1
+    dw = np.zeros((co, ci * kh * kw)) if need_dw else None
+    if need_dw or strided:
+        xp = _pad(x, pad)
+        if strided:
+            dxp = np.zeros(xp.shape)
+            wm = w.reshape(co, -1)
+        for i in range(n):
+            for lo, hi, cols in _column_bands(xp[i], kh, kw, s):
+                band = gflat[i, :, lo * ww:hi * ww]
+                if need_dw:
+                    dw += band @ cols.T
+                if strided:
+                    dcols = (wm.T @ band).reshape(ci, kh, kw, hi - lo, ww)
+                    for a, b in np.ndindex(kh, kw):
+                        dxp[i, :, s * lo + a:s * (hi - 1) + a + 1:s,
+                            b:b + s * (ww - 1) + 1:s] += dcols[:, a, b]
+        del xp  # before dx builds its frame
+    if need_dw:
+        dw = dw.reshape(w.shape)
     if not need_dx:
         return None, dw
-    # dx is the full convolution of g with the flipped, transposed kernel:
-    # g[i] sits at s*i + k-1-pad in a zero frame of the input's size plus
-    # k-1 (cropped where pad > k-1), convolved without padding
-    rows_to, rows_from = _spread(h + kh - 1, hh, kh - 1 - pad, s)
-    cols_to, cols_from = _spread(wd + kw - 1, ww, kw - 1 - pad, s)
+    if strided:
+        return dxp[:, :, pad:pad + h, pad:pad + wd], dw
+    # at stride 1, dx is the full convolution of g with the flipped,
+    # transposed kernel: g[i] sits at i + k-1-pad in a zero frame of the
+    # input's size plus k-1 (cropped where pad > k-1), convolved without
+    # padding
+    rows_to, rows_from = _spread(h + kh - 1, hh, kh - 1 - pad)
+    cols_to, cols_from = _spread(wd + kw - 1, ww, kw - 1 - pad)
     gp = np.zeros((n, co, h + kh - 1, wd + kw - 1))
     gp[:, :, rows_to, cols_to] = g[:, :, rows_from, cols_from]
     wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
     return _conv(gp, wflip, kh, kw, 0), dw
 
 
-def _spread(n_to: int, n_from: int, shift: int,
-            step: int) -> tuple[slice, slice]:
-    """Slices `to`, `from` along one axis with to[step*i + shift] = from[i]
-    over the positions both have."""
-    lo = max(0, -(shift // step))
-    hi = max(lo, min(n_from, (n_to - 1 - shift) // step + 1))
-    return slice(step * lo + shift, step * hi + shift, step), slice(lo, hi)
+def _spread(n_to: int, n_from: int, shift: int) -> tuple[slice, slice]:
+    """Slices `to`, `from` along one axis with to[i + shift] = from[i] over
+    the positions both have."""
+    lo = max(0, -shift)
+    hi = max(lo, min(n_from, n_to - shift))
+    return slice(lo + shift, hi + shift), slice(lo, hi)
 
 
 def _bw_sigmoid(node, g, ins):

@@ -10,12 +10,13 @@ on the trace because the training scheme taps intermediate features and
 inserts feature dropout between lift and decoder.
 
 The upsampling repeats cells: at x8 and kernel 3 only 36 x 12 of the small
-grid's 96 x 32 lift outputs differ.  So when the dropout mask drops nothing,
-the lift writes only its distinct rows and columns and the first decoder
-conv reads that compact map as the grid (one GEMM of its taps at compact
-resolution); the grid-resolution `bev_feats` is built only when read.  A
-mask that drops cells, or a geometry without repeats, takes the dense path:
-the lift writes grid resolution and the mask is applied to it.
+grid's 96 x 32 lift outputs differ.  So the lift writes only its distinct
+rows and columns and the first decoder conv reads that compact map as the
+grid (one GEMM of its taps at compact resolution), reading the cells the
+dropout mask drops as zeros; the tape then saves that bool mask.  The
+grid-resolution `bev_feats`, before dropout, is built only when read.  A
+geometry without repeats takes the dense path: the lift writes grid
+resolution and the mask is applied to it.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
 
     k, f = cfg.kernel_size, 2 ** len(cfg.enc_widths)
     lift = dict(upsample=f, size=(rows, cols))
-    drops = bev_drop_mask is not None and bev_drop_mask.any()
-    if drops or distinct_outputs((rows, cols), f, (k, k), pad) == (rows, cols):
+    if distinct_outputs((rows, cols), f, (k, k), pad) == (rows, cols):
         bev_feats = x = _conv_block(params, tape, "lift", x, pad, **lift)
         if bev_drop_mask is not None:
             x = forward_op("masked_fill", x, mask=bev_drop_mask[None, None],
@@ -154,7 +154,8 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
         dec = range(len(cfg.dec_widths))
     else:
         # the lift at its distinct rows and columns only; dec0 reads them
-        # as the full map, and the map itself is built only if read
+        # as the full map, its dropped cells as zeros, and the map itself
+        # is built only if read
         compact = _conv_block(params, tape, "lift", x, pad, compact=True,
                               **lift)
         expand = dict(expand=(f, k, k, pad), size=(rows, cols))
@@ -162,7 +163,9 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
         eye = np.eye(channels).reshape(channels, channels, 1, 1)
         bev_feats = partial(forward_op, "conv2d", compact, Tensor(eye),
                             padding=0, **expand)
-        x = _conv_block(params, tape, "dec0", compact, pad, **expand)
+        drop = ({} if bev_drop_mask is None or not bev_drop_mask.any()
+                else {"drop": np.asarray(bev_drop_mask, dtype=bool)})
+        x = _conv_block(params, tape, "dec0", compact, pad, **expand, **drop)
         dec = range(1, len(cfg.dec_widths))
     for i in dec:
         x = _conv_block(params, tape, f"dec{i}", x, pad)

@@ -5,9 +5,10 @@ Each case packs the differentiable inputs of one op into a ParamSet and
 returns a closure building `sum(op(...) * W)` for a fixed random weighting W,
 so transposition mistakes in backward rules cannot cancel out.  Besides one
 case per op kind there is a `relu` case: the conv2d op with `relu=True`, its
-pre-activations kept clear of the kink, and a `compact` case: an upsampling
+pre-activations kept clear of the kink, a `compact` case: an upsampling
 conv2d that writes only its distinct outputs (`compact=True`) feeding a
-conv2d that reads them as the full map (`expand`).
+conv2d that reads them as the full map (`expand`), and a `masked_expand`
+case: the same pair with cells of the full map dropped (`drop`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from bevssl.autograd import (_FORWARD_RULES, OP_KINDS, ParamSet, Tape, Tensor,
                              forward_op)
 from bevssl.rng import Stream
 
-ALL_KINDS = list(OP_KINDS) + ["relu", "compact"]
+ALL_KINDS = list(OP_KINDS) + ["relu", "compact", "masked_expand"]
 
 
 def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
@@ -27,8 +28,8 @@ def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
 
 def make_case(kind: str, stream: Stream):
     """(params, f) such that f(params) is a scalar Tensor applying `kind`."""
-    if kind == "compact":
-        return _compact_case(stream)
+    if kind in ("compact", "masked_expand"):
+        return _compact_case(stream, kind == "masked_expand")
     op = "conv2d" if kind == "relu" else kind
     params = ParamSet()
     attrs: dict = {}
@@ -116,9 +117,10 @@ def _conv_case(stream: Stream):
     return params, attrs
 
 
-def _compact_case(stream: Stream):
+def _compact_case(stream: Stream, masked: bool):
     """A compact upsampling conv (input `a`, kernel `b`, bias `c`) read by
-    an expanding conv (kernel `d`, bias `e`), weighted by a random probe."""
+    an expanding conv (kernel `d`, bias `e`), weighted by a random probe;
+    if `masked`, the expanding conv drops about half the cells it reads."""
     params = ParamSet()
     n = stream.randrange(1, 3)
     ci, cm, co = (stream.randrange(1, 4) for _ in range(3))
@@ -133,6 +135,8 @@ def _compact_case(stream: Stream):
     params.add("d", _arr(stream, (co, cm, k2, k2)))
     params.add("e", _arr(stream, (co,)))
     probe = _arr(stream, (n, co, *size), -1.0, 1.0)
+    if masked:
+        read["drop"] = _arr(stream, size) > 0.0
 
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()

@@ -302,19 +302,25 @@ def _saved_columns_conv(x, w, b, probe, pad, stride):
     return (y + b[:, None, None], dx, dw, probe.sum(axis=(0, 2, 3)))
 
 
-_PARITY_CASES = [(k, pad, stride, n, size)
-                 for k in (1, 3, 5) for pad in range(k + 2)
-                 for stride in (1, 2, 3)
-                 for n in (1, 3) for size in ((9, 7), (10, 8))]
+# ci < co everywhere but in the last cases, which narrow 5 channels to 2
+_PARITY_CASES = ([(k, pad, stride, n, size, 3, 4)
+                  for k in (1, 3, 5) for pad in range(k + 2)
+                  for stride in (1, 2, 3)
+                  for n in (1, 3) for size in ((9, 7), (10, 8))]
+                 + [(k, pad, stride, n, (9, 7), 5, 2)
+                    for k in (1, 3, 5) for pad in (0, k // 2, k + 1)
+                    for stride in (1, 2, 3) for n in (1, 3)])
 
 
 @pytest.mark.parametrize(
-    "k,pad,stride,n,size", _PARITY_CASES,
+    "k,pad,stride,n,size,ci,co", _PARITY_CASES,
     ids=[f"k{k}-p{p}-s{s}-b{n}-{'odd' if size[0] % 2 else 'even'}"
-         for k, p, s, n, size in _PARITY_CASES])
-def test_conv_matches_saved_columns_reference(k, pad, stride, n, size):
-    st = Stream(41).child(f"{k}-{pad}-{stride}-{n}-{size}")
-    ci, co = 3, 4
+         + ("" if ci < co else f"-ci{ci}-co{co}")
+         for k, p, s, n, size, ci, co in _PARITY_CASES])
+def test_conv_matches_saved_columns_reference(k, pad, stride, n, size, ci,
+                                              co):
+    st = Stream(41).child(f"{k}-{pad}-{stride}-{n}-{size}"
+                          + ("" if ci < co else f"-{ci}-{co}"))
     x = st.uniforms(n * ci * size[0] * size[1], -1, 1).reshape(n, ci, *size)
     w = st.uniforms(co * ci * k * k, -1, 1).reshape(co, ci, k, k)
     b = st.uniforms(co, -1, 1)
@@ -523,6 +529,67 @@ def test_nonfinite_output_is_numeric_error():
         forward_op("conv2d", Tensor(np.ones((1, 1, 2, 2))),
                    Tensor(np.ones((1, 1, 1, 1))), Tensor(np.array([-np.inf])),
                    relu=True)
+
+
+def _rectified_conv_inputs(kind: str):
+    """Input, kernel and attrs of a rectified conv of each path: dense,
+    strided, upsampling, and expanding with a drop mask."""
+    w = np.ones((3, 2, 3, 3))
+    if kind == "dense":
+        return np.ones((1, 2, 4, 4)), w, dict(padding=1)
+    if kind == "strided":
+        return np.ones((1, 2, 5, 5)), w, dict(padding=1, stride=2)
+    if kind == "upsample":
+        return np.ones((1, 2, 4, 4)), w, dict(padding=1, upsample=2,
+                                               size=(7, 8))
+    drop = np.zeros((16, 8), dtype=bool)
+    drop[4, 4] = True
+    return np.ones((1, 2, 12, 6)), w, dict(padding=1, size=(16, 8),
+                                           expand=(4, 3, 3, 1), drop=drop)
+
+
+@pytest.mark.parametrize("kind", ["dense", "strided", "upsample", "drop"])
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_nan_reaching_a_rectified_conv_is_numeric_error(kind, taped):
+    """A rectified conv checks its output once, before the ReLU, on every
+    path, taped or not."""
+    x, w, attrs = _rectified_conv_inputs(kind)
+    x[0, 1, 2, 3] = np.nan
+    ps = ParamSet()
+    ps.add("x", x)
+    tape = Tape() if taped else None
+    with pytest.raises(NumericError, match="conv2d"):
+        forward_op("conv2d", ps.leaf(tape, "x"), Tensor(w), relu=True,
+                   **attrs)
+
+
+@pytest.mark.parametrize("kind", ["dense", "strided", "upsample", "drop"])
+def test_a_constant_kernel_gets_no_gradient(kind):
+    """Backward computes dx but not dW when the kernel reaches no
+    parameter."""
+    x, w, attrs = _rectified_conv_inputs(kind)
+    ps = ParamSet()
+    ps.add("x", x)
+    tape = Tape()
+    y = forward_op("conv2d", ps.leaf(tape, "x"), Tensor(w), **attrs)
+    node = tape.nodes[y.node_id]
+    assert node.input_needs == (True, False)
+    dx, dw = autograd._bw_conv2d(node, np.ones(y.shape), [x, w])
+    assert dw is None and dx.shape == x.shape
+    want = _conv_grads(x, w, np.zeros(3), np.ones(y.shape), **attrs)[1]
+    assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_conv_rejects_a_bad_drop_mask():
+    x, w, attrs = _rectified_conv_inputs("drop")
+    for bad in (attrs["drop"][:, :7], attrs["drop"].astype(float),
+                attrs["drop"].tolist()):
+        with pytest.raises(ConfigurationError, match="no bool mask"):
+            forward_op("conv2d", Tensor(x), Tensor(w), **{**attrs,
+                                                          "drop": bad})
+    with pytest.raises(ConfigurationError, match="drop needs expand"):
+        forward_op("conv2d", Tensor(np.ones((1, 2, 16, 8))), Tensor(w),
+                   padding=1, drop=attrs["drop"])
 
 
 def test_unknown_kind_rejected():

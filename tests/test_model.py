@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bevssl import model
-from bevssl.autograd import (Tape, distinct_outputs, finite_difference_check,
-                             forward_op)
+from bevssl.autograd import (Tape, Tensor, backward, distinct_outputs,
+                             finite_difference_check, forward_op)
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import GridSpec
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
@@ -254,16 +254,21 @@ def test_a_mask_that_drops_nothing_takes_the_compact_path(empty):
     assert trace.decoded_feats.shape == (1, 6, 16, 16)
 
 
-def test_a_mask_that_drops_one_cell_takes_the_dense_path():
+def test_a_mask_that_drops_one_cell_reaches_dec0_as_its_drop():
+    """The lift stays compact, and dec0 reads it with the mask as `drop`."""
     params = init_params(TINY, 7)
     tape = Tape()
     drop = np.zeros((16, 16), dtype=bool)
     drop[3, 5] = True
     forward(params, _obs(Stream(6)), drop, tape, TINY)
     lift = _lift_node(tape)
-    assert "compact" not in lift.saved
-    assert lift.values.shape[2:] == (16, 16)
-    assert "masked_fill" in {n.kind for n in tape.nodes}
+    assert lift.saved["compact"] is True
+    assert lift.values.shape[2:] == (12, 12)
+    dec0 = next(n for n in tape.nodes if n.kind == "conv2d"
+                and tape.nodes[n.input_ids[1]].saved.get("param") == "dec0.w")
+    assert np.array_equal(dec0.saved["drop"], drop)
+    assert dec0.saved["expand"] == (4, 3, 3, 1)
+    assert "masked_fill" not in {n.kind for n in tape.nodes}
 
 
 def test_a_lift_without_repeated_cells_takes_the_dense_path():
@@ -290,6 +295,53 @@ def test_compact_path_matches_the_dense_path(monkeypatch, rows, cols):
         got, want = getattr(compact, field).values, getattr(dense, field).values
         assert got.shape == want.shape, field
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), field
+
+
+def _trace_and_grads(params, obs, drop):
+    """The forward trace, and every parameter's gradient of a random
+    weighting of the logits and of `bev_feats`."""
+    params.zero_grad()
+    tape = Tape()
+    trace = forward(params, obs, drop, tape, TINY)
+    terms = []
+    for i, field in enumerate(("logits", "bev_feats")):
+        t = getattr(trace, field)
+        probe = Stream(12).child(i).uniforms(t.values.size, -1, 1)
+        terms.append(forward_op("sum", forward_op(
+            "mul", t, Tensor(probe.reshape(t.shape)))))
+    backward(forward_op("add", *terms), params)
+    return trace, {name: p.grad.copy() for name, p in params.items()}
+
+
+@pytest.mark.parametrize("drops", ["nothing", "one", "every"])
+@pytest.mark.parametrize("rows,cols", [(16, 16), (30, 18), (25, 9)])
+def test_masked_compact_path_matches_the_dense_path(monkeypatch, rows, cols,
+                                                    drops):
+    """With a drop mask, every trace field and every parameter gradient
+    equals the dense path's (dense lift, `masked_fill`, dense dec0) to
+    rounding.  Biases are nonzero, so a map with every cell dropped still
+    carries a gradient."""
+    params = init_params(TINY, 5)
+    for name, p in params.items():
+        if name.endswith(".b"):
+            p.values[...] = Stream(11).child(name).uniforms(p.values.size,
+                                                            0.1, 0.5)
+    obs = _obs(Stream(8), rows, cols)
+    drop = np.zeros((rows, cols), dtype=bool)
+    if drops == "one":
+        drop[rows // 2, 1] = True
+    elif drops == "every":
+        drop[:] = True
+    results = [_trace_and_grads(params, obs, drop)]
+    _force_dense(monkeypatch)
+    results.append(_trace_and_grads(params, obs, drop))
+    (compact, got_grads), (dense, want_grads) = results
+    pairs = [(field, getattr(compact, field).values,
+              getattr(dense, field).values) for field in TRACE_FIELDS]
+    pairs += [(name, got_grads[name], want_grads[name]) for name in want_grads]
+    for name, got, want in pairs:
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_bev_feats_is_built_on_first_read_on_the_trace_tape():
