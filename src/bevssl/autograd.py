@@ -14,19 +14,24 @@ forward's banded GEMM loop; at stride > 1 it comes from dW's bands, each
 band's column gradient added back into the padded input.  With
 `relu=True`, `conv2d` rectifies its output in place and masks the gradient
 by that output, so a conv block is one node on the tape.  A conv that
-reads its input nearest-upsampled (`upsample`) computes each distinct
-output once, through 0/1 tap matrices at input resolution; with
-`compact=True` it writes only those, and a conv with `expand` reads such a
-compact map as the full one, with the cells of a `drop` mask read as zeros.
-That bool mask is the one array a conv node saves (3 KB for the small
-grid's dec0, 30 KB for the paper grid's).  Importing the module also warms
-the heap (see the note at `_workspace`).
+reads its input nearest-upsampled (`upsample`), or reads a compact map as
+the full one it stands for (`expand`, the chain of convs that wrote it in
+scalars), computes each distinct output once: through 0/1 tap matrices at
+input resolution or from gathered im2col columns, whichever needs fewer
+multiply-adds.  With `compact=True` it writes only those, so convs can run
+at their distinct cells one after another.  Backward reads g back onto the
+input through the tap matrices, rows then columns; they and the gather
+indices are cached per geometry, read-only.  An `expand` conv reads the
+cells of a `drop` mask as zeros; that bool mask is the one array a conv
+node saves (3 KB for the small grid's dec0, 30 KB for the paper grid's).
+Importing the module also warms the heap (see the note at `_workspace`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
 import struct
 from typing import Callable, Iterable
 
@@ -189,9 +194,12 @@ _workspace = np.empty(0)
 # taking a page fault on every first touch, and below the trim threshold the
 # pages a step frees stay with the heap for the next step.  One 24 MB array,
 # allocated and freed here, sets both.  The small preset's largest per-step
-# array is 1.6 MB, a 64-channel map padded by one cell (dec0's input, and
-# dec1's dx frame), so what sizes the array is the trim threshold: a step
-# swings the heap by ~20 MB.  Measured with 12 MB, steady `ssl_small` and
+# arrays are 5.3 MB: when a taped dec1 writes compactly, its backward reads
+# g back into a gradient per tap at its input's 60 x 20 cells and copies
+# that tap-major for the tap GEMMs.  Every other per-step array stays under
+# 2 MB (a 64-channel map at grid resolution, dec1's dx frame in the bevdrop
+# forward's dense backward).  So what sizes the array is the trim
+# threshold: a step swings the heap by ~20 MB.  Measured with 12 MB, steady `ssl_small` and
 # `fusion_feats6_small` steps take 1-2 faults; with 8 MB (a 16 MB trim
 # threshold) ~4600 and ~5000.
 _warm = np.empty(3 << 20)
@@ -250,21 +258,26 @@ def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad: int,
     return out.reshape(n, -1, hh, ww)
 
 
+def _source(size: int, factor: int, chain: tuple) -> np.ndarray:
+    """Along one axis, the position in a compact map of each cell of the
+    full map it stands for: the low-res axis nearest-upsampled by `factor`
+    and cropped to `size`, read through the `chain` of (k, pad) conv levels
+    that wrote the compact map (none: the low-res axis itself)."""
+    if not chain:
+        return np.arange(size) // factor
+    return _axis_runs(size, factor, *chain[-1], chain[:-1])[2]
+
+
 @functools.lru_cache(maxsize=None)
-def _axis_runs(size: int, factor: int, k: int, pad: int,
-               lift: tuple | None = None):
+def _axis_runs(size: int, factor: int, k: int, pad: int, chain: tuple = ()):
     """(reads, first, index) along one axis of a k-tap conv, padded by
-    `pad`, whose input is a low-res axis nearest-upsampled by `factor` and
-    cropped to `size`.  Neighbouring outputs whose taps read the same input
-    positions form a run and are equal: `first` is each run's first output,
-    `index` each output's run, and `reads` (k, runs) the input position
-    tap t of run r reads, -1 in the padding.  With `lift=(k', pad')` the
-    input is instead the compact output of a k'-tap conv padded by pad' over
-    that upsampled axis, whose position u is its run.  The arrays are
-    cached read-only, so the tape saves only the scalars they come from."""
-    src = np.arange(size) // factor
-    if lift is not None:
-        src = _axis_runs(size, factor, *lift)[2]
+    `pad`, whose input is the compact map behind `chain` (see `_source`).
+    Neighbouring outputs whose taps read the same input positions form a
+    run and are equal: `first` is each run's first output, `index` each
+    output's run, and `reads` (k, runs) the input position tap t of run r
+    reads, -1 in the padding.  The arrays are cached read-only, so the tape
+    saves only the scalars they come from."""
+    src = _source(size, factor, chain)
     u = (np.arange(src.size + 2 * pad - k + 1)[None, :]
          + np.arange(k)[:, None] - pad)
     inside = (u >= 0) & (u < src.size)
@@ -277,32 +290,93 @@ def _axis_runs(size: int, factor: int, k: int, pad: int,
     return out
 
 
+def _chains(levels: tuple) -> tuple[tuple, tuple]:
+    """The row and column chains of (k, pad) levels of `expand`'s flat
+    (kh, kw, pad, ...) levels."""
+    triples = tuple(zip(levels[0::3], levels[1::3], levels[2::3]))
+    return (tuple((kh, p) for kh, _, p in triples),
+            tuple((kw, p) for _, kw, p in triples))
+
+
+def _geometry(attrs) -> tuple[int, tuple, tuple]:
+    """The factor and row and column chains behind the input of a conv
+    that reads through `upsample` (no level) or `expand`."""
+    if attrs.get("upsample") is not None:
+        return attrs["upsample"], (), ()
+    return (attrs["expand"][0], *_chains(attrs["expand"][1:]))
+
+
 def distinct_outputs(size: tuple[int, int], factor: int,
-                     kernel: tuple[int, int], pad: int) -> tuple[int, int]:
-    """Rows and columns of the compact output of a conv reading its input
-    nearest-upsampled by `factor` and cropped to `size` (`compact=True`)."""
-    return tuple(_axis_runs(n, factor, k, pad)[1].size
-                 for n, k in zip(size, kernel))
+                     kernel: tuple[int, int], pad: int,
+                     levels: tuple = ()) -> tuple[int, int]:
+    """Rows and columns of the compact output (`compact=True`) of a conv
+    reading its input nearest-upsampled by `factor` and cropped to `size`,
+    or, with `levels`, the compact map written by those `expand` levels."""
+    return tuple(_axis_runs(n, factor, k, pad, chain)[1].size
+                 for n, k, chain in zip(size, kernel, _chains(levels)))
 
 
-def _tap_matrices(x_shape, w_shape, attrs):
+def expand_map(x: np.ndarray, expand: tuple, size: tuple) -> np.ndarray:
+    """The full map that a compact map `x` (n, c, rows, cols) stands for
+    (see `conv2d`'s `expand`), by one gather."""
+    f, rows, cols = _geometry({"expand": expand})
+    index = (_source(size[0], f, rows)[:, None] * x.shape[3]
+             + _source(size[1], f, cols))
+    n, c = x.shape[:2]
+    return x.reshape(n, c, -1).take(index.ravel(), axis=2).reshape(
+        n, c, *index.shape)
+
+
+def _off_heap(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of `arr` in an anonymous mapping of its own.  The
+    caches fill during a step; on the warm heap each cached array would pin
+    the pages around it among the step's transient arrays.  In an
+    `ssl_paper` run that raised peak RSS by ~19 MB for ~6 MB of arrays;
+    in mappings of their own they cost their size."""
+    out = np.frombuffer(mmap.mmap(-1, max(arr.nbytes, 1)), arr.dtype,
+                        arr.size).reshape(arr.shape)
+    out[...] = arr
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_taps(size: int, factor: int, k: int, pad: int, chain: tuple,
+               n_in: int, expanded: bool) -> np.ndarray:
+    """The (k, runs, n_in) 0/1 matrix that is 1 where tap t of run r reads
+    input position j (see `_axis_runs`), each output's row of its run if
+    `expanded`; cached read-only."""
+    reads, _, index = _axis_runs(size, factor, k, pad, chain)
+    mat = (reads[..., None] == np.arange(n_in)).astype(np.float64)
+    if expanded:
+        mat = mat[:, index]
+    return _off_heap(mat)
+
+
+def _tap_matrices(x_shape, w_shape, attrs, expanded: bool = False):
     """Per axis of a conv that reads its input through `upsample` or
-    `expand`: the (k, runs, n_in) 0/1 matrix that is 1 where tap t of run r
-    reads input position j, and the runs' `first` and `index` (see
-    `_axis_runs`)."""
+    `expand`: its `_axis_taps` matrix and the runs' `first` and `index`
+    (see `_axis_runs`)."""
     pad = attrs.get("padding", 0)
-    f = attrs.get("upsample")
-    lifts = (None, None)
-    if f is None:
-        f, lkh, lkw, lpad = attrs["expand"]
-        lifts = ((lkh, lpad), (lkw, lpad))
-    axes = []
-    for n, k, lift, n_in in zip(attrs["size"], w_shape[2:], lifts,
-                                x_shape[2:]):
-        reads, first, index = _axis_runs(n, f, k, pad, lift)
-        axes.append(((reads[..., None] == np.arange(n_in)).astype(np.float64),
-                     first, index))
-    return axes
+    f, *chains = _geometry(attrs)
+    return [(_axis_taps(n, f, k, pad, chain, n_in, expanded),
+             *_axis_runs(n, f, k, pad, chain)[1:])
+            for n, k, chain, n_in in zip(attrs["size"], w_shape[2:], chains,
+                                         x_shape[2:])]
+
+
+@functools.lru_cache(maxsize=None)
+def _gather_index(size: tuple, factor: int, kernel: tuple, pad: int,
+                  chains: tuple, shape: tuple) -> np.ndarray:
+    """(rows*cols, kh*kw): the flat position in the (h, w) input `shape`
+    that tap t of each distinct output reads, or the zero slot h*w past its
+    end in the padding; cached read-only."""
+    (rr, _, _), (cr, _, _) = (_axis_runs(n, factor, k, pad, chain)
+                              for n, k, chain in zip(size, kernel, chains))
+    rr, cr = rr[:, None, :, None], cr[None, :, None, :]
+    index = np.where((rr >= 0) & (cr >= 0), rr * shape[1] + cr,
+                     shape[0] * shape[1])
+    return _off_heap(index.reshape(kernel[0] * kernel[1], -1).T)
 
 
 def _drop_index(x_shape, w_shape, attrs):
@@ -310,12 +384,12 @@ def _drop_index(x_shape, w_shape, attrs):
     `expand` conv that tap t of each output reads, or the zero slot h*w
     past its end where the tap reads padding or a cell of the `drop`
     mask."""
-    f, lkh, lkw, lpad = attrs["expand"]
+    f, rows, cols = _geometry(attrs)
     pad = attrs.get("padding", 0)
     drop = attrs["drop"]
     h, wd = x_shape[2:]
-    src_r = _axis_runs(attrs["size"][0], f, lkh, lpad)[2]
-    src_c = _axis_runs(attrs["size"][1], f, lkw, lpad)[2]
+    src_r = _source(attrs["size"][0], f, rows)
+    src_c = _source(attrs["size"][1], f, cols)
     flat = np.full((drop.shape[0] + 2 * pad, drop.shape[1] + 2 * pad), h * wd)
     flat[pad:pad + drop.shape[0], pad:pad + drop.shape[1]] = np.where(
         drop, h * wd, src_r[:, None] * wd + src_c)
@@ -345,6 +419,51 @@ def _fw_dropconv(x, w, attrs):
     return out
 
 
+def _fw_gathered(x, w, index):
+    """(n, co, outputs): the conv at the outputs of the (outputs, kh*kw)
+    `_gather_index`, one GEMM per band of im2col columns, each gathered by
+    one `take` of input cells (all channels at once) into the shared
+    workspace."""
+    global _workspace
+    n, ci, h, wd = x.shape
+    co = w.shape[0]
+    outputs, taps = index.shape
+    wm = w.transpose(0, 2, 3, 1).reshape(co, taps * ci)
+    out = np.empty((n, co, outputs))
+    cells = np.empty((h * wd + 1, ci))
+    cells[-1] = 0.0
+    band = max(1, _BAND_DOUBLES // (ci * taps))
+    for i in range(n):
+        cells[:-1] = x[i].reshape(ci, -1).T
+        for lo in range(0, outputs, band):
+            hi = min(lo + band, outputs)
+            size = ci * taps * (hi - lo)
+            if _workspace.size < size:
+                _workspace = np.empty(size)
+            cols = _workspace[:size].reshape(hi - lo, taps, ci)
+            cells.take(index[lo:hi], axis=0, out=cols, mode="clip")
+            np.matmul(wm, cols.reshape(hi - lo, taps * ci).T,
+                      out=out[i, :, lo:hi])
+    return out
+
+
+def _upconv_route(x_shape, w_shape, rows: int, cols: int, pad: int) -> str:
+    """How a conv reading through `upsample` or `expand` computes its rows x
+    cols distinct outputs.  A 1x1 conv without padding whose outputs are as
+    many as its input cells reads them as they are ("cells"); otherwise the
+    route with fewer multiply-adds: every tap's response at input
+    resolution, read through the tap matrices ("taps", cheap when the input
+    is much smaller than the output), or gathered im2col columns
+    ("gather")."""
+    _, ci, h, wd = x_shape
+    co, _, kh, kw = w_shape
+    if (rows, cols) == (h, wd) and kh == kw == 1 and not pad:
+        return "cells"
+    taps = (co * kh * kw * ci * h * wd + co * kh * h * kw * wd * cols
+            + rows * kh * h * co * cols)
+    return "gather" if co * ci * kh * kw * rows * cols < taps else "taps"
+
+
 def _fw_upconv(x, w, attrs):
     if attrs.get("drop") is not None:
         return _fw_dropconv(x, w, attrs)
@@ -353,18 +472,48 @@ def _fw_upconv(x, w, attrs):
     (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
                                                          attrs)
     rows, cols = rmat.shape[1], cmat.shape[1]
-    # every tap's response on the input grid, then read once per distinct
-    # output: one GEMM over the column taps, one over the row taps
-    wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-    taps = (wtap @ x.reshape(n, ci, h * wd)).reshape(n, kh, kw, co, h, wd)
-    out = (taps.transpose(0, 1, 3, 4, 2, 5).reshape(n, kh, co * h, kw * wd)
-           @ cmat.transpose(0, 2, 1).reshape(kw * wd, cols))
-    out = out.reshape(n, kh, co, h, cols).transpose(0, 2, 1, 3, 4)
-    out = (rmat.transpose(1, 0, 2).reshape(rows, kh * h)
-           @ out.reshape(n, co, kh * h, cols))
+    pad = attrs.get("padding", 0)
+    route = _upconv_route(x.shape, w.shape, rows, cols, pad)
+    if route == "cells":
+        out = w.reshape(co, ci) @ x.reshape(n, ci, h * wd)
+        out = out.reshape(n, co, rows, cols)
+    elif route == "gather":
+        f, *chains = _geometry(attrs)
+        index = _gather_index(tuple(attrs["size"]), f, (kh, kw), pad,
+                              tuple(chains), (h, wd))
+        out = _fw_gathered(x, w, index).reshape(n, co, rows, cols)
+    else:
+        # every tap's response on the input grid, then read once per
+        # distinct output: one GEMM over the column taps, one over the rows
+        wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
+        out = (wtap @ x.reshape(n, ci, h * wd)).reshape(n, kh, kw, co, h, wd)
+        out = (out.transpose(0, 1, 3, 4, 2, 5).reshape(n, kh, co * h, kw * wd)
+               @ cmat.transpose(0, 2, 1).reshape(kw * wd, cols))
+        out = out.reshape(n, kh, co, h, cols).transpose(0, 2, 1, 3, 4)
+        out = (rmat.transpose(1, 0, 2).reshape(rows, kh * h)
+               @ out.reshape(n, co, kh * h, cols))
     if attrs.get("compact"):
         return out
     return out.take(rindex, axis=2).take(cindex, axis=3)
+
+
+def backward_macs(x_shape, w_shape, **attrs) -> int:
+    """Multiply-adds of one sample's dx and dW of a stride-1 conv2d without
+    `drop`, from shapes alone: im2col's two GEMMs, or for an `upsample` or
+    `expand` conv the 0/1 readback of g onto the input grid (rows, then
+    columns) and the two tap GEMMs there."""
+    co, ci, kh, kw = w_shape
+    h, wd = x_shape[2:]
+    if attrs.get("upsample") is None and attrs.get("expand") is None:
+        pad = attrs.get("padding", 0)
+        return (2 * co * ci * kh * kw
+                * (h + 2 * pad - kh + 1) * (wd + 2 * pad - kw + 1))
+    f, *chains = _geometry(attrs)
+    runs = [_axis_runs(n, f, k, attrs.get("padding", 0), chain)
+            for n, k, chain in zip(attrs["size"], (kh, kw), chains)]
+    rows, cols = (r[1 if attrs.get("compact") else 2].size for r in runs)
+    return (kh * h * rows * co * cols + co * kh * h * cols * kw * wd
+            + 2 * co * ci * kh * kw * h * wd)
 
 
 def _fw_conv2d(vals, attrs):
@@ -374,13 +523,16 @@ def _fw_conv2d(vals, attrs):
     # computed per kernel tap on the input as given, without building the
     # upsampled tensor.  With `compact=True` as well, only the distinct
     # output rows and columns are written: the first of each run of outputs
-    # whose taps all read the same input cells.  `expand=(f, kh, kw, p)`
-    # with `size` reads an input that is such a compact output, of a
-    # kh x kw conv padded by p, as the full map it stands for, again per
-    # tap on the compact input; `drop`, a bool mask of that full map, reads
-    # its cells as zeros.  Every other attr is a scalar or a tuple of them;
-    # the tap matrices are rebuilt from them.  `relu=True` rectifies the
-    # biased output in place.
+    # whose taps all read the same input cells.  `expand=(f, kh, kw, p,
+    # ...)` with `size` reads an input that is such a compact output, of a
+    # chain of kh x kw convs padded by p (the first reading the upsampled
+    # map, each next the compact output of the one before), as the full map
+    # it stands for; with `compact=True` it writes its own distinct outputs
+    # in turn, so the next conv reads them with one more level.  `drop`, a
+    # bool mask of the full map, reads its cells as zeros.  Every other
+    # attr is a scalar or a tuple of them; the tap matrices and gather
+    # indices are cached per geometry.  `relu=True` rectifies the biased
+    # output in place.
     x, w = vals[0], vals[1]
     b = vals[2] if len(vals) > 2 else None
     pad = attrs.get("padding", 0)
@@ -393,8 +545,8 @@ def _fw_conv2d(vals, attrs):
              f"channel mismatch {x.shape} vs {w.shape}")
     _require(pad >= 0, "conv2d", "padding must be >= 0")
     _require(stride >= 1, "conv2d", "stride must be >= 1")
-    _require(f is not None or not attrs.get("compact"), "conv2d",
-             "compact needs upsample")
+    _require(f is not None or expand is not None or not attrs.get("compact"),
+             "conv2d", "compact needs upsample or expand")
     _require(f is None or expand is None, "conv2d",
              "upsample and expand exclude each other")
     h, wd = x.shape[2:]
@@ -407,20 +559,25 @@ def _fw_conv2d(vals, attrs):
                  "conv2d", f"size {(h, wd)} is not a crop of the input "
                  f"upsampled x{f}")
     if expand is not None:
-        lf, lkh, lkw, lpad = expand
-        rows, cols = attrs["size"]
+        lf, levels = expand[0], tuple(expand[1:])
+        h, wd = attrs["size"]
         _require(stride == 1, "conv2d", "expand needs stride 1")
-        _require(lf >= 1 and lpad >= 0 and rows > 0 and cols > 0
-                 and rows + 2 * lpad >= lkh >= 1
-                 and cols + 2 * lpad >= lkw >= 1, "conv2d",
-                 f"expand {expand} with size {(rows, cols)} is no conv")
-        maps = distinct_outputs((rows, cols), lf, (lkh, lkw), lpad)
+        ok = lf >= 1 and h > 0 and wd > 0 and levels and len(levels) % 3 == 0
+        for lkh, lkw, lpad in zip(levels[0::3], levels[1::3], levels[2::3]):
+            ok = ok and (lpad >= 0 and h + 2 * lpad >= lkh >= 1
+                         and wd + 2 * lpad >= lkw >= 1)
+            h, wd = h + 2 * lpad - lkh + 1, wd + 2 * lpad - lkw + 1
+        _require(ok, "conv2d", f"expand {expand} with size "
+                 f"{tuple(attrs['size'])} is no conv")
+        maps = distinct_outputs(attrs["size"], lf, levels[-3:-1], levels[-1],
+                                levels[:-3])
         _require(x.shape[2:] == maps, "conv2d",
                  f"compact input {x.shape[2:]} does not match its maps {maps}")
-        h, wd = rows + 2 * lpad - lkh + 1, cols + 2 * lpad - lkw + 1
     drop = attrs.get("drop")
     if drop is not None:
         _require(expand is not None, "conv2d", "drop needs expand")
+        _require(not attrs.get("compact"), "conv2d",
+                 "drop and compact exclude each other")
         _require(isinstance(drop, np.ndarray) and drop.dtype == bool
                  and drop.shape == (h, wd), "conv2d",
                  f"drop is no bool mask of the expanded input {(h, wd)}")
@@ -499,11 +656,9 @@ def _bw_mul(node, g, ins):
 def _bw_upconv(node, g, x, w, need_dx, need_dw):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
-                                                         node.saved)
-    if not node.saved.get("compact"):
-        # each output reads the taps of its distinct output
-        rmat, cmat = rmat[:, rindex], cmat[:, cindex]
+    # without `compact`, each output reads the taps of its distinct output
+    (rmat, _, _), (cmat, _, _) = _tap_matrices(
+        x.shape, w.shape, node.saved, expanded=not node.saved.get("compact"))
     drop = node.saved.get("drop")
     if drop is None:
         # g read back onto the input grid once per tap: rows, then columns

@@ -9,25 +9,32 @@ so the tape holds one array per block.  All four stage outputs are exposed
 on the trace because the training scheme taps intermediate features and
 inserts feature dropout between lift and decoder.
 
-The upsampling repeats cells: at x8 and kernel 3 only 36 x 12 of the small
-grid's 96 x 32 lift outputs differ.  So the lift writes only its distinct
-rows and columns and the first decoder conv reads that compact map as the
-grid (one GEMM of its taps at compact resolution), reading the cells the
-dropout mask drops as zeros; the tape then saves that bool mask.  The
-grid-resolution `bev_feats`, before dropout, is built only when read.  A
-geometry without repeats takes the dense path: the lift writes grid
-resolution and the mask is applied to it.
+The upsampling repeats cells, and the repeats run on through the decoder:
+at x8 and kernel 3 only 36 x 12 of the small grid's 96 x 32 lift outputs
+differ, 60 x 20 of dec0's and 84 x 28 of dec1's.  So the lift writes only
+its distinct rows and columns, each decoder conv reads the compact map
+before it as the grid and, while it has fewer distinct outputs than the
+grid, writes its own compactly too; the head reads the last compact map
+and writes the grid.  Two forwards keep the dense decoder after dec0, both
+decided from shapes: one whose dropout mask drops a cell (dec0 reads the
+dropped cells as zeros, which breaks the runs; the tape then saves the
+bool mask), and a taped one whose backward would need more multiply-adds
+reading a compact gradient back than the dense decoder's (the paper
+grid).  The grid-resolution `bev_feats`, before dropout, and
+`decoded_feats` are built only when read.  A geometry without repeats
+takes the dense path: the lift writes grid resolution and the mask is
+applied to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .autograd import ParamSet, Tape, Tensor, distinct_outputs, forward_op
+from .autograd import (ParamSet, Tape, Tensor, backward_macs,
+                       distinct_outputs, expand_map, forward_op)
 from .errors import ConfigurationError
 from .geometry import Raster
 from .rng import Stream
@@ -74,25 +81,36 @@ class ModelConfig:
 class ForwardTrace:
     """All intermediates of one forward pass (batch dim kept at 1).
 
-    `bev_feats` may be given as a callable that builds the map: it runs on
-    the first read, so a forward whose lift is computed compactly builds the
-    full-resolution map only for a reader that asks for it."""
+    `bev_feats` and `decoded_feats` may each be given as a callable that
+    builds the map: it runs on the first read, so a forward that computes a
+    map compactly builds it at grid resolution only for a reader that asks
+    for it."""
 
-    def __init__(self, encoder_feats: Tensor, bev_feats, decoded_feats: Tensor,
+    def __init__(self, encoder_feats: Tensor, bev_feats, decoded_feats,
                  logits: Tensor, probs: Tensor):
         self.encoder_feats = encoder_feats
         self._bev_feats = bev_feats
-        self.decoded_feats = decoded_feats   # post-decoder ("late" tap)
+        self._decoded_feats = decoded_feats
         self.logits = logits
         self.probs = probs
+
+    def _built(self, name: str) -> Tensor:
+        value = getattr(self, name)
+        if callable(value):
+            value = value()
+            setattr(self, name, value)
+        return value
 
     @property
     def bev_feats(self) -> Tensor:
         """Post-lift map at grid resolution, before feature dropout (the
         "early" tap)."""
-        if callable(self._bev_feats):
-            self._bev_feats = self._bev_feats()
-        return self._bev_feats
+        return self._built("_bev_feats")
+
+    @property
+    def decoded_feats(self) -> Tensor:
+        """Post-decoder map at grid resolution (the "late" tap)."""
+        return self._built("_decoded_feats")
 
     @property
     def prob_values(self) -> np.ndarray:
@@ -117,6 +135,70 @@ def _conv_block(params: ParamSet, tape: Tape | None, name: str, x: Tensor,
     w = params.leaf(tape, f"{name}.w")
     b = params.leaf(tape, f"{name}.b")
     return forward_op("conv2d", x, w, b, padding=padding, relu=True, **attrs)
+
+
+def _expanded(x: Tensor, expand: tuple, size: tuple[int, int]):
+    """Builder of the grid-resolution map that the compact `x` stands for:
+    one gather when `x` is untaped, else a 1x1 identity conv reading `x`
+    with `expand`, recorded on `x`'s tape."""
+    def build() -> Tensor:
+        if x.tape is None:
+            return Tensor(expand_map(x.values, expand, size))
+        c = x.shape[1]
+        eye = np.eye(c).reshape(c, c, 1, 1)
+        return forward_op("conv2d", x, Tensor(eye), padding=0, expand=expand,
+                          size=size)
+    return build
+
+
+def _decoder(cfg: ModelConfig, grid: tuple[int, int], f: int, levels: tuple,
+             n_compact: int):
+    """(layer, rows and columns of its input, attrs) of each decoder conv
+    and the head.  The first reads the lift's output: the compact map
+    written by `levels` (the lift's `expand` levels), or the full map if
+    there are none; the first `n_compact` decoder convs write compactly,
+    each adding its level for the next."""
+    k, pad = cfg.kernel_size, cfg.kernel_size // 2
+    names = [f"dec{i}" for i in range(len(cfg.dec_widths))] + ["head"]
+    for i, name in enumerate(names):
+        attrs = dict(padding=0 if name == "head" else pad)
+        shape = grid
+        if levels:
+            attrs.update(expand=(f, *levels), size=grid)
+            shape = distinct_outputs(grid, f, levels[-3:-1], levels[-1],
+                                     levels[:-3])
+        if i < n_compact:
+            attrs["compact"] = True
+            levels += (k, k, pad)
+        else:
+            levels = ()
+        yield name, shape, attrs
+
+
+def _compact_layers(cfg: ModelConfig, grid: tuple[int, int], f: int,
+                    taped: bool) -> int:
+    """How many decoder convs write only their distinct outputs after a
+    compact lift: each in turn while it has fewer of them than the grid.
+    A taped forward takes the number whose backward needs the fewest
+    multiply-adds, the dense decoder on a tie: the 0/1 readback of a
+    compact map grows with the square of the grid's side, so the small
+    grid writes both decoder convs compactly and the paper grid neither."""
+    k, pad = cfg.kernel_size, cfg.kernel_size // 2
+    levels, n = (k, k, pad), 0
+    while (n < len(cfg.dec_widths)
+           and distinct_outputs(grid, f, (k, k), pad, levels) != grid):
+        levels += (k, k, pad)
+        n += 1
+    if not taped or not n:
+        return n
+    shapes = dict(cfg.layer_shapes())
+
+    def macs(n_compact):
+        return sum(backward_macs((1, shapes[name][1], *size), shapes[name],
+                                 **attrs)
+                   for name, size, attrs in _decoder(cfg, grid, f, (k, k, pad),
+                                                     n_compact))
+    return min(range(n + 1), key=macs)
 
 
 def forward(params: ParamSet, observation: Raster | np.ndarray,
@@ -145,34 +227,36 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
     encoder_feats = x
 
     k, f = cfg.kernel_size, 2 ** len(cfg.enc_widths)
-    lift = dict(upsample=f, size=(rows, cols))
-    if distinct_outputs((rows, cols), f, (k, k), pad) == (rows, cols):
+    grid = (rows, cols)
+    lift = dict(upsample=f, size=grid)
+    if distinct_outputs(grid, f, (k, k), pad) == grid:
         bev_feats = x = _conv_block(params, tape, "lift", x, pad, **lift)
         if bev_drop_mask is not None:
             x = forward_op("masked_fill", x, mask=bev_drop_mask[None, None],
                            value=0.0)
-        dec = range(len(cfg.dec_widths))
+        levels, drop, n_compact = (), {}, 0
     else:
         # the lift at its distinct rows and columns only; dec0 reads them
         # as the full map, its dropped cells as zeros, and the map itself
         # is built only if read
-        compact = _conv_block(params, tape, "lift", x, pad, compact=True,
-                              **lift)
-        expand = dict(expand=(f, k, k, pad), size=(rows, cols))
-        channels = cfg.lift_channels
-        eye = np.eye(channels).reshape(channels, channels, 1, 1)
-        bev_feats = partial(forward_op, "conv2d", compact, Tensor(eye),
-                            padding=0, **expand)
+        x = _conv_block(params, tape, "lift", x, pad, compact=True, **lift)
+        levels = (k, k, pad)
+        bev_feats = _expanded(x, (f, *levels), grid)
         drop = ({} if bev_drop_mask is None or not bev_drop_mask.any()
                 else {"drop": np.asarray(bev_drop_mask, dtype=bool)})
-        x = _conv_block(params, tape, "dec0", compact, pad, **expand, **drop)
-        dec = range(1, len(cfg.dec_widths))
-    for i in dec:
-        x = _conv_block(params, tape, f"dec{i}", x, pad)
-    decoded_feats = x
+        # a dropped cell breaks the runs of equal outputs past dec0
+        n_compact = 0 if drop else _compact_layers(cfg, grid, f,
+                                                   tape is not None)
+    layers = list(_decoder(cfg, grid, f, levels, n_compact))
+    for name, _, attrs in layers[:-1]:
+        x = _conv_block(params, tape, name, x, **attrs,
+                        **(drop if name == "dec0" else {}))
+    head = layers[-1][2]
+    decoded_feats = (_expanded(x, head["expand"], grid) if "expand" in head
+                     else x)
 
     w = params.leaf(tape, "head.w")
     b = params.leaf(tape, "head.b")
-    logits = forward_op("conv2d", decoded_feats, w, b, padding=0)
+    logits = forward_op("conv2d", x, w, b, **head)
     probs = forward_op("sigmoid", logits)
     return ForwardTrace(encoder_feats, bev_feats, decoded_feats, logits, probs)

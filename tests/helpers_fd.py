@@ -7,8 +7,11 @@ so transposition mistakes in backward rules cannot cancel out.  Besides one
 case per op kind there is a `relu` case: the conv2d op with `relu=True`, its
 pre-activations kept clear of the kink, a `compact` case: an upsampling
 conv2d that writes only its distinct outputs (`compact=True`) feeding a
-conv2d that reads them as the full map (`expand`), and a `masked_expand`
-case: the same pair with cells of the full map dropped (`drop`).
+conv2d that reads them as the full map (`expand`), a `masked_expand` case:
+the same pair with cells of the full map dropped (`drop`), and a
+`chained_compact` case: two more compact convs after the compact
+upsampling one, the second reading a two-level compact map, and a conv
+that reads the three-level map at grid resolution.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from bevssl.autograd import (_FORWARD_RULES, OP_KINDS, ParamSet, Tape, Tensor,
                              forward_op)
 from bevssl.rng import Stream
 
-ALL_KINDS = list(OP_KINDS) + ["relu", "compact", "masked_expand"]
+ALL_KINDS = list(OP_KINDS) + ["relu", "compact", "masked_expand",
+                              "chained_compact"]
 
 
 def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
@@ -30,6 +34,8 @@ def make_case(kind: str, stream: Stream):
     """(params, f) such that f(params) is a scalar Tensor applying `kind`."""
     if kind in ("compact", "masked_expand"):
         return _compact_case(stream, kind == "masked_expand")
+    if kind == "chained_compact":
+        return _chain_case(stream)
     op = "conv2d" if kind == "relu" else kind
     params = ParamSet()
     attrs: dict = {}
@@ -143,6 +149,43 @@ def _compact_case(stream: Stream, masked: bool):
         a, b, c, d, e = (ps.leaf(tape, name) for name in "abcde")
         mid = forward_op("conv2d", a, b, c, compact=True, **lift)
         out = forward_op("conv2d", mid, d, e, **read)
+        return forward_op("sum", forward_op("mul", out, Tensor(probe)))
+
+    return params, f
+
+
+def _chain_case(stream: Stream):
+    """A compact upsampling conv (input `a`, kernel `b`) read by a conv
+    that writes compactly (kernel `c`), then by one that reads that
+    two-level compact map and writes compactly too (kernel `d`), and a
+    conv that reads the three-level map at grid resolution as the model's
+    head does (kernel `e`, bias `f`), weighted by a random probe."""
+    params = ParamSet()
+    n = stream.randrange(1, 3)
+    widths = [stream.randrange(1, 3) for _ in range(5)]
+    ks = [2 * stream.randint(3) + 1 for _ in range(3)] + [
+        2 * stream.randint(2) + 1]
+    up = stream.randrange(2, 5)
+    size = (stream.randrange(ks[0], 3 * up + 2),
+            stream.randrange(ks[0], 3 * up + 2))
+    params.add("a", _arr(stream, (n, widths[0], *(-(-d // up) for d in size))))
+    for name, k, c_in, c_out in zip("bcde", ks, widths, widths[1:]):
+        params.add(name, _arr(stream, (c_out, c_in, k, k)))
+    params.add("f", _arr(stream, (widths[4],)))
+    probe = _arr(stream, (n, widths[4], *size), -1.0, 1.0)
+
+    def f(ps: ParamSet) -> Tensor:
+        tape = Tape()
+        a, b, c, d, e, bias = (ps.leaf(tape, name) for name in "abcdef")
+        x = forward_op("conv2d", a, b, upsample=up, size=size,
+                       padding=ks[0] // 2, compact=True)
+        levels = (ks[0], ks[0], ks[0] // 2)
+        for w, k in ((c, ks[1]), (d, ks[2])):
+            x = forward_op("conv2d", x, w, padding=k // 2, size=size,
+                           expand=(up, *levels), compact=True)
+            levels += (k, k, k // 2)
+        out = forward_op("conv2d", x, e, bias, padding=ks[3] // 2, size=size,
+                         expand=(up, *levels))
         return forward_op("sum", forward_op("mul", out, Tensor(probe)))
 
     return params, f

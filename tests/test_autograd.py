@@ -511,6 +511,162 @@ def test_expanding_conv_rejects_a_compact_input_off_its_maps():
                    **attrs)
 
 
+_CHAIN_CASES = [(f, size, k, levels) for f in (2, 4, 8)
+                for size in ((4 * f, 2 * f), (30, 18), (25, 9))
+                for k in (1, 3) for levels in (2, 3)]
+
+
+@pytest.mark.parametrize("f,size,k,levels", _CHAIN_CASES,
+                         ids=[f"f{f}-{r}x{c}-k{k}-l{n}"
+                              for f, (r, c), k, n in _CHAIN_CASES])
+def test_compact_chain_matches_the_dense_chain(f, size, k, levels):
+    """A compact lift read by convs that each write compactly, the last
+    reading a `levels`-level compact map, and a conv that reads that map
+    at grid resolution: output, dx and every dW equal the dense chain's."""
+    st = Stream(59).child(f"{f}-{size}-{k}-{levels}")
+    n, pad = 2, k // 2
+    widths = (3, 4, 5, 4, 2)[:levels + 2]
+    low = tuple(-(-d // f) for d in size)
+    ps = ParamSet()
+    ps.add("x", st.uniforms(n * 3 * low[0] * low[1], -1, 1).reshape(
+        n, 3, *low))
+    names = [f"w{i}" for i in range(levels + 1)]
+    for name, c_in, c_out in zip(names, widths, widths[1:]):
+        ps.add(name, st.uniforms(c_out * c_in * k * k, -1, 1).reshape(
+            c_out, c_in, k, k))
+    probe = st.uniforms(n * widths[-1] * size[0] * size[1], -1, 1).reshape(
+        n, widths[-1], *size)
+    results = []
+    for compact in (False, True):
+        ps.zero_grad()
+        tape = Tape()
+        y = ps.leaf(tape, "x")
+        chain = ()
+        for i, name in enumerate(names):
+            attrs = dict(padding=pad)
+            if i == 0:
+                attrs.update(upsample=f, size=size)
+            elif compact:
+                attrs.update(expand=(f, *chain), size=size)
+            if compact and i < levels:
+                attrs["compact"] = True
+                chain += (k, k, pad)
+            y = forward_op("conv2d", y, ps.leaf(tape, name), **attrs)
+        assert y.shape == (n, widths[-1], *size)
+        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
+        results.append((y.values, *(ps[name].grad.copy()
+                                    for name in ["x", *names])))
+    dense, compact = results
+    for name, g, wt in zip(("y", "dx", *names), compact, dense):
+        assert g.shape == wt.shape, name
+        rel = np.abs(g - wt).max() / np.abs(wt).max()
+        assert rel <= 1e-12, (name, rel)
+
+
+_ROUTE_CASES = [(f, size, k, levels, compact)
+                for f, size, k in ((8, (96, 32), 3), (4, (30, 18), 3),
+                                   (3, (25, 9), 5), (2, (12, 10), 1))
+                for levels in (0, 1, 2) for compact in (False, True)]
+
+
+@pytest.mark.parametrize("f,size,k,levels,compact", _ROUTE_CASES,
+                         ids=[f"f{f}-{r}x{c}-k{k}-l{n}-{'c' if cp else 'g'}"
+                              for f, (r, c), k, n, cp in _ROUTE_CASES])
+def test_both_forward_routes_give_the_same_outputs(monkeypatch, f, size, k,
+                                                    levels, compact):
+    """The tap-matrix and the gathered-column routes of a conv reading
+    through `upsample` (no level) or `expand` agree to rounding."""
+    st = Stream(61).child(f"{f}-{size}-{k}-{levels}-{compact}")
+    pad = k // 2
+    chain = (k, k, pad) * levels
+    attrs = dict(padding=pad, size=size, compact=compact)
+    if levels:
+        attrs["expand"] = (f, *chain)
+        shape = autograd.distinct_outputs(size, f, (k, k), pad, chain[:-3])
+    else:
+        attrs["upsample"] = f
+        shape = tuple(-(-d // f) for d in size)
+    x = Tensor(st.uniforms(2 * 3 * shape[0] * shape[1], -1, 1).reshape(
+        2, 3, *shape))
+    w = Tensor(st.uniforms(4 * 3 * k * k, -1, 1).reshape(4, 3, k, k))
+    outs = []
+    for route in ("taps", "gather"):
+        monkeypatch.setattr(autograd, "_upconv_route", lambda *_: route)
+        outs.append(forward_op("conv2d", x, w, **attrs).values)
+    taps, gathered = outs
+    assert taps.shape == gathered.shape
+    assert np.abs(taps - gathered).max() <= 1e-12 * np.abs(taps).max()
+
+
+def test_distinct_outputs_of_the_model_decoder():
+    """dec0 and dec1 of the default model, reading the x8 lift at kernel 3,
+    have 60 x 20 and 84 x 28 distinct outputs on the small grid, and
+    189 x 64 and 263 x 88 on the paper grid."""
+    lift, dec0 = (3, 3, 1), (3, 3, 1, 3, 3, 1)
+    assert autograd.distinct_outputs((96, 32), 8, (3, 3), 1, lift) == (60, 20)
+    assert autograd.distinct_outputs((96, 32), 8, (3, 3), 1, dec0) == (84, 28)
+    assert autograd.distinct_outputs((300, 100), 8, (3, 3), 1, lift) == (
+        189, 64)
+    assert autograd.distinct_outputs((300, 100), 8, (3, 3), 1, dec0) == (
+        263, 88)
+
+
+def test_backward_macs_of_the_model_dec1():
+    """The 0/1 readback of a compact dec1 needs fewer multiply-adds than
+    its dense backward on the small grid and more on the paper grid."""
+    w = (64, 32, 3, 3)
+    chain = dict(padding=1, expand=(8, 3, 3, 1, 3, 3, 1), compact=True)
+    assert autograd.backward_macs((1, 32, 60, 20), w, size=(96, 32),
+                                  **chain) == 90_685_440
+    assert autograd.backward_macs((1, 32, 96, 32), w, padding=1) == (
+        113_246_208)
+    assert autograd.backward_macs((1, 32, 189, 64), w, size=(300, 100),
+                                  **chain) == 1_898_878_464
+    assert autograd.backward_macs((1, 32, 300, 100), w, padding=1) == (
+        1_105_920_000)
+
+
+def test_tap_matrices_and_gather_indices_are_cached_read_only():
+    x, w = (1, 32, 60, 20), (64, 32, 3, 3)
+    attrs = dict(padding=1, expand=(8, 3, 3, 1, 3, 3, 1), size=(96, 32))
+    for expanded in (False, True):
+        first = autograd._tap_matrices(x, w, attrs, expanded)
+        again = autograd._tap_matrices(x, w, attrs, expanded)
+        for axis, axis_again in zip(first, again):
+            for arr, arr_again in zip(axis, axis_again):
+                assert arr is arr_again and not arr.flags.writeable
+    chains = (((3, 1), (3, 1)),) * 2  # rows and columns: lift, dec0
+    index = autograd._gather_index((96, 32), 8, (3, 3), 1, chains, (60, 20))
+    assert index.shape == (84 * 28, 9) and not index.flags.writeable
+    assert autograd._gather_index((96, 32), 8, (3, 3), 1, chains,
+                                  (60, 20)) is index
+
+
+def test_expand_map_is_the_expanding_identity_conv():
+    st = Stream(67)
+    x = st.uniforms(2 * 3 * 84 * 28, -1, 1).reshape(2, 3, 84, 28)
+    expand = (8, 3, 3, 1, 3, 3, 1, 3, 3, 1)
+    full = autograd.expand_map(x, expand, (96, 32))
+    eye = np.eye(3).reshape(3, 3, 1, 1)
+    want = forward_op("conv2d", Tensor(x), Tensor(eye), expand=expand,
+                      size=(96, 32)).values
+    assert full.shape == (2, 3, 96, 32)
+    assert np.array_equal(full, want)
+
+
+def test_expand_rejects_a_malformed_chain():
+    w = Tensor(np.ones((1, 1, 3, 3)))
+    x = Tensor(np.ones((1, 1, 12, 6)))
+    for bad in ((4,), (4, 3, 3), (4, 3, 3, 1, 3), (4, 3, 3, -1),
+                (0, 3, 3, 1), (4, 3, 3, 1, 40, 3, 1)):
+        with pytest.raises(ConfigurationError, match="is no conv"):
+            forward_op("conv2d", x, w, padding=1, size=(16, 8), expand=bad)
+    drop = np.zeros((16, 8), dtype=bool)
+    with pytest.raises(ConfigurationError, match="exclude each other"):
+        forward_op("conv2d", x, w, padding=1, size=(16, 8),
+                   expand=(4, 3, 3, 1), drop=drop, compact=True)
+
+
 # ---------------------------------------------------------------- errors ---
 
 def test_shape_mismatch_is_configuration_error():

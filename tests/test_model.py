@@ -235,9 +235,14 @@ def _lift_node(tape: Tape):
                 and nodes[n.input_ids[1]].saved.get("param") == "lift.w")
 
 
-def _force_dense(monkeypatch):
-    """Make every lift geometry look free of repeated cells."""
-    monkeypatch.setattr(model, "distinct_outputs", lambda size, *_: size)
+def _force_dense(monkeypatch, lift: bool = True):
+    """Make every decoder geometry look free of repeated cells, and the
+    lift's too if `lift`."""
+    real = model.distinct_outputs
+
+    def distinct(size, factor, kernel, pad, levels=()):
+        return size if lift or levels else real(size, factor, kernel, pad)
+    monkeypatch.setattr(model, "distinct_outputs", distinct)
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["none", "all-false"])
@@ -297,19 +302,23 @@ def test_compact_path_matches_the_dense_path(monkeypatch, rows, cols):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), field
 
 
-def _trace_and_grads(params, obs, drop):
+def _trace_and_grads(params, obs, drop, cfg=TINY,
+                     fields=("logits", "bev_feats")):
     """The forward trace, and every parameter's gradient of a random
-    weighting of the logits and of `bev_feats`."""
+    weighting of the trace's `fields`."""
     params.zero_grad()
     tape = Tape()
-    trace = forward(params, obs, drop, tape, TINY)
+    trace = forward(params, obs, drop, tape, cfg)
     terms = []
-    for i, field in enumerate(("logits", "bev_feats")):
+    for i, field in enumerate(fields):
         t = getattr(trace, field)
         probe = Stream(12).child(i).uniforms(t.values.size, -1, 1)
         terms.append(forward_op("sum", forward_op(
             "mul", t, Tensor(probe.reshape(t.shape)))))
-    backward(forward_op("add", *terms), params)
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = forward_op("add", loss, term)
+    backward(loss, params)
     return trace, {name: p.grad.copy() for name, p in params.items()}
 
 
@@ -358,3 +367,129 @@ def test_bev_feats_is_built_on_first_read_on_the_trace_tape():
     assert not any(isinstance(v, np.ndarray)
                    for n in convs for v in n.saved.values())
     assert replay(tape)
+
+
+# -------------------------------------------------------- compact decoder --
+
+# a three-stage encoder: at x8 the decoder convs repeat cells too, and the
+# decoder is wide enough that a taped forward runs it compactly
+TINY8 = ModelConfig(enc_widths=(4, 6, 8), lift_channels=16,
+                    dec_widths=(16, 16))
+
+
+def _conv_nodes(tape: Tape) -> dict:
+    nodes = tape.nodes
+    return {nodes[n.input_ids[1]].saved.get("param", "").split(".")[0]: n
+            for n in nodes if n.kind == "conv2d"}
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_default_small_grid_forward_runs_the_decoder_at_its_distinct_cells(
+        monkeypatch, taped):
+    """dec0 and dec1 write only their distinct outputs, and the head reads
+    dec1's compact map and writes the grid."""
+    cfg = ModelConfig()
+    params = init_params(cfg, 4)
+    convs = {}
+
+    def spy(kind, *inputs, **attrs):
+        out = forward_op(kind, *inputs, **attrs)
+        if kind == "conv2d" and inputs[1].param_name is not None:
+            convs[inputs[1].param_name[:-2]] = (out.shape[2:], attrs)
+        return out
+    monkeypatch.setattr(model, "forward_op", spy)
+    trace = forward(params, _obs(Stream(15), 96, 32), None,
+                    Tape() if taped else None, cfg)
+    for name, shape in (("lift", (36, 12)), ("dec0", (60, 20)),
+                        ("dec1", (84, 28)), ("head", (96, 32))):
+        assert convs[name][0] == shape, name
+        assert convs[name][1].get("compact", False) == (name != "head"), name
+    assert convs["head"][1]["expand"] == (8, 3, 3, 1, 3, 3, 1, 3, 3, 1)
+    assert trace.probs.shape == (1, 3, 96, 32)
+    assert trace.decoded_feats.shape == (1, 64, 96, 32)
+
+
+def test_a_taped_paper_grid_forward_keeps_the_dense_decoder():
+    """On 300 x 100 the 0/1 readback of a compact dec1 would need more
+    multiply-adds than its dense backward, so a taped forward writes dec0 at
+    grid resolution and runs dec1 and the head dense; an untaped one runs
+    the decoder compactly."""
+    cfg = ModelConfig()
+    params = init_params(cfg, 4)
+    obs = _obs(Stream(16), 300, 100)
+    tape = Tape()
+    forward(params, obs, None, tape, cfg)
+    convs = _conv_nodes(tape)
+    assert convs["lift"].values.shape[2:] == (114, 39)
+    assert convs["dec0"].saved["expand"] == (8, 3, 3, 1)
+    assert not convs["dec0"].saved.get("compact")
+    for name in ("dec0", "dec1", "head"):
+        assert convs[name].values.shape[2:] == (300, 100), name
+    assert "expand" not in convs["dec1"].saved
+    assert "expand" not in convs["head"].saved
+    assert model._compact_layers(cfg, (300, 100), 8, taped=False) == 2
+    assert model._compact_layers(cfg, (300, 100), 8, taped=True) == 0
+    assert model._compact_layers(cfg, (96, 32), 8, taped=True) == 2
+
+
+_X8_GRIDS = [(32, 24), (25, 17), (16, 40)]
+
+
+@pytest.mark.parametrize("reference", ["dense-decoder", "dense"])
+@pytest.mark.parametrize("rows,cols", _X8_GRIDS)
+def test_compact_decoder_matches_the_dense_one(monkeypatch, rows, cols,
+                                               reference):
+    """With an x8 encoder both decoder convs write compactly, taped and
+    untaped; every trace field and every parameter gradient equals that of
+    the dense decoder after the compact lift, and of the fully dense path,
+    to rounding.  Biases are nonzero."""
+    params = init_params(TINY8, 5)
+    for name, p in params.items():
+        if name.endswith(".b"):
+            p.values[...] = Stream(11).child(name).uniforms(p.values.size,
+                                                            0.1, 0.5)
+    obs = _obs(Stream(8), rows, cols)
+    fields = ("logits", "bev_feats", "decoded_feats")
+    untaped = forward(params, obs, None, None, TINY8)
+    taped = _trace_and_grads(params, obs, None, TINY8, fields)
+    tape = Tape()
+    forward(params, obs, None, tape, TINY8)
+    convs = _conv_nodes(tape)
+    assert convs["dec0"].saved.get("compact") and convs["dec1"].saved.get(
+        "compact")
+    assert convs["head"].values.shape[2:] == (rows, cols)
+    _force_dense(monkeypatch, lift=reference == "dense")
+    dense_untaped = forward(params, obs, None, None, TINY8)
+    dense_taped = _trace_and_grads(params, obs, None, TINY8, fields)
+    pairs = []
+    for got, want in ((untaped, dense_untaped), (taped[0], dense_taped[0])):
+        pairs += [(field, getattr(got, field).values,
+                   getattr(want, field).values) for field in TRACE_FIELDS]
+    pairs += [(name, taped[1][name], dense_taped[1][name])
+              for name in dense_taped[1]]
+    for name, got, want in pairs:
+        assert got.shape == want.shape, name
+        assert np.abs(want).max() > 0, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+def test_decoded_feats_is_built_once_on_first_read(taped):
+    """A compact decoder's grid-resolution map is built on the first read
+    of `decoded_feats`: on the trace's tape when the forward is taped, else
+    by one gather with no tape."""
+    params = init_params(TINY8, 3)
+    tape = Tape() if taped else None
+    trace = forward(params, _obs(Stream(10), 32, 24), None, tape, TINY8)
+    n_nodes = len(tape.nodes) if taped else 0
+    assert callable(trace._decoded_feats)
+    feats = trace.decoded_feats
+    assert trace.decoded_feats is feats
+    assert feats.shape == (1, 16, 32, 24)
+    if taped:
+        assert feats.tape is tape and len(tape.nodes) > n_nodes
+        n_read = len(tape.nodes)
+        assert trace.decoded_feats is feats and len(tape.nodes) == n_read
+        assert replay(tape)
+    else:
+        assert feats.tape is None

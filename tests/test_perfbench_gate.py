@@ -44,6 +44,33 @@ def test_traced_run_completes():
     assert metrics["engine.teacher_frames_per_step"]["value"] == 7
 
 
+# Per-step decoder multiply-adds (output cells x ci x k^2, in MMAC): three
+# (seven) untaped teacher forwards and two taped labelled forwards run the
+# decoder at its distinct cells; the unlabelled student's bevdrop forward
+# runs the masked dec0 and a dense dec1.
+_DECODER_MMAC = {
+    "ssl_small": {"dec0": 5 * 22.1184 + 56.623104,
+                  "dec1": 5 * 43.352064 + 56.623104},
+    "fusion_feats6_small": {"dec0": 9 * 22.1184 + 56.623104,
+                            "dec1": 9 * 43.352064 + 56.623104},
+}
+
+
+@pytest.mark.parametrize("name", ["ssl_small", "fusion_feats6_small"])
+def test_decoder_runs_compactly_in_every_forward_but_the_masked_one(name):
+    tracer = spans.Tracer()
+    res = workloads.run_workload(name, 1, 1, tracer)
+    assert res["failed"] == 0, res["errors"]
+    metrics = tracer.metrics(res["step_ms"], res["traced_step_ms"])
+    got = {layer: metrics[f"autograd.conv2d_mmac.{layer}"]["value"]
+           for layer in ("dec0", "dec1")}
+    assert got == pytest.approx(_DECODER_MMAC[name], rel=1e-12)
+    assert metrics["autograd.conv2d_mmac.lift"]["value"] == pytest.approx(
+        95.551488 if name == "ssl_small" else 159.25248, rel=1e-12)
+    assert metrics["autograd.conv2d_mmac.head"]["value"] == pytest.approx(
+        3.538944 if name == "ssl_small" else 5.89824, rel=1e-12)
+
+
 def test_conv_workspace_stays_within_the_band_budget(monkeypatch):
     """im2col columns are built a band of output rows at a time, so three
     small-preset steps leave the shared workspace no larger than the band
