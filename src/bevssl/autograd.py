@@ -14,16 +14,17 @@ forward's banded GEMM loop; at stride > 1 it comes from dW's bands, each
 band's column gradient added back into the padded input.  With
 `relu=True`, `conv2d` rectifies its output in place and masks the gradient
 by that output, so a conv block is one node on the tape.  A conv that
-reads its input nearest-upsampled (`upsample`), or reads a compact map as
-the full one it stands for (`expand`, the chain of convs that wrote it in
-scalars), computes each distinct output once: through 0/1 tap matrices at
-input resolution or from gathered im2col columns, whichever needs fewer
-multiply-adds.  With `compact=True` it writes only those, so convs can run
-at their distinct cells one after another.  Backward reads g back onto the
-input through the tap matrices, rows then columns; they and the gather
-indices are cached per geometry, read-only.  An `expand` conv reads the
-cells of a `drop` mask as zeros; that bool mask is the one array a conv
-node saves (3 KB for the small grid's dec0, 30 KB for the paper grid's).
+reads a low-resolution map as the larger one it stands for (`expand`: the
+map's upsampling factor and the chain of convs that wrote it, in scalars;
+an empty chain reads the map nearest-upsampled) computes each distinct
+output once: through 0/1 tap matrices at input resolution or from
+gathered im2col columns, whichever needs fewer multiply-adds.  With
+`compact=True` it writes only those, so convs can run at their distinct
+cells one after another.  Backward reads g back onto the input through the
+tap matrices, rows then columns; they and the gather indices are cached
+per geometry, read-only.  An `expand` conv reads the cells of a `drop`
+mask as zeros; that bool mask is the one array a conv node saves (3 KB for
+the small grid's dec0, 30 KB for the paper grid's).
 Importing the module also warms the heap (see the note at `_workspace`).
 """
 
@@ -265,61 +266,52 @@ def _source(size: int, factor: int, chain: tuple) -> np.ndarray:
     that wrote the compact map (none: the low-res axis itself)."""
     if not chain:
         return np.arange(size) // factor
-    return _axis_runs(size, factor, *chain[-1], chain[:-1])[2]
+    return _axis_runs(size, factor, *chain[-1], chain[:-1])[1]
 
 
 @functools.lru_cache(maxsize=None)
 def _axis_runs(size: int, factor: int, k: int, pad: int, chain: tuple = ()):
-    """(reads, first, index) along one axis of a k-tap conv, padded by
-    `pad`, whose input is the compact map behind `chain` (see `_source`).
+    """(reads, index) along one axis of a k-tap conv, padded by `pad`,
+    whose input is the compact map behind `chain` (see `_source`).
     Neighbouring outputs whose taps read the same input positions form a
-    run and are equal: `first` is each run's first output, `index` each
-    output's run, and `reads` (k, runs) the input position tap t of run r
-    reads, -1 in the padding.  The arrays are cached read-only, so the tape
-    saves only the scalars they come from."""
+    run and are equal: `index` is each output's run, and `reads` (k, runs)
+    the input position tap t of run r reads, -1 in the padding.  Without
+    repeated cells each run has length one.  The arrays are cached
+    read-only, so the tape saves only the scalars they come from."""
     src = _source(size, factor, chain)
     u = (np.arange(src.size + 2 * pad - k + 1)[None, :]
          + np.arange(k)[:, None] - pad)
     inside = (u >= 0) & (u < src.size)
     reads = np.where(inside, src[np.where(inside, u, 0)], -1)
     starts = np.diff(reads, prepend=-2).any(axis=0)
-    first, index = np.flatnonzero(starts), np.cumsum(starts) - 1
-    out = (reads[:, first], first, index)
+    out = (reads[:, starts], np.cumsum(starts) - 1)
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _chains(levels: tuple) -> tuple[tuple, tuple]:
-    """The row and column chains of (k, pad) levels of `expand`'s flat
-    (kh, kw, pad, ...) levels."""
+def _geometry(expand: tuple) -> tuple[int, tuple, tuple]:
+    """The factor and the row and column chains of (k, pad) levels of
+    `expand`'s flat (f, kh, kw, pad, ...)."""
+    levels = expand[1:]
     triples = tuple(zip(levels[0::3], levels[1::3], levels[2::3]))
-    return (tuple((kh, p) for kh, _, p in triples),
+    return (expand[0], tuple((kh, p) for kh, _, p in triples),
             tuple((kw, p) for _, kw, p in triples))
 
 
-def _geometry(attrs) -> tuple[int, tuple, tuple]:
-    """The factor and row and column chains behind the input of a conv
-    that reads through `upsample` (no level) or `expand`."""
-    if attrs.get("upsample") is not None:
-        return attrs["upsample"], (), ()
-    return (attrs["expand"][0], *_chains(attrs["expand"][1:]))
-
-
-def distinct_outputs(size: tuple[int, int], factor: int,
-                     kernel: tuple[int, int], pad: int,
-                     levels: tuple = ()) -> tuple[int, int]:
-    """Rows and columns of the compact output (`compact=True`) of a conv
-    reading its input nearest-upsampled by `factor` and cropped to `size`,
-    or, with `levels`, the compact map written by those `expand` levels."""
-    return tuple(_axis_runs(n, factor, k, pad, chain)[1].size
-                 for n, k, chain in zip(size, kernel, _chains(levels)))
+def distinct_outputs(size: tuple[int, int], expand: tuple) -> tuple[int, int]:
+    """Rows and columns of the compact map that `expand` reads as the full
+    map of `size`: the distinct outputs (`compact=True`) of its last level,
+    or for an empty chain the low-res map that covers `size` upsampled."""
+    f, *chains = _geometry(expand)
+    return tuple(int(_source(n, f, chain)[-1]) + 1
+                 for n, chain in zip(size, chains))
 
 
 def expand_map(x: np.ndarray, expand: tuple, size: tuple) -> np.ndarray:
     """The full map that a compact map `x` (n, c, rows, cols) stands for
     (see `conv2d`'s `expand`), by one gather."""
-    f, rows, cols = _geometry({"expand": expand})
+    f, rows, cols = _geometry(expand)
     index = (_source(size[0], f, rows)[:, None] * x.shape[3]
              + _source(size[1], f, cols))
     n, c = x.shape[:2]
@@ -346,7 +338,7 @@ def _axis_taps(size: int, factor: int, k: int, pad: int, chain: tuple,
     """The (k, runs, n_in) 0/1 matrix that is 1 where tap t of run r reads
     input position j (see `_axis_runs`), each output's row of its run if
     `expanded`; cached read-only."""
-    reads, _, index = _axis_runs(size, factor, k, pad, chain)
+    reads, index = _axis_runs(size, factor, k, pad, chain)
     mat = (reads[..., None] == np.arange(n_in)).astype(np.float64)
     if expanded:
         mat = mat[:, index]
@@ -354,13 +346,12 @@ def _axis_taps(size: int, factor: int, k: int, pad: int, chain: tuple,
 
 
 def _tap_matrices(x_shape, w_shape, attrs, expanded: bool = False):
-    """Per axis of a conv that reads its input through `upsample` or
-    `expand`: its `_axis_taps` matrix and the runs' `first` and `index`
-    (see `_axis_runs`)."""
+    """Per axis of a conv that reads its input through `expand`: its
+    `_axis_taps` matrix and each output's run (see `_axis_runs`)."""
     pad = attrs.get("padding", 0)
-    f, *chains = _geometry(attrs)
+    f, *chains = _geometry(attrs["expand"])
     return [(_axis_taps(n, f, k, pad, chain, n_in, expanded),
-             *_axis_runs(n, f, k, pad, chain)[1:])
+             _axis_runs(n, f, k, pad, chain)[1])
             for n, k, chain, n_in in zip(attrs["size"], w_shape[2:], chains,
                                          x_shape[2:])]
 
@@ -371,8 +362,8 @@ def _gather_index(size: tuple, factor: int, kernel: tuple, pad: int,
     """(rows*cols, kh*kw): the flat position in the (h, w) input `shape`
     that tap t of each distinct output reads, or the zero slot h*w past its
     end in the padding; cached read-only."""
-    (rr, _, _), (cr, _, _) = (_axis_runs(n, factor, k, pad, chain)
-                              for n, k, chain in zip(size, kernel, chains))
+    rr, cr = (_axis_runs(n, factor, k, pad, chain)[0]
+              for n, k, chain in zip(size, kernel, chains))
     rr, cr = rr[:, None, :, None], cr[None, :, None, :]
     index = np.where((rr >= 0) & (cr >= 0), rr * shape[1] + cr,
                      shape[0] * shape[1])
@@ -384,7 +375,7 @@ def _drop_index(x_shape, w_shape, attrs):
     `expand` conv that tap t of each output reads, or the zero slot h*w
     past its end where the tap reads padding or a cell of the `drop`
     mask."""
-    f, rows, cols = _geometry(attrs)
+    f, rows, cols = _geometry(attrs["expand"])
     pad = attrs.get("padding", 0)
     drop = attrs["drop"]
     h, wd = x_shape[2:]
@@ -448,7 +439,7 @@ def _fw_gathered(x, w, index):
 
 
 def _upconv_route(x_shape, w_shape, rows: int, cols: int, pad: int) -> str:
-    """How a conv reading through `upsample` or `expand` computes its rows x
+    """How a conv reading through `expand` computes its rows x
     cols distinct outputs.  A 1x1 conv without padding whose outputs are as
     many as its input cells reads them as they are ("cells"); otherwise the
     route with fewer multiply-adds: every tap's response at input
@@ -469,8 +460,7 @@ def _fw_upconv(x, w, attrs):
         return _fw_dropconv(x, w, attrs)
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    (rmat, _, rindex), (cmat, _, cindex) = _tap_matrices(x.shape, w.shape,
-                                                         attrs)
+    (rmat, rindex), (cmat, cindex) = _tap_matrices(x.shape, w.shape, attrs)
     rows, cols = rmat.shape[1], cmat.shape[1]
     pad = attrs.get("padding", 0)
     route = _upconv_route(x.shape, w.shape, rows, cols, pad)
@@ -478,7 +468,7 @@ def _fw_upconv(x, w, attrs):
         out = w.reshape(co, ci) @ x.reshape(n, ci, h * wd)
         out = out.reshape(n, co, rows, cols)
     elif route == "gather":
-        f, *chains = _geometry(attrs)
+        f, *chains = _geometry(attrs["expand"])
         index = _gather_index(tuple(attrs["size"]), f, (kh, kw), pad,
                               tuple(chains), (h, wd))
         out = _fw_gathered(x, w, index).reshape(n, co, rows, cols)
@@ -499,45 +489,50 @@ def _fw_upconv(x, w, attrs):
 
 def backward_macs(x_shape, w_shape, **attrs) -> int:
     """Multiply-adds of one sample's dx and dW of a stride-1 conv2d without
-    `drop`, from shapes alone: im2col's two GEMMs, or for an `upsample` or
-    `expand` conv the 0/1 readback of g onto the input grid (rows, then
-    columns) and the two tap GEMMs there."""
+    `drop`, from shapes alone: im2col's two GEMMs, or for an `expand` conv
+    the 0/1 readback of g onto the input grid (rows, then columns) and the
+    two tap GEMMs there."""
     co, ci, kh, kw = w_shape
     h, wd = x_shape[2:]
-    if attrs.get("upsample") is None and attrs.get("expand") is None:
+    if attrs.get("expand") is None:
         pad = attrs.get("padding", 0)
         return (2 * co * ci * kh * kw
                 * (h + 2 * pad - kh + 1) * (wd + 2 * pad - kw + 1))
-    f, *chains = _geometry(attrs)
+    f, *chains = _geometry(attrs["expand"])
     runs = [_axis_runs(n, f, k, attrs.get("padding", 0), chain)
             for n, k, chain in zip(attrs["size"], (kh, kw), chains)]
-    rows, cols = (r[1 if attrs.get("compact") else 2].size for r in runs)
+    rows, cols = (r[0].shape[1] if attrs.get("compact") else r[1].size
+                  for r in runs)
     return (kh * h * rows * co * cols + co * kh * h * cols * kw * wd
             + 2 * co * ci * kh * kw * h * wd)
 
 
+_CONV_ATTRS = frozenset(("padding", "stride", "expand", "size", "compact",
+                         "drop", "relu"))
+
+
 def _fw_conv2d(vals, attrs):
     # attrs: `padding` zero-pads the input; `stride=s` keeps every s-th
-    # output row and column.  `upsample=f` with `size=(rows, cols)` first
-    # nearest-upsamples the input by f and crops it to `size`; that is
-    # computed per kernel tap on the input as given, without building the
-    # upsampled tensor.  With `compact=True` as well, only the distinct
-    # output rows and columns are written: the first of each run of outputs
-    # whose taps all read the same input cells.  `expand=(f, kh, kw, p,
-    # ...)` with `size` reads an input that is such a compact output, of a
-    # chain of kh x kw convs padded by p (the first reading the upsampled
-    # map, each next the compact output of the one before), as the full map
-    # it stands for; with `compact=True` it writes its own distinct outputs
-    # in turn, so the next conv reads them with one more level.  `drop`, a
+    # output row and column.  `expand=(f, kh, kw, p, ...)` with `size=(rows,
+    # cols)` reads the input as the larger map it stands for: the input
+    # nearest-upsampled by f and cropped to `size`, then, per (kh, kw, p)
+    # level, the compact output of a kh x kw conv padded by p (each level
+    # reading the map before it); with no level the input may be any map
+    # that covers the crop.  That is computed per kernel tap on the input
+    # as given, without building the larger map.  With `compact=True` as
+    # well, only the distinct output rows and columns are written: the
+    # first of each run of outputs whose taps all read the same input
+    # cells, so the next conv reads them with one more level.  `drop`, a
     # bool mask of the full map, reads its cells as zeros.  Every other
     # attr is a scalar or a tuple of them; the tap matrices and gather
     # indices are cached per geometry.  `relu=True` rectifies the biased
     # output in place.
+    for key in attrs:
+        _require(key in _CONV_ATTRS, "conv2d", f"unknown attribute '{key}'")
     x, w = vals[0], vals[1]
     b = vals[2] if len(vals) > 2 else None
     pad = attrs.get("padding", 0)
     stride = attrs.get("stride", 1)
-    f = attrs.get("upsample")
     expand = attrs.get("expand")
     _require(x.ndim == 4 and w.ndim == 4, "conv2d",
              f"need 4D input and kernel, got {x.shape} and {w.shape}")
@@ -545,34 +540,29 @@ def _fw_conv2d(vals, attrs):
              f"channel mismatch {x.shape} vs {w.shape}")
     _require(pad >= 0, "conv2d", "padding must be >= 0")
     _require(stride >= 1, "conv2d", "stride must be >= 1")
-    _require(f is not None or expand is not None or not attrs.get("compact"),
-             "conv2d", "compact needs upsample or expand")
-    _require(f is None or expand is None, "conv2d",
-             "upsample and expand exclude each other")
+    _require(expand is not None or not attrs.get("compact"), "conv2d",
+             "compact needs expand")
     h, wd = x.shape[2:]
     co, _, kh, kw = w.shape
-    if f is not None:
-        _require(f >= 1, "conv2d", "upsample must be >= 1")
-        _require(stride == 1, "conv2d", "upsample needs stride 1")
-        h, wd = attrs["size"]
-        _require(0 < h <= x.shape[2] * f and 0 < wd <= x.shape[3] * f,
-                 "conv2d", f"size {(h, wd)} is not a crop of the input "
-                 f"upsampled x{f}")
     if expand is not None:
-        lf, levels = expand[0], tuple(expand[1:])
+        f, levels = expand[0], tuple(expand[1:])
         h, wd = attrs["size"]
         _require(stride == 1, "conv2d", "expand needs stride 1")
-        ok = lf >= 1 and h > 0 and wd > 0 and levels and len(levels) % 3 == 0
+        ok = f >= 1 and h > 0 and wd > 0 and len(levels) % 3 == 0
         for lkh, lkw, lpad in zip(levels[0::3], levels[1::3], levels[2::3]):
             ok = ok and (lpad >= 0 and h + 2 * lpad >= lkh >= 1
                          and wd + 2 * lpad >= lkw >= 1)
             h, wd = h + 2 * lpad - lkh + 1, wd + 2 * lpad - lkw + 1
         _require(ok, "conv2d", f"expand {expand} with size "
                  f"{tuple(attrs['size'])} is no conv")
-        maps = distinct_outputs(attrs["size"], lf, levels[-3:-1], levels[-1],
-                                levels[:-3])
-        _require(x.shape[2:] == maps, "conv2d",
-                 f"compact input {x.shape[2:]} does not match its maps {maps}")
+        if levels:
+            maps = distinct_outputs(attrs["size"], expand)
+            _require(x.shape[2:] == maps, "conv2d", f"compact input "
+                     f"{x.shape[2:]} does not match its maps {maps}")
+        else:
+            _require(x.shape[2] * f >= h and x.shape[3] * f >= wd, "conv2d",
+                     f"size {(h, wd)} is not a crop of the input "
+                     f"upsampled x{f}")
     drop = attrs.get("drop")
     if drop is not None:
         _require(expand is not None, "conv2d", "drop needs expand")
@@ -586,7 +576,7 @@ def _fw_conv2d(vals, attrs):
     if b is not None:
         _require(b.shape == (co,), "conv2d",
                  f"bias shape {b.shape} != ({co},)")
-    if f is not None or expand is not None:
+    if expand is not None:
         out = _fw_upconv(x, w, attrs)
     else:
         out = _conv(x, w.reshape(co, -1), kh, kw, pad, stride)
@@ -657,7 +647,7 @@ def _bw_upconv(node, g, x, w, need_dx, need_dw):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     # without `compact`, each output reads the taps of its distinct output
-    (rmat, _, _), (cmat, _, _) = _tap_matrices(
+    (rmat, _), (cmat, _) = _tap_matrices(
         x.shape, w.shape, node.saved, expanded=not node.saved.get("compact"))
     drop = node.saved.get("drop")
     if drop is None:
@@ -700,8 +690,7 @@ def _bw_conv2d(node, g, ins):
         g = g * (node.values > 0)
     need_dx = not node.input_needs or node.input_needs[0]
     need_dw = not node.input_needs or node.input_needs[1]
-    if (node.saved.get("upsample") is not None
-            or node.saved.get("expand") is not None):
+    if node.saved.get("expand") is not None:
         dx, dw = _bw_upconv(node, g, x, w, need_dx, need_dw)
     else:
         dx, dw = _bw_im2col(node, g, x, w, need_dx, need_dw)

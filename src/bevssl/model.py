@@ -12,18 +12,18 @@ inserts feature dropout between lift and decoder.
 The upsampling repeats cells, and the repeats run on through the decoder:
 at x8 and kernel 3 only 36 x 12 of the small grid's 96 x 32 lift outputs
 differ, 60 x 20 of dec0's and 84 x 28 of dec1's.  So the lift writes only
-its distinct rows and columns, each decoder conv reads the compact map
-before it as the grid and, while it has fewer distinct outputs than the
-grid, writes its own compactly too; the head reads the last compact map
-and writes the grid.  Two forwards keep the dense decoder after dec0, both
-decided from shapes: one whose dropout mask drops a cell (dec0 reads the
-dropped cells as zeros, which breaks the runs; the tape then saves the
-bool mask), and a taped one whose backward would need more multiply-adds
+its distinct rows and columns (at x2 and kernel 3 that is every cell, in
+runs of length one), and the first conv that reads it (dec0, or the head
+without a decoder) reads the compact map as the grid, its dropout mask's
+cells as zeros.  Each decoder conv, while it has fewer distinct outputs
+than the grid, writes its own compactly too; the conv after the last
+compact one reads that map and writes the grid.  Two forwards keep the
+dense decoder after dec0, both decided from shapes: one whose dropout
+mask drops a cell (that breaks the runs; the tape then saves the bool
+mask), and a taped one whose backward would need more multiply-adds
 reading a compact gradient back than the dense decoder's (the paper
 grid).  The grid-resolution `bev_feats`, before dropout, and
-`decoded_feats` are built only when read.  A geometry without repeats
-takes the dense path: the lift writes grid resolution and the mask is
-applied to it.
+`decoded_feats` are built only when read.
 """
 
 from __future__ import annotations
@@ -137,57 +137,58 @@ def _conv_block(params: ParamSet, tape: Tape | None, name: str, x: Tensor,
     return forward_op("conv2d", x, w, b, padding=padding, relu=True, **attrs)
 
 
-def _expanded(x: Tensor, expand: tuple, size: tuple[int, int]):
-    """Builder of the grid-resolution map that the compact `x` stands for:
-    one gather when `x` is untaped, else a 1x1 identity conv reading `x`
-    with `expand`, recorded on `x`'s tape."""
+def _expanded(x: Tensor, attrs: dict):
+    """Builder of the grid-resolution map that the compact `x` stands for,
+    as a 1x1 conv with `attrs` (`expand`, `size`, maybe `drop`) reads it:
+    one gather when `x` is untaped, the cells of `drop` zeroed, else a 1x1
+    identity conv recorded on `x`'s tape."""
     def build() -> Tensor:
         if x.tape is None:
-            return Tensor(expand_map(x.values, expand, size))
+            full = expand_map(x.values, attrs["expand"], attrs["size"])
+            if "drop" in attrs:
+                full[:, :, attrs["drop"]] = 0.0
+            return Tensor(full)
         c = x.shape[1]
         eye = np.eye(c).reshape(c, c, 1, 1)
-        return forward_op("conv2d", x, Tensor(eye), padding=0, expand=expand,
-                          size=size)
+        return forward_op("conv2d", x, Tensor(eye), **attrs)
     return build
 
 
-def _decoder(cfg: ModelConfig, grid: tuple[int, int], f: int, levels: tuple,
+def _decoder(cfg: ModelConfig, grid: tuple[int, int], f: int,
              n_compact: int):
     """(layer, rows and columns of its input, attrs) of each decoder conv
-    and the head.  The first reads the lift's output: the compact map
-    written by `levels` (the lift's `expand` levels), or the full map if
-    there are none; the first `n_compact` decoder convs write compactly,
-    each adding its level for the next."""
+    and the head.  The first reads the lift's compact map; the first
+    `n_compact` decoder convs write compactly, each adding its level for
+    the next."""
     k, pad = cfg.kernel_size, cfg.kernel_size // 2
+    expand = (f, k, k, pad)
     names = [f"dec{i}" for i in range(len(cfg.dec_widths))] + ["head"]
     for i, name in enumerate(names):
         attrs = dict(padding=0 if name == "head" else pad)
         shape = grid
-        if levels:
-            attrs.update(expand=(f, *levels), size=grid)
-            shape = distinct_outputs(grid, f, levels[-3:-1], levels[-1],
-                                     levels[:-3])
+        if expand:
+            attrs.update(expand=expand, size=grid)
+            shape = distinct_outputs(grid, expand)
         if i < n_compact:
             attrs["compact"] = True
-            levels += (k, k, pad)
+            expand += (k, k, pad)
         else:
-            levels = ()
+            expand = ()
         yield name, shape, attrs
 
 
 def _compact_layers(cfg: ModelConfig, grid: tuple[int, int], f: int,
                     taped: bool) -> int:
-    """How many decoder convs write only their distinct outputs after a
+    """How many decoder convs write only their distinct outputs after the
     compact lift: each in turn while it has fewer of them than the grid.
     A taped forward takes the number whose backward needs the fewest
     multiply-adds, the dense decoder on a tie: the 0/1 readback of a
     compact map grows with the square of the grid's side, so the small
     grid writes both decoder convs compactly and the paper grid neither."""
     k, pad = cfg.kernel_size, cfg.kernel_size // 2
-    levels, n = (k, k, pad), 0
-    while (n < len(cfg.dec_widths)
-           and distinct_outputs(grid, f, (k, k), pad, levels) != grid):
-        levels += (k, k, pad)
+    expand, n = (f, k, k, pad, k, k, pad), 0
+    while n < len(cfg.dec_widths) and distinct_outputs(grid, expand) != grid:
+        expand += (k, k, pad)
         n += 1
     if not taped or not n:
         return n
@@ -196,8 +197,7 @@ def _compact_layers(cfg: ModelConfig, grid: tuple[int, int], f: int,
     def macs(n_compact):
         return sum(backward_macs((1, shapes[name][1], *size), shapes[name],
                                  **attrs)
-                   for name, size, attrs in _decoder(cfg, grid, f, (k, k, pad),
-                                                     n_compact))
+                   for name, size, attrs in _decoder(cfg, grid, f, n_compact))
     return min(range(n + 1), key=macs)
 
 
@@ -228,32 +228,22 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
 
     k, f = cfg.kernel_size, 2 ** len(cfg.enc_widths)
     grid = (rows, cols)
-    lift = dict(upsample=f, size=grid)
-    if distinct_outputs(grid, f, (k, k), pad) == grid:
-        bev_feats = x = _conv_block(params, tape, "lift", x, pad, **lift)
-        if bev_drop_mask is not None:
-            x = forward_op("masked_fill", x, mask=bev_drop_mask[None, None],
-                           value=0.0)
-        levels, drop, n_compact = (), {}, 0
-    else:
-        # the lift at its distinct rows and columns only; dec0 reads them
-        # as the full map, its dropped cells as zeros, and the map itself
-        # is built only if read
-        x = _conv_block(params, tape, "lift", x, pad, compact=True, **lift)
-        levels = (k, k, pad)
-        bev_feats = _expanded(x, (f, *levels), grid)
-        drop = ({} if bev_drop_mask is None or not bev_drop_mask.any()
-                else {"drop": np.asarray(bev_drop_mask, dtype=bool)})
-        # a dropped cell breaks the runs of equal outputs past dec0
-        n_compact = 0 if drop else _compact_layers(cfg, grid, f,
-                                                   tape is not None)
-    layers = list(_decoder(cfg, grid, f, levels, n_compact))
+    # the lift at its distinct rows and columns only; the first conv after
+    # it reads them as the full map, its dropped cells as zeros, and the
+    # map itself is built only if read
+    x = _conv_block(params, tape, "lift", x, pad, compact=True,
+                    expand=(f,), size=grid)
+    bev_feats = _expanded(x, dict(expand=(f, k, k, pad), size=grid))
+    drop = ({} if bev_drop_mask is None or not bev_drop_mask.any()
+            else {"drop": np.asarray(bev_drop_mask, dtype=bool)})
+    # a dropped cell breaks the runs of equal outputs past the first conv
+    n_compact = 0 if drop else _compact_layers(cfg, grid, f, tape is not None)
+    layers = list(_decoder(cfg, grid, f, n_compact))
+    layers[0][2].update(drop)
     for name, _, attrs in layers[:-1]:
-        x = _conv_block(params, tape, name, x, **attrs,
-                        **(drop if name == "dec0" else {}))
+        x = _conv_block(params, tape, name, x, **attrs)
     head = layers[-1][2]
-    decoded_feats = (_expanded(x, head["expand"], grid) if "expand" in head
-                     else x)
+    decoded_feats = _expanded(x, head) if "expand" in head else x
 
     w = params.leaf(tape, "head.w")
     b = params.leaf(tape, "head.b")

@@ -5,13 +5,14 @@ Each case packs the differentiable inputs of one op into a ParamSet and
 returns a closure building `sum(op(...) * W)` for a fixed random weighting W,
 so transposition mistakes in backward rules cannot cancel out.  Besides one
 case per op kind there is a `relu` case: the conv2d op with `relu=True`, its
-pre-activations kept clear of the kink, a `compact` case: an upsampling
-conv2d that writes only its distinct outputs (`compact=True`) feeding a
-conv2d that reads them as the full map (`expand`), a `masked_expand` case:
-the same pair with cells of the full map dropped (`drop`), and a
-`chained_compact` case: two more compact convs after the compact
-upsampling one, the second reading a two-level compact map, and a conv
-that reads the three-level map at grid resolution.
+pre-activations kept clear of the kink, a `compact` case: a conv2d reading
+its input upsampled (`expand=(f,)`) that writes only its distinct outputs
+(`compact=True`), feeding a conv2d that reads them as the full map
+(`expand=(f, k, k, pad)`), a `masked_expand` case: the same pair with cells
+of the full map dropped (`drop`), and a `chained_compact` case: two more
+compact convs after the compact upsampling one, the second reading a
+two-level compact map, and a conv that reads the three-level map at grid
+resolution.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _conv_case(stream: Stream):
         # than the upsampled input and, for f > 1, not a multiple of f
         h += int(f > 1 and h % f == 0)
         w += int(f > 1 and w % f == 0)
-        attrs.update(upsample=f, size=(h, w))
+        attrs.update(expand=(f,), size=(h, w))
         h, w = h // f + 1, w // f + 1
     else:
         attrs["stride"] = stream.randrange(1, 4)
@@ -133,7 +134,7 @@ def _compact_case(stream: Stream, masked: bool):
     k1, k2 = (2 * stream.randint(3) + 1 for _ in range(2))
     up = stream.randrange(2, 5)
     size = (stream.randrange(k1, 3 * up + 2), stream.randrange(k1, 3 * up + 2))
-    lift = dict(upsample=up, size=size, padding=k1 // 2)
+    lift = dict(expand=(up,), size=size, padding=k1 // 2)
     read = dict(expand=(up, k1, k1, k1 // 2), size=size, padding=k2 // 2)
     params.add("a", _arr(stream, (n, ci, *(-(-d // up) for d in size))))
     params.add("b", _arr(stream, (cm, ci, k1, k1)))
@@ -177,7 +178,7 @@ def _chain_case(stream: Stream):
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()
         a, b, c, d, e, bias = (ps.leaf(tape, name) for name in "abcdef")
-        x = forward_op("conv2d", a, b, upsample=up, size=size,
+        x = forward_op("conv2d", a, b, expand=(up,), size=size,
                        padding=ks[0] // 2, compact=True)
         levels = (ks[0], ks[0], ks[0] // 2)
         for w, k in ((c, ks[1]), (d, ks[2])):

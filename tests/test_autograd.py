@@ -352,16 +352,16 @@ def test_banded_columns_match_saved_columns_reference(monkeypatch, rows,
                   _saved_columns_conv(x, w, b, probe, pad, stride))
 
 
-@pytest.mark.parametrize("upsample", [None, 2])
-def test_relu_conv_is_the_conv_rectified_and_masked(upsample):
+@pytest.mark.parametrize("factor", [None, 2])
+def test_relu_conv_is_the_conv_rectified_and_masked(factor):
     """`relu=True` gives exactly max(y, 0), and exactly the gradients of the
     plain conv with the probe zeroed where y <= 0."""
-    st = Stream(47).child(str(upsample))
+    st = Stream(47).child(str(factor))
     x = st.uniforms(2 * 3 * 6 * 5, -1, 1).reshape(2, 3, 6, 5)
     w = st.uniforms(4 * 3 * 3 * 3, -1, 1).reshape(4, 3, 3, 3)
     b = st.uniforms(4, -1, 1)
-    attrs = ({"stride": 1} if upsample is None
-             else {"upsample": upsample, "size": (11, 9)})
+    attrs = ({"stride": 1} if factor is None
+             else {"expand": (factor,), "size": (11, 9)})
     y = forward_op("conv2d", Tensor(x), Tensor(w), Tensor(b), padding=1,
                    **attrs).values
     assert (y < 0).any() and (y > 0).any()
@@ -387,7 +387,7 @@ def test_conv_rejects_a_bad_stride():
     with pytest.raises(ConfigurationError, match="stride"):
         forward_op("conv2d", x, w, padding=1, stride=0)
     with pytest.raises(ConfigurationError, match="stride"):
-        forward_op("conv2d", x, w, padding=1, stride=2, upsample=2,
+        forward_op("conv2d", x, w, padding=1, stride=2, expand=(2,),
                    size=(8, 8))
 
 
@@ -419,7 +419,7 @@ def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
     pad = k // 2
     probe = st.uniforms(n * co * size[0] * size[1], -1, 1).reshape(
         n, co, *size)
-    fused = _conv_grads(x, w, b, probe, padding=pad, upsample=factor,
+    fused = _conv_grads(x, w, b, probe, padding=pad, expand=(factor,),
                         size=size)
     _assert_close(fused,
                   _upsample_conv_reference(x, w, b, probe, factor, size, pad))
@@ -428,7 +428,7 @@ def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
 def test_upsampling_conv_rejects_a_size_past_the_upsampled_input():
     x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ConfigurationError, match="not a crop"):
-        forward_op("conv2d", x, w, padding=1, upsample=2, size=(5, 4))
+        forward_op("conv2d", x, w, padding=1, expand=(2,), size=(5, 4))
 
 
 _COMPACT_CASES = [(f, size, k) for f in (1, 2, 4, 8)
@@ -453,7 +453,7 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
     ps.add("w2", st.uniforms(co * cm * k * k, -1, 1).reshape(co, cm, k, k))
     probe = st.uniforms(n * co * size[0] * size[1], -1, 1).reshape(
         n, co, *size)
-    lift = dict(upsample=f, size=size, padding=pad)
+    lift = dict(expand=(f,), size=size, padding=pad)
     results = []
     for compact in (False, True):
         ps.zero_grad()
@@ -461,8 +461,8 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
         x, w1, w2 = (ps.leaf(tape, name) for name in ("x", "w1", "w2"))
         if compact:
             mid = forward_op("conv2d", x, w1, compact=True, **lift)
-            assert mid.shape[2:] == autograd.distinct_outputs(size, f, (k, k),
-                                                              pad)
+            assert mid.shape[2:] == autograd.distinct_outputs(
+                size, (f, k, k, pad))
             y = forward_op("conv2d", mid, w2, padding=pad, size=size,
                            expand=(f, k, k, pad))
         else:
@@ -481,29 +481,29 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
 def test_distinct_outputs_of_the_model_geometries():
     """x8 at kernel 3 repeats cells (36 x 12 of the small grid's 96 x 32,
     114 x 39 of the paper grid's 300 x 100); x2 at kernel 3 repeats none."""
-    assert autograd.distinct_outputs((96, 32), 8, (3, 3), 1) == (36, 12)
-    assert autograd.distinct_outputs((300, 100), 8, (3, 3), 1) == (114, 39)
-    assert autograd.distinct_outputs((30, 18), 2, (3, 3), 1) == (30, 18)
+    assert autograd.distinct_outputs((96, 32), (8, 3, 3, 1)) == (36, 12)
+    assert autograd.distinct_outputs((300, 100), (8, 3, 3, 1)) == (114, 39)
+    assert autograd.distinct_outputs((30, 18), (2, 3, 3, 1)) == (30, 18)
 
 
 def test_compact_conv_rejects_a_size_past_the_upsampled_input():
     x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ConfigurationError, match="not a crop"):
-        forward_op("conv2d", x, w, padding=1, upsample=2, size=(5, 4),
+        forward_op("conv2d", x, w, padding=1, expand=(2,), size=(5, 4),
                    compact=True)
-    with pytest.raises(ConfigurationError, match="compact needs upsample"):
+    with pytest.raises(ConfigurationError, match="compact needs expand"):
         forward_op("conv2d", x, w, padding=1, compact=True)
 
 
 def test_expanding_conv_rejects_a_compact_input_off_its_maps():
     w = Tensor(np.ones((1, 1, 3, 3)))
     attrs = dict(padding=1, size=(16, 8), expand=(4, 3, 3, 1))
-    assert autograd.distinct_outputs((16, 8), 4, (3, 3), 1) == (12, 6)
+    assert autograd.distinct_outputs((16, 8), (4, 3, 3, 1)) == (12, 6)
     forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, **attrs)
     for shape in ((12, 5), (16, 8), (4, 2)):
         with pytest.raises(ConfigurationError, match="does not match its maps"):
             forward_op("conv2d", Tensor(np.ones((1, 1, *shape))), w, **attrs)
-    with pytest.raises(ConfigurationError, match="exclude each other"):
+    with pytest.raises(ConfigurationError, match="'upsample'"):
         forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, upsample=2,
                    **attrs)
     with pytest.raises(ConfigurationError, match="stride"):
@@ -544,9 +544,7 @@ def test_compact_chain_matches_the_dense_chain(f, size, k, levels):
         chain = ()
         for i, name in enumerate(names):
             attrs = dict(padding=pad)
-            if i == 0:
-                attrs.update(upsample=f, size=size)
-            elif compact:
+            if i == 0 or compact:
                 attrs.update(expand=(f, *chain), size=size)
             if compact and i < levels:
                 attrs["compact"] = True
@@ -575,17 +573,12 @@ _ROUTE_CASES = [(f, size, k, levels, compact)
 def test_both_forward_routes_give_the_same_outputs(monkeypatch, f, size, k,
                                                     levels, compact):
     """The tap-matrix and the gathered-column routes of a conv reading
-    through `upsample` (no level) or `expand` agree to rounding."""
+    through `expand`, with no level or some, agree to rounding."""
     st = Stream(61).child(f"{f}-{size}-{k}-{levels}-{compact}")
     pad = k // 2
     chain = (k, k, pad) * levels
-    attrs = dict(padding=pad, size=size, compact=compact)
-    if levels:
-        attrs["expand"] = (f, *chain)
-        shape = autograd.distinct_outputs(size, f, (k, k), pad, chain[:-3])
-    else:
-        attrs["upsample"] = f
-        shape = tuple(-(-d // f) for d in size)
+    attrs = dict(padding=pad, size=size, compact=compact, expand=(f, *chain))
+    shape = autograd.distinct_outputs(size, (f, *chain))
     x = Tensor(st.uniforms(2 * 3 * shape[0] * shape[1], -1, 1).reshape(
         2, 3, *shape))
     w = Tensor(st.uniforms(4 * 3 * k * k, -1, 1).reshape(4, 3, k, k))
@@ -602,13 +595,11 @@ def test_distinct_outputs_of_the_model_decoder():
     """dec0 and dec1 of the default model, reading the x8 lift at kernel 3,
     have 60 x 20 and 84 x 28 distinct outputs on the small grid, and
     189 x 64 and 263 x 88 on the paper grid."""
-    lift, dec0 = (3, 3, 1), (3, 3, 1, 3, 3, 1)
-    assert autograd.distinct_outputs((96, 32), 8, (3, 3), 1, lift) == (60, 20)
-    assert autograd.distinct_outputs((96, 32), 8, (3, 3), 1, dec0) == (84, 28)
-    assert autograd.distinct_outputs((300, 100), 8, (3, 3), 1, lift) == (
-        189, 64)
-    assert autograd.distinct_outputs((300, 100), 8, (3, 3), 1, dec0) == (
-        263, 88)
+    dec0, dec1 = (8, 3, 3, 1, 3, 3, 1), (8, 3, 3, 1, 3, 3, 1, 3, 3, 1)
+    assert autograd.distinct_outputs((96, 32), dec0) == (60, 20)
+    assert autograd.distinct_outputs((96, 32), dec1) == (84, 28)
+    assert autograd.distinct_outputs((300, 100), dec0) == (189, 64)
+    assert autograd.distinct_outputs((300, 100), dec1) == (263, 88)
 
 
 def test_backward_macs_of_the_model_dec1():
@@ -654,10 +645,25 @@ def test_expand_map_is_the_expanding_identity_conv():
     assert np.array_equal(full, want)
 
 
+def test_conv_rejects_an_unknown_attribute():
+    """A misspelt or retired attribute fails by name instead of running a
+    plain conv."""
+    x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+    for key in ("upsampel", "upsample", "pad"):
+        with pytest.raises(ConfigurationError, match=f"unknown attribute "
+                           f"'{key}'"):
+            forward_op("conv2d", x, w, padding=1, size=(8, 8), **{key: 2})
+    assert forward_op("conv2d", x, w, padding=1, size=(8, 8), expand=(2,),
+                      stride=1, compact=False, relu=True).shape == (1, 1, 8, 8)
+
+
 def test_expand_rejects_a_malformed_chain():
+    """A chain of whole (kh, kw, pad) levels that fit the map, or none."""
     w = Tensor(np.ones((1, 1, 3, 3)))
     x = Tensor(np.ones((1, 1, 12, 6)))
-    for bad in ((4,), (4, 3, 3), (4, 3, 3, 1, 3), (4, 3, 3, -1),
+    assert forward_op("conv2d", Tensor(np.ones((1, 1, 4, 2))), w, padding=1,
+                      size=(16, 8), expand=(4,)).shape == (1, 1, 16, 8)
+    for bad in ((4, 3, 3), (4, 3, 3, 1, 3), (4, 3, 3, -1),
                 (0, 3, 3, 1), (4, 3, 3, 1, 40, 3, 1)):
         with pytest.raises(ConfigurationError, match="is no conv"):
             forward_op("conv2d", x, w, padding=1, size=(16, 8), expand=bad)
@@ -696,7 +702,7 @@ def _rectified_conv_inputs(kind: str):
     if kind == "strided":
         return np.ones((1, 2, 5, 5)), w, dict(padding=1, stride=2)
     if kind == "upsample":
-        return np.ones((1, 2, 4, 4)), w, dict(padding=1, upsample=2,
+        return np.ones((1, 2, 4, 4)), w, dict(padding=1, expand=(2,),
                                                size=(7, 8))
     drop = np.zeros((16, 8), dtype=bool)
     drop[4, 4] = True

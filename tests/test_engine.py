@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bevssl import engine, model
+from bevssl import engine
 from bevssl.augment import AugmentConfig, strong_augment
 from bevssl.autograd import Tape, Tensor, backward, optimizer_step
 from bevssl.engine import (OptimConfig, SslConfig, StepReport, TeacherState,
@@ -20,6 +20,7 @@ from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 from bevssl.world import CITY_A, Sample, build_dataset
 
+from helpers_dense import dense_forward
 from helpers_geo import fuse_probs_bruteforce, random_pose, random_prob_raster
 
 TINY = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
@@ -671,13 +672,14 @@ def test_teacher_gradient_is_rejected(monkeypatch):
 
 def test_unlabelled_gradients_match_the_dense_path(monkeypatch):
     """Without bevdrop the unlabelled student forward takes the compact
-    path; with the early feature tap its gradients match the dense path's
-    to rounding."""
+    path; with the early feature tap its gradients match the dense
+    oracle's to rounding."""
     ds = _tiny_dataset()
     grads, lifts = [], []
+    run = forward
 
     def spy(params, obs, drop=None, tape=None, config=None):
-        trace = forward(params, obs, drop, tape, config)
+        trace = run(params, obs, drop, tape, config)
         if tape is not None:
             lifts.append(next(n for n in tape.nodes if n.kind == "conv2d"
                               and tape.nodes[n.input_ids[1]].saved.get(
@@ -687,8 +689,7 @@ def test_unlabelled_gradients_match_the_dense_path(monkeypatch):
     monkeypatch.setattr(engine, "forward", spy)
     for dense in (False, True):
         if dense:
-            monkeypatch.setattr(model, "distinct_outputs",
-                                lambda size, *_: size)
+            run = dense_forward
         tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(bevdrop=False),
                      SslConfig(feat_level="early", threshold=None),
                      OptimConfig(), seed=21, total_steps=12)

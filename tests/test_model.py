@@ -11,6 +11,7 @@ from bevssl.geometry import GridSpec
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 
+from helpers_dense import dense_forward
 from helpers_fd import replay
 
 TINY = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
@@ -235,14 +236,27 @@ def _lift_node(tape: Tape):
                 and nodes[n.input_ids[1]].saved.get("param") == "lift.w")
 
 
-def _force_dense(monkeypatch, lift: bool = True):
-    """Make every decoder geometry look free of repeated cells, and the
-    lift's too if `lift`."""
-    real = model.distinct_outputs
+def _nonzero_biases(params):
+    """`params` with every bias drawn in [0.1, 0.5], so that a map with
+    every cell dropped still carries a gradient."""
+    for name, p in params.items():
+        if name.endswith(".b"):
+            p.values[...] = Stream(11).child(name).uniforms(p.values.size,
+                                                            0.1, 0.5)
+    return params
 
-    def distinct(size, factor, kernel, pad, levels=()):
-        return size if lift or levels else real(size, factor, kernel, pad)
-    monkeypatch.setattr(model, "distinct_outputs", distinct)
+
+def _assert_close(pairs):
+    """Each (name, got, want) within 1e-12 of `want`, relative to its
+    largest entry."""
+    for name, got, want in pairs:
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def _trace_pairs(got: ForwardTrace, want: ForwardTrace):
+    return [(field, getattr(got, field).values, getattr(want, field).values)
+            for field in TRACE_FIELDS]
 
 
 @pytest.mark.parametrize("empty", [False, True], ids=["none", "all-false"])
@@ -253,7 +267,7 @@ def test_a_mask_that_drops_nothing_takes_the_compact_path(empty):
     trace = forward(params, _obs(Stream(6)), drop, tape, TINY)
     lift = _lift_node(tape)
     assert lift.saved["compact"] is True
-    assert lift.values.shape[2:] == distinct_outputs((16, 16), 4, (3, 3), 1)
+    assert lift.values.shape[2:] == distinct_outputs((16, 16), (4, 3, 3, 1))
     assert lift.values.shape[2:] == (12, 12)
     assert "masked_fill" not in {n.kind for n in tape.nodes}
     assert trace.decoded_feats.shape == (1, 6, 16, 16)
@@ -276,39 +290,25 @@ def test_a_mask_that_drops_one_cell_reaches_dec0_as_its_drop():
     assert "masked_fill" not in {n.kind for n in tape.nodes}
 
 
-def test_a_lift_without_repeated_cells_takes_the_dense_path():
-    """x2 at kernel 3: every output row and column reads its own taps."""
-    cfg = ModelConfig(enc_widths=(3,), lift_channels=4, dec_widths=(3,))
-    tape = Tape()
-    forward(init_params(cfg, 2), _obs(Stream(9), 30, 18), None, tape, cfg)
-    lift = _lift_node(tape)
-    assert "compact" not in lift.saved
-    assert lift.values.shape[2:] == (30, 18)
-
-
 @pytest.mark.parametrize("rows,cols", [(16, 16), (30, 18), (25, 9)])
-def test_compact_path_matches_the_dense_path(monkeypatch, rows, cols):
+def test_compact_path_matches_the_dense_path(rows, cols):
     """Every trace field, `bev_feats` at full resolution included, equals
-    the dense path's to rounding."""
+    the dense oracle's to rounding."""
     params = init_params(TINY, 5)
     obs = _obs(Stream(8), rows, cols)
     compact = forward(params, obs, None, None, TINY)
-    _force_dense(monkeypatch)
-    dense = forward(params, obs, None, None, TINY)
     assert compact.bev_feats.shape == (1, 8, rows, cols)
-    for field in TRACE_FIELDS:
-        got, want = getattr(compact, field).values, getattr(dense, field).values
-        assert got.shape == want.shape, field
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), field
+    _assert_close(_trace_pairs(compact, dense_forward(params, obs, None, None,
+                                                      TINY)))
 
 
 def _trace_and_grads(params, obs, drop, cfg=TINY,
-                     fields=("logits", "bev_feats")):
-    """The forward trace, and every parameter's gradient of a random
-    weighting of the trace's `fields`."""
+                     fields=("logits", "bev_feats"), run=forward):
+    """The forward trace of `run`, and every parameter's gradient of a
+    random weighting of the trace's `fields`."""
     params.zero_grad()
     tape = Tape()
-    trace = forward(params, obs, drop, tape, cfg)
+    trace = run(params, obs, drop, tape, cfg)
     terms = []
     for i, field in enumerate(fields):
         t = getattr(trace, field)
@@ -322,35 +322,84 @@ def _trace_and_grads(params, obs, drop, cfg=TINY,
     return trace, {name: p.grad.copy() for name, p in params.items()}
 
 
+def _compared_with_the_oracle(params, obs, drop, cfg, fields):
+    """(name, got, want) of every trace field, untaped and taped, and of
+    every parameter gradient: `forward` against `dense_forward`."""
+    pairs = _trace_pairs(forward(params, obs, drop, None, cfg),
+                         dense_forward(params, obs, drop, None, cfg))
+    got, got_grads = _trace_and_grads(params, obs, drop, cfg, fields)
+    want, want_grads = _trace_and_grads(params, obs, drop, cfg, fields,
+                                        dense_forward)
+    return pairs + _trace_pairs(got, want) + [
+        (name, got_grads[name], want_grads[name]) for name in want_grads]
+
+
 @pytest.mark.parametrize("drops", ["nothing", "one", "every"])
 @pytest.mark.parametrize("rows,cols", [(16, 16), (30, 18), (25, 9)])
-def test_masked_compact_path_matches_the_dense_path(monkeypatch, rows, cols,
-                                                    drops):
+def test_masked_compact_path_matches_the_dense_path(rows, cols, drops):
     """With a drop mask, every trace field and every parameter gradient
-    equals the dense path's (dense lift, `masked_fill`, dense dec0) to
-    rounding.  Biases are nonzero, so a map with every cell dropped still
-    carries a gradient."""
-    params = init_params(TINY, 5)
-    for name, p in params.items():
-        if name.endswith(".b"):
-            p.values[...] = Stream(11).child(name).uniforms(p.values.size,
-                                                            0.1, 0.5)
+    equals the dense oracle's (grid-resolution lift, `masked_fill`, dense
+    decoder) to rounding.  Biases are nonzero, so a map with every cell
+    dropped still carries a gradient."""
+    params = _nonzero_biases(init_params(TINY, 5))
     obs = _obs(Stream(8), rows, cols)
     drop = np.zeros((rows, cols), dtype=bool)
     if drops == "one":
         drop[rows // 2, 1] = True
     elif drops == "every":
         drop[:] = True
-    results = [_trace_and_grads(params, obs, drop)]
-    _force_dense(monkeypatch)
-    results.append(_trace_and_grads(params, obs, drop))
-    (compact, got_grads), (dense, want_grads) = results
-    pairs = [(field, getattr(compact, field).values,
-              getattr(dense, field).values) for field in TRACE_FIELDS]
-    pairs += [(name, got_grads[name], want_grads[name]) for name in want_grads]
-    for name, got, want in pairs:
-        assert got.shape == want.shape, name
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    _assert_close(_compared_with_the_oracle(params, obs, drop, TINY,
+                                            ("logits", "bev_feats")))
+
+
+X2 = ModelConfig(enc_widths=(3,), lift_channels=4, dec_widths=(3,))
+
+
+@pytest.mark.parametrize("drops", ["nothing", "one"])
+def test_a_lift_without_repeated_cells_runs_compactly(drops):
+    """x2 at kernel 3: every lift output reads taps of its own, so the
+    compact lift writes runs of length one, all 30 x 18 cells, and dec0
+    reads them through `expand`, the mask as its `drop`.  Untaped and
+    taped, every trace field and every parameter gradient equal the dense
+    oracle's to rounding."""
+    params = _nonzero_biases(init_params(X2, 2))
+    obs = _obs(Stream(9), 30, 18)
+    drop = None
+    if drops == "one":
+        drop = np.zeros((30, 18), dtype=bool)
+        drop[7, 4] = True
+    tape = Tape()
+    forward(params, obs, drop, tape, X2)
+    convs = _conv_nodes(tape)
+    assert convs["lift"].saved["compact"] is True
+    assert convs["lift"].saved["expand"] == (2,)
+    assert convs["lift"].values.shape[2:] == (30, 18)
+    assert convs["dec0"].saved["expand"] == (2, 3, 3, 1)
+    assert (drop is None) == ("drop" not in convs["dec0"].saved)
+    assert "masked_fill" not in {n.kind for n in tape.nodes}
+    _assert_close(_compared_with_the_oracle(
+        params, obs, drop, X2, ("logits", "bev_feats", "decoded_feats")))
+
+
+@pytest.mark.parametrize("enc_widths", [(4, 6), (4,)], ids=["x4", "x2"])
+def test_bevdrop_reaches_the_head_without_a_decoder(enc_widths):
+    """With no decoder conv the head reads the lift with the mask as its
+    `drop`: an all-dropped mask gives a spatially constant output, and a
+    one-cell mask matches the dense oracle, `decoded_feats` (the dropped
+    lift map) included."""
+    cfg = ModelConfig(enc_widths=enc_widths, lift_channels=8, dec_widths=())
+    params = _nonzero_biases(init_params(cfg, 6))
+    obs = _obs(Stream(5), 24, 16)
+    every = np.ones((24, 16), dtype=bool)
+    p = forward(params, obs, every, None, cfg).probs.values[0]
+    for c in range(3):
+        assert np.allclose(p[c], p[c, 0, 0], atol=1e-12)
+    assert not np.allclose(forward(params, obs, None, None, cfg).probs.values,
+                           p[None])
+    one = np.zeros((24, 16), dtype=bool)
+    one[11, 3] = True
+    _assert_close(_compared_with_the_oracle(
+        params, obs, one, cfg, ("logits", "bev_feats", "decoded_feats")))
 
 
 def test_bev_feats_is_built_on_first_read_on_the_trace_tape():
@@ -441,13 +490,9 @@ def test_compact_decoder_matches_the_dense_one(monkeypatch, rows, cols,
                                                reference):
     """With an x8 encoder both decoder convs write compactly, taped and
     untaped; every trace field and every parameter gradient equals that of
-    the dense decoder after the compact lift, and of the fully dense path,
-    to rounding.  Biases are nonzero."""
-    params = init_params(TINY8, 5)
-    for name, p in params.items():
-        if name.endswith(".b"):
-            p.values[...] = Stream(11).child(name).uniforms(p.values.size,
-                                                            0.1, 0.5)
+    the dense decoder after the compact lift (the forward the paper grid
+    tapes), and of the dense oracle, to rounding.  Biases are nonzero."""
+    params = _nonzero_biases(init_params(TINY8, 5))
     obs = _obs(Stream(8), rows, cols)
     fields = ("logits", "bev_feats", "decoded_feats")
     untaped = forward(params, obs, None, None, TINY8)
@@ -458,19 +503,22 @@ def test_compact_decoder_matches_the_dense_one(monkeypatch, rows, cols,
     assert convs["dec0"].saved.get("compact") and convs["dec1"].saved.get(
         "compact")
     assert convs["head"].values.shape[2:] == (rows, cols)
-    _force_dense(monkeypatch, lift=reference == "dense")
-    dense_untaped = forward(params, obs, None, None, TINY8)
-    dense_taped = _trace_and_grads(params, obs, None, TINY8, fields)
-    pairs = []
-    for got, want in ((untaped, dense_untaped), (taped[0], dense_taped[0])):
-        pairs += [(field, getattr(got, field).values,
-                   getattr(want, field).values) for field in TRACE_FIELDS]
+    run = dense_forward
+    if reference == "dense-decoder":
+        monkeypatch.setattr(model, "_compact_layers", lambda *_: 0)
+        run = forward
+        tape = Tape()
+        forward(params, obs, None, tape, TINY8)
+        assert "compact" not in _conv_nodes(tape)["dec0"].saved
+    dense_untaped = run(params, obs, None, None, TINY8)
+    dense_taped = _trace_and_grads(params, obs, None, TINY8, fields, run)
+    pairs = _trace_pairs(untaped, dense_untaped) + _trace_pairs(
+        taped[0], dense_taped[0])
     pairs += [(name, taped[1][name], dense_taped[1][name])
               for name in dense_taped[1]]
-    for name, got, want in pairs:
-        assert got.shape == want.shape, name
+    for name, _, want in pairs:
         assert np.abs(want).max() > 0, name
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    _assert_close(pairs)
 
 
 @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
