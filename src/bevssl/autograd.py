@@ -16,15 +16,18 @@ band's column gradient added back into the padded input.  With
 by that output, so a conv block is one node on the tape.  A conv that
 reads a low-resolution map as the larger one it stands for (`expand`: the
 map's upsampling factor and the chain of convs that wrote it, in scalars;
-an empty chain reads the map nearest-upsampled) computes each distinct
-output once: through 0/1 tap matrices at input resolution or from
-gathered im2col columns, whichever needs fewer multiply-adds.  With
-`compact=True` it writes only those, so convs can run at their distinct
-cells one after another.  Backward reads g back onto the input through the
-tap matrices, rows then columns; they and the gather indices are cached
-per geometry, read-only.  An `expand` conv reads the cells of a `drop`
-mask as zeros; that bool mask is the one array a conv node saves (3 KB for
-the small grid's dec0, 30 KB for the paper grid's).
+an empty chain reads the map nearest-upsampled) takes exactly that compact
+map as input and computes each distinct output once: through 0/1 tap
+matrices at input resolution or from im2col columns gathered through one
+read index, whichever needs fewer multiply-adds.  With `compact=True` it
+writes only those; without, it expands them to the full map as
+`expand_map` does, so convs can run at their distinct cells one after
+another.  Backward reads g back onto the input through the tap matrices,
+rows then columns; they and the read index are cached per geometry,
+read-only.  An `expand` conv reads the cells of a `drop` mask as zeros,
+through the same read index with those cells pointed at a zero slot; that
+bool mask is the one array a conv node saves (3 KB for the small grid's
+dec0, 30 KB for the paper grid's).
 Importing the module also warms the heap (see the note at `_workspace`).
 """
 
@@ -44,7 +47,7 @@ LOG_CLAMP = 1e-12
 
 OP_KINDS = (
     "add", "sub", "mul", "conv2d", "sigmoid", "mean", "sum", "scale",
-    "masked_fill", "log", "powc",
+    "log", "powc",
 )
 
 
@@ -302,7 +305,8 @@ def _geometry(expand: tuple) -> tuple[int, tuple, tuple]:
 def distinct_outputs(size: tuple[int, int], expand: tuple) -> tuple[int, int]:
     """Rows and columns of the compact map that `expand` reads as the full
     map of `size`: the distinct outputs (`compact=True`) of its last level,
-    or for an empty chain the low-res map that covers `size` upsampled."""
+    or for an empty chain the low-res map that `size` crops upsampled,
+    ceil(n / f) cells a side.  It is the one input such a conv takes."""
     f, *chains = _geometry(expand)
     return tuple(int(_source(n, f, chain)[-1]) + 1
                  for n, chain in zip(size, chains))
@@ -334,73 +338,71 @@ def _off_heap(arr: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _axis_taps(size: int, factor: int, k: int, pad: int, chain: tuple,
-               n_in: int, expanded: bool) -> np.ndarray:
+               expanded: bool) -> np.ndarray:
     """The (k, runs, n_in) 0/1 matrix that is 1 where tap t of run r reads
-    input position j (see `_axis_runs`), each output's row of its run if
-    `expanded`; cached read-only."""
+    position j of the compact input behind `chain` (see `_axis_runs`),
+    each output's row of its run if `expanded`; cached read-only."""
     reads, index = _axis_runs(size, factor, k, pad, chain)
+    n_in = _source(size, factor, chain)[-1] + 1
     mat = (reads[..., None] == np.arange(n_in)).astype(np.float64)
     if expanded:
         mat = mat[:, index]
     return _off_heap(mat)
 
 
-def _tap_matrices(x_shape, w_shape, attrs, expanded: bool = False):
-    """Per axis of a conv that reads its input through `expand`: its
-    `_axis_taps` matrix and each output's run (see `_axis_runs`)."""
+def _tap_matrices(w_shape, attrs, expanded: bool = False):
+    """The `_axis_taps` matrix of each axis of a conv that reads its input
+    through `expand`."""
     pad = attrs.get("padding", 0)
     f, *chains = _geometry(attrs["expand"])
-    return [(_axis_taps(n, f, k, pad, chain, n_in, expanded),
-             _axis_runs(n, f, k, pad, chain)[1])
-            for n, k, chain, n_in in zip(attrs["size"], w_shape[2:], chains,
-                                         x_shape[2:])]
+    return [_axis_taps(n, f, k, pad, chain, expanded)
+            for n, k, chain in zip(attrs["size"], w_shape[2:], chains)]
 
 
 @functools.lru_cache(maxsize=None)
-def _gather_index(size: tuple, factor: int, kernel: tuple, pad: int,
-                  chains: tuple, shape: tuple) -> np.ndarray:
-    """(rows*cols, kh*kw): the flat position in the (h, w) input `shape`
-    that tap t of each distinct output reads, or the zero slot h*w past its
-    end in the padding; cached read-only."""
-    rr, cr = (_axis_runs(n, factor, k, pad, chain)[0]
-              for n, k, chain in zip(size, kernel, chains))
-    rr, cr = rr[:, None, :, None], cr[None, :, None, :]
-    index = np.where((rr >= 0) & (cr >= 0), rr * shape[1] + cr,
-                     shape[0] * shape[1])
-    return _off_heap(index.reshape(kernel[0] * kernel[1], -1).T)
-
-
-def _drop_index(x_shape, w_shape, attrs):
-    """(kh*kw, rows, cols): the flat position in the compact input of an
-    `expand` conv that tap t of each output reads, or the zero slot h*w
-    past its end where the tap reads padding or a cell of the `drop`
-    mask."""
-    f, rows, cols = _geometry(attrs["expand"])
-    pad = attrs.get("padding", 0)
-    drop = attrs["drop"]
-    h, wd = x_shape[2:]
-    src_r = _source(attrs["size"][0], f, rows)
-    src_c = _source(attrs["size"][1], f, cols)
-    flat = np.full((drop.shape[0] + 2 * pad, drop.shape[1] + 2 * pad), h * wd)
-    flat[pad:pad + drop.shape[0], pad:pad + drop.shape[1]] = np.where(
-        drop, h * wd, src_r[:, None] * wd + src_c)
-    windows = np.lib.stride_tricks.sliding_window_view(flat, w_shape[2:])
-    return windows.transpose(2, 3, 0, 1).reshape(-1, *windows.shape[:2])
+def _read_index(size: tuple, expand: tuple, kernel: tuple, pad: int,
+                shape: tuple, drop: np.ndarray | None = None) -> np.ndarray:
+    """(outputs, kh*kw) of a conv reading its (h, w) input `shape` through
+    `expand`: the flat position in the input that tap t of each output
+    reads, or the zero slot h*w past its end where the tap reads padding
+    or a cell of the `drop` mask.  The outputs are the distinct ones (see
+    `_axis_runs`), or with `drop` every output of `size`.  Without `drop`
+    the index is cached read-only off the heap; a mask is no cache key, so
+    a conv with one calls `_read_index.__wrapped__`."""
+    f, *chains = _geometry(expand)
+    zero = shape[0] * shape[1]
+    runs = [_axis_runs(n, f, k, pad, chain)
+            for n, k, chain in zip(size, kernel, chains)]
+    rr, cr = (reads if drop is None else reads[:, index]
+              for reads, index in runs)
+    # a read of the padding stands for the zero slot along its axis, so the
+    # sum is at or past the slot when either axis reads padding, and the
+    # clip puts it on the slot
+    rr = np.where(rr >= 0, rr * shape[1], zero)
+    cr = np.where(cr >= 0, cr, zero)
+    index = np.minimum(rr[:, None, :, None] + cr[None, :, None, :], zero)
+    if drop is not None:
+        dropped = np.lib.stride_tricks.sliding_window_view(
+            np.pad(drop, pad), kernel)
+        index[dropped.transpose(2, 3, 0, 1)] = zero
+    index = index.reshape(kernel[0] * kernel[1], -1).T
+    return index if drop is not None else _off_heap(index)
 
 
 def _fw_dropconv(x, w, attrs):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-    index = _drop_index(x.shape, w.shape, attrs)
+    index = _read_index.__wrapped__(
+        attrs["size"], attrs["expand"], (kh, kw), attrs.get("padding", 0),
+        (h, wd), attrs["drop"]).T
     # every tap's response at compact resolution, with a zero slot at the
     # end; each output sums its taps' responses, one take per tap
     taps = np.empty((n, kh * kw * co, h * wd + 1))
     taps[:, :, -1] = 0.0
     np.matmul(wtap, x.reshape(n, ci, h * wd), out=taps[:, :, :-1])
     taps = taps.reshape(n, kh * kw, co, h * wd + 1)
-    out = np.empty((n, co, *index.shape[1:]))
-    index = index.reshape(kh * kw, -1)
+    out = np.empty((n, co, *attrs["size"]))
     read = np.empty((co, index.shape[1]))
     for i in range(n):
         outi = out[i].reshape(co, -1)
@@ -412,7 +414,7 @@ def _fw_dropconv(x, w, attrs):
 
 def _fw_gathered(x, w, index):
     """(n, co, outputs): the conv at the outputs of the (outputs, kh*kw)
-    `_gather_index`, one GEMM per band of im2col columns, each gathered by
+    `_read_index`, one GEMM per band of im2col columns, each gathered by
     one `take` of input cells (all channels at once) into the shared
     workspace."""
     global _workspace
@@ -460,17 +462,17 @@ def _fw_upconv(x, w, attrs):
         return _fw_dropconv(x, w, attrs)
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
-    (rmat, rindex), (cmat, cindex) = _tap_matrices(x.shape, w.shape, attrs)
+    rmat, cmat = _tap_matrices(w.shape, attrs)
     rows, cols = rmat.shape[1], cmat.shape[1]
     pad = attrs.get("padding", 0)
+    expand = tuple(attrs["expand"])
     route = _upconv_route(x.shape, w.shape, rows, cols, pad)
     if route == "cells":
         out = w.reshape(co, ci) @ x.reshape(n, ci, h * wd)
         out = out.reshape(n, co, rows, cols)
     elif route == "gather":
-        f, *chains = _geometry(attrs["expand"])
-        index = _gather_index(tuple(attrs["size"]), f, (kh, kw), pad,
-                              tuple(chains), (h, wd))
+        index = _read_index(tuple(attrs["size"]), expand, (kh, kw), pad,
+                            (h, wd))
         out = _fw_gathered(x, w, index).reshape(n, co, rows, cols)
     else:
         # every tap's response on the input grid, then read once per
@@ -484,7 +486,7 @@ def _fw_upconv(x, w, attrs):
                @ out.reshape(n, co, kh * h, cols))
     if attrs.get("compact"):
         return out
-    return out.take(rindex, axis=2).take(cindex, axis=3)
+    return expand_map(out, expand + (kh, kw, pad), attrs["size"])
 
 
 def backward_macs(x_shape, w_shape, **attrs) -> int:
@@ -517,16 +519,17 @@ def _fw_conv2d(vals, attrs):
     # cols)` reads the input as the larger map it stands for: the input
     # nearest-upsampled by f and cropped to `size`, then, per (kh, kw, p)
     # level, the compact output of a kh x kw conv padded by p (each level
-    # reading the map before it); with no level the input may be any map
-    # that covers the crop.  That is computed per kernel tap on the input
-    # as given, without building the larger map.  With `compact=True` as
-    # well, only the distinct output rows and columns are written: the
-    # first of each run of outputs whose taps all read the same input
-    # cells, so the next conv reads them with one more level.  `drop`, a
-    # bool mask of the full map, reads its cells as zeros.  Every other
-    # attr is a scalar or a tuple of them; the tap matrices and gather
-    # indices are cached per geometry.  `relu=True` rectifies the biased
-    # output in place.
+    # reading the map before it).  The input is exactly that compact map,
+    # `distinct_outputs(size, expand)`: with no level, the low-res map of
+    # ceil(rows / f) x ceil(cols / f) cells.  That is computed per kernel
+    # tap on the input as given, without building the larger map.  With
+    # `compact=True` as well, only the distinct output rows and columns are
+    # written: the first of each run of outputs whose taps all read the
+    # same input cells, so the next conv reads them with one more level.
+    # `drop`, a bool mask of the full map, reads its cells as zeros.  Every
+    # other attr is a scalar or a tuple of them; the tap matrices and the
+    # read index are cached per geometry.  `relu=True` rectifies the
+    # biased output in place.
     for key in attrs:
         _require(key in _CONV_ATTRS, "conv2d", f"unknown attribute '{key}'")
     x, w = vals[0], vals[1]
@@ -555,14 +558,9 @@ def _fw_conv2d(vals, attrs):
             h, wd = h + 2 * lpad - lkh + 1, wd + 2 * lpad - lkw + 1
         _require(ok, "conv2d", f"expand {expand} with size "
                  f"{tuple(attrs['size'])} is no conv")
-        if levels:
-            maps = distinct_outputs(attrs["size"], expand)
-            _require(x.shape[2:] == maps, "conv2d", f"compact input "
-                     f"{x.shape[2:]} does not match its maps {maps}")
-        else:
-            _require(x.shape[2] * f >= h and x.shape[3] * f >= wd, "conv2d",
-                     f"size {(h, wd)} is not a crop of the input "
-                     f"upsampled x{f}")
+        maps = distinct_outputs(attrs["size"], expand)
+        _require(x.shape[2:] == maps, "conv2d", f"compact input "
+                 f"{x.shape[2:]} does not match its maps {maps}")
     drop = attrs.get("drop")
     if drop is not None:
         _require(expand is not None, "conv2d", "drop needs expand")
@@ -606,12 +604,6 @@ def _fw_scale(vals, attrs):
     return vals[0] * float(attrs["factor"])
 
 
-def _fw_masked_fill(vals, attrs):
-    x = vals[0]
-    mask = np.broadcast_to(np.asarray(attrs["mask"], dtype=bool), x.shape)
-    return np.where(mask, float(attrs["value"]), x)
-
-
 def _fw_log(vals, attrs):
     return np.log(np.maximum(vals[0], LOG_CLAMP))
 
@@ -624,8 +616,7 @@ def _fw_powc(vals, attrs):
 _FORWARD_RULES: dict[str, Callable] = {
     "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
     "sigmoid": _fw_sigmoid, "mean": _fw_mean, "sum": _fw_sum,
-    "scale": _fw_scale, "masked_fill": _fw_masked_fill, "log": _fw_log,
-    "powc": _fw_powc,
+    "scale": _fw_scale, "log": _fw_log, "powc": _fw_powc,
 }
 
 
@@ -647,8 +638,8 @@ def _bw_upconv(node, g, x, w, need_dx, need_dw):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     # without `compact`, each output reads the taps of its distinct output
-    (rmat, _), (cmat, _) = _tap_matrices(
-        x.shape, w.shape, node.saved, expanded=not node.saved.get("compact"))
+    rmat, cmat = _tap_matrices(w.shape, node.saved,
+                               expanded=not node.saved.get("compact"))
     drop = node.saved.get("drop")
     if drop is None:
         # g read back onto the input grid once per tap: rows, then columns
@@ -658,10 +649,12 @@ def _bw_upconv(node, g, x, w, need_dx, need_dw):
     else:
         # per tap, g where the tap reads a kept cell, its columns leading
         # so that each axis is one wide GEMM: columns, then rows
-        keep = _drop_index(x.shape, w.shape, node.saved) != h * wd
+        keep = _read_index.__wrapped__(
+            node.saved["size"], node.saved["expand"], (kh, kw),
+            node.saved.get("padding", 0), (h, wd), drop) != h * wd
         rows, cols = g.shape[2:]
         keep = np.ascontiguousarray(
-            keep.reshape(kh, kw, rows, cols).transpose(0, 1, 3, 2), float)
+            keep.T.reshape(kh, kw, rows, cols).transpose(0, 1, 3, 2), float)
         kept = np.empty((cols, co, rows))
         gtap = np.empty((n, kh, kw, wd, co, h))
         for i in range(n):
@@ -770,12 +763,6 @@ def _bw_scale(node, g, ins):
     return [g * float(node.saved["factor"])]
 
 
-def _bw_masked_fill(node, g, ins):
-    mask = np.broadcast_to(np.asarray(node.saved["mask"], dtype=bool),
-                           ins[0].shape)
-    return [g * ~mask]
-
-
 def _bw_log(node, g, ins):
     x = ins[0]
     inside = x >= LOG_CLAMP
@@ -793,8 +780,7 @@ def _bw_powc(node, g, ins):
 _BACKWARD_RULES: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
     "sigmoid": _bw_sigmoid, "mean": _bw_mean, "sum": _bw_sum,
-    "scale": _bw_scale, "masked_fill": _bw_masked_fill, "log": _bw_log,
-    "powc": _bw_powc,
+    "scale": _bw_scale, "log": _bw_log, "powc": _bw_powc,
 }
 
 

@@ -23,7 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .augment import AugmentConfig, strong_augment
-from .autograd import ParamSet, Tape, Tensor, backward, optimizer_step
+from .autograd import (ParamSet, Tape, Tensor, backward, forward_op,
+                       optimizer_step)
 from .errors import ConfigurationError, ContractError
 from .geometry import Pose2, Raster, relative_pose, warp_raster
 from .losses import (LossMask, LossWeights, feature_similarity_loss,
@@ -204,13 +205,6 @@ class FusionResult:
     fused_feats: np.ndarray | None = None
 
 
-def _apply_head(params: ParamSet, feats: np.ndarray) -> np.ndarray:
-    w = params["head.w"].values[:, :, 0, 0]
-    b = params["head.b"].values
-    logits = np.einsum("oc,chw->ohw", w, feats) + b[:, None, None]
-    return 1.0 / (1.0 + np.exp(-logits))
-
-
 def _in_frame_order(extras: Iterable[tuple[int, Pose2, ForwardTrace]]):
     """`extras` one at a time, checked to come in ascending frame index.
     A frame is dropped here once handed on, so a lazy `extras` computes the
@@ -276,7 +270,12 @@ def fuse_teacher(current: ForwardTrace,
     if not folded:   # no extra frame: the current frame's own prediction
         return FusionResult(Raster(spec, cur_probs.copy()), prov)
     feats = acc / count
-    return FusionResult(Raster(spec, _apply_head(params, feats)), prov, feats)
+    # the model's head, untaped
+    logits = forward_op("conv2d", Tensor(feats[None]),
+                        params.leaf(None, "head.w"),
+                        params.leaf(None, "head.b"))
+    probs = forward_op("sigmoid", logits).values[0]
+    return FusionResult(Raster(spec, probs), prov, feats)
 
 
 # -------------------------------------------------------------- trainer ---

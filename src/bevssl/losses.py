@@ -100,12 +100,15 @@ def feature_similarity_loss(z_s: Tensor, z_t: np.ndarray,
                       padding=0)
     t_sq = (z_t * z_t).sum(axis=1, keepdims=True)
 
-    zero_cells = (s_sq.values <= 0.0) | (t_sq <= 0.0)
+    # a zero-vector cell reads 1 in the denominator and in the cosine: its
+    # computed value times an exact 0, plus 1, so no gradient reaches it
+    zero = ((s_sq.values <= 0.0) | (t_sq <= 0.0)).astype(np.float64)
+    kept, zero_cells = Tensor(1.0 - zero), Tensor(zero)
     denom = forward_op("mul", forward_op("powc", s_sq, exponent=0.5),
                        Tensor(np.sqrt(t_sq)))
-    denom = forward_op("masked_fill", denom, mask=zero_cells, value=1.0)
+    denom = forward_op("add", forward_op("mul", denom, kept), zero_cells)
     cos = forward_op("mul", dot, forward_op("powc", denom, exponent=-1.0))
-    cos = forward_op("masked_fill", cos, mask=zero_cells, value=1.0)
+    cos = forward_op("add", forward_op("mul", cos, kept), zero_cells)
     return forward_op("mean",
                       forward_op("sub", Tensor(np.ones(cos.shape)), cos))
 

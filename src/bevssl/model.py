@@ -43,29 +43,22 @@ from .world import N_CLASSES, OBS_CHANNELS
 
 @dataclass(frozen=True)
 class ModelConfig:
-    obs_channels: int = OBS_CHANNELS
     enc_widths: tuple[int, ...] = (16, 32, 64)
     lift_channels: int = 64
     dec_widths: tuple[int, ...] = (32, 64)
     kernel_size: int = 3
-    n_classes: int = N_CLASSES
 
     def __post_init__(self):
         widths = (self.lift_channels, *self.enc_widths, *self.dec_widths)
         if any(w <= 0 for w in widths):
             raise ConfigurationError("all channel widths must be positive")
-        if self.obs_channels != OBS_CHANNELS:
-            raise ConfigurationError(
-                f"observation channels fixed at {OBS_CHANNELS}")
-        if self.n_classes != N_CLASSES:
-            raise ConfigurationError(f"output classes fixed at {N_CLASSES}")
         if self.kernel_size % 2 != 1 or self.kernel_size < 1:
             raise ConfigurationError("kernel_size must be odd and positive")
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         k = self.kernel_size
         layers = []
-        c_in = self.obs_channels
+        c_in = OBS_CHANNELS
         for i, c_out in enumerate(self.enc_widths):
             layers.append((f"enc{i}", (c_out, c_in, k, k)))
             c_in = c_out
@@ -74,7 +67,7 @@ class ModelConfig:
         for i, c_out in enumerate(self.dec_widths):
             layers.append((f"dec{i}", (c_out, c_in, k, k)))
             c_in = c_out
-        layers.append(("head", (self.n_classes, c_in, 1, 1)))
+        layers.append(("head", (N_CLASSES, c_in, 1, 1)))
         return layers
 
 
@@ -210,10 +203,10 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
     values = observation.values if isinstance(observation, Raster) else observation
     if values.ndim == 3:
         values = values[None]
-    if values.ndim != 4 or values.shape[1] != cfg.obs_channels:
+    if values.ndim != 4 or values.shape[1] != OBS_CHANNELS:
         raise ConfigurationError(
             f"observation shape {values.shape} does not match "
-            f"{cfg.obs_channels} channels")
+            f"{OBS_CHANNELS} channels")
     rows, cols = values.shape[2], values.shape[3]
     if bev_drop_mask is not None and bev_drop_mask.shape != (rows, cols):
         raise ConfigurationError(

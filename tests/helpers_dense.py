@@ -3,8 +3,8 @@
 `model.forward` writes the lift at its distinct cells, hands the BEV
 dropout mask to the first conv that reads the lift, and runs the decoder
 at its distinct cells while they repeat.  `dense_forward` computes the same
-network with none of that: the lift at grid resolution, the mask applied
-by `masked_fill`, and every decoder conv and the head on grid-resolution
+network with none of that: the lift at grid resolution multiplied by the
+mask's kept cells, and every decoder conv and the head on grid-resolution
 maps.  Both must agree to rounding, trace and gradients alike.
 """
 
@@ -36,8 +36,10 @@ def dense_forward(params: ParamSet, observation: Raster | np.ndarray,
     x = bev_feats = _conv_block(params, tape, "lift", x, pad,
                                 expand=(2 ** len(cfg.enc_widths),), size=grid)
     if bev_drop_mask is not None:
-        x = forward_op("masked_fill", x, mask=bev_drop_mask[None, None],
-                       value=0.0)
+        # the lift is rectified (>= 0), so times the kept cells it is the
+        # lift with its dropped cells zeroed
+        keep = np.broadcast_to(~bev_drop_mask, x.shape).astype(np.float64)
+        x = forward_op("mul", x, Tensor(keep))
     for i in range(len(cfg.dec_widths)):
         x = _conv_block(params, tape, f"dec{i}", x, pad)
     logits = forward_op("conv2d", x, params.leaf(tape, "head.w"),

@@ -65,12 +65,6 @@ def make_case(kind: str, stream: Stream):
         params.add("a", _arr(stream, (stream.randrange(2, 5),)))
         attrs["factor"] = stream.uniform(-2.0, 2.0)
         inputs = ("a",)
-    elif kind == "masked_fill":
-        shape = (stream.randrange(2, 5), stream.randrange(2, 5))
-        params.add("a", _arr(stream, shape))
-        attrs["mask"] = _arr(stream, shape) > 0.0
-        attrs["value"] = stream.uniform(-1.0, 1.0)
-        inputs = ("a",)
     elif kind == "log":
         shape = (stream.randrange(2, 5), stream.randrange(2, 5))
         params.add("a", _arr(stream, shape, 0.1, 2.0))
@@ -114,7 +108,7 @@ def _conv_case(stream: Stream):
         h += int(f > 1 and h % f == 0)
         w += int(f > 1 and w % f == 0)
         attrs.update(expand=(f,), size=(h, w))
-        h, w = h // f + 1, w // f + 1
+        h, w = -(-h // f), -(-w // f)
     else:
         attrs["stride"] = stream.randrange(1, 4)
     params.add("a", _arr(stream, (n, ci, h, w)))

@@ -62,11 +62,7 @@ def test_conv2d_hand_oracle_with_padding():
     assert np.allclose(out.values, expect, atol=1e-12)
 
 
-def test_masked_fill_and_log_clamp():
-    x = Tensor(np.array([0.5, -2.0, 3.0]))
-    out = forward_op("masked_fill", x, mask=np.array([False, True, False]),
-                     value=9.0)
-    assert out.values.tolist() == [0.5, 9.0, 3.0]
+def test_log_clamp():
     lg = forward_op("log", Tensor(np.array([0.0, 1.0])))
     assert lg.values[0] == np.log(1e-12)
     assert lg.values[1] == 0.0
@@ -427,7 +423,7 @@ def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
 
 def test_upsampling_conv_rejects_a_size_past_the_upsampled_input():
     x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
-    with pytest.raises(ConfigurationError, match="not a crop"):
+    with pytest.raises(ConfigurationError, match="does not match its maps"):
         forward_op("conv2d", x, w, padding=1, expand=(2,), size=(5, 4))
 
 
@@ -488,7 +484,7 @@ def test_distinct_outputs_of_the_model_geometries():
 
 def test_compact_conv_rejects_a_size_past_the_upsampled_input():
     x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
-    with pytest.raises(ConfigurationError, match="not a crop"):
+    with pytest.raises(ConfigurationError, match="does not match its maps"):
         forward_op("conv2d", x, w, padding=1, expand=(2,), size=(5, 4),
                    compact=True)
     with pytest.raises(ConfigurationError, match="compact needs expand"):
@@ -618,19 +614,54 @@ def test_backward_macs_of_the_model_dec1():
 
 
 def test_tap_matrices_and_gather_indices_are_cached_read_only():
-    x, w = (1, 32, 60, 20), (64, 32, 3, 3)
+    w = (64, 32, 3, 3)
     attrs = dict(padding=1, expand=(8, 3, 3, 1, 3, 3, 1), size=(96, 32))
     for expanded in (False, True):
-        first = autograd._tap_matrices(x, w, attrs, expanded)
-        again = autograd._tap_matrices(x, w, attrs, expanded)
-        for axis, axis_again in zip(first, again):
-            for arr, arr_again in zip(axis, axis_again):
-                assert arr is arr_again and not arr.flags.writeable
-    chains = (((3, 1), (3, 1)),) * 2  # rows and columns: lift, dec0
-    index = autograd._gather_index((96, 32), 8, (3, 3), 1, chains, (60, 20))
+        first = autograd._tap_matrices(w, attrs, expanded)
+        again = autograd._tap_matrices(w, attrs, expanded)
+        for arr, arr_again in zip(first, again):
+            assert arr is arr_again and not arr.flags.writeable
+    geometry = ((96, 32), attrs["expand"], (3, 3), 1, (60, 20))
+    index = autograd._read_index(*geometry)
     assert index.shape == (84 * 28, 9) and not index.flags.writeable
-    assert autograd._gather_index((96, 32), 8, (3, 3), 1, chains,
-                                  (60, 20)) is index
+    assert autograd._read_index(*geometry) is index
+
+
+@pytest.mark.parametrize("masked", (False, True), ids=("nothing", "masked"))
+@pytest.mark.parametrize("f,size,k", _COMPACT_CASES,
+                         ids=[f"f{f}-{r}x{c}-k{k}"
+                              for f, (r, c), k in _COMPACT_CASES])
+def test_read_index_is_the_grid_cell_each_tap_reads(f, size, k, masked):
+    """Per output and tap, the read index is the grid cell the tap reads,
+    mapped to the compact input through `_source`, or the zero slot where
+    the tap reads padding or a cell of the padded drop mask; without a
+    mask each distinct output stands for every output of its run."""
+    pad = k // 2
+    st = Stream(71).child(f"{f}-{size}-{k}")
+    drop = st.uniforms(size[0] * size[1]).reshape(size) > 0.5
+    for expand in ((f,), (f, k, k, pad)):
+        _, rows, cols = autograd._geometry(expand)
+        src_r = autograd._source(size[0], f, rows)
+        src_c = autograd._source(size[1], f, cols)
+        shape = autograd.distinct_outputs(size, expand)
+        zero = shape[0] * shape[1]
+        expect = np.full((*size, k, k), zero)
+        for i, j, a, b in np.ndindex(*size, k, k):
+            r, c = i + a - pad, j + b - pad
+            if (0 <= r < size[0] and 0 <= c < size[1]
+                    and not (masked and drop[r, c])):
+                expect[i, j, a, b] = src_r[r] * shape[1] + src_c[c]
+        expect = expect.reshape(*size, k * k)
+        if masked:
+            index = autograd._read_index.__wrapped__(
+                size, expand, (k, k), pad, shape, drop)
+            assert np.array_equal(index.reshape(expect.shape), expect)
+            continue
+        index = autograd._read_index(size, expand, (k, k), pad, shape)
+        runs = [autograd._axis_runs(n, f, k, pad, chain)[1]
+                for n, chain in zip(size, (rows, cols))]
+        distinct = index.reshape(runs[0][-1] + 1, runs[1][-1] + 1, k * k)
+        assert np.array_equal(distinct[runs[0]][:, runs[1]], expect)
 
 
 def test_expand_map_is_the_expanding_identity_conv():

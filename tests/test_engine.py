@@ -343,6 +343,22 @@ def test_fusion_feats_mode_averages_and_reapplies_head():
     assert np.allclose(out.probs.values, cur.prob_values, atol=1e-10)
 
 
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig()], ids=["tiny", "default"])
+@pytest.mark.parametrize("warp", ["nearest", "bilinear"])
+def test_feats_fusion_of_a_frame_with_itself_is_its_prediction(cfg, warp):
+    """Fused with itself at the identity pose, a frame's decoded features
+    average to themselves, and the head fusion re-applies is the model's:
+    the fused probabilities are the frame's own to 1e-14 relative."""
+    params = init_params(cfg, 4)
+    obs = Stream(8).uniforms(5 * 96 * 32).reshape(5, 96, 32)
+    cur = forward(params, obs, None, None, cfg)
+    out = fuse_teacher(cur, [(1, Pose2(0, 0, 0), cur)], "feats", SMALL_GRID,
+                       params=params, warp_mode=warp)
+    assert np.array_equal(out.fused_feats, cur.decoded_feats.values[0])
+    rel = np.abs(out.probs.values - cur.prob_values) / cur.prob_values
+    assert rel.max() <= 1e-14
+
+
 # ----------------------------------------------------------------- trainer --
 
 def _tiny_dataset(seed=11):
