@@ -22,12 +22,14 @@ matrices at input resolution or from im2col columns gathered through one
 read index, whichever needs fewer multiply-adds.  With `compact=True` it
 writes only those; without, it expands them to the full map as
 `expand_map` does, so convs can run at their distinct cells one after
-another.  Backward reads g back onto the input through the tap matrices,
-rows then columns; they and the read index are cached per geometry,
-read-only.  An `expand` conv reads the cells of a `drop` mask as zeros,
-through the same read index with those cells pointed at a zero slot; that
-bool mask is the one array a conv node saves (3 KB for the small grid's
-dec0, 30 KB for the paper grid's).
+another.  Backward is one loop over taps: it reads g back onto the input
+through one tap's matrices, rows then columns, and adds that tap's dW and
+dx; they and the read index are cached per geometry, read-only.  An
+`expand` conv reads the cells of a `drop` mask as zeros.  The mask's kept
+taps (whether each output's tap reads a kept cell) put the dropped reads
+of the read index on a zero slot in forward and multiply g per tap in
+backward; that bool mask is the one array a conv node saves (3 KB for the
+small grid's dec0, 30 KB for the paper grid's).
 Importing the module also warms the heap (see the note at `_workspace`).
 """
 
@@ -198,11 +200,10 @@ _workspace = np.empty(0)
 # taking a page fault on every first touch, and below the trim threshold the
 # pages a step frees stay with the heap for the next step.  One 24 MB array,
 # allocated and freed here, sets both.  The small preset's largest per-step
-# arrays are 5.3 MB: when a taped dec1 writes compactly, its backward reads
-# g back into a gradient per tap at its input's 60 x 20 cells and copies
-# that tap-major for the tap GEMMs.  Every other per-step array stays under
-# 2 MB (a 64-channel map at grid resolution, dec1's dx frame in the bevdrop
-# forward's dense backward).  So what sizes the array is the trim
+# array is 1.6 MB, dec1's dx frame in the bevdrop forward's dense backward,
+# then the 64-channel maps at grid resolution at 1.5 MB (MiB throughout;
+# `tracemalloc` at every line of one `ssl_small` and one
+# `fusion_feats6_small` step).  So what sizes the array is the trim
 # threshold: a step swings the heap by ~20 MB.  Measured with 12 MB, steady `ssl_small` and
 # `fusion_feats6_small` steps take 1-2 faults; with 8 MB (a 16 MB trim
 # threshold) ~4600 and ~5000.
@@ -361,41 +362,51 @@ def _tap_matrices(w_shape, attrs, expanded: bool = False):
 
 @functools.lru_cache(maxsize=None)
 def _read_index(size: tuple, expand: tuple, kernel: tuple, pad: int,
-                shape: tuple, drop: np.ndarray | None = None) -> np.ndarray:
+                shape: tuple) -> np.ndarray:
     """(outputs, kh*kw) of a conv reading its (h, w) input `shape` through
-    `expand`: the flat position in the input that tap t of each output
-    reads, or the zero slot h*w past its end where the tap reads padding
-    or a cell of the `drop` mask.  The outputs are the distinct ones (see
-    `_axis_runs`), or with `drop` every output of `size`.  Without `drop`
-    the index is cached read-only off the heap; a mask is no cache key, so
-    a conv with one calls `_read_index.__wrapped__`."""
+    `expand` at its distinct outputs (see `_axis_runs`): the flat position
+    in the input that tap t of each output reads, or the zero slot h*w past
+    its end where the tap reads padding.  Cached read-only off the heap."""
     f, *chains = _geometry(expand)
     zero = shape[0] * shape[1]
-    runs = [_axis_runs(n, f, k, pad, chain)
-            for n, k, chain in zip(size, kernel, chains)]
-    rr, cr = (reads if drop is None else reads[:, index]
-              for reads, index in runs)
+    rr, cr = (_axis_runs(n, f, k, pad, chain)[0]
+              for n, k, chain in zip(size, kernel, chains))
     # a read of the padding stands for the zero slot along its axis, so the
     # sum is at or past the slot when either axis reads padding, and the
     # clip puts it on the slot
     rr = np.where(rr >= 0, rr * shape[1], zero)
     cr = np.where(cr >= 0, cr, zero)
     index = np.minimum(rr[:, None, :, None] + cr[None, :, None, :], zero)
-    if drop is not None:
-        dropped = np.lib.stride_tricks.sliding_window_view(
-            np.pad(drop, pad), kernel)
-        index[dropped.transpose(2, 3, 0, 1)] = zero
-    index = index.reshape(kernel[0] * kernel[1], -1).T
-    return index if drop is not None else _off_heap(index)
+    return _off_heap(index.reshape(kernel[0] * kernel[1], -1).T)
+
+
+def _kept_taps(drop: np.ndarray, kernel: tuple, pad: int) -> np.ndarray:
+    """(rows, cols, kh, kw) bool of a conv padded by `pad` over the full map
+    `drop` masks: True where tap (a, b) of an output reads a kept cell."""
+    return np.lib.stride_tricks.sliding_window_view(np.pad(~drop, pad),
+                                                    kernel)
+
+
+def _masked_index(attrs: dict, kernel: tuple, shape: tuple) -> np.ndarray:
+    """(kh*kw, outputs) of a conv with `drop` over its (h, w) input `shape`:
+    each distinct output's `_read_index` spread to every output of `size`,
+    with each tap that reads a dropped cell on the zero slot."""
+    size, expand = tuple(attrs["size"]), tuple(attrs["expand"])
+    pad = attrs.get("padding", 0)
+    runs = _read_index(size, expand, kernel, pad, shape).T
+    full = expand + (*kernel, pad)
+    spread = expand_map(runs.reshape(1, -1, *distinct_outputs(size, full)),
+                        full, size)[0]
+    kept = _kept_taps(attrs["drop"], kernel, pad).transpose(2, 3, 0, 1)
+    return np.where(kept.reshape(spread.shape), spread,
+                    shape[0] * shape[1]).reshape(len(spread), -1)
 
 
 def _fw_dropconv(x, w, attrs):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-    index = _read_index.__wrapped__(
-        attrs["size"], attrs["expand"], (kh, kw), attrs.get("padding", 0),
-        (h, wd), attrs["drop"]).T
+    index = _masked_index(attrs, (kh, kw), (h, wd))
     # every tap's response at compact resolution, with a zero slot at the
     # end; each output sums its taps' responses, one take per tap
     taps = np.empty((n, kh * kw * co, h * wd + 1))
@@ -627,11 +638,13 @@ def _bw_add(node, g, ins):
 
 
 def _bw_sub(node, g, ins):
-    return [g, -g]
+    return [g, -g if node.input_needs[1] else None]
 
 
 def _bw_mul(node, g, ins):
-    return [g * ins[1], g * ins[0]]
+    # a constant input gets no gradient: `backward` would drop it
+    need_a, need_b = node.input_needs
+    return [g * ins[1] if need_a else None, g * ins[0] if need_b else None]
 
 
 def _bw_upconv(node, g, x, w, need_dx, need_dw):
@@ -641,39 +654,25 @@ def _bw_upconv(node, g, x, w, need_dx, need_dw):
     rmat, cmat = _tap_matrices(w.shape, node.saved,
                                expanded=not node.saved.get("compact"))
     drop = node.saved.get("drop")
-    if drop is None:
-        # g read back onto the input grid once per tap: rows, then columns
-        gtap = ((rmat.transpose(0, 2, 1).reshape(kh * h, -1) @ g)
-                @ cmat.transpose(1, 0, 2).reshape(-1, kw * wd))
-        gtap = gtap.reshape(n, co, kh, h, kw, wd).transpose(0, 2, 4, 1, 3, 5)
-    else:
-        # per tap, g where the tap reads a kept cell, its columns leading
-        # so that each axis is one wide GEMM: columns, then rows
-        keep = _read_index.__wrapped__(
-            node.saved["size"], node.saved["expand"], (kh, kw),
-            node.saved.get("padding", 0), (h, wd), drop) != h * wd
-        rows, cols = g.shape[2:]
-        keep = np.ascontiguousarray(
-            keep.T.reshape(kh, kw, rows, cols).transpose(0, 1, 3, 2), float)
-        kept = np.empty((cols, co, rows))
-        gtap = np.empty((n, kh, kw, wd, co, h))
-        for i in range(n):
-            gcols = g[i].transpose(2, 0, 1).copy()
-            for a, b in np.ndindex(kh, kw):
-                np.multiply(gcols, keep[a, b, :, None], out=kept)
-                by_cols = cmat[b].T @ kept.reshape(cols, -1)
-                np.matmul(by_cols.reshape(-1, rows), rmat[a],
-                          out=gtap[i, a, b].reshape(-1, h))
-        gtap = gtap.transpose(0, 1, 2, 4, 5, 3)
-    gtap = gtap.reshape(n, kh * kw * co, h * wd)
-    dw = None
-    if need_dw:
-        xf = x.reshape(n, ci, h * wd)
-        dwtap = sum(gtap[i] @ xf[i].T for i in range(n))
-        dw = dwtap.reshape(kh, kw, co, ci).transpose(2, 3, 0, 1)
-    wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-    dx = (wtap.T @ gtap).reshape(x.shape) if need_dx else None
-    return dx, dw
+    if drop is not None:
+        kept = _kept_taps(drop, (kh, kw), node.saved.get("padding", 0))
+    cols = g.shape[3]
+    xt = x.transpose(0, 2, 3, 1).reshape(n * h * wd, ci) if need_dw else None
+    dw = np.empty((co, ci, kh, kw)) if need_dw else None
+    dx = np.zeros((n, ci, h * wd)) if need_dx else None
+    for a, b in np.ndindex(kh, kw):
+        # g read back onto the input grid by tap (a, b): rows, then
+        # columns; without a mask, one row readback serves a row of taps
+        if drop is not None:
+            by_rows = rmat[a].T @ (g * kept[:, :, a, b])
+        elif b == 0:
+            by_rows = rmat[a].T @ g
+        gtap = (by_rows.reshape(-1, cols) @ cmat[b]).reshape(n, co, h * wd)
+        if need_dw:
+            dw[:, :, a, b] = gtap.transpose(1, 0, 2).reshape(co, -1) @ xt
+        if need_dx:
+            dx += w[:, :, a, b].T @ gtap
+    return None if dx is None else dx.reshape(x.shape), dw
 
 
 def _bw_conv2d(node, g, ins):

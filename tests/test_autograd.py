@@ -120,6 +120,22 @@ def test_gradient_handed_to_two_inputs_is_not_mutated():
     assert ps["b"].grad.tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("kind", ["mul", "sub"])
+def test_a_constant_second_input_gets_no_gradient(kind):
+    """The `mul` and `sub` rules compute no gradient for a constant input,
+    which `backward` would drop."""
+    ps = _scalar_param(np.array([0.5, -2.0]))
+    tape = Tape()
+    c = np.array([3.0, 1.0])
+    y = forward_op(kind, ps.leaf(tape, "p"), Tensor(c))
+    node = tape.nodes[y.node_id]
+    assert node.input_needs == (True, False)
+    g = np.array([2.0, -1.0])
+    da, db = autograd._BACKWARD_RULES[kind](node, g, [ps["p"].values, c])
+    assert db is None
+    assert np.array_equal(da, g * c if kind == "mul" else g)
+
+
 def test_backward_drops_each_gradient_once_its_rule_has_run():
     """Backward through a chain of 20 ops on a 1 MB leaf holds about two
     gradients at a time, not one per node."""
@@ -634,8 +650,9 @@ def test_tap_matrices_and_gather_indices_are_cached_read_only():
 def test_read_index_is_the_grid_cell_each_tap_reads(f, size, k, masked):
     """Per output and tap, the read index is the grid cell the tap reads,
     mapped to the compact input through `_source`, or the zero slot where
-    the tap reads padding or a cell of the padded drop mask; without a
-    mask each distinct output stands for every output of its run."""
+    the tap reads padding or, in the index a masked conv reads
+    (`_masked_index`), a cell of the drop mask; without a mask each
+    distinct output stands for every output of its run."""
     pad = k // 2
     st = Stream(71).child(f"{f}-{size}-{k}")
     drop = st.uniforms(size[0] * size[1]).reshape(size) > 0.5
@@ -653,15 +670,36 @@ def test_read_index_is_the_grid_cell_each_tap_reads(f, size, k, masked):
                 expect[i, j, a, b] = src_r[r] * shape[1] + src_c[c]
         expect = expect.reshape(*size, k * k)
         if masked:
-            index = autograd._read_index.__wrapped__(
-                size, expand, (k, k), pad, shape, drop)
-            assert np.array_equal(index.reshape(expect.shape), expect)
+            index = autograd._masked_index(
+                dict(size=size, expand=expand, padding=pad, drop=drop),
+                (k, k), shape)
+            assert np.array_equal(index.T.reshape(expect.shape), expect)
             continue
         index = autograd._read_index(size, expand, (k, k), pad, shape)
         runs = [autograd._axis_runs(n, f, k, pad, chain)[1]
                 for n, chain in zip(size, (rows, cols))]
         distinct = index.reshape(runs[0][-1] + 1, runs[1][-1] + 1, k * k)
         assert np.array_equal(distinct[runs[0]][:, runs[1]], expect)
+
+
+@pytest.mark.parametrize("every", (False, True), ids=("random", "all"))
+@pytest.mark.parametrize("f,size,k", _COMPACT_CASES,
+                         ids=[f"f{f}-{r}x{c}-k{k}"
+                              for f, (r, c), k in _COMPACT_CASES])
+def test_kept_taps_are_the_taps_that_read_a_kept_cell(f, size, k, every):
+    """Per output and tap, a tap is kept where it reads a cell of the map
+    that the drop mask keeps, and not where it reads padding."""
+    pad = k // 2
+    st = Stream(73).child(f"{f}-{size}-{k}")
+    drop = st.uniforms(size[0] * size[1]).reshape(size) > 0.5
+    if every:
+        drop[...] = True
+    expect = np.zeros((*size, k, k), dtype=bool)
+    for i, j, a, b in np.ndindex(*size, k, k):
+        r, c = i + a - pad, j + b - pad
+        expect[i, j, a, b] = (0 <= r < size[0] and 0 <= c < size[1]
+                              and not drop[r, c])
+    assert np.array_equal(autograd._kept_taps(drop, (k, k), pad), expect)
 
 
 def test_expand_map_is_the_expanding_identity_conv():
