@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 from .geometry import Raster
 from .losses import LossMask
 from .rng import Stream
@@ -33,15 +33,13 @@ class AugmentConfig:
     bevdrop_rate: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.cutout_fraction < 1.0:
-            raise ConfigurationError("cutout_fraction must be in [0, 1)")
-        if not 0.0 <= self.bevdrop_rate < 1.0:
-            raise ConfigurationError("bevdrop_rate must be in [0, 1)")
-        if not 1 <= self.camdrop_count < N_SECTORS:
-            raise ConfigurationError(
-                f"camdrop_count must be in [1, {N_SECTORS}), got {self.camdrop_count}")
-        if not 0.0 <= self.channel_swap_prob <= 1.0:
-            raise ConfigurationError("channel_swap_prob must be in [0, 1]")
+        check_fields("augment", self, (
+            ("channel_swap_prob", 0 <= self.channel_swap_prob <= 1,
+             "in [0, 1]"),
+            ("cutout_fraction", 0 <= self.cutout_fraction < 1, "in [0, 1)"),
+            ("camdrop_count", 1 <= self.camdrop_count < N_SECTORS,
+             f"in [1, {N_SECTORS})"),
+            ("bevdrop_rate", 0 <= self.bevdrop_rate < 1, "in [0, 1)")))
 
     @classmethod
     def none(cls) -> "AugmentConfig":

@@ -888,8 +888,8 @@ def backward(loss: Tensor, params: ParamSet) -> None:
 
 # -------------------------------------------------------------- optimizer --
 
-def optimizer_step(params: ParamSet, lr: float = 1e-3, wd: float = 1e-4,
-                   betas: tuple[float, float] = (0.9, 0.999), step: int = 1,
+def optimizer_step(params: ParamSet, lr: float, wd: float,
+                   betas: tuple[float, float], step: int = 1,
                    eps: float = 1e-8) -> None:
     """Adaptive-moment update with bias correction and decoupled weight decay."""
     if step <= 0:

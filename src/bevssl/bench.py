@@ -23,7 +23,7 @@ import numpy as np
 from .augment import AugmentConfig
 from .autograd import ParamSet, load_checkpoint, save_checkpoint
 from .engine import OptimConfig, SslConfig, StepReport, Trainer
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 from .geometry import GRID_PRESETS
 from .losses import LossWeights
 from .model import ModelConfig, forward, init_params
@@ -107,6 +107,11 @@ def evaluate_pairs(pairs, split: str, step: int) -> Metrics:
 
 # ----------------------------------------------------------- configuration --
 
+def _each(cfg, names, holds, rule):
+    """One rule for several fields, as `check_fields` takes it."""
+    return ((name, holds(getattr(cfg, name)), rule) for name in names)
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     style: str = "city_A"
@@ -119,6 +124,18 @@ class WorldConfig:
     utilisation: float = 0.1
     speed_min: float = 0.0
     speed_max: float = 12.0
+
+    def __post_init__(self):
+        check_fields("world", self, (
+            ("style", self.style in STYLE_PRESETS,
+             f"one of {sorted(STYLE_PRESETS)}"),
+            ("grid_preset", self.grid_preset in GRID_PRESETS,
+             f"one of {sorted(GRID_PRESETS)}"),
+            *_each(self, ("seqs_per_world", "n_frames", "val_worlds",
+                          "test_worlds"), lambda v: v >= 1, ">= 1"),
+            ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]"),
+            ("speed_min", self.speed_min <= self.speed_max,
+             f"<= world.speed_max ({self.speed_max})")))
 
 
 @dataclass(frozen=True)
@@ -140,6 +157,21 @@ class TrainConfig:
     eval_model: str = "student"   # "student" | "teacher"
     supervised_augment: str = "none"  # "none" | "same"
 
+    def __post_init__(self):
+        check_fields("train", self, (
+            *_each(self, ("total_steps", "eval_every", "batch_labelled",
+                          "batch_unlabelled"), lambda v: v >= 1, ">= 1"),
+            ("lr", self.lr >= 0, ">= 0"), ("wd", self.wd >= 0, ">= 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("ema_keep", 0 <= self.ema_keep <= 1, "in [0, 1]"),
+            ("focal_gamma", self.focal_gamma >= 0, ">= 0"),
+            ("focal_alpha", 0 <= self.focal_alpha <= 1, "in [0, 1]"),
+            ("eval_model", self.eval_model in ("student", "teacher"),
+             "'student' or 'teacher'"),
+            ("supervised_augment", self.supervised_augment in ("none", "same"),
+             "'none' or 'same'")))
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -148,6 +180,21 @@ class EvalConfig:
     adapt_target_style: str = "city_B"
     adapt_source_worlds: int = 10
     adapt_unlabelled_counts: tuple[int, ...] = (0, 8, 32)
+
+    def __post_init__(self):
+        check_fields("eval", self, (
+            *_each(self, ("seeds", "sweep_utilisations",
+                          "adapt_unlabelled_counts"),
+                   lambda v: 0 < len(set(v)) == len(v),
+                   "non-empty without repeats"),
+            ("sweep_utilisations",
+             all(0 < u <= 1 for u in self.sweep_utilisations),
+             "in (0, 1] each"),
+            ("adapt_target_style", self.adapt_target_style in STYLE_PRESETS,
+             f"one of {sorted(STYLE_PRESETS)}"),
+            ("adapt_source_worlds", self.adapt_source_worlds >= 1, ">= 1"),
+            ("adapt_unlabelled_counts",
+             all(n >= 0 for n in self.adapt_unlabelled_counts), ">= 0 each")))
 
 
 @dataclass(frozen=True)
@@ -161,6 +208,16 @@ class ScenarioConfig:
     ssl: SslConfig = field(default_factory=SslConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self):
+        check_fields("", self, [("kind", self.kind in SCENARIOS,
+                                 f"one of {sorted(SCENARIOS)}")])
+        w = self.world
+        # city adaptation draws its worlds from the eval section instead
+        check_fields("world", w, [(
+            "n_worlds", self.kind == "city-adapt"
+            or w.n_worlds >= w.val_worlds + w.test_worlds + 1,
+            f">= {w.val_worlds} val + {w.test_worlds} test + 1 train worlds")])
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -168,14 +225,6 @@ class ScenarioConfig:
 _SECTION_TYPES = {"world": WorldConfig, "model": ModelConfig,
                   "train": TrainConfig, "augment": AugmentConfig,
                   "ssl": SslConfig, "eval": EvalConfig}
-
-
-# the names a value must be one of, by section and field
-_CHOICES = {("world", "grid_preset"): GRID_PRESETS,
-            ("world", "style"): STYLE_PRESETS,
-            ("eval", "adapt_target_style"): STYLE_PRESETS,
-            ("train", "eval_model"): ("student", "teacher"),
-            ("train", "supervised_augment"): ("none", "same")}
 
 
 _SCALARS = {"int": int, "float": (int, float), "bool": bool, "str": str}
@@ -205,67 +254,6 @@ def _check_type(where: str, value, annotation: str) -> None:
             f"got {value!r}")
 
 
-def check_config(cfg: ScenarioConfig) -> None:
-    """Reject values the runs would otherwise trip over after data
-    generation; the sections' own checks ran when they were built."""
-    if cfg.kind not in SCENARIOS:
-        raise ConfigurationError(f"kind must be one of {sorted(SCENARIOS)}, "
-                                 f"got {cfg.kind!r}")
-    for (section, name), choices in _CHOICES.items():
-        value = getattr(getattr(cfg, section), name)
-        if value not in tuple(choices):
-            raise ConfigurationError(f"{section}.{name} must be one of "
-                                     f"{sorted(choices)}, got {value!r}")
-    for section, names in (
-            ("train", ("total_steps", "eval_every", "batch_labelled",
-                       "batch_unlabelled")),
-            ("world", ("seqs_per_world", "n_frames", "val_worlds",
-                       "test_worlds")),
-            ("eval", ("adapt_source_worlds",))):
-        for name in names:
-            value = getattr(getattr(cfg, section), name)
-            if value < 1:
-                raise ConfigurationError(
-                    f"{section}.{name} must be >= 1, got {value}")
-    t = cfg.train
-    for name, ok, want in (("lr", t.lr >= 0, ">= 0"), ("wd", t.wd >= 0, ">= 0"),
-                           ("beta1", 0 <= t.beta1 < 1, "in [0, 1)"),
-                           ("beta2", 0 <= t.beta2 < 1, "in [0, 1)"),
-                           ("ema_keep", 0 <= t.ema_keep <= 1, "in [0, 1]"),
-                           ("focal_gamma", t.focal_gamma >= 0, ">= 0"),
-                           ("focal_alpha", 0 <= t.focal_alpha <= 1,
-                            "in [0, 1]")):
-        if not ok:
-            raise ConfigurationError(
-                f"train.{name} must be {want}, got {getattr(t, name)}")
-    w = cfg.world
-    for u in (w.utilisation, *cfg.eval.sweep_utilisations):
-        if not 0.0 < u <= 1.0:
-            raise ConfigurationError(
-                f"world.utilisation and eval.sweep_utilisations must be in "
-                f"(0, 1], got {u}")
-    if w.speed_min > w.speed_max:
-        raise ConfigurationError(f"world.speed_min {w.speed_min} exceeds "
-                                 f"world.speed_max {w.speed_max}")
-    for name in ("seeds", "sweep_utilisations", "adapt_unlabelled_counts"):
-        values = getattr(cfg.eval, name)
-        if not values:
-            raise ConfigurationError(f"eval.{name} must not be empty")
-        if len(set(values)) < len(values):
-            raise ConfigurationError(
-                f"eval.{name} must not repeat an entry, got {list(values)}")
-    if min(cfg.eval.adapt_unlabelled_counts) < 0:
-        raise ConfigurationError(
-            f"eval.adapt_unlabelled_counts must be >= 0, got "
-            f"{list(cfg.eval.adapt_unlabelled_counts)}")
-    # city adaptation draws its worlds from the eval section instead
-    if (cfg.kind != "city-adapt"
-            and w.n_worlds < w.val_worlds + w.test_worlds + 1):
-        raise ConfigurationError(
-            f"world.n_worlds {w.n_worlds} cannot cover train/val/test "
-            f"({w.val_worlds} val + {w.test_worlds} test + 1 train)")
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a JSON document, rejecting unknown keys
     and values of the wrong type before any section checks its values."""
@@ -284,18 +272,15 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if not isinstance(src, dict):
             raise ConfigurationError(f"config section '{section}' must be an object")
         types = {f.name: f.type for f in fields(cls)}
-        bad = set(src) - set(types)
+        bad = sorted(f"{section}.{k}" for k in set(src) - set(types))
         if bad:
-            raise ConfigurationError(
-                f"unknown keys in '{section}': {sorted(bad)}")
+            raise ConfigurationError(f"unknown config keys: {bad}")
         coerced = {k: tuple(v) if types[k].startswith("tuple")
                    and isinstance(v, list) else v for k, v in src.items()}
         for k, value in coerced.items():
             _check_type(f"{section}.{k}", value, types[k])
         kwargs[section] = cls(**coerced)
-    cfg = ScenarioConfig(**kwargs)
-    check_config(cfg)
-    return cfg
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path) -> ScenarioConfig:

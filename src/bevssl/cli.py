@@ -12,9 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bench
-from .bench import (ScenarioConfig, canonical_json, check_config,
-                    evaluate_pairs, load_checkpoint_params, load_config,
-                    run_scenario)
+from .bench import (ScenarioConfig, canonical_json, evaluate_pairs,
+                    load_checkpoint_params, load_config, run_scenario)
 from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import GRID_PRESETS
 from .world import STYLE_PRESETS, generate_world, read_raster
@@ -66,16 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args, **changes) -> ScenarioConfig:
     """The config a command runs: the file with `--preset`, `--seed` and
-    `changes` applied, checked again as a whole."""
+    `changes` applied; each `replace` checks the section it builds."""
     cfg = load_config(args.config)
     if args.preset:
         cfg = replace(cfg, world=replace(cfg.world, grid_preset=args.preset))
     if args.seed is not None:
         seeds = (args.seed, *cfg.eval.seeds[1:])
         cfg = replace(cfg, eval=replace(cfg.eval, seeds=seeds))
-    cfg = replace(cfg, **changes)
-    check_config(cfg)
-    return cfg
+    return replace(cfg, **changes)
 
 
 def cmd_gen_world(args) -> int:

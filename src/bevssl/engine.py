@@ -25,7 +25,7 @@ import numpy as np
 from .augment import AugmentConfig, strong_augment
 from .autograd import (ParamSet, Tape, Tensor, backward, forward_op,
                        optimizer_step)
-from .errors import ConfigurationError, ContractError
+from .errors import ConfigurationError, ContractError, check_fields
 from .geometry import Pose2, Raster, relative_pose, warp_raster
 from .losses import (LossMask, LossWeights, feature_similarity_loss,
                      focal_loss, rampup_weight, total_loss)
@@ -59,26 +59,26 @@ class SslConfig:
     confidence: str = "two_sided"   # "two_sided" | "positive"
 
     def __post_init__(self):
-        if min(self.w_cls, self.w_feat) < 0:
-            raise ConfigurationError("w_cls and w_feat must be nonnegative")
-        if not 0.0 < self.rampup_fraction <= 1.0:
-            raise ConfigurationError("rampup_fraction must be in (0, 1]")
-        if self.feat_mode not in ("cosine", "mse"):
-            raise ConfigurationError(f"unknown feat_mode '{self.feat_mode}'")
-        if self.feat_level not in ("early", "late"):
-            raise ConfigurationError(f"unknown feat_level '{self.feat_level}'")
-        if self.threshold is not None and not 0.5 <= self.threshold < 1.0:
-            raise ConfigurationError("threshold must be in [0.5, 1) or None")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ConfigurationError("temperature must be positive or None")
-        if self.fusion_mode not in ("none", "probs", "feats"):
-            raise ConfigurationError(f"unknown fusion mode '{self.fusion_mode}'")
-        if self.fusion_extra < 0 or self.fusion_max_range <= 0:
-            raise ConfigurationError("fusion_extra >= 0 and max_range > 0 required")
-        if self.confidence not in ("two_sided", "positive"):
-            raise ConfigurationError(f"unknown confidence rule '{self.confidence}'")
-        if self.fusion_warp not in ("nearest", "bilinear"):
-            raise ConfigurationError(f"unknown warp mode '{self.fusion_warp}'")
+        check_fields("ssl", self, (
+            ("w_cls", self.w_cls >= 0, ">= 0"),
+            ("w_feat", self.w_feat >= 0, ">= 0"),
+            ("rampup_fraction", 0 < self.rampup_fraction <= 1, "in (0, 1]"),
+            ("feat_mode", self.feat_mode in ("cosine", "mse"),
+             "'cosine' or 'mse'"),
+            ("feat_level", self.feat_level in ("early", "late"),
+             "'early' or 'late'"),
+            ("threshold", self.threshold is None or 0.5 <= self.threshold < 1,
+             "in [0.5, 1) or None"),
+            ("temperature", self.temperature is None or self.temperature > 0,
+             "> 0 or None"),
+            ("fusion_mode", self.fusion_mode in ("none", "probs", "feats"),
+             "'none', 'probs' or 'feats'"),
+            ("fusion_extra", self.fusion_extra >= 0, ">= 0"),
+            ("fusion_max_range", self.fusion_max_range > 0, "> 0"),
+            ("fusion_warp", self.fusion_warp in ("nearest", "bilinear"),
+             "'nearest' or 'bilinear'"),
+            ("confidence", self.confidence in ("two_sided", "positive"),
+             "'two_sided' or 'positive'")))
 
 
 @dataclass

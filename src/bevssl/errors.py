@@ -21,3 +21,13 @@ class NumericError(BevSslError):
 
 class ContractError(BevSslError):
     """A caller violated an API precondition. CLI exit code 3."""
+
+
+def check_fields(section: str, obj, rules) -> None:
+    """Raise "<section>.<field> must be <rule>, got <value>" for the first of
+    `rules`, (field, holds, rule) triples, that does not hold in `obj`; an
+    empty `section` names a top-level field alone."""
+    for name, holds, rule in rules:
+        if not holds:
+            raise ConfigurationError(f"{section}.{name} must be {rule}, got "
+                                     f"{getattr(obj, name)!r}".lstrip("."))

@@ -45,7 +45,7 @@ class LossMask:
 
 
 def focal_loss(p: Tensor, y: np.ndarray, mask: LossMask | np.ndarray,
-               gamma: float = 2.0, alpha: float = 0.25) -> tuple[Tensor, int]:
+               gamma: float, alpha: float) -> tuple[Tensor, int]:
     """Mean over included cells of the symmetric soft-target focal term.
 
     Returns (loss, included_count); an all-excluded mask yields an exact

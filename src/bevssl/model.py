@@ -35,7 +35,7 @@ import numpy as np
 
 from .autograd import (ParamSet, Tape, Tensor, backward_macs,
                        distinct_outputs, expand_map, forward_op)
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 from .geometry import Raster
 from .rng import Stream
 from .world import N_CLASSES, OBS_CHANNELS
@@ -49,11 +49,14 @@ class ModelConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        widths = (self.lift_channels, *self.enc_widths, *self.dec_widths)
-        if any(w <= 0 for w in widths):
-            raise ConfigurationError("all channel widths must be positive")
-        if self.kernel_size % 2 != 1 or self.kernel_size < 1:
-            raise ConfigurationError("kernel_size must be odd and positive")
+        check_fields("model", self, (
+            ("enc_widths", all(w > 0 for w in self.enc_widths),
+             "positive widths"),
+            ("lift_channels", self.lift_channels > 0, "> 0"),
+            ("dec_widths", all(w > 0 for w in self.dec_widths),
+             "positive widths"),
+            ("kernel_size", self.kernel_size > 0 and self.kernel_size % 2,
+             "odd and > 0")))
 
     def layer_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         k = self.kernel_size

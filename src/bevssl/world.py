@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields
 from .geometry import GridSpec, Pose2, Raster
 from .rng import Stream, mix64
 
@@ -75,13 +75,13 @@ class StyleParams:
     clutter_density: float = 1.0    # false structures per frame (expected)
 
     def __post_init__(self):
-        for name in ("curvature_scale", "road_density", "lane_width",
-                     "crossing_frequency"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"style.{name} must be positive")
         # corruption levels may be zero (a clean sensor is a valid style)
-        if self.noise_level < 0 or self.clutter_density < 0:
-            raise ConfigurationError("noise/clutter levels must be nonnegative")
+        check_fields("style", self, (
+            *((name, getattr(self, name) > 0, "> 0")
+              for name in ("curvature_scale", "road_density", "lane_width",
+                           "crossing_frequency")),
+            ("noise_level", self.noise_level >= 0, ">= 0"),
+            ("clutter_density", self.clutter_density >= 0, ">= 0")))
 
 
 CITY_A = StyleParams(curvature_scale=0.018, road_density=85.0, lane_width=3.6,

@@ -58,7 +58,7 @@ def test_criterion_1_gradient_correctness():
         tape = Tape()
         trace = forward(ps, obs, None, tape, cfg)
         loss, _ = focal_loss(trace.probs, gt[None],
-                             LossMask.full((1, 3, 8, 8)))
+                             LossMask.full((1, 3, 8, 8)), 2.0, 0.25)
         return loss
 
     rep = finite_difference_check(model_loss, params, eps=1e-5, tol=1e-4)
@@ -189,12 +189,12 @@ def test_criterion_5_masking_soundness():
         if not excluded.any() or not mask.include.any():
             continue
 
-        base, n = focal_loss(Tensor(p), gt, mask)
+        base, n = focal_loss(Tensor(p), gt, mask, 2.0, 0.25)
         p2 = p.copy()
         gt2 = gt.copy()
         p2[excluded] = st.uniforms(int(excluded.sum()), 0.01, 0.99)
         gt2[excluded] = 1.0 - gt2[excluded]
-        pert, n2 = focal_loss(Tensor(p2), gt2, mask)
+        pert, n2 = focal_loss(Tensor(p2), gt2, mask, 2.0, 0.25)
         assert n == n2
         assert pert.item() == base.item(), case
     _report("C5 masking-soundness", True, "(50 cases bit-identical)")

@@ -100,10 +100,10 @@ def test_camdrop_loss_invariant_to_dropped_region():
     st = Stream(15)
     probs = st.uniforms(3 * 96 * 32, 0.02, 0.98).reshape(3, 96, 32)
     gt = (st.uniforms(3 * 96 * 32).reshape(3, 96, 32) > 0.8).astype(float)
-    base, _ = focal_loss(_t(probs), gt, fov)
+    base, _ = focal_loss(_t(probs), gt, fov, 2.0, 0.25)
     probs2 = probs.copy()
     probs2[~fov.include] = 0.5
-    pert, _ = focal_loss(_t(probs2), gt, fov)
+    pert, _ = focal_loss(_t(probs2), gt, fov, 2.0, 0.25)
     assert pert.item() == base.item()
 
 

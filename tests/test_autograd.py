@@ -863,7 +863,7 @@ def test_optimizer_weight_decay_decoupled():
 def test_optimizer_step_must_be_positive():
     ps = _scalar_param(np.array([1.0]))
     with pytest.raises(ContractError):
-        optimizer_step(ps, step=0)
+        optimizer_step(ps, 1e-3, 1e-4, (0.9, 0.999), step=0)
 
 
 # --------------------------------------------------------------- checkpoint --

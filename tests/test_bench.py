@@ -196,6 +196,29 @@ def test_every_scenario_expands_with_unique_names_and_ssl_overrides():
             assert set(v.overrides) <= ssl_fields, (kind, v.name)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "total_steps", 0), ("train", "eval_model", "techer"),
+    ("world", "utilisation", 0.0), ("world", "grid_preset", "huge"),
+    ("eval", "seeds", (0, 0)), ("ssl", "threshold", 1.5),
+    ("augment", "bevdrop_rate", 1.0), ("model", "kernel_size", 2)])
+def test_replace_checks_the_section_it_builds(section, key, value):
+    part = getattr(config_from_dict({}), section)
+    with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} must"):
+        replace(part, **{key: value})
+
+
+def test_replace_checks_the_rules_that_span_sections():
+    cfg = config_from_dict({})
+    with pytest.raises(ConfigurationError, match=r"^kind must be one of"):
+        replace(cfg, kind="nope")
+    # two worlds are enough only for city adaptation, which takes its worlds
+    # from the eval section
+    adapt = replace(cfg, kind="city-adapt",
+                    world=replace(cfg.world, n_worlds=2))
+    with pytest.raises(ConfigurationError, match=r"^world\.n_worlds must"):
+        replace(adapt, kind="components")
+
+
 def test_label_sweep_variants():
     cfg = tiny_config("label-sweep")
     names = [v.name for v in scenario_variants(cfg)]
@@ -356,25 +379,27 @@ def test_dead_worker_recorded_not_awaited(monkeypatch, tmp_path):
     assert not run_files("dies_s0") & written
 
 
-def test_failed_run_recorded_not_raised(tmp_path):
-    # total_steps 0 fails at load; set after loading, it reaches the
-    # Trainer's own check at run time
-    cfg = tiny_config(train={"eval_every": 1})
-    bad = replace(cfg, train=replace(cfg.train, total_steps=0))
-    table = run_scenario(bad, tmp_path)
+def _break_every_step(self):
+    raise NumericError("the step breaks")
+
+
+def test_failed_run_recorded_not_raised(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench.Trainer, "train_step", _break_every_step)
+    table = run_scenario(tiny_config(train={"eval_every": 1}), tmp_path)
     assert table.errors and table.errors[0].error is not None
-    assert "total_steps" in table.errors[0].error
+    assert "the step breaks" in table.errors[0].error
     # still emits a table
     assert (tmp_path / "metrics.csv").read_text() == bench.METRICS_HEADER + "\n"
     assert (tmp_path / "errors.txt").exists()
     assert not list(tmp_path.glob("run_*"))
 
 
-def test_clean_rerun_removes_an_earlier_errors_txt(tmp_path):
+def test_clean_rerun_removes_an_earlier_errors_txt(monkeypatch, tmp_path):
     cfg = tiny_config(train={"total_steps": 2, "eval_every": 2,
                              "batch_labelled": 1, "batch_unlabelled": 1})
-    bad = replace(cfg, train=replace(cfg.train, total_steps=0))
-    run_scenario(bad, tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(bench.Trainer, "train_step", _break_every_step)
+        run_scenario(cfg, tmp_path)
     assert (tmp_path / "errors.txt").exists()
     table = run_scenario(cfg, tmp_path)
     assert not table.errors

@@ -135,7 +135,9 @@ def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
                  "--out", str(tmp_path / "x")]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert all(f"{section}.{key}" in err for key in values)
     assert not (tmp_path / "x").exists()
 
 

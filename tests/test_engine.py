@@ -752,7 +752,8 @@ def test_step_peak_holds_one_sample_graph():
     sample = ds.sequences[ds.split.labelled[0]].samples[0]
     tape = Tape()
     trace = forward(init_params(TINY, 1), sample.observation, None, tape, TINY)
-    focal_loss(trace.probs, sample.gt.values[None], np.ones((1, 3, 96, 32)))
+    focal_loss(trace.probs, sample.gt.values[None], np.ones((1, 3, 96, 32)),
+               2.0, 0.25)
     graph = _held_bytes(node.values for node in tape.nodes)
     assert peaks[3] - peaks[1] < graph, (peaks, graph)
 

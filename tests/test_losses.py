@@ -40,14 +40,14 @@ def test_focal_gamma_zero_is_half_bce():
 def test_focal_perfect_confident_prediction_is_tiny():
     p = _prob_tensor([[1.0 - 1e-12]])
     y = np.array([[1.0 - 1e-12]])
-    loss, _ = focal_loss(p, y, LossMask.full((1, 1)))
+    loss, _ = focal_loss(p, y, LossMask.full((1, 1)), 2.0, 0.25)
     assert abs(loss.item()) < 1e-9
 
 
 def test_focal_empty_mask_returns_exact_zero_flag():
     p = _prob_tensor([[0.3, 0.7]])
     loss, n = focal_loss(p, np.array([[1.0, 0.0]]),
-                         np.zeros((1, 2), dtype=bool))
+                         np.zeros((1, 2), dtype=bool), 2.0, 0.25)
     assert n == 0
     assert loss.item() == 0.0
 
@@ -57,21 +57,22 @@ def test_focal_mask_soundness_bitwise():
     p_vals = st.uniforms(24, 0.02, 0.98).reshape(3, 8)
     y = (st.uniforms(24).reshape(3, 8) > 0.6).astype(float)
     include = st.uniforms(24).reshape(3, 8) > 0.4
-    base, _ = focal_loss(_prob_tensor(p_vals), y, include)
+    base, _ = focal_loss(_prob_tensor(p_vals), y, include, 2.0, 0.25)
     # flip p and y at every excluded cell
     p2 = p_vals.copy()
     y2 = y.copy()
     p2[~include] = st.uniforms(int((~include).sum()), 0.01, 0.99)
     y2[~include] = 1.0 - y2[~include]
-    pert, _ = focal_loss(_prob_tensor(p2), y2, include)
+    pert, _ = focal_loss(_prob_tensor(p2), y2, include, 2.0, 0.25)
     assert pert.item() == base.item()
 
 
 def test_focal_soft_target_continuity_at_hard_limit():
     p = _prob_tensor(np.full((1, 4), 0.73))
-    hard, _ = focal_loss(p, np.ones((1, 4)), LossMask.full((1, 4)))
+    hard, _ = focal_loss(p, np.ones((1, 4)), LossMask.full((1, 4)), 2.0,
+                         0.25)
     soft, _ = focal_loss(p, np.full((1, 4), 1.0 - 1e-9),
-                         LossMask.full((1, 4)))
+                         LossMask.full((1, 4)), 2.0, 0.25)
     assert abs(hard.item() - soft.item()) < 1e-6
 
 
@@ -81,7 +82,7 @@ def test_focal_gradient_flows_to_student_probs():
     tape = Tape()
     p = forward_op("sigmoid", ps.leaf(tape, "z"))
     loss, _ = focal_loss(p, np.array([[1.0, 0.0, 1.0]]),
-                         LossMask.full((1, 3)))
+                         LossMask.full((1, 3)), 2.0, 0.25)
     backward(loss, ps)
     assert np.abs(ps["z"].grad).min() > 0
 
