@@ -500,26 +500,6 @@ def _fw_upconv(x, w, attrs):
     return expand_map(out, expand + (kh, kw, pad), attrs["size"])
 
 
-def backward_macs(x_shape, w_shape, **attrs) -> int:
-    """Multiply-adds of one sample's dx and dW of a stride-1 conv2d without
-    `drop`, from shapes alone: im2col's two GEMMs, or for an `expand` conv
-    the 0/1 readback of g onto the input grid (rows, then columns) and the
-    two tap GEMMs there."""
-    co, ci, kh, kw = w_shape
-    h, wd = x_shape[2:]
-    if attrs.get("expand") is None:
-        pad = attrs.get("padding", 0)
-        return (2 * co * ci * kh * kw
-                * (h + 2 * pad - kh + 1) * (wd + 2 * pad - kw + 1))
-    f, *chains = _geometry(attrs["expand"])
-    runs = [_axis_runs(n, f, k, attrs.get("padding", 0), chain)
-            for n, k, chain in zip(attrs["size"], (kh, kw), chains)]
-    rows, cols = (r[0].shape[1] if attrs.get("compact") else r[1].size
-                  for r in runs)
-    return (kh * h * rows * co * cols + co * kh * h * cols * kw * wd
-            + 2 * co * ci * kh * kw * h * wd)
-
-
 _CONV_ATTRS = frozenset(("padding", "stride", "expand", "size", "compact",
                          "drop", "relu"))
 

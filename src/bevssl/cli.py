@@ -19,12 +19,20 @@ from .geometry import GRID_PRESETS
 from .world import STYLE_PRESETS, generate_world, read_raster
 
 
+def _at_least_one(text: str) -> int:
+    """An integer >= 1, else an argparse error (exit 2)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="override the first configured seed")
     p.add_argument("--preset", choices=sorted(GRID_PRESETS),
                    default=None, help="grid preset override")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_at_least_one, default=1,
                    help="worker processes for independent runs")
 
 
@@ -97,7 +105,7 @@ def cmd_gen_world(args) -> int:
 
 
 def _run(cfg: ScenarioConfig, args) -> int:
-    table = run_scenario(cfg, args.out, workers=max(1, args.threads))
+    table = run_scenario(cfg, args.out, workers=args.threads)
     for agg in table.aggregates:
         print(f"{agg['variant']}: mIoU {agg['mean_miou']:.4f} "
               f"+- {agg['std_miou']:.4f} (n={agg['n']})")

@@ -17,7 +17,7 @@ bit-identical trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -317,8 +317,11 @@ class Trainer:
         self.model_cfg = model_cfg
         self.weights = weights
         self.augment_cfg = augment_cfg
-        self.sup_augment = (supervised_augment if supervised_augment is not None
-                            else augment_cfg)
+        # the labelled student never takes the BEV dropout mask, so it
+        # draws none
+        self.sup_augment = replace(
+            supervised_augment if supervised_augment is not None
+            else augment_cfg, bevdrop=False)
         self.ssl_cfg = ssl_cfg
         self.optim = optim
         self.total_steps = total_steps

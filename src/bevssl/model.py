@@ -16,14 +16,12 @@ its distinct rows and columns (at x2 and kernel 3 that is every cell, in
 runs of length one), and the first conv that reads it (dec0, or the head
 without a decoder) reads the compact map as the grid, its dropout mask's
 cells as zeros.  Each decoder conv, while it has fewer distinct outputs
-than the grid, writes its own compactly too; the conv after the last
-compact one reads that map and writes the grid.  Two forwards keep the
-dense decoder after dec0, both decided from shapes: one whose dropout
-mask drops a cell (that breaks the runs; the tape then saves the bool
-mask), and a taped one whose backward would need more multiply-adds
-reading a compact gradient back than the dense decoder's (the paper
-grid).  The grid-resolution `bev_feats`, before dropout, and
-`decoded_feats` are built only when read.
+than the grid, writes its own compactly too, taped or not; the conv after
+the last compact one reads that map and writes the grid.  A forward whose
+dropout mask drops a cell keeps the dense decoder after dec0, since the
+mask breaks the runs (the tape then saves the bool mask).  The
+grid-resolution `bev_feats`, before dropout, and `decoded_feats` are built
+only when read.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (ParamSet, Tape, Tensor, backward_macs,
-                       distinct_outputs, expand_map, forward_op)
+from .autograd import (ParamSet, Tape, Tensor, distinct_outputs,
+                       expand_map, forward_op)
 from .errors import ConfigurationError, check_fields
 from .geometry import Raster
 from .rng import Stream
@@ -151,50 +149,26 @@ def _expanded(x: Tensor, attrs: dict):
 
 
 def _decoder(cfg: ModelConfig, grid: tuple[int, int], f: int,
-             n_compact: int):
-    """(layer, rows and columns of its input, attrs) of each decoder conv
-    and the head.  The first reads the lift's compact map; the first
-    `n_compact` decoder convs write compactly, each adding its level for
-    the next."""
+             compact: bool):
+    """(layer, attrs) of each decoder conv and the head.  The first reads
+    the lift's compact map.  With `compact`, each decoder conv in turn
+    writes only its distinct outputs while they are fewer than the grid's
+    cells, adding its level for the next; the conv after the last compact
+    one reads that map and writes the grid, and the rest run dense."""
     k, pad = cfg.kernel_size, cfg.kernel_size // 2
-    expand = (f, k, k, pad)
+    expand, level = (f, k, k, pad), (k, k, pad)
     names = [f"dec{i}" for i in range(len(cfg.dec_widths))] + ["head"]
-    for i, name in enumerate(names):
+    for name in names:
         attrs = dict(padding=0 if name == "head" else pad)
-        shape = grid
         if expand:
             attrs.update(expand=expand, size=grid)
-            shape = distinct_outputs(grid, expand)
-        if i < n_compact:
+        if (compact and expand and name != "head"
+                and distinct_outputs(grid, expand + level) != grid):
             attrs["compact"] = True
-            expand += (k, k, pad)
+            expand += level
         else:
             expand = ()
-        yield name, shape, attrs
-
-
-def _compact_layers(cfg: ModelConfig, grid: tuple[int, int], f: int,
-                    taped: bool) -> int:
-    """How many decoder convs write only their distinct outputs after the
-    compact lift: each in turn while it has fewer of them than the grid.
-    A taped forward takes the number whose backward needs the fewest
-    multiply-adds, the dense decoder on a tie: the 0/1 readback of a
-    compact map grows with the square of the grid's side, so the small
-    grid writes both decoder convs compactly and the paper grid neither."""
-    k, pad = cfg.kernel_size, cfg.kernel_size // 2
-    expand, n = (f, k, k, pad, k, k, pad), 0
-    while n < len(cfg.dec_widths) and distinct_outputs(grid, expand) != grid:
-        expand += (k, k, pad)
-        n += 1
-    if not taped or not n:
-        return n
-    shapes = dict(cfg.layer_shapes())
-
-    def macs(n_compact):
-        return sum(backward_macs((1, shapes[name][1], *size), shapes[name],
-                                 **attrs)
-                   for name, size, attrs in _decoder(cfg, grid, f, n_compact))
-    return min(range(n + 1), key=macs)
+        yield name, attrs
 
 
 def forward(params: ParamSet, observation: Raster | np.ndarray,
@@ -233,12 +207,11 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
     drop = ({} if bev_drop_mask is None or not bev_drop_mask.any()
             else {"drop": np.asarray(bev_drop_mask, dtype=bool)})
     # a dropped cell breaks the runs of equal outputs past the first conv
-    n_compact = 0 if drop else _compact_layers(cfg, grid, f, tape is not None)
-    layers = list(_decoder(cfg, grid, f, n_compact))
-    layers[0][2].update(drop)
-    for name, _, attrs in layers[:-1]:
+    layers = list(_decoder(cfg, grid, f, not drop))
+    layers[0][1].update(drop)
+    for name, attrs in layers[:-1]:
         x = _conv_block(params, tape, name, x, **attrs)
-    head = layers[-1][2]
+    head = layers[-1][1]
     decoded_feats = _expanded(x, head) if "expand" in head else x
 
     w = params.leaf(tape, "head.w")

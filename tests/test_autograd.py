@@ -614,21 +614,6 @@ def test_distinct_outputs_of_the_model_decoder():
     assert autograd.distinct_outputs((300, 100), dec1) == (263, 88)
 
 
-def test_backward_macs_of_the_model_dec1():
-    """The 0/1 readback of a compact dec1 needs fewer multiply-adds than
-    its dense backward on the small grid and more on the paper grid."""
-    w = (64, 32, 3, 3)
-    chain = dict(padding=1, expand=(8, 3, 3, 1, 3, 3, 1), compact=True)
-    assert autograd.backward_macs((1, 32, 60, 20), w, size=(96, 32),
-                                  **chain) == 90_685_440
-    assert autograd.backward_macs((1, 32, 96, 32), w, padding=1) == (
-        113_246_208)
-    assert autograd.backward_macs((1, 32, 189, 64), w, size=(300, 100),
-                                  **chain) == 1_898_878_464
-    assert autograd.backward_macs((1, 32, 300, 100), w, padding=1) == (
-        1_105_920_000)
-
-
 def test_tap_matrices_and_gather_indices_are_cached_read_only():
     w = (64, 32, 3, 3)
     attrs = dict(padding=1, expand=(8, 3, 3, 1, 3, 3, 1), size=(96, 32))

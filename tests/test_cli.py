@@ -278,6 +278,17 @@ def test_unknown_template_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_2(tmp_path, capsys, threads):
+    cfg = _write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(cfg), "--threads", threads,
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_kind_exits_2_at_load(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {**TINY_DOC, "kind": "sl"})
     assert main(["train", "--config", str(cfg), "--out",

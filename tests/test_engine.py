@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from bevssl import engine
-from bevssl.augment import AugmentConfig, strong_augment
+from bevssl import augment, engine
+from bevssl.augment import AugmentConfig, bevdrop_mask, strong_augment
 from bevssl.autograd import Tape, Tensor, backward, optimizer_step
 from bevssl.engine import (OptimConfig, SslConfig, StepReport, TeacherState,
                            Trainer, draw_fusion_distance, ema_update,
@@ -406,6 +406,22 @@ def test_trainer_step_zero_gradient_is_supervised_only():
     assert ra.loss_sup == rb.loss_sup
     name = a.student.names()[0]
     assert np.array_equal(a.student[name].values, b.student[name].values)
+
+
+def test_only_the_unlabelled_student_draws_a_bev_dropout_mask(monkeypatch):
+    """With two labelled samples and one unlabelled, an SSL step draws one
+    mask: the labelled student never takes it."""
+    ds = _tiny_dataset()
+    tr = _mk_trainer(ds, batch_labelled=2)
+    tr.step_count = 1   # past the ramp's zero, so the unlabelled branch runs
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return bevdrop_mask(*args)
+    monkeypatch.setattr(augment, "bevdrop_mask", spy)
+    assert tr.train_step().w_cls > 0.0
+    assert len(calls) == 1
 
 
 def test_trainer_reports_only_the_ramp_weights_it_applies():

@@ -415,8 +415,7 @@ def test_bev_feats_is_built_on_first_read_on_the_trace_tape():
 
 # -------------------------------------------------------- compact decoder --
 
-# a three-stage encoder: at x8 the decoder convs repeat cells too, and the
-# decoder is wide enough that a taped forward runs it compactly
+# a three-stage encoder: at x8 the decoder convs repeat cells too
 TINY8 = ModelConfig(enc_widths=(4, 6, 8), lift_channels=16,
                     dec_widths=(16, 16))
 
@@ -453,40 +452,50 @@ def test_default_small_grid_forward_runs_the_decoder_at_its_distinct_cells(
     assert trace.decoded_feats.shape == (1, 64, 96, 32)
 
 
-def test_a_taped_paper_grid_forward_keeps_the_dense_decoder():
-    """On 300 x 100 the 0/1 readback of a compact dec1 would need more
-    multiply-adds than its dense backward, so a taped forward writes dec0 at
-    grid resolution and runs dec1 and the head dense; an untaped one runs
-    the decoder compactly."""
+def test_a_taped_paper_grid_forward_runs_the_decoder_compactly():
+    """On 300 x 100 a taped forward with no dropped cell writes dec0 and
+    dec1 at their distinct cells, as an untaped one does, and its parameter
+    gradients equal the dense oracle's to rounding.  With one dropped cell,
+    dec0 writes the grid and dec1 and the head run dense."""
     cfg = ModelConfig()
-    params = init_params(cfg, 4)
+    params = _nonzero_biases(init_params(cfg, 4))
     obs = _obs(Stream(16), 300, 100)
     tape = Tape()
     forward(params, obs, None, tape, cfg)
     convs = _conv_nodes(tape)
     assert convs["lift"].values.shape[2:] == (114, 39)
+    for name, shape in (("dec0", (189, 64)), ("dec1", (263, 88)),
+                        ("head", (300, 100))):
+        assert convs[name].values.shape[2:] == shape, name
+        assert convs[name].saved.get("compact", False) == (
+            name != "head"), name
+    _, got = _trace_and_grads(params, obs, None, cfg, ("logits",))
+    _, want = _trace_and_grads(params, obs, None, cfg, ("logits",),
+                               dense_forward)
+    for name in want:
+        assert np.abs(want[name]).max() > 0, name
+    _assert_close([(name, got[name], want[name]) for name in want])
+
+    drop = np.zeros((300, 100), dtype=bool)
+    drop[150, 50] = True
+    tape = Tape()
+    forward(params, obs, drop, tape, cfg)
+    convs = _conv_nodes(tape)
     assert convs["dec0"].saved["expand"] == (8, 3, 3, 1)
     assert not convs["dec0"].saved.get("compact")
-    for name in ("dec0", "dec1", "head"):
-        assert convs[name].values.shape[2:] == (300, 100), name
+    assert convs["dec0"].values.shape[2:] == (300, 100)
     assert "expand" not in convs["dec1"].saved
-    assert "expand" not in convs["head"].saved
-    assert model._compact_layers(cfg, (300, 100), 8, taped=False) == 2
-    assert model._compact_layers(cfg, (300, 100), 8, taped=True) == 0
-    assert model._compact_layers(cfg, (96, 32), 8, taped=True) == 2
 
 
 _X8_GRIDS = [(32, 24), (25, 17), (16, 40)]
 
 
-@pytest.mark.parametrize("reference", ["dense-decoder", "dense"])
-@pytest.mark.parametrize("rows,cols", _X8_GRIDS)
-def test_compact_decoder_matches_the_dense_one(monkeypatch, rows, cols,
-                                               reference):
+@pytest.mark.parametrize("rows,cols", _X8_GRIDS,
+                         ids=[f"{r}-{c}-dense" for r, c in _X8_GRIDS])
+def test_compact_decoder_matches_the_dense_one(rows, cols):
     """With an x8 encoder both decoder convs write compactly, taped and
     untaped; every trace field and every parameter gradient equals that of
-    the dense decoder after the compact lift (the forward the paper grid
-    tapes), and of the dense oracle, to rounding.  Biases are nonzero."""
+    the dense oracle to rounding.  Biases are nonzero."""
     params = _nonzero_biases(init_params(TINY8, 5))
     obs = _obs(Stream(8), rows, cols)
     fields = ("logits", "bev_feats", "decoded_feats")
@@ -498,15 +507,9 @@ def test_compact_decoder_matches_the_dense_one(monkeypatch, rows, cols,
     assert convs["dec0"].saved.get("compact") and convs["dec1"].saved.get(
         "compact")
     assert convs["head"].values.shape[2:] == (rows, cols)
-    run = dense_forward
-    if reference == "dense-decoder":
-        monkeypatch.setattr(model, "_compact_layers", lambda *_: 0)
-        run = forward
-        tape = Tape()
-        forward(params, obs, None, tape, TINY8)
-        assert "compact" not in _conv_nodes(tape)["dec0"].saved
-    dense_untaped = run(params, obs, None, None, TINY8)
-    dense_taped = _trace_and_grads(params, obs, None, TINY8, fields, run)
+    dense_untaped = dense_forward(params, obs, None, None, TINY8)
+    dense_taped = _trace_and_grads(params, obs, None, TINY8, fields,
+                                   dense_forward)
     pairs = _trace_pairs(untaped, dense_untaped) + _trace_pairs(
         taped[0], dense_taped[0])
     pairs += [(name, taped[1][name], dense_taped[1][name])
