@@ -3,7 +3,12 @@
 The op catalog is closed: every kind has a hand-written backward rule that is
 finite-difference tested on its own.  Forward values are recorded on a `Tape`
 when any input is differentiable; inference-style calls (no tape anywhere)
-pay no recording cost.
+pay no recording cost.  A forward rule that keeps arrays for its backward
+returns them next to its output, and the node saves them with its
+attributes.  `featsim`, the feature-similarity term, is one such op: in
+cosine mode it keeps three per-cell channel sums, not a product of its two
+maps.  A parameter's optimizer moments exist from its first
+`optimizer_step` on; a copy that never steps holds none.
 
 The tape keeps no im2col columns: `conv2d` builds the columns of one band
 of output rows at a time in one module-level workspace that never grows past
@@ -48,8 +53,8 @@ from .errors import ConfigurationError, ContractError, NumericError
 LOG_CLAMP = 1e-12
 
 OP_KINDS = (
-    "add", "sub", "mul", "conv2d", "sigmoid", "mean", "sum", "scale",
-    "log", "powc",
+    "add", "sub", "mul", "conv2d", "sigmoid", "sum", "scale", "log", "powc",
+    "featsim",
 )
 
 
@@ -136,6 +141,9 @@ def forward_op(kind: str, *inputs: Tensor, **attrs) -> Tensor:
         raise ConfigurationError(f"unknown op kind '{kind}'")
     vals = [t.values for t in inputs]
     out = _FORWARD_RULES[kind](vals, attrs)
+    keep = {}
+    if isinstance(out, tuple):   # the output and what its backward reads
+        out, keep = out
 
     tape = None
     for t in inputs:
@@ -152,7 +160,7 @@ def forward_op(kind: str, *inputs: Tensor, **attrs) -> Tensor:
             _finite(out, kind, None)
         return Tensor(out)
     ids = tuple(_bind(t, tape) for t in inputs)
-    nid = tape._record(kind, ids, dict(attrs), out)
+    nid = tape._record(kind, ids, {**attrs, **keep}, out)
     if not checked:
         _finite(out, kind, nid)
     return Tensor(out, tape, nid)
@@ -583,10 +591,6 @@ def _fw_sigmoid(vals, attrs):
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def _fw_mean(vals, attrs):
-    return np.asarray(vals[0].mean())
-
-
 def _fw_sum(vals, attrs):
     return np.asarray(vals[0].sum())
 
@@ -604,10 +608,42 @@ def _fw_powc(vals, attrs):
         return np.power(vals[0], float(attrs["exponent"]))
 
 
+def _fw_featsim(vals, attrs):
+    """Mean feature distance of `s` from the constant target `t`, both
+    (n, c, ...) with channels on axis 1.  mse: the mean of (s - t)^2 over
+    all elements.  cosine: the mean over cells of 1 - cos(s, t) of their
+    channel vectors, 0 at a cell where either vector is zero.  Cosine keeps
+    the per-cell sums s.t, |s|^2 and |t|^2 for its backward; no product of
+    whole maps outlives the call."""
+    s, t = vals
+    _require(s.shape == t.shape, "featsim",
+             f"shape mismatch {s.shape} vs {t.shape}")
+    mode = attrs.get("mode")
+    if mode == "mse":
+        d = (s - t).reshape(-1)
+        return np.asarray(d @ d / d.size)
+    _require(mode == "cosine", "featsim", f"unknown mode '{mode}'")
+    _require(s.ndim >= 2, "featsim", "cosine needs a channel axis")
+    n, c = s.shape[:2]
+    # channel sums as one BLAS product with a ones vector per sample, in
+    # one scratch map
+    ones = np.ones(c)
+    prod = np.multiply(s, t)
+    dot = ones @ prod.reshape(n, c, -1)
+    s_sq = ones @ np.multiply(s, s, out=prod).reshape(n, c, -1)
+    t_sq = ones @ np.multiply(t, t, out=prod).reshape(n, c, -1)
+    del prod
+    kept = (s_sq > 0.0) & (t_sq > 0.0)
+    cos = np.divide(dot, np.sqrt(s_sq) * np.sqrt(t_sq),
+                    out=np.ones(dot.shape), where=kept)
+    return np.asarray((1.0 - cos).mean()), {"dot": dot, "s_sq": s_sq,
+                                            "t_sq": t_sq}
+
+
 _FORWARD_RULES: dict[str, Callable] = {
     "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
-    "sigmoid": _fw_sigmoid, "mean": _fw_mean, "sum": _fw_sum,
-    "scale": _fw_scale, "log": _fw_log, "powc": _fw_powc,
+    "sigmoid": _fw_sigmoid, "sum": _fw_sum, "scale": _fw_scale,
+    "log": _fw_log, "powc": _fw_powc, "featsim": _fw_featsim,
 }
 
 
@@ -729,9 +765,24 @@ def _bw_sigmoid(node, g, ins):
     return [g * s * (1.0 - s)]
 
 
-def _bw_mean(node, g, ins):
-    x = ins[0]
-    return [np.full(x.shape, float(g) / x.size)]
+def _bw_featsim(node, g, ins):
+    s, t = ins
+    if node.input_needs[1]:
+        raise ContractError("op 'featsim': the target takes no gradient")
+    if node.saved["mode"] == "mse":
+        return [(s - t) * (2.0 * float(g) / s.size), None]
+    # d(1 - cos)/ds = (s.t / |s|^2 s - t) / (|s| |t|) at a kept cell, 0
+    # where either vector is zero
+    dot, s_sq, t_sq = (node.saved[k] for k in ("dot", "s_sq", "t_sq"))
+    kept = (s_sq > 0.0) & (t_sq > 0.0)
+    a = np.divide(float(g) / dot.size, np.sqrt(s_sq) * np.sqrt(t_sq),
+                  out=np.zeros(dot.shape), where=kept)
+    r = np.divide(dot, s_sq, out=np.zeros(dot.shape), where=kept)
+    n, c = s.shape[:2]
+    ds = s.reshape(n, c, -1) * r[:, None]
+    ds -= t.reshape(n, c, -1)
+    ds *= a[:, None]
+    return [ds.reshape(s.shape), None]
 
 
 def _bw_sum(node, g, ins):
@@ -758,21 +809,24 @@ def _bw_powc(node, g, ins):
 
 _BACKWARD_RULES: dict[str, Callable] = {
     "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
-    "sigmoid": _bw_sigmoid, "mean": _bw_mean, "sum": _bw_sum,
-    "scale": _bw_scale, "log": _bw_log, "powc": _bw_powc,
+    "sigmoid": _bw_sigmoid, "sum": _bw_sum, "scale": _bw_scale,
+    "log": _bw_log, "powc": _bw_powc, "featsim": _bw_featsim,
 }
 
 
 # ------------------------------------------------------------- parameters --
 
 class Param:
+    """Values, gradient and the optimizer's moments.  The moments are None
+    until `optimizer_step` first updates the parameter, so a copy that never
+    takes a step (an EMA teacher, a best-so-far snapshot) holds none."""
+
     __slots__ = ("values", "grad", "m", "v")
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad = np.zeros_like(self.values)
-        self.m = np.zeros_like(self.values)
-        self.v = np.zeros_like(self.values)
+        self.m = self.v = None
 
 
 class ParamSet:
@@ -811,6 +865,7 @@ class ParamSet:
             p.grad.fill(0.0)
 
     def copy(self) -> "ParamSet":
+        """The values alone: zero gradients and no optimizer moments."""
         out = ParamSet()
         for name, p in self._params.items():
             out.add(name, p.values.copy())
@@ -880,6 +935,8 @@ def optimizer_step(params: ParamSet, lr: float, wd: float,
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step
     for _, p in params.items():
+        if p.m is None:
+            p.m, p.v = np.zeros_like(p.values), np.zeros_like(p.values)
         p.m *= b1
         p.m += (1.0 - b1) * p.grad
         p.v *= b2

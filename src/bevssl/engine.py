@@ -436,6 +436,10 @@ class Trainer:
         sample = self._pick(su.child("pick"), self.dataset.split.unlabelled)
         bundle, cur_trace, fusion = self._fused_pseudo(sample,
                                                        su.child("fusion"))
+        # the feature target is all the student needs of the teacher's
+        # trace and fusion, so both are dropped before its forward
+        target = self._feat_target(cur_trace, fusion) if w_feat > 0.0 else None
+        del cur_trace, fusion
         view, fov, drop = strong_augment(sample.observation, self.augment_cfg,
                                          su.child("aug"))
         trace = forward(self.student, view, drop, Tape(), self.model_cfg)
@@ -443,24 +447,25 @@ class Trainer:
         cls, n_inc = focal_loss(trace.probs, bundle.targets[None],
                                 mask.include[None], self.weights.focal_gamma,
                                 self.weights.focal_alpha)
-        feat = ([self._feat_term(trace, cur_trace, fusion)]
-                if w_feat > 0.0 else [])
+        feat = ([self._feat_term(trace, target)]
+                if target is not None else [])
         loss, parts = total_loss([], [cls], feat, w_cls, w_feat)
         if loss.tape is not None:   # untaped when every cell is masked out
             backward(loss, self.student)
         return parts["loss_cls"], parts["loss_feat"], n_inc, mask.include.size
 
-    def _feat_term(self, student_trace: ForwardTrace, teacher_trace: ForwardTrace,
-                   fusion: FusionResult):
+    def _feat_target(self, teacher_trace: ForwardTrace,
+                     fusion: FusionResult) -> np.ndarray:
+        """The teacher's features at the configured tap: the fused map
+        under feats fusion with the late tap."""
         cfg = self.ssl_cfg
-        level = cfg.feat_level
-        if level == "early":
-            s_tap = student_trace.bev_feats
-            t_tap = teacher_trace.bev_feats.values
-        else:
-            s_tap = student_trace.decoded_feats
-            if cfg.fusion_mode == "feats" and fusion.fused_feats is not None:
-                t_tap = fusion.fused_feats[None]
-            else:
-                t_tap = teacher_trace.decoded_feats.values
-        return feature_similarity_loss(s_tap, t_tap, cfg.feat_mode)
+        if cfg.feat_level == "early":
+            return teacher_trace.bev_feats.values
+        if cfg.fusion_mode == "feats" and fusion.fused_feats is not None:
+            return fusion.fused_feats[None]
+        return teacher_trace.decoded_feats.values
+
+    def _feat_term(self, student_trace: ForwardTrace, target: np.ndarray):
+        s_tap = (student_trace.bev_feats if self.ssl_cfg.feat_level == "early"
+                 else student_trace.decoded_feats)
+        return feature_similarity_loss(s_tap, target, self.ssl_cfg.feat_mode)

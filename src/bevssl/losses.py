@@ -1,5 +1,6 @@
-"""Loss terms: masked soft-target focal loss, feature-similarity losses,
-linear ramp-up weighting, and the combined training objective.
+"""Loss terms: masked soft-target focal loss, feature-similarity losses (one
+`featsim` op each), linear ramp-up weighting, and the combined training
+objective.
 
 Excluded cells are multiplied by an exact zero before any reduction, so a
 loss value is bit-insensitive to predictions or targets at excluded cells.
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, forward_op
-from .errors import ConfigurationError, ContractError
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -80,37 +81,11 @@ def feature_similarity_loss(z_s: Tensor, z_t: np.ndarray,
 
     mse averages squared differences over all elements; cosine averages
     (1 - cosine similarity) of per-cell channel vectors, with zero-vector
-    cells contributing 0.
+    cells contributing 0 and taking no gradient.  One `featsim` op: the
+    tape holds no product of the two maps.  A shape mismatch or an unknown
+    mode is a `ConfigurationError`.
     """
-    z_t = np.asarray(z_t, dtype=np.float64)
-    if z_s.shape != z_t.shape:
-        raise ConfigurationError(
-            f"feature shapes differ: {z_s.shape} vs {z_t.shape}")
-    if mode == "mse":
-        d = forward_op("sub", z_s, Tensor(z_t))
-        return forward_op("mean", forward_op("mul", d, d))
-    if mode != "cosine":
-        raise ConfigurationError(f"unknown feature-loss mode '{mode}'")
-
-    channels = z_s.shape[1]
-    sum_kernel = Tensor(np.ones((1, channels, 1, 1)))
-    dot = forward_op("conv2d", forward_op("mul", z_s, Tensor(z_t)),
-                     sum_kernel, padding=0)
-    s_sq = forward_op("conv2d", forward_op("mul", z_s, z_s), sum_kernel,
-                      padding=0)
-    t_sq = (z_t * z_t).sum(axis=1, keepdims=True)
-
-    # a zero-vector cell reads 1 in the denominator and in the cosine: its
-    # computed value times an exact 0, plus 1, so no gradient reaches it
-    zero = ((s_sq.values <= 0.0) | (t_sq <= 0.0)).astype(np.float64)
-    kept, zero_cells = Tensor(1.0 - zero), Tensor(zero)
-    denom = forward_op("mul", forward_op("powc", s_sq, exponent=0.5),
-                       Tensor(np.sqrt(t_sq)))
-    denom = forward_op("add", forward_op("mul", denom, kept), zero_cells)
-    cos = forward_op("mul", dot, forward_op("powc", denom, exponent=-1.0))
-    cos = forward_op("add", forward_op("mul", cos, kept), zero_cells)
-    return forward_op("mean",
-                      forward_op("sub", Tensor(np.ones(cos.shape)), cos))
+    return forward_op("featsim", z_s, Tensor(z_t), mode=mode)
 
 
 def rampup_weight(step: int, total_steps: int, base: float,

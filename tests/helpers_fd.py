@@ -12,7 +12,9 @@ its input upsampled (`expand=(f,)`) that writes only its distinct outputs
 of the full map dropped (`drop`), and a `chained_compact` case: two more
 compact convs after the compact upsampling one, the second reading a
 two-level compact map, and a conv that reads the three-level map at grid
-resolution.
+resolution.  The `featsim` case feeds the op a student map with cells
+zeroed by a constant 0/1 mask and a constant teacher map, with zero-vector
+cells on the student side, on the teacher side and on both.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ def make_case(kind: str, stream: Stream):
         return _compact_case(stream, kind == "masked_expand")
     if kind == "chained_compact":
         return _chain_case(stream)
+    if kind == "featsim":
+        return _featsim_case(stream)
     op = "conv2d" if kind == "relu" else kind
     params = ParamSet()
     attrs: dict = {}
@@ -57,7 +61,7 @@ def make_case(kind: str, stream: Stream):
                 break
         attrs["relu"] = True
         inputs = ("a", "b", "c")
-    elif kind in ("sigmoid", "mean", "sum"):
+    elif kind in ("sigmoid", "sum"):
         shape = (stream.randrange(2, 5), stream.randrange(2, 5))
         params.add("a", _arr(stream, shape))
         inputs = ("a",)
@@ -186,6 +190,39 @@ def _chain_case(stream: Stream):
     return params, f
 
 
+def zeroed_cells(stream: Stream, n: int, cells: int):
+    """Cell keep masks (n, 1, cells) of a student and a teacher map: per
+    sample, one cell zero in the student only, one in the teacher only and
+    one in both."""
+    keep_s, keep_t = np.ones((2, n, 1, cells))
+    for i in range(n):
+        only_s, only_t, both = stream.permutation(cells)[:3]
+        keep_s[i, 0, [only_s, both]] = 0.0
+        keep_t[i, 0, [only_t, both]] = 0.0
+    return keep_s, keep_t
+
+
+def _featsim_case(stream: Stream):
+    """The feature-similarity op on a student map `a` whose zeroed cells
+    stay exactly zero under perturbation (a constant mask multiplies it)
+    and a constant teacher map, in either mode."""
+    params = ParamSet()
+    n, c = stream.randrange(1, 3), stream.randrange(2, 5)
+    h, w = stream.randrange(2, 5), stream.randrange(2, 5)
+    keep_s, keep_t = zeroed_cells(stream, n, h * w)
+    params.add("a", _arr(stream, (n, c, h, w)))
+    keep_s = keep_s.reshape(n, 1, h, w).repeat(c, axis=1)
+    target = _arr(stream, (n, c, h, w)) * keep_t.reshape(n, 1, h, w)
+    mode = ("cosine", "mse")[stream.randint(2)]
+
+    def f(ps: ParamSet) -> Tensor:
+        tape = Tape()
+        s = forward_op("mul", ps.leaf(tape, "a"), Tensor(keep_s))
+        return forward_op("featsim", s, Tensor(target), mode=mode)
+
+    return params, f
+
+
 def _clear_of_kink(params, attrs):
     """True if no pre-activation lies within 0.01 of 0, so the finite
     differences of a ReLU'd conv never straddle its kink."""
@@ -208,6 +245,8 @@ def replay(tape: Tape) -> bool:
             continue
         inputs = [memo[i] for i in node.input_ids]
         out = _FORWARD_RULES[node.kind](inputs, node.saved)
+        if isinstance(out, tuple):   # the output and what backward reads
+            out = out[0]
         if (out.shape != node.values.shape
                 or not np.array_equal(out, node.values)):
             return False

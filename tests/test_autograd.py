@@ -89,7 +89,8 @@ def test_backward_mean_square_hand_oracle():
     ps = _scalar_param(vals)
     tape = Tape()
     p = ps.leaf(tape, "p")
-    loss = forward_op("mean", forward_op("mul", p, p))
+    loss = forward_op("scale", forward_op("sum", forward_op("mul", p, p)),
+                      factor=1.0 / vals.size)
     backward(loss, ps)
     assert np.allclose(ps["p"].grad, 2.0 * vals / vals.size, atol=1e-15)
 
@@ -216,7 +217,8 @@ def test_fd_check_quadratic_tight():
     def f(p):
         tape = Tape()
         x = p.leaf(tape, "p")
-        return forward_op("mean", forward_op("mul", x, x))
+        return forward_op("scale", forward_op("sum", forward_op("mul", x, x)),
+                          factor=1.0 / 3)
 
     report = finite_difference_check(f, ps, eps=1e-5, tol=1e-4)
     assert report.max_error < 1e-6

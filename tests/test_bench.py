@@ -310,6 +310,34 @@ def test_run_one_and_best_selection(tmp_path):
                    for v in vars(res).values())
 
 
+def test_only_the_student_holds_optimizer_moments(monkeypatch, tmp_path):
+    """The EMA teacher and the best-on-validation snapshot never take an
+    optimizer step, so they hold no moments; the student does."""
+    trainers, evaluated = [], []
+
+    class SpyTrainer(bench.Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trainers.append(self)
+
+    predict = bench.predict_split
+
+    def spy_predict(params, *args, **kwargs):
+        evaluated.append(params)
+        return predict(params, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "Trainer", SpyTrainer)
+    monkeypatch.setattr(bench, "predict_split", spy_predict)
+    assert run_one(expand_runs(tiny_config())[0], tmp_path).error is None
+    (tr,) = trainers
+    best = evaluated[-1]   # the test split's prediction reads the snapshot
+    assert best is not tr.student and best is not tr.teacher.params
+    assert all(p.m is not None and p.v is not None
+               for _, p in tr.student.items())
+    for params in (tr.teacher.params, best):
+        assert all(p.m is None and p.v is None for _, p in params.items())
+
+
 def test_run_scenario_deterministic_and_exported(tmp_path):
     cfg = tiny_config()
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -89,11 +89,13 @@ def test_ema_mismatched_names_rejected():
 
 
 def test_ema_leaves_optimizer_state_untouched():
+    """The EMA moves values only: a teacher holds no optimizer moments
+    before or after an update."""
     student, teacher = _param_sets()
-    name = student.names()[0]
-    teacher.params[name].m[...] = 7.0
+    optimizer_step(student, 1e-3, 0.0, (0.9, 0.999))
     ema_update(teacher, student)
-    assert (teacher.params[name].m == 7.0).all()
+    for _, p in teacher.params.items():
+        assert p.m is None and p.v is None
 
 
 # ----------------------------------------------------------------- sharpen --
@@ -640,7 +642,8 @@ class _OneTapeTrainer(Trainer):
                 kept += n_inc
                 total_cells += mask.include.size
                 if w_feat > 0.0:
-                    feat_terms.append(self._feat_term(trace, cur_trace, fusion))
+                    feat_terms.append(self._feat_term(
+                        trace, self._feat_target(cur_trace, fusion)))
         total, parts = total_loss(sup_terms, cls_terms, feat_terms, w_cls,
                                   w_feat)
         self.student.zero_grad()
@@ -687,8 +690,11 @@ def test_step_matches_one_tape_reference(case):
         for name, p in got.items():
             q = want[name]
             assert np.array_equal(p.values, q.values), name
-            assert np.array_equal(p.m, q.m), name
-            assert np.array_equal(p.v, q.v), name
+            if got is new.student:
+                assert np.array_equal(p.m, q.m), name
+                assert np.array_equal(p.v, q.v), name
+            else:   # the teacher never takes an optimizer step
+                assert p.m is p.v is q.m is q.v is None, name
 
 
 def test_teacher_gradient_is_rejected(monkeypatch):
@@ -772,6 +778,62 @@ def test_step_peak_holds_one_sample_graph():
                2.0, 0.25)
     graph = _held_bytes(node.values for node in tape.nodes)
     assert peaks[3] - peaks[1] < graph, (peaks, graph)
+
+
+def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
+    """The feature term adds one `featsim` node to the unlabelled sample's
+    tape, recorded right after its constant target leaf; no other node on
+    that tape holds a map of the target's shape except the conv outputs."""
+    tapes = []
+
+    def spy(loss, params):
+        tapes.append(loss.tape)
+        backward(loss, params)
+
+    monkeypatch.setattr(engine, "backward", spy)
+    tr = Trainer(_tiny_dataset(), ModelConfig(), LossWeights(),
+                 AugmentConfig(), SslConfig(threshold=None), OptimConfig(),
+                 seed=21, total_steps=3)
+    for _ in range(2):   # the second step runs the feature term
+        tr.train_step()
+    (tape,) = [t for t in tapes if any(n.kind == "featsim" for n in t.nodes)]
+    (fid,) = [i for i, n in enumerate(tape.nodes) if n.kind == "featsim"]
+    _, tid = tape.nodes[fid].input_ids
+    target = tape.nodes[tid]
+    assert tid == fid - 1
+    assert target.kind == "leaf" and target.saved["param"] is None
+    assert target.values.shape == (1, 64, 96, 32)
+    for i, node in enumerate(tape.nodes):
+        if i != tid and node.values.shape == target.values.shape:
+            assert node.kind == "conv2d", (i, node.kind)
+
+
+def test_teacher_trace_is_dropped_before_the_student_forward(monkeypatch):
+    """Once the feature target is taken, neither the current frame's teacher
+    trace nor the fusion result is alive when a taped student forward
+    starts."""
+    ds = _tiny_dataset()
+    tr = _mk_trainer(ds, total=12, ssl_cfg=SslConfig(
+        fusion_mode="feats", fusion_extra=2, threshold=None))
+    refs, alive = [], []
+    fused = tr._fused_pseudo
+
+    def spy_fused(sample, stream):
+        bundle, cur, fusion = fused(sample, stream)
+        refs[:] = [weakref.ref(cur), weakref.ref(fusion)]
+        return bundle, cur, fusion
+
+    def spy_forward(params, obs, drop=None, tape=None, config=None):
+        if tape is not None:
+            alive.append(any(r() is not None for r in refs))
+        return forward(params, obs, drop, tape, config)
+
+    monkeypatch.setattr(tr, "_fused_pseudo", spy_fused)
+    monkeypatch.setattr(engine, "forward", spy_forward)
+    for _ in range(6):
+        report = tr.train_step()
+    assert report.w_feat > 0.0
+    assert alive and not any(alive)
 
 
 class _BlindSample(Sample):

@@ -10,6 +10,8 @@ from bevssl.losses import (LossMask, feature_similarity_loss, focal_loss,
                            rampup_weight, total_loss)
 from bevssl.rng import Stream
 
+from helpers_fd import zeroed_cells
+
 
 def _prob_tensor(values):
     return Tensor(np.asarray(values, dtype=float))
@@ -138,6 +140,70 @@ def test_featsim_shape_mismatch_rejected():
     with pytest.raises(ConfigurationError):
         feature_similarity_loss(Tensor(np.zeros((1, 2, 3, 3))),
                                 np.zeros((1, 2, 4, 4)), "mse")
+
+
+def _mean(x: Tensor) -> Tensor:
+    return forward_op("scale", forward_op("sum", x), factor=1.0 / x.values.size)
+
+
+def _composed_featsim(z_s: Tensor, z_t: np.ndarray, mode: str) -> Tensor:
+    """The feature term composed from generic ops, channel sums through a
+    1x1 ones-kernel conv: the oracle of the `featsim` op."""
+    if mode == "mse":
+        d = forward_op("sub", z_s, Tensor(z_t))
+        return _mean(forward_op("mul", d, d))
+    sum_kernel = Tensor(np.ones((1, z_s.shape[1], 1, 1)))
+    dot = forward_op("conv2d", forward_op("mul", z_s, Tensor(z_t)),
+                     sum_kernel, padding=0)
+    s_sq = forward_op("conv2d", forward_op("mul", z_s, z_s), sum_kernel,
+                      padding=0)
+    t_sq = (z_t * z_t).sum(axis=1, keepdims=True)
+    zero = ((s_sq.values <= 0.0) | (t_sq <= 0.0)).astype(np.float64)
+    kept, zero_cells = Tensor(1.0 - zero), Tensor(zero)
+    denom = forward_op("mul", forward_op("powc", s_sq, exponent=0.5),
+                       Tensor(np.sqrt(t_sq)))
+    denom = forward_op("add", forward_op("mul", denom, kept), zero_cells)
+    cos = forward_op("mul", dot, forward_op("powc", denom, exponent=-1.0))
+    cos = forward_op("add", forward_op("mul", cos, kept), zero_cells)
+    return _mean(forward_op("sub", Tensor(np.ones(cos.shape)), cos))
+
+
+@pytest.mark.parametrize("mode", ["cosine", "mse"])
+def test_featsim_matches_the_composed_formula(mode):
+    """Value and student gradient of the one op against the composed
+    formula on 64-channel maps with zero-vector cells on either side and
+    both; a zero cell takes no gradient in cosine mode."""
+    st = Stream(14).child(mode)
+    n, c, h, w = 2, 64, 12, 8
+    keep_s, keep_t = zeroed_cells(st, n, h * w)
+    keep_s, keep_t = keep_s.reshape(n, 1, h, w), keep_t.reshape(n, 1, h, w)
+    z_s = st.normals(n * c * h * w).reshape(n, c, h, w) * keep_s
+    z_t = st.normals(n * c * h * w).reshape(n, c, h, w) * keep_t
+    got = {}
+    for name, loss_fn in (("op", feature_similarity_loss),
+                          ("oracle", _composed_featsim)):
+        ps = ParamSet()
+        ps.add("s", z_s)
+        loss = loss_fn(ps.leaf(Tape(), "s"), z_t, mode)
+        backward(loss, ps)
+        got[name] = loss.item(), ps["s"].grad
+    (value, grad), (want, want_grad) = got["op"], got["oracle"]
+    assert abs(value - want) <= 1e-12 * abs(want)
+    assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+    if mode == "cosine":
+        zero = (keep_s * keep_t == 0.0).repeat(c, axis=1)
+        assert zero.sum() == 3 * n * c and not grad[zero].any()
+
+
+def test_featsim_rejects_a_taped_target():
+    ps = ParamSet()
+    ps.add("s", np.ones((1, 2, 2, 2)))
+    ps.add("t", np.full((1, 2, 2, 2), 0.5))
+    tape = Tape()
+    loss = forward_op("featsim", ps.leaf(tape, "s"), ps.leaf(tape, "t"),
+                      mode="cosine")
+    with pytest.raises(ContractError, match="target takes no gradient"):
+        backward(loss, ps)
 
 
 # ----------------------------------------------------------------- ramp-up --

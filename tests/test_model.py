@@ -154,7 +154,8 @@ def test_forward_differentiable_on_8x8_grid():
     def f(ps):
         tape = Tape()
         trace = forward(ps, obs, None, tape, cfg)
-        return forward_op("mean", trace.probs)
+        return forward_op("scale", forward_op("sum", trace.probs),
+                          factor=1.0 / trace.probs.values.size)
 
     report = finite_difference_check(f, params, eps=1e-5, tol=1e-4)
     assert report.passed, f"max rel err {report.max_error}"

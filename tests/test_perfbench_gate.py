@@ -23,7 +23,8 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["ssl_small", "fusion_feats6_small"])
+@pytest.mark.parametrize("name", ["ssl_small", "fusion_feats6_small",
+                                  "ssl_paper"])
 def test_reference_losses_match(name):
     wl = workloads.WORKLOADS[name]
     trainer = workloads.build_trainer(bench.config_from_dict(wl.config),
