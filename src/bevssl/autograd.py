@@ -7,8 +7,9 @@ pay no recording cost.  A forward rule that keeps arrays for its backward
 returns them next to its output, and the node saves them with its
 attributes.  `featsim`, the feature-similarity term, is one such op: in
 cosine mode it keeps three per-cell channel sums, not a product of its two
-maps.  A parameter's optimizer moments exist from its first
-`optimizer_step` on; a copy that never steps holds none.
+maps.  A parameter holds its values and, from its first `optimizer_step`
+on, its optimizer moments; gradients live in a name -> array dict that the
+caller of `backward` owns.
 
 The tape keeps no im2col columns: `conv2d` builds the columns of one band
 of output rows at a time in one module-level workspace that never grows past
@@ -817,20 +818,19 @@ _BACKWARD_RULES: dict[str, Callable] = {
 # ------------------------------------------------------------- parameters --
 
 class Param:
-    """Values, gradient and the optimizer's moments.  The moments are None
-    until `optimizer_step` first updates the parameter, so a copy that never
-    takes a step (an EMA teacher, a best-so-far snapshot) holds none."""
+    """Values and the optimizer's moments.  The moments are None until
+    `optimizer_step` first updates the parameter, so a copy that never takes
+    a step (an EMA teacher, a best-so-far snapshot) holds values only."""
 
-    __slots__ = ("values", "grad", "m", "v")
+    __slots__ = ("values", "m", "v")
 
     def __init__(self, values: np.ndarray):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad = np.zeros_like(self.values)
         self.m = self.v = None
 
 
 class ParamSet:
-    """Named parameters with gradient and optimizer-state storage."""
+    """Named parameters with optimizer-state storage."""
 
     def __init__(self):
         self._params: dict[str, Param] = {}
@@ -860,19 +860,12 @@ class ParamSet:
             _bind(t, tape)
         return t
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.grad.fill(0.0)
-
     def copy(self) -> "ParamSet":
-        """The values alone: zero gradients and no optimizer moments."""
+        """The values alone, without optimizer moments."""
         out = ParamSet()
         for name, p in self._params.items():
             out.add(name, p.values.copy())
         return out
-
-    def values_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.values.copy() for name, p in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
@@ -885,31 +878,32 @@ class ParamSet:
             p.values[...] = arr
 
 
-def backward(loss: Tensor, params: ParamSet) -> None:
-    """Add the gradients of a scalar loss to `params`' `grad` arrays.
+def backward(loss: Tensor, grads: dict[str, np.ndarray]) -> None:
+    """Add the gradient of a scalar loss into `grads`, in place, for each
+    parameter leaf whose name is a key.
 
     Gradients accumulate: a caller that wants this loss's gradient alone
-    zeroes them first (`ParamSet.zero_grad`).  A loss split over several
-    tapes is backpropagated one tape at a time, each adding its share."""
+    passes zeros.  A loss split over several tapes is backpropagated one
+    tape at a time, each adding its share."""
     if loss.values.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if loss.tape is None or loss.node_id is None:
         raise ContractError("loss is not on a tape")
 
     tape = loss.tape
-    grads: dict[int, np.ndarray] = {
+    node_grads: dict[int, np.ndarray] = {
         loss.node_id: np.ones_like(tape.nodes[loss.node_id].values)}
 
     for nid in range(loss.node_id, -1, -1):
         # a node's gradient is dead once its rule has run
-        g = grads.pop(nid, None)
+        g = node_grads.pop(nid, None)
         if g is None:
             continue
         node = tape.nodes[nid]
         if node.kind == "leaf":
             name = node.saved.get("param")
-            if name is not None and name in params:
-                params[name].grad += g
+            if name is not None and name in grads:
+                grads[name] += g
             continue
         ins = [tape.nodes[i].values for i in node.input_ids]
         for contrib, in_id, needed in zip(
@@ -917,16 +911,17 @@ def backward(loss: Tensor, params: ParamSet) -> None:
                 node.input_needs):
             if needed and contrib is not None:
                 # out of place: a rule may hand one array to two inputs
-                cur = grads.get(in_id)
-                grads[in_id] = contrib if cur is None else cur + contrib
+                cur = node_grads.get(in_id)
+                node_grads[in_id] = contrib if cur is None else cur + contrib
 
 
 # -------------------------------------------------------------- optimizer --
 
-def optimizer_step(params: ParamSet, lr: float, wd: float,
-                   betas: tuple[float, float], step: int = 1,
+def optimizer_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
+                   wd: float, betas: tuple[float, float], step: int = 1,
                    eps: float = 1e-8) -> None:
-    """Adaptive-moment update with bias correction and decoupled weight decay."""
+    """Adaptive-moment update with bias correction and decoupled weight
+    decay, from the gradients in `grads`, which it leaves unchanged."""
     if step <= 0:
         raise ContractError(f"optimizer step must be >= 1, got {step}")
     if lr < 0 or wd < 0:
@@ -934,16 +929,16 @@ def optimizer_step(params: ParamSet, lr: float, wd: float,
     b1, b2 = betas
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step
-    for _, p in params.items():
+    for name, p in params.items():
+        g = grads[name]
         if p.m is None:
             p.m, p.v = np.zeros_like(p.values), np.zeros_like(p.values)
         p.m *= b1
-        p.m += (1.0 - b1) * p.grad
+        p.m += (1.0 - b1) * g
         p.v *= b2
-        p.v += (1.0 - b2) * p.grad * p.grad
+        p.v += (1.0 - b2) * g * g
         p.values -= lr * (p.m / c1) / (np.sqrt(p.v / c2) + eps)
         p.values -= lr * wd * p.values
-        p.grad.fill(0.0)
 
 
 # ------------------------------------------------- finite-difference check --
@@ -970,10 +965,8 @@ def finite_difference_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
     """Compare backward() gradients of f against central differences."""
     if eps <= 0:
         raise ContractError("eps must be positive")
-    loss = f(params)
-    params.zero_grad()
-    backward(loss, params)
-    analytic = {name: p.grad.copy() for name, p in params.items()}
+    analytic = {name: np.zeros_like(p.values) for name, p in params.items()}
+    backward(f(params), analytic)
 
     report = FdReport(tol)
     for name, p in params.items():

@@ -9,6 +9,8 @@ order so output bytes do not depend on scheduling.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import multiprocessing
@@ -399,8 +401,7 @@ def _adapt_split(spec: RunSpec, data_seed: int) -> DatasetSplit:
         labelled=list(range(n_src)), unlabelled=unlabelled,
         val=list(range(val_lo, val_lo + w.val_worlds)),
         test=list(range(val_lo + w.val_worlds, val_lo + w.val_worlds
-                        + w.test_worlds)),
-        label_utilisation=1.0)
+                        + w.test_worlds)))
 
 
 def run_one(spec: RunSpec, out) -> RunResult:
@@ -428,7 +429,7 @@ def run_one(spec: RunSpec, out) -> RunResult:
 
     def eval_params():
         if t.eval_model == "teacher" and trainer.teacher is not None:
-            return trainer.teacher.params
+            return trainer.teacher
         return trainer.student
 
     best: ParamSet | None = None
@@ -457,7 +458,7 @@ def run_one(spec: RunSpec, out) -> RunResult:
     checkpoint = {f"student.{k}": p.values for k, p in trainer.student.items()}
     if trainer.teacher is not None:
         checkpoint.update({f"teacher.{k}": p.values
-                           for k, p in trainer.teacher.params.items()})
+                           for k, p in trainer.teacher.items()})
     checkpoint.update({f"best.{k}": p.values for k, p in best.items()})
     save_checkpoint(out / f"run_{tag}.ckpt", checkpoint)
     (out / f"train_log_{tag}.csv").write_text("\n".join(log) + "\n")
@@ -612,7 +613,11 @@ def _log_cell(value) -> str:
 
 
 def _metrics_csv(results: list[RunResult]) -> str:
-    rows = [METRICS_HEADER]
+    """The rows of every finished run; a field that holds a comma, a quote
+    or a newline (a scenario or variant name) is quoted."""
+    buf = io.StringIO()
+    rows = csv.writer(buf, lineterminator="\n")
+    rows.writerow(METRICS_HEADER.split(","))
     for r in results:
         if r.error is not None:
             continue
@@ -621,11 +626,11 @@ def _metrics_csv(results: list[RunResult]) -> str:
                    metrics.split]
             for c, name in enumerate(CLASS_NAMES):
                 iou = metrics.per_class[c]
-                rows.append(",".join([*run, name, "" if iou is None
-                                      else _fmt(iou), "", "", "", ""]))
-            rows.append(",".join([*run, "all", "", _fmt(metrics.miou),
-                                  *map(_fmt, r.last_losses)]))
-    return "\n".join(rows) + "\n"
+                rows.writerow([*run, name, "" if iou is None else _fmt(iou),
+                               "", "", "", ""])
+            rows.writerow([*run, "all", "", _fmt(metrics.miou),
+                           *map(_fmt, r.last_losses)])
+    return buf.getvalue()
 
 
 def expand_runs(cfg: ScenarioConfig) -> list[RunSpec]:

@@ -1,8 +1,9 @@
 """Teacher-student training: EMA weights, pseudo-map pipeline, temporal
 teacher fusion, and the per-step training transaction.
 
-The teacher never touches a tape: its forwards are plain numeric evaluation
-and its weights move only through the EMA update.  It runs one frame at a
+The teacher is a copy of the student's parameters that never touches a
+tape: its forwards are plain numeric evaluation, it holds no gradient, and
+its weights move only through the EMA update.  It runs one frame at a
 time: the current frame, then each fusion frame as `fuse_teacher` folds it
 in and drops it, so one extra frame's trace is alive at most; only the
 current frame's trace lives on into the student's loss.  Each sample of a
@@ -88,24 +89,18 @@ class PseudoLabelBundle:
     provenance: np.ndarray       # (3, rows, cols) source frame per cell/class
 
 
-@dataclass
-class TeacherState:
-    params: ParamSet
-    keep_rate: float = 0.99
-
-
-def ema_update(teacher: TeacherState, student: ParamSet) -> TeacherState:
-    """theta_T <- alpha * theta_T + (1 - alpha) * theta_S, elementwise."""
-    a = teacher.keep_rate
-    t_names, s_names = teacher.params.names(), student.names()
+def ema_update(teacher: ParamSet, student: ParamSet,
+               keep_rate: float) -> None:
+    """theta_T <- a * theta_T + (1 - a) * theta_S, elementwise, with a the
+    keep rate."""
+    t_names, s_names = teacher.names(), student.names()
     if t_names != s_names:
         raise ContractError("teacher/student parameter names differ")
     for name in t_names:
-        t, s = teacher.params[name], student[name]
+        t, s = teacher[name], student[name]
         if t.values.shape != s.values.shape:
             raise ContractError(f"shape mismatch for '{name}'")
-        t.values[...] = a * t.values + (1.0 - a) * s.values
-    return teacher
+        t.values[...] = keep_rate * t.values + (1.0 - keep_rate) * s.values
 
 
 def sharpen(logits, temperature: float):
@@ -331,8 +326,11 @@ class Trainer:
         self.seed = seed
 
         self.student = init_params(model_cfg, seed)
-        self.teacher = (TeacherState(self.student.copy(), optim.ema_keep)
-                        if self.ssl else None)
+        # the student's gradient, zeroed at the start of every step; the
+        # teacher has none and moves only by `ema_update`
+        self.grads = {name: np.zeros_like(p.values)
+                      for name, p in self.student.items()}
+        self.teacher = self.student.copy() if self.ssl else None
         self.step_count = 0
 
     def _pick(self, stream: Stream, seq_ids: list[int]) -> Sample:
@@ -350,7 +348,7 @@ class Trainer:
                                        stream.child("frames"))
         # the teacher sees the unaugmented observations (weak view), one
         # frame per forward; the extras are computed as fusion folds them in
-        params, model_cfg = self.teacher.params, self.model_cfg
+        params, model_cfg = self.teacher, self.model_cfg
         cur = forward(params, sample.observation, None, None, model_cfg)
         extras = ((fi, rel, forward(params, seq.samples[fi].observation,
                                     None, None, model_cfg))
@@ -384,7 +382,8 @@ class Trainer:
         # reverse of their order in the objective, so each parameter
         # gradient adds its per-sample contributions in the order one tape
         # over the whole objective would add them.
-        self.student.zero_grad()
+        for g in self.grads.values():
+            g.fill(0.0)
         n_unsup = self.batch_unlabelled if use_unsup else 0
         unsup = [self._unsup_branch(st.child(f"unsup{b}"), w_cls_eff,
                                     w_feat_eff)
@@ -399,14 +398,10 @@ class Trainer:
         kept = sum(u[2] for u in unsup)
         total_cells = sum(u[3] for u in unsup)
 
+        optimizer_step(self.student, self.grads, self.optim.lr,
+                       self.optim.wd, self.optim.betas, step + 1)
         if self.teacher is not None:
-            for _, p in self.teacher.params.items():
-                if p.grad.any():
-                    raise ContractError("teacher received gradient")
-        optimizer_step(self.student, self.optim.lr, self.optim.wd,
-                       self.optim.betas, step + 1)
-        if self.teacher is not None:
-            ema_update(self.teacher, self.student)
+            ema_update(self.teacher, self.student, self.optim.ema_keep)
         self.step_count += 1
         return StepReport(step, breakdown["loss_total"], breakdown["loss_sup"],
                           breakdown["loss_cls"], breakdown["loss_feat"],
@@ -424,7 +419,7 @@ class Trainer:
                              fov.include[None], self.weights.focal_gamma,
                              self.weights.focal_alpha)
         if loss.tape is not None:   # untaped when every cell is masked out
-            backward(loss, self.student)
+            backward(loss, self.grads)
         return loss.item()
 
     def _unsup_branch(self, su: Stream, w_cls: float, w_feat: float,
@@ -451,7 +446,7 @@ class Trainer:
                 if target is not None else [])
         loss, parts = total_loss([], [cls], feat, w_cls, w_feat)
         if loss.tape is not None:   # untaped when every cell is masked out
-            backward(loss, self.student)
+            backward(loss, self.grads)
         return parts["loss_cls"], parts["loss_feat"], n_inc, mask.include.size
 
     def _feat_target(self, teacher_trace: ForwardTrace,

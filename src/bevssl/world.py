@@ -231,7 +231,6 @@ class DatasetSplit:
     unlabelled: list[int]
     val: list[int]
     test: list[int]
-    label_utilisation: float
 
 
 # ------------------------------------------------------------ clipping ----
@@ -344,6 +343,13 @@ def _polyline_length(verts: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(verts, axis=0), axis=1).sum())
 
 
+def _arclength(verts: np.ndarray) -> np.ndarray:
+    """Cumulative arc length at each vertex, 0 at the first.  Its last entry
+    rounds differently from `_polyline_length`'s pairwise sum."""
+    return np.concatenate([[0.0], np.cumsum(
+        np.linalg.norm(np.diff(verts, axis=0), axis=1))])
+
+
 def _point_at(verts: np.ndarray, cum: np.ndarray, s: float):
     """Point and unit tangent at arc length s along the polyline."""
     s = min(max(s, 0.0), float(cum[-1]))
@@ -399,8 +405,7 @@ def generate_world(seed: int, style: StyleParams,
                 polylines.append(("boundary", run))
 
         cs = Stream(seed).child(f"road{ri}").child("crossings")
-        cum = np.concatenate([[0.0], np.cumsum(
-            np.linalg.norm(np.diff(line, axis=0), axis=1))])
+        cum = _arclength(line)
         length = float(cum[-1])
         lam = style.crossing_frequency * length / 100.0
         n_cross = cs.poisson(lam)
@@ -416,8 +421,7 @@ def generate_world(seed: int, style: StyleParams,
 
     if crossing_count == 0:
         line = centerlines[0]
-        cum = np.concatenate([[0.0], np.cumsum(
-            np.linalg.norm(np.diff(line, axis=0), axis=1))])
+        cum = _arclength(line)
         quad = _crossing_quad(line, cum, float(cum[-1]) / 2.0, 1.75,
                               lanes_per_road[0] * style.lane_width / 2.0)
         clipped = _clip_polygon(quad, extent)
@@ -460,8 +464,7 @@ def generate_sequence(world: WorldMap, seed: int, n_frames: int,
     road = (usable[stream.child("road").randint(len(usable))]
             if usable else int(np.argmax(lengths)))
     line = world.centerlines[road]
-    cum = np.concatenate([[0.0], np.cumsum(
-        np.linalg.norm(np.diff(line, axis=0), axis=1))])
+    cum = _arclength(line)
     length = float(cum[-1])
 
     direction = 1 if stream.child("dir").uniform() < 0.5 else -1
@@ -740,8 +743,7 @@ def make_splits(worlds, utilisation: float, seed: int, *,
     Stream(seed).child("label-pick").shuffle(pick)
     labelled = sorted(pick[:n_lab])
     unlabelled = sorted(pick[n_lab:])
-    return DatasetSplit(labelled, unlabelled, seqs(val_w), seqs(test_w),
-                        utilisation)
+    return DatasetSplit(labelled, unlabelled, seqs(val_w), seqs(test_w))
 
 
 # ------------------------------------------------------------ dataset -----

@@ -29,6 +29,11 @@ ALL_KINDS = list(OP_KINDS) + ["relu", "compact", "masked_expand",
                               "chained_compact"]
 
 
+def zero_grads(params: ParamSet) -> dict[str, np.ndarray]:
+    """A zero gradient per parameter: the dict `backward` adds into."""
+    return {name: np.zeros_like(p.values) for name, p in params.items()}
+
+
 def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
     return stream.uniforms(int(np.prod(shape)), lo, hi).reshape(shape)
 

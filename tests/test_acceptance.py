@@ -18,9 +18,9 @@ from bevssl.autograd import (ParamSet, Tape, Tensor, backward,
 from bevssl.bench import (ScenarioConfig, config_from_dict, evaluate_pairs,
                           expand_runs, run_one, run_scenario)
 from bevssl.cli import main as cli_main
-from bevssl.engine import (OptimConfig, SslConfig, TeacherState,
-                           Trainer, ema_update, fuse_teacher,
-                           make_pseudo_labels, prob_logit, sharpen)
+from bevssl.engine import (OptimConfig, SslConfig, Trainer, ema_update,
+                           fuse_teacher, make_pseudo_labels, prob_logit,
+                           sharpen)
 from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
 from bevssl.losses import LossMask, LossWeights, focal_loss
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
@@ -75,14 +75,14 @@ def test_criterion_2_ema_geometric_law():
     student = init_params(cfg, 1)
     worst = 0.0
     for alpha in (0.9, 0.99, 0.999):
-        teacher = TeacherState(init_params(cfg, 2), keep_rate=alpha)
-        delta0 = {n: teacher.params[n].values - student[n].values
+        teacher = init_params(cfg, 2)
+        delta0 = {n: teacher[n].values - student[n].values
                   for n in student.names()}
         for k in range(1, 201):
-            ema_update(teacher, student)
+            ema_update(teacher, student, alpha)
             for n in student.names():
                 expect = (alpha ** k) * delta0[n]
-                err = np.abs((teacher.params[n].values - student[n].values)
+                err = np.abs((teacher[n].values - student[n].values)
                              - expect).max()
                 worst = max(worst, err)
         assert worst < 1e-12, (alpha, worst)

@@ -10,7 +10,7 @@ from bevssl.autograd import (CHECKPOINT_MAGIC, ParamSet, Tape, Tensor,
 from bevssl.errors import ConfigurationError, ContractError, NumericError
 from bevssl.rng import Stream
 
-from helpers_fd import ALL_KINDS, make_case, replay
+from helpers_fd import ALL_KINDS, make_case, replay, zero_grads
 
 
 # ------------------------------------------------------------ op examples --
@@ -30,9 +30,10 @@ def test_relu_definition():
     out = forward_op("conv2d", *(ps.leaf(tape, n) for n in ("x", "w", "b")),
                      padding=0, relu=True)
     assert out.values.ravel().tolist() == [0.0, 0.0, 2.2]
-    backward(forward_op("sum", out), ps)
-    assert ps["x"].grad.ravel().tolist() == [0.0, 0.0, 1.0]
-    assert ps["b"].grad.tolist() == [1.0]
+    grads = zero_grads(ps)
+    backward(forward_op("sum", out), grads)
+    assert grads["x"].ravel().tolist() == [0.0, 0.0, 1.0]
+    assert grads["b"].tolist() == [1.0]
 
 
 def test_conv2d_all_ones_3x3():
@@ -80,8 +81,9 @@ def test_backward_sum_gives_ones():
     ps = _scalar_param(np.arange(5.0))
     tape = Tape()
     loss = forward_op("sum", ps.leaf(tape, "p"))
-    backward(loss, ps)
-    assert np.array_equal(ps["p"].grad, np.ones(5))
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    assert np.array_equal(grads["p"], np.ones(5))
 
 
 def test_backward_mean_square_hand_oracle():
@@ -91,8 +93,9 @@ def test_backward_mean_square_hand_oracle():
     p = ps.leaf(tape, "p")
     loss = forward_op("scale", forward_op("sum", forward_op("mul", p, p)),
                       factor=1.0 / vals.size)
-    backward(loss, ps)
-    assert np.allclose(ps["p"].grad, 2.0 * vals / vals.size, atol=1e-15)
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    assert np.allclose(grads["p"], 2.0 * vals / vals.size, atol=1e-15)
 
 
 def test_unreachable_parameter_gets_exact_zero():
@@ -101,9 +104,10 @@ def test_unreachable_parameter_gets_exact_zero():
     ps.add("unused", np.array([5.0, 1.0]))
     tape = Tape()
     loss = forward_op("sum", ps.leaf(tape, "used"))
-    backward(loss, ps)
-    assert ps["unused"].grad.tolist() == [0.0, 0.0]
-    assert ps["used"].grad.tolist() == [1.0]
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    assert grads["unused"].tolist() == [0.0, 0.0]
+    assert grads["used"].tolist() == [1.0]
 
 
 def test_gradient_handed_to_two_inputs_is_not_mutated():
@@ -116,9 +120,10 @@ def test_gradient_handed_to_two_inputs_is_not_mutated():
     a, b = ps.leaf(tape, "a"), ps.leaf(tape, "b")
     sq = forward_op("mul", a, a)
     loss = forward_op("sum", forward_op("add", forward_op("add", a, b), sq))
-    backward(loss, ps)
-    assert ps["a"].grad.tolist() == [2.0, -3.0]
-    assert ps["b"].grad.tolist() == [1.0, 1.0]
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    assert grads["a"].tolist() == [2.0, -3.0]
+    assert grads["b"].tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("kind", ["mul", "sub"])
@@ -146,14 +151,15 @@ def test_backward_drops_each_gradient_once_its_rule_has_run():
     for _ in range(20):
         y = forward_op("scale", y, factor=0.9)
     loss = forward_op("sum", y)
+    grads = zero_grads(ps)
     tracemalloc.start()
     try:
-        backward(loss, ps)
+        backward(loss, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
-    assert np.allclose(ps["p"].grad, 0.9 ** 20, rtol=1e-12)
+    assert np.allclose(grads["p"], 0.9 ** 20, rtol=1e-12)
 
 
 def test_backward_adds_to_the_gradient():
@@ -164,10 +170,30 @@ def test_backward_adds_to_the_gradient():
     tape = Tape()
     p = ps.leaf(tape, "p")
     loss = forward_op("sum", forward_op("mul", p, p))
-    backward(loss, ps)
-    assert np.array_equal(ps["p"].grad, 2.0 * vals)
-    backward(loss, ps)
-    assert np.array_equal(ps["p"].grad, 4.0 * vals)
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    assert np.array_equal(grads["p"], 2.0 * vals)
+    backward(loss, grads)
+    assert np.array_equal(grads["p"], 4.0 * vals)
+
+
+def test_backward_adds_only_into_the_dict_it_is_given():
+    """`backward` writes into the dict it is handed, for the names it holds:
+    a second zero dict stays zero, the parameters hold no gradient, and a
+    dict without the name takes nothing."""
+    vals = np.array([1.0, -2.0, 0.5])
+    ps = _scalar_param(vals)
+    tape = Tape()
+    p = ps.leaf(tape, "p")
+    loss = forward_op("sum", forward_op("mul", p, p))
+    given, other = zero_grads(ps), zero_grads(ps)
+    backward(loss, given)
+    assert np.array_equal(given["p"], 2.0 * vals)
+    assert not other["p"].any()
+    assert not hasattr(ps["p"], "grad")
+    none = {}
+    backward(loss, none)
+    assert none == {}
 
 
 def test_backward_requires_scalar_loss():
@@ -175,7 +201,7 @@ def test_backward_requires_scalar_loss():
     tape = Tape()
     out = forward_op("scale", ps.leaf(tape, "p"), factor=2.0)
     with pytest.raises(ContractError):
-        backward(out, ps)
+        backward(out, zero_grads(ps))
 
 
 def test_mixing_tapes_is_rejected_and_detach_works():
@@ -187,8 +213,9 @@ def test_mixing_tapes_is_rejected_and_detach_works():
     # detaching via a fresh Tensor keeps the value but blocks the gradient
     loss = forward_op("sum", forward_op("mul", Tensor(hidden.values),
                                         ps.leaf(t2, "p")))
-    backward(loss, ps)
-    assert ps["p"].grad.tolist() == [1.5 * 1.5]
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    assert grads["p"].tolist() == [1.5 * 1.5]
 
 
 # ------------------------------------------------- finite-difference check --
@@ -201,14 +228,6 @@ def test_gradients_match_finite_differences(kind):
         assert report.passed, (
             f"{kind} case {case}: max rel err {report.max_error:.3e}, "
             f"failures {report.failures[:3]}")
-
-
-def test_fd_check_ignores_a_stale_gradient():
-    params, f = make_case("conv2d", Stream(1000).child("conv2d"))
-    for _, p in params.items():
-        p.grad[...] = 1e3
-    report = finite_difference_check(f, params, eps=1e-5, tol=1e-4)
-    assert report.passed, report.failures[:3]
 
 
 def test_fd_check_quadratic_tight():
@@ -262,8 +281,9 @@ def _conv_grads(x, w, b, probe, **attrs):
     tape = Tape()
     y = forward_op("conv2d", *(ps.leaf(tape, n) for n in ("x", "w", "b")),
                    **attrs)
-    backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
-    return y.values, ps["x"].grad, ps["w"].grad, ps["b"].grad
+    grads = zero_grads(ps)
+    backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), grads)
+    return y.values, grads["x"], grads["w"], grads["b"]
 
 
 @pytest.mark.parametrize("n,k,size,stride", [
@@ -470,7 +490,7 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
     lift = dict(expand=(f,), size=size, padding=pad)
     results = []
     for compact in (False, True):
-        ps.zero_grad()
+        grads = zero_grads(ps)
         tape = Tape()
         x, w1, w2 = (ps.leaf(tape, name) for name in ("x", "w1", "w2"))
         if compact:
@@ -482,9 +502,8 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
         else:
             y = forward_op("conv2d", forward_op("conv2d", x, w1, **lift), w2,
                            padding=pad)
-        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
-        results.append((y.values, ps["x"].grad.copy(), ps["w1"].grad.copy(),
-                        ps["w2"].grad.copy()))
+        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), grads)
+        results.append((y.values, grads["x"], grads["w1"], grads["w2"]))
     dense, compact = results
     for name, g, wt in zip(("y", "dx", "dW1", "dW2"), compact, dense):
         assert g.shape == wt.shape, name
@@ -552,7 +571,7 @@ def test_compact_chain_matches_the_dense_chain(f, size, k, levels):
         n, widths[-1], *size)
     results = []
     for compact in (False, True):
-        ps.zero_grad()
+        grads = zero_grads(ps)
         tape = Tape()
         y = ps.leaf(tape, "x")
         chain = ()
@@ -565,9 +584,8 @@ def test_compact_chain_matches_the_dense_chain(f, size, k, levels):
                 chain += (k, k, pad)
             y = forward_op("conv2d", y, ps.leaf(tape, name), **attrs)
         assert y.shape == (n, widths[-1], *size)
-        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), ps)
-        results.append((y.values, *(ps[name].grad.copy()
-                                    for name in ["x", *names])))
+        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), grads)
+        results.append((y.values, *(grads[name] for name in ["x", *names])))
     dense, compact = results
     for name, g, wt in zip(("y", "dx", *names), compact, dense):
         assert g.shape == wt.shape, name
@@ -820,29 +838,45 @@ def test_unknown_kind_rejected():
 def test_optimizer_zero_gradient_is_bitwise_noop():
     ps = _scalar_param(np.array([0.1, -0.7, 3.14159]))
     before = ps["p"].values.copy()
-    optimizer_step(ps, lr=1e-3, wd=0.0, betas=(0.9, 0.999), step=1)
+    optimizer_step(ps, zero_grads(ps), lr=1e-3, wd=0.0, betas=(0.9, 0.999),
+                   step=1)
     assert np.array_equal(ps["p"].values, before)
 
 
 def test_optimizer_lr_zero_is_noop_even_with_decay():
     ps = _scalar_param(np.array([2.0]))
-    ps["p"].grad[:] = 5.0
-    optimizer_step(ps, lr=0.0, wd=0.1, betas=(0.9, 0.999), step=1)
+    optimizer_step(ps, {"p": np.array([5.0])}, lr=0.0, wd=0.1,
+                   betas=(0.9, 0.999), step=1)
     assert ps["p"].values.tolist() == [2.0]
 
 
 def test_optimizer_first_step_hand_value():
     ps = _scalar_param(np.array([1.0]))
-    ps["p"].grad[:] = 1.0
-    optimizer_step(ps, lr=0.1, wd=0.0, betas=(0.9, 0.999), step=1)
+    grads = {"p": np.array([1.0])}
+    optimizer_step(ps, grads, lr=0.1, wd=0.0, betas=(0.9, 0.999), step=1)
     # bias-corrected first step moves by ~lr
     assert abs(ps["p"].values[0] - 0.9) < 1e-7
-    assert ps["p"].grad[0] == 0.0  # cleared
+    assert grads["p"].tolist() == [1.0]  # read, not cleared
+
+
+def test_optimizer_step_leaves_the_gradients_unchanged():
+    """The step reads `grads` and writes only the parameters: the dict keeps
+    its arrays and their values over several steps."""
+    ps = _scalar_param(np.array([0.5, -1.5, 2.0]))
+    grads = {"p": np.array([0.25, -3.0, 1e-3])}
+    array, before = grads["p"], grads["p"].copy()
+    for step in (1, 2, 3):
+        optimizer_step(ps, grads, lr=0.1, wd=1e-2, betas=(0.9, 0.999),
+                       step=step)
+    assert list(grads) == ["p"] and grads["p"] is array
+    assert np.array_equal(array, before)
+    assert not np.array_equal(ps["p"].values, [0.5, -1.5, 2.0])
 
 
 def test_optimizer_weight_decay_decoupled():
     ps = _scalar_param(np.array([10.0]))
-    optimizer_step(ps, lr=0.5, wd=0.01, betas=(0.9, 0.999), step=1)
+    optimizer_step(ps, zero_grads(ps), lr=0.5, wd=0.01, betas=(0.9, 0.999),
+                   step=1)
     # zero gradient: only the decay term acts
     assert abs(ps["p"].values[0] - 10.0 * (1 - 0.5 * 0.01)) < 1e-12
 
@@ -850,7 +884,7 @@ def test_optimizer_weight_decay_decoupled():
 def test_optimizer_step_must_be_positive():
     ps = _scalar_param(np.array([1.0]))
     with pytest.raises(ContractError):
-        optimizer_step(ps, 1e-3, 1e-4, (0.9, 0.999), step=0)
+        optimizer_step(ps, zero_grads(ps), 1e-3, 1e-4, (0.9, 0.999), step=0)
 
 
 # --------------------------------------------------------------- checkpoint --

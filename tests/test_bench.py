@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import signal
@@ -312,7 +314,8 @@ def test_run_one_and_best_selection(tmp_path):
 
 def test_only_the_student_holds_optimizer_moments(monkeypatch, tmp_path):
     """The EMA teacher and the best-on-validation snapshot never take an
-    optimizer step, so they hold no moments; the student does."""
+    optimizer step, so they hold no moments; the student does.  No
+    parameter set holds a gradient."""
     trainers, evaluated = [], []
 
     class SpyTrainer(bench.Trainer):
@@ -331,11 +334,13 @@ def test_only_the_student_holds_optimizer_moments(monkeypatch, tmp_path):
     assert run_one(expand_runs(tiny_config())[0], tmp_path).error is None
     (tr,) = trainers
     best = evaluated[-1]   # the test split's prediction reads the snapshot
-    assert best is not tr.student and best is not tr.teacher.params
+    assert best is not tr.student and best is not tr.teacher
     assert all(p.m is not None and p.v is not None
                for _, p in tr.student.items())
-    for params in (tr.teacher.params, best):
+    for params in (tr.teacher, best):
         assert all(p.m is None and p.v is None for _, p in params.items())
+    for params in (tr.student, tr.teacher, best):
+        assert not any(hasattr(p, "grad") for _, p in params.items())
 
 
 def test_run_scenario_deterministic_and_exported(tmp_path):
@@ -405,6 +410,21 @@ def test_dead_worker_recorded_not_awaited(monkeypatch, tmp_path):
     written = {p.name for p in tmp_path.iterdir()}
     assert run_files("ssl_s0") | run_files("lives_s0") <= written
     assert not run_files("dies_s0") & written
+
+
+def test_metrics_csv_quotes_a_name_with_a_separator():
+    """A scenario name holding a comma, a double quote and a newline reads
+    back through a CSV reader whole, in rows of the header's width."""
+    name = 'city A, run "2"\nagain'
+    metrics = [Metrics(split, 6, [1] * 3, [0] * 3, [0] * 3, [1.0, None, 0.5],
+                       0.75, []) for split in ("val", "test")]
+    text = bench._metrics_csv([bench.RunResult(name, "ssl", 0, 6, *metrics,
+                                               (0.5, 0.25, 0.125))])
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == bench.METRICS_HEADER.split(",")
+    assert len(rows) == 2 * 4
+    assert all(len(row) == len(header) == 11 for row in rows)
+    assert {row[0] for row in rows} == {name}
 
 
 def _break_every_step(self):

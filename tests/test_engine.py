@@ -8,9 +8,9 @@ import pytest
 from bevssl import augment, engine
 from bevssl.augment import AugmentConfig, bevdrop_mask, strong_augment
 from bevssl.autograd import Tape, Tensor, backward, optimizer_step
-from bevssl.engine import (OptimConfig, SslConfig, StepReport, TeacherState,
-                           Trainer, draw_fusion_distance, ema_update,
-                           fuse_teacher, make_pseudo_labels, prob_logit,
+from bevssl.engine import (OptimConfig, SslConfig, StepReport, Trainer,
+                           draw_fusion_distance, ema_update, fuse_teacher,
+                           make_pseudo_labels, prob_logit,
                            select_fusion_frames, sharpen,
                            trajectory_distances)
 from bevssl.errors import ConfigurationError, ContractError
@@ -21,6 +21,7 @@ from bevssl.rng import Stream
 from bevssl.world import CITY_A, Sample, build_dataset
 
 from helpers_dense import dense_forward
+from helpers_fd import zero_grads
 from helpers_geo import fuse_probs_bruteforce, random_pose, random_prob_raster
 
 TINY = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
@@ -29,44 +30,38 @@ TRACE_FIELDS = ("encoder_feats", "bev_feats", "decoded_feats", "logits",
 
 
 def _param_sets(seed=1):
-    student = init_params(TINY, seed)
-    teacher = TeacherState(init_params(TINY, seed + 1), keep_rate=0.9)
-    return student, teacher
+    return init_params(TINY, seed), init_params(TINY, seed + 1)
 
 
 # --------------------------------------------------------------------- EMA --
 
 def test_ema_keep_rate_one_freezes_teacher():
     student, teacher = _param_sets()
-    teacher.keep_rate = 1.0
-    before = teacher.params.values_dict()
-    ema_update(teacher, student)
+    before = {name: p.values.copy() for name, p in teacher.items()}
+    ema_update(teacher, student, 1.0)
     for name, val in before.items():
-        assert np.array_equal(teacher.params[name].values, val)
+        assert np.array_equal(teacher[name].values, val)
 
 
 def test_ema_keep_rate_zero_copies_student():
     student, teacher = _param_sets()
-    teacher.keep_rate = 0.0
-    ema_update(teacher, student)
+    ema_update(teacher, student, 0.0)
     for name in student.names():
-        assert np.array_equal(teacher.params[name].values,
-                              student[name].values)
+        assert np.array_equal(teacher[name].values, student[name].values)
 
 
 def test_ema_geometric_decay_closed_form():
     student, teacher = _param_sets(3)
     for name in student.names():
         student[name].values[...] = 0.0
-        teacher.params[name].values[...] = 1.0
+        teacher[name].values[...] = 1.0
     for alpha in (0.9, 0.99, 0.999):
-        teacher.keep_rate = alpha
-        for name in teacher.params.names():
-            teacher.params[name].values[...] = 1.0
+        for name in teacher.names():
+            teacher[name].values[...] = 1.0
         for k in range(1, 201):
-            ema_update(teacher, student)
+            ema_update(teacher, student, alpha)
             expect = alpha ** k
-            err = np.abs(teacher.params["head.w"].values - expect).max()
+            err = np.abs(teacher["head.w"].values - expect).max()
             assert err < 1e-12, (alpha, k, err)
 
 
@@ -74,10 +69,9 @@ def test_ema_scalar_example():
     student, teacher = _param_sets(5)
     name = student.names()[0]
     student[name].values[...] = 0.0
-    teacher.params[name].values[...] = 1.0
-    teacher.keep_rate = 0.9
-    ema_update(teacher, student)
-    assert abs(teacher.params[name].values.flat[0] - 0.9) < 1e-15
+    teacher[name].values[...] = 1.0
+    ema_update(teacher, student, 0.9)
+    assert abs(teacher[name].values.flat[0] - 0.9) < 1e-15
 
 
 def test_ema_mismatched_names_rejected():
@@ -85,16 +79,16 @@ def test_ema_mismatched_names_rejected():
     other = init_params(ModelConfig(enc_widths=(4,), lift_channels=8,
                                     dec_widths=(4,)), 2)
     with pytest.raises(ContractError):
-        ema_update(TeacherState(other), student)
+        ema_update(other, student, 0.99)
 
 
 def test_ema_leaves_optimizer_state_untouched():
     """The EMA moves values only: a teacher holds no optimizer moments
     before or after an update."""
     student, teacher = _param_sets()
-    optimizer_step(student, 1e-3, 0.0, (0.9, 0.999))
-    ema_update(teacher, student)
-    for _, p in teacher.params.items():
+    optimizer_step(student, zero_grads(student), 1e-3, 0.0, (0.9, 0.999))
+    ema_update(teacher, student, 0.9)
+    for _, p in teacher.items():
         assert p.m is None and p.v is None
 
 
@@ -459,12 +453,22 @@ def test_trainer_full_threshold_masks_everything():
 
 
 def test_trainer_teacher_isolated_from_gradients():
+    """The trainer's gradient dict holds the student's names and nothing
+    else; neither parameter set has a gradient slot, and the teacher moves
+    only by the EMA of the student's new weights."""
     ds = _tiny_dataset()
     tr = _mk_trainer(ds)
-    before = tr.teacher.params.values_dict()
-    tr.train_step()
-    for name, p in tr.teacher.params.items():
-        assert not p.grad.any()
+    tr.step_count = 1   # past the ramp's zero, so the unlabelled branch runs
+    before = {name: p.values.copy() for name, p in tr.teacher.items()}
+    rep = tr.train_step()
+    assert rep.w_cls > 0.0
+    assert list(tr.grads) == tr.student.names()
+    assert any(g.any() for g in tr.grads.values())
+    alpha = tr.optim.ema_keep
+    for name, p in tr.teacher.items():
+        assert not hasattr(p, "grad") and not hasattr(tr.student[name], "grad")
+        assert np.array_equal(p.values, alpha * before[name]
+                              + (1.0 - alpha) * tr.student[name].values)
         # teacher moved only through EMA: close to, but not equal to, start
         assert np.allclose(p.values, before[name], atol=1e-2)
 
@@ -480,11 +484,11 @@ def test_trainer_teacher_tracks_student_ema():
     ds = _tiny_dataset()
     tr = _mk_trainer(ds)
     tr.train_step()
-    alpha = tr.teacher.keep_rate
+    alpha = tr.optim.ema_keep
     name = tr.student.names()[-1]
     init = init_params(TINY, 21)  # same seed as trainer student
     expect = alpha * init[name].values + (1 - alpha) * tr.student[name].values
-    assert np.allclose(tr.teacher.params[name].values, expect, atol=1e-12)
+    assert np.allclose(tr.teacher[name].values, expect, atol=1e-12)
 
 
 def _root(a: np.ndarray) -> np.ndarray:
@@ -526,7 +530,7 @@ def test_fused_pseudo_current_trace_owns_one_frame(monkeypatch):
     assert all(obs.values.ndim == 3 for obs in seen)
     assert alive_before == [0] * 7
     assert not any(r() is not None for refs in buffers[1:] for r in refs)
-    solo = forward(tr.teacher.params, sample.observation, None, None, TINY)
+    solo = forward(tr.teacher, sample.observation, None, None, TINY)
     for field in TRACE_FIELDS:
         assert np.array_equal(getattr(cur, field).values,
                               getattr(solo, field).values), field
@@ -589,13 +593,13 @@ class _OneTapeTrainer(Trainer):
                                        stream.child("frames"))
         frames = [sample] + [seq.samples[fi] for fi, _ in sel]
         batch = np.stack([f.observation.values for f in frames])
-        bt = forward(self.teacher.params, batch, None, None, self.model_cfg)
+        bt = forward(self.teacher, batch, None, None, self.model_cfg)
         cur = _ref_trace_view(bt, 0, copy=True)
         extras = sorted(((fi, rel, _ref_trace_view(bt, k + 1))
                          for k, (fi, rel) in enumerate(sel)),
                         key=lambda e: e[0])
         fusion = fuse_teacher(cur, extras, cfg.fusion_mode, self.dataset.spec,
-                              self.teacher.params, sample.frame_index,
+                              self.teacher, sample.frame_index,
                               cfg.fusion_warp)
         bundle = make_pseudo_labels(fusion.probs, cfg,
                                     provenance=fusion.provenance)
@@ -646,11 +650,11 @@ class _OneTapeTrainer(Trainer):
                         trace, self._feat_target(cur_trace, fusion)))
         total, parts = total_loss(sup_terms, cls_terms, feat_terms, w_cls,
                                   w_feat)
-        self.student.zero_grad()
-        backward(total, self.student)
-        optimizer_step(self.student, self.optim.lr, self.optim.wd,
+        grads = zero_grads(self.student)
+        backward(total, grads)
+        optimizer_step(self.student, grads, self.optim.lr, self.optim.wd,
                        self.optim.betas, step + 1)
-        ema_update(self.teacher, self.student)
+        ema_update(self.teacher, self.student, self.optim.ema_keep)
         self.step_count += 1
         return StepReport(step, parts["loss_total"], parts["loss_sup"],
                           parts["loss_cls"], parts["loss_feat"], w_cls, w_feat,
@@ -686,7 +690,7 @@ def test_step_matches_one_tape_reference(case):
         # every cell masked out: the branch's loss is an untaped constant
         assert reports[-1].loss_cls == 0.0 == reports[-1].loss_feat
     for got, want in ((new.student, ref.student),
-                      (new.teacher.params, ref.teacher.params)):
+                      (new.teacher, ref.teacher)):
         for name, p in got.items():
             q = want[name]
             assert np.array_equal(p.values, q.values), name
@@ -695,17 +699,6 @@ def test_step_matches_one_tape_reference(case):
                 assert np.array_equal(p.v, q.v), name
             else:   # the teacher never takes an optimizer step
                 assert p.m is p.v is q.m is q.v is None, name
-
-
-def test_teacher_gradient_is_rejected(monkeypatch):
-    """A backward that lands in the teacher's parameters fails the step."""
-    ds = _tiny_dataset()
-    tr = _mk_trainer(ds, total=12)
-    tr.train_step()
-    monkeypatch.setattr(engine, "backward",
-                        lambda loss, params: backward(loss, tr.teacher.params))
-    with pytest.raises(ContractError, match="teacher received gradient"):
-        tr.train_step()
 
 
 def test_unlabelled_gradients_match_the_dense_path(monkeypatch):
@@ -731,9 +724,8 @@ def test_unlabelled_gradients_match_the_dense_path(monkeypatch):
         tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(bevdrop=False),
                      SslConfig(feat_level="early", threshold=None),
                      OptimConfig(), seed=21, total_steps=12)
-        tr.student.zero_grad()
         tr._unsup_branch(Stream(5).child("unsup0"), 1.0, 1.0)
-        grads.append({name: p.grad.copy() for name, p in tr.student.items()})
+        grads.append(tr.grads)
     assert [n.saved.get("compact", False) for n in lifts] == [True, False]
     for name, want in grads[1].items():
         got = grads[0][name]
@@ -786,9 +778,9 @@ def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
     that tape holds a map of the target's shape except the conv outputs."""
     tapes = []
 
-    def spy(loss, params):
+    def spy(loss, grads):
         tapes.append(loss.tape)
-        backward(loss, params)
+        backward(loss, grads)
 
     monkeypatch.setattr(engine, "backward", spy)
     tr = Trainer(_tiny_dataset(), ModelConfig(), LossWeights(),

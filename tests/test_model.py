@@ -12,7 +12,7 @@ from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 
 from helpers_dense import dense_forward
-from helpers_fd import replay
+from helpers_fd import replay, zero_grads
 
 TINY = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
 
@@ -39,6 +39,21 @@ def test_init_biases_zero_and_weights_bounded():
         fan_in = shape[1] * shape[2] * shape[3]
         assert not b.any()
         assert np.abs(w).max() <= math.sqrt(1.0 / fan_in)
+
+
+def test_init_and_copy_hold_values_only():
+    """A fresh parameter and a copy hold values and no gradient; a copy's
+    values are its own."""
+    params = init_params(TINY, 9)
+    copy = params.copy()
+    assert copy.names() == params.names()
+    for name, p in params.items():
+        q = copy[name]
+        for r in (p, q):
+            assert not hasattr(r, "grad")
+            assert r.m is None and r.v is None
+        assert np.array_equal(q.values, p.values)
+        assert not np.shares_memory(q.values, p.values)
 
 
 def test_config_validation():
@@ -303,7 +318,6 @@ def _trace_and_grads(params, obs, drop, cfg=TINY,
                      fields=("logits", "bev_feats"), run=forward):
     """The forward trace of `run`, and every parameter's gradient of a
     random weighting of the trace's `fields`."""
-    params.zero_grad()
     tape = Tape()
     trace = run(params, obs, drop, tape, cfg)
     terms = []
@@ -315,8 +329,9 @@ def _trace_and_grads(params, obs, drop, cfg=TINY,
     loss = terms[0]
     for term in terms[1:]:
         loss = forward_op("add", loss, term)
-    backward(loss, params)
-    return trace, {name: p.grad.copy() for name, p in params.items()}
+    grads = zero_grads(params)
+    backward(loss, grads)
+    return trace, grads
 
 
 def _compared_with_the_oracle(params, obs, drop, cfg, fields):
