@@ -124,7 +124,7 @@ def strong_augment(obs: Raster, cfg: AugmentConfig, stream: Stream,
         view, fov = camdrop(view, compute_sector_map(obs.spec),
                             stream.child("camdrop"), cfg.camdrop_count)
     else:
-        fov = LossMask.full((N_CLASSES, rows, cols))
+        fov = LossMask(np.ones((N_CLASSES, rows, cols), dtype=bool))
     drop = (bevdrop_mask(rows, cols, cfg.bevdrop_rate, stream.child("bevdrop"))
             if cfg.bevdrop else None)
     return view, fov, drop

@@ -7,9 +7,10 @@ pay no recording cost.  A forward rule that keeps arrays for its backward
 returns them next to its output, and the node saves them with its
 attributes.  `featsim`, the feature-similarity term, is one such op: in
 cosine mode it keeps three per-cell channel sums, not a product of its two
-maps.  A parameter holds its values and, from its first `optimizer_step`
-on, its optimizer moments; gradients live in a name -> array dict that the
-caller of `backward` owns.
+maps; `focal`, the focal term, keeps only its targets and mask.  A
+parameter holds its values and, from its first `optimizer_step` on, its
+optimizer moments; gradients live in a name -> array dict that the caller
+of `backward` owns.
 
 The tape keeps no im2col columns: `conv2d` builds the columns of one band
 of output rows at a time in one module-level workspace that never grows past
@@ -54,8 +55,7 @@ from .errors import ConfigurationError, ContractError, NumericError
 LOG_CLAMP = 1e-12
 
 OP_KINDS = (
-    "add", "sub", "mul", "conv2d", "sigmoid", "sum", "scale", "log", "powc",
-    "featsim",
+    "add", "mul", "conv2d", "sigmoid", "sum", "scale", "featsim", "focal",
 )
 
 
@@ -178,12 +178,6 @@ def _fw_add(vals, attrs):
     a, b = vals
     _require(a.shape == b.shape, "add", f"shape mismatch {a.shape} vs {b.shape}")
     return a + b
-
-
-def _fw_sub(vals, attrs):
-    a, b = vals
-    _require(a.shape == b.shape, "sub", f"shape mismatch {a.shape} vs {b.shape}")
-    return a - b
 
 
 def _fw_mul(vals, attrs):
@@ -600,15 +594,6 @@ def _fw_scale(vals, attrs):
     return vals[0] * float(attrs["factor"])
 
 
-def _fw_log(vals, attrs):
-    return np.log(np.maximum(vals[0], LOG_CLAMP))
-
-
-def _fw_powc(vals, attrs):
-    with np.errstate(divide="ignore"):
-        return np.power(vals[0], float(attrs["exponent"]))
-
-
 def _fw_featsim(vals, attrs):
     """Mean feature distance of `s` from the constant target `t`, both
     (n, c, ...) with channels on axis 1.  mse: the mean of (s - t)^2 over
@@ -641,10 +626,37 @@ def _fw_featsim(vals, attrs):
                                             "t_sq": t_sq}
 
 
+def _focal_weights(attrs):
+    """alpha y and (1 - alpha)(1 - y), exact zeros at excluded cells."""
+    y, alpha = attrs["target"], attrs["alpha"]
+    mf = attrs["include"].astype(np.float64)
+    return alpha * y * mf, (1.0 - alpha) * (1.0 - y) * mf
+
+
+def _fw_focal(vals, attrs):
+    """Mean over the n cells of the bool mask `include` of the soft-target
+    focal term -(alpha y (1-p)^gamma log p + (1-alpha)(1-y) p^gamma
+    log(1-p)) of probabilities p against the constant `target` y, each log
+    clamped below at LOG_CLAMP; excluded cells weigh an exact zero.  n = 0
+    is an error (`losses.focal_loss` returns an untaped 0 instead)."""
+    p, include = vals[0], attrs["include"]
+    _require(include.shape == p.shape and include.dtype == bool, "focal",
+             f"needs a bool mask of shape {p.shape}")
+    n = int(include.sum())
+    _require(n > 0, "focal", "no cell is included")
+    w_pos, w_neg = _focal_weights(attrs)
+    gamma, q = float(attrs["gamma"]), 1.0 - p
+    pos = np.power(q, gamma) * np.log(np.maximum(p, LOG_CLAMP))
+    pos *= w_pos
+    w_neg *= np.power(p, gamma) * np.log(np.maximum(q, LOG_CLAMP))
+    pos += w_neg
+    return pos.sum() * (-1.0 / n), {"factor": -1.0 / n}
+
+
 _FORWARD_RULES: dict[str, Callable] = {
-    "add": _fw_add, "sub": _fw_sub, "mul": _fw_mul, "conv2d": _fw_conv2d,
+    "add": _fw_add, "mul": _fw_mul, "conv2d": _fw_conv2d,
     "sigmoid": _fw_sigmoid, "sum": _fw_sum, "scale": _fw_scale,
-    "log": _fw_log, "powc": _fw_powc, "featsim": _fw_featsim,
+    "featsim": _fw_featsim, "focal": _fw_focal,
 }
 
 
@@ -652,10 +664,6 @@ _FORWARD_RULES: dict[str, Callable] = {
 
 def _bw_add(node, g, ins):
     return [g, g]
-
-
-def _bw_sub(node, g, ins):
-    return [g, -g if node.input_needs[1] else None]
 
 
 def _bw_mul(node, g, ins):
@@ -794,24 +802,31 @@ def _bw_scale(node, g, ins):
     return [g * float(node.saved["factor"])]
 
 
-def _bw_log(node, g, ins):
-    x = ins[0]
-    inside = x >= LOG_CLAMP
-    return [np.where(inside, g / np.maximum(x, LOG_CLAMP), 0.0)]
+def _bw_focal(node, g, ins):
+    # dp: the terms that reach p less those that reach 1 - p, each pair
+    # summed as the generic ops it replaced summed it.  A log takes no
+    # gradient where its clamp holds, nor x^gamma at x = 0.
+    p, saved = ins[0], node.saved
+    gamma, c = float(saved["gamma"]), float(g) * saved["factor"]
+    w_pos, w_neg = _focal_weights(saved)
 
+    def reaching(x, w_x, r, w_r):
+        # of c (w_x r^gamma log x + w_r x^gamma log r), the part through x
+        inside = x > 0
+        d = w_r * c * np.log(np.maximum(r, LOG_CLAMP))
+        d *= np.where(inside, gamma * np.power(np.where(inside, x, 1.0),
+                                               gamma - 1.0), 0.0)
+        return d + np.where(x >= LOG_CLAMP, w_x * c * np.power(r, gamma)
+                            / np.maximum(x, LOG_CLAMP), 0.0)
 
-def _bw_powc(node, g, ins):
-    c = float(node.saved["exponent"])
-    x = ins[0]
-    # derivative taken as 0 at x == 0 (subgradient choice for c < 1)
-    dx = np.where(x > 0, c * np.power(np.where(x > 0, x, 1.0), c - 1.0), 0.0)
-    return [g * dx]
+    q = 1.0 - p
+    return [reaching(p, w_pos, q, w_neg) - reaching(q, w_neg, p, w_pos)]
 
 
 _BACKWARD_RULES: dict[str, Callable] = {
-    "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "conv2d": _bw_conv2d,
+    "add": _bw_add, "mul": _bw_mul, "conv2d": _bw_conv2d,
     "sigmoid": _bw_sigmoid, "sum": _bw_sum, "scale": _bw_scale,
-    "log": _bw_log, "powc": _bw_powc, "featsim": _bw_featsim,
+    "featsim": _bw_featsim, "focal": _bw_focal,
 }
 
 

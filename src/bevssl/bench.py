@@ -213,12 +213,13 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields("", self, [("kind", self.kind in SCENARIOS,
                                  f"one of {sorted(SCENARIOS)}")])
-        w = self.world
-        # city adaptation draws its worlds from the eval section instead
-        check_fields("world", w, [(
-            "n_worlds", self.kind == "city-adapt"
-            or w.n_worlds >= w.val_worlds + w.test_worlds + 1,
-            f">= {w.val_worlds} val + {w.test_worlds} test + 1 train worlds")])
+        w, adapt = self.world, self.kind == "city-adapt"
+        # city adaptation draws its worlds, one sequence each, from `eval`
+        check_fields("world", w, [
+            ("n_worlds", adapt or w.n_worlds > w.val_worlds + w.test_worlds,
+             f">= {w.val_worlds} val + {w.test_worlds} test + 1 train worlds"),
+            ("seqs_per_world", not adapt or w.seqs_per_world == 1,
+             "1 for kind city-adapt")])
 
     def to_dict(self) -> dict:
         return asdict(self)

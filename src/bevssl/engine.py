@@ -301,8 +301,8 @@ class Trainer:
     def __init__(self, dataset: Dataset, model_cfg: ModelConfig,
                  weights: LossWeights, augment_cfg: AugmentConfig,
                  ssl_cfg: SslConfig, optim: OptimConfig,
-                 seed: int, total_steps: int, ssl: bool = True,
-                 batch_labelled: int = 1, batch_unlabelled: int = 1,
+                 seed: int, total_steps: int, ssl: bool = True, *,
+                 batch_labelled: int, batch_unlabelled: int,
                  supervised_augment: AugmentConfig | None = None):
         if not dataset.split.labelled:
             raise ContractError("training requires at least one labelled sequence")

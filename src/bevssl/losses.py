@@ -1,6 +1,6 @@
-"""Loss terms: masked soft-target focal loss, feature-similarity losses (one
-`featsim` op each), linear ramp-up weighting, and the combined training
-objective.
+"""Loss terms: masked soft-target focal loss (one `focal` op),
+feature-similarity losses (one `featsim` op each), linear ramp-up weighting,
+and the combined training objective.
 
 Excluded cells are multiplied by an exact zero before any reduction, so a
 loss value is bit-insensitive to predictions or targets at excluded cells.
@@ -32,47 +32,24 @@ class LossMask:
     def __init__(self, include: np.ndarray):
         self.include = np.asarray(include, dtype=bool)
 
-    @classmethod
-    def full(cls, shape) -> "LossMask":
-        return cls(np.ones(shape, dtype=bool))
-
-    def intersect(self, other: "LossMask | np.ndarray") -> "LossMask":
-        arr = other.include if isinstance(other, LossMask) else other
-        return LossMask(self.include & arr)
+    def intersect(self, other: "LossMask") -> "LossMask":
+        return LossMask(self.include & other.include)
 
     @property
     def count(self) -> int:
         return int(self.include.sum())
 
 
-def focal_loss(p: Tensor, y: np.ndarray, mask: LossMask | np.ndarray,
+def focal_loss(p: Tensor, y: np.ndarray, include: np.ndarray,
                gamma: float, alpha: float) -> tuple[Tensor, int]:
-    """Mean over included cells of the symmetric soft-target focal term.
-
-    Returns (loss, included_count); an all-excluded mask yields an exact
-    constant 0 with count 0 rather than an error.
-    """
-    include = mask.include if isinstance(mask, LossMask) else np.asarray(mask, bool)
-    y = np.broadcast_to(np.asarray(y, dtype=np.float64), p.shape)
-    include = np.broadcast_to(include, p.shape)
+    """(mean over the cells of the bool mask `include`, of p's shape, of
+    the symmetric soft-target focal term, one `focal` op; the number of
+    those cells).  With no cell included: an untaped exact 0 and 0."""
     n = int(include.sum())
     if n == 0:
         return Tensor(np.zeros(())), 0
-
-    mf = include.astype(np.float64)
-    w_pos = Tensor(alpha * y * mf)
-    w_neg = Tensor((1.0 - alpha) * (1.0 - y) * mf)
-    ones = Tensor(np.ones(p.shape))
-
-    one_minus_p = forward_op("sub", ones, p)
-    pos = forward_op("mul", w_pos, forward_op(
-        "mul", forward_op("powc", one_minus_p, exponent=gamma),
-        forward_op("log", p)))
-    neg = forward_op("mul", w_neg, forward_op(
-        "mul", forward_op("powc", p, exponent=gamma),
-        forward_op("log", one_minus_p)))
-    total = forward_op("sum", forward_op("add", pos, neg))
-    return forward_op("scale", total, factor=-1.0 / n), n
+    return forward_op("focal", p, target=np.asarray(y, dtype=np.float64),
+                      include=include, gamma=gamma, alpha=alpha), n
 
 
 def feature_similarity_loss(z_s: Tensor, z_t: np.ndarray,

@@ -14,7 +14,9 @@ compact convs after the compact upsampling one, the second reading a
 two-level compact map, and a conv that reads the three-level map at grid
 resolution.  The `featsim` case feeds the op a student map with cells
 zeroed by a constant 0/1 mask and a constant teacher map, with zero-vector
-cells on the student side, on the teacher side and on both.
+cells on the student side, on the teacher side and on both.  The `focal`
+case feeds the op probabilities in [0.05, 0.95] against soft targets, with
+about a third of the cells excluded.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ def make_case(kind: str, stream: Stream):
         return _chain_case(stream)
     if kind == "featsim":
         return _featsim_case(stream)
+    if kind == "focal":
+        return _focal_case(stream)
     op = "conv2d" if kind == "relu" else kind
     params = ParamSet()
     attrs: dict = {}
     consts: dict = {}
 
-    if kind in ("add", "sub", "mul"):
+    if kind in ("add", "mul"):
         shape = (stream.randrange(1, 4), stream.randrange(2, 6))
         params.add("a", _arr(stream, shape))
         params.add("b", _arr(stream, shape))
@@ -73,15 +77,6 @@ def make_case(kind: str, stream: Stream):
     elif kind == "scale":
         params.add("a", _arr(stream, (stream.randrange(2, 5),)))
         attrs["factor"] = stream.uniform(-2.0, 2.0)
-        inputs = ("a",)
-    elif kind == "log":
-        shape = (stream.randrange(2, 5), stream.randrange(2, 5))
-        params.add("a", _arr(stream, shape, 0.1, 2.0))
-        inputs = ("a",)
-    elif kind == "powc":
-        shape = (stream.randrange(2, 5), stream.randrange(2, 5))
-        params.add("a", _arr(stream, shape, 0.2, 2.0))
-        attrs["exponent"] = [0.5, 2.0, 3.0, -1.0][stream.randint(4)]
         inputs = ("a",)
     else:
         raise AssertionError(f"no case builder for op '{kind}'")
@@ -224,6 +219,27 @@ def _featsim_case(stream: Stream):
         tape = Tape()
         s = forward_op("mul", ps.leaf(tape, "a"), Tensor(keep_s))
         return forward_op("featsim", s, Tensor(target), mode=mode)
+
+    return params, f
+
+
+def _focal_case(stream: Stream):
+    """The focal op on probabilities `a` in [0.05, 0.95] against constant
+    soft targets, with about a third of the cells excluded (at least one
+    included), for gamma 0, 0.5, 2 or 3 and a random alpha."""
+    params = ParamSet()
+    shape = (stream.randrange(1, 3), stream.randrange(1, 4),
+             stream.randrange(2, 5), stream.randrange(2, 5))
+    params.add("a", _arr(stream, shape, 0.05, 0.95))
+    target = _arr(stream, shape, 0.0, 1.0)
+    include = _arr(stream, shape, 0.0, 1.0) > 1.0 / 3.0
+    include.flat[stream.randint(include.size)] = True
+    gamma = (0.0, 0.5, 2.0, 3.0)[stream.randint(4)]
+    alpha = stream.uniform(0.0, 1.0)
+
+    def f(ps: ParamSet) -> Tensor:
+        return forward_op("focal", ps.leaf(Tape(), "a"), target=target,
+                          include=include, gamma=gamma, alpha=alpha)
 
     return params, f
 

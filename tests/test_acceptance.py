@@ -22,7 +22,7 @@ from bevssl.engine import (OptimConfig, SslConfig, Trainer, ema_update,
                            fuse_teacher, make_pseudo_labels, prob_logit,
                            sharpen)
 from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
-from bevssl.losses import LossMask, LossWeights, focal_loss
+from bevssl.losses import LossWeights, focal_loss
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 from bevssl.world import CITY_A, build_dataset, compute_sector_map
@@ -58,7 +58,7 @@ def test_criterion_1_gradient_correctness():
         tape = Tape()
         trace = forward(ps, obs, None, tape, cfg)
         loss, _ = focal_loss(trace.probs, gt[None],
-                             LossMask.full((1, 3, 8, 8)), 2.0, 0.25)
+                             np.ones((1, 3, 8, 8), dtype=bool), 2.0, 0.25)
         return loss
 
     rep = finite_difference_check(model_loss, params, eps=1e-5, tol=1e-4)
@@ -189,12 +189,12 @@ def test_criterion_5_masking_soundness():
         if not excluded.any() or not mask.include.any():
             continue
 
-        base, n = focal_loss(Tensor(p), gt, mask, 2.0, 0.25)
+        base, n = focal_loss(Tensor(p), gt, mask.include, 2.0, 0.25)
         p2 = p.copy()
         gt2 = gt.copy()
         p2[excluded] = st.uniforms(int(excluded.sum()), 0.01, 0.99)
         gt2[excluded] = 1.0 - gt2[excluded]
-        pert, n2 = focal_loss(Tensor(p2), gt2, mask, 2.0, 0.25)
+        pert, n2 = focal_loss(Tensor(p2), gt2, mask.include, 2.0, 0.25)
         assert n == n2
         assert pert.item() == base.item(), case
     _report("C5 masking-soundness", True, "(50 cases bit-identical)")
@@ -239,7 +239,8 @@ def test_criterion_6_degenerate_weight_equivalence():
     ds = build_dataset(SMALL_GRID, CITY_A, 4242, n_worlds=8, seqs_per_world=1,
                        n_frames=6, utilisation=0.4, val_worlds=1,
                        test_worlds=2)
-    common = dict(seed=7, total_steps=200, batch_labelled=1)
+    common = dict(seed=7, total_steps=200, batch_labelled=1,
+                  batch_unlabelled=1)
     ssl = Trainer(ds, cfg, LossWeights(), AugmentConfig(),
                   SslConfig(w_cls=0.0, w_feat=0.0), OptimConfig(),
                   ssl=True, **common)

@@ -5,7 +5,7 @@ from bevssl.augment import (AugmentConfig, bevdrop_mask, camdrop, cutout,
                             photometric, strong_augment)
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import Raster, SMALL_GRID
-from bevssl.losses import LossMask, focal_loss
+from bevssl.losses import focal_loss
 from bevssl.rng import Stream
 from bevssl.world import compute_sector_map
 
@@ -100,10 +100,10 @@ def test_camdrop_loss_invariant_to_dropped_region():
     st = Stream(15)
     probs = st.uniforms(3 * 96 * 32, 0.02, 0.98).reshape(3, 96, 32)
     gt = (st.uniforms(3 * 96 * 32).reshape(3, 96, 32) > 0.8).astype(float)
-    base, _ = focal_loss(_t(probs), gt, fov, 2.0, 0.25)
+    base, _ = focal_loss(_t(probs), gt, fov.include, 2.0, 0.25)
     probs2 = probs.copy()
     probs2[~fov.include] = 0.5
-    pert, _ = focal_loss(_t(probs2), gt, fov, 2.0, 0.25)
+    pert, _ = focal_loss(_t(probs2), gt, fov.include, 2.0, 0.25)
     assert pert.item() == base.item()
 
 

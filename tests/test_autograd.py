@@ -63,12 +63,6 @@ def test_conv2d_hand_oracle_with_padding():
     assert np.allclose(out.values, expect, atol=1e-12)
 
 
-def test_log_clamp():
-    lg = forward_op("log", Tensor(np.array([0.0, 1.0])))
-    assert lg.values[0] == np.log(1e-12)
-    assert lg.values[1] == 0.0
-
-
 # --------------------------------------------------------------- backward --
 
 def _scalar_param(values):
@@ -126,10 +120,10 @@ def test_gradient_handed_to_two_inputs_is_not_mutated():
     assert grads["b"].tolist() == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("kind", ["mul", "sub"])
+@pytest.mark.parametrize("kind", ["mul"])
 def test_a_constant_second_input_gets_no_gradient(kind):
-    """The `mul` and `sub` rules compute no gradient for a constant input,
-    which `backward` would drop."""
+    """The `mul` rule computes no gradient for a constant input, which
+    `backward` would drop."""
     ps = _scalar_param(np.array([0.5, -2.0]))
     tape = Tape()
     c = np.array([3.0, 1.0])
@@ -139,7 +133,7 @@ def test_a_constant_second_input_gets_no_gradient(kind):
     g = np.array([2.0, -1.0])
     da, db = autograd._BACKWARD_RULES[kind](node, g, [ps["p"].values, c])
     assert db is None
-    assert np.array_equal(da, g * c if kind == "mul" else g)
+    assert np.array_equal(da, g * c)
 
 
 def test_backward_drops_each_gradient_once_its_rule_has_run():
@@ -758,8 +752,8 @@ def test_shape_mismatch_is_configuration_error():
 
 
 def test_nonfinite_output_is_numeric_error():
-    with pytest.raises(NumericError, match="powc"):
-        forward_op("powc", Tensor(np.array([0.0, 1.0])), exponent=-1.0)
+    with pytest.raises(NumericError, match="scale"):
+        forward_op("scale", Tensor(np.array([1.0, 2.0])), factor=np.inf)
     # checked before the in-place ReLU, which would turn -inf into 0
     with pytest.raises(NumericError, match="conv2d"):
         forward_op("conv2d", Tensor(np.ones((1, 1, 2, 2))),

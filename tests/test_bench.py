@@ -221,6 +221,18 @@ def test_replace_checks_the_rules_that_span_sections():
         replace(adapt, kind="components")
 
 
+def test_city_adapt_takes_one_sequence_per_world():
+    """City adaptation names worlds as sequences, so a config that asks it
+    for several sequences per world is rejected, at load and on replace."""
+    msg = r"^world\.seqs_per_world must be 1 for kind city-adapt, got 3$"
+    with pytest.raises(ConfigurationError, match=msg):
+        config_from_dict({"kind": "city-adapt",
+                          "world": {"seqs_per_world": 3}})
+    ssl = config_from_dict({"world": {"seqs_per_world": 3}})
+    with pytest.raises(ConfigurationError, match=msg):
+        replace(ssl, kind="city-adapt")
+
+
 def test_label_sweep_variants():
     cfg = tiny_config("label-sweep")
     names = [v.name for v in scenario_variants(cfg)]
@@ -341,6 +353,49 @@ def test_only_the_student_holds_optimizer_moments(monkeypatch, tmp_path):
         assert all(p.m is None and p.v is None for _, p in params.items())
     for params in (tr.student, tr.teacher, best):
         assert not any(hasattr(p, "grad") for _, p in params.items())
+
+
+@pytest.mark.parametrize("kind", ["ssl", "supervised"])
+def test_teacher_eval_model_validates_the_teacher_if_there_is_one(
+        monkeypatch, tmp_path, kind):
+    """With `train.eval_model: "teacher"` an ssl run validates its EMA
+    teacher, and the best snapshot holds the teacher's values of the
+    validation that chose it; a supervised run has no teacher and
+    validates its student."""
+    trainers, calls = [], []
+
+    class SpyTrainer(bench.Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trainers.append(self)
+
+    predict = bench.predict_split
+
+    def spy_predict(params, dataset, seq_ids, model_cfg):
+        calls.append((params, seq_ids,
+                      {k: p.values.copy() for k, p in params.items()}))
+        return predict(params, dataset, seq_ids, model_cfg)
+
+    monkeypatch.setattr(bench, "Trainer", SpyTrainer)
+    monkeypatch.setattr(bench, "predict_split", spy_predict)
+    cfg = tiny_config(kind, train={
+        "total_steps": 12, "eval_every": 6, "batch_labelled": 1,
+        "batch_unlabelled": 1, "eval_model": "teacher"})
+    res = run_one(expand_runs(cfg)[0], tmp_path)
+    assert res.error is None
+    (tr,) = trainers
+    assert (tr.teacher is None) == (kind == "supervised")
+    validated = tr.student if tr.teacher is None else tr.teacher
+    val = [c for c in calls if c[1] is tr.dataset.split.val]
+    assert len(val) == 2 and all(c[0] is validated for c in val)
+    chosen = val[res.best_step // 6 - 1][2]
+    best = calls[-1][0]
+    assert best is not validated
+    for name, values in chosen.items():
+        assert np.array_equal(best[name].values, values), name
+    if tr.teacher is not None:
+        assert any(not np.array_equal(values, tr.student[name].values)
+                   for name, values in val[-1][2].items())
 
 
 def test_run_scenario_deterministic_and_exported(tmp_path):

@@ -201,6 +201,17 @@ def test_cli_overrides_are_checked_at_load(tmp_path, capsys, argv, doc):
     _rejected_at_load(tmp_path, capsys, argv, cfg)
 
 
+@pytest.mark.parametrize("command,kind", [("adapt", "ssl"),
+                                          ("train", "city-adapt")])
+def test_city_adapt_with_several_sequences_per_world_exits_2(
+        tmp_path, capsys, command, kind):
+    doc = {**TINY_DOC, "kind": kind,
+           "world": {**TINY_DOC["world"], "seqs_per_world": 3}}
+    err = _rejected_at_load(tmp_path, capsys, [command],
+                            _write_cfg(tmp_path, doc))
+    assert "world.seqs_per_world must be 1 for kind city-adapt, got 3" in err
+
+
 def test_partial_checkpoint_exits_2(tmp_path, capsys):
     path = tmp_path / "part.ckpt"
     save_checkpoint(path, {"best.head.b": np.zeros(3)})

@@ -364,10 +364,11 @@ def _tiny_dataset(seed=11):
 
 
 def _mk_trainer(ds, ssl=True, seed=21, ssl_cfg=None, total=50, cls=Trainer,
-                **kw):
+                batch_labelled=1, batch_unlabelled=1):
     return cls(ds, TINY, LossWeights(), AugmentConfig(),
-                   ssl_cfg or SslConfig(), OptimConfig(), seed=seed,
-                   total_steps=total, ssl=ssl, **kw)
+               ssl_cfg or SslConfig(), OptimConfig(), seed=seed,
+               total_steps=total, ssl=ssl, batch_labelled=batch_labelled,
+               batch_unlabelled=batch_unlabelled)
 
 
 def test_trainer_deterministic_loss_trajectory():
@@ -444,7 +445,8 @@ def test_trainer_full_threshold_masks_everything():
     ds = _tiny_dataset()
     tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(),
                  SslConfig(threshold=0.999), OptimConfig(), seed=5,
-                 total_steps=50, ssl=True)
+                 total_steps=50, ssl=True, batch_labelled=1,
+                 batch_unlabelled=1)
     for _ in range(3):
         rep = tr.train_step()
     assert rep.loss_cls == 0.0
@@ -723,7 +725,8 @@ def test_unlabelled_gradients_match_the_dense_path(monkeypatch):
             run = dense_forward
         tr = Trainer(ds, TINY, LossWeights(), AugmentConfig(bevdrop=False),
                      SslConfig(feat_level="early", threshold=None),
-                     OptimConfig(), seed=21, total_steps=12)
+                     OptimConfig(), seed=21, total_steps=12,
+                     batch_labelled=1, batch_unlabelled=1)
         tr._unsup_branch(Stream(5).child("unsup0"), 1.0, 1.0)
         grads.append(tr.grads)
     assert [n.saved.get("compact", False) for n in lifts] == [True, False]
@@ -766,10 +769,30 @@ def test_step_peak_holds_one_sample_graph():
     sample = ds.sequences[ds.split.labelled[0]].samples[0]
     tape = Tape()
     trace = forward(init_params(TINY, 1), sample.observation, None, tape, TINY)
-    focal_loss(trace.probs, sample.gt.values[None], np.ones((1, 3, 96, 32)),
-               2.0, 0.25)
+    focal_loss(trace.probs, sample.gt.values[None],
+               np.ones((1, 3, 96, 32), dtype=bool), 2.0, 0.25)
     graph = _held_bytes(node.values for node in tape.nodes)
     assert peaks[3] - peaks[1] < graph, (peaks, graph)
+
+
+def test_labelled_tape_ends_in_one_focal_node(monkeypatch):
+    """A labelled sample's tape holds the model's leaves, its convs, the
+    sigmoid and one `focal` node, the loss; the one constant leaf is the
+    observation."""
+    tapes = []
+
+    def spy(loss, grads):
+        tapes.append(loss.tape)
+        backward(loss, grads)
+
+    monkeypatch.setattr(engine, "backward", spy)
+    _mk_trainer(_tiny_dataset(), ssl=False).train_step()
+    (tape,) = tapes
+    kinds = [node.kind for node in tape.nodes]
+    assert set(kinds) == {"leaf", "conv2d", "sigmoid", "focal"}
+    assert kinds.count("focal") == 1 and kinds[-1] == "focal"
+    assert [node.saved["param"] for node in tape.nodes
+            if node.kind == "leaf"].count(None) == 1
 
 
 def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
@@ -785,7 +808,7 @@ def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
     monkeypatch.setattr(engine, "backward", spy)
     tr = Trainer(_tiny_dataset(), ModelConfig(), LossWeights(),
                  AugmentConfig(), SslConfig(threshold=None), OptimConfig(),
-                 seed=21, total_steps=3)
+                 seed=21, total_steps=3, batch_labelled=1, batch_unlabelled=1)
     for _ in range(2):   # the second step runs the feature term
         tr.train_step()
     (tape,) = [t for t in tapes if any(n.kind == "featsim" for n in t.nodes)]
