@@ -214,13 +214,17 @@ _warm = np.empty(3 << 20)
 del _warm
 
 
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """`x` (n, c, h, w) with `pad` zeros around each map."""
-    if pad == 0:
+def _pad(x: np.ndarray, pad) -> np.ndarray:
+    """`x` (n, c, h, w) with `pad` zeros on each side of each map: an int,
+    or (rows, cols); a negative pad crops that many cells instead."""
+    ph, pw = (pad, pad) if isinstance(pad, int) else pad
+    if ph == pw == 0:
         return x
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    xp[:, :, ph + ch:ph + h - ch, pw + cw:pw + w - cw] = \
+        x[:, :, ch:h - ch, cw:w - cw]
     return xp
 
 
@@ -251,10 +255,11 @@ def _column_bands(xp: np.ndarray, kh: int, kw: int, stride: int):
         yield lo, hi, cols.reshape(c * kh * kw, (hi - lo) * ww)
 
 
-def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad: int,
+def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad,
           stride: int = 1) -> np.ndarray:
-    """(n, co, hh, ww) convolution of `x` (n, c, h, w) by the flattened
-    kernel `wm` (co, c*kh*kw): one GEMM per band of output rows."""
+    """(n, co, hh, ww) convolution of `x` (n, c, h, w), padded as `_pad`
+    pads it, by the flattened kernel `wm` (co, c*kh*kw): one GEMM per band
+    of output rows."""
     xp = _pad(x, pad)
     n, _, h, wd = xp.shape
     hh = (h - kh) // stride + 1
@@ -750,23 +755,9 @@ def _bw_im2col(node, g, x, w, need_dx, need_dw):
     if strided:
         return dxp[:, :, pad:pad + h, pad:pad + wd], dw
     # at stride 1, dx is the full convolution of g with the flipped,
-    # transposed kernel: g[i] sits at i + k-1-pad in a zero frame of the
-    # input's size plus k-1 (cropped where pad > k-1), convolved without
-    # padding
-    rows_to, rows_from = _spread(h + kh - 1, hh, kh - 1 - pad)
-    cols_to, cols_from = _spread(wd + kw - 1, ww, kw - 1 - pad)
-    gp = np.zeros((n, co, h + kh - 1, wd + kw - 1))
-    gp[:, :, rows_to, cols_to] = g[:, :, rows_from, cols_from]
+    # transposed kernel: g padded by k-1-pad (cropped where pad > k-1)
     wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
-    return _conv(gp, wflip, kh, kw, 0), dw
-
-
-def _spread(n_to: int, n_from: int, shift: int) -> tuple[slice, slice]:
-    """Slices `to`, `from` along one axis with to[i + shift] = from[i] over
-    the positions both have."""
-    lo = max(0, -shift)
-    hi = max(lo, min(n_from, n_to - shift))
-    return slice(lo + shift, hi + shift), slice(lo, hi)
+    return _conv(g, wflip, kh, kw, (kh - 1 - pad, kw - 1 - pad)), dw
 
 
 def _bw_sigmoid(node, g, ins):
@@ -805,17 +796,18 @@ def _bw_scale(node, g, ins):
 def _bw_focal(node, g, ins):
     # dp: the terms that reach p less those that reach 1 - p, each pair
     # summed as the generic ops it replaced summed it.  A log takes no
-    # gradient where its clamp holds, nor x^gamma at x = 0.
+    # gradient where its clamp holds, nor x^gamma where x = 0 or its factor
+    # is 0 (a subnormal x meets log(1 - x) = 0, x^(gamma - 1) may overflow).
     p, saved = ins[0], node.saved
     gamma, c = float(saved["gamma"]), float(g) * saved["factor"]
     w_pos, w_neg = _focal_weights(saved)
 
     def reaching(x, w_x, r, w_r):
         # of c (w_x r^gamma log x + w_r x^gamma log r), the part through x
-        inside = x > 0
         d = w_r * c * np.log(np.maximum(r, LOG_CLAMP))
-        d *= np.where(inside, gamma * np.power(np.where(inside, x, 1.0),
-                                               gamma - 1.0), 0.0)
+        on = (x > 0) & (d != 0)
+        d *= np.where(on, gamma * np.power(np.where(on, x, 1.0), gamma - 1.0),
+                      0.0)
         return d + np.where(x >= LOG_CLAMP, w_x * c * np.power(r, gamma)
                             / np.maximum(x, LOG_CLAMP), 0.0)
 

@@ -31,8 +31,8 @@ from .losses import LossWeights
 from .model import ModelConfig, forward, init_params
 from .rng import Stream, mix64
 from .world import (CLASS_NAMES, N_CLASSES, Dataset, DatasetSplit,
-                    STYLE_PRESETS, build_dataset, build_sequences,
-                    generate_world)
+                    STYLE_PRESETS, WorldConfig, build_dataset,
+                    build_sequences, generate_world)
 
 _FORK = multiprocessing.get_context("fork")
 METRICS_HEADER = ("scenario,variant,seed,step,split,class,iou,miou,"
@@ -112,32 +112,6 @@ def evaluate_pairs(pairs, split: str, step: int) -> Metrics:
 def _each(cfg, names, holds, rule):
     """One rule for several fields, as `check_fields` takes it."""
     return ((name, holds(getattr(cfg, name)), rule) for name in names)
-
-
-@dataclass(frozen=True)
-class WorldConfig:
-    style: str = "city_A"
-    grid_preset: str = "small"
-    n_worlds: int = 50
-    seqs_per_world: int = 1
-    n_frames: int = 12
-    val_worlds: int = 4
-    test_worlds: int = 6
-    utilisation: float = 0.1
-    speed_min: float = 0.0
-    speed_max: float = 12.0
-
-    def __post_init__(self):
-        check_fields("world", self, (
-            ("style", self.style in STYLE_PRESETS,
-             f"one of {sorted(STYLE_PRESETS)}"),
-            ("grid_preset", self.grid_preset in GRID_PRESETS,
-             f"one of {sorted(GRID_PRESETS)}"),
-            *_each(self, ("seqs_per_world", "n_frames", "val_worlds",
-                          "test_worlds"), lambda v: v >= 1, ">= 1"),
-            ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]"),
-            ("speed_min", self.speed_min <= self.speed_max,
-             f"<= world.speed_max ({self.speed_max})")))
 
 
 @dataclass(frozen=True)
@@ -360,8 +334,6 @@ def _build_run_dataset(spec: RunSpec) -> Dataset:
                           max(ev.adapt_unlabelled_counts)) if adapt else None)
     if key not in _DATASET_CACHE:
         _DATASET_CACHE.clear()
-        grid = GRID_PRESETS[w.grid_preset]
-        speed_range = (w.speed_min, w.speed_max)
         if adapt:
             # source-style worlds, then the target-style pool and the val
             # and test worlds; each variant takes its own split below
@@ -374,15 +346,10 @@ def _build_run_dataset(spec: RunSpec) -> Dataset:
                                         STYLE_PRESETS[ev.adapt_target_style])
                          for i in range(n_tgt)])
             _DATASET_CACHE[key] = Dataset(
-                grid, worlds, build_sequences(worlds, data_seed, grid,
-                                              w.n_frames, speed_range, 1),
-                None)
+                GRID_PRESETS[w.grid_preset],
+                build_sequences(worlds, data_seed, w), None)
         else:
-            _DATASET_CACHE[key] = build_dataset(
-                grid, STYLE_PRESETS[w.style], data_seed, n_worlds=w.n_worlds,
-                seqs_per_world=w.seqs_per_world, n_frames=w.n_frames,
-                utilisation=w.utilisation, val_worlds=w.val_worlds,
-                test_worlds=w.test_worlds, speed_range=speed_range)
+            _DATASET_CACHE[key] = build_dataset(w, data_seed)
     dataset = _DATASET_CACHE[key]
     if adapt:
         return replace(dataset, split=_adapt_split(spec, data_seed))

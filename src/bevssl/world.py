@@ -18,6 +18,10 @@ A `Sample` holds its frame compactly: the float64 sensor cells that are not
 +0.0 behind a packed bitmask, and the GT as packed bits.  The range plane
 and the camera-sector map depend on the grid alone and are computed once per
 `GridSpec`, read-only.
+
+A dataset is described once, by a `WorldConfig` (the `world` config section):
+no function here defaults one of its settings.  A `Dataset` keeps the grid,
+its sequences and the split, not the worlds its frames were built from.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, check_fields
-from .geometry import GridSpec, Pose2, Raster
+from .geometry import GRID_PRESETS, GridSpec, Pose2, Raster
 from .rng import Stream, mix64
 
 CLASS_NAMES = ("ped_crossing", "divider", "boundary")
@@ -92,6 +96,35 @@ CITY_B = StyleParams(curvature_scale=0.042, road_density=130.0, lane_width=3.0,
                      clutter_density=1.6)
 
 STYLE_PRESETS = {"city_A": CITY_A, "city_B": CITY_B}
+
+
+@dataclass(frozen=True)
+class WorldConfig:
+    """The `world` config section: what `build_dataset` builds from."""
+
+    style: str = "city_A"
+    grid_preset: str = "small"
+    n_worlds: int = 50
+    seqs_per_world: int = 1
+    n_frames: int = 12
+    val_worlds: int = 4
+    test_worlds: int = 6
+    utilisation: float = 0.1
+    speed_min: float = 0.0
+    speed_max: float = 12.0
+
+    def __post_init__(self):
+        check_fields("world", self, (
+            ("style", self.style in STYLE_PRESETS,
+             f"one of {sorted(STYLE_PRESETS)}"),
+            ("grid_preset", self.grid_preset in GRID_PRESETS,
+             f"one of {sorted(GRID_PRESETS)}"),
+            *((name, getattr(self, name) >= 1, ">= 1")
+              for name in ("seqs_per_world", "n_frames", "val_worlds",
+                           "test_worlds")),
+            ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]"),
+            ("speed_min", self.speed_min <= self.speed_max,
+             f"<= world.speed_max ({self.speed_max})")))
 
 
 @dataclass
@@ -220,7 +253,6 @@ class Sample:
 @dataclass
 class SequenceData:
     sequence_id: int
-    world_index: int
     poses: list[Pose2]
     samples: list[Sample]
 
@@ -447,7 +479,7 @@ def _crossing_quad(line, cum, s, half_len, half_width) -> np.ndarray:
 # ----------------------------------------------------------- trajectories --
 
 def generate_sequence(world: WorldMap, seed: int, n_frames: int,
-                      speed_range: tuple[float, float] = (0.0, 12.0),
+                      speed_range: tuple[float, float],
                       ) -> list[tuple[int, Pose2]]:
     """Frame poses along a drivable centerline at 1 Hz.
 
@@ -716,14 +748,11 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
 
 # ------------------------------------------------------------------ splits --
 
-def make_splits(worlds, utilisation: float, seed: int, *,
-                seqs_per_world: int = 1, val_worlds: int = 1,
-                test_worlds: int = 2) -> DatasetSplit:
+def make_splits(cfg: WorldConfig, seed: int) -> DatasetSplit:
     """Partition whole worlds into train/val/test, then label a fraction of
-    the train sequences.  Sequence id = world_index * seqs_per_world + j."""
-    if not 0.0 < utilisation <= 1.0:
-        raise ConfigurationError(f"utilisation must be in (0, 1], got {utilisation}")
-    n_worlds = len(worlds)
+    the train sequences.  Sequence id = world * seqs_per_world + j."""
+    n_worlds, spw = cfg.n_worlds, cfg.seqs_per_world
+    val_worlds, test_worlds = cfg.val_worlds, cfg.test_worlds
     if n_worlds < val_worlds + test_worlds + 1:
         raise ConfigurationError(
             f"{n_worlds} worlds cannot cover train/val/test "
@@ -733,12 +762,11 @@ def make_splits(worlds, utilisation: float, seed: int, *,
     val_w = set(order[test_worlds:test_worlds + val_worlds])
 
     def seqs(world_ids):
-        return sorted(w * seqs_per_world + j for w in world_ids
-                      for j in range(seqs_per_world))
+        return sorted(w * spw + j for w in world_ids for j in range(spw))
 
     train_seqs = seqs([w for w in range(n_worlds)
                        if w not in test_w and w not in val_w])
-    n_lab = max(1, int(math.floor(utilisation * len(train_seqs) + 0.5)))
+    n_lab = max(1, int(math.floor(cfg.utilisation * len(train_seqs) + 0.5)))
     pick = list(train_seqs)
     Stream(seed).child("label-pick").shuffle(pick)
     labelled = sorted(pick[:n_lab])
@@ -751,15 +779,13 @@ def make_splits(worlds, utilisation: float, seed: int, *,
 @dataclass
 class Dataset:
     spec: GridSpec
-    worlds: list[WorldMap]
     sequences: dict[int, SequenceData]
     split: DatasetSplit
 
 
-def build_sequence(world: WorldMap, world_index: int, sequence_id: int,
-                   seed: int, spec: GridSpec, n_frames: int = 12,
-                   speed_range: tuple[float, float] = (0.0, 12.0),
-                   ) -> SequenceData:
+def build_sequence(world: WorldMap, sequence_id: int, seed: int,
+                   spec: GridSpec, n_frames: int,
+                   speed_range: tuple[float, float]) -> SequenceData:
     poses = generate_sequence(world, seed, n_frames, speed_range)
     cal = Calibration.draw(Stream(seed).child("calibration"))
     samples = []
@@ -768,37 +794,32 @@ def build_sequence(world: WorldMap, world_index: int, sequence_id: int,
         gt = rasterize_gt(world, pose, spec)
         obs = render_observation(gt, world.style, noise_seed, cal)
         samples.append(Sample(sequence_id, idx, pose, obs, gt))
-    return SequenceData(sequence_id, world_index, [p for _, p in poses], samples)
+    return SequenceData(sequence_id, [p for _, p in poses], samples)
 
 
-def build_sequences(worlds: list[WorldMap], seed: int, spec: GridSpec,
-                    n_frames: int, speed_range: tuple[float, float],
-                    seqs_per_world: int) -> dict[int, SequenceData]:
-    """`seqs_per_world` sequences of each world, keyed by sequence id
-    world_index * seqs_per_world + j, each seeded from `seed` and its id."""
+def build_sequences(worlds: list[WorldMap], seed: int,
+                    cfg: WorldConfig) -> dict[int, SequenceData]:
+    """`cfg.seqs_per_world` sequences of each world, keyed by sequence id
+    world * seqs_per_world + j, each seeded from `seed` and its id."""
+    spec, spw = GRID_PRESETS[cfg.grid_preset], cfg.seqs_per_world
     sequences: dict[int, SequenceData] = {}
     for wi, world in enumerate(worlds):
-        for j in range(seqs_per_world):
-            sid = wi * seqs_per_world + j
-            sequences[sid] = build_sequence(world, wi, sid,
-                                            mix64(seed ^ mix64(7777 + sid)),
-                                            spec, n_frames, speed_range)
+        for j in range(spw):
+            sid = wi * spw + j
+            sequences[sid] = build_sequence(
+                world, sid, mix64(seed ^ mix64(7777 + sid)), spec,
+                cfg.n_frames, (cfg.speed_min, cfg.speed_max))
     return sequences
 
 
-def build_dataset(spec: GridSpec, style: StyleParams, seed: int, *,
-                  n_worlds: int, seqs_per_world: int, n_frames: int = 12,
-                  utilisation: float = 0.1, val_worlds: int = 1,
-                  test_worlds: int = 2,
-                  speed_range: tuple[float, float] = (0.0, 12.0)) -> Dataset:
-    """End-to-end deterministic dataset from a single seed."""
-    worlds = [generate_world(mix64(seed ^ mix64(wi)), style)
-              for wi in range(n_worlds)]
-    split = make_splits(worlds, utilisation, seed,
-                        seqs_per_world=seqs_per_world,
-                        val_worlds=val_worlds, test_worlds=test_worlds)
-    return Dataset(spec, worlds, build_sequences(
-        worlds, seed, spec, n_frames, speed_range, seqs_per_world), split)
+def build_dataset(cfg: WorldConfig, seed: int) -> Dataset:
+    """Deterministic dataset from one seed.  The split comes first, so
+    counts that cannot split fail before any world is built."""
+    split = make_splits(cfg, seed)
+    worlds = [generate_world(mix64(seed ^ mix64(wi)), STYLE_PRESETS[cfg.style])
+              for wi in range(cfg.n_worlds)]
+    return Dataset(GRID_PRESETS[cfg.grid_preset],
+                   build_sequences(worlds, seed, cfg), split)
 
 
 # -------------------------------------------------------- raster container --
@@ -879,4 +900,4 @@ def import_sequence(seq_dir) -> SequenceData:
         obs = read_raster(d / f"frame_{idx:03d}_obs.bevras")
         gt = read_raster(d / f"frame_{idx:03d}_gt.bevras")
         samples.append(Sample(sid, idx, pose, obs, gt))
-    return SequenceData(sid, -1, [p for _, p in poses], samples)
+    return SequenceData(sid, [p for _, p in poses], samples)

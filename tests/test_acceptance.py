@@ -21,11 +21,11 @@ from bevssl.cli import main as cli_main
 from bevssl.engine import (OptimConfig, SslConfig, Trainer, ema_update,
                            fuse_teacher, make_pseudo_labels, prob_logit,
                            sharpen)
-from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
+from bevssl.geometry import GridSpec, Pose2, Raster, warp_raster
 from bevssl.losses import LossWeights, focal_loss
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
-from bevssl.world import CITY_A, build_dataset, compute_sector_map
+from bevssl.world import WorldConfig, build_dataset, compute_sector_map
 
 from helpers_fd import ALL_KINDS, make_case
 from helpers_geo import (fuse_probs_bruteforce, random_pose,
@@ -236,9 +236,8 @@ def test_criterion_10_reproducibility(tmp_path):
 
 def test_criterion_6_degenerate_weight_equivalence():
     cfg = ModelConfig(enc_widths=(4, 6), lift_channels=8, dec_widths=(4, 6))
-    ds = build_dataset(SMALL_GRID, CITY_A, 4242, n_worlds=8, seqs_per_world=1,
-                       n_frames=6, utilisation=0.4, val_worlds=1,
-                       test_worlds=2)
+    ds = build_dataset(WorldConfig(n_worlds=8, n_frames=6, utilisation=0.4,
+                                   val_worlds=1, test_worlds=2), 4242)
     common = dict(seed=7, total_steps=200, batch_labelled=1,
                   batch_unlabelled=1)
     ssl = Trainer(ds, cfg, LossWeights(), AugmentConfig(),

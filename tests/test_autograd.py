@@ -330,29 +330,40 @@ def _saved_columns_conv(x, w, b, probe, pad, stride):
     return (y + b[:, None, None], dx, dw, probe.sum(axis=(0, 2, 3)))
 
 
-# ci < co everywhere but in the last cases, which narrow 5 channels to 2
-_PARITY_CASES = ([(k, pad, stride, n, size, 3, 4)
+# k is (rows, cols).  ci < co everywhere but in the cases that narrow 5
+# channels to 2.  A non-square kernel's pad can exceed k - 1 along one axis
+# only, so the stride-1 dx pads g along one axis and crops it along the other
+_PARITY_CASES = ([((k, k), pad, stride, n, size, 3, 4)
                   for k in (1, 3, 5) for pad in range(k + 2)
                   for stride in (1, 2, 3)
                   for n in (1, 3) for size in ((9, 7), (10, 8))]
-                 + [(k, pad, stride, n, (9, 7), 5, 2)
+                 + [((k, k), pad, stride, n, (9, 7), 5, 2)
                     for k in (1, 3, 5) for pad in (0, k // 2, k + 1)
-                    for stride in (1, 2, 3) for n in (1, 3)])
+                    for stride in (1, 2, 3) for n in (1, 3)]
+                 + [(k, pad, stride, 2, size, 3, 4)
+                    for k in ((1, 3), (3, 1), (3, 5))
+                    for pad in range(max(k) + 2) for stride in (1, 2, 3)
+                    for size in ((9, 7), (10, 8))])
+
+
+def _kernel_name(k):
+    return f"{k[0]}" if k[0] == k[1] else f"{k[0]}x{k[1]}"
 
 
 @pytest.mark.parametrize(
     "k,pad,stride,n,size,ci,co", _PARITY_CASES,
-    ids=[f"k{k}-p{p}-s{s}-b{n}-{'odd' if size[0] % 2 else 'even'}"
+    ids=[f"k{_kernel_name(k)}-p{p}-s{s}-b{n}-"
+         f"{'odd' if size[0] % 2 else 'even'}"
          + ("" if ci < co else f"-ci{ci}-co{co}")
          for k, p, s, n, size, ci, co in _PARITY_CASES])
 def test_conv_matches_saved_columns_reference(k, pad, stride, n, size, ci,
                                               co):
-    st = Stream(41).child(f"{k}-{pad}-{stride}-{n}-{size}"
+    st = Stream(41).child(f"{_kernel_name(k)}-{pad}-{stride}-{n}-{size}"
                           + ("" if ci < co else f"-{ci}-{co}"))
     x = st.uniforms(n * ci * size[0] * size[1], -1, 1).reshape(n, ci, *size)
-    w = st.uniforms(co * ci * k * k, -1, 1).reshape(co, ci, k, k)
+    w = st.uniforms(co * ci * k[0] * k[1], -1, 1).reshape(co, ci, *k)
     b = st.uniforms(co, -1, 1)
-    hh, ww = ((d + 2 * pad - k) // stride + 1 for d in size)
+    hh, ww = ((d + 2 * pad - kd) // stride + 1 for d, kd in zip(size, k))
     probe = st.uniforms(n * co * hh * ww, -1, 1).reshape(n, co, hh, ww)
     _assert_close(_conv_grads(x, w, b, probe, padding=pad, stride=stride),
                   _saved_columns_conv(x, w, b, probe, pad, stride))

@@ -21,8 +21,8 @@ from bevssl.engine import OptimConfig, SslConfig
 from bevssl.errors import ConfigurationError, NumericError
 from bevssl.losses import LossWeights
 from bevssl.model import ModelConfig
-from bevssl.rng import Stream
-from bevssl.world import CITY_A, CITY_B
+from bevssl.rng import Stream, mix64
+from bevssl.world import CITY_A, CITY_B, generate_world, rasterize_gt
 
 TINY_MODEL = dict(enc_widths=[3, 4], lift_channels=4, dec_widths=[4])
 
@@ -255,11 +255,20 @@ def test_adapt_dataset_splits_source_and_target_worlds():
     built = _adapt_datasets(cfg)
     assert sorted(built) == [0, 2]
     # worlds 0-1 are the source city, 2-3 the target-city training pool,
-    # 4 and 5 the target-city val and test worlds
+    # 4 and 5 the target-city val and test worlds; each world is rebuilt
+    # from its seed and style, and every frame's GT must be its map's
+    data_seed = Stream(0).child("data").seed
+    worlds = ([generate_world(mix64(data_seed ^ mix64(i)), CITY_A)
+               for i in range(2)]
+              + [generate_world(mix64(data_seed ^ mix64(50000 + i)), CITY_B)
+                 for i in range(4)])
     for n, ds in built.items():
-        styles = [ds.worlds[ds.sequences[sid].world_index].style
-                  for sid in sorted(ds.sequences)]
-        assert styles == [CITY_A] * 2 + [CITY_B] * 4
+        assert sorted(ds.sequences) == list(range(6))
+        for sid, seq in ds.sequences.items():
+            for s in seq.samples:
+                assert np.array_equal(
+                    s.gt.values,
+                    rasterize_gt(worlds[sid], s.pose, ds.spec).values), sid
         assert ds.split.labelled == [0, 1]
         assert len(ds.split.unlabelled) == n
         assert set(ds.split.unlabelled) <= {2, 3}

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
 from bevssl.losses import LossWeights, focal_loss, rampup_weight, total_loss
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
-from bevssl.world import CITY_A, Sample, build_dataset
+from bevssl.world import Sample, WorldConfig, build_dataset
 
 from helpers_dense import dense_forward
 from helpers_fd import zero_grads
@@ -357,10 +358,12 @@ def test_feats_fusion_of_a_frame_with_itself_is_its_prediction(cfg, warp):
 
 # ----------------------------------------------------------------- trainer --
 
-def _tiny_dataset(seed=11):
-    return build_dataset(SMALL_GRID, CITY_A, seed, n_worlds=6,
-                         seqs_per_world=1, n_frames=5, utilisation=0.5,
+TINY_WORLD = WorldConfig(n_worlds=6, n_frames=5, utilisation=0.5,
                          val_worlds=1, test_worlds=2)
+
+
+def _tiny_dataset(seed=11):
+    return build_dataset(TINY_WORLD, seed)
 
 
 def _mk_trainer(ds, ssl=True, seed=21, ssl_cfg=None, total=50, cls=Trainer,
@@ -423,9 +426,7 @@ def test_only_the_unlabelled_student_draws_a_bev_dropout_mask(monkeypatch):
 
 def test_trainer_reports_only_the_ramp_weights_it_applies():
     ds = _tiny_dataset()
-    no_pool = build_dataset(SMALL_GRID, CITY_A, 11, n_worlds=6,
-                            seqs_per_world=1, n_frames=5, utilisation=1.0,
-                            val_worlds=1, test_worlds=2)
+    no_pool = build_dataset(replace(TINY_WORLD, utilisation=1.0), 11)
     # no unsupervised branch: a supervised run, or no unlabelled frames
     for trainer in (_mk_trainer(ds, ssl=False, total=6),
                     _mk_trainer(no_pool, ssl=True, total=6)):

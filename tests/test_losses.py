@@ -155,6 +155,28 @@ def test_focal_matches_the_composed_formula(gamma):
     assert not dp[~include].any() and not want_dp[~include].any()
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.01, 0.04])
+def test_focal_gradient_is_finite_at_a_subnormal_p(gamma):
+    """At an included subnormal p, 1 - p rounds to 1, so the slope of
+    p^gamma meets a factor log(1 - p) of exactly 0 while p^(gamma - 1)
+    overflows (gamma below ~0.047).  No slope is taken there: dp is what
+    reaches 1 - p alone, finite, with no numpy warning."""
+    p = np.array([[5e-324, 1e-310, 0.5]])
+    y = np.array([[0.25, 0.75, 0.5]])
+    ps = ParamSet()
+    ps.add("p", p)
+    loss, n = focal_loss(ps.leaf(Tape(), "p"), y,
+                         np.ones((1, 3), dtype=bool), gamma, 0.75)
+    grads = zero_grads(ps)
+    backward(loss, grads)
+    dp = grads["p"][0, :2]
+    # through 1 - p = 1: gamma w_pos log(clamped p) and w_neg p^gamma / 1
+    w_pos, w_neg, sub = 0.75 * y[0, :2], 0.25 * (1.0 - y[0, :2]), p[0, :2]
+    want = (gamma * w_pos * math.log(1e-12) + w_neg * sub ** gamma) / n
+    assert np.isfinite(grads["p"]).all()
+    assert np.abs(dp - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_focal_is_one_node_that_keeps_no_map_of_its_own():
     """A focal term on a taped map adds one `focal` node holding the
     targets, the bool mask, gamma, alpha and -1/n."""

@@ -1,22 +1,22 @@
 import gc
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from bevssl import world as world_mod
 from bevssl.errors import ConfigurationError
-from bevssl.geometry import (GridSpec, PAPER_GRID, Pose2, Raster, SMALL_GRID,
-                             warp_raster)
+from bevssl.geometry import (GRID_PRESETS, GridSpec, PAPER_GRID, Pose2, Raster,
+                             SMALL_GRID, warp_raster)
 from bevssl.rng import Stream, mix64
 from bevssl.world import (CITY_A, CITY_B, CLASS_NAMES, Calibration, Sample,
-                          StyleParams, WorldMap, blur3, build_dataset,
-                          build_sequence, compute_sector_map, export_dataset,
-                          generate_sequence, generate_world, import_sequence,
-                          make_splits, rasterize_gt, read_raster,
-                          render_observation, write_raster)
+                          StyleParams, WorldConfig, WorldMap, blur3,
+                          build_dataset, build_sequence, compute_sector_map,
+                          export_dataset, generate_sequence, generate_world,
+                          import_sequence, make_splits, rasterize_gt,
+                          read_raster, render_observation, write_raster)
 
 
 def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
@@ -115,8 +115,8 @@ def test_sequence_constant_speed_spacing_on_straight_road():
 
 def test_sequence_deterministic():
     w = generate_world(3, CITY_A)
-    p1 = generate_sequence(w, 17, 10)
-    p2 = generate_sequence(w, 17, 10)
+    p1 = generate_sequence(w, 17, 10, (0.0, 12.0))
+    p2 = generate_sequence(w, 17, 10, (0.0, 12.0))
     assert all(a == b for (_, a), (_, b) in zip(p1, p2))
 
 
@@ -238,21 +238,30 @@ def test_observation_calibration_changes_evidence():
 # ------------------------------------------------------------------ splits --
 
 def test_splits_utilisation_one_leaves_nothing_unlabelled():
-    split = make_splits(list(range(10)), 1.0, 3)
+    split = make_splits(WorldConfig(n_worlds=10, utilisation=1.0,
+                                    val_worlds=1, test_worlds=2), 3)
     assert split.unlabelled == []
     assert len(split.labelled) == 7  # 10 worlds minus 1 val minus 2 test
 
 
 def test_splits_720_at_2p5_percent_gives_18():
-    split = make_splits(list(range(724)), 0.025, 11, val_worlds=2,
-                        test_worlds=2)
+    split = make_splits(WorldConfig(n_worlds=724, utilisation=0.025,
+                                    val_worlds=2, test_worlds=2), 11)
     assert len(split.labelled) + len(split.unlabelled) == 720
     assert len(split.labelled) == 18
 
 
+def test_default_world_config_splits_off_4_val_and_6_test_worlds():
+    split = make_splits(WorldConfig(n_worlds=20), 5)
+    assert (len(split.val), len(split.test)) == (4, 6)
+    assert len(split.labelled) + len(split.unlabelled) == 10
+
+
 def test_splits_disjoint_over_many_seeds():
+    cfg = WorldConfig(n_worlds=12, seqs_per_world=2, utilisation=0.4,
+                      val_worlds=1, test_worlds=2)
     for seed in range(100):
-        split = make_splits(list(range(12)), 0.4, seed, seqs_per_world=2)
+        split = make_splits(cfg, seed)
         sets = [set(split.labelled), set(split.unlabelled), set(split.val),
                 set(split.test)]
         for i in range(4):
@@ -263,18 +272,20 @@ def test_splits_disjoint_over_many_seeds():
 
 def test_splits_validation():
     with pytest.raises(ConfigurationError):
-        make_splits(list(range(10)), 0.0, 1)
-    with pytest.raises(ConfigurationError):
-        make_splits(list(range(2)), 0.5, 1)
+        WorldConfig(n_worlds=10, utilisation=0.0)
+    # a WorldConfig outside a ScenarioConfig is not cross-checked
+    with pytest.raises(ConfigurationError, match="cannot cover"):
+        make_splits(WorldConfig(n_worlds=2, utilisation=0.5, val_worlds=1,
+                                test_worlds=2), 1)
 
 
 # ----------------------------------------------------------------- dataset --
 
 def test_build_dataset_deterministic_and_sane():
-    kwargs = dict(n_worlds=6, seqs_per_world=1, n_frames=4, utilisation=0.5,
-                  val_worlds=1, test_worlds=2)
-    d1 = build_dataset(SMALL_GRID, CITY_A, 77, **kwargs)
-    d2 = build_dataset(SMALL_GRID, CITY_A, 77, **kwargs)
+    cfg = WorldConfig(n_worlds=6, n_frames=4, utilisation=0.5, val_worlds=1,
+                      test_worlds=2)
+    d1 = build_dataset(cfg, 77)
+    d2 = build_dataset(cfg, 77)
     assert d1.split == d2.split
     for sid in d1.sequences:
         for s1, s2 in zip(d1.sequences[sid].samples, d2.sequences[sid].samples):
@@ -284,11 +295,13 @@ def test_build_dataset_deterministic_and_sane():
 
 
 def test_samples_satisfy_invariants():
-    d = build_dataset(SMALL_GRID, CITY_A, 5, n_worlds=4, seqs_per_world=1,
-                      n_frames=3, utilisation=1.0, val_worlds=1, test_worlds=1)
-    for seq in d.sequences.values():
+    d = build_dataset(WorldConfig(n_worlds=4, n_frames=3, utilisation=1.0,
+                                  val_worlds=1, test_worlds=1), 5)
+    assert d.spec == SMALL_GRID
+    for sid, seq in d.sequences.items():
+        # one sequence per world: world index = sequence id
+        world = generate_world(mix64(5 ^ mix64(sid)), CITY_A)
         for s in seq.samples:
-            world = d.worlds[seq.world_index]
             again = rasterize_gt(world, s.pose, d.spec)
             assert np.array_equal(s.gt.values, again.values)
             assert s.observation.channels == 5
@@ -304,7 +317,7 @@ def test_build_sequence_rasterizes_each_frame_once(monkeypatch):
 
     monkeypatch.setattr("bevssl.world.rasterize_gt", counting)
     w = generate_world(3, CITY_A)
-    seq = build_sequence(w, 0, 0, 21, SMALL_GRID, n_frames=4)
+    seq = build_sequence(w, 0, 21, SMALL_GRID, 4, (0.0, 12.0))
     assert len(calls) == len(seq.samples) == 4
     assert [pose for _, pose, _ in calls] == [s.pose for s in seq.samples]
 
@@ -326,8 +339,7 @@ def test_raster_container_roundtrip(tmp_path):
 
 
 def test_dataset_export_import_roundtrip(tmp_path):
-    d = build_dataset(SMALL_GRID, CITY_A, 13, n_worlds=4, seqs_per_world=1,
-                      n_frames=3, utilisation=0.5, val_worlds=1, test_worlds=1)
+    d = small_dataset()
     export_dataset(tmp_path / "a", d)
     sid = d.split.labelled[0]
     seq = import_sequence(tmp_path / "a" / f"seq_{sid:04d}")
@@ -339,7 +351,7 @@ def test_dataset_export_import_roundtrip(tmp_path):
         assert abs(a.pose.x - b.pose.x) < 1e-15
         assert abs(a.pose.yaw - b.pose.yaw) < 1e-15
     # exporting the imported sequence writes the same bytes again
-    again = world_mod.Dataset(d.spec, d.worlds, {sid: seq}, d.split)
+    again = world_mod.Dataset(d.spec, {sid: seq}, d.split)
     export_dataset(tmp_path / "b", again)
     files = sorted(p.name for p in (tmp_path / "a" / f"seq_{sid:04d}").iterdir())
     assert len(files) == 2 * 3 + 1
@@ -667,7 +679,8 @@ def ref_build_dataset(spec, style, seed, *, n_worlds, seqs_per_world,
             sseed = mix64(seed ^ mix64(7777 + sid))
             cal = Calibration.draw(Stream(sseed).child("calibration"))
             frames = []
-            for idx, pose in generate_sequence(world, sseed, n_frames):
+            for idx, pose in generate_sequence(world, sseed, n_frames,
+                                               (0.0, 12.0)):
                 gt = rasterize_gt(world, pose, spec)
                 obs = render_observation(gt, style, mix64(sseed ^ mix64(1000 + idx)),
                                          cal)
@@ -676,18 +689,18 @@ def ref_build_dataset(spec, style, seed, *, n_worlds, seqs_per_world,
     return samples
 
 
-def small_dataset(spec=SMALL_GRID, style=CITY_A, seed=13, n_frames=3):
-    return build_dataset(spec, style, seed, n_worlds=4, seqs_per_world=1,
-                         n_frames=n_frames, utilisation=0.5, val_worlds=1,
-                         test_worlds=1)
+def small_dataset(grid_preset="small", style="city_A", seed=13):
+    return build_dataset(WorldConfig(
+        style=style, grid_preset=grid_preset, n_worlds=4, n_frames=3,
+        utilisation=0.5, val_worlds=1, test_worlds=1), seed)
 
 
 @pytest.mark.parametrize("style", ["city_A", "city_B"])
-@pytest.mark.parametrize("spec", [SMALL_GRID, PAPER_GRID],
-                         ids=["small", "paper"])
-def test_samples_read_back_the_uncompacted_frames(style, spec):
-    style_params = world_mod.STYLE_PRESETS[style]
-    d = small_dataset(spec, style_params, seed=29)
+@pytest.mark.parametrize("preset", ["small", "paper"])
+def test_samples_read_back_the_uncompacted_frames(style, preset):
+    spec, style_params = GRID_PRESETS[preset], world_mod.STYLE_PRESETS[style]
+    d = small_dataset(preset, style, seed=29)
+    assert d.spec == spec
     ref = ref_build_dataset(spec, style_params, 29, n_worlds=4,
                             seqs_per_world=1, n_frames=3)
     assert sorted(d.sequences) == sorted(ref)
@@ -826,17 +839,17 @@ def test_frames_are_held_compactly():
     float64 sensor planes and three bool GT planes, 35 bytes per cell, fail
     this bound at the +0.0 share of these frames."""
     spec = SMALL_GRID
-    kwargs = dict(n_worlds=4, seqs_per_world=2, utilisation=0.5,
-                  val_worlds=1, test_worlds=1)
-    build_dataset(spec, CITY_A, 3, n_frames=1, **kwargs)  # warm grid caches
+    cfg = WorldConfig(n_worlds=4, seqs_per_world=2, utilisation=0.5,
+                      val_worlds=1, test_worlds=1)
+    build_dataset(replace(cfg, n_frames=1), 3)  # warm grid caches
     gc.collect()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        short = build_dataset(spec, CITY_A, 3, n_frames=2, **kwargs)
+        short = build_dataset(replace(cfg, n_frames=2), 3)
         gc.collect()
         mid = tracemalloc.get_traced_memory()[0]
-        long = build_dataset(spec, CITY_A, 3, n_frames=6, **kwargs)
+        long = build_dataset(replace(cfg, n_frames=6), 3)
         gc.collect()
         end = tracemalloc.get_traced_memory()[0]
     finally:
