@@ -1,16 +1,20 @@
 """Dense float64 tensor core with taped reverse-mode differentiation.
 
-The op catalog is closed: every kind has a hand-written backward rule that is
-finite-difference tested on its own.  Forward values are recorded on a `Tape`
-when any input is differentiable; inference-style calls (no tape anywhere)
-pay no recording cost.  A forward rule that keeps arrays for its backward
-returns them next to its output, and the node saves them with its
-attributes.  `featsim`, the feature-similarity term, is one such op: in
-cosine mode it keeps three per-cell channel sums, not a product of its two
-maps; `focal`, the focal term, keeps only its targets and mask.  A
-parameter holds its values and, from its first `optimizer_step` on, its
-optimizer moments; gradients live in a name -> array dict that the caller
-of `backward` owns.
+The op catalog is closed, and it holds what the model and its objective run:
+`conv2d`, `sigmoid`, the two loss terms `featsim` and `focal`, and `wsum`,
+the weighted sum that combines terms.  Every kind has a hand-written
+backward rule that is finite-difference tested on its own.  `backward`
+seeds its root with a cotangent: a float for a scalar loss, or an array of
+the root's shape, which makes the call a vector-Jacobian product.  Forward
+values are recorded on a `Tape` when any input is differentiable;
+inference-style calls (no tape anywhere) pay no recording cost.  A forward
+rule that keeps arrays for its backward returns them next to its output,
+and the node saves them with its attributes.  `featsim`, the
+feature-similarity term, is one such op: in cosine mode it keeps three
+per-cell channel sums, not a product of its two maps; `focal`, the focal
+term, keeps only its targets and mask.  A parameter holds its values and,
+from its first `optimizer_step` on, its optimizer moments; gradients live
+in a name -> array dict that the caller of `backward` owns.
 
 The tape keeps no im2col columns: `conv2d` builds the columns of one band
 of output rows at a time in one module-level workspace that never grows past
@@ -54,9 +58,7 @@ from .errors import ConfigurationError, ContractError, NumericError
 
 LOG_CLAMP = 1e-12
 
-OP_KINDS = (
-    "add", "mul", "conv2d", "sigmoid", "sum", "scale", "featsim", "focal",
-)
+OP_KINDS = ("conv2d", "sigmoid", "featsim", "focal", "wsum")
 
 
 class Tensor:
@@ -172,18 +174,6 @@ def forward_op(kind: str, *inputs: Tensor, **attrs) -> Tensor:
 def _require(cond: bool, kind: str, msg: str) -> None:
     if not cond:
         raise ConfigurationError(f"op '{kind}': {msg}")
-
-
-def _fw_add(vals, attrs):
-    a, b = vals
-    _require(a.shape == b.shape, "add", f"shape mismatch {a.shape} vs {b.shape}")
-    return a + b
-
-
-def _fw_mul(vals, attrs):
-    a, b = vals
-    _require(a.shape == b.shape, "mul", f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 # One buffer for every conv's columns.  `_column_bands` fills it with one
@@ -591,12 +581,20 @@ def _fw_sigmoid(vals, attrs):
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
-def _fw_sum(vals, attrs):
-    return np.asarray(vals[0].sum())
-
-
-def _fw_scale(vals, attrs):
-    return vals[0] * float(attrs["factor"])
+def _fw_wsum(vals, attrs):
+    """sum_i w_i x_i over inputs of one shape, in input order; `weights`
+    holds one w_i per input, a float or a constant array of its shape."""
+    weights = attrs.get("weights", ())
+    _require(len(vals) == len(weights) > 0, "wsum",
+             f"{len(vals)} inputs for {len(weights)} weights")
+    out = None
+    for x, w in zip(vals, weights):
+        _require(x.shape == vals[0].shape, "wsum",
+                 f"shape mismatch {vals[0].shape} vs {x.shape}")
+        _require(np.ndim(w) == 0 or np.shape(w) == x.shape, "wsum",
+                 f"weight of shape {np.shape(w)} for a term of {x.shape}")
+        out = x * w if out is None else out + x * w
+    return out
 
 
 def _fw_featsim(vals, attrs):
@@ -659,23 +657,12 @@ def _fw_focal(vals, attrs):
 
 
 _FORWARD_RULES: dict[str, Callable] = {
-    "add": _fw_add, "mul": _fw_mul, "conv2d": _fw_conv2d,
-    "sigmoid": _fw_sigmoid, "sum": _fw_sum, "scale": _fw_scale,
-    "featsim": _fw_featsim, "focal": _fw_focal,
+    "conv2d": _fw_conv2d, "sigmoid": _fw_sigmoid, "featsim": _fw_featsim,
+    "focal": _fw_focal, "wsum": _fw_wsum,
 }
 
 
 # --------------------------------------------------------------- backward --
-
-def _bw_add(node, g, ins):
-    return [g, g]
-
-
-def _bw_mul(node, g, ins):
-    # a constant input gets no gradient: `backward` would drop it
-    need_a, need_b = node.input_needs
-    return [g * ins[1] if need_a else None, g * ins[0] if need_b else None]
-
 
 def _bw_upconv(node, g, x, w, need_dx, need_dw):
     n, ci, h, wd = x.shape
@@ -785,12 +772,10 @@ def _bw_featsim(node, g, ins):
     return [ds.reshape(s.shape), None]
 
 
-def _bw_sum(node, g, ins):
-    return [np.full(ins[0].shape, float(g))]
-
-
-def _bw_scale(node, g, ins):
-    return [g * float(node.saved["factor"])]
+def _bw_wsum(node, g, ins):
+    # a constant input gets no gradient: `backward` would drop it
+    return [g * w if need else None
+            for w, need in zip(node.saved["weights"], node.input_needs)]
 
 
 def _bw_focal(node, g, ins):
@@ -816,9 +801,8 @@ def _bw_focal(node, g, ins):
 
 
 _BACKWARD_RULES: dict[str, Callable] = {
-    "add": _bw_add, "mul": _bw_mul, "conv2d": _bw_conv2d,
-    "sigmoid": _bw_sigmoid, "sum": _bw_sum, "scale": _bw_scale,
-    "featsim": _bw_featsim, "focal": _bw_focal,
+    "conv2d": _bw_conv2d, "sigmoid": _bw_sigmoid, "featsim": _bw_featsim,
+    "focal": _bw_focal, "wsum": _bw_wsum,
 }
 
 
@@ -885,23 +869,30 @@ class ParamSet:
             p.values[...] = arr
 
 
-def backward(loss: Tensor, grads: dict[str, np.ndarray]) -> None:
-    """Add the gradient of a scalar loss into `grads`, in place, for each
-    parameter leaf whose name is a key.
+def backward(root: Tensor, grads: dict[str, np.ndarray],
+             cotangent=1.0) -> None:
+    """Add the vector-Jacobian product of `root` and `cotangent` into
+    `grads`, in place, for each parameter leaf whose name is a key.  A float
+    cotangent seeds a scalar root (a loss); an array of the root's shape
+    seeds any root.
 
-    Gradients accumulate: a caller that wants this loss's gradient alone
+    Gradients accumulate: a caller that wants this root's gradient alone
     passes zeros.  A loss split over several tapes is backpropagated one
     tape at a time, each adding its share."""
-    if loss.values.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if loss.tape is None or loss.node_id is None:
-        raise ContractError("loss is not on a tape")
+    if root.tape is None or root.node_id is None:
+        raise ContractError("backward root is not on a tape")
+    seed = np.asarray(cotangent, dtype=np.float64)
+    if seed.ndim == 0 and root.values.size == 1:
+        seed = np.full(root.shape, float(seed))
+    if seed.shape != root.shape:
+        raise ContractError(
+            f"cotangent of shape {seed.shape} for a root of shape "
+            f"{root.shape}: a non-scalar root needs an array of its shape")
 
-    tape = loss.tape
-    node_grads: dict[int, np.ndarray] = {
-        loss.node_id: np.ones_like(tape.nodes[loss.node_id].values)}
+    tape = root.tape
+    node_grads: dict[int, np.ndarray] = {root.node_id: seed}
 
-    for nid in range(loss.node_id, -1, -1):
+    for nid in range(root.node_id, -1, -1):
         # a node's gradient is dead once its rule has run
         g = node_grads.pop(nid, None)
         if g is None:
@@ -968,12 +959,14 @@ class FdReport:
 
 
 def finite_difference_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
-                            eps: float = 1e-5, tol: float = 1e-4) -> FdReport:
-    """Compare backward() gradients of f against central differences."""
+                            eps: float = 1e-5, tol: float = 1e-4,
+                            cotangent=1.0) -> FdReport:
+    """Compare the backward() gradients of sum(f * cotangent), f seeded with
+    `cotangent`, against its central differences."""
     if eps <= 0:
         raise ContractError("eps must be positive")
     analytic = {name: np.zeros_like(p.values) for name, p in params.items()}
-    backward(f(params), analytic)
+    backward(f(params), analytic, cotangent)
 
     report = FdReport(tol)
     for name, p in params.items():
@@ -983,11 +976,11 @@ def finite_difference_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = float(f(params).values)
+            up = (f(params).values * cotangent).sum()
             flat[i] = orig - eps
-            dn = float(f(params).values)
+            dn = (f(params).values * cotangent).sum()
             flat[i] = orig
-            fd = (up - dn) / (2.0 * eps)
+            fd = float(up - dn) / (2.0 * eps)
             denom = max(abs(fd), abs(ana[i]), 1e-6)
             rel = abs(fd - ana[i]) / denom
             if rel > worst:

@@ -29,7 +29,7 @@ from .autograd import (ParamSet, Tape, Tensor, backward, forward_op,
 from .errors import ConfigurationError, ContractError, check_fields
 from .geometry import Pose2, Raster, relative_pose, warp_raster
 from .losses import (LossMask, LossWeights, feature_similarity_loss,
-                     focal_loss, rampup_weight, total_loss)
+                     focal_loss, rampup_weight)
 from .model import ForwardTrace, ModelConfig, forward, init_params
 from .rng import Stream
 from .world import Dataset, Sample
@@ -295,6 +295,15 @@ class StepReport:
     pseudo_kept_frac: float
 
 
+def _added(values: list[float]) -> float:
+    """`values` added left to right from 0.0.  Not `sum`: from Python 3.12
+    on it compensates the rounding of float sums, so its last bits differ."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class Trainer:
     """One (student, optional teacher) pair bound to a dataset and configs."""
 
@@ -390,11 +399,13 @@ class Trainer:
                  for b in reversed(range(n_unsup))][::-1]
         sup = [self._sup_branch(st.child(f"sup{b}"))
                for b in reversed(range(self.batch_labelled))][::-1]
-        # the objective's value, summed in its order from the branch values
-        _, breakdown = total_loss(
-            [Tensor(v) for v in sup], [Tensor(u[0]) for u in unsup],
-            [Tensor(u[1]) for u in unsup if w_feat_eff > 0.0],
-            w_cls_eff, w_feat_eff)
+        # the objective's value, added up in its order from the branch
+        # values: the supervised terms, then the weighted pseudo-label terms,
+        # then the weighted feature terms
+        cls = [u[0] for u in unsup]
+        feat = [u[1] for u in unsup] if w_feat_eff > 0.0 else []
+        total = _added(sup + [w_cls_eff * v for v in cls]
+                       + [w_feat_eff * v for v in feat])
         kept = sum(u[2] for u in unsup)
         total_cells = sum(u[3] for u in unsup)
 
@@ -403,9 +414,8 @@ class Trainer:
         if self.teacher is not None:
             ema_update(self.teacher, self.student, self.optim.ema_keep)
         self.step_count += 1
-        return StepReport(step, breakdown["loss_total"], breakdown["loss_sup"],
-                          breakdown["loss_cls"], breakdown["loss_feat"],
-                          w_cls_eff, w_feat_eff,
+        return StepReport(step, total, _added(sup), _added(cls),
+                          _added(feat), w_cls_eff, w_feat_eff,
                           kept / total_cells if total_cells else 0.0)
 
     def _sup_branch(self, sb: Stream) -> float:
@@ -425,9 +435,9 @@ class Trainer:
     def _unsup_branch(self, su: Stream, w_cls: float, w_feat: float,
                       ) -> tuple[float, float, int, int]:
         """One unlabelled sample's pseudo-label and feature terms, weighted
-        and backpropagated on their own tape.  Returns the two unweighted
-        values (the feature term 0 when it is off), the included cells and
-        the candidate cells."""
+        by one `wsum` node and backpropagated on their own tape.  Returns
+        the two unweighted values (the feature term 0 when it is off), the
+        included cells and the candidate cells."""
         sample = self._pick(su.child("pick"), self.dataset.split.unlabelled)
         bundle, cur_trace, fusion = self._fused_pseudo(sample,
                                                        su.child("fusion"))
@@ -442,12 +452,13 @@ class Trainer:
         cls, n_inc = focal_loss(trace.probs, bundle.targets[None],
                                 mask.include[None], self.weights.focal_gamma,
                                 self.weights.focal_alpha)
-        feat = ([self._feat_term(trace, target)]
-                if target is not None else [])
-        loss, parts = total_loss([], [cls], feat, w_cls, w_feat)
+        feat = self._feat_term(trace, target) if target is not None else None
+        terms = (cls,) if feat is None else (cls, feat)
+        loss = forward_op("wsum", *terms, weights=(w_cls, w_feat)[:len(terms)])
         if loss.tape is not None:   # untaped when every cell is masked out
             backward(loss, self.grads)
-        return parts["loss_cls"], parts["loss_feat"], n_inc, mask.include.size
+        return (cls.item(), 0.0 if feat is None else feat.item(), n_inc,
+                mask.include.size)
 
     def _feat_target(self, teacher_trace: ForwardTrace,
                      fusion: FusionResult) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Loss terms: masked soft-target focal loss (one `focal` op),
-feature-similarity losses (one `featsim` op each), linear ramp-up weighting,
-and the combined training objective.
+feature-similarity losses (one `featsim` op each), and linear ramp-up
+weighting.  The trainer combines a sample's terms with their ramped weights
+in one `wsum` op.
 
 Excluded cells are multiplied by an exact zero before any reduction, so a
 loss value is bit-insensitive to predictions or targets at excluded cells.
@@ -74,28 +75,3 @@ def rampup_weight(step: int, total_steps: int, base: float,
         raise ContractError(f"step {step} outside [0, {total_steps}]")
     return base * min(1.0, step / (fraction * total_steps))
 
-
-def total_loss(sup_terms: list[Tensor], unsup_cls_terms: list[Tensor],
-               unsup_feat_terms: list[Tensor], w_cls: float,
-               w_feat: float) -> tuple[Tensor, dict]:
-    """Supervised sum plus the pseudo-label and feature terms scaled by their
-    (ramped) weights."""
-    total: Tensor | None = None
-
-    def accumulate(total, term):
-        return term if total is None else forward_op("add", total, term)
-
-    sup_val = cls_val = feat_val = 0.0
-    for t in sup_terms:
-        sup_val += t.item()
-        total = accumulate(total, t)
-    for t in unsup_cls_terms:
-        cls_val += t.item()
-        total = accumulate(total, forward_op("scale", t, factor=w_cls))
-    for t in unsup_feat_terms:
-        feat_val += t.item()
-        total = accumulate(total, forward_op("scale", t, factor=w_feat))
-    if total is None:
-        total = Tensor(np.zeros(()))
-    return total, {"loss_total": total.item(), "loss_sup": sup_val,
-                   "loss_cls": cls_val, "loss_feat": feat_val}

@@ -36,10 +36,10 @@ def dense_forward(params: ParamSet, observation: Raster | np.ndarray,
     x = bev_feats = _conv_block(params, tape, "lift", x, pad,
                                 expand=(2 ** len(cfg.enc_widths),), size=grid)
     if bev_drop_mask is not None:
-        # the lift is rectified (>= 0), so times the kept cells it is the
-        # lift with its dropped cells zeroed
+        # the lift is rectified (>= 0), so weighted by the kept cells it is
+        # the lift with its dropped cells zeroed
         keep = np.broadcast_to(~bev_drop_mask, x.shape).astype(np.float64)
-        x = forward_op("mul", x, Tensor(keep))
+        x = forward_op("wsum", x, weights=(keep,))
     for i in range(len(cfg.dec_widths)):
         x = _conv_block(params, tape, f"dec{i}", x, pad)
     logits = forward_op("conv2d", x, params.leaf(tape, "head.w"),

@@ -2,21 +2,25 @@
 replay check.
 
 Each case packs the differentiable inputs of one op into a ParamSet and
-returns a closure building `sum(op(...) * W)` for a fixed random weighting W,
-so transposition mistakes in backward rules cannot cancel out.  Besides one
-case per op kind there is a `relu` case: the conv2d op with `relu=True`, its
-pre-activations kept clear of the kink, a `compact` case: a conv2d reading
-its input upsampled (`expand=(f,)`) that writes only its distinct outputs
-(`compact=True`), feeding a conv2d that reads them as the full map
-(`expand=(f, k, k, pad)`), a `masked_expand` case: the same pair with cells
-of the full map dropped (`drop`), and a `chained_compact` case: two more
-compact convs after the compact upsampling one, the second reading a
-two-level compact map, and a conv that reads the three-level map at grid
-resolution.  The `featsim` case feeds the op a student map with cells
-zeroed by a constant 0/1 mask and a constant teacher map, with zero-vector
-cells on the student side, on the teacher side and on both.  The `focal`
-case feeds the op probabilities in [0.05, 0.95] against soft targets, with
-about a third of the cells excluded.
+returns a closure applying the op, with the cotangent that `backward` and
+`finite_difference_check` seed its output with: a fixed random probe W of
+the output's shape, so the check compares the gradient of sum(op(...) * W)
+and transposition mistakes in backward rules cannot cancel out, or 1.0 for
+a scalar output.  Besides one case per op kind there is a `relu` case: the
+conv2d op with `relu=True`, its pre-activations kept clear of the kink, a
+`compact` case: a conv2d reading its input upsampled (`expand=(f,)`) that
+writes only its distinct outputs (`compact=True`), feeding a conv2d that
+reads them as the full map (`expand=(f, k, k, pad)`), a `masked_expand`
+case: the same pair with cells of the full map dropped (`drop`), and a
+`chained_compact` case: two more compact convs after the compact upsampling
+one, the second reading a two-level compact map, and a conv that reads the
+three-level map at grid resolution.  The `wsum` case sums one to three
+inputs, one of them sometimes constant, each weighted by a float or by an
+array of its shape.  The `featsim` case feeds the op a student map with
+cells zeroed by a constant 0/1 weight and a constant teacher map, with
+zero-vector cells on the student side, on the teacher side and on both.
+The `focal` case feeds the op probabilities in [0.05, 0.95] against soft
+targets, with about a third of the cells excluded.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ def _arr(stream: Stream, shape, lo=-1.5, hi=1.5):
 
 
 def make_case(kind: str, stream: Stream):
-    """(params, f) such that f(params) is a scalar Tensor applying `kind`."""
+    """(params, f, cotangent): f(params) is a Tensor applying `kind`, and
+    `cotangent` seeds it (see the module docstring)."""
     if kind in ("compact", "masked_expand"):
         return _compact_case(stream, kind == "masked_expand")
     if kind == "chained_compact":
@@ -50,49 +55,57 @@ def make_case(kind: str, stream: Stream):
         return _featsim_case(stream)
     if kind == "focal":
         return _focal_case(stream)
+    if kind == "wsum":
+        return _wsum_case(stream)
     op = "conv2d" if kind == "relu" else kind
-    params = ParamSet()
     attrs: dict = {}
-    consts: dict = {}
-
-    if kind in ("add", "mul"):
-        shape = (stream.randrange(1, 4), stream.randrange(2, 6))
-        params.add("a", _arr(stream, shape))
-        params.add("b", _arr(stream, shape))
-        inputs = ("a", "b")
-    elif kind == "conv2d":
+    if kind == "conv2d":
         params, attrs = _conv_case(stream)
-        inputs = ("a", "b", "c")
     elif kind == "relu":
         while True:
             params, attrs = _conv_case(stream)
             if _clear_of_kink(params, attrs):
                 break
         attrs["relu"] = True
-        inputs = ("a", "b", "c")
-    elif kind in ("sigmoid", "sum"):
-        shape = (stream.randrange(2, 5), stream.randrange(2, 5))
-        params.add("a", _arr(stream, shape))
-        inputs = ("a",)
-    elif kind == "scale":
-        params.add("a", _arr(stream, (stream.randrange(2, 5),)))
-        attrs["factor"] = stream.uniform(-2.0, 2.0)
-        inputs = ("a",)
+    elif kind == "sigmoid":
+        params = ParamSet()
+        params.add("a", _arr(stream, (stream.randrange(2, 5),
+                                      stream.randrange(2, 5))))
     else:
         raise AssertionError(f"no case builder for op '{kind}'")
-
-    probe_shape = _out_shape(op, params, inputs, attrs)
-    consts["probe"] = _arr(stream, probe_shape, -1.0, 1.0)
+    inputs = params.names()
+    probe = _arr(stream, _out_shape(op, params, inputs, attrs), -1.0, 1.0)
 
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()
-        args = [ps.leaf(tape, name) for name in inputs]
-        out = forward_op(op, *args, **attrs)
-        if out.values.ndim == 0:
-            return out
-        return forward_op("sum", forward_op("mul", out, Tensor(consts["probe"])))
+        return forward_op(op, *(ps.leaf(tape, name) for name in inputs),
+                          **attrs)
 
-    return params, f
+    return params, f, probe
+
+
+def _wsum_case(stream: Stream):
+    """wsum of one to three inputs of one random shape, each weighted by a
+    float in [-2, 2] or by an array of its shape; with two or more inputs
+    the last is sometimes a constant."""
+    params = ParamSet()
+    shape = (stream.randrange(1, 4), stream.randrange(2, 6))
+    n = stream.randrange(1, 4)
+    const = _arr(stream, shape) if n > 1 and stream.randint(2) else None
+    for name in "abc"[:n - (const is not None)]:
+        params.add(name, _arr(stream, shape))
+    weights = tuple(_arr(stream, shape, -2.0, 2.0) if stream.randint(2)
+                    else stream.uniform(-2.0, 2.0) for _ in range(n))
+    probe = _arr(stream, shape, -1.0, 1.0)
+
+    def f(ps: ParamSet) -> Tensor:
+        tape = Tape()
+        terms = [ps.leaf(tape, name) for name in ps.names()]
+        if const is not None:
+            terms.append(Tensor(const))
+        return forward_op("wsum", *terms, weights=weights)
+
+    return params, f, probe
 
 
 def _conv_case(stream: Stream):
@@ -147,10 +160,9 @@ def _compact_case(stream: Stream, masked: bool):
         tape = Tape()
         a, b, c, d, e = (ps.leaf(tape, name) for name in "abcde")
         mid = forward_op("conv2d", a, b, c, compact=True, **lift)
-        out = forward_op("conv2d", mid, d, e, **read)
-        return forward_op("sum", forward_op("mul", out, Tensor(probe)))
+        return forward_op("conv2d", mid, d, e, **read)
 
-    return params, f
+    return params, f, probe
 
 
 def _chain_case(stream: Stream):
@@ -183,11 +195,10 @@ def _chain_case(stream: Stream):
             x = forward_op("conv2d", x, w, padding=k // 2, size=size,
                            expand=(up, *levels), compact=True)
             levels += (k, k, k // 2)
-        out = forward_op("conv2d", x, e, bias, padding=ks[3] // 2, size=size,
-                         expand=(up, *levels))
-        return forward_op("sum", forward_op("mul", out, Tensor(probe)))
+        return forward_op("conv2d", x, e, bias, padding=ks[3] // 2, size=size,
+                          expand=(up, *levels))
 
-    return params, f
+    return params, f, probe
 
 
 def zeroed_cells(stream: Stream, n: int, cells: int):
@@ -205,7 +216,7 @@ def zeroed_cells(stream: Stream, n: int, cells: int):
 def _featsim_case(stream: Stream):
     """The feature-similarity op on a student map `a` whose zeroed cells
     stay exactly zero under perturbation (a constant mask multiplies it)
-    and a constant teacher map, in either mode."""
+    and a constant teacher map, in either mode; a scalar, seeded with 1.0."""
     params = ParamSet()
     n, c = stream.randrange(1, 3), stream.randrange(2, 5)
     h, w = stream.randrange(2, 5), stream.randrange(2, 5)
@@ -217,10 +228,10 @@ def _featsim_case(stream: Stream):
 
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()
-        s = forward_op("mul", ps.leaf(tape, "a"), Tensor(keep_s))
+        s = forward_op("wsum", ps.leaf(tape, "a"), weights=(keep_s,))
         return forward_op("featsim", s, Tensor(target), mode=mode)
 
-    return params, f
+    return params, f, 1.0
 
 
 def _focal_case(stream: Stream):
@@ -241,7 +252,7 @@ def _focal_case(stream: Stream):
         return forward_op("focal", ps.leaf(Tape(), "a"), target=target,
                           include=include, gamma=gamma, alpha=alpha)
 
-    return params, f
+    return params, f, 1.0
 
 
 def _clear_of_kink(params, attrs):

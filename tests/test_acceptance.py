@@ -44,8 +44,9 @@ def test_criterion_1_gradient_correctness():
     worst = 0.0
     for kind in ALL_KINDS:
         for case in range(100):
-            params, f = make_case(kind, Stream(9000 + case).child(kind))
-            report = finite_difference_check(f, params, eps=1e-5, tol=1e-4)
+            params, f, cot = make_case(kind, Stream(9000 + case).child(kind))
+            report = finite_difference_check(f, params, eps=1e-5, tol=1e-4,
+                                             cotangent=cot)
             worst = max(worst, report.max_error)
             assert report.passed, (kind, case, report.failures[:3])
 

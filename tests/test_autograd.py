@@ -31,7 +31,7 @@ def test_relu_definition():
                      padding=0, relu=True)
     assert out.values.ravel().tolist() == [0.0, 0.0, 2.2]
     grads = zero_grads(ps)
-    backward(forward_op("sum", out), grads)
+    backward(out, grads, np.ones(out.shape))
     assert grads["x"].ravel().tolist() == [0.0, 0.0, 1.0]
     assert grads["b"].tolist() == [1.0]
 
@@ -72,21 +72,24 @@ def _scalar_param(values):
 
 
 def test_backward_sum_gives_ones():
+    """The gradient of sum(p), p seeded with a cotangent of ones."""
     ps = _scalar_param(np.arange(5.0))
     tape = Tape()
-    loss = forward_op("sum", ps.leaf(tape, "p"))
     grads = zero_grads(ps)
-    backward(loss, grads)
+    backward(ps.leaf(tape, "p"), grads, np.ones(5))
     assert np.array_equal(grads["p"], np.ones(5))
+
+
+def _mean_square(p):
+    """The mean of p^2, as the `featsim` op's mse mode against zeros."""
+    return forward_op("featsim", p, Tensor(np.zeros(p.shape)), mode="mse")
 
 
 def test_backward_mean_square_hand_oracle():
     vals = np.array([1.0, -2.0, 0.5, 3.0])
     ps = _scalar_param(vals)
     tape = Tape()
-    p = ps.leaf(tape, "p")
-    loss = forward_op("scale", forward_op("sum", forward_op("mul", p, p)),
-                      factor=1.0 / vals.size)
+    loss = _mean_square(ps.leaf(tape, "p"))
     grads = zero_grads(ps)
     backward(loss, grads)
     assert np.allclose(grads["p"], 2.0 * vals / vals.size, atol=1e-15)
@@ -97,7 +100,7 @@ def test_unreachable_parameter_gets_exact_zero():
     ps.add("used", np.array([2.0]))
     ps.add("unused", np.array([5.0, 1.0]))
     tape = Tape()
-    loss = forward_op("sum", ps.leaf(tape, "used"))
+    loss = forward_op("wsum", ps.leaf(tape, "used"), weights=(1.0,))
     grads = zero_grads(ps)
     backward(loss, grads)
     assert grads["unused"].tolist() == [0.0, 0.0]
@@ -105,29 +108,31 @@ def test_unreachable_parameter_gets_exact_zero():
 
 
 def test_gradient_handed_to_two_inputs_is_not_mutated():
-    """`add` hands one gradient array to both inputs; a later contribution
-    to one input must not change what the other receives."""
+    """`backward` adds what an input receives out of place: an input read
+    twice gets both shares, and neither the caller's cotangent nor an
+    earlier share changes."""
     ps = ParamSet()
     ps.add("a", np.array([0.5, -2.0]))
     ps.add("b", np.array([3.0, 1.0]))
     tape = Tape()
     a, b = ps.leaf(tape, "a"), ps.leaf(tape, "b")
-    sq = forward_op("mul", a, a)
-    loss = forward_op("sum", forward_op("add", forward_op("add", a, b), sq))
+    y = forward_op("wsum", a, b, a, weights=(1.0, 1.0, np.array([2.0, 3.0])))
+    cot = np.array([1.0, -1.0])
     grads = zero_grads(ps)
-    backward(loss, grads)
-    assert grads["a"].tolist() == [2.0, -3.0]
-    assert grads["b"].tolist() == [1.0, 1.0]
+    backward(y, grads, cot)
+    assert cot.tolist() == [1.0, -1.0]
+    assert grads["a"].tolist() == [3.0, -4.0]
+    assert grads["b"].tolist() == [1.0, -1.0]
 
 
-@pytest.mark.parametrize("kind", ["mul"])
+@pytest.mark.parametrize("kind", ["wsum"])
 def test_a_constant_second_input_gets_no_gradient(kind):
-    """The `mul` rule computes no gradient for a constant input, which
+    """The `wsum` rule computes no gradient for a constant input, which
     `backward` would drop."""
     ps = _scalar_param(np.array([0.5, -2.0]))
     tape = Tape()
     c = np.array([3.0, 1.0])
-    y = forward_op(kind, ps.leaf(tape, "p"), Tensor(c))
+    y = forward_op(kind, ps.leaf(tape, "p"), Tensor(c), weights=(c, 2.0))
     node = tape.nodes[y.node_id]
     assert node.input_needs == (True, False)
     g = np.array([2.0, -1.0])
@@ -143,12 +148,12 @@ def test_backward_drops_each_gradient_once_its_rule_has_run():
     tape = Tape()
     y = ps.leaf(tape, "p")
     for _ in range(20):
-        y = forward_op("scale", y, factor=0.9)
-    loss = forward_op("sum", y)
+        y = forward_op("wsum", y, weights=(0.9,))
+    cot = np.ones(y.shape)
     grads = zero_grads(ps)
     tracemalloc.start()
     try:
-        backward(loss, grads)
+        backward(y, grads, cot)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,30 +164,28 @@ def test_backward_drops_each_gradient_once_its_rule_has_run():
 def test_backward_adds_to_the_gradient():
     """Gradients accumulate: two backward calls on one tape leave twice the
     gradient of one."""
-    vals = np.array([1.0, -2.0, 0.5])
+    vals = np.array([1.0, -2.0, 0.5, 3.0])
     ps = _scalar_param(vals)
     tape = Tape()
-    p = ps.leaf(tape, "p")
-    loss = forward_op("sum", forward_op("mul", p, p))
+    loss = _mean_square(ps.leaf(tape, "p"))
     grads = zero_grads(ps)
     backward(loss, grads)
-    assert np.array_equal(grads["p"], 2.0 * vals)
+    assert np.array_equal(grads["p"], 0.5 * vals)
     backward(loss, grads)
-    assert np.array_equal(grads["p"], 4.0 * vals)
+    assert np.array_equal(grads["p"], vals)
 
 
 def test_backward_adds_only_into_the_dict_it_is_given():
     """`backward` writes into the dict it is handed, for the names it holds:
     a second zero dict stays zero, the parameters hold no gradient, and a
     dict without the name takes nothing."""
-    vals = np.array([1.0, -2.0, 0.5])
+    vals = np.array([1.0, -2.0, 0.5, 3.0])
     ps = _scalar_param(vals)
     tape = Tape()
-    p = ps.leaf(tape, "p")
-    loss = forward_op("sum", forward_op("mul", p, p))
+    loss = _mean_square(ps.leaf(tape, "p"))
     given, other = zero_grads(ps), zero_grads(ps)
     backward(loss, given)
-    assert np.array_equal(given["p"], 2.0 * vals)
+    assert np.array_equal(given["p"], 0.5 * vals)
     assert not other["p"].any()
     assert not hasattr(ps["p"], "grad")
     none = {}
@@ -191,25 +194,37 @@ def test_backward_adds_only_into_the_dict_it_is_given():
 
 
 def test_backward_requires_scalar_loss():
+    """A float seeds a scalar root only; an array cotangent must have the
+    root's shape."""
     ps = _scalar_param(np.ones(3))
     tape = Tape()
-    out = forward_op("scale", ps.leaf(tape, "p"), factor=2.0)
-    with pytest.raises(ContractError):
-        backward(out, zero_grads(ps))
+    out = forward_op("wsum", ps.leaf(tape, "p"), weights=(2.0,))
+    loss = _mean_square(out)
+    grads = zero_grads(ps)
+    for root, cot in ((out, 1.0), (out, np.ones(2)), (out, np.ones((3, 1))),
+                      (loss, np.ones(1)), (loss, np.ones(3))):
+        with pytest.raises(ContractError, match="cotangent"):
+            backward(root, grads, cot)
+    assert not grads["p"].any()
+    backward(out, grads, np.array([1.0, 0.0, -1.0]))
+    assert grads["p"].tolist() == [2.0, 0.0, -2.0]
+    with pytest.raises(ContractError, match="not on a tape"):
+        backward(Tensor(np.zeros(())), grads)
 
 
 def test_mixing_tapes_is_rejected_and_detach_works():
     ps = _scalar_param(np.array([1.5]))
     t1, t2 = Tape(), Tape()
-    hidden = forward_op("mul", ps.leaf(t1, "p"), ps.leaf(t1, "p"))
+    hidden = forward_op("sigmoid", ps.leaf(t1, "p"))
     with pytest.raises(ContractError, match="tape"):
-        forward_op("mul", hidden, ps.leaf(t2, "p"))
+        forward_op("wsum", hidden, ps.leaf(t2, "p"), weights=(1.0, 1.0))
     # detaching via a fresh Tensor keeps the value but blocks the gradient
-    loss = forward_op("sum", forward_op("mul", Tensor(hidden.values),
-                                        ps.leaf(t2, "p")))
+    loss = forward_op("wsum", Tensor(hidden.values), ps.leaf(t2, "p"),
+                      weights=(1.0, hidden.values))
+    assert loss.values.tolist() == [hidden.values[0] * 2.5]
     grads = zero_grads(ps)
     backward(loss, grads)
-    assert grads["p"].tolist() == [1.5 * 1.5]
+    assert grads["p"].tolist() == hidden.values.tolist()
 
 
 # ------------------------------------------------- finite-difference check --
@@ -217,8 +232,9 @@ def test_mixing_tapes_is_rejected_and_detach_works():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gradients_match_finite_differences(kind):
     for case in range(12):
-        params, f = make_case(kind, Stream(1000 + case).child(kind))
-        report = finite_difference_check(f, params, eps=1e-5, tol=1e-4)
+        params, f, cot = make_case(kind, Stream(1000 + case).child(kind))
+        report = finite_difference_check(f, params, eps=1e-5, tol=1e-4,
+                                         cotangent=cot)
         assert report.passed, (
             f"{kind} case {case}: max rel err {report.max_error:.3e}, "
             f"failures {report.failures[:3]}")
@@ -229,9 +245,7 @@ def test_fd_check_quadratic_tight():
 
     def f(p):
         tape = Tape()
-        x = p.leaf(tape, "p")
-        return forward_op("scale", forward_op("sum", forward_op("mul", x, x)),
-                          factor=1.0 / 3)
+        return _mean_square(p.leaf(tape, "p"))
 
     report = finite_difference_check(f, ps, eps=1e-5, tol=1e-4)
     assert report.max_error < 1e-6
@@ -241,26 +255,26 @@ def test_fd_check_constant_loss_exact():
     ps = _scalar_param(np.array([1.0, 2.0]))
 
     def f(p):
-        tape = Tape()
-        x = p.leaf(tape, "p")
-        zero = forward_op("scale", forward_op("sum", x), factor=0.0)
-        return zero
+        return forward_op("wsum", p.leaf(Tape(), "p"), weights=(0.0,))
 
-    report = finite_difference_check(f, ps, eps=1e-5, tol=1e-4)
+    report = finite_difference_check(f, ps, eps=1e-5, tol=1e-4,
+                                     cotangent=np.array([0.5, -1.0]))
     assert report.max_error == 0.0
 
 
 # ------------------------------------------------------------------- tape --
 
 def test_tape_replay_bit_identical():
-    params, f = make_case("conv2d", Stream(7).child("replay"))
+    params, f, _ = make_case("conv2d", Stream(7).child("replay"))
     loss = f(params)
     assert replay(loss.tape)
 
 
 def test_tape_topological_ids():
-    params, f = make_case("mul", Stream(9).child("topo"))
+    params, f, _ = make_case("chained_compact", Stream(9).child("topo"))
     loss = f(params)
+    # 6 leaves, bound as the 4 convs read them
+    assert len(loss.tape.nodes) == 10
     for nid, node in enumerate(loss.tape.nodes):
         assert all(i < nid for i in node.input_ids)
 
@@ -276,7 +290,7 @@ def _conv_grads(x, w, b, probe, **attrs):
     y = forward_op("conv2d", *(ps.leaf(tape, n) for n in ("x", "w", "b")),
                    **attrs)
     grads = zero_grads(ps)
-    backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), grads)
+    backward(y, grads, probe)
     return y.values, grads["x"], grads["w"], grads["b"]
 
 
@@ -507,7 +521,7 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
         else:
             y = forward_op("conv2d", forward_op("conv2d", x, w1, **lift), w2,
                            padding=pad)
-        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), grads)
+        backward(y, grads, probe)
         results.append((y.values, grads["x"], grads["w1"], grads["w2"]))
     dense, compact = results
     for name, g, wt in zip(("y", "dx", "dW1", "dW2"), compact, dense):
@@ -589,7 +603,7 @@ def test_compact_chain_matches_the_dense_chain(f, size, k, levels):
                 chain += (k, k, pad)
             y = forward_op("conv2d", y, ps.leaf(tape, name), **attrs)
         assert y.shape == (n, widths[-1], *size)
-        backward(forward_op("sum", forward_op("mul", y, Tensor(probe))), grads)
+        backward(y, grads, probe)
         results.append((y.values, *(grads[name] for name in ["x", *names])))
     dense, compact = results
     for name, g, wt in zip(("y", "dx", *names), compact, dense):
@@ -755,16 +769,24 @@ def test_expand_rejects_a_malformed_chain():
 # ---------------------------------------------------------------- errors ---
 
 def test_shape_mismatch_is_configuration_error():
-    with pytest.raises(ConfigurationError, match="add"):
-        forward_op("add", Tensor(np.ones(3)), Tensor(np.ones(4)))
+    with pytest.raises(ConfigurationError, match="wsum"):
+        forward_op("wsum", Tensor(np.ones(3)), Tensor(np.ones(4)),
+                   weights=(1.0, 1.0))
+    with pytest.raises(ConfigurationError, match="wsum"):
+        forward_op("wsum", Tensor(np.ones(3)), weights=(np.ones(4),))
+    with pytest.raises(ConfigurationError, match="wsum"):
+        forward_op("wsum", Tensor(np.ones(3)), weights=(1.0, 1.0))
     with pytest.raises(ConfigurationError):
         forward_op("conv2d", Tensor(np.ones((1, 2, 3, 3))),
                    Tensor(np.ones((1, 3, 3, 3))), padding=0)
 
 
 def test_nonfinite_output_is_numeric_error():
-    with pytest.raises(NumericError, match="scale"):
-        forward_op("scale", Tensor(np.array([1.0, 2.0])), factor=np.inf)
+    with pytest.raises(NumericError, match="wsum"):
+        forward_op("wsum", Tensor(np.array([1.0, 2.0])), weights=(np.inf,))
+    with pytest.raises(NumericError, match="wsum"):
+        forward_op("wsum", Tensor(np.ones(2)),
+                   weights=(np.array([1.0, np.nan]),))
     # checked before the in-place ReLU, which would turn -inf into 0
     with pytest.raises(NumericError, match="conv2d"):
         forward_op("conv2d", Tensor(np.ones((1, 1, 2, 2))),

@@ -8,7 +8,8 @@ import pytest
 
 from bevssl import augment, engine
 from bevssl.augment import AugmentConfig, bevdrop_mask, strong_augment
-from bevssl.autograd import Tape, Tensor, backward, optimizer_step
+from bevssl.autograd import (OP_KINDS, Tape, Tensor, backward, forward_op,
+                             optimizer_step)
 from bevssl.engine import (OptimConfig, SslConfig, StepReport, Trainer,
                            draw_fusion_distance, ema_update, fuse_teacher,
                            make_pseudo_labels, prob_logit,
@@ -16,7 +17,7 @@ from bevssl.engine import (OptimConfig, SslConfig, StepReport, Trainer,
                            trajectory_distances)
 from bevssl.errors import ConfigurationError, ContractError
 from bevssl.geometry import GridSpec, Pose2, Raster, SMALL_GRID, warp_raster
-from bevssl.losses import LossWeights, focal_loss, rampup_weight, total_loss
+from bevssl.losses import LossWeights, focal_loss, rampup_weight
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 from bevssl.world import Sample, WorldConfig, build_dataset
@@ -585,6 +586,14 @@ def _ref_trace_view(trace: ForwardTrace, k: int,
     return ForwardTrace(*(pick(getattr(trace, f)) for f in TRACE_FIELDS))
 
 
+def _added(terms) -> float:
+    """The terms' values added left to right from 0.0."""
+    total = 0.0
+    for t in terms:
+        total += t.item()
+    return total
+
+
 class _OneTapeTrainer(Trainer):
     def _fused_pseudo(self, sample, stream):
         cfg = self.ssl_cfg
@@ -651,16 +660,19 @@ class _OneTapeTrainer(Trainer):
                 if w_feat > 0.0:
                     feat_terms.append(self._feat_term(
                         trace, self._feat_target(cur_trace, fusion)))
-        total, parts = total_loss(sup_terms, cls_terms, feat_terms, w_cls,
-                                  w_feat)
+        # the objective as one weighted sum on the one tape
+        total = forward_op("wsum", *sup_terms, *cls_terms, *feat_terms,
+                           weights=((1.0,) * len(sup_terms)
+                                    + (w_cls,) * len(cls_terms)
+                                    + (w_feat,) * len(feat_terms)))
         grads = zero_grads(self.student)
         backward(total, grads)
         optimizer_step(self.student, grads, self.optim.lr, self.optim.wd,
                        self.optim.betas, step + 1)
         ema_update(self.teacher, self.student, self.optim.ema_keep)
         self.step_count += 1
-        return StepReport(step, parts["loss_total"], parts["loss_sup"],
-                          parts["loss_cls"], parts["loss_feat"], w_cls, w_feat,
+        return StepReport(step, total.item(), _added(sup_terms),
+                          _added(cls_terms), _added(feat_terms), w_cls, w_feat,
                           kept / total_cells if total_cells else 0.0)
 
 
@@ -822,6 +834,37 @@ def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
     for i, node in enumerate(tape.nodes):
         if i != tid and node.values.shape == target.values.shape:
             assert node.kind == "conv2d", (i, node.kind)
+
+
+def test_the_catalog_is_what_the_program_runs(monkeypatch):
+    """A supervised step and an SSL step with fusion and the feature term
+    record, over all their tapes, exactly the kinds in `OP_KINDS`.  On an
+    unlabelled sample's tape one node sits above its `focal` and `featsim`
+    nodes: the `wsum` root that weights them."""
+    tapes = []
+
+    def spy(loss, grads):
+        tapes.append(loss.tape)
+        backward(loss, grads)
+
+    monkeypatch.setattr(engine, "backward", spy)
+    ds = _tiny_dataset()
+    _mk_trainer(ds, ssl=False).train_step()
+    tr = _mk_trainer(ds, total=12, ssl_cfg=SslConfig(threshold=None))
+    for _ in range(2):   # the second step runs the unlabelled branch
+        report = tr.train_step()
+    assert report.w_cls > 0.0 and report.w_feat > 0.0
+    kinds = {node.kind for tape in tapes for node in tape.nodes}
+    assert kinds == {"leaf", *OP_KINDS}
+    (tape,) = [t for t in tapes if any(n.kind == "featsim" for n in t.nodes)]
+    ops = [(i, n) for i, n in enumerate(tape.nodes) if n.kind != "leaf"]
+    (fid,) = [i for i, n in ops if n.kind == "focal"]
+    above = [n for i, n in ops if i > fid]
+    assert [n.kind for n in above] == ["featsim", "wsum"]
+    root = above[-1]
+    assert root is tape.nodes[-1]
+    assert root.input_ids == (fid, tape.nodes.index(above[0]))
+    assert root.saved["weights"] == (report.w_cls, report.w_feat)
 
 
 def test_teacher_trace_is_dropped_before_the_student_forward(monkeypatch):

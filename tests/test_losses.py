@@ -1,16 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bevssl.augment import AugmentConfig
 from bevssl.autograd import ParamSet, Tape, Tensor, backward, forward_op
-from bevssl.engine import SslConfig
+from bevssl.engine import OptimConfig, SslConfig, Trainer
 from bevssl.errors import ConfigurationError, ContractError
-from bevssl.losses import (feature_similarity_loss, focal_loss, rampup_weight,
-                           total_loss)
+from bevssl.geometry import SMALL_GRID
+from bevssl.losses import (LossWeights, feature_similarity_loss, focal_loss,
+                           rampup_weight)
+from bevssl.model import ModelConfig
 from bevssl.rng import Stream
+from bevssl.world import Dataset, DatasetSplit
 
 from helpers_fd import zero_grads, zeroed_cells
+
+
+TINY = ModelConfig(enc_widths=(4,), lift_channels=4, dec_widths=(4,))
 
 
 def _prob_tensor(values):
@@ -317,43 +325,66 @@ def test_rampup_contract():
         rampup_weight(-1, 10, 1.0)
 
 
-# -------------------------------------------------------------- total loss --
+# ------------------------------------------------- a step's total loss --
+# `Trainer.train_step` adds its loss breakdown up from the branch values in
+# the objective's order.  The branches are stubbed with constants, so these
+# tests read the breakdown alone.
 
-def _const_loss(x):
-    return Tensor(np.asarray(x, dtype=float))
+def _stub_trainer(ssl_cfg, total_steps, sup, unsup=None, ssl=True):
+    """A trainer whose labelled branches return the values `sup` in turn
+    and whose unlabelled branch returns `unsup` (cls, feat, kept, cells)."""
+    split = DatasetSplit(labelled=[0], unlabelled=[1], val=[], test=[])
+    tr = Trainer(Dataset(SMALL_GRID, {}, split), TINY, LossWeights(),
+                 AugmentConfig(), ssl_cfg, OptimConfig(), seed=0,
+                 total_steps=total_steps, ssl=ssl, batch_labelled=len(sup),
+                 batch_unlabelled=2)
+    values = iter(sup[::-1])   # the branches run in reverse order
+
+    def unsup_branch(stream, w_cls, w_feat):
+        assert unsup is not None, "the unlabelled branch ran"
+        return unsup
+
+    tr._sup_branch = lambda stream: next(values)
+    tr._unsup_branch = unsup_branch
+    return tr
 
 
-def _ramped(cfg, step, total_steps):
-    """The (w_cls, w_feat) a training step passes to `total_loss`."""
-    return (rampup_weight(step, total_steps, cfg.w_cls, cfg.rampup_fraction),
-            rampup_weight(step, total_steps, cfg.w_feat, cfg.rampup_fraction))
+def _report_at(tr, step):
+    tr.step_count = step
+    return tr.train_step()
 
 
 def test_total_loss_supervised_only():
-    total, bd = total_loss([_const_loss(1.5)], [], [],
-                           *_ramped(SslConfig(), 200, 300))
-    assert total.item() == 1.5
-    assert bd["loss_cls"] == 0.0
+    rep = _report_at(_stub_trainer(SslConfig(), 300, [1.5, 0.25], ssl=False),
+                     200)
+    assert rep.loss_total == rep.loss_sup == 1.75
+    assert rep.loss_cls == rep.loss_feat == 0.0
+    assert (rep.w_cls, rep.w_feat) == (0.0, 0.0)
 
 
 def test_total_loss_step_zero_masks_unsup():
-    w = _ramped(SslConfig(), 0, 300)
-    total, _ = total_loss([_const_loss(1.0)], [_const_loss(7.0)],
-                          [_const_loss(3.0)], *w)
-    assert total.item() == 1.0
-    assert w == (0.0, 0.0)
+    rep = _report_at(_stub_trainer(SslConfig(), 300, [1.0]), 0)
+    assert rep.loss_total == 1.0
+    assert (rep.w_cls, rep.w_feat) == (0.0, 0.0)
+    assert rep.loss_cls == rep.loss_feat == rep.pseudo_kept_frac == 0.0
 
 
 def test_total_loss_weighted_sum_example():
-    # sum(sup) + w_cls * sum(cls) + w_feat * sum(feat), ramp complete
-    w = SslConfig(w_cls=1.0, w_feat=0.25)
-    total, _ = total_loss([_const_loss(1.0)], [_const_loss(2.0)],
-                          [_const_loss(4.0)], *_ramped(w, 250, 300))
-    assert abs(total.item() - (1.0 + 1.0 * 2.0 + 0.25 * 4.0)) < 1e-12
-    assert _ramped(w, 250, 300) == (1.0, 0.25)
-    half, _ = total_loss([_const_loss(1.0)], [_const_loss(2.0)],
-                         [_const_loss(4.0)], *_ramped(w, 50, 300))
-    assert abs(half.item() - (1.0 + 0.5 * 2.0 + 0.125 * 4.0)) < 1e-12
+    # sum(sup) + w_cls * sum(cls) + w_feat * sum(feat), in that order
+    cfg = SslConfig(w_cls=1.0, w_feat=0.25)
+    full = _report_at(_stub_trainer(cfg, 300, [1.0], (2.0, 4.0, 3, 4)), 250)
+    assert (full.w_cls, full.w_feat) == (1.0, 0.25)
+    assert (full.loss_sup, full.loss_cls, full.loss_feat) == (1.0, 4.0, 8.0)
+    assert full.loss_total == 1.0 + 1.0 * 2.0 + 1.0 * 2.0 + 0.25 * 4.0 * 2
+    assert full.pseudo_kept_frac == 0.75
+    half = _report_at(_stub_trainer(cfg, 300, [1.0], (2.0, 4.0, 3, 4)), 50)
+    assert (half.w_cls, half.w_feat) == (0.5, 0.125)
+    assert half.loss_total == ((((1.0 + 0.5 * 2.0) + 0.5 * 2.0)
+                                + 0.125 * 4.0) + 0.125 * 4.0)
+    # without the feature term its value is left out of the breakdown
+    off = _report_at(_stub_trainer(replace(cfg, w_feat=0.0), 300, [1.0],
+                                   (2.0, 4.0, 3, 4)), 250)
+    assert off.loss_feat == 0.0 and off.loss_total == 5.0
 
 
 def test_loss_weights_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bevssl import model
-from bevssl.autograd import (Tape, Tensor, backward, distinct_outputs,
+from bevssl.autograd import (Tape, backward, distinct_outputs,
                              finite_difference_check, forward_op)
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import GridSpec
@@ -167,12 +167,11 @@ def test_forward_differentiable_on_8x8_grid():
     obs = _obs(Stream(11), 8, 8)
 
     def f(ps):
-        tape = Tape()
-        trace = forward(ps, obs, None, tape, cfg)
-        return forward_op("scale", forward_op("sum", trace.probs),
-                          factor=1.0 / trace.probs.values.size)
+        return forward(ps, obs, None, Tape(), cfg).probs
 
-    report = finite_difference_check(f, params, eps=1e-5, tol=1e-4)
+    mean = np.full((1, 3, 8, 8), 1.0 / (3 * 8 * 8))
+    report = finite_difference_check(f, params, eps=1e-5, tol=1e-4,
+                                     cotangent=mean)
     assert report.passed, f"max rel err {report.max_error}"
 
 
@@ -317,20 +316,15 @@ def test_compact_path_matches_the_dense_path(rows, cols):
 def _trace_and_grads(params, obs, drop, cfg=TINY,
                      fields=("logits", "bev_feats"), run=forward):
     """The forward trace of `run`, and every parameter's gradient of a
-    random weighting of the trace's `fields`."""
+    random weighting of the trace's `fields`: each field seeded with its
+    probe, on the one tape."""
     tape = Tape()
     trace = run(params, obs, drop, tape, cfg)
-    terms = []
+    grads = zero_grads(params)
     for i, field in enumerate(fields):
         t = getattr(trace, field)
         probe = Stream(12).child(i).uniforms(t.values.size, -1, 1)
-        terms.append(forward_op("sum", forward_op(
-            "mul", t, Tensor(probe.reshape(t.shape)))))
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = forward_op("add", loss, term)
-    grads = zero_grads(params)
-    backward(loss, grads)
+        backward(t, grads, probe.reshape(t.shape))
     return trace, grads
 
 
