@@ -29,10 +29,10 @@ from .errors import ConfigurationError, check_fields
 from .geometry import GRID_PRESETS
 from .losses import LossWeights
 from .model import ModelConfig, forward, init_params
-from .rng import Stream, mix64
+from .rng import Stream
 from .world import (CLASS_NAMES, N_CLASSES, Dataset, DatasetSplit,
                     STYLE_PRESETS, WorldConfig, build_dataset,
-                    build_sequences, generate_world)
+                    build_sequences, generate_worlds, make_splits)
 
 _FORK = multiprocessing.get_context("fork")
 METRICS_HEADER = ("scenario,variant,seed,step,split,class,iou,miou,"
@@ -158,6 +158,9 @@ class EvalConfig:
     adapt_unlabelled_counts: tuple[int, ...] = (0, 8, 32)
 
     def __post_init__(self):
+        names = [f"{u:g}" for u in self.sweep_utilisations]   # as in variants
+        alike = [u for u, n in zip(self.sweep_utilisations, names)
+                 if names.count(n) > 1]
         check_fields("eval", self, (
             *_each(self, ("seeds", "sweep_utilisations",
                           "adapt_unlabelled_counts"),
@@ -166,6 +169,8 @@ class EvalConfig:
             ("sweep_utilisations",
              all(0 < u <= 1 for u in self.sweep_utilisations),
              "in (0, 1] each"),
+            ("sweep_utilisations", not alike, "distinct as variant names "
+             f"print them ({{u:g}}): {alike} print alike"),
             ("adapt_target_style", self.adapt_target_style in STYLE_PRESETS,
              f"one of {sorted(STYLE_PRESETS)}"),
             ("adapt_source_worlds", self.adapt_source_worlds >= 1, ">= 1"),
@@ -289,6 +294,7 @@ class Variant:
     overrides: dict = field(default_factory=dict)   # `ssl`-section fields
     utilisation: float | None = None
     adapt_unlabelled: int | None = None
+    adapt_oracle: bool = False   # the target pool labelled
 
 
 @dataclass
@@ -321,55 +327,47 @@ def _pseudo_for(spec: RunSpec) -> SslConfig:
     return replace(spec.cfg.ssl, **spec.variant.overrides)
 
 
-_DATASET_CACHE: dict = {}   # the last dataset built
+_DATASET_CACHE: dict = {}   # the frames built last
 
 
 def _build_run_dataset(spec: RunSpec) -> Dataset:
-    w, ev = spec.cfg.world, spec.cfg.eval
-    if spec.variant.utilisation is not None:
-        w = replace(w, utilisation=spec.variant.utilisation)
+    """The run's frames, shared by every variant of its seed, and its split."""
+    w, ev = replace(spec.cfg.world, utilisation=1.0), spec.cfg.eval
     adapt = spec.variant.adapt_unlabelled is not None
     data_seed = Stream(spec.seed).child("data").seed
+    n_pool = max(ev.adapt_unlabelled_counts)
     key = (w, data_seed, (ev.adapt_target_style, ev.adapt_source_worlds,
-                          max(ev.adapt_unlabelled_counts)) if adapt else None)
+                          n_pool) if adapt else None)
     if key not in _DATASET_CACHE:
         _DATASET_CACHE.clear()
-        if adapt:
-            # source-style worlds, then the target-style pool and the val
-            # and test worlds; each variant takes its own split below
-            n_tgt = (max(ev.adapt_unlabelled_counts) + w.val_worlds
-                     + w.test_worlds)
-            worlds = ([generate_world(mix64(data_seed ^ mix64(i)),
-                                      STYLE_PRESETS[w.style])
-                       for i in range(ev.adapt_source_worlds)]
-                      + [generate_world(mix64(data_seed ^ mix64(50000 + i)),
-                                        STYLE_PRESETS[ev.adapt_target_style])
-                         for i in range(n_tgt)])
-            _DATASET_CACHE[key] = Dataset(
-                GRID_PRESETS[w.grid_preset],
-                build_sequences(worlds, data_seed, w), None)
+        if adapt:   # source-city worlds, then the target-city pool, val, test
+            worlds = (generate_worlds(data_seed, w.style, ev.adapt_source_worlds)
+                      + generate_worlds(data_seed, ev.adapt_target_style,
+                                        n_pool + w.val_worlds + w.test_worlds,
+                                        first=50000))
+            _DATASET_CACHE[key] = Dataset(GRID_PRESETS[w.grid_preset],
+                                          build_sequences(worlds, data_seed, w),
+                                          None)
         else:
             _DATASET_CACHE[key] = build_dataset(w, data_seed)
-    dataset = _DATASET_CACHE[key]
-    if adapt:
-        return replace(dataset, split=_adapt_split(spec, data_seed))
-    return dataset
+    return replace(_DATASET_CACHE[key], split=_run_split(spec, data_seed))
 
 
-def _adapt_split(spec: RunSpec, data_seed: int) -> DatasetSplit:
-    """Labelled source worlds plus the variant's share of the target pool."""
-    w, ev = spec.cfg.world, spec.cfg.eval
-    n_src, n_target = ev.adapt_source_worlds, max(ev.adapt_unlabelled_counts)
-    tgt_train = list(range(n_src, n_src + n_target))
-    order = Stream(data_seed).child("adapt-pick").permutation(n_target)
-    n_use = spec.variant.adapt_unlabelled or 0
-    unlabelled = sorted(tgt_train[i] for i in order[:n_use])
-    val_lo = n_src + n_target
-    return DatasetSplit(
-        labelled=list(range(n_src)), unlabelled=unlabelled,
-        val=list(range(val_lo, val_lo + w.val_worlds)),
-        test=list(range(val_lo + w.val_worlds, val_lo + w.val_worlds
-                        + w.test_worlds)))
+def _run_split(spec: RunSpec, data_seed: int) -> DatasetSplit:
+    """`make_splits` at the variant's utilisation; for city adaptation, the
+    source worlds labelled and the variant's draw from the target pool
+    unlabelled, or the whole pool labelled for the oracle."""
+    w, ev, v = spec.cfg.world, spec.cfg.eval, spec.variant
+    if v.adapt_unlabelled is None:
+        return make_splits(w if v.utilisation is None
+                           else replace(w, utilisation=v.utilisation), data_seed)
+    n_src, n_pool = ev.adapt_source_worlds, max(ev.adapt_unlabelled_counts)
+    pool = range(n_src, n_src + n_pool)
+    order = Stream(data_seed).child("adapt-pick").permutation(n_pool)
+    val = range(pool.stop, pool.stop + w.val_worlds)
+    return DatasetSplit(list(range(val.start if v.adapt_oracle else n_src)),
+                        sorted(pool[i] for i in order[:v.adapt_unlabelled]),
+                        list(val), list(range(val.stop, val.stop + w.test_worlds)))
 
 
 def run_one(spec: RunSpec, out) -> RunResult:
@@ -544,7 +542,8 @@ SCENARIOS = {
         for u in cfg.eval.sweep_utilisations for name in ("supervised", "ssl")
         if u < 1.0 or name == "supervised"],
     "city-adapt": lambda cfg: [Variant(f"adapt@{n}", adapt_unlabelled=n)
-                               for n in cfg.eval.adapt_unlabelled_counts],
+                               for n in cfg.eval.adapt_unlabelled_counts]
+    + [Variant("adapt@oracle", adapt_unlabelled=0, adapt_oracle=True)],
     "components": components_variants,
     "augmentations": augmentation_variants,
     "threshold": threshold_variants,

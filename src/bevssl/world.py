@@ -812,14 +812,20 @@ def build_sequences(worlds: list[WorldMap], seed: int,
     return sequences
 
 
+def generate_worlds(seed: int, style: str, count: int, first: int = 0,
+                    ) -> list[WorldMap]:
+    """`count` worlds of the named style, world i seeded from `seed` and
+    its index `first + i`."""
+    return [generate_world(mix64(seed ^ mix64(first + i)), STYLE_PRESETS[style])
+            for i in range(count)]
+
+
 def build_dataset(cfg: WorldConfig, seed: int) -> Dataset:
     """Deterministic dataset from one seed.  The split comes first, so
     counts that cannot split fail before any world is built."""
     split = make_splits(cfg, seed)
-    worlds = [generate_world(mix64(seed ^ mix64(wi)), STYLE_PRESETS[cfg.style])
-              for wi in range(cfg.n_worlds)]
-    return Dataset(GRID_PRESETS[cfg.grid_preset],
-                   build_sequences(worlds, seed, cfg), split)
+    return Dataset(GRID_PRESETS[cfg.grid_preset], build_sequences(
+        generate_worlds(seed, cfg.style, cfg.n_worlds), seed, cfg), split)
 
 
 # -------------------------------------------------------- raster container --

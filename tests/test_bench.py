@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bevssl import bench
+from bevssl.autograd import load_checkpoint
 from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           _pseudo_for, _weights_for, canonical_json,
                           config_from_dict, evaluate_pairs, expand_runs,
@@ -22,7 +23,8 @@ from bevssl.errors import ConfigurationError, NumericError
 from bevssl.losses import LossWeights
 from bevssl.model import ModelConfig
 from bevssl.rng import Stream, mix64
-from bevssl.world import CITY_A, CITY_B, generate_world, rasterize_gt
+from bevssl.world import (CITY_A, CITY_B, generate_world, make_splits,
+                          rasterize_gt)
 
 TINY_MODEL = dict(enc_widths=[3, 4], lift_channels=4, dec_widths=[4])
 
@@ -240,9 +242,18 @@ def test_label_sweep_variants():
     assert "ssl@1" not in names  # nothing unlabelled at full utilisation
 
 
+def test_sweep_utilisations_that_print_alike_are_rejected():
+    """Two entries that one variant name prints would write one run's
+    files over the other's and merge their aggregates."""
+    with pytest.raises(ConfigurationError,
+                       match=r"\[0\.1, 0\.1000001\] print alike"):
+        config_from_dict({"eval": {"sweep_utilisations": [0.5, 0.1,
+                                                          0.1000001]}})
+
+
 def _adapt_datasets(cfg):
     bench._DATASET_CACHE.clear()
-    return {v.adapt_unlabelled: bench._build_run_dataset(
+    return {v.name: bench._build_run_dataset(
         RunSpec(cfg.name, v, cfg.eval.seeds[0], cfg))
         for v in scenario_variants(cfg)}
 
@@ -253,7 +264,7 @@ def test_adapt_dataset_splits_source_and_target_worlds():
         eval={"seeds": [0], "adapt_source_worlds": 2,
               "adapt_unlabelled_counts": [0, 2]})
     built = _adapt_datasets(cfg)
-    assert sorted(built) == [0, 2]
+    assert list(built) == ["adapt@0", "adapt@2", "adapt@oracle"]
     # worlds 0-1 are the source city, 2-3 the target-city training pool,
     # 4 and 5 the target-city val and test worlds; each world is rebuilt
     # from its seed and style, and every frame's GT must be its map's
@@ -262,28 +273,97 @@ def test_adapt_dataset_splits_source_and_target_worlds():
                for i in range(2)]
               + [generate_world(mix64(data_seed ^ mix64(50000 + i)), CITY_B)
                  for i in range(4)])
-    for n, ds in built.items():
+    for name, ds in built.items():
         assert sorted(ds.sequences) == list(range(6))
         for sid, seq in ds.sequences.items():
             for s in seq.samples:
                 assert np.array_equal(
                     s.gt.values,
                     rasterize_gt(worlds[sid], s.pose, ds.spec).values), sid
-        assert ds.split.labelled == [0, 1]
-        assert len(ds.split.unlabelled) == n
-        assert set(ds.split.unlabelled) <= {2, 3}
         assert (ds.split.val, ds.split.test) == ([4], [5])
         assert all(len(seq.samples) == 3 for seq in ds.sequences.values())
+    for n in (0, 2):
+        split = built[f"adapt@{n}"].split
+        assert split.labelled == [0, 1]
+        assert len(split.unlabelled) == n
+        assert set(split.unlabelled) <= {2, 3}
+    # the oracle labels the source worlds and the whole target pool
+    oracle = built["adapt@oracle"].split
+    assert (oracle.labelled, oracle.unlabelled) == ([0, 1, 2, 3], [])
+    # every variant of the seed reads the same frames
+    assert all(ds.sequences is built["adapt@0"].sequences
+               for ds in built.values())
 
     again = _adapt_datasets(cfg)
-    for n, ds in built.items():
-        assert again[n].split == ds.split
+    for name, ds in built.items():
+        assert again[name].split == ds.split
         for sid, seq in ds.sequences.items():
-            for a, b in zip(seq.samples, again[n].sequences[sid].samples):
+            for a, b in zip(seq.samples, again[name].sequences[sid].samples):
                 assert a.pose == b.pose
                 assert np.array_equal(a.observation.values,
                                       b.observation.values)
                 assert np.array_equal(a.gt.values, b.gt.values)
+
+
+def test_adapt_oracle_trains_without_a_teacher(tmp_path):
+    """With nothing unlabelled the oracle trains its student alone, on the
+    strongly augmented labelled branch every `adapt@n` run takes."""
+    cfg = tiny_config("city-adapt", world={
+        "n_frames": 3, "val_worlds": 1, "test_worlds": 1},
+        train={"total_steps": 2, "eval_every": 1,
+               "batch_labelled": 1, "batch_unlabelled": 1},
+        eval={"seeds": [0], "adapt_source_worlds": 2,
+              "adapt_unlabelled_counts": [0, 2]})
+    (spec,) = [s for s in expand_runs(cfg) if s.variant.name == "adapt@oracle"]
+    assert spec.variant.ssl
+    assert run_one(spec, tmp_path).error is None
+    log = read_train_log(tmp_path / "train_log_adapt@oracle_s0.csv")
+    assert all(float(row["loss_cls"]) == 0.0 for row in log)
+    ckpt = load_checkpoint(tmp_path / "run_adapt@oracle_s0.ckpt")
+    assert not any(k.startswith("teacher.") for k in ckpt)
+
+
+def test_label_sweep_builds_frames_once_per_seed(monkeypatch, tmp_path):
+    cfg = tiny_config("label-sweep", eval={
+        "seeds": [0, 1], "sweep_utilisations": [0.34, 0.67, 1.0]},
+        train={"total_steps": 2, "eval_every": 1,
+               "batch_labelled": 1, "batch_unlabelled": 1})
+    builds, splits = [], []
+    real_build, real_run_dataset = bench.build_dataset, bench._build_run_dataset
+
+    def run_dataset(spec):
+        dataset = real_run_dataset(spec)
+        splits.append((spec, dataset.split))
+        return dataset
+
+    monkeypatch.setattr(bench, "build_dataset",
+                        lambda *a: builds.append(a) or real_build(*a))
+    monkeypatch.setattr(bench, "_build_run_dataset", run_dataset)
+    bench._DATASET_CACHE.clear()
+    table = run_scenario(cfg, tmp_path)
+    assert not table.errors and len(table.results) == 5 * 2
+    assert len(builds) == 2   # one per seed, not one per utilisation
+    assert len(splits) == 10
+    for spec, split in splits:
+        assert split == make_splits(
+            replace(cfg.world, utilisation=spec.variant.utilisation),
+            Stream(spec.seed).child("data").seed), spec.variant.name
+
+
+def test_clearing_the_dataset_cache_forces_a_build(monkeypatch):
+    cfg = tiny_config()
+    spec = expand_runs(cfg)[0]
+    builds = []
+    real_build = bench.build_dataset
+    monkeypatch.setattr(bench, "build_dataset",
+                        lambda *a: builds.append(a) or real_build(*a))
+    bench._DATASET_CACHE.clear()
+    first = bench._build_run_dataset(spec)
+    assert bench._build_run_dataset(spec).sequences is first.sequences
+    assert len(builds) == 1
+    bench._DATASET_CACHE.clear()
+    bench._build_run_dataset(spec)
+    assert len(builds) == 2
 
 
 # ------------------------------------------------------------------- runs ---
@@ -550,18 +630,22 @@ def test_serial_grid_writes_each_run_as_it_ends(monkeypatch, tmp_path):
 
 
 def test_grid_files_do_not_depend_on_workers(tmp_path):
-    cfg = tiny_config("components", eval={"seeds": [0, 1]},
-                      train={"total_steps": 4, "eval_every": 2,
-                             "batch_labelled": 1, "batch_unlabelled": 1})
-    serial, pooled = tmp_path / "w1", tmp_path / "w2"
-    run_scenario(cfg, serial, workers=1)
-    run_scenario(cfg, pooled, workers=2)
-    names = sorted(p.name for p in serial.iterdir())
-    # 6 variants x 2 seeds x (checkpoint, log, 8 previews) + 3 grid files
-    assert len(names) == 6 * 2 * 10 + 3
-    assert names == sorted(p.name for p in pooled.iterdir())
-    for name in names:
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    # a label-sweep's variants share their seed's frames inside a worker
+    for kind, n_variants in (("components", 6), ("label-sweep", 3)):
+        cfg = tiny_config(kind, eval={"seeds": [0, 1],
+                                      "sweep_utilisations": [0.34, 1.0]},
+                          train={"total_steps": 4, "eval_every": 2,
+                                 "batch_labelled": 1, "batch_unlabelled": 1})
+        serial, pooled = tmp_path / kind / "w1", tmp_path / kind / "w2"
+        run_scenario(cfg, serial, workers=1)
+        run_scenario(cfg, pooled, workers=2)
+        names = sorted(p.name for p in serial.iterdir())
+        # variants x 2 seeds x (checkpoint, log, 8 previews) + 3 grid files
+        assert len(names) == n_variants * 2 * 10 + 3
+        assert names == sorted(p.name for p in pooled.iterdir())
+        for name in names:
+            assert ((serial / name).read_bytes()
+                    == (pooled / name).read_bytes()), (kind, name)
 
 
 # --------------------------------------------------------------- artifacts --

@@ -111,6 +111,7 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("train", {"beta2": -0.1}), ("train", {"ema_keep": 5.0}),
     ("eval", {"adapt_source_worlds": 0}), ("eval", {"seeds": [0, 0]}),
     ("eval", {"sweep_utilisations": [0.5, 0.5]}),
+    ("eval", {"sweep_utilisations": [0.1, 0.1000001]}),
     ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
     ("ssl", {"w_cls": -1}), ("ssl", {"rampup_fraction": 0}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
@@ -128,7 +129,8 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
          "sweep_utilisations_empty", "adapt_counts_empty",
          "adapt_count_neg", "lr_neg", "wd_neg", "beta1_1", "beta2_neg",
          "ema_keep_5", "adapt_source_worlds_0", "seeds_repeated",
-         "sweep_utilisations_repeated", "adapt_counts_repeated",
+         "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
+         "adapt_counts_repeated",
          "w_cls_neg", "rampup_fraction_0", "feat_mode_l1", "feat_level_mid",
          "focal_gamma_neg", "focal_alpha_above_1"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
@@ -275,7 +277,7 @@ def test_adapt_writes_one_variant_per_target_count(tmp_path):
                  "--out", str(out)]) == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert list(dict.fromkeys(r.split(",")[1] for r in rows)) \
-        == ["adapt@0", "adapt@2"]
+        == ["adapt@0", "adapt@2", "adapt@oracle"]
 
 
 def test_unknown_template_exits_2(tmp_path, capsys):
