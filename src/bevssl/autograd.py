@@ -25,22 +25,25 @@ forward's banded GEMM loop; at stride > 1 it comes from dW's bands, each
 band's column gradient added back into the padded input.  With
 `relu=True`, `conv2d` rectifies its output in place and masks the gradient
 by that output, so a conv block is one node on the tape.  A conv that
-reads a low-resolution map as the larger one it stands for (`expand`: the
-map's upsampling factor and the chain of convs that wrote it, in scalars;
-an empty chain reads the map nearest-upsampled) takes exactly that compact
-map as input and computes each distinct output once: through 0/1 tap
-matrices at input resolution or from im2col columns gathered through one
-read index, whichever needs fewer multiply-adds.  With `compact=True` it
-writes only those; without, it expands them to the full map as
-`expand_map` does, so convs can run at their distinct cells one after
-another.  Backward is one loop over taps: it reads g back onto the input
-through one tap's matrices, rows then columns, and adds that tap's dW and
-dx; they and the read index are cached per geometry, read-only.  An
-`expand` conv reads the cells of a `drop` mask as zeros.  The mask's kept
-taps (whether each output's tap reads a kept cell) put the dropped reads
-of the read index on a zero slot in forward and multiply g per tap in
-backward; that bool mask is the one array a conv node saves (3 KB for the
-small grid's dec0, 30 KB for the paper grid's).
+reads a compact map as the larger one it stands for takes exactly that
+map as input.  Its `expand` says where the full map's cells come from:
+per axis, a tuple that gives for each row (column) of the full map the
+row (column) of the compact map it stands for.  `upsampled` describes a
+map nearest-upsampled and cropped, `compact_output` the distinct outputs
+of a conv that read through a description.  The conv computes each
+distinct output once: through 0/1 tap matrices at input resolution or
+from im2col columns gathered through one read index, whichever needs
+fewer multiply-adds.  With `compact=True` it writes only those; without,
+it expands them to the full map as `expand_map` does, so convs can run at
+their distinct cells one after another.  Backward is one loop over taps:
+it reads g back onto the input through one tap's matrices, rows then
+columns, and adds that tap's dW and dx; they and the read index are
+cached per description, read-only.  An `expand` conv reads the cells of a
+`drop` mask as zeros.  The mask's kept taps (whether each output's tap
+reads a kept cell) put the dropped reads of the read index on a zero slot
+in forward and multiply g per tap in backward; that bool mask is the one
+array a conv node saves (3 KB for the small grid's dec0, 30 KB for the
+paper grid's).
 Importing the module also warms the heap (see the note at `_workspace`).
 """
 
@@ -49,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import operator
 import struct
 from typing import Callable, Iterable
 
@@ -261,26 +265,46 @@ def _conv(x: np.ndarray, wm: np.ndarray, kh: int, kw: int, pad,
     return out.reshape(n, -1, hh, ww)
 
 
-def _source(size: int, factor: int, chain: tuple) -> np.ndarray:
-    """Along one axis, the position in a compact map of each cell of the
-    full map it stands for: the low-res axis nearest-upsampled by `factor`
-    and cropped to `size`, read through the `chain` of (k, pad) conv levels
-    that wrote the compact map (none: the low-res axis itself)."""
-    if not chain:
-        return np.arange(size) // factor
-    return _axis_runs(size, factor, *chain[-1], chain[:-1])[1]
+def _is_axis(axis) -> bool:
+    """True for one axis of an `expand`: a tuple of ints from 0, each
+    equal to the one before it or one more."""
+    return (isinstance(axis, tuple) and axis[:1] == (0,)
+            and set(map(type, axis)) == {int}
+            and set(map(operator.sub, axis[1:], axis)) <= {0, 1})
+
+
+def _maps(expand: tuple) -> tuple:
+    """(rows, cols) of the compact map that `expand` reads: one past each
+    axis's last entry."""
+    return tuple(axis[-1] + 1 for axis in expand)
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_runs(size: int, factor: int, k: int, pad: int, chain: tuple = ()):
-    """(reads, index) along one axis of a k-tap conv, padded by `pad`,
-    whose input is the compact map behind `chain` (see `_source`).
+def upsampled(size: tuple, factor: int) -> tuple:
+    """`expand` of a map nearest-upsampled by `factor` and cropped to `size`
+    (rows, cols): cell i of an axis stands for cell i // factor."""
+    return tuple(tuple(i // factor for i in range(n)) for n in size)
+
+
+@functools.lru_cache(maxsize=None)
+def compact_output(expand: tuple, kernel: tuple, pad: int) -> tuple:
+    """`expand` of the compact output (`compact=True`) of a conv with
+    `kernel` (kh, kw), padded by `pad`, that reads its input through
+    `expand`: each output stands for the distinct output of its run."""
+    return tuple(tuple(_axis_runs(axis, k, pad)[1].tolist())
+                 for axis, k in zip(expand, kernel))
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_runs(axis: tuple, k: int, pad: int):
+    """(reads, index) along one axis of a k-tap conv, padded by `pad`, that
+    reads its compact input through `axis` (one axis of an `expand`).
     Neighbouring outputs whose taps read the same input positions form a
     run and are equal: `index` is each output's run, and `reads` (k, runs)
     the input position tap t of run r reads, -1 in the padding.  Without
     repeated cells each run has length one.  The arrays are cached
-    read-only, so the tape saves only the scalars they come from."""
-    src = _source(size, factor, chain)
+    read-only."""
+    src = np.array(axis)
     u = (np.arange(src.size + 2 * pad - k + 1)[None, :]
          + np.arange(k)[:, None] - pad)
     inside = (u >= 0) & (u < src.size)
@@ -292,31 +316,11 @@ def _axis_runs(size: int, factor: int, k: int, pad: int, chain: tuple = ()):
     return out
 
 
-def _geometry(expand: tuple) -> tuple[int, tuple, tuple]:
-    """The factor and the row and column chains of (k, pad) levels of
-    `expand`'s flat (f, kh, kw, pad, ...)."""
-    levels = expand[1:]
-    triples = tuple(zip(levels[0::3], levels[1::3], levels[2::3]))
-    return (expand[0], tuple((kh, p) for kh, _, p in triples),
-            tuple((kw, p) for _, kw, p in triples))
-
-
-def distinct_outputs(size: tuple[int, int], expand: tuple) -> tuple[int, int]:
-    """Rows and columns of the compact map that `expand` reads as the full
-    map of `size`: the distinct outputs (`compact=True`) of its last level,
-    or for an empty chain the low-res map that `size` crops upsampled,
-    ceil(n / f) cells a side.  It is the one input such a conv takes."""
-    f, *chains = _geometry(expand)
-    return tuple(int(_source(n, f, chain)[-1]) + 1
-                 for n, chain in zip(size, chains))
-
-
-def expand_map(x: np.ndarray, expand: tuple, size: tuple) -> np.ndarray:
+def expand_map(x: np.ndarray, expand: tuple) -> np.ndarray:
     """The full map that a compact map `x` (n, c, rows, cols) stands for
     (see `conv2d`'s `expand`), by one gather."""
-    f, rows, cols = _geometry(expand)
-    index = (_source(size[0], f, rows)[:, None] * x.shape[3]
-             + _source(size[1], f, cols))
+    rows, cols = (np.array(axis) for axis in expand)
+    index = rows[:, None] * x.shape[3] + cols
     n, c = x.shape[:2]
     return x.reshape(n, c, -1).take(index.ravel(), axis=2).reshape(
         n, c, *index.shape)
@@ -336,14 +340,12 @@ def _off_heap(arr: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_taps(size: int, factor: int, k: int, pad: int, chain: tuple,
-               expanded: bool) -> np.ndarray:
+def _axis_taps(axis: tuple, k: int, pad: int, expanded: bool) -> np.ndarray:
     """The (k, runs, n_in) 0/1 matrix that is 1 where tap t of run r reads
-    position j of the compact input behind `chain` (see `_axis_runs`),
-    each output's row of its run if `expanded`; cached read-only."""
-    reads, index = _axis_runs(size, factor, k, pad, chain)
-    n_in = _source(size, factor, chain)[-1] + 1
-    mat = (reads[..., None] == np.arange(n_in)).astype(np.float64)
+    position j of the compact input behind `axis` (see `_axis_runs`), each
+    output's row of its run if `expanded`; cached read-only."""
+    reads, index = _axis_runs(axis, k, pad)
+    mat = (reads[..., None] == np.arange(axis[-1] + 1)).astype(np.float64)
     if expanded:
         mat = mat[:, index]
     return _off_heap(mat)
@@ -353,26 +355,24 @@ def _tap_matrices(w_shape, attrs, expanded: bool = False):
     """The `_axis_taps` matrix of each axis of a conv that reads its input
     through `expand`."""
     pad = attrs.get("padding", 0)
-    f, *chains = _geometry(attrs["expand"])
-    return [_axis_taps(n, f, k, pad, chain, expanded)
-            for n, k, chain in zip(attrs["size"], w_shape[2:], chains)]
+    return [_axis_taps(axis, k, pad, expanded)
+            for axis, k in zip(attrs["expand"], w_shape[2:])]
 
 
 @functools.lru_cache(maxsize=None)
-def _read_index(size: tuple, expand: tuple, kernel: tuple, pad: int,
-                shape: tuple) -> np.ndarray:
-    """(outputs, kh*kw) of a conv reading its (h, w) input `shape` through
+def _read_index(expand: tuple, kernel: tuple, pad: int) -> np.ndarray:
+    """(outputs, kh*kw) of a conv reading its compact input through
     `expand` at its distinct outputs (see `_axis_runs`): the flat position
-    in the input that tap t of each output reads, or the zero slot h*w past
-    its end where the tap reads padding.  Cached read-only off the heap."""
-    f, *chains = _geometry(expand)
-    zero = shape[0] * shape[1]
-    rr, cr = (_axis_runs(n, f, k, pad, chain)[0]
-              for n, k, chain in zip(size, kernel, chains))
+    in the input that tap t of each output reads, or the zero slot past its
+    end where the tap reads padding.  Cached read-only off the heap."""
+    rows, cols = _maps(expand)
+    zero = rows * cols
+    rr, cr = (_axis_runs(axis, k, pad)[0]
+              for axis, k in zip(expand, kernel))
     # a read of the padding stands for the zero slot along its axis, so the
     # sum is at or past the slot when either axis reads padding, and the
     # clip puts it on the slot
-    rr = np.where(rr >= 0, rr * shape[1], zero)
+    rr = np.where(rr >= 0, rr * cols, zero)
     cr = np.where(cr >= 0, cr, zero)
     index = np.minimum(rr[:, None, :, None] + cr[None, :, None, :], zero)
     return _off_heap(index.reshape(kernel[0] * kernel[1], -1).T)
@@ -385,40 +385,39 @@ def _kept_taps(drop: np.ndarray, kernel: tuple, pad: int) -> np.ndarray:
                                                     kernel)
 
 
-def _masked_index(attrs: dict, kernel: tuple, shape: tuple) -> np.ndarray:
-    """(kh*kw, outputs) of a conv with `drop` over its (h, w) input `shape`:
-    each distinct output's `_read_index` spread to every output of `size`,
-    with each tap that reads a dropped cell on the zero slot."""
-    size, expand = tuple(attrs["size"]), tuple(attrs["expand"])
-    pad = attrs.get("padding", 0)
-    runs = _read_index(size, expand, kernel, pad, shape).T
-    full = expand + (*kernel, pad)
-    spread = expand_map(runs.reshape(1, -1, *distinct_outputs(size, full)),
-                        full, size)[0]
+def _masked_index(attrs: dict, kernel: tuple) -> np.ndarray:
+    """(kh*kw, rows, cols) of a conv with `drop`: each distinct output's
+    `_read_index` spread to every output of the full map, with each tap
+    that reads a dropped cell on the zero slot."""
+    expand, pad = attrs["expand"], attrs.get("padding", 0)
+    runs = _read_index(expand, kernel, pad).T
+    out = compact_output(expand, kernel, pad)
+    spread = expand_map(runs.reshape(1, -1, *_maps(out)), out)[0]
     kept = _kept_taps(attrs["drop"], kernel, pad).transpose(2, 3, 0, 1)
     return np.where(kept.reshape(spread.shape), spread,
-                    shape[0] * shape[1]).reshape(len(spread), -1)
+                    math.prod(_maps(expand)))
 
 
 def _fw_dropconv(x, w, attrs):
     n, ci, h, wd = x.shape
     co, _, kh, kw = w.shape
     wtap = w.transpose(2, 3, 0, 1).reshape(kh * kw * co, ci)
-    index = _masked_index(attrs, (kh, kw), (h, wd))
+    index = _masked_index(attrs, (kh, kw))
+    size = index.shape[1:]
+    index = index.reshape(kh * kw, -1)
     # every tap's response at compact resolution, with a zero slot at the
     # end; each output sums its taps' responses, one take per tap
     taps = np.empty((n, kh * kw * co, h * wd + 1))
     taps[:, :, -1] = 0.0
     np.matmul(wtap, x.reshape(n, ci, h * wd), out=taps[:, :, :-1])
     taps = taps.reshape(n, kh * kw, co, h * wd + 1)
-    out = np.empty((n, co, *attrs["size"]))
+    out = np.empty((n, co, index.shape[1]))
     read = np.empty((co, index.shape[1]))
     for i in range(n):
-        outi = out[i].reshape(co, -1)
-        taps[i, 0].take(index[0], axis=1, out=outi, mode="clip")
+        taps[i, 0].take(index[0], axis=1, out=out[i], mode="clip")
         for t in range(1, kh * kw):
-            outi += taps[i, t].take(index[t], axis=1, out=read, mode="clip")
-    return out
+            out[i] += taps[i, t].take(index[t], axis=1, out=read, mode="clip")
+    return out.reshape(n, co, *size)
 
 
 def _fw_gathered(x, w, index):
@@ -474,14 +473,13 @@ def _fw_upconv(x, w, attrs):
     rmat, cmat = _tap_matrices(w.shape, attrs)
     rows, cols = rmat.shape[1], cmat.shape[1]
     pad = attrs.get("padding", 0)
-    expand = tuple(attrs["expand"])
+    expand = attrs["expand"]
     route = _upconv_route(x.shape, w.shape, rows, cols, pad)
     if route == "cells":
         out = w.reshape(co, ci) @ x.reshape(n, ci, h * wd)
         out = out.reshape(n, co, rows, cols)
     elif route == "gather":
-        index = _read_index(tuple(attrs["size"]), expand, (kh, kw), pad,
-                            (h, wd))
+        index = _read_index(expand, (kh, kw), pad)
         out = _fw_gathered(x, w, index).reshape(n, co, rows, cols)
     else:
         # every tap's response on the input grid, then read once per
@@ -495,30 +493,29 @@ def _fw_upconv(x, w, attrs):
                @ out.reshape(n, co, kh * h, cols))
     if attrs.get("compact"):
         return out
-    return expand_map(out, expand + (kh, kw, pad), attrs["size"])
+    return expand_map(out, compact_output(expand, (kh, kw), pad))
 
 
-_CONV_ATTRS = frozenset(("padding", "stride", "expand", "size", "compact",
-                         "drop", "relu"))
+_CONV_ATTRS = frozenset(("padding", "stride", "expand", "compact", "drop",
+                         "relu"))
 
 
 def _fw_conv2d(vals, attrs):
     # attrs: `padding` zero-pads the input; `stride=s` keeps every s-th
-    # output row and column.  `expand=(f, kh, kw, p, ...)` with `size=(rows,
-    # cols)` reads the input as the larger map it stands for: the input
-    # nearest-upsampled by f and cropped to `size`, then, per (kh, kw, p)
-    # level, the compact output of a kh x kw conv padded by p (each level
-    # reading the map before it).  The input is exactly that compact map,
-    # `distinct_outputs(size, expand)`: with no level, the low-res map of
-    # ceil(rows / f) x ceil(cols / f) cells.  That is computed per kernel
-    # tap on the input as given, without building the larger map.  With
-    # `compact=True` as well, only the distinct output rows and columns are
-    # written: the first of each run of outputs whose taps all read the
-    # same input cells, so the next conv reads them with one more level.
-    # `drop`, a bool mask of the full map, reads its cells as zeros.  Every
-    # other attr is a scalar or a tuple of them; the tap matrices and the
-    # read index are cached per geometry.  `relu=True` rectifies the
-    # biased output in place.
+    # output row and column.  `expand=(rows, cols)` reads the input as the
+    # larger map it stands for: two int tuples, one per axis, that give for
+    # each row (column) of the full map the row (column) of the input that
+    # it stands for.  Their lengths are the full map's size; they start at
+    # 0 and rise in steps of 0 or 1, and the input is exactly one past each
+    # tuple's last entry a side.  `upsampled` and `compact_output` make
+    # them.  The conv is computed per kernel tap on the input as given,
+    # without building the larger map.  With `compact=True` as well, only
+    # the distinct output rows and columns are written: the first of each
+    # run of outputs whose taps all read the same input cells, so the next
+    # conv reads them through `compact_output`.  `drop`, a bool mask of the
+    # full map, reads its cells as zeros.  The tap matrices and the read
+    # index are cached per description.  `relu=True` rectifies the biased
+    # output in place.
     for key in attrs:
         _require(key in _CONV_ATTRS, "conv2d", f"unknown attribute '{key}'")
     x, w = vals[0], vals[1]
@@ -537,17 +534,13 @@ def _fw_conv2d(vals, attrs):
     h, wd = x.shape[2:]
     co, _, kh, kw = w.shape
     if expand is not None:
-        f, levels = expand[0], tuple(expand[1:])
-        h, wd = attrs["size"]
         _require(stride == 1, "conv2d", "expand needs stride 1")
-        ok = f >= 1 and h > 0 and wd > 0 and len(levels) % 3 == 0
-        for lkh, lkw, lpad in zip(levels[0::3], levels[1::3], levels[2::3]):
-            ok = ok and (lpad >= 0 and h + 2 * lpad >= lkh >= 1
-                         and wd + 2 * lpad >= lkw >= 1)
-            h, wd = h + 2 * lpad - lkh + 1, wd + 2 * lpad - lkw + 1
-        _require(ok, "conv2d", f"expand {expand} with size "
-                 f"{tuple(attrs['size'])} is no conv")
-        maps = distinct_outputs(attrs["size"], expand)
+        _require(isinstance(expand, tuple) and len(expand) == 2
+                 and all(map(_is_axis, expand)), "conv2d",
+                 "expand is no pair of per-axis int tuples from 0 in steps "
+                 "of 0 or 1")
+        h, wd = map(len, expand)
+        maps = _maps(expand)
         _require(x.shape[2:] == maps, "conv2d", f"compact input "
                  f"{x.shape[2:]} does not match its maps {maps}")
     drop = attrs.get("drop")

@@ -17,7 +17,9 @@ runs of length one), and the first conv that reads it (dec0, or the head
 without a decoder) reads the compact map as the grid, its dropout mask's
 cells as zeros.  Each decoder conv, while it has fewer distinct outputs
 than the grid, writes its own compactly too, taped or not; the conv after
-the last compact one reads that map and writes the grid.  A forward whose
+the last compact one reads that map and writes the grid.  Each conv's
+`expand` comes from `autograd.upsampled` (the lift's) or
+`autograd.compact_output` of the conv before it.  A forward whose
 dropout mask drops a cell keeps the dense decoder after dec0, since the
 mask breaks the runs (the tape then saves the bool mask).  The
 grid-resolution `bev_feats`, before dropout, and `decoded_feats` are built
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import (ParamSet, Tape, Tensor, distinct_outputs,
-                       expand_map, forward_op)
+from .autograd import (ParamSet, Tape, Tensor, compact_output, expand_map,
+                       forward_op, upsampled)
 from .errors import ConfigurationError, check_fields
 from .geometry import Raster
 from .rng import Stream
@@ -133,12 +135,12 @@ def _conv_block(params: ParamSet, tape: Tape | None, name: str, x: Tensor,
 
 def _expanded(x: Tensor, attrs: dict):
     """Builder of the grid-resolution map that the compact `x` stands for,
-    as a 1x1 conv with `attrs` (`expand`, `size`, maybe `drop`) reads it:
-    one gather when `x` is untaped, the cells of `drop` zeroed, else a 1x1
+    as a 1x1 conv with `attrs` (`expand`, maybe `drop`) reads it: one
+    gather when `x` is untaped, the cells of `drop` zeroed, else a 1x1
     identity conv recorded on `x`'s tape."""
     def build() -> Tensor:
         if x.tape is None:
-            full = expand_map(x.values, attrs["expand"], attrs["size"])
+            full = expand_map(x.values, attrs["expand"])
             if "drop" in attrs:
                 full[:, :, attrs["drop"]] = 0.0
             return Tensor(full)
@@ -148,26 +150,26 @@ def _expanded(x: Tensor, attrs: dict):
     return build
 
 
-def _decoder(cfg: ModelConfig, grid: tuple[int, int], f: int,
-             compact: bool):
+def _decoder(cfg: ModelConfig, expand: tuple, compact: bool):
     """(layer, attrs) of each decoder conv and the head.  The first reads
-    the lift's compact map.  With `compact`, each decoder conv in turn
-    writes only its distinct outputs while they are fewer than the grid's
-    cells, adding its level for the next; the conv after the last compact
-    one reads that map and writes the grid, and the rest run dense."""
+    the lift's compact map through `expand`.  With `compact`, each decoder
+    conv in turn writes only its distinct outputs while they are fewer than
+    the grid's cells, and the next reads them through its `compact_output`;
+    the conv after the last compact one reads that map and writes the grid,
+    and the rest run dense."""
     k, pad = cfg.kernel_size, cfg.kernel_size // 2
-    expand, level = (f, k, k, pad), (k, k, pad)
     names = [f"dec{i}" for i in range(len(cfg.dec_widths))] + ["head"]
     for name in names:
         attrs = dict(padding=0 if name == "head" else pad)
         if expand:
-            attrs.update(expand=expand, size=grid)
-        if (compact and expand and name != "head"
-                and distinct_outputs(grid, expand + level) != grid):
+            attrs["expand"] = expand
+        out = (compact_output(expand, (k, k), pad)
+               if compact and expand and name != "head" else None)
+        if out and any(axis[-1] + 1 < len(axis) for axis in out):
             attrs["compact"] = True
-            expand += level
+            expand = out
         else:
-            expand = ()
+            expand = None
         yield name, attrs
 
 
@@ -196,18 +198,19 @@ def forward(params: ParamSet, observation: Raster | np.ndarray,
         x = _conv_block(params, tape, f"enc{i}", x, pad, stride=2)
     encoder_feats = x
 
-    k, f = cfg.kernel_size, 2 ** len(cfg.enc_widths)
-    grid = (rows, cols)
+    k = cfg.kernel_size
+    lifted = upsampled((rows, cols), 2 ** len(cfg.enc_widths))
     # the lift at its distinct rows and columns only; the first conv after
     # it reads them as the full map, its dropped cells as zeros, and the
     # map itself is built only if read
     x = _conv_block(params, tape, "lift", x, pad, compact=True,
-                    expand=(f,), size=grid)
-    bev_feats = _expanded(x, dict(expand=(f, k, k, pad), size=grid))
+                    expand=lifted)
+    expand = compact_output(lifted, (k, k), pad)
+    bev_feats = _expanded(x, dict(expand=expand))
     drop = ({} if bev_drop_mask is None or not bev_drop_mask.any()
             else {"drop": np.asarray(bev_drop_mask, dtype=bool)})
     # a dropped cell breaks the runs of equal outputs past the first conv
-    layers = list(_decoder(cfg, grid, f, not drop))
+    layers = list(_decoder(cfg, expand, not drop))
     layers[0][1].update(drop)
     for name, attrs in layers[:-1]:
         x = _conv_block(params, tape, name, x, **attrs)

@@ -123,6 +123,8 @@ class WorldConfig:
               for name in ("seqs_per_world", "n_frames", "val_worlds",
                            "test_worlds")),
             ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]"),
+            # a negative speed drives the ego against its own yaw
+            ("speed_min", self.speed_min >= 0, ">= 0"),
             ("speed_min", self.speed_min <= self.speed_max,
              f"<= world.speed_max ({self.speed_max})")))
 

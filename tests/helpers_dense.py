@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bevssl.autograd import ParamSet, Tape, Tensor, forward_op
+from bevssl.autograd import ParamSet, Tape, Tensor, forward_op, upsampled
 from bevssl.geometry import Raster
 from bevssl.model import ForwardTrace, ModelConfig, _conv_block
 
@@ -33,8 +33,8 @@ def dense_forward(params: ParamSet, observation: Raster | np.ndarray,
     for i in range(len(cfg.enc_widths)):
         x = _conv_block(params, tape, f"enc{i}", x, pad, stride=2)
     encoder_feats = x
-    x = bev_feats = _conv_block(params, tape, "lift", x, pad,
-                                expand=(2 ** len(cfg.enc_widths),), size=grid)
+    lifted = upsampled(grid, 2 ** len(cfg.enc_widths))
+    x = bev_feats = _conv_block(params, tape, "lift", x, pad, expand=lifted)
     if bev_drop_mask is not None:
         # the lift is rectified (>= 0), so weighted by the kept cells it is
         # the lift with its dropped cells zeroed

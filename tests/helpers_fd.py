@@ -8,13 +8,13 @@ the output's shape, so the check compares the gradient of sum(op(...) * W)
 and transposition mistakes in backward rules cannot cancel out, or 1.0 for
 a scalar output.  Besides one case per op kind there is a `relu` case: the
 conv2d op with `relu=True`, its pre-activations kept clear of the kink, a
-`compact` case: a conv2d reading its input upsampled (`expand=(f,)`) that
-writes only its distinct outputs (`compact=True`), feeding a conv2d that
-reads them as the full map (`expand=(f, k, k, pad)`), a `masked_expand`
-case: the same pair with cells of the full map dropped (`drop`), and a
-`chained_compact` case: two more compact convs after the compact upsampling
-one, the second reading a two-level compact map, and a conv that reads the
-three-level map at grid resolution.  The `wsum` case sums one to three
+`compact` case: a conv2d reading its input upsampled (`expand=upsampled(
+size, f)`) that writes only its distinct outputs (`compact=True`), feeding
+a conv2d that reads them as the full map (`expand=compact_output(...)` of
+the first), a `masked_expand` case: the same pair with cells of the full
+map dropped (`drop`), and a `chained_compact` case: two more compact convs
+after the compact upsampling one, each reading the one before through its
+`compact_output`, and a conv that reads the last at grid resolution.  The `wsum` case sums one to three
 inputs, one of them sometimes constant, each weighted by a float or by an
 array of its shape.  The `featsim` case feeds the op a student map with
 cells zeroed by a constant 0/1 weight and a constant teacher map, with
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from bevssl.autograd import (_FORWARD_RULES, OP_KINDS, ParamSet, Tape, Tensor,
-                             forward_op)
+                             compact_output, forward_op, upsampled)
 from bevssl.rng import Stream
 
 ALL_KINDS = list(OP_KINDS) + ["relu", "compact", "masked_expand",
@@ -124,7 +124,7 @@ def _conv_case(stream: Stream):
         # than the upsampled input and, for f > 1, not a multiple of f
         h += int(f > 1 and h % f == 0)
         w += int(f > 1 and w % f == 0)
-        attrs.update(expand=(f,), size=(h, w))
+        attrs["expand"] = upsampled((h, w), f)
         h, w = -(-h // f), -(-w // f)
     else:
         attrs["stride"] = stream.randrange(1, 4)
@@ -145,8 +145,9 @@ def _compact_case(stream: Stream, masked: bool):
     k1, k2 = (2 * stream.randint(3) + 1 for _ in range(2))
     up = stream.randrange(2, 5)
     size = (stream.randrange(k1, 3 * up + 2), stream.randrange(k1, 3 * up + 2))
-    lift = dict(expand=(up,), size=size, padding=k1 // 2)
-    read = dict(expand=(up, k1, k1, k1 // 2), size=size, padding=k2 // 2)
+    lift = dict(expand=upsampled(size, up), padding=k1 // 2)
+    read = dict(expand=compact_output(lift["expand"], (k1, k1), k1 // 2),
+                padding=k2 // 2)
     params.add("a", _arr(stream, (n, ci, *(-(-d // up) for d in size))))
     params.add("b", _arr(stream, (cm, ci, k1, k1)))
     params.add("c", _arr(stream, (cm,)))
@@ -188,15 +189,16 @@ def _chain_case(stream: Stream):
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()
         a, b, c, d, e, bias = (ps.leaf(tape, name) for name in "abcdef")
-        x = forward_op("conv2d", a, b, expand=(up,), size=size,
-                       padding=ks[0] // 2, compact=True)
-        levels = (ks[0], ks[0], ks[0] // 2)
+        expand = upsampled(size, up)
+        x = forward_op("conv2d", a, b, expand=expand, padding=ks[0] // 2,
+                       compact=True)
+        expand = compact_output(expand, (ks[0], ks[0]), ks[0] // 2)
         for w, k in ((c, ks[1]), (d, ks[2])):
-            x = forward_op("conv2d", x, w, padding=k // 2, size=size,
-                           expand=(up, *levels), compact=True)
-            levels += (k, k, k // 2)
-        return forward_op("conv2d", x, e, bias, padding=ks[3] // 2, size=size,
-                          expand=(up, *levels))
+            x = forward_op("conv2d", x, w, padding=k // 2, expand=expand,
+                           compact=True)
+            expand = compact_output(expand, (k, k), k // 2)
+        return forward_op("conv2d", x, e, bias, padding=ks[3] // 2,
+                          expand=expand)
 
     return params, f, probe
 

@@ -5,8 +5,9 @@ import pytest
 
 from bevssl import autograd
 from bevssl.autograd import (CHECKPOINT_MAGIC, ParamSet, Tape, Tensor,
-                             backward, finite_difference_check, forward_op,
-                             load_checkpoint, optimizer_step, save_checkpoint)
+                             backward, compact_output, finite_difference_check,
+                             forward_op, load_checkpoint, optimizer_step,
+                             save_checkpoint, upsampled)
 from bevssl.errors import ConfigurationError, ContractError, NumericError
 from bevssl.rng import Stream
 
@@ -414,7 +415,7 @@ def test_relu_conv_is_the_conv_rectified_and_masked(factor):
     w = st.uniforms(4 * 3 * 3 * 3, -1, 1).reshape(4, 3, 3, 3)
     b = st.uniforms(4, -1, 1)
     attrs = ({"stride": 1} if factor is None
-             else {"expand": (factor,), "size": (11, 9)})
+             else {"expand": upsampled((11, 9), factor)})
     y = forward_op("conv2d", Tensor(x), Tensor(w), Tensor(b), padding=1,
                    **attrs).values
     assert (y < 0).any() and (y > 0).any()
@@ -440,8 +441,8 @@ def test_conv_rejects_a_bad_stride():
     with pytest.raises(ConfigurationError, match="stride"):
         forward_op("conv2d", x, w, padding=1, stride=0)
     with pytest.raises(ConfigurationError, match="stride"):
-        forward_op("conv2d", x, w, padding=1, stride=2, expand=(2,),
-                   size=(8, 8))
+        forward_op("conv2d", x, w, padding=1, stride=2,
+                   expand=upsampled((8, 8), 2))
 
 
 def _upsample_conv_reference(x, w, b, probe, factor, size, padding):
@@ -472,8 +473,8 @@ def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
     pad = k // 2
     probe = st.uniforms(n * co * size[0] * size[1], -1, 1).reshape(
         n, co, *size)
-    fused = _conv_grads(x, w, b, probe, padding=pad, expand=(factor,),
-                        size=size)
+    fused = _conv_grads(x, w, b, probe, padding=pad,
+                        expand=upsampled(size, factor))
     _assert_close(fused,
                   _upsample_conv_reference(x, w, b, probe, factor, size, pad))
 
@@ -481,7 +482,7 @@ def test_upsampling_conv_matches_explicit_reference(n, ci, co, k, low, factor,
 def test_upsampling_conv_rejects_a_size_past_the_upsampled_input():
     x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ConfigurationError, match="does not match its maps"):
-        forward_op("conv2d", x, w, padding=1, expand=(2,), size=(5, 4))
+        forward_op("conv2d", x, w, padding=1, expand=upsampled((5, 4), 2))
 
 
 _COMPACT_CASES = [(f, size, k) for f in (1, 2, 4, 8)
@@ -506,7 +507,7 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
     ps.add("w2", st.uniforms(co * cm * k * k, -1, 1).reshape(co, cm, k, k))
     probe = st.uniforms(n * co * size[0] * size[1], -1, 1).reshape(
         n, co, *size)
-    lift = dict(expand=(f,), size=size, padding=pad)
+    lift = dict(expand=upsampled(size, f), padding=pad)
     results = []
     for compact in (False, True):
         grads = zero_grads(ps)
@@ -514,10 +515,9 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
         x, w1, w2 = (ps.leaf(tape, name) for name in ("x", "w1", "w2"))
         if compact:
             mid = forward_op("conv2d", x, w1, compact=True, **lift)
-            assert mid.shape[2:] == autograd.distinct_outputs(
-                size, (f, k, k, pad))
-            y = forward_op("conv2d", mid, w2, padding=pad, size=size,
-                           expand=(f, k, k, pad))
+            read = compact_output(lift["expand"], (k, k), pad)
+            assert mid.shape[2:] == _maps(read)
+            y = forward_op("conv2d", mid, w2, padding=pad, expand=read)
         else:
             y = forward_op("conv2d", forward_op("conv2d", x, w1, **lift), w2,
                            padding=pad)
@@ -530,37 +530,38 @@ def test_compact_lift_and_expanded_conv_match_the_dense_pair(f, size, k):
         assert rel <= 1e-12, (name, rel)
 
 
+def _maps(expand):
+    """The compact input's shape that `expand` reads: one past each axis's
+    last entry."""
+    return tuple(axis[-1] + 1 for axis in expand)
+
+
+def _read(size, f, k=3, levels=1):
+    """`expand` of the compact map that `levels` k x k convs, padded by
+    k // 2, write after a map upsampled by `f` and cropped to `size`."""
+    expand = upsampled(size, f)
+    for _ in range(levels):
+        expand = compact_output(expand, (k, k), k // 2)
+    return expand
+
+
 def test_distinct_outputs_of_the_model_geometries():
     """x8 at kernel 3 repeats cells (36 x 12 of the small grid's 96 x 32,
     114 x 39 of the paper grid's 300 x 100); x2 at kernel 3 repeats none."""
-    assert autograd.distinct_outputs((96, 32), (8, 3, 3, 1)) == (36, 12)
-    assert autograd.distinct_outputs((300, 100), (8, 3, 3, 1)) == (114, 39)
-    assert autograd.distinct_outputs((30, 18), (2, 3, 3, 1)) == (30, 18)
+    assert _maps(_read((96, 32), 8)) == (36, 12)
+    assert _maps(_read((300, 100), 8)) == (114, 39)
+    assert _maps(_read((30, 18), 2)) == (30, 18)
+    assert _maps(upsampled((96, 32), 8)) == (12, 4)
+    assert _maps(upsampled((25, 9), 4)) == (7, 3)
 
 
 def test_compact_conv_rejects_a_size_past_the_upsampled_input():
     x, w = Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3)))
     with pytest.raises(ConfigurationError, match="does not match its maps"):
-        forward_op("conv2d", x, w, padding=1, expand=(2,), size=(5, 4),
+        forward_op("conv2d", x, w, padding=1, expand=upsampled((5, 4), 2),
                    compact=True)
     with pytest.raises(ConfigurationError, match="compact needs expand"):
         forward_op("conv2d", x, w, padding=1, compact=True)
-
-
-def test_expanding_conv_rejects_a_compact_input_off_its_maps():
-    w = Tensor(np.ones((1, 1, 3, 3)))
-    attrs = dict(padding=1, size=(16, 8), expand=(4, 3, 3, 1))
-    assert autograd.distinct_outputs((16, 8), (4, 3, 3, 1)) == (12, 6)
-    forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, **attrs)
-    for shape in ((12, 5), (16, 8), (4, 2)):
-        with pytest.raises(ConfigurationError, match="does not match its maps"):
-            forward_op("conv2d", Tensor(np.ones((1, 1, *shape))), w, **attrs)
-    with pytest.raises(ConfigurationError, match="'upsample'"):
-        forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, upsample=2,
-                   **attrs)
-    with pytest.raises(ConfigurationError, match="stride"):
-        forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, stride=2,
-                   **attrs)
 
 
 _CHAIN_CASES = [(f, size, k, levels) for f in (2, 4, 8)
@@ -593,14 +594,14 @@ def test_compact_chain_matches_the_dense_chain(f, size, k, levels):
         grads = zero_grads(ps)
         tape = Tape()
         y = ps.leaf(tape, "x")
-        chain = ()
+        expand = upsampled(size, f)
         for i, name in enumerate(names):
             attrs = dict(padding=pad)
             if i == 0 or compact:
-                attrs.update(expand=(f, *chain), size=size)
+                attrs["expand"] = expand
             if compact and i < levels:
                 attrs["compact"] = True
-                chain += (k, k, pad)
+                expand = compact_output(expand, (k, k), pad)
             y = forward_op("conv2d", y, ps.leaf(tape, name), **attrs)
         assert y.shape == (n, widths[-1], *size)
         backward(y, grads, probe)
@@ -627,9 +628,9 @@ def test_both_forward_routes_give_the_same_outputs(monkeypatch, f, size, k,
     through `expand`, with no level or some, agree to rounding."""
     st = Stream(61).child(f"{f}-{size}-{k}-{levels}-{compact}")
     pad = k // 2
-    chain = (k, k, pad) * levels
-    attrs = dict(padding=pad, size=size, compact=compact, expand=(f, *chain))
-    shape = autograd.distinct_outputs(size, (f, *chain))
+    attrs = dict(padding=pad, compact=compact,
+                 expand=_read(size, f, k, levels))
+    shape = _maps(attrs["expand"])
     x = Tensor(st.uniforms(2 * 3 * shape[0] * shape[1], -1, 1).reshape(
         2, 3, *shape))
     w = Tensor(st.uniforms(4 * 3 * k * k, -1, 1).reshape(4, 3, k, k))
@@ -646,25 +647,26 @@ def test_distinct_outputs_of_the_model_decoder():
     """dec0 and dec1 of the default model, reading the x8 lift at kernel 3,
     have 60 x 20 and 84 x 28 distinct outputs on the small grid, and
     189 x 64 and 263 x 88 on the paper grid."""
-    dec0, dec1 = (8, 3, 3, 1, 3, 3, 1), (8, 3, 3, 1, 3, 3, 1, 3, 3, 1)
-    assert autograd.distinct_outputs((96, 32), dec0) == (60, 20)
-    assert autograd.distinct_outputs((96, 32), dec1) == (84, 28)
-    assert autograd.distinct_outputs((300, 100), dec0) == (189, 64)
-    assert autograd.distinct_outputs((300, 100), dec1) == (263, 88)
+    assert _maps(_read((96, 32), 8, levels=2)) == (60, 20)
+    assert _maps(_read((96, 32), 8, levels=3)) == (84, 28)
+    assert _maps(_read((300, 100), 8, levels=2)) == (189, 64)
+    assert _maps(_read((300, 100), 8, levels=3)) == (263, 88)
 
 
 def test_tap_matrices_and_gather_indices_are_cached_read_only():
     w = (64, 32, 3, 3)
-    attrs = dict(padding=1, expand=(8, 3, 3, 1, 3, 3, 1), size=(96, 32))
+    attrs = dict(padding=1, expand=_read((96, 32), 8, levels=2))
     for expanded in (False, True):
         first = autograd._tap_matrices(w, attrs, expanded)
         again = autograd._tap_matrices(w, attrs, expanded)
         for arr, arr_again in zip(first, again):
             assert arr is arr_again and not arr.flags.writeable
-    geometry = ((96, 32), attrs["expand"], (3, 3), 1, (60, 20))
-    index = autograd._read_index(*geometry)
+    index = autograd._read_index(attrs["expand"], (3, 3), 1)
     assert index.shape == (84 * 28, 9) and not index.flags.writeable
-    assert autograd._read_index(*geometry) is index
+    assert autograd._read_index(attrs["expand"], (3, 3), 1) is index
+    # the helpers are cached too, so each forward reuses one description
+    assert _read((96, 32), 8, levels=2) is attrs["expand"]
+    assert upsampled((96, 32), 8) is upsampled((96, 32), 8)
 
 
 @pytest.mark.parametrize("masked", (False, True), ids=("nothing", "masked"))
@@ -673,18 +675,16 @@ def test_tap_matrices_and_gather_indices_are_cached_read_only():
                               for f, (r, c), k in _COMPACT_CASES])
 def test_read_index_is_the_grid_cell_each_tap_reads(f, size, k, masked):
     """Per output and tap, the read index is the grid cell the tap reads,
-    mapped to the compact input through `_source`, or the zero slot where
+    mapped to the compact input through `expand`, or the zero slot where
     the tap reads padding or, in the index a masked conv reads
     (`_masked_index`), a cell of the drop mask; without a mask each
     distinct output stands for every output of its run."""
     pad = k // 2
     st = Stream(71).child(f"{f}-{size}-{k}")
     drop = st.uniforms(size[0] * size[1]).reshape(size) > 0.5
-    for expand in ((f,), (f, k, k, pad)):
-        _, rows, cols = autograd._geometry(expand)
-        src_r = autograd._source(size[0], f, rows)
-        src_c = autograd._source(size[1], f, cols)
-        shape = autograd.distinct_outputs(size, expand)
+    for expand in (upsampled(size, f), _read(size, f, k)):
+        src_r, src_c = expand
+        shape = _maps(expand)
         zero = shape[0] * shape[1]
         expect = np.full((*size, k, k), zero)
         for i, j, a, b in np.ndindex(*size, k, k):
@@ -695,13 +695,11 @@ def test_read_index_is_the_grid_cell_each_tap_reads(f, size, k, masked):
         expect = expect.reshape(*size, k * k)
         if masked:
             index = autograd._masked_index(
-                dict(size=size, expand=expand, padding=pad, drop=drop),
-                (k, k), shape)
-            assert np.array_equal(index.T.reshape(expect.shape), expect)
+                dict(expand=expand, padding=pad, drop=drop), (k, k))
+            assert np.array_equal(index.transpose(1, 2, 0), expect)
             continue
-        index = autograd._read_index(size, expand, (k, k), pad, shape)
-        runs = [autograd._axis_runs(n, f, k, pad, chain)[1]
-                for n, chain in zip(size, (rows, cols))]
+        index = autograd._read_index(expand, (k, k), pad)
+        runs = [autograd._axis_runs(axis, k, pad)[1] for axis in expand]
         distinct = index.reshape(runs[0][-1] + 1, runs[1][-1] + 1, k * k)
         assert np.array_equal(distinct[runs[0]][:, runs[1]], expect)
 
@@ -729,11 +727,10 @@ def test_kept_taps_are_the_taps_that_read_a_kept_cell(f, size, k, every):
 def test_expand_map_is_the_expanding_identity_conv():
     st = Stream(67)
     x = st.uniforms(2 * 3 * 84 * 28, -1, 1).reshape(2, 3, 84, 28)
-    expand = (8, 3, 3, 1, 3, 3, 1, 3, 3, 1)
-    full = autograd.expand_map(x, expand, (96, 32))
+    expand = _read((96, 32), 8, levels=3)
+    full = autograd.expand_map(x, expand)
     eye = np.eye(3).reshape(3, 3, 1, 1)
-    want = forward_op("conv2d", Tensor(x), Tensor(eye), expand=expand,
-                      size=(96, 32)).values
+    want = forward_op("conv2d", Tensor(x), Tensor(eye), expand=expand).values
     assert full.shape == (2, 3, 96, 32)
     assert np.array_equal(full, want)
 
@@ -742,28 +739,57 @@ def test_conv_rejects_an_unknown_attribute():
     """A misspelt or retired attribute fails by name instead of running a
     plain conv."""
     x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
-    for key in ("upsampel", "upsample", "pad"):
+    for key in ("upsampel", "upsample", "pad", "size"):
         with pytest.raises(ConfigurationError, match=f"unknown attribute "
                            f"'{key}'"):
-            forward_op("conv2d", x, w, padding=1, size=(8, 8), **{key: 2})
-    assert forward_op("conv2d", x, w, padding=1, size=(8, 8), expand=(2,),
+            forward_op("conv2d", x, w, padding=1, **{key: 2})
+    assert forward_op("conv2d", x, w, padding=1, expand=upsampled((8, 8), 2),
                       stride=1, compact=False, relu=True).shape == (1, 1, 8, 8)
 
 
-def test_expand_rejects_a_malformed_chain():
-    """A chain of whole (kh, kw, pad) levels that fit the map, or none."""
+_LIFTED = upsampled((16, 8), 4)         # reads a 4 x 2 map
+_READ = _read((16, 8), 4)               # reads a 12 x 6 map
+_ROWS, _COLS = _READ
+_MALFORMED = {
+    "empty-axis": dict(expand=((), _COLS)),
+    "not-from-0": dict(expand=((1, 2, 3), _COLS)),
+    "step-of-2": dict(expand=((0, 2, 3), _COLS)),
+    "step-back": dict(expand=((0, 1, 0), _COLS)),
+    "non-int": dict(expand=((0, 1.0, 2), _COLS)),
+    "list-axis": dict(expand=(list(_ROWS), _COLS)),
+    "one-axis": dict(expand=(_ROWS,)),
+    "factor-form": dict(expand=(4,)),
+    "chain-form": dict(expand=(4, 3, 3, 1)),
+    "input-off-its-shape": dict(expand=_READ, shape=(12, 5),
+                                match="does not match its maps"),
+    "full-map-input": dict(expand=_READ, shape=(16, 8),
+                           match="does not match its maps"),
+    "low-res-input": dict(expand=_READ, shape=(4, 2),
+                          match="does not match its maps"),
+    "drop-off-full-map": dict(expand=_READ, match="no bool mask",
+                              drop=np.zeros((16, 7), dtype=bool)),
+    "drop-and-compact": dict(expand=_READ, compact=True,
+                             match="exclude each other",
+                             drop=np.zeros((16, 8), dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_expand_rejects_a_malformed_description(case):
+    """`expand` is a pair of int tuples from 0 in steps of 0 or 1, the
+    input one past each tuple's last entry a side, and a `drop` mask the
+    full map's shape; anything else, the retired chain form included, is a
+    ConfigurationError."""
     w = Tensor(np.ones((1, 1, 3, 3)))
-    x = Tensor(np.ones((1, 1, 12, 6)))
     assert forward_op("conv2d", Tensor(np.ones((1, 1, 4, 2))), w, padding=1,
-                      size=(16, 8), expand=(4,)).shape == (1, 1, 16, 8)
-    for bad in ((4, 3, 3), (4, 3, 3, 1, 3), (4, 3, 3, -1),
-                (0, 3, 3, 1), (4, 3, 3, 1, 40, 3, 1)):
-        with pytest.raises(ConfigurationError, match="is no conv"):
-            forward_op("conv2d", x, w, padding=1, size=(16, 8), expand=bad)
-    drop = np.zeros((16, 8), dtype=bool)
-    with pytest.raises(ConfigurationError, match="exclude each other"):
-        forward_op("conv2d", x, w, padding=1, size=(16, 8),
-                   expand=(4, 3, 3, 1), drop=drop, compact=True)
+                      expand=_LIFTED).shape == (1, 1, 16, 8)
+    assert forward_op("conv2d", Tensor(np.ones((1, 1, 12, 6))), w, padding=1,
+                      expand=_READ).shape == (1, 1, 16, 8)
+    attrs = dict(_MALFORMED[case])
+    x = Tensor(np.ones((1, 1, *attrs.pop("shape", (12, 6)))))
+    with pytest.raises(ConfigurationError,
+                       match=attrs.pop("match", "no pair of per-axis")):
+        forward_op("conv2d", x, w, padding=1, **attrs)
 
 
 # ---------------------------------------------------------------- errors ---
@@ -803,12 +829,12 @@ def _rectified_conv_inputs(kind: str):
     if kind == "strided":
         return np.ones((1, 2, 5, 5)), w, dict(padding=1, stride=2)
     if kind == "upsample":
-        return np.ones((1, 2, 4, 4)), w, dict(padding=1, expand=(2,),
-                                               size=(7, 8))
+        return np.ones((1, 2, 4, 4)), w, dict(padding=1,
+                                               expand=upsampled((7, 8), 2))
     drop = np.zeros((16, 8), dtype=bool)
     drop[4, 4] = True
-    return np.ones((1, 2, 12, 6)), w, dict(padding=1, size=(16, 8),
-                                           expand=(4, 3, 3, 1), drop=drop)
+    return np.ones((1, 2, 12, 6)), w, dict(padding=1, expand=_READ,
+                                           drop=drop)
 
 
 @pytest.mark.parametrize("kind", ["dense", "strided", "upsample", "drop"])

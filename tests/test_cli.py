@@ -115,7 +115,8 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
     ("ssl", {"w_cls": -1}), ("ssl", {"rampup_fraction": 0}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
-    ("train", {"focal_gamma": -1}), ("train", {"focal_alpha": 1.5})],
+    ("train", {"focal_gamma": -1}), ("train", {"focal_alpha": 1.5}),
+    ("world", {"speed_min": -1.0})],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
@@ -132,7 +133,7 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
          "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
          "adapt_counts_repeated",
          "w_cls_neg", "rampup_fraction_0", "feat_mode_l1", "feat_level_mid",
-         "focal_gamma_neg", "focal_alpha_above_1"])
+         "focal_gamma_neg", "focal_alpha_above_1", "speed_min_neg"])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),

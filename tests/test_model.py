@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from bevssl import model
-from bevssl.autograd import (Tape, backward, distinct_outputs,
-                             finite_difference_check, forward_op)
+from bevssl.autograd import (Tape, backward, compact_output,
+                             finite_difference_check, forward_op, upsampled)
 from bevssl.errors import ConfigurationError
-from bevssl.geometry import GridSpec
+from bevssl.geometry import GRID_PRESETS, GridSpec
 from bevssl.model import ForwardTrace, ModelConfig, forward, init_params
 from bevssl.rng import Stream
 
@@ -280,7 +280,7 @@ def test_a_mask_that_drops_nothing_takes_the_compact_path(empty):
     trace = forward(params, _obs(Stream(6)), drop, tape, TINY)
     lift = _lift_node(tape)
     assert lift.saved["compact"] is True
-    assert lift.values.shape[2:] == distinct_outputs((16, 16), (4, 3, 3, 1))
+    assert lift.saved["expand"] == upsampled((16, 16), 4)
     assert lift.values.shape[2:] == (12, 12)
     assert trace.decoded_feats.shape == (1, 6, 16, 16)
 
@@ -298,7 +298,8 @@ def test_a_mask_that_drops_one_cell_reaches_dec0_as_its_drop():
     dec0 = next(n for n in tape.nodes if n.kind == "conv2d"
                 and tape.nodes[n.input_ids[1]].saved.get("param") == "dec0.w")
     assert np.array_equal(dec0.saved["drop"], drop)
-    assert dec0.saved["expand"] == (4, 3, 3, 1)
+    assert dec0.saved["expand"] == compact_output(upsampled((16, 16), 4),
+                                                  (3, 3), 1)
 
 
 @pytest.mark.parametrize("rows,cols", [(16, 16), (30, 18), (25, 9)])
@@ -378,9 +379,10 @@ def test_a_lift_without_repeated_cells_runs_compactly(drops):
     forward(params, obs, drop, tape, X2)
     convs = _conv_nodes(tape)
     assert convs["lift"].saved["compact"] is True
-    assert convs["lift"].saved["expand"] == (2,)
+    assert convs["lift"].saved["expand"] == upsampled((30, 18), 2)
     assert convs["lift"].values.shape[2:] == (30, 18)
-    assert convs["dec0"].saved["expand"] == (2, 3, 3, 1)
+    assert convs["dec0"].saved["expand"] == compact_output(
+        upsampled((30, 18), 2), (3, 3), 1)
     assert (drop is None) == ("drop" not in convs["dec0"].saved)
     _assert_close(_compared_with_the_oracle(
         params, obs, drop, X2, ("logits", "bev_feats", "decoded_feats")))
@@ -457,9 +459,54 @@ def test_default_small_grid_forward_runs_the_decoder_at_its_distinct_cells(
                         ("dec1", (84, 28)), ("head", (96, 32))):
         assert convs[name][0] == shape, name
         assert convs[name][1].get("compact", False) == (name != "head"), name
-    assert convs["head"][1]["expand"] == (8, 3, 3, 1, 3, 3, 1, 3, 3, 1)
+    expand = upsampled((96, 32), 8)
+    for _ in range(3):
+        expand = compact_output(expand, (3, 3), 1)
+    assert convs["head"][1]["expand"] == expand
     assert trace.probs.shape == (1, 3, 96, 32)
     assert trace.decoded_feats.shape == (1, 64, 96, 32)
+
+
+# each layer's compact output on the grid presets, as the descriptions
+# `upsampled` and `compact_output` give them
+_PRESET_MAPS = {
+    "small": {"enc2": (12, 4), "lift": (36, 12), "dec0": (60, 20),
+              "dec1": (84, 28), "head": (96, 32)},
+    "paper": {"enc2": (38, 13), "lift": (114, 39), "dec0": (189, 64),
+              "dec1": (263, 88), "head": (300, 100)},
+}
+
+
+@pytest.mark.parametrize("preset", _PRESET_MAPS)
+def test_each_layer_writes_its_compact_shape_on_both_presets(monkeypatch,
+                                                              preset):
+    """The default model's untaped forward on each grid preset: every conv
+    from the lift on reads a map one past its `expand`'s last entries a
+    side, and writes the compact shape pinned above; the lift reads the
+    encoder map upsampled and cropped to the grid."""
+    grid = GRID_PRESETS[preset]
+    shapes, expands = {}, {}
+
+    def spy(kind, *inputs, **attrs):
+        out = forward_op(kind, *inputs, **attrs)
+        if kind == "conv2d" and inputs[1].param_name is not None:
+            name = inputs[1].param_name[:-2]
+            shapes[name] = out.shape[2:]
+            if "expand" in attrs:
+                expands[name] = attrs["expand"]
+                assert inputs[0].shape[2:] == tuple(
+                    axis[-1] + 1 for axis in attrs["expand"]), name
+                assert tuple(map(len, attrs["expand"])) == (
+                    grid.rows, grid.cols), name
+        return out
+    monkeypatch.setattr(model, "forward_op", spy)
+    cfg = ModelConfig()
+    forward(init_params(cfg, 4), _obs(Stream(17), grid.rows, grid.cols),
+            None, None, cfg)
+    assert {name: shapes[name] for name in _PRESET_MAPS[preset]} == \
+        _PRESET_MAPS[preset]
+    assert expands["lift"] == upsampled((grid.rows, grid.cols), 8)
+    assert sorted(expands) == ["dec0", "dec1", "head", "lift"]
 
 
 def test_a_taped_paper_grid_forward_runs_the_decoder_compactly():
@@ -491,7 +538,8 @@ def test_a_taped_paper_grid_forward_runs_the_decoder_compactly():
     tape = Tape()
     forward(params, obs, drop, tape, cfg)
     convs = _conv_nodes(tape)
-    assert convs["dec0"].saved["expand"] == (8, 3, 3, 1)
+    assert convs["dec0"].saved["expand"] == compact_output(
+        upsampled((300, 100), 8), (3, 3), 1)
     assert not convs["dec0"].saved.get("compact")
     assert convs["dec0"].values.shape[2:] == (300, 100)
     assert "expand" not in convs["dec1"].saved

@@ -279,6 +279,16 @@ def test_splits_validation():
                                 test_worlds=2), 1)
 
 
+def test_a_negative_speed_is_rejected():
+    """The ego drives along its yaw, so no speed in the range may be
+    negative; a zero minimum (dwell segments) stays allowed."""
+    with pytest.raises(ConfigurationError, match="speed_min must be >= 0"):
+        WorldConfig(speed_min=-8.0, speed_max=-2.0)
+    with pytest.raises(ConfigurationError, match="speed_min must be >= 0"):
+        WorldConfig(speed_min=-1.0)
+    assert WorldConfig(speed_min=0.0, speed_max=0.0).speed_max == 0.0
+
+
 # ----------------------------------------------------------------- dataset --
 
 def test_build_dataset_deterministic_and_sane():
