@@ -273,6 +273,27 @@ def _is_axis(axis) -> bool:
             and set(map(operator.sub, axis[1:], axis)) <= {0, 1})
 
 
+# `expand` descriptions that passed `_is_expand`, keyed by id; each entry
+# holds its tuple, so the id cannot pass to another object while it is
+# here.  The model hands `conv2d` the same cached tuples every forward.
+_CHECKED_EXPANDS: dict[int, tuple] = {}
+
+
+def _is_expand(expand) -> bool:
+    """True for a pair of per-axis tuples (`_is_axis`).  A tuple that has
+    passed once is not checked again, but an equal tuple that is not the
+    same object is: `(0, 1.0, 2)` equals `(0, 1, 2)`."""
+    if _CHECKED_EXPANDS.get(id(expand)) is expand:
+        return True
+    if not (isinstance(expand, tuple) and len(expand) == 2
+            and all(map(_is_axis, expand))):
+        return False
+    if len(_CHECKED_EXPANDS) >= 256:
+        _CHECKED_EXPANDS.clear()
+    _CHECKED_EXPANDS[id(expand)] = expand
+    return True
+
+
 def _maps(expand: tuple) -> tuple:
     """(rows, cols) of the compact map that `expand` reads: one past each
     axis's last entry."""
@@ -535,8 +556,7 @@ def _fw_conv2d(vals, attrs):
     co, _, kh, kw = w.shape
     if expand is not None:
         _require(stride == 1, "conv2d", "expand needs stride 1")
-        _require(isinstance(expand, tuple) and len(expand) == 2
-                 and all(map(_is_axis, expand)), "conv2d",
+        _require(_is_expand(expand), "conv2d",
                  "expand is no pair of per-axis int tuples from 0 in steps "
                  "of 0 or 1")
         h, wd = map(len, expand)

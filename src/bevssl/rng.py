@@ -18,9 +18,17 @@ consumers cannot perturb each other:
 
 where `key_hash` is mix(key mod 2**64) for integer keys and mix(FNV1a64(key))
 for string keys.  Doubles come from the top 53 bits: u = (output >> 11) * 2**-53.
+
+Normals are Box-Muller over 2n raw draws: u1 = ((output >> 11) + 1) * 2**-53
+from the first n, u2 from the next n, and z = sqrt(-2 log u1) * cos(2 pi u2).
+`normal_rows` draws them for several streams at once, a cache-sized band of
+streams per pass, in place; `Stream.normals` is its one-row case, so both
+give the same bits.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,6 +44,7 @@ _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 
 _TWO_NEG_53 = 2.0 ** -53
+_TWO_PI = 2.0 * np.pi
 
 
 def mix64(z: int) -> int:
@@ -47,17 +56,69 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer on a uint64 array, in place; returns `z`."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=t)
+    z *= _U64_MIX1
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= _U64_MIX2
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
+# raw draws per pass of `normal_rows`: a band of streams is mixed and
+# transformed while it stays in cache
+_BAND_DRAWS = 1 << 15
+
+
+def normal_rows(streams: list[Stream], n: int, scale: float = 1.0) -> np.ndarray:
+    """One row of n Box-Muller normals per stream, shape (len(streams), n);
+    row k is what `streams[k].normals(n, scale)` returns.  Each stream
+    consumes exactly 2n raw draws."""
+    out = np.empty((len(streams), n))
+    # (i + 1) * GOLDEN for i < 2n, the offsets of a stream's next 2n raw
+    # draws from its current position: steps[0] offsets its first n draws
+    # and steps[1] its next n, so a band's u1 and u2 planes are each one
+    # contiguous block
+    steps = (np.arange(1, 2 * n + 1, dtype=np.uint64)
+             * _U64_GOLDEN).reshape(2, 1, n)
+    per_band = max(1, _BAND_DRAWS // (2 * n))
+    for lo in range(0, len(streams), per_band):
+        band = streams[lo:lo + per_band]
+        base = np.array([(st.seed + st.counter * GOLDEN) & MASK64
+                         for st in band], dtype=np.uint64)
+        for st in band:
+            st.counter += 2 * n
+        z = _mix64_array(np.add(base[:, None], steps))
+        z >>= np.uint64(11)
+        # below 2**53, so exact as int64 and as float64
+        z = z.view(np.int64)
+        u1 = out[lo:lo + len(band)]
+        np.add(z[0], 1.0, out=u1)
+        u1 *= _TWO_NEG_53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u1 *= scale
+        u2 = np.multiply(z[1], _TWO_NEG_53)
+        u2 *= _TWO_PI
+        u1 *= np.cos(u2, out=u2)
+    return out
+
+
+# string keys are a small fixed vocabulary ("noise0", "road3", ...), so
+# their hashes are kept; integer keys such as training steps are not
+@functools.lru_cache(maxsize=1024)
+def _hash_str(key: str) -> int:
+    h = _FNV_OFFSET
+    for b in key.encode("utf-8"):
+        h = ((h ^ b) * _FNV_PRIME) & MASK64
+    return mix64(h)
 
 
 def _hash_key(key: int | str) -> int:
     if isinstance(key, str):
-        h = _FNV_OFFSET
-        for b in key.encode("utf-8"):
-            h = ((h ^ b) * _FNV_PRIME) & MASK64
-        return mix64(h)
+        return _hash_str(key)
     return mix64(key & MASK64)
 
 
@@ -93,10 +154,7 @@ class Stream:
 
     def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Box-Muller; consumes exactly 2n raw draws."""
-        raw = self.u64_array(2 * n)
-        u1 = ((raw[:n] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG_53
-        u2 = (raw[n:] >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
-        return scale * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return normal_rows([self], n, scale)[0]
 
     def randint(self, n: int) -> int:
         """Integer uniform on [0, n)."""

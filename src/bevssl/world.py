@@ -9,10 +9,16 @@ one clutter channel of false structures that also leaks into the evidence,
 and one normalized-range channel.  Six 60-degree camera sectors are assigned
 by bearing.  Everything is a pure function of the seeds.
 
-A frame is built from the map near the ego: ground truth skips every
-polyline whose bounding box misses the square around the disk that holds
-the grid, samples all strokes of a class in one vectorized pass, and the
-observation blurs its three class planes and its clutter plane as one stack.
+A frame is built from the map near the ego.  Each world keeps a stroke
+table, built at its first frame: every divider and boundary segment with
+its class plane and bounding box, and every crossing polygon with its box.
+Ground truth skips every segment and polygon whose box misses the square
+around the disk that holds the grid, and samples the strokes of both
+classes in one vectorized pass into the (3, rows, cols) stack.  The
+observation blurs its three class planes and its clutter plane as one
+stack and draws its four noise planes in one Box-Muller pass; the planes
+that depend only on the grid and the style's noise level are cached
+read-only.
 
 A `Sample` holds its frame compactly: the float64 sensor cells that are not
 +0.0 behind a packed bitmask, and the GT as packed bits.  The range plane
@@ -30,17 +36,19 @@ import csv
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, check_fields
 from .geometry import GRID_PRESETS, GridSpec, Pose2, Raster
-from .rng import Stream, mix64
+from .rng import Stream, mix64, normal_rows
 
 CLASS_NAMES = ("ped_crossing", "divider", "boundary")
 N_CLASSES = 3
+_CROSSING = CLASS_NAMES.index("ped_crossing")
 OBS_CHANNELS = 5
 N_SECTORS = 6
 
@@ -52,6 +60,7 @@ SIGNAL_GAIN = (1.0, 1.8, 1.8)
 _GAIN_PLANES = np.array(SIGNAL_GAIN)[:, None, None]
 # leak of clutter structures into each evidence channel
 _CLUTTER_LEAK = (0.25, 0.25, 0.25)
+_LEAK_PLANES = np.array(_CLUTTER_LEAK)[:, None, None]
 # per-sequence sensor calibration spreads
 _GAIN_RANGE = (0.6, 1.4)
 _BIAS_RANGE = (-0.05, 0.12)
@@ -131,13 +140,19 @@ class WorldConfig:
 
 @dataclass
 class WorldMap:
-    """Polyline map plus the drivable centerlines it was grown from."""
+    """Polyline map plus the drivable centerlines it was grown from.
+
+    `rasterize_gt` reads the polylines through a stroke table that is
+    built at the world's first frame and kept with the world.
+    """
 
     polylines: list[tuple[str, np.ndarray]]
     centerlines: list[np.ndarray]
     style: StyleParams
     extent: tuple[float, float, float, float]
     seed: int
+    _strokes: _StrokeTable | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
 
 @dataclass
@@ -226,9 +241,9 @@ class Sample:
         self.frame_index = frame_index
         self.pose = pose
         self.spec = spec
-        stored = sensor.view(np.uint64) != 0
+        stored = (sensor.view(np.uint64) != 0).reshape(-1)
         self._stored = np.packbits(stored)
-        self._values = sensor[stored]
+        self._values = np.compress(stored, sensor.reshape(-1))
         self._gt = np.packbits(is_one)
 
     @property
@@ -340,10 +355,13 @@ def _clip_polygon(verts: np.ndarray, extent) -> np.ndarray | None:
 # -------------------------------------------------------- world building --
 
 def _walk(stream: Stream, start, heading, style: StyleParams, extent,
-          max_len: float) -> list[np.ndarray]:
+          max_len: float) -> list[tuple[float, float]]:
+    """Vertices of a curvature-held random walk in 2 m steps from `start`,
+    ending at the first vertex outside the extent or after `max_len`."""
     x0, x1, y0, y1 = extent
     step = 2.0
-    pts = [np.array(start, dtype=np.float64)]
+    x, y = float(start[0]), float(start[1])
+    pts = [(x, y)]
     h = heading
     travelled = 0.0
     kappa = stream.uniform(-style.curvature_scale, style.curvature_scale)
@@ -353,11 +371,12 @@ def _walk(stream: Stream, start, heading, style: StyleParams, extent,
             kappa = stream.uniform(-style.curvature_scale, style.curvature_scale)
             hold = stream.uniform(15.0, 50.0)
         h += kappa * step
-        p = pts[-1] + step * np.array([math.cos(h), math.sin(h)])
-        pts.append(p)
+        x += step * math.cos(h)
+        y += step * math.sin(h)
+        pts.append((x, y))
         travelled += step
         hold -= step
-        if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
             break
     return pts
 
@@ -530,7 +549,10 @@ def _world_to_ego(pose: Pose2, pts: np.ndarray) -> np.ndarray:
     c, s = math.cos(pose.yaw), math.sin(pose.yaw)
     dx = pts[:, 0] - pose.x
     dy = pts[:, 1] - pose.y
-    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=1)
+    out = np.empty((len(pts), 2))
+    np.add(c * dx, s * dy, out=out[:, 0])
+    np.add(-s * dx, c * dy, out=out[:, 1])
+    return out
 
 
 def _corner_distance(spec: GridSpec) -> float:
@@ -539,77 +561,116 @@ def _corner_distance(spec: GridSpec) -> float:
                       max(abs(spec.y_min), abs(spec.y_max)))
 
 
-def _near_ego(polylines, pose: Pose2, spec: GridSpec) -> list[tuple[str, np.ndarray]]:
-    """The polylines whose world-frame bounding box meets the square
-    pose ± reach, reach being the farthest grid corner plus one cell.
+class _StrokeTable(NamedTuple):
+    """A world's map as `rasterize_gt` reads it, built once per world.
 
-    The grid lies inside the disk of that radius, so no other polyline can
-    mark a cell; the extra cell absorbs the rounding of the ego transform.
+    `ends[i]` holds the start and end of stroke segment i, over every
+    segment of the divider and boundary polylines, and `plane[i]` its
+    class channel; `polygons` are the crossings.  `lo` and `hi` are the
+    world-frame bounding boxes of the segments followed by those of the
+    polygons.  `source` is the polyline list the table was built from.
     """
-    kept = [(c, v) for c, v in polylines if len(v)]
-    if not kept:
-        return []
-    lengths = [len(v) for _, v in kept]
-    verts = np.concatenate([v for _, v in kept])
-    starts = np.cumsum(lengths) - lengths
-    lo = np.minimum.reduceat(verts, starts)
-    hi = np.maximum.reduceat(verts, starts)
+
+    source: list
+    ends: np.ndarray
+    plane: np.ndarray
+    polygons: list
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @classmethod
+    def build(cls, polylines) -> "_StrokeTable":
+        strokes = [(CLASS_NAMES.index(c), v) for c, v in polylines
+                   if CLASS_NAMES.index(c) != _CROSSING and len(v) > 1]
+        polygons = [v for c, v in polylines
+                    if CLASS_NAMES.index(c) == _CROSSING and len(v)]
+        ends = np.concatenate([np.stack([v[:-1], v[1:]], axis=1)
+                               for _, v in strokes] or [np.zeros((0, 2, 2))])
+        plane = np.repeat([ch for ch, _ in strokes],
+                          [len(v) - 1 for _, v in strokes]).astype(np.int64)
+        lo = np.concatenate([ends.min(axis=1)]
+                            + [v.min(axis=0, keepdims=True) for v in polygons])
+        hi = np.concatenate([ends.max(axis=1)]
+                            + [v.max(axis=0, keepdims=True) for v in polygons])
+        return cls(polylines, ends, plane, polygons, lo, hi)
+
+
+def _stroke_table(world: WorldMap) -> _StrokeTable:
+    """The world's stroke table, built at its first frame; a world given
+    a new polyline list gets a new table."""
+    table = world._strokes
+    if table is None or table.source is not world.polylines:
+        table = world._strokes = _StrokeTable.build(world.polylines)
+    return table
+
+
+def _near_ego(table: _StrokeTable, pose: Pose2, spec: GridSpec) -> np.ndarray:
+    """Which segments and polygons of the table, in its order, have a
+    world-frame bounding box that meets the square pose ± reach, reach
+    being the farthest grid corner plus one cell.
+
+    The grid lies inside the disk of that radius, so nothing else can mark
+    a cell; the extra cell absorbs the rounding of the ego transform.
+    """
     reach = _corner_distance(spec) + spec.cell
-    near = ((hi[:, 0] >= pose.x - reach) & (lo[:, 0] <= pose.x + reach)
+    lo, hi = table.lo, table.hi
+    return ((hi[:, 0] >= pose.x - reach) & (lo[:, 0] <= pose.x + reach)
             & (hi[:, 1] >= pose.y - reach) & (lo[:, 1] <= pose.y + reach))
-    return [kept[i] for i in np.nonzero(near)[0]]
 
 
 def _mark_line(grid: np.ndarray, spec: GridSpec, a: np.ndarray,
-               b: np.ndarray) -> None:
-    """Mark the cells under the segments a[i] → b[i], each sampled at
-    `linspace(0, 1, n)` with n set by its length (about 3 samples per cell)."""
+               b: np.ndarray, plane) -> None:
+    """Mark the cells under the segments a[i] → b[i] in `grid`, a stack of
+    (rows, cols) planes, on plane `plane` (one for all segments or one
+    each).  Each segment is sampled at `linspace(0, 1, n)` with n set by
+    its length (about 3 samples per cell)."""
     rows, cols = spec.rows, spec.cols
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    near = ((hi[:, 0] >= spec.x_min) & (lo[:, 0] <= spec.x_max)
-            & (hi[:, 1] >= spec.y_min) & (lo[:, 1] <= spec.y_max))
+    meets = ((np.maximum(a, b) >= (spec.x_min, spec.y_min))
+             & (np.minimum(a, b) <= (spec.x_max, spec.y_max)))
+    near = meets[:, 0] & meets[:, 1]
     a = a[near]
+    if not len(a):
+        return
     d = b[near] - a
     # math.hypot, not np.hypot, which may round differently and move n
-    seg_len = np.array(list(map(math.hypot, d[:, 0].tolist(), d[:, 1].tolist())),
-                       dtype=np.float64)
+    seg_len = np.array(list(map(math.hypot, *d.T.tolist())), dtype=np.float64)
     n = np.maximum(2, (seg_len / (spec.cell * 0.35)).astype(np.int64) + 1)
     # sample j of segment i is t = j * (1 / (n_i - 1)), its last pinned to
     # 1.0: exactly what np.linspace(0, 1, n_i) computes
-    seg = np.repeat(np.arange(len(n)), n)
-    first = np.cumsum(n) - n
-    t = (np.arange(len(seg)) - first[seg]) * (1.0 / (n - 1))[seg]
-    t[first + n - 1] = 1.0
-    xs = a[seg, 0] + t * d[seg, 0]
-    ys = a[seg, 1] + t * d[seg, 1]
-    r = np.floor((xs - spec.x_min) / spec.cell).astype(np.int64)
-    q = np.floor((ys - spec.y_min) / spec.cell).astype(np.int64)
-    ok = (r >= 0) & (r < rows) & (q >= 0) & (q < cols)
-    grid[r[ok], q[ok]] = 1.0
+    ends = n.cumsum()
+    t = ((np.arange(ends[-1]) - (ends - n).repeat(n))
+         * (1.0 / (n - 1)).repeat(n))
+    t[ends - 1] = 1.0
+    pts = a.repeat(n, axis=0) + t[:, None] * d.repeat(n, axis=0)
+    rq = np.floor((pts - (spec.x_min, spec.y_min)) / spec.cell).astype(np.int64)
+    r, q = rq[:, 0], rq[:, 1]
+    # as unsigned, a negative index is past the end too
+    ok = (r.view(np.uint64) < rows) & (q.view(np.uint64) < cols)
+    if np.ndim(plane):
+        plane = plane[near].repeat(n)
+    np.put(grid, ((plane * rows + r) * cols + q)[ok], 1.0)
 
 
 def _fill_polygon(grid: np.ndarray, spec: GridSpec, poly: np.ndarray) -> None:
+    """Set the cells whose centres lie inside the convex polygon, or on
+    its edges, to 1."""
     if len(poly) < 3:
         return
-    r_lo = max(0, int(math.floor((poly[:, 0].min() - spec.x_min) / spec.cell)))
-    r_hi = min(spec.rows, int(math.ceil((poly[:, 0].max() - spec.x_min) / spec.cell)) + 1)
-    q_lo = max(0, int(math.floor((poly[:, 1].min() - spec.y_min) / spec.cell)))
-    q_hi = min(spec.cols, int(math.ceil((poly[:, 1].max() - spec.y_min) / spec.cell)) + 1)
+    px, py = poly.T.tolist()
+    r_lo = max(0, int(math.floor((min(px) - spec.x_min) / spec.cell)))
+    r_hi = min(spec.rows, int(math.ceil((max(px) - spec.x_min) / spec.cell)) + 1)
+    q_lo = max(0, int(math.floor((min(py) - spec.y_min) / spec.cell)))
+    q_hi = min(spec.cols, int(math.ceil((max(py) - spec.y_min) / spec.cell)) + 1)
     if r_lo >= r_hi or q_lo >= q_hi:
         return
     xs = spec.x_min + (np.arange(r_lo, r_hi) + 0.5) * spec.cell
     ys = spec.y_min + (np.arange(q_lo, q_hi) + 0.5) * spec.cell
-    px = np.repeat(xs[:, None], len(ys), axis=1)
-    py = np.repeat(ys[None, :], len(xs), axis=0)
-    pos = np.zeros(px.shape, dtype=bool)
-    neg = np.zeros(px.shape, dtype=bool)
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        cross = (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0])
-        pos |= cross > 1e-12
-        neg |= cross < -1e-12
-    inside = ~(pos & neg)
+    # the cross product of each edge a → b with each cell centre, as
+    # (edges, rows, cols)
+    a = poly[:, :, None, None]
+    e = np.concatenate([poly[1:], poly[:1]])[:, :, None, None] - a
+    cross = (e[:, 0] * (ys - a[:, 1]) - e[:, 1] * (xs[:, None] - a[:, 0]))
+    inside = ~((cross > 1e-12).any(axis=0) & (cross < -1e-12).any(axis=0))
     grid[r_lo:r_hi, q_lo:q_hi][inside] = 1.0
 
 
@@ -617,24 +678,15 @@ def rasterize_gt(world: WorldMap, pose: Pose2, spec: GridSpec) -> Raster:
     """Three binary channels in the ego frame: crossings filled, dividers and
     boundaries stroked one cell wide.  Channels are independent."""
     out = np.zeros((N_CLASSES, spec.rows, spec.cols))
-    near = _near_ego(world.polylines, pose, spec)
-    if not near:
-        return Raster(spec, out)
-    lens = [len(v) for _, v in near]
-    ends = np.cumsum(lens)
-    ego = _world_to_ego(pose, np.concatenate([v for _, v in near]))
-    chan = np.repeat([CLASS_NAMES.index(c) for c, _ in near], lens)
-    # vertex i starts a segment unless it ends its polyline
-    joins = np.ones(len(ego), dtype=bool)
-    joins[ends - 1] = False
-    for ch, cls in enumerate(CLASS_NAMES):
-        if cls == "ped_crossing":
-            for (c, _), end, n in zip(near, ends.tolist(), lens):
-                if c == cls:
-                    _fill_polygon(out[ch], spec, ego[end - n:end])
-        else:
-            i = np.nonzero(joins & (chan == ch))[0]
-            _mark_line(out[ch], spec, ego[i], ego[i + 1])
+    table = _stroke_table(world)
+    near = _near_ego(table, pose, spec)
+    n_seg = len(table.ends)
+    for i in np.flatnonzero(near[n_seg:]).tolist():
+        _fill_polygon(out[_CROSSING], spec,
+                      _world_to_ego(pose, table.polygons[i]))
+    seg = np.flatnonzero(near[:n_seg])
+    ends = _world_to_ego(pose, table.ends[seg].reshape(-1, 2)).reshape(-1, 2, 2)
+    _mark_line(out, spec, ends[:, 0], ends[:, 1], table.plane[seg])
     return Raster(spec, out)
 
 
@@ -650,14 +702,17 @@ def blur3(x: np.ndarray) -> np.ndarray:
     # flattened, tap (i, j) is a shift by (i - 1)(w + 2) + (j - 1): each
     # interior cell sums its nine taps in order; the border sums are dropped
     flat = padded.reshape(-1)
+    # scaling by 2 or 4 is exact, so one scaled copy serves every tap of
+    # its weight
+    scaled = {1: flat, 2: 2.0 * flat, 4: 4.0 * flat}
     m = w + 3
     n = flat.size - 2 * m
     out = np.zeros_like(flat)
-    acc, tmp = out[m:m + n], np.empty(n)
+    acc = out[m:m + n]
     for i in range(3):
         for j in range(3):
             start = m + (i - 1) * (w + 2) + (j - 1)
-            acc += np.multiply(flat[start:start + n], k[i][j], out=tmp)
+            acc += scaled[k[i][j]][start:start + n]
     return out.reshape(padded.shape)[..., 1:-1, 1:-1] / 16.0
 
 
@@ -688,18 +743,30 @@ def _range_norm(spec: GridSpec) -> np.ndarray:
     return _read_only(np.hypot(xs, ys) / _corner_distance(spec))
 
 
+@functools.lru_cache(maxsize=8)
+def _sigma(spec: GridSpec, noise_level: float) -> np.ndarray:
+    """Noise amplitude of each evidence cell, growing with range; the
+    clutter channel's is half of it.  Read-only."""
+    return _read_only(noise_level * (0.15 + 0.85 * _range_norm(spec)))
+
+
 def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
                        calibration: Calibration | None = None) -> Raster:
-    """Noisy 5-channel observation of a frame, on its ground truth's grid."""
+    """Noisy 5-channel observation of a frame, on its ground truth's grid.
+
+    Evidence channel c is clip((mixed_c * gain_c + bias_c) + leak_c *
+    clutter + sigma * noise_c), and the clutter channel clip(clutter *
+    clutter_gain + sigma / 2 * noise_3); dropout blobs zero all four.  The
+    four noise planes are one `normal_rows` draw.
+    """
     cal = calibration or Calibration()
     spec = gt.spec
-    rnorm = _range_norm(spec)
     rows, cols = spec.rows, spec.cols
     stream = Stream(noise_seed)
 
-    sigma = style.noise_level * (0.15 + 0.85 * rnorm)
-
-    clutter = np.zeros((rows, cols))
+    # the class evidence and the clutter plane share one blur
+    planes = np.zeros((N_CLASSES + 1, rows, cols))
+    planes[:N_CLASSES] = gt.values
     cl = stream.child("clutter")
     n_clutter = cl.poisson(style.clutter_density * 3.0)
     strokes = np.zeros((n_clutter, 4))
@@ -711,13 +778,14 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
         ln = cs.uniform(3.0, 14.0)
         strokes[i] = (ax, ay, ax + ln * math.cos(heading),
                       ay + ln * math.sin(heading))
-    _mark_line(clutter, spec, strokes[:, :2], strokes[:, 2:])
-    # the class evidence and the clutter plane share one blur
-    blurred = blur3(np.concatenate([gt.values[:N_CLASSES], clutter[None]]))
-    signal = _GAIN_PLANES * blurred[:N_CLASSES]
-    clutter = blurred[N_CLASSES] * (0.5 + 0.5 * stream.child("camp").uniform())
+    _mark_line(planes, spec, strokes[:, :2], strokes[:, 2:], N_CLASSES)
+    blurred = blur3(planes)
+    signal = blurred[:N_CLASSES]
+    signal *= _GAIN_PLANES
+    clutter = blurred[N_CLASSES]
+    clutter *= 0.5 + 0.5 * stream.child("camp").uniform()
 
-    drop_mask = np.zeros((rows, cols), dtype=bool)
+    drops = []
     dr = stream.child("drop")
     lam = 3.0 * min(1.0, style.noise_level * 2.5) * cal.drop_scale
     for i in range(dr.poisson(lam)):
@@ -726,25 +794,30 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
         w = ds.randrange(2, max(3, cols // 4))
         r0 = ds.randint(max(1, rows - h))
         q0 = ds.randint(max(1, cols - w))
-        drop_mask[r0:r0 + h, q0:q0 + w] = True
+        drops.append((slice(r0, r0 + h), slice(q0, q0 + w)))
 
-    mix = np.asarray(cal.mix)
-    mixed = np.einsum("ij,jhw->ihw", mix, signal)
+    values = np.empty((OBS_CHANNELS, rows, cols))
+    evidence = values[:N_CLASSES]
+    np.einsum("ij,jhw->ihw", np.asarray(cal.mix), signal, out=evidence)
     if cal.vis_frac is not None:
-        atten = 1.0 / (1.0 + np.exp((rnorm - cal.vis_frac) / 0.08))
-        mixed = mixed * atten
-    values = np.zeros((OBS_CHANNELS, rows, cols))
-    for ch in range(N_CLASSES):
-        noise = stream.child(f"noise{ch}").normals(rows * cols).reshape(rows, cols)
-        ev = (mixed[ch] * cal.gains[ch] + cal.biases[ch]
-              + _CLUTTER_LEAK[ch] * clutter + sigma * noise)
-        ev[drop_mask] = 0.0
-        values[ch] = np.clip(ev, 0.0, 1.0)
-    cnoise = stream.child("cnoise").normals(rows * cols).reshape(rows, cols)
-    cch = clutter * cal.clutter_gain + 0.5 * sigma * cnoise
-    cch[drop_mask] = 0.0
-    values[3] = np.clip(cch, 0.0, 1.0)
-    values[4] = rnorm
+        evidence *= 1.0 / (1.0 + np.exp((_range_norm(spec) - cal.vis_frac)
+                                        / 0.08))
+    evidence *= np.array(cal.gains)[:, None, None]
+    evidence += np.array(cal.biases)[:, None, None]
+    evidence += _LEAK_PLANES * clutter
+    np.multiply(clutter, cal.clutter_gain, out=values[N_CLASSES])
+    noise = normal_rows([stream.child(f"noise{ch}") for ch in range(N_CLASSES)]
+                        + [stream.child("cnoise")], rows * cols)
+    noise = noise.reshape(N_CLASSES + 1, rows, cols)
+    sigma = _sigma(spec, style.noise_level)
+    noise[:N_CLASSES] *= sigma
+    noise[N_CLASSES] *= 0.5 * sigma
+    sensor = values[:N_CLASSES + 1]
+    sensor += noise
+    for r, q in drops:
+        sensor[:, r, q] = 0.0
+    sensor.clip(0.0, 1.0, out=sensor)
+    values[OBS_CHANNELS - 1] = _range_norm(spec)
     return Raster(spec, values)
 
 
@@ -811,6 +884,8 @@ def build_sequences(worlds: list[WorldMap], seed: int,
             sequences[sid] = build_sequence(
                 world, sid, mix64(seed ^ mix64(7777 + sid)), spec,
                 cfg.n_frames, (cfg.speed_min, cfg.speed_max))
+        # its frames are built: hold one world's stroke table at a time
+        world._strokes = None
     return sequences
 
 

@@ -36,13 +36,17 @@ def test_reference_losses_match(name):
 
 
 def test_traced_run_completes():
-    """The tracer wraps engine functions by their positional signatures."""
+    """The tracer wraps engine and world functions by their positional
+    signatures."""
     tracer = spans.Tracer()
     res = workloads.run_workload("fusion_feats6_small", 1, 1, tracer)
     assert res["failed"] == 0, res["errors"]
     metrics = tracer.metrics(res["step_ms"], res["traced_step_ms"])
     assert metrics["trace.steps_traced"]["value"] >= 1
     assert metrics["engine.teacher_frames_per_step"]["value"] == 7
+    # the frame builders the tracer wraps run once per frame
+    assert metrics["world.frames_built"]["value"] == 600
+    assert metrics["world.rasterize_gt_per_frame"]["value"] == 1.0
 
 
 # Per-step decoder multiply-adds (output cells x ci x k^2, in MMAC): three

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bevssl.rng import GOLDEN, MASK64, Stream, mix64
+from bevssl.rng import GOLDEN, MASK64, Stream, mix64, normal_rows
 
 M1 = 0xBF58476D1CE4E5B9
 M2 = 0x94D049BB133111EB
@@ -55,6 +55,41 @@ def test_normals_moments():
     xs = Stream(11).normals(40_000)
     assert abs(xs.mean()) < 0.02
     assert abs(xs.std() - 1.0) < 0.02
+
+
+def reference_normals(st: Stream, n: int, scale: float = 1.0) -> np.ndarray:
+    """The documented Box-Muller over one stream's next 2n raw draws, one
+    temporary per step."""
+    raw = st.u64_array(2 * n)
+    u1 = ((raw[:n] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    u2 = (raw[n:] >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return scale * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3072, 5000, 30000])
+def test_normal_rows_match_each_stream_normals(n):
+    """Row k is stream k's `normals` and the documented transform, byte for
+    byte; at n = 5000 the four rows are drawn as a band of three and a band
+    of one, at 30000 one a band."""
+    def streams():
+        # the last stream has drawn before
+        return [Stream(3).child(f"noise{k}") for k in range(3)] + [Stream(8, 5)]
+
+    got = streams()
+    rows = normal_rows(got, n)
+    assert rows.shape == (4, n) and rows.dtype == np.float64
+    for st, row, one in zip(got, rows, streams()):
+        counter = one.counter
+        want = one.normals(n)
+        assert row.tobytes() == want.tobytes()
+        assert st.counter == one.counter == counter + 2 * n
+    for row, ref in zip(rows, streams()):
+        assert row.tobytes() == reference_normals(ref, n).tobytes()
+    # one row, and a scale
+    single = Stream(8, 5)
+    assert normal_rows([single], n, 0.3)[0].tobytes() == \
+        reference_normals(Stream(8, 5), n, 0.3).tobytes()
+    assert single.counter == 5 + 2 * n
 
 
 def test_randint_bounds():

@@ -130,6 +130,17 @@ def test_rasterize_empty_world_is_zero():
     assert not gt.values.any()
 
 
+def test_a_world_given_new_polylines_rasterizes_them():
+    w = straight_world()
+    pose = Pose2(0, 0, 0)
+    before = rasterize_gt(w, pose, SMALL_GRID).values
+    assert before[1:].any()
+    w.polylines = [p for p in w.polylines if p[0] == "ped_crossing"]
+    after = rasterize_gt(w, pose, SMALL_GRID).values
+    assert not after[1:].any() and np.array_equal(after[0], before[0])
+    assert np.array_equal(after, ref_rasterize_gt(w, pose, SMALL_GRID))
+
+
 def test_rasterize_single_divider_single_column():
     line = np.array([[-500.0, 0.0], [500.0, 0.0]])
     w = WorldMap([("divider", line)], [line], CITY_A,
@@ -525,6 +536,29 @@ def one_line_world(cls, verts):
                     (-200.0, 200.0, -200.0, 200.0), 0)
 
 
+def ref_walk(stream, start, heading, style, extent, max_len):
+    """The road walk with one numpy vertex per step."""
+    x0, x1, y0, y1 = extent
+    step = 2.0
+    pts = [np.array(start, dtype=np.float64)]
+    h = heading
+    travelled = 0.0
+    kappa = stream.uniform(-style.curvature_scale, style.curvature_scale)
+    hold = stream.uniform(15.0, 50.0)
+    while travelled < max_len:
+        if hold <= 0.0:
+            kappa = stream.uniform(-style.curvature_scale, style.curvature_scale)
+            hold = stream.uniform(15.0, 50.0)
+        h += kappa * step
+        p = pts[-1] + step * np.array([math.cos(h), math.sin(h)])
+        pts.append(p)
+        travelled += step
+        hold -= step
+        if not (x0 <= p[0] <= x1 and y0 <= p[1] <= y1):
+            break
+    return pts
+
+
 # ---------------------------------------------------- frame builder parity --
 
 @pytest.mark.parametrize("style", ["city_A", "city_B"])
@@ -543,6 +577,40 @@ def test_frames_match_reference_builder(style, spec):
             obs = render_observation(gt, style_params, seed + k, cal)
             ref = ref_render_observation(gt, style_params, seed + k, cal)
             assert obs.values.tobytes() == ref.tobytes(), (wi, k)
+
+
+@pytest.mark.parametrize("style", ["city_A", "city_B"])
+@pytest.mark.parametrize("preset", ["small", "paper"])
+def test_whole_build_matches_reference_builders(style, preset, monkeypatch):
+    """World and sequence, built as a dataset builds them, against the
+    reference walk, rasterizer and renderer: no pinned digest, so the
+    check holds wherever numpy's log and cos round differently."""
+    spec, style_params = GRID_PRESETS[preset], world_mod.STYLE_PRESETS[style]
+    for wi in range(2):
+        seed = mix64(17 ^ mix64(wi))
+        world = generate_world(seed, style_params)
+        seq_seed = mix64(seed ^ mix64(7777 + wi))
+        seq = build_sequence(world, wi, seq_seed, spec, 5, (0.0, 12.0))
+        with monkeypatch.context() as m:
+            m.setattr(world_mod, "_walk", ref_walk)
+            ref = generate_world(seed, style_params)
+        assert [c for c, _ in world.polylines] == [c for c, _ in ref.polylines]
+        for (_, v), (_, r) in zip(world.polylines, ref.polylines):
+            assert v.dtype == r.dtype and v.tobytes() == r.tobytes()
+        assert len(world.centerlines) == len(ref.centerlines)
+        for v, r in zip(world.centerlines, ref.centerlines):
+            assert v.dtype == r.dtype and v.tobytes() == r.tobytes()
+        poses = generate_sequence(ref, seq_seed, 5, (0.0, 12.0))
+        assert seq.poses == [p for _, p in poses]
+        cal = Calibration.draw(Stream(seq_seed).child("calibration"))
+        for s, (idx, pose) in zip(seq.samples, poses):
+            assert (s.frame_index, s.pose) == (idx, pose)
+            gt = ref_rasterize_gt(ref, pose, spec)
+            assert s.gt.values.tobytes() == gt.tobytes(), (wi, idx)
+            obs = ref_render_observation(Raster(spec, gt), style_params,
+                                         mix64(seq_seed ^ mix64(1000 + idx)),
+                                         cal)
+            assert s.observation.values.tobytes() == obs.tobytes(), (wi, idx)
 
 
 @pytest.mark.parametrize("style", ["city_A", "city_B"])
@@ -656,9 +724,14 @@ def test_cull_keeps_polylines_just_inside_the_reach(spec):
         x = pose.x + reach + gap
         y = pose.y - reach - gap
         polylines += [("divider", np.array([[x, pose.y - 3.0], [x, pose.y + 3.0]])),
-                      ("boundary", np.array([[pose.x - 3.0, y], [pose.x + 3.0, y]]))]
-    near = world_mod._near_ego(polylines, pose, spec)
-    assert [id(v) for _, v in near] == [id(v) for _, v in polylines[:2]]
+                      ("boundary", np.array([[pose.x - 3.0, y], [pose.x + 3.0, y]])),
+                      ("ped_crossing", np.array([[x, pose.y], [x + 2.0, pose.y],
+                                                 [x + 2.0, pose.y + 2.0],
+                                                 [x, pose.y + 2.0]]))]
+    # the table holds the one segment of each stroke, then the polygons
+    table = world_mod._StrokeTable.build(polylines)
+    near = world_mod._near_ego(table, pose, spec)
+    assert near.tolist() == [True, True, False, False, True, False]
     world = WorldMap(polylines, [], CITY_A, (-200.0, 200.0, -200.0, 200.0), 0)
     assert np.array_equal(rasterize_gt(world, pose, spec).values,
                           ref_rasterize_gt(world, pose, spec))
