@@ -36,10 +36,12 @@ class AugmentConfig:
         check_fields("augment", self, (
             ("channel_swap_prob", 0 <= self.channel_swap_prob <= 1,
              "in [0, 1]"),
-            ("cutout_fraction", 0 <= self.cutout_fraction < 1, "in [0, 1)"),
+            ("cutout_fraction", 0 < self.cutout_fraction < 1,
+             "in (0, 1) (no cutout is cutout false)"),
             ("camdrop_count", 1 <= self.camdrop_count < N_SECTORS,
              f"in [1, {N_SECTORS})"),
-            ("bevdrop_rate", 0 <= self.bevdrop_rate < 1, "in [0, 1)")))
+            ("bevdrop_rate", 0 < self.bevdrop_rate < 1,
+             "in (0, 1) (no BEV dropout is bevdrop false)")))
 
     @classmethod
     def none(cls) -> "AugmentConfig":
@@ -65,11 +67,9 @@ def photometric(obs: Raster, stream: Stream, gain_range=(0.8, 1.2),
 def cutout(obs: Raster, stream: Stream, fraction: float = 0.25) -> Raster:
     """Zero axis-aligned rectangles in every channel until the cumulative
     zeroed area reaches `fraction` of the grid.  No loss mask is produced."""
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigurationError("cutout fraction must be in [0, 1)")
+    if not 0.0 < fraction < 1.0:
+        raise ConfigurationError("cutout fraction must be in (0, 1)")
     out = obs.values.copy()
-    if fraction == 0.0:
-        return Raster(obs.spec, out, obs.valid.copy())
     rows, cols = obs.spec.rows, obs.spec.cols
     target = fraction * rows * cols
     zeroed = np.zeros((rows, cols), dtype=bool)
@@ -102,10 +102,8 @@ def camdrop(obs: Raster, sector_map: np.ndarray, stream: Stream,
 
 def bevdrop_mask(rows: int, cols: int, rate: float, stream: Stream) -> np.ndarray:
     """Independent per-cell drop decisions with probability `rate`."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError("bevdrop rate must be in [0, 1)")
-    if rate == 0.0:
-        return np.zeros((rows, cols), dtype=bool)
+    if not 0.0 < rate < 1.0:
+        raise ConfigurationError("bevdrop rate must be in (0, 1)")
     return stream.uniforms(rows * cols).reshape(rows, cols) < rate
 
 

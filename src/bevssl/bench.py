@@ -462,6 +462,7 @@ def _worker_result(future, spec: RunSpec, out, retry: bool = True,
 
 # the teacher-student core: no feature similarity, threshold or fusion
 CORE_OVERRIDES = {"w_feat": 0.0, "threshold": None, "fusion_mode": "none"}
+HARD = {"hard": True, "temperature": None}   # whatever the config file sets
 
 
 def components_variants(_cfg) -> list[Variant]:
@@ -472,7 +473,7 @@ def components_variants(_cfg) -> list[Variant]:
         Variant("+Fusion", overrides={"w_feat": 0.0, "threshold": None}),
         Variant("+Featsim", overrides={"threshold": None}),
         Variant("+Thr"),
-        Variant("+Hard", overrides={"hard": True}),
+        Variant("+Hard", overrides=HARD),
     ]
 
 
@@ -493,19 +494,20 @@ def augmentation_variants(_cfg) -> list[Variant]:
 def threshold_variants(_cfg) -> list[Variant]:
     return [Variant(f"{'thr+hard' if hard else 'thr'}@{tau:g}",
                     overrides={**CORE_OVERRIDES, "threshold": tau,
-                               "hard": hard})
+                               **(HARD if hard else {"hard": False})})
             for tau in (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
             for hard in (False, True)]
 
 
 def temperature_variants(_cfg) -> list[Variant]:
-    # "thr" keeps the configured threshold
+    # "thr" keeps the configured threshold; no temperature moves hard targets
+    base = {"w_feat": 0.0, "fusion_mode": "none"}
     return [Variant(f"T{temp:g}+{name}",
-                    overrides={"w_feat": 0.0, "fusion_mode": "none",
-                               "temperature": temp, **over})
+                    overrides={**base, "temperature": temp, "hard": False,
+                               **over})
             for temp in (0.05, 0.1, 0.25, 0.5, 0.75, 0.95)
-            for name, over in (("nothr", {"threshold": None}), ("thr", {}),
-                               ("thr+hard", {"hard": True}))]
+            for name, over in (("nothr", {"threshold": None}), ("thr", {}))
+            ] + [Variant("thr+hard", overrides={**base, **HARD})]
 
 
 def featsim_variants(_cfg) -> list[Variant]:

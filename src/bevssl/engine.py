@@ -43,7 +43,8 @@ class SslConfig:
     their ramp-up, the feature-similarity term, and the pseudo-label scheme.
 
     Defaults reproduce the final scheme: fusion of probabilities over two
-    extra frames within 30 m, soft targets, confidence threshold 0.6."""
+    extra frames within 30 m, soft targets, confidence threshold 0.6.  Each
+    run has one spelling: no threshold is None, no fusion is "none"."""
 
     w_cls: float = 1.0
     w_feat: float = 0.25
@@ -57,7 +58,6 @@ class SslConfig:
     fusion_extra: int = 2
     fusion_max_range: float = 30.0
     fusion_warp: str = "nearest"
-    confidence: str = "two_sided"   # "two_sided" | "positive"
 
     def __post_init__(self):
         check_fields("ssl", self, (
@@ -68,18 +68,18 @@ class SslConfig:
              "'cosine' or 'mse'"),
             ("feat_level", self.feat_level in ("early", "late"),
              "'early' or 'late'"),
-            ("threshold", self.threshold is None or 0.5 <= self.threshold < 1,
-             "in [0.5, 1) or None"),
-            ("temperature", self.temperature is None or self.temperature > 0,
-             "> 0 or None"),
+            ("threshold", self.threshold is None or 0.5 < self.threshold < 1,
+             "in (0.5, 1), or None to keep every cell"),
+            ("temperature", self.temperature is None
+             or self.temperature > 0 and not self.hard,
+             "> 0 or None, and None when ssl.hard is true"),
             ("fusion_mode", self.fusion_mode in ("none", "probs", "feats"),
              "'none', 'probs' or 'feats'"),
-            ("fusion_extra", self.fusion_extra >= 0, ">= 0"),
+            ("fusion_extra", self.fusion_extra >= 1,
+             '>= 1 (no fusion is fusion_mode "none")'),
             ("fusion_max_range", self.fusion_max_range > 0, "> 0"),
             ("fusion_warp", self.fusion_warp in ("nearest", "bilinear"),
-             "'nearest' or 'bilinear'"),
-            ("confidence", self.confidence in ("two_sided", "positive"),
-             "'two_sided' or 'positive'")))
+             "'nearest' or 'bilinear'")))
 
 
 @dataclass
@@ -119,24 +119,23 @@ def make_pseudo_labels(probs: Raster, cfg: SslConfig,
                        validity: np.ndarray | None = None,
                        provenance: np.ndarray | None = None,
                        ) -> PseudoLabelBundle:
-    """Threshold on raw fused confidence, then sharpen/binarize targets.
+    """Threshold on raw fused confidence, then binarize or sharpen targets.
 
-    Confidence is two-sided, max(p, 1-p), unless configured positive-only;
-    sharpening happens in logit space and never flips a cell across 0.5.
+    Confidence is two-sided, max(p, 1-p).  Hard targets are p > 0.5;
+    soft ones are p, sharpened in logit space when a temperature is set.
     """
     p = probs.values
     valid = probs.valid if validity is None else np.asarray(validity, bool)
     include = np.broadcast_to(valid, p.shape)
     if cfg.threshold is not None:
-        conf = np.maximum(p, 1.0 - p) if cfg.confidence == "two_sided" else p
-        include = include & (conf >= cfg.threshold)
+        include = include & (np.maximum(p, 1.0 - p) >= cfg.threshold)
 
     targets = p
-    if cfg.temperature is not None:
+    if cfg.hard:   # no temperature moves a cell across 0.5
+        targets = (p > 0.5).astype(np.float64)
+    elif cfg.temperature is not None:
         z = sharpen(prob_logit(p), cfg.temperature)
         targets = 1.0 / (1.0 + np.exp(-z))
-    if cfg.hard:
-        targets = (targets > 0.5).astype(np.float64)
     if provenance is None:
         provenance = np.full(p.shape, -1, dtype=np.int64)
     return PseudoLabelBundle(targets.copy(), LossMask(include.copy()),
@@ -351,7 +350,7 @@ class Trainer:
         cfg = self.ssl_cfg
         seq = self.dataset.sequences[sample.sequence_id]
         sel: list[tuple[int, Pose2]] = []
-        if cfg.fusion_mode != "none" and cfg.fusion_extra > 0:
+        if cfg.fusion_mode != "none":
             sel = select_fusion_frames(seq.poses, sample.frame_index,
                                        cfg.fusion_extra, cfg.fusion_max_range,
                                        stream.child("frames"))
@@ -381,7 +380,7 @@ class Trainer:
                                   cfg.rampup_fraction)
         w_feat_eff = rampup_weight(step, self.total_steps, cfg.w_feat,
                                    cfg.rampup_fraction)
-        use_unsup = (self.ssl and self.teacher is not None
+        use_unsup = (self.teacher is not None
                      and (w_cls_eff > 0.0 or w_feat_eff > 0.0))
         if not use_unsup:   # no unsupervised branch applies a ramp weight
             w_cls_eff = w_feat_eff = 0.0
@@ -467,7 +466,7 @@ class Trainer:
         cfg = self.ssl_cfg
         if cfg.feat_level == "early":
             return teacher_trace.bev_feats.values
-        if cfg.fusion_mode == "feats" and fusion.fused_feats is not None:
+        if fusion.fused_feats is not None:
             return fusion.fused_feats[None]
         return teacher_trace.decoded_feats.values
 

@@ -46,12 +46,6 @@ def test_photometric_swap_preserves_channel_multiset():
 
 # ------------------------------------------------------------------ cutout --
 
-def test_cutout_fraction_zero_is_identity():
-    obs = _obs()
-    out = cutout(obs, Stream(5), 0.0)
-    assert np.array_equal(out.values, obs.values)
-
-
 def max_cutout_rect_area(spec) -> int:
     """Largest single rectangle cutout() can draw on this grid."""
     return max(3, spec.rows // 4) * max(3, spec.cols // 4)
@@ -123,10 +117,6 @@ def test_camdrop_zero_count_rejected():
 
 # ----------------------------------------------------------------- bevdrop --
 
-def test_bevdrop_rate_zero_empty():
-    assert not bevdrop_mask(10, 10, 0.0, Stream(1)).any()
-
-
 def test_bevdrop_binomial_bound():
     mask = bevdrop_mask(100, 100, 0.5, Stream(2))
     count = mask.sum()
@@ -196,3 +186,8 @@ def test_config_validation():
         AugmentConfig(cutout_fraction=1.0)
     with pytest.raises(ConfigurationError):
         AugmentConfig(bevdrop_rate=-0.1)
+    # no CutOut is `cutout` false and no dropout `bevdrop` false
+    with pytest.raises(ConfigurationError):
+        cutout(_obs(), Stream(5), 0.0)
+    with pytest.raises(ConfigurationError):
+        bevdrop_mask(10, 10, 0.0, Stream(1))

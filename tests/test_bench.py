@@ -175,8 +175,9 @@ def test_scenario_variants_cover_study_axes():
     assert names[0] == "none" and "photo+cutout+bevdrop" in names
     taus = [v.overrides["threshold"] for v in _variants_of("threshold")]
     assert min(taus) == 0.55 and max(taus) == 0.9
-    temps = {v.overrides["temperature"] for v in _variants_of("temperature")}
-    assert temps == {0.05, 0.1, 0.25, 0.5, 0.75, 0.95}
+    temps = {v.overrides.get("temperature")
+             for v in _variants_of("temperature")}
+    assert temps == {0.05, 0.1, 0.25, 0.5, 0.75, 0.95, None}
     fr = {v.overrides["fusion_max_range"] for v in _variants_of("fusion")}
     assert fr == {10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0}
     counts = {v.overrides["fusion_extra"]
@@ -200,11 +201,57 @@ def test_every_scenario_expands_with_unique_names_and_ssl_overrides():
             assert set(v.overrides) <= ssl_fields, (kind, v.name)
 
 
+def _resolved(spec: RunSpec) -> tuple:
+    """What a run trains from its variant: the teacher on or off, the
+    augmentations, the `ssl` section, the utilisation and the target pool."""
+    v = spec.variant
+    return (v.ssl, v.augment or spec.cfg.augment, _pseudo_for(spec),
+            v.utilisation, v.adapt_unlabelled, v.adapt_oracle)
+
+
+@pytest.mark.parametrize("doc", [{}, {"ssl": {"hard": True}},
+                                 {"ssl": {"temperature": 0.5}}],
+                         ids=["default", "hard", "temperature"])
+def test_every_variant_resolves_under_either_target_setting(doc):
+    """Hard targets take no temperature, so a variant that sets one of the
+    two sets the other too, whatever the config file says."""
+    cfg = config_from_dict(doc)
+    for kind in bench.SCENARIOS:
+        for spec in expand_runs(replace(cfg, kind=kind)):
+            _resolved(spec)
+
+
+def test_no_two_variants_train_the_same_run():
+    cfg = config_from_dict({})
+    for kind in bench.SCENARIOS:
+        specs = [s for s in expand_runs(replace(cfg, kind=kind))
+                 if s.seed == cfg.eval.seeds[0]]
+        resolved = [_resolved(s) for s in specs]
+        for i, r in enumerate(resolved):
+            assert r not in resolved[:i], (kind, specs[i].variant.name)
+
+
+def test_hard_temperature_run_is_the_threshold_grid_run():
+    """The temperature grid's hard run is the threshold grid's hard run at
+    the default threshold."""
+    cfg = config_from_dict({})
+
+    def pseudo(kind, name):
+        (spec,) = [s for s in expand_runs(replace(cfg, kind=kind))
+                   if s.variant.name == name and s.seed == 0]
+        return _pseudo_for(spec)
+
+    assert pseudo("temperature", "thr+hard") \
+        == pseudo("threshold", "thr+hard@0.6")
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("train", "total_steps", 0), ("train", "eval_model", "techer"),
     ("world", "utilisation", 0.0), ("world", "grid_preset", "huge"),
     ("eval", "seeds", (0, 0)), ("ssl", "threshold", 1.5),
-    ("augment", "bevdrop_rate", 1.0), ("model", "kernel_size", 2)])
+    ("augment", "bevdrop_rate", 1.0), ("model", "kernel_size", 2),
+    ("ssl", "threshold", 0.5), ("ssl", "fusion_extra", 0),
+    ("augment", "cutout_fraction", 0.0), ("augment", "bevdrop_rate", 0.0)])
 def test_replace_checks_the_section_it_builds(section, key, value):
     part = getattr(config_from_dict({}), section)
     with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} must"):

@@ -83,6 +83,21 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     assert not (tmp_path / "x").exists()
 
 
+# removed spellings: `ssl.confidence`, and values whose runs were
+# byte-identical to another spelling's, with the part of the message that
+# names the spelling that stays
+REMOVED_SPELLINGS = {
+    "confidence_removed": ("ssl", {"confidence": "positive"},
+                           "unknown config keys"),
+    "temperature_with_hard": ("ssl", {"temperature": 0.5, "hard": True},
+                              "None when ssl.hard is true"),
+    "threshold_0.5": ("ssl", {"threshold": 0.5}, "or None to keep every cell"),
+    "fusion_extra_0": ("ssl", {"fusion_extra": 0}, 'fusion_mode "none"'),
+    "cutout_fraction_0": ("augment", {"cutout_fraction": 0}, "cutout false"),
+    "bevdrop_rate_0": ("augment", {"bevdrop_rate": 0}, "bevdrop false"),
+}
+
+
 @pytest.mark.parametrize("section,values", [
     ("world", {"grid_preset": "huge"}), ("world", {"style": "city_Z"}),
     ("eval", {"adapt_target_style": "x"}), ("train", {"eval_every": 0}),
@@ -116,7 +131,8 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     ("ssl", {"w_cls": -1}), ("ssl", {"rampup_fraction": 0}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
     ("train", {"focal_gamma": -1}), ("train", {"focal_alpha": 1.5}),
-    ("world", {"speed_min": -1.0})],
+    ("world", {"speed_min": -1.0}),
+    *(row[:2] for row in REMOVED_SPELLINGS.values())],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
@@ -133,7 +149,8 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
          "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
          "adapt_counts_repeated",
          "w_cls_neg", "rampup_fraction_0", "feat_mode_l1", "feat_level_mid",
-         "focal_gamma_neg", "focal_alpha_above_1", "speed_min_neg"])
+         "focal_gamma_neg", "focal_alpha_above_1", "speed_min_neg",
+         *REMOVED_SPELLINGS])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
     assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
@@ -142,6 +159,15 @@ def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     assert "configuration error" in err
     assert all(f"{section}.{key}" in err for key in values)
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", REMOVED_SPELLINGS)
+def test_removed_spelling_names_the_one_that_stays(tmp_path, capsys, name):
+    section, values, stays = REMOVED_SPELLINGS[name]
+    doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
+    err = _rejected_at_load(tmp_path, capsys, ["ablate"],
+                            _write_cfg(tmp_path, doc))
+    assert stays in err, err
 
 
 def _rejected_at_load(tmp_path, capsys, argv, cfg_path):

@@ -145,14 +145,6 @@ def test_threshold_two_sided_cases():
     assert bundle.targets[0, 0, 2] == 0.2
 
 
-def test_threshold_positive_only_variant():
-    probs = _prob_raster([[[0.61, 0.55, 0.2]]])
-    cfg = SslConfig(threshold=0.6, fusion_mode="none",
-                            confidence="positive")
-    bundle = make_pseudo_labels(probs, cfg)
-    assert bundle.mask.include[0, 0].tolist() == [True, False, False]
-
-
 def test_hard_mode_binarizes():
     probs = _prob_raster([[[0.7, 0.3, 0.5]]])
     cfg = SslConfig(threshold=None, hard=True, fusion_mode="none")
@@ -599,7 +591,7 @@ class _OneTapeTrainer(Trainer):
         cfg = self.ssl_cfg
         seq = self.dataset.sequences[sample.sequence_id]
         sel = []
-        if cfg.fusion_mode != "none" and cfg.fusion_extra > 0:
+        if cfg.fusion_mode != "none":
             sel = select_fusion_frames(seq.poses, sample.frame_index,
                                        cfg.fusion_extra, cfg.fusion_max_range,
                                        stream.child("frames"))
@@ -768,11 +760,11 @@ def test_step_peak_holds_one_extra_teacher_frame():
     peaks = {n: _step_peak(_mk_trainer(
         ds, total=12, ssl_cfg=SslConfig(fusion_mode="feats", fusion_extra=n,
                                         fusion_warp="bilinear")))
-        for n in (0, 6)}
+        for n in (1, 6)}
     obs = ds.sequences[ds.split.unlabelled[0]].samples[0].observation
     trace = forward(init_params(TINY, 1), obs, None, None, TINY)
     frame = _held_bytes(getattr(trace, f).values for f in TRACE_FIELDS)
-    assert peaks[6] - peaks[0] < frame, (peaks, frame)
+    assert peaks[6] - peaks[1] < frame, (peaks, frame)
 
 
 def test_step_peak_holds_one_sample_graph():
