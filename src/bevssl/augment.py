@@ -12,36 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, check_fields
+from .errors import ConfigurationError
 from .geometry import Raster
 from .losses import LossMask
 from .rng import Stream
 from .world import N_CLASSES, N_SECTORS, compute_sector_map
 
+BEVDROP_RATE = 0.5   # the share of BEV cells that feature dropout zeroes
+
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    photometric: bool = True
-    gain_range: tuple[float, float] = (0.8, 1.2)
-    bias_range: tuple[float, float] = (-0.1, 0.1)
-    channel_swap_prob: float = 0.2
-    cutout: bool = True
-    cutout_fraction: float = 0.25
-    camdrop: bool = False
-    camdrop_count: int = 1
-    bevdrop: bool = True
-    bevdrop_rate: float = 0.5
+    """Which strong augmentations apply; their strengths are fixed."""
 
-    def __post_init__(self):
-        check_fields("augment", self, (
-            ("channel_swap_prob", 0 <= self.channel_swap_prob <= 1,
-             "in [0, 1]"),
-            ("cutout_fraction", 0 < self.cutout_fraction < 1,
-             "in (0, 1) (no cutout is cutout false)"),
-            ("camdrop_count", 1 <= self.camdrop_count < N_SECTORS,
-             f"in [1, {N_SECTORS})"),
-            ("bevdrop_rate", 0 < self.bevdrop_rate < 1,
-             "in (0, 1) (no BEV dropout is bevdrop false)")))
+    photometric: bool = True
+    cutout: bool = True
+    camdrop: bool = False
+    bevdrop: bool = True
 
     @classmethod
     def none(cls) -> "AugmentConfig":
@@ -113,16 +100,15 @@ def strong_augment(obs: Raster, cfg: AugmentConfig, stream: Stream,
     feature-dropout mask.  Returns (view, fov mask, drop mask or None)."""
     view = obs
     if cfg.photometric:
-        view = photometric(view, stream.child("photo"), cfg.gain_range,
-                           cfg.bias_range, cfg.channel_swap_prob)
+        view = photometric(view, stream.child("photo"))
     if cfg.cutout:
-        view = cutout(view, stream.child("cutout"), cfg.cutout_fraction)
+        view = cutout(view, stream.child("cutout"))
     rows, cols = obs.spec.rows, obs.spec.cols
     if cfg.camdrop:
         view, fov = camdrop(view, compute_sector_map(obs.spec),
-                            stream.child("camdrop"), cfg.camdrop_count)
+                            stream.child("camdrop"))
     else:
         fov = LossMask(np.ones((N_CLASSES, rows, cols), dtype=bool))
-    drop = (bevdrop_mask(rows, cols, cfg.bevdrop_rate, stream.child("bevdrop"))
+    drop = (bevdrop_mask(rows, cols, BEVDROP_RATE, stream.child("bevdrop"))
             if cfg.bevdrop else None)
     return view, fov, drop

@@ -1027,8 +1027,11 @@ def save_checkpoint(path, entries: dict[str, np.ndarray] | ParamSet) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read checkpoint {path!s}: {exc}") from exc
     if data[:8] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"bad checkpoint magic in {path!s}")
     off = 8

@@ -192,13 +192,12 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields("", self, [("kind", self.kind in SCENARIOS,
                                  f"one of {sorted(SCENARIOS)}")])
-        w, adapt = self.world, self.kind == "city-adapt"
-        # city adaptation draws its worlds, one sequence each, from `eval`
+        w = self.world
+        # city adaptation draws its worlds from `eval`
         check_fields("world", w, [
-            ("n_worlds", adapt or w.n_worlds > w.val_worlds + w.test_worlds,
-             f">= {w.val_worlds} val + {w.test_worlds} test + 1 train worlds"),
-            ("seqs_per_world", not adapt or w.seqs_per_world == 1,
-             "1 for kind city-adapt")])
+            ("n_worlds", self.kind == "city-adapt"
+             or w.n_worlds > w.val_worlds + w.test_worlds,
+             f">= {w.val_worlds} val + {w.test_worlds} test + 1 train worlds")])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -218,12 +217,10 @@ def _type_ok(value, annotation: str) -> bool:
     valid bools."""
     if annotation.endswith(" | None"):
         return value is None or _type_ok(value, annotation[:-len(" | None")])
-    if annotation.startswith("tuple["):
-        items = annotation[len("tuple["):-1].split(", ")
-        if isinstance(value, tuple) and items[-1] == "...":
-            items = items[:1] * len(value)
-        return (isinstance(value, tuple) and len(items) == len(value)
-                and all(map(_type_ok, value, items)))
+    if annotation.startswith("tuple["):   # every tuple field is variadic
+        item = annotation[len("tuple["):-len(", ...]")]
+        return isinstance(value, tuple) and all(_type_ok(v, item)
+                                                for v in value)
     return (isinstance(value, _SCALARS[annotation])
             and isinstance(value, bool) == (annotation == "bool")
             and (annotation != "float" or math.isfinite(value)))

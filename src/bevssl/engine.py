@@ -39,8 +39,9 @@ _IDENTITY = Pose2(0.0, 0.0, 0.0)
 
 @dataclass(frozen=True)
 class SslConfig:
-    """The config file's `ssl` section: the unsupervised loss weights and
-    their ramp-up, the feature-similarity term, and the pseudo-label scheme.
+    """The config file's `ssl` section: the unsupervised loss weights (each
+    ramped up over the first third of training, `rampup_weight`), the
+    feature-similarity term, and the pseudo-label scheme.
 
     Defaults reproduce the final scheme: fusion of probabilities over two
     extra frames within 30 m, soft targets, confidence threshold 0.6.  Each
@@ -48,7 +49,6 @@ class SslConfig:
 
     w_cls: float = 1.0
     w_feat: float = 0.25
-    rampup_fraction: float = 1.0 / 3.0
     feat_mode: str = "cosine"       # "cosine" | "mse"
     feat_level: str = "late"        # "early" | "late"
     threshold: float | None = 0.6
@@ -63,7 +63,6 @@ class SslConfig:
         check_fields("ssl", self, (
             ("w_cls", self.w_cls >= 0, ">= 0"),
             ("w_feat", self.w_feat >= 0, ">= 0"),
-            ("rampup_fraction", 0 < self.rampup_fraction <= 1, "in (0, 1]"),
             ("feat_mode", self.feat_mode in ("cosine", "mse"),
              "'cosine' or 'mse'"),
             ("feat_level", self.feat_level in ("early", "late"),
@@ -104,9 +103,7 @@ def ema_update(teacher: ParamSet, student: ParamSet,
 
 
 def sharpen(logits, temperature: float):
-    """Rescale logits by 1/T; T < 1 raises certainty, T > 1 lowers it."""
-    if temperature <= 0:
-        raise ConfigurationError(f"temperature must be positive, got {temperature}")
+    """Rescale logits by 1/T, T > 0; T < 1 raises certainty, T > 1 lowers it."""
     return np.asarray(logits) / temperature
 
 
@@ -164,7 +161,7 @@ def select_fusion_frames(poses: list[Pose2], current_frame: int, n_extra: int,
     """Pick frames whose along-trajectory distance best matches draws uniform
     in (0, max_range], past or future.  Stationary spans contribute at most
     one frame; frames repeat only when the sequence is too short."""
-    if n_extra <= 0 or len(poses) < 2:
+    if len(poses) < 2:
         return []
     s = trajectory_distances(poses)
     reps = [j for j in range(len(poses)) if j == 0 or s[j] > s[j - 1]]
@@ -247,8 +244,7 @@ def fuse_teacher(current: ForwardTrace,
             del trace, warped   # before the next frame's trace is computed
         return FusionResult(Raster(spec, fused), prov)
 
-    if mode != "feats":
-        raise ConfigurationError(f"unknown fusion mode '{mode}'")
+    # feats, the one mode left
     if params is None:
         raise ContractError("feats fusion needs the teacher parameters")
     acc = current.decoded_feats.values[0].copy()
@@ -376,10 +372,8 @@ class Trainer:
             raise ContractError("empty labelled batch")
         st = Stream(self.seed).child("train").child(step)
         cfg = self.ssl_cfg
-        w_cls_eff = rampup_weight(step, self.total_steps, cfg.w_cls,
-                                  cfg.rampup_fraction)
-        w_feat_eff = rampup_weight(step, self.total_steps, cfg.w_feat,
-                                   cfg.rampup_fraction)
+        w_cls_eff = rampup_weight(step, self.total_steps, cfg.w_cls)
+        w_feat_eff = rampup_weight(step, self.total_steps, cfg.w_feat)
         use_unsup = (self.teacher is not None
                      and (w_cls_eff > 0.0 or w_feat_eff > 0.0))
         if not use_unsup:   # no unsupervised branch applies a ramp weight

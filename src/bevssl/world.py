@@ -53,6 +53,7 @@ OBS_CHANNELS = 5
 N_SECTORS = 6
 
 DEFAULT_EXTENT = (-120.0, 120.0, -120.0, 120.0)
+SPEED_RANGE = (0.0, 12.0)   # the ego's speeds, m/s; 0 gives dwell segments
 
 # rendering amplitude per class channel (thin strokes need boosting to stay
 # visible after smoothing)
@@ -114,13 +115,10 @@ class WorldConfig:
     style: str = "city_A"
     grid_preset: str = "small"
     n_worlds: int = 50
-    seqs_per_world: int = 1
     n_frames: int = 12
     val_worlds: int = 4
     test_worlds: int = 6
     utilisation: float = 0.1
-    speed_min: float = 0.0
-    speed_max: float = 12.0
 
     def __post_init__(self):
         check_fields("world", self, (
@@ -129,13 +127,8 @@ class WorldConfig:
             ("grid_preset", self.grid_preset in GRID_PRESETS,
              f"one of {sorted(GRID_PRESETS)}"),
             *((name, getattr(self, name) >= 1, ">= 1")
-              for name in ("seqs_per_world", "n_frames", "val_worlds",
-                           "test_worlds")),
-            ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]"),
-            # a negative speed drives the ego against its own yaw
-            ("speed_min", self.speed_min >= 0, ">= 0"),
-            ("speed_min", self.speed_min <= self.speed_max,
-             f"<= world.speed_max ({self.speed_max})")))
+              for name in ("n_frames", "val_worlds", "test_worlds")),
+            ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]")))
 
 
 @dataclass
@@ -825,28 +818,24 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
 
 def make_splits(cfg: WorldConfig, seed: int) -> DatasetSplit:
     """Partition whole worlds into train/val/test, then label a fraction of
-    the train sequences.  Sequence id = world * seqs_per_world + j."""
-    n_worlds, spw = cfg.n_worlds, cfg.seqs_per_world
+    the train sequences.  A world holds one sequence, whose id is its index."""
+    n_worlds = cfg.n_worlds
     val_worlds, test_worlds = cfg.val_worlds, cfg.test_worlds
     if n_worlds < val_worlds + test_worlds + 1:
         raise ConfigurationError(
             f"{n_worlds} worlds cannot cover train/val/test "
             f"({val_worlds} val + {test_worlds} test)")
     order = Stream(seed).child("world-split").permutation(n_worlds)
-    test_w = set(order[:test_worlds])
-    val_w = set(order[test_worlds:test_worlds + val_worlds])
-
-    def seqs(world_ids):
-        return sorted(w * spw + j for w in world_ids for j in range(spw))
-
-    train_seqs = seqs([w for w in range(n_worlds)
-                       if w not in test_w and w not in val_w])
+    test_w = sorted(order[:test_worlds])
+    val_w = sorted(order[test_worlds:test_worlds + val_worlds])
+    train_seqs = [w for w in range(n_worlds)
+                  if w not in test_w and w not in val_w]
     n_lab = max(1, int(math.floor(cfg.utilisation * len(train_seqs) + 0.5)))
     pick = list(train_seqs)
     Stream(seed).child("label-pick").shuffle(pick)
     labelled = sorted(pick[:n_lab])
     unlabelled = sorted(pick[n_lab:])
-    return DatasetSplit(labelled, unlabelled, seqs(val_w), seqs(test_w))
+    return DatasetSplit(labelled, unlabelled, val_w, test_w)
 
 
 # ------------------------------------------------------------ dataset -----
@@ -874,16 +863,14 @@ def build_sequence(world: WorldMap, sequence_id: int, seed: int,
 
 def build_sequences(worlds: list[WorldMap], seed: int,
                     cfg: WorldConfig) -> dict[int, SequenceData]:
-    """`cfg.seqs_per_world` sequences of each world, keyed by sequence id
-    world * seqs_per_world + j, each seeded from `seed` and its id."""
-    spec, spw = GRID_PRESETS[cfg.grid_preset], cfg.seqs_per_world
+    """One sequence of each world, keyed by the world's index and seeded
+    from `seed` and that index."""
+    spec = GRID_PRESETS[cfg.grid_preset]
     sequences: dict[int, SequenceData] = {}
-    for wi, world in enumerate(worlds):
-        for j in range(spw):
-            sid = wi * spw + j
-            sequences[sid] = build_sequence(
-                world, sid, mix64(seed ^ mix64(7777 + sid)), spec,
-                cfg.n_frames, (cfg.speed_min, cfg.speed_max))
+    for sid, world in enumerate(worlds):
+        sequences[sid] = build_sequence(
+            world, sid, mix64(seed ^ mix64(7777 + sid)), spec, cfg.n_frames,
+            SPEED_RANGE)
         # its frames are built: hold one world's stroke table at a time
         world._strokes = None
     return sequences
@@ -923,8 +910,11 @@ def write_raster(path, raster: Raster) -> None:
 
 
 def read_raster(path) -> Raster:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read raster {path!s}: {exc}") from exc
     if data[:8] != RASTER_MAGIC:
         raise ConfigurationError(f"bad raster magic in {path!s}")
     if len(data) < 52:

@@ -207,8 +207,8 @@ def test_criterion_10_reproducibility(tmp_path):
     doc = {
         "kind": "components",
         "name": "repro",
-        "world": {"n_worlds": 8, "seqs_per_world": 1, "n_frames": 5,
-                  "val_worlds": 1, "test_worlds": 2, "utilisation": 0.34},
+        "world": {"n_worlds": 8, "n_frames": 5, "val_worlds": 1,
+                  "test_worlds": 2, "utilisation": 0.34},
         "model": {"enc_widths": [4, 6], "lift_channels": 6,
                   "dec_widths": [6]},
         "train": {"total_steps": 60, "eval_every": 30},

@@ -111,8 +111,6 @@ def test_camdrop_zero_count_rejected():
     sectors = compute_sector_map(SMALL_GRID)
     with pytest.raises(ConfigurationError):
         camdrop(obs, sectors, Stream(17), n_drop=0)
-    with pytest.raises(ConfigurationError):
-        AugmentConfig(camdrop_count=0)
 
 
 # ----------------------------------------------------------------- bevdrop --
@@ -150,10 +148,14 @@ def test_geometric_consistency_changed_cells_are_documented_sets():
 def test_strong_augment_defaults_reproduce_winning_combination():
     cfg = AugmentConfig()
     assert cfg.photometric and cfg.cutout and cfg.bevdrop and not cfg.camdrop
-    assert cfg.cutout_fraction == 0.25
-    assert cfg.bevdrop_rate == 0.5
     obs = _obs(23)
     view, fov, drop = strong_augment(obs, cfg, Stream(24))
+    # the fixed strengths: gain, bias and swap, CutOut's area, BEV dropout
+    st = Stream(24)
+    ref = cutout(photometric(obs, st.child("photo"), (0.8, 1.2), (-0.1, 0.1),
+                             0.2), st.child("cutout"), 0.25)
+    assert np.array_equal(view.values, ref.values)
+    assert np.array_equal(drop, bevdrop_mask(96, 32, 0.5, st.child("bevdrop")))
     assert fov.include.all()          # no camdrop: nothing excluded
     assert drop is not None and drop.shape == (96, 32)
     v2, _, d2 = strong_augment(obs, cfg, Stream(24))
@@ -164,10 +166,11 @@ def test_strong_augment_defaults_reproduce_winning_combination():
 def test_strong_augment_camdrop_drops_grid_sectors():
     obs = _obs(27)
     cfg = AugmentConfig(photometric=False, cutout=False, camdrop=True,
-                        camdrop_count=2, bevdrop=False)
+                        bevdrop=False)
     view, fov, drop = strong_augment(obs, cfg, Stream(28))
+    # one sector, the fixed count
     ref, ref_fov = camdrop(obs, compute_sector_map(SMALL_GRID),
-                           Stream(28).child("camdrop"), 2)
+                           Stream(28).child("camdrop"), 1)
     assert np.array_equal(view.values, ref.values)
     assert np.array_equal(fov.include, ref_fov.include)
     assert not fov.include.all() and drop is None
@@ -183,9 +186,9 @@ def test_augment_none_is_identity():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        AugmentConfig(cutout_fraction=1.0)
+        cutout(_obs(), Stream(5), 1.0)
     with pytest.raises(ConfigurationError):
-        AugmentConfig(bevdrop_rate=-0.1)
+        bevdrop_mask(10, 10, 1.0, Stream(1))
     # no CutOut is `cutout` false and no dropout `bevdrop` false
     with pytest.raises(ConfigurationError):
         cutout(_obs(), Stream(5), 0.0)

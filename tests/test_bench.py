@@ -33,8 +33,8 @@ def tiny_config(kind="ssl", **over) -> ScenarioConfig:
     doc = {
         "kind": kind,
         "name": "tiny",
-        "world": {"n_worlds": 6, "seqs_per_world": 1, "n_frames": 4,
-                  "val_worlds": 1, "test_worlds": 2, "utilisation": 0.34},
+        "world": {"n_worlds": 6, "n_frames": 4, "val_worlds": 1,
+                  "test_worlds": 2, "utilisation": 0.34},
         "model": TINY_MODEL,
         "train": {"total_steps": 12, "eval_every": 6,
                   "batch_labelled": 1, "batch_unlabelled": 1},
@@ -119,6 +119,55 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"world": {"bogus": 1}})
     with pytest.raises(ConfigurationError):
         config_from_dict({"wrold": {}})
+
+
+# every key a config file may set, per section ("" for the top level)
+SETTABLE_KEYS = {
+    "": ("kind", "name"),
+    "world": ("style", "grid_preset", "n_worlds", "n_frames", "val_worlds",
+              "test_worlds", "utilisation"),
+    "model": ("enc_widths", "lift_channels", "dec_widths", "kernel_size"),
+    "train": ("total_steps", "eval_every", "batch_labelled",
+              "batch_unlabelled", "lr", "wd", "beta1", "beta2", "ema_keep",
+              "focal_gamma", "focal_alpha", "eval_model",
+              "supervised_augment"),
+    "augment": ("photometric", "cutout", "camdrop", "bevdrop"),
+    "ssl": ("w_cls", "w_feat", "feat_mode", "feat_level", "threshold",
+            "temperature", "hard", "fusion_mode", "fusion_extra",
+            "fusion_max_range", "fusion_warp"),
+    "eval": ("seeds", "sweep_utilisations", "adapt_target_style",
+             "adapt_source_worlds", "adapt_unlabelled_counts"),
+}
+
+
+def test_settable_keys_are_pinned():
+    """A key added or removed is an edit here; the config echo records
+    each key once."""
+    doc = config_from_dict({}).to_dict()
+    got = {k: tuple(v) for k, v in doc.items() if isinstance(v, dict)}
+    got[""] = tuple(k for k, v in doc.items() if not isinstance(v, dict))
+    assert got == SETTABLE_KEYS
+    assert sum(map(len, got.values())) == 46
+
+
+# keys of values that no run varied, with the values now fixed where they
+# are read (the tests of `strong_augment`, `build_dataset` and the ramp
+# weights pin those values)
+FIXED_VALUES = {
+    "world.seqs_per_world": 1, "world.speed_min": 0.0,
+    "world.speed_max": 12.0, "augment.gain_range": [0.8, 1.2],
+    "augment.bias_range": [-0.1, 0.1], "augment.channel_swap_prob": 0.2,
+    "augment.cutout_fraction": 0.25, "augment.camdrop_count": 1,
+    "augment.bevdrop_rate": 0.5, "ssl.rampup_fraction": 1.0 / 3.0,
+}
+
+
+@pytest.mark.parametrize("key", FIXED_VALUES)
+def test_a_fixed_value_is_an_unknown_key(key):
+    section, name = key.split(".")
+    with pytest.raises(ConfigurationError,
+                       match=rf"^unknown config keys: \['{key}'\]$"):
+        config_from_dict({section: {name: FIXED_VALUES[key]}})
 
 
 def test_config_echo_roundtrip():
@@ -249,9 +298,8 @@ def test_hard_temperature_run_is_the_threshold_grid_run():
     ("train", "total_steps", 0), ("train", "eval_model", "techer"),
     ("world", "utilisation", 0.0), ("world", "grid_preset", "huge"),
     ("eval", "seeds", (0, 0)), ("ssl", "threshold", 1.5),
-    ("augment", "bevdrop_rate", 1.0), ("model", "kernel_size", 2),
-    ("ssl", "threshold", 0.5), ("ssl", "fusion_extra", 0),
-    ("augment", "cutout_fraction", 0.0), ("augment", "bevdrop_rate", 0.0)])
+    ("model", "kernel_size", 2), ("ssl", "threshold", 0.5),
+    ("ssl", "fusion_extra", 0)])
 def test_replace_checks_the_section_it_builds(section, key, value):
     part = getattr(config_from_dict({}), section)
     with pytest.raises(ConfigurationError, match=rf"^{section}\.{key} must"):
@@ -268,18 +316,6 @@ def test_replace_checks_the_rules_that_span_sections():
                     world=replace(cfg.world, n_worlds=2))
     with pytest.raises(ConfigurationError, match=r"^world\.n_worlds must"):
         replace(adapt, kind="components")
-
-
-def test_city_adapt_takes_one_sequence_per_world():
-    """City adaptation names worlds as sequences, so a config that asks it
-    for several sequences per world is rejected, at load and on replace."""
-    msg = r"^world\.seqs_per_world must be 1 for kind city-adapt, got 3$"
-    with pytest.raises(ConfigurationError, match=msg):
-        config_from_dict({"kind": "city-adapt",
-                          "world": {"seqs_per_world": 3}})
-    ssl = config_from_dict({"world": {"seqs_per_world": 3}})
-    with pytest.raises(ConfigurationError, match=msg):
-        replace(ssl, kind="city-adapt")
 
 
 def test_label_sweep_variants():

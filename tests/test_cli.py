@@ -13,8 +13,8 @@ from bevssl.world import write_raster
 TINY_DOC = {
     "kind": "ssl",
     "name": "cli-tiny",
-    "world": {"n_worlds": 6, "seqs_per_world": 1, "n_frames": 4,
-              "val_worlds": 1, "test_worlds": 2, "utilisation": 0.34},
+    "world": {"n_worlds": 6, "n_frames": 4, "val_worlds": 1,
+              "test_worlds": 2, "utilisation": 0.34},
     "model": {"enc_widths": [3, 4], "lift_channels": 4, "dec_widths": [4]},
     "train": {"total_steps": 8, "eval_every": 4},
     "eval": {"seeds": [0]},
@@ -83,18 +83,32 @@ def test_bad_ssl_value_exits_2_at_load(tmp_path, capsys, ssl):
     assert not (tmp_path / "x").exists()
 
 
-# removed spellings: `ssl.confidence`, and values whose runs were
-# byte-identical to another spelling's, with the part of the message that
-# names the spelling that stays
+UNKNOWN = "unknown config keys"
+
+# removed spellings, with the part of the message that names the spelling
+# that stays: values whose runs were byte-identical to another spelling's,
+# `ssl.confidence`, and the keys of values that no run varied, now fixed,
+# whose one spelling is to leave them out (whatever the value, even the
+# fixed one, or one of the wrong type)
 REMOVED_SPELLINGS = {
-    "confidence_removed": ("ssl", {"confidence": "positive"},
-                           "unknown config keys"),
     "temperature_with_hard": ("ssl", {"temperature": 0.5, "hard": True},
                               "None when ssl.hard is true"),
     "threshold_0.5": ("ssl", {"threshold": 0.5}, "or None to keep every cell"),
     "fusion_extra_0": ("ssl", {"fusion_extra": 0}, 'fusion_mode "none"'),
-    "cutout_fraction_0": ("augment", {"cutout_fraction": 0}, "cutout false"),
-    "bevdrop_rate_0": ("augment", {"bevdrop_rate": 0}, "bevdrop false"),
+    "confidence_removed": ("ssl", {"confidence": "positive"}, UNKNOWN),
+    "seqs_per_world_0": ("world", {"seqs_per_world": 0}, UNKNOWN),
+    "speed_min_neg": ("world", {"speed_min": -1.0}, UNKNOWN),
+    "speed_max_str": ("world", {"speed_max": "12"}, UNKNOWN),
+    "speed_min_gt_max": ("world", {"speed_min": 5.0, "speed_max": 1.0},
+                         UNKNOWN),
+    "gain_range_str": ("augment", {"gain_range": ["a", "b"]}, UNKNOWN),
+    "bias_range_fixed": ("augment", {"bias_range": [-0.1, 0.1]}, UNKNOWN),
+    "channel_swap_prob_fixed": ("augment", {"channel_swap_prob": 0.2},
+                                UNKNOWN),
+    "cutout_fraction_0": ("augment", {"cutout_fraction": 0}, UNKNOWN),
+    "camdrop_count_bool": ("augment", {"camdrop_count": True}, UNKNOWN),
+    "bevdrop_rate_0": ("augment", {"bevdrop_rate": 0}, UNKNOWN),
+    "rampup_fraction_0": ("ssl", {"rampup_fraction": 0}, UNKNOWN),
 }
 
 
@@ -104,21 +118,19 @@ REMOVED_SPELLINGS = {
     ("train", {"total_steps": "5"}), ("train", {"eval_model": "techer"}),
     ("train", {"supervised_augment": "sme"}), ("world", {"n_frames": True}),
     ("train", {"total_steps": 0}),
-    ("world", {"utilisation": "0.5"}), ("world", {"speed_max": "12"}),
+    ("world", {"utilisation": "0.5"}),
     ("train", {"lr": "0.003"}), ("train", {"wd": True}),
     ("train", {"ema_keep": "0.99"}), ("augment", {"photometric": "no"}),
-    ("augment", {"camdrop_count": True}),
-    ("augment", {"gain_range": ["a", "b"]}), ("model", {"kernel_size": 3.0}),
+    ("model", {"kernel_size": 3.0}),
     ("ssl", {"hard": "yes"}), ("ssl", {"fusion_extra": 2.5}),
-    ("eval", {"seeds": ["0"]}),
-    ("world", {"speed_min": 5.0, "speed_max": 1.0}), ("eval", {"seeds": []}),
+    ("eval", {"seeds": ["0"]}), ("eval", {"seeds": []}),
     ("world", {"utilisation": 2.0}), ("world", {"utilisation": 0.0}),
     ("eval", {"sweep_utilisations": [0.5, 0.0]}),
     ("eval", {"sweep_utilisations": [1.5]}),
     ("train", {"batch_labelled": 0}), ("world", {"n_worlds": 3}),
     ("model", {"obs_channels": 4}), ("train", {"batch_unlabelled": 0}),
     ("train", {"batch_unlabelled": -1}), ("world", {"n_frames": 0}),
-    ("world", {"seqs_per_world": 0}), ("world", {"val_worlds": -1}),
+    ("world", {"val_worlds": -1}),
     ("world", {"test_worlds": 0}), ("eval", {"sweep_utilisations": []}),
     ("eval", {"adapt_unlabelled_counts": []}),
     ("eval", {"adapt_unlabelled_counts": [0, -1]}), ("train", {"lr": -1}),
@@ -128,28 +140,27 @@ REMOVED_SPELLINGS = {
     ("eval", {"sweep_utilisations": [0.5, 0.5]}),
     ("eval", {"sweep_utilisations": [0.1, 0.1000001]}),
     ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
-    ("ssl", {"w_cls": -1}), ("ssl", {"rampup_fraction": 0}),
+    ("ssl", {"w_cls": -1}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
     ("train", {"focal_gamma": -1}), ("train", {"focal_alpha": 1.5}),
-    ("world", {"speed_min": -1.0}),
     *(row[:2] for row in REMOVED_SPELLINGS.values())],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
-         "total_steps_zero", "utilisation_str", "speed_max_str", "lr_str",
-         "wd_bool", "ema_keep_str", "photometric_str", "camdrop_count_bool",
-         "gain_range_str", "kernel_size_float", "hard_str",
-         "fusion_extra_float", "seeds_str", "speed_min_gt_max", "seeds_empty",
+         "total_steps_zero", "utilisation_str", "lr_str",
+         "wd_bool", "ema_keep_str", "photometric_str",
+         "kernel_size_float", "hard_str",
+         "fusion_extra_float", "seeds_str", "seeds_empty",
          "utilisation_above_1", "utilisation_0", "sweep_utilisation_0",
          "sweep_utilisation_above_1", "batch_labelled_0", "n_worlds_short",
          "obs_channels_4", "batch_unlabelled_0", "batch_unlabelled_neg",
-         "n_frames_0", "seqs_per_world_0", "val_worlds_neg", "test_worlds_0",
+         "n_frames_0", "val_worlds_neg", "test_worlds_0",
          "sweep_utilisations_empty", "adapt_counts_empty",
          "adapt_count_neg", "lr_neg", "wd_neg", "beta1_1", "beta2_neg",
          "ema_keep_5", "adapt_source_worlds_0", "seeds_repeated",
          "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
          "adapt_counts_repeated",
-         "w_cls_neg", "rampup_fraction_0", "feat_mode_l1", "feat_level_mid",
-         "focal_gamma_neg", "focal_alpha_above_1", "speed_min_neg",
+         "w_cls_neg", "feat_mode_l1", "feat_level_mid",
+         "focal_gamma_neg", "focal_alpha_above_1",
          *REMOVED_SPELLINGS])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
@@ -185,12 +196,12 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("section,values", [
     ("ssl", {"fusion_max_range": NAN}), ("ssl", {"w_feat": NAN}),
     ("ssl", {"temperature": NAN}), ("train", {"focal_gamma": NAN}),
-    ("world", {"speed_min": NAN}), ("world", {"speed_max": NAN}),
+    ("world", {"utilisation": NAN}), ("train", {"ema_keep": NAN}),
     ("train", {"lr": INF}), ("ssl", {"w_cls": INF}),
-    ("train", {"wd": -INF}), ("augment", {"gain_range": [NAN, 1.0]})],
+    ("train", {"wd": -INF}), ("eval", {"sweep_utilisations": [NAN, 1.0]})],
     ids=["fusion_max_range_nan", "w_feat_nan", "temperature_nan",
-         "focal_gamma_nan", "speed_min_nan", "speed_max_nan", "lr_inf",
-         "w_cls_inf", "wd_neg_inf", "gain_range_nan"])
+         "focal_gamma_nan", "utilisation_nan", "ema_keep_nan", "lr_inf",
+         "w_cls_inf", "wd_neg_inf", "sweep_utilisation_nan"])
 def test_non_finite_number_exits_2_at_load(tmp_path, capsys, section,
                                            values):
     # json writes and reads these as NaN, Infinity and -Infinity
@@ -228,17 +239,6 @@ def test_cli_overrides_are_checked_at_load(tmp_path, capsys, argv, doc):
     cfg = _write_cfg(tmp_path, doc)
     load_config(cfg)
     _rejected_at_load(tmp_path, capsys, argv, cfg)
-
-
-@pytest.mark.parametrize("command,kind", [("adapt", "ssl"),
-                                          ("train", "city-adapt")])
-def test_city_adapt_with_several_sequences_per_world_exits_2(
-        tmp_path, capsys, command, kind):
-    doc = {**TINY_DOC, "kind": kind,
-           "world": {**TINY_DOC["world"], "seqs_per_world": 3}}
-    err = _rejected_at_load(tmp_path, capsys, [command],
-                            _write_cfg(tmp_path, doc))
-    assert "world.seqs_per_world must be 1 for kind city-adapt, got 3" in err
 
 
 def test_partial_checkpoint_exits_2(tmp_path, capsys):
@@ -291,6 +291,33 @@ def test_truncated_container_exits_2(tmp_path, capsys, command):
     path.write_bytes(path.read_bytes()[:-4])
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["render", "eval"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    argv = (["render", "--raster", str(path)] if command == "render" else
+            ["eval", "--checkpoint", str(path), "--config",
+             str(_write_cfg(tmp_path))])
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    what = "raster" if command == "render" else "checkpoint"
+    assert err.startswith(f"configuration error: cannot read {what} {path}")
+    assert err.count("\n") == 1   # one line, no traceback
+    assert not (tmp_path / "x").exists()
+
+
+def test_unwritable_output_exits_3(tmp_path, capsys):
+    raster_path = tmp_path / "sample.bevras"
+    write_raster(raster_path, Raster(SMALL_GRID, np.zeros((3, 96, 32))))
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert main(["render", "--raster", str(raster_path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
 
 
 def test_adapt_writes_one_variant_per_target_count(tmp_path):

@@ -391,6 +391,6 @@ def test_loss_weights_validation():
     with pytest.raises(ConfigurationError):
         SslConfig(w_cls=-1.0)
     with pytest.raises(ConfigurationError):
-        SslConfig(rampup_fraction=0.0)
+        SslConfig(temperature=-1.0)
     with pytest.raises(ConfigurationError):
         SslConfig(feat_mode="l1")

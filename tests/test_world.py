@@ -269,8 +269,8 @@ def test_default_world_config_splits_off_4_val_and_6_test_worlds():
 
 
 def test_splits_disjoint_over_many_seeds():
-    cfg = WorldConfig(n_worlds=12, seqs_per_world=2, utilisation=0.4,
-                      val_worlds=1, test_worlds=2)
+    cfg = WorldConfig(n_worlds=12, utilisation=0.4, val_worlds=1,
+                      test_worlds=2)
     for seed in range(100):
         split = make_splits(cfg, seed)
         sets = [set(split.labelled), set(split.unlabelled), set(split.val),
@@ -288,16 +288,6 @@ def test_splits_validation():
     with pytest.raises(ConfigurationError, match="cannot cover"):
         make_splits(WorldConfig(n_worlds=2, utilisation=0.5, val_worlds=1,
                                 test_worlds=2), 1)
-
-
-def test_a_negative_speed_is_rejected():
-    """The ego drives along its yaw, so no speed in the range may be
-    negative; a zero minimum (dwell segments) stays allowed."""
-    with pytest.raises(ConfigurationError, match="speed_min must be >= 0"):
-        WorldConfig(speed_min=-8.0, speed_max=-2.0)
-    with pytest.raises(ConfigurationError, match="speed_min must be >= 0"):
-        WorldConfig(speed_min=-1.0)
-    assert WorldConfig(speed_min=0.0, speed_max=0.0).speed_max == 0.0
 
 
 # ----------------------------------------------------------------- dataset --
@@ -751,24 +741,21 @@ class RefSample:
     gt: Raster
 
 
-def ref_build_dataset(spec, style, seed, *, n_worlds, seqs_per_world,
-                      n_frames):
+def ref_build_dataset(spec, style, seed, *, n_worlds, n_frames):
     worlds = [generate_world(mix64(seed ^ mix64(wi)), style)
               for wi in range(n_worlds)]
     samples = {}
-    for wi, world in enumerate(worlds):
-        for j in range(seqs_per_world):
-            sid = wi * seqs_per_world + j
-            sseed = mix64(seed ^ mix64(7777 + sid))
-            cal = Calibration.draw(Stream(sseed).child("calibration"))
-            frames = []
-            for idx, pose in generate_sequence(world, sseed, n_frames,
-                                               (0.0, 12.0)):
-                gt = rasterize_gt(world, pose, spec)
-                obs = render_observation(gt, style, mix64(sseed ^ mix64(1000 + idx)),
-                                         cal)
-                frames.append(RefSample(sid, idx, pose, obs, gt))
-            samples[sid] = frames
+    for sid, world in enumerate(worlds):
+        sseed = mix64(seed ^ mix64(7777 + sid))
+        cal = Calibration.draw(Stream(sseed).child("calibration"))
+        frames = []
+        for idx, pose in generate_sequence(world, sseed, n_frames,
+                                           (0.0, 12.0)):
+            gt = rasterize_gt(world, pose, spec)
+            obs = render_observation(gt, style, mix64(sseed ^ mix64(1000 + idx)),
+                                     cal)
+            frames.append(RefSample(sid, idx, pose, obs, gt))
+        samples[sid] = frames
     return samples
 
 
@@ -784,8 +771,7 @@ def test_samples_read_back_the_uncompacted_frames(style, preset):
     spec, style_params = GRID_PRESETS[preset], world_mod.STYLE_PRESETS[style]
     d = small_dataset(preset, style, seed=29)
     assert d.spec == spec
-    ref = ref_build_dataset(spec, style_params, 29, n_worlds=4,
-                            seqs_per_world=1, n_frames=3)
+    ref = ref_build_dataset(spec, style_params, 29, n_worlds=4, n_frames=3)
     assert sorted(d.sequences) == sorted(ref)
     for sid, seq in d.sequences.items():
         assert len(seq.samples) == len(ref[sid])
@@ -922,8 +908,8 @@ def test_frames_are_held_compactly():
     float64 sensor planes and three bool GT planes, 35 bytes per cell, fail
     this bound at the +0.0 share of these frames."""
     spec = SMALL_GRID
-    cfg = WorldConfig(n_worlds=4, seqs_per_world=2, utilisation=0.5,
-                      val_worlds=1, test_worlds=1)
+    cfg = WorldConfig(n_worlds=8, utilisation=0.5, val_worlds=1,
+                      test_worlds=1)
     build_dataset(replace(cfg, n_frames=1), 3)  # warm grid caches
     gc.collect()
     tracemalloc.start()
