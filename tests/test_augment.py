@@ -3,6 +3,7 @@ import pytest
 
 from bevssl.augment import (AugmentConfig, bevdrop_mask, camdrop, cutout,
                             photometric, strong_augment)
+from bevssl.bench import config_from_dict
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import Raster, SMALL_GRID
 from bevssl.losses import focal_loss
@@ -185,12 +186,21 @@ def test_augment_none_is_identity():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        cutout(_obs(), Stream(5), 1.0)
-    with pytest.raises(ConfigurationError):
-        bevdrop_mask(10, 10, 1.0, Stream(1))
-    # no CutOut is `cutout` false and no dropout `bevdrop` false
-    with pytest.raises(ConfigurationError):
-        cutout(_obs(), Stream(5), 0.0)
-    with pytest.raises(ConfigurationError):
-        bevdrop_mask(10, 10, 0.0, Stream(1))
+    """The augment section holds only switches, and each must be a bool."""
+    for value in (1, "yes"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^augment\.cutout must be bool"):
+            config_from_dict({"augment": {"cutout": value}})
+
+
+# Each fixed strength keeps its bound where it is read. No CutOut is `cutout`
+# false and no dropout `bevdrop` false, so 0 is out of bounds as well as 1.
+@pytest.mark.parametrize("value", [0.0, 1.0])
+@pytest.mark.parametrize("draw,msg", [
+    pytest.param(lambda f: cutout(_obs(), Stream(5), f), "cutout fraction",
+                 id="cutout"),
+    pytest.param(lambda r: bevdrop_mask(10, 10, r, Stream(1)), "bevdrop rate",
+                 id="bevdrop_mask")])
+def test_a_fixed_strength_keeps_its_bound(draw, msg, value):
+    with pytest.raises(ConfigurationError, match=rf"^{msg} must be in \(0, 1\)$"):
+        draw(value)

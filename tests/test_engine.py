@@ -121,6 +121,15 @@ def test_sharpen_monotonicity_both_directions():
     assert (np.abs(p_hi - 0.5) < np.abs(p1 - 0.5)).all()
 
 
+def test_sharpen_rejects_nonpositive_temperature():
+    """`sharpen` divides by the temperature that `SslConfig` holds, and the
+    config admits only a positive one."""
+    for temp in (0.0, -1.0):
+        with pytest.raises(ConfigurationError,
+                           match=r"^ssl\.temperature must be > 0"):
+            SslConfig(temperature=temp)
+
+
 # ----------------------------------------------------------- pseudo labels --
 
 def _prob_raster(values):

@@ -391,6 +391,4 @@ def test_loss_weights_validation():
     with pytest.raises(ConfigurationError):
         SslConfig(w_cls=-1.0)
     with pytest.raises(ConfigurationError):
-        SslConfig(temperature=-1.0)
-    with pytest.raises(ConfigurationError):
         SslConfig(feat_mode="l1")
