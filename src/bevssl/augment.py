@@ -18,7 +18,11 @@ from .losses import LossMask
 from .rng import Stream
 from .world import N_CLASSES, N_SECTORS, compute_sector_map
 
-BEVDROP_RATE = 0.5   # the share of BEV cells that feature dropout zeroes
+GAIN_RANGE = (0.8, 1.2)     # photometric gain on evidence and clutter
+BIAS_RANGE = (-0.1, 0.1)    # photometric bias on evidence and clutter
+SWAP_PROB = 0.2             # chance that photometric permutes the evidence
+CUTOUT_FRACTION = 0.25      # the share of the grid that CutOut zeroes
+BEVDROP_RATE = 0.5          # the share of BEV cells feature dropout zeroes
 
 
 @dataclass(frozen=True)
@@ -35,30 +39,28 @@ class AugmentConfig:
         return cls(photometric=False, cutout=False, camdrop=False, bevdrop=False)
 
 
-def photometric(obs: Raster, stream: Stream, gain_range=(0.8, 1.2),
-                bias_range=(-0.1, 0.1), swap_prob=0.2) -> Raster:
+def photometric(obs: Raster, stream: Stream) -> Raster:
     """Affine gain/bias jitter on evidence+clutter channels (clamped to
     [0, 1]) and an optional permutation of the three evidence channels.
     The range channel is untouched.  Draw order: gains, biases, swap."""
     out = obs.values.copy()
-    gains = [stream.uniform(*gain_range) for _ in range(4)]
-    biases = [stream.uniform(*bias_range) for _ in range(4)]
+    gains = [stream.uniform(*GAIN_RANGE) for _ in range(4)]
+    biases = [stream.uniform(*BIAS_RANGE) for _ in range(4)]
     for ch in range(4):
         out[ch] = np.clip(out[ch] * gains[ch] + biases[ch], 0.0, 1.0)
-    if stream.uniform() < swap_prob:
+    if stream.uniform() < SWAP_PROB:
         perm = stream.permutation(N_CLASSES)
         out[:N_CLASSES] = out[perm]
     return Raster(obs.spec, out, obs.valid.copy())
 
 
-def cutout(obs: Raster, stream: Stream, fraction: float = 0.25) -> Raster:
+def cutout(obs: Raster, stream: Stream) -> Raster:
     """Zero axis-aligned rectangles in every channel until the cumulative
-    zeroed area reaches `fraction` of the grid.  No loss mask is produced."""
-    if not 0.0 < fraction < 1.0:
-        raise ConfigurationError("cutout fraction must be in (0, 1)")
+    zeroed area reaches `CUTOUT_FRACTION` of the grid.  No loss mask is
+    produced."""
     out = obs.values.copy()
     rows, cols = obs.spec.rows, obs.spec.cols
-    target = fraction * rows * cols
+    target = CUTOUT_FRACTION * rows * cols
     zeroed = np.zeros((rows, cols), dtype=bool)
     h_max = max(3, rows // 4)
     w_max = max(3, cols // 4)
@@ -87,11 +89,9 @@ def camdrop(obs: Raster, sector_map: np.ndarray, stream: Stream,
     return Raster(obs.spec, out, obs.valid.copy()), LossMask(include)
 
 
-def bevdrop_mask(rows: int, cols: int, rate: float, stream: Stream) -> np.ndarray:
-    """Independent per-cell drop decisions with probability `rate`."""
-    if not 0.0 < rate < 1.0:
-        raise ConfigurationError("bevdrop rate must be in (0, 1)")
-    return stream.uniforms(rows * cols).reshape(rows, cols) < rate
+def bevdrop_mask(rows: int, cols: int, stream: Stream) -> np.ndarray:
+    """Independent per-cell drop decisions with probability `BEVDROP_RATE`."""
+    return stream.uniforms(rows * cols).reshape(rows, cols) < BEVDROP_RATE
 
 
 def strong_augment(obs: Raster, cfg: AugmentConfig, stream: Stream,
@@ -109,6 +109,6 @@ def strong_augment(obs: Raster, cfg: AugmentConfig, stream: Stream,
                             stream.child("camdrop"))
     else:
         fov = LossMask(np.ones((N_CLASSES, rows, cols), dtype=bool))
-    drop = (bevdrop_mask(rows, cols, BEVDROP_RATE, stream.child("bevdrop"))
+    drop = (bevdrop_mask(rows, cols, stream.child("bevdrop"))
             if cfg.bevdrop else None)
     return view, fov, drop

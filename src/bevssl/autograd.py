@@ -273,25 +273,10 @@ def _is_axis(axis) -> bool:
             and set(map(operator.sub, axis[1:], axis)) <= {0, 1})
 
 
-# `expand` descriptions that passed `_is_expand`, keyed by id; each entry
-# holds its tuple, so the id cannot pass to another object while it is
-# here.  The model hands `conv2d` the same cached tuples every forward.
-_CHECKED_EXPANDS: dict[int, tuple] = {}
-
-
 def _is_expand(expand) -> bool:
-    """True for a pair of per-axis tuples (`_is_axis`).  A tuple that has
-    passed once is not checked again, but an equal tuple that is not the
-    same object is: `(0, 1.0, 2)` equals `(0, 1, 2)`."""
-    if _CHECKED_EXPANDS.get(id(expand)) is expand:
-        return True
-    if not (isinstance(expand, tuple) and len(expand) == 2
-            and all(map(_is_axis, expand))):
-        return False
-    if len(_CHECKED_EXPANDS) >= 256:
-        _CHECKED_EXPANDS.clear()
-    _CHECKED_EXPANDS[id(expand)] = expand
-    return True
+    """True for a pair of per-axis tuples (`_is_axis`)."""
+    return (isinstance(expand, tuple) and len(expand) == 2
+            and all(map(_is_axis, expand)))
 
 
 def _maps(expand: tuple) -> tuple:
@@ -847,9 +832,6 @@ class ParamSet:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
 
@@ -928,9 +910,12 @@ def backward(root: Tensor, grads: dict[str, np.ndarray],
 
 # -------------------------------------------------------------- optimizer --
 
+ADAM_EPS = 1e-8   # keeps the update finite where the second moment is 0
+
+
 def optimizer_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
                    wd: float, betas: tuple[float, float], step: int = 1,
-                   eps: float = 1e-8) -> None:
+                   ) -> None:
     """Adaptive-moment update with bias correction and decoupled weight
     decay, from the gradients in `grads`, which it leaves unchanged."""
     if step <= 0:
@@ -948,7 +933,7 @@ def optimizer_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
         p.m += (1.0 - b1) * g
         p.v *= b2
         p.v += (1.0 - b2) * g * g
-        p.values -= lr * (p.m / c1) / (np.sqrt(p.v / c2) + eps)
+        p.values -= lr * (p.m / c1) / (np.sqrt(p.v / c2) + ADAM_EPS)
         p.values -= lr * wd * p.values
 
 
@@ -1057,5 +1042,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         values = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8")
+        if name in out:
+            raise ConfigurationError(
+                f"checkpoint {path!s} holds the entry '{name}' twice")
         out[name] = values.reshape(dims).copy()
     return out

@@ -117,7 +117,8 @@ def _each(cfg, names, holds, rule):
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters tuned for the synthetic benchmark (learning
-    rate, weight decay, and focal balance are dataset-tuned knobs)."""
+    rate and weight decay are dataset-tuned knobs; the focal loss's balance
+    is `LossWeights()`)."""
 
     total_steps: int = 3000
     eval_every: int = 250
@@ -128,8 +129,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     ema_keep: float = 0.99
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.75
     eval_model: str = "student"   # "student" | "teacher"
     supervised_augment: str = "none"  # "none" | "same"
 
@@ -141,8 +140,6 @@ class TrainConfig:
             ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
             ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
             ("ema_keep", 0 <= self.ema_keep <= 1, "in [0, 1]"),
-            ("focal_gamma", self.focal_gamma >= 0, ">= 0"),
-            ("focal_alpha", 0 <= self.focal_alpha <= 1, "in [0, 1]"),
             ("eval_model", self.eval_model in ("student", "teacher"),
              "'student' or 'teacher'"),
             ("supervised_augment", self.supervised_augment in ("none", "same"),
@@ -262,10 +259,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it gives twice is a
+    ConfigurationError, not a silent choice of one value."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigurationError(f"config key '{key}' is given twice")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!s}: {exc}") from exc
     except ValueError as exc:   # not UTF-8, or not JSON
@@ -316,7 +324,8 @@ class RunResult:
 
 
 def _weights_for(spec: RunSpec) -> LossWeights:
-    return LossWeights(spec.cfg.train.focal_gamma, spec.cfg.train.focal_alpha)
+    """The focal balance of every run: `LossWeights()`."""
+    return LossWeights()
 
 
 def _pseudo_for(spec: RunSpec) -> SslConfig:
@@ -681,12 +690,11 @@ def _safe(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_@." else "_" for ch in name)
 
 
-def load_checkpoint_params(path, model_cfg: ModelConfig, which: str = "best",
-                           ) -> ParamSet:
-    """Rebuild a ParamSet from a prefixed run checkpoint or a bare one; it
-    must hold exactly the model's parameters."""
+def load_checkpoint_params(path, model_cfg: ModelConfig) -> ParamSet:
+    """Rebuild a ParamSet from a run checkpoint's `best.` entries or from a
+    bare checkpoint; it must hold exactly the model's parameters."""
     raw = load_checkpoint(path)
-    prefix = which + "."
+    prefix = "best."
     vals = {k[len(prefix):]: v for k, v in raw.items() if k.startswith(prefix)}
     if not vals:
         # bare checkpoint without prefixes

@@ -367,9 +367,6 @@ class Trainer:
         step = self.step_count
         if step >= self.total_steps:
             raise ContractError("training past total_steps")
-        split = self.dataset.split
-        if not split.labelled:
-            raise ContractError("empty labelled batch")
         st = Stream(self.seed).child("train").child(step)
         cfg = self.ssl_cfg
         w_cls_eff = rampup_weight(step, self.total_steps, cfg.w_cls)

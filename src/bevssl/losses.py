@@ -66,12 +66,14 @@ def feature_similarity_loss(z_s: Tensor, z_t: np.ndarray,
     return forward_op("featsim", z_s, Tensor(z_t), mode=mode)
 
 
-def rampup_weight(step: int, total_steps: int, base: float,
-                  fraction: float = 1.0 / 3.0) -> float:
-    """base * min(1, step / (fraction * total_steps))."""
+RAMPUP_FRACTION = 1.0 / 3.0   # the share of training a weight ramps over
+
+
+def rampup_weight(step: int, total_steps: int, base: float) -> float:
+    """base * min(1, step / (RAMPUP_FRACTION * total_steps))."""
     if total_steps <= 0:
         raise ContractError("total_steps must be positive")
     if not 0 <= step <= total_steps:
         raise ContractError(f"step {step} outside [0, {total_steps}]")
-    return base * min(1.0, step / (fraction * total_steps))
+    return base * min(1.0, step / (RAMPUP_FRACTION * total_steps))
 

@@ -71,9 +71,9 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 _BAND_DRAWS = 1 << 15
 
 
-def normal_rows(streams: list[Stream], n: int, scale: float = 1.0) -> np.ndarray:
+def normal_rows(streams: list[Stream], n: int) -> np.ndarray:
     """One row of n Box-Muller normals per stream, shape (len(streams), n);
-    row k is what `streams[k].normals(n, scale)` returns.  Each stream
+    row k is what `streams[k].normals(n)` returns.  Each stream
     consumes exactly 2n raw draws."""
     out = np.empty((len(streams), n))
     # (i + 1) * GOLDEN for i < 2n, the offsets of a stream's next 2n raw
@@ -99,7 +99,6 @@ def normal_rows(streams: list[Stream], n: int, scale: float = 1.0) -> np.ndarray
         np.log(u1, out=u1)
         u1 *= -2.0
         np.sqrt(u1, out=u1)
-        u1 *= scale
         u2 = np.multiply(z[1], _TWO_NEG_53)
         u2 *= _TWO_PI
         u1 *= np.cos(u2, out=u2)
@@ -152,9 +151,9 @@ class Stream:
         u = (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
         return low + (high - low) * u
 
-    def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
+    def normals(self, n: int) -> np.ndarray:
         """Box-Muller; consumes exactly 2n raw draws."""
-        return normal_rows([self], n, scale)[0]
+        return normal_rows([self], n)[0]
 
     def randint(self, n: int) -> int:
         """Integer uniform on [0, n)."""

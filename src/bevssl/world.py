@@ -53,7 +53,7 @@ OBS_CHANNELS = 5
 N_SECTORS = 6
 
 DEFAULT_EXTENT = (-120.0, 120.0, -120.0, 120.0)
-SPEED_RANGE = (0.0, 12.0)   # the ego's speeds, m/s; 0 gives dwell segments
+SPEED_RANGE = (0.0, 12.0)   # the ego's speeds between dwell segments, m/s
 
 # rendering amplitude per class channel (thin strokes need boosting to stay
 # visible after smoothing)
@@ -408,11 +408,11 @@ def _point_at(verts: np.ndarray, cum: np.ndarray, s: float):
     return verts[i] + t * seg, tang
 
 
-def generate_world(seed: int, style: StyleParams,
-                   extent: tuple[float, float, float, float] = DEFAULT_EXTENT,
-                   ) -> WorldMap:
-    """Deterministic polyline world: roads with dividers, boundaries, and
-    pedestrian-crossing quads near random stations."""
+def generate_world(seed: int, style: StyleParams) -> WorldMap:
+    """Deterministic polyline world over `DEFAULT_EXTENT`: roads with
+    dividers, boundaries, and pedestrian-crossing quads near random
+    stations."""
+    extent = DEFAULT_EXTENT
     x0, x1, y0, y1 = extent
     area_km2 = (x1 - x0) * (y1 - y0) / 1e6
     n_roads = max(1, round(style.road_density * area_km2))
@@ -493,16 +493,14 @@ def _crossing_quad(line, cum, s, half_len, half_width) -> np.ndarray:
 # ----------------------------------------------------------- trajectories --
 
 def generate_sequence(world: WorldMap, seed: int, n_frames: int,
-                      speed_range: tuple[float, float],
                       ) -> list[tuple[int, Pose2]]:
     """Frame poses along a drivable centerline at 1 Hz.
 
-    Speeds are piecewise constant draws from `speed_range`; zero-speed dwell
-    segments appear only when the range admits zero speed.
+    Speeds are piecewise constant: zero-speed dwell segments, or draws
+    from `SPEED_RANGE`.
     """
     if n_frames < 1:
         raise ConfigurationError("n_frames must be >= 1")
-    lo, hi = speed_range
     stream = Stream(seed).child("traj")
 
     lengths = [_polyline_length(c) for c in world.centerlines]
@@ -523,10 +521,10 @@ def generate_sequence(world: WorldMap, seed: int, n_frames: int,
     v, hold = 0.0, 0
     for i in range(n_frames):
         if hold <= 0:
-            if lo <= 0.0 and spd.uniform() < 0.22:
+            if spd.uniform() < 0.22:
                 v, hold = 0.0, spd.randrange(1, 4)
             else:
-                v, hold = spd.uniform(lo, hi), spd.randrange(2, 6)
+                v, hold = spd.uniform(*SPEED_RANGE), spd.randrange(2, 6)
         p, tang = _point_at(line, cum, s)
         yaw = math.atan2(direction * tang[1], direction * tang[0])
         poses.append((i, Pose2(float(p[0]), float(p[1]), yaw)))
@@ -561,10 +559,9 @@ class _StrokeTable(NamedTuple):
     segment of the divider and boundary polylines, and `plane[i]` its
     class channel; `polygons` are the crossings.  `lo` and `hi` are the
     world-frame bounding boxes of the segments followed by those of the
-    polygons.  `source` is the polyline list the table was built from.
+    polygons.
     """
 
-    source: list
     ends: np.ndarray
     plane: np.ndarray
     polygons: list
@@ -585,16 +582,14 @@ class _StrokeTable(NamedTuple):
                             + [v.min(axis=0, keepdims=True) for v in polygons])
         hi = np.concatenate([ends.max(axis=1)]
                             + [v.max(axis=0, keepdims=True) for v in polygons])
-        return cls(polylines, ends, plane, polygons, lo, hi)
+        return cls(ends, plane, polygons, lo, hi)
 
 
 def _stroke_table(world: WorldMap) -> _StrokeTable:
-    """The world's stroke table, built at its first frame; a world given
-    a new polyline list gets a new table."""
-    table = world._strokes
-    if table is None or table.source is not world.polylines:
-        table = world._strokes = _StrokeTable.build(world.polylines)
-    return table
+    """The world's stroke table, built at its first frame."""
+    if world._strokes is None:
+        world._strokes = _StrokeTable.build(world.polylines)
+    return world._strokes
 
 
 def _near_ego(table: _StrokeTable, pose: Pose2, spec: GridSpec) -> np.ndarray:
@@ -848,9 +843,8 @@ class Dataset:
 
 
 def build_sequence(world: WorldMap, sequence_id: int, seed: int,
-                   spec: GridSpec, n_frames: int,
-                   speed_range: tuple[float, float]) -> SequenceData:
-    poses = generate_sequence(world, seed, n_frames, speed_range)
+                   spec: GridSpec, n_frames: int) -> SequenceData:
+    poses = generate_sequence(world, seed, n_frames)
     cal = Calibration.draw(Stream(seed).child("calibration"))
     samples = []
     for idx, pose in poses:
@@ -869,8 +863,7 @@ def build_sequences(worlds: list[WorldMap], seed: int,
     sequences: dict[int, SequenceData] = {}
     for sid, world in enumerate(worlds):
         sequences[sid] = build_sequence(
-            world, sid, mix64(seed ^ mix64(7777 + sid)), spec, cfg.n_frames,
-            SPEED_RANGE)
+            world, sid, mix64(seed ^ mix64(7777 + sid)), spec, cfg.n_frames)
         # its frames are built: hold one world's stroke table at a time
         world._strokes = None
     return sequences

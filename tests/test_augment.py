@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bevssl.augment import (AugmentConfig, bevdrop_mask, camdrop, cutout,
-                            photometric, strong_augment)
+from bevssl.augment import (AugmentConfig, BEVDROP_RATE, BIAS_RANGE,
+                            CUTOUT_FRACTION, GAIN_RANGE, SWAP_PROB,
+                            bevdrop_mask, camdrop, cutout, photometric,
+                            strong_augment)
 from bevssl.bench import config_from_dict
 from bevssl.errors import ConfigurationError
 from bevssl.geometry import Raster, SMALL_GRID
@@ -18,31 +20,43 @@ def _obs(seed=1):
 
 # ------------------------------------------------------------ photometric --
 
-def test_photometric_identity_when_ranges_degenerate():
-    obs = _obs()
-    out = photometric(obs, Stream(2), gain_range=(1.0, 1.0),
-                      bias_range=(0.0, 0.0), swap_prob=0.0)
-    assert np.array_equal(out.values, obs.values)
+def _photometric_draws(seed):
+    """What `photometric` draws from Stream(seed), in its order: four gains
+    in (0.8, 1.2), four biases in (-0.1, 0.1), and a permutation of the
+    evidence channels with probability 0.2 (None without one)."""
+    st = Stream(seed)
+    gains = [st.uniform(0.8, 1.2) for _ in range(4)]
+    biases = [st.uniform(-0.1, 0.1) for _ in range(4)]
+    perm = st.permutation(3) if st.uniform() < 0.2 else None
+    return gains, biases, perm
+
+
+def _jittered(obs, gains, biases):
+    return [np.clip(obs.values[ch] * gains[ch] + biases[ch], 0.0, 1.0)
+            for ch in range(4)]
 
 
 def test_photometric_bias_shift_with_clamp():
     obs = _obs()
-    out = photometric(obs, Stream(3), gain_range=(1.0, 1.0),
-                      bias_range=(0.1, 0.1), swap_prob=0.0)
-    for ch in range(4):
-        assert np.allclose(out.values[ch],
-                           np.clip(obs.values[ch] + 0.1, 0.0, 1.0),
-                           atol=1e-15)
+    gains, biases, perm = _photometric_draws(3)
+    assert perm is None   # this stream draws no swap
+    out = photometric(obs, Stream(3))
+    for ch, want in enumerate(_jittered(obs, gains, biases)):
+        assert np.array_equal(out.values[ch], want)
+    # the clamp binds at both ends, and the range channel is untouched
+    assert (out.values[:4] == 0.0).any() and (out.values[:4] == 1.0).any()
     assert np.array_equal(out.values[4], obs.values[4])
 
 
 def test_photometric_swap_preserves_channel_multiset():
     obs = _obs()
-    out = photometric(obs, Stream(11), gain_range=(1.0, 1.0),
-                      bias_range=(0.0, 0.0), swap_prob=1.0)
-    got = sorted(out.values[c].tobytes() for c in range(3))
-    want = sorted(obs.values[c].tobytes() for c in range(3))
-    assert got == want
+    gains, biases, perm = _photometric_draws(4)
+    assert perm is not None and perm != [0, 1, 2]   # this stream swaps
+    out = photometric(obs, Stream(4))
+    jittered = _jittered(obs, gains, biases)
+    for ch in range(3):
+        assert np.array_equal(out.values[ch], jittered[perm[ch]])
+    assert np.array_equal(out.values[3], jittered[3])
 
 
 # ------------------------------------------------------------------ cutout --
@@ -56,7 +70,7 @@ def test_cutout_area_bound():
     obs = _obs(7)
     # make every cell nonzero so zeroed cells are countable
     obs.values[:] = np.maximum(obs.values, 1e-3)
-    out = cutout(obs, Stream(6), 0.25)
+    out = cutout(obs, Stream(6))
     zeroed = (out.values == 0.0).all(axis=0)
     target = 0.25 * 96 * 32
     assert target <= zeroed.sum() < target + max_cutout_rect_area(SMALL_GRID)
@@ -67,8 +81,8 @@ def test_cutout_area_bound():
 
 def test_cutout_deterministic_per_stream():
     obs = _obs(8)
-    a = cutout(obs, Stream(9), 0.25)
-    b = cutout(obs, Stream(9), 0.25)
+    a = cutout(obs, Stream(9))
+    b = cutout(obs, Stream(9))
     assert np.array_equal(a.values, b.values)
 
 
@@ -117,14 +131,14 @@ def test_camdrop_zero_count_rejected():
 # ----------------------------------------------------------------- bevdrop --
 
 def test_bevdrop_binomial_bound():
-    mask = bevdrop_mask(100, 100, 0.5, Stream(2))
+    mask = bevdrop_mask(100, 100, Stream(2))
     count = mask.sum()
     assert abs(count - 5000) <= 3 * 50  # 3 sigma of Binomial(1e4, 0.5)
 
 
 def test_bevdrop_deterministic():
-    a = bevdrop_mask(20, 20, 0.3, Stream(3))
-    b = bevdrop_mask(20, 20, 0.3, Stream(3))
+    a = bevdrop_mask(20, 20, Stream(3))
+    b = bevdrop_mask(20, 20, Stream(3))
     assert np.array_equal(a, b)
 
 
@@ -135,7 +149,7 @@ def test_geometric_consistency_changed_cells_are_documented_sets():
     in place, cutout/camdrop only zero their rectangles/sectors."""
     obs = _obs(20)
     obs.values[:] = np.maximum(obs.values, 1e-3)
-    out = cutout(obs, Stream(21), 0.2)
+    out = cutout(obs, Stream(21))
     changed = (out.values != obs.values).any(axis=0)
     zeroed = (out.values == 0.0).all(axis=0)
     assert np.array_equal(changed, zeroed)
@@ -152,11 +166,12 @@ def test_strong_augment_defaults_reproduce_winning_combination():
     obs = _obs(23)
     view, fov, drop = strong_augment(obs, cfg, Stream(24))
     # the fixed strengths: gain, bias and swap, CutOut's area, BEV dropout
+    assert (GAIN_RANGE, BIAS_RANGE, SWAP_PROB, CUTOUT_FRACTION,
+            BEVDROP_RATE) == ((0.8, 1.2), (-0.1, 0.1), 0.2, 0.25, 0.5)
     st = Stream(24)
-    ref = cutout(photometric(obs, st.child("photo"), (0.8, 1.2), (-0.1, 0.1),
-                             0.2), st.child("cutout"), 0.25)
+    ref = cutout(photometric(obs, st.child("photo")), st.child("cutout"))
     assert np.array_equal(view.values, ref.values)
-    assert np.array_equal(drop, bevdrop_mask(96, 32, 0.5, st.child("bevdrop")))
+    assert np.array_equal(drop, bevdrop_mask(96, 32, st.child("bevdrop")))
     assert fov.include.all()          # no camdrop: nothing excluded
     assert drop is not None and drop.shape == (96, 32)
     v2, _, d2 = strong_augment(obs, cfg, Stream(24))
@@ -192,15 +207,3 @@ def test_config_validation():
                            match=r"^augment\.cutout must be bool"):
             config_from_dict({"augment": {"cutout": value}})
 
-
-# Each fixed strength keeps its bound where it is read. No CutOut is `cutout`
-# false and no dropout `bevdrop` false, so 0 is out of bounds as well as 1.
-@pytest.mark.parametrize("value", [0.0, 1.0])
-@pytest.mark.parametrize("draw,msg", [
-    pytest.param(lambda f: cutout(_obs(), Stream(5), f), "cutout fraction",
-                 id="cutout"),
-    pytest.param(lambda r: bevdrop_mask(10, 10, r, Stream(1)), "bevdrop rate",
-                 id="bevdrop_mask")])
-def test_a_fixed_strength_keeps_its_bound(draw, msg, value):
-    with pytest.raises(ConfigurationError, match=rf"^{msg} must be in \(0, 1\)$"):
-        draw(value)

@@ -792,26 +792,6 @@ def test_expand_rejects_a_malformed_description(case):
         forward_op("conv2d", x, w, padding=1, **attrs)
 
 
-def test_expand_is_checked_once_per_object(monkeypatch):
-    """A description that passed is not checked again; one equal to it but
-    not the same object is, so a float entry still fails."""
-    w = Tensor(np.ones((1, 1, 3, 3)))
-    x = Tensor(np.ones((1, 1, 12, 6)))
-    forward_op("conv2d", x, w, padding=1, expand=_READ)
-    floats = (tuple(float(v) for v in _ROWS), _COLS)
-    assert floats == _READ and floats is not _READ
-
-    def unchecked(axis):
-        raise AssertionError("a checked description was checked again")
-
-    monkeypatch.setattr(autograd, "_is_axis", unchecked)
-    assert forward_op("conv2d", x, w, padding=1,
-                      expand=_READ).shape == (1, 1, 16, 8)
-    monkeypatch.undo()
-    with pytest.raises(ConfigurationError, match="no pair of per-axis"):
-        forward_op("conv2d", x, w, padding=1, expand=floats)
-
-
 # ---------------------------------------------------------------- errors ---
 
 def test_shape_mismatch_is_configuration_error():

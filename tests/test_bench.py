@@ -129,8 +129,7 @@ SETTABLE_KEYS = {
     "model": ("enc_widths", "lift_channels", "dec_widths", "kernel_size"),
     "train": ("total_steps", "eval_every", "batch_labelled",
               "batch_unlabelled", "lr", "wd", "beta1", "beta2", "ema_keep",
-              "focal_gamma", "focal_alpha", "eval_model",
-              "supervised_augment"),
+              "eval_model", "supervised_augment"),
     "augment": ("photometric", "cutout", "camdrop", "bevdrop"),
     "ssl": ("w_cls", "w_feat", "feat_mode", "feat_level", "threshold",
             "temperature", "hard", "fusion_mode", "fusion_extra",
@@ -147,18 +146,19 @@ def test_settable_keys_are_pinned():
     got = {k: tuple(v) for k, v in doc.items() if isinstance(v, dict)}
     got[""] = tuple(k for k, v in doc.items() if not isinstance(v, dict))
     assert got == SETTABLE_KEYS
-    assert sum(map(len, got.values())) == 46
+    assert sum(map(len, got.values())) == 44
 
 
 # keys of values that no run varied, with the values now fixed where they
-# are read (the tests of `strong_augment`, `build_dataset` and the ramp
-# weights pin those values)
+# are read (the tests of `strong_augment`, `build_dataset`, the ramp weights
+# and `LossWeights` pin those values)
 FIXED_VALUES = {
     "world.seqs_per_world": 1, "world.speed_min": 0.0,
     "world.speed_max": 12.0, "augment.gain_range": [0.8, 1.2],
     "augment.bias_range": [-0.1, 0.1], "augment.channel_swap_prob": 0.2,
     "augment.cutout_fraction": 0.25, "augment.camdrop_count": 1,
     "augment.bevdrop_rate": 0.5, "ssl.rampup_fraction": 1.0 / 3.0,
+    "train.focal_gamma": 2.0, "train.focal_alpha": 0.75,
 }
 
 
@@ -189,12 +189,12 @@ def test_ssl_section_is_the_engine_config():
     assert got == replace(cfg.ssl, hard=True)
     assert [f.name for f in fields(SslConfig)
             if getattr(got, f.name) != getattr(cfg.ssl, f.name)] == ["hard"]
-    # the focal and optimiser values `train` still mirrors keep the engine's
-    # defaults, so a Trainer built from them optimises what a CLI run of {}
-    # does
+    # every run's focal balance is `LossWeights()`, and the optimiser values
+    # `train` still mirrors keep the engine's defaults, so a Trainer built
+    # from them optimises what a CLI run of {} does
     spec = expand_runs(cfg)[0]
     t = cfg.train
-    assert _weights_for(spec) == LossWeights()
+    assert _weights_for(spec) == LossWeights() == LossWeights(2.0, 0.75)
     assert OptimConfig(t.lr, t.wd, (t.beta1, t.beta2), t.ema_keep) \
         == OptimConfig()
 
@@ -586,7 +586,7 @@ def test_run_scenario_deterministic_and_exported(tmp_path):
 
     ckpts = sorted(out1.glob("run_*.ckpt"))
     assert ckpts
-    params = load_checkpoint_params(ckpts[0], cfg.model, "best")
+    params = load_checkpoint_params(ckpts[0], cfg.model)
     again = tmp_path / "resaved.ckpt"
     from bevssl.autograd import load_checkpoint, save_checkpoint
     save_checkpoint(again, load_checkpoint(ckpts[0]))

@@ -7,6 +7,7 @@ from bevssl.autograd import save_checkpoint
 from bevssl.bench import load_config
 from bevssl.cli import main
 from bevssl.geometry import SMALL_GRID, Raster
+from bevssl.model import init_params
 from bevssl.rng import Stream
 from bevssl.world import write_raster
 
@@ -109,6 +110,8 @@ REMOVED_SPELLINGS = {
     "camdrop_count_bool": ("augment", {"camdrop_count": True}, UNKNOWN),
     "bevdrop_rate_0": ("augment", {"bevdrop_rate": 0}, UNKNOWN),
     "rampup_fraction_0": ("ssl", {"rampup_fraction": 0}, UNKNOWN),
+    "focal_gamma_neg": ("train", {"focal_gamma": -1}, UNKNOWN),
+    "focal_alpha_above_1": ("train", {"focal_alpha": 1.5}, UNKNOWN),
 }
 
 
@@ -142,7 +145,6 @@ REMOVED_SPELLINGS = {
     ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
     ("ssl", {"w_cls": -1}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
-    ("train", {"focal_gamma": -1}), ("train", {"focal_alpha": 1.5}),
     *(row[:2] for row in REMOVED_SPELLINGS.values())],
     ids=["grid_preset", "style", "adapt_target_style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
@@ -160,7 +162,6 @@ REMOVED_SPELLINGS = {
          "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
          "adapt_counts_repeated",
          "w_cls_neg", "feat_mode_l1", "feat_level_mid",
-         "focal_gamma_neg", "focal_alpha_above_1",
          *REMOVED_SPELLINGS])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
@@ -195,12 +196,12 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("section,values", [
     ("ssl", {"fusion_max_range": NAN}), ("ssl", {"w_feat": NAN}),
-    ("ssl", {"temperature": NAN}), ("train", {"focal_gamma": NAN}),
+    ("ssl", {"temperature": NAN}), ("train", {"beta2": NAN}),
     ("world", {"utilisation": NAN}), ("train", {"ema_keep": NAN}),
     ("train", {"lr": INF}), ("ssl", {"w_cls": INF}),
     ("train", {"wd": -INF}), ("eval", {"sweep_utilisations": [NAN, 1.0]})],
     ids=["fusion_max_range_nan", "w_feat_nan", "temperature_nan",
-         "focal_gamma_nan", "utilisation_nan", "ema_keep_nan", "lr_inf",
+         "beta2_nan", "utilisation_nan", "ema_keep_nan", "lr_inf",
          "w_cls_inf", "wd_neg_inf", "sweep_utilisation_nan"])
 def test_non_finite_number_exits_2_at_load(tmp_path, capsys, section,
                                            values):
@@ -239,6 +240,32 @@ def test_cli_overrides_are_checked_at_load(tmp_path, capsys, argv, doc):
     cfg = _write_cfg(tmp_path, doc)
     load_config(cfg)
     _rejected_at_load(tmp_path, capsys, argv, cfg)
+
+
+# a name given twice, which would drop the first `ssl` section or keep the
+# last of two values
+@pytest.mark.parametrize("head,key", [
+    ('"ssl": {"w_feat": 0.5}, "ssl": {"threshold": 0.7}', "ssl"),
+    ('"ssl": {"w_feat": 0.5, "w_feat": 0.25}', "w_feat")],
+    ids=["section", "key"])
+def test_a_repeated_config_name_exits_2(tmp_path, capsys, head, key):
+    path = tmp_path / "cfg.json"
+    path.write_text("{" + head + ", " + json.dumps(TINY_DOC)[1:])
+    err = _rejected_at_load(tmp_path, capsys, ["train"], path)
+    assert f"config key '{key}' is given twice" in err
+
+
+def test_a_repeated_checkpoint_entry_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    params = init_params(load_config(cfg).model, 0)
+    whole, again = tmp_path / "whole.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(whole, {f"best.{k}": p.values for k, p in params.items()})
+    save_checkpoint(again, {"best.head.b": params["head.b"].values + 1.0})
+    path = tmp_path / "repeats.ckpt"
+    path.write_bytes(whole.read_bytes() + again.read_bytes()[8:])
+    err = _rejected_at_load(tmp_path, capsys, [
+        "eval", "--checkpoint", str(path)], cfg)
+    assert "holds the entry 'best.head.b' twice" in err
 
 
 def test_partial_checkpoint_exits_2(tmp_path, capsys):
