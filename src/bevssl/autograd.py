@@ -920,8 +920,6 @@ def optimizer_step(params: ParamSet, grads: dict[str, np.ndarray], lr: float,
     decay, from the gradients in `grads`, which it leaves unchanged."""
     if step <= 0:
         raise ContractError(f"optimizer step must be >= 1, got {step}")
-    if lr < 0 or wd < 0:
-        raise ConfigurationError("lr and wd must be nonnegative")
     b1, b2 = betas
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step

@@ -148,10 +148,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """The grid's seeds and each kind's axis: `label-sweep` reads
+    `sweep_utilisations` and `city-adapt` its target-city unlabelled
+    counts, `adapt_unlabelled_counts`; any other kind reads neither."""
+
     seeds: tuple[int, ...] = (0, 1, 2)
     sweep_utilisations: tuple[float, ...] = (0.025, 0.05, 0.1, 0.25, 0.5, 1.0)
-    adapt_target_style: str = "city_B"
-    adapt_source_worlds: int = 10
     adapt_unlabelled_counts: tuple[int, ...] = (0, 8, 32)
 
     def __post_init__(self):
@@ -168,15 +170,15 @@ class EvalConfig:
              "in (0, 1] each"),
             ("sweep_utilisations", not alike, "distinct as variant names "
              f"print them ({{u:g}}): {alike} print alike"),
-            ("adapt_target_style", self.adapt_target_style in STYLE_PRESETS,
-             f"one of {sorted(STYLE_PRESETS)}"),
-            ("adapt_source_worlds", self.adapt_source_worlds >= 1, ">= 1"),
             ("adapt_unlabelled_counts",
              all(n >= 0 for n in self.adapt_unlabelled_counts), ">= 0 each")))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A config file: the run's kind and name and its six sections.  Each
+    section checks its own values, whatever the kind; this checks `kind`."""
+
     kind: str = "ssl"
     name: str = "scenario"
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -189,12 +191,6 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields("", self, [("kind", self.kind in SCENARIOS,
                                  f"one of {sorted(SCENARIOS)}")])
-        w = self.world
-        # city adaptation draws its worlds from `eval`
-        check_fields("world", w, [
-            ("n_worlds", self.kind == "city-adapt"
-             or w.n_worlds > w.val_worlds + w.test_worlds,
-             f">= {w.val_worlds} val + {w.test_worlds} test + 1 train worlds")])
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -334,21 +330,23 @@ def _pseudo_for(spec: RunSpec) -> SslConfig:
 
 
 _DATASET_CACHE: dict = {}   # the frames built last
+ADAPT_SOURCE_WORLDS = 10   # city adaptation's labelled source-city worlds
 
 
 def _build_run_dataset(spec: RunSpec) -> Dataset:
-    """The run's frames, shared by every variant of its seed, and its split."""
-    w, ev = replace(spec.cfg.world, utilisation=1.0), spec.cfg.eval
+    """The run's frames, shared by every variant of its seed, and its split.
+    City adaptation's target city is the preset that is not `world.style`."""
+    w = replace(spec.cfg.world, utilisation=1.0)
     adapt = spec.variant.adapt_unlabelled is not None
     data_seed = Stream(spec.seed).child("data").seed
-    n_pool = max(ev.adapt_unlabelled_counts)
-    key = (w, data_seed, (ev.adapt_target_style, ev.adapt_source_worlds,
-                          n_pool) if adapt else None)
+    n_pool = max(spec.cfg.eval.adapt_unlabelled_counts)
+    key = (w, data_seed, n_pool if adapt else None)
     if key not in _DATASET_CACHE:
         _DATASET_CACHE.clear()
         if adapt:   # source-city worlds, then the target-city pool, val, test
-            worlds = (generate_worlds(data_seed, w.style, ev.adapt_source_worlds)
-                      + generate_worlds(data_seed, ev.adapt_target_style,
+            (target,) = set(STYLE_PRESETS) - {w.style}
+            worlds = (generate_worlds(data_seed, w.style, ADAPT_SOURCE_WORLDS)
+                      + generate_worlds(data_seed, target,
                                         n_pool + w.val_worlds + w.test_worlds,
                                         first=50000))
             _DATASET_CACHE[key] = Dataset(GRID_PRESETS[w.grid_preset],
@@ -363,15 +361,15 @@ def _run_split(spec: RunSpec, data_seed: int) -> DatasetSplit:
     """`make_splits` at the variant's utilisation; for city adaptation, the
     source worlds labelled and the variant's draw from the target pool
     unlabelled, or the whole pool labelled for the oracle."""
-    w, ev, v = spec.cfg.world, spec.cfg.eval, spec.variant
+    w, v = spec.cfg.world, spec.variant
     if v.adapt_unlabelled is None:
         return make_splits(w if v.utilisation is None
                            else replace(w, utilisation=v.utilisation), data_seed)
-    n_src, n_pool = ev.adapt_source_worlds, max(ev.adapt_unlabelled_counts)
-    pool = range(n_src, n_src + n_pool)
+    n_pool = max(spec.cfg.eval.adapt_unlabelled_counts)
+    pool = range(ADAPT_SOURCE_WORLDS, ADAPT_SOURCE_WORLDS + n_pool)
     order = Stream(data_seed).child("adapt-pick").permutation(n_pool)
     val = range(pool.stop, pool.stop + w.val_worlds)
-    return DatasetSplit(list(range(val.start if v.adapt_oracle else n_src)),
+    return DatasetSplit(list(range(val.start if v.adapt_oracle else pool.start)),
                         sorted(pool[i] for i in order[:v.adapt_unlabelled]),
                         list(val), list(range(val.stop, val.stop + w.test_worlds)))
 

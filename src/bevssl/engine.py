@@ -26,7 +26,7 @@ import numpy as np
 from .augment import AugmentConfig, strong_augment
 from .autograd import (ParamSet, Tape, Tensor, backward, forward_op,
                        optimizer_step)
-from .errors import ConfigurationError, ContractError, check_fields
+from .errors import ContractError, check_fields
 from .geometry import Pose2, Raster, relative_pose, warp_raster
 from .losses import (LossMask, LossWeights, feature_similarity_loss,
                      focal_loss, rampup_weight)
@@ -310,8 +310,6 @@ class Trainer:
                  supervised_augment: AugmentConfig | None = None):
         if not dataset.split.labelled:
             raise ContractError("training requires at least one labelled sequence")
-        if total_steps <= 0:
-            raise ConfigurationError("total_steps must be positive")
         self.dataset = dataset
         self.model_cfg = model_cfg
         self.weights = weights

@@ -70,9 +70,8 @@ RAMPUP_FRACTION = 1.0 / 3.0   # the share of training a weight ramps over
 
 
 def rampup_weight(step: int, total_steps: int, base: float) -> float:
-    """base * min(1, step / (RAMPUP_FRACTION * total_steps))."""
-    if total_steps <= 0:
-        raise ContractError("total_steps must be positive")
+    """base * min(1, step / (RAMPUP_FRACTION * total_steps)); `TrainConfig`
+    has checked that `total_steps` is at least 1."""
     if not 0 <= step <= total_steps:
         raise ContractError(f"step {step} outside [0, {total_steps}]")
     return base * min(1.0, step / (RAMPUP_FRACTION * total_steps))

@@ -110,7 +110,9 @@ STYLE_PRESETS = {"city_A": CITY_A, "city_B": CITY_B}
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """The `world` config section: what `build_dataset` builds from."""
+    """The `world` config section: what `build_dataset` builds from.  Its
+    rules hold for every kind, though `city-adapt` reads neither `n_worlds`
+    nor `utilisation`."""
 
     style: str = "city_A"
     grid_preset: str = "small"
@@ -128,6 +130,9 @@ class WorldConfig:
              f"one of {sorted(GRID_PRESETS)}"),
             *((name, getattr(self, name) >= 1, ">= 1")
               for name in ("n_frames", "val_worlds", "test_worlds")),
+            ("n_worlds", self.n_worlds > self.val_worlds + self.test_worlds,
+             f">= {self.val_worlds} val + {self.test_worlds} test + 1 train "
+             "worlds"),
             ("utilisation", 0 < self.utilisation <= 1, "in (0, 1]")))
 
 
@@ -499,8 +504,6 @@ def generate_sequence(world: WorldMap, seed: int, n_frames: int,
     Speeds are piecewise constant: zero-speed dwell segments, or draws
     from `SPEED_RANGE`.
     """
-    if n_frames < 1:
-        raise ConfigurationError("n_frames must be >= 1")
     stream = Stream(seed).child("traj")
 
     lengths = [_polyline_length(c) for c in world.centerlines]
@@ -813,17 +816,12 @@ def render_observation(gt: Raster, style: StyleParams, noise_seed: int,
 
 def make_splits(cfg: WorldConfig, seed: int) -> DatasetSplit:
     """Partition whole worlds into train/val/test, then label a fraction of
-    the train sequences.  A world holds one sequence, whose id is its index."""
-    n_worlds = cfg.n_worlds
-    val_worlds, test_worlds = cfg.val_worlds, cfg.test_worlds
-    if n_worlds < val_worlds + test_worlds + 1:
-        raise ConfigurationError(
-            f"{n_worlds} worlds cannot cover train/val/test "
-            f"({val_worlds} val + {test_worlds} test)")
-    order = Stream(seed).child("world-split").permutation(n_worlds)
-    test_w = sorted(order[:test_worlds])
-    val_w = sorted(order[test_worlds:test_worlds + val_worlds])
-    train_seqs = [w for w in range(n_worlds)
+    the train sequences.  A world holds one sequence, whose id is its index;
+    `WorldConfig` has checked that at least one train world is left."""
+    order = Stream(seed).child("world-split").permutation(cfg.n_worlds)
+    test_w = sorted(order[:cfg.test_worlds])
+    val_w = sorted(order[cfg.test_worlds:cfg.test_worlds + cfg.val_worlds])
+    train_seqs = [w for w in range(cfg.n_worlds)
                   if w not in test_w and w not in val_w]
     n_lab = max(1, int(math.floor(cfg.utilisation * len(train_seqs) + 0.5)))
     pick = list(train_seqs)
@@ -878,11 +876,11 @@ def generate_worlds(seed: int, style: str, count: int, first: int = 0,
 
 
 def build_dataset(cfg: WorldConfig, seed: int) -> Dataset:
-    """Deterministic dataset from one seed.  The split comes first, so
-    counts that cannot split fail before any world is built."""
-    split = make_splits(cfg, seed)
+    """Deterministic dataset from one seed: `cfg.n_worlds` worlds of
+    `cfg.style`, split by `make_splits`."""
     return Dataset(GRID_PRESETS[cfg.grid_preset], build_sequences(
-        generate_worlds(seed, cfg.style, cfg.n_worlds), seed, cfg), split)
+        generate_worlds(seed, cfg.style, cfg.n_worlds), seed, cfg),
+        make_splits(cfg, seed))
 
 
 # -------------------------------------------------------- raster container --

@@ -134,8 +134,7 @@ SETTABLE_KEYS = {
     "ssl": ("w_cls", "w_feat", "feat_mode", "feat_level", "threshold",
             "temperature", "hard", "fusion_mode", "fusion_extra",
             "fusion_max_range", "fusion_warp"),
-    "eval": ("seeds", "sweep_utilisations", "adapt_target_style",
-             "adapt_source_worlds", "adapt_unlabelled_counts"),
+    "eval": ("seeds", "sweep_utilisations", "adapt_unlabelled_counts"),
 }
 
 
@@ -146,7 +145,7 @@ def test_settable_keys_are_pinned():
     got = {k: tuple(v) for k, v in doc.items() if isinstance(v, dict)}
     got[""] = tuple(k for k, v in doc.items() if not isinstance(v, dict))
     assert got == SETTABLE_KEYS
-    assert sum(map(len, got.values())) == 44
+    assert sum(map(len, got.values())) == 42
 
 
 # keys of values that no run varied, with the values now fixed where they
@@ -159,6 +158,7 @@ FIXED_VALUES = {
     "augment.cutout_fraction": 0.25, "augment.camdrop_count": 1,
     "augment.bevdrop_rate": 0.5, "ssl.rampup_fraction": 1.0 / 3.0,
     "train.focal_gamma": 2.0, "train.focal_alpha": 0.75,
+    "eval.adapt_source_worlds": 10, "eval.adapt_target_style": "city_B",
 }
 
 
@@ -310,12 +310,12 @@ def test_replace_checks_the_rules_that_span_sections():
     cfg = config_from_dict({})
     with pytest.raises(ConfigurationError, match=r"^kind must be one of"):
         replace(cfg, kind="nope")
-    # two worlds are enough only for city adaptation, which takes its worlds
-    # from the eval section
-    adapt = replace(cfg, kind="city-adapt",
-                    world=replace(cfg.world, n_worlds=2))
-    with pytest.raises(ConfigurationError, match=r"^world\.n_worlds must"):
-        replace(adapt, kind="components")
+    # the world-count rule is the world section's own, whatever the kind
+    for kind in bench.SCENARIOS:
+        with pytest.raises(ConfigurationError,
+                           match=r"^world\.n_worlds must"):
+            config_from_dict({"kind": kind, "world": {
+                "n_worlds": 2, "val_worlds": 1, "test_worlds": 1}})
 
 
 def test_label_sweep_variants():
@@ -341,38 +341,47 @@ def _adapt_datasets(cfg):
         for v in scenario_variants(cfg)}
 
 
+def _adapt_worlds(source, target, n_target):
+    """City adaptation's worlds for seed 0, rebuilt from their seeds and
+    styles: the source worlds, then the target-city pool, val and test."""
+    data_seed = Stream(0).child("data").seed
+    return ([generate_world(mix64(data_seed ^ mix64(i)), source)
+             for i in range(bench.ADAPT_SOURCE_WORLDS)]
+            + [generate_world(mix64(data_seed ^ mix64(50000 + i)), target)
+               for i in range(n_target)])
+
+
+def _assert_frames_of(worlds, ds):
+    """Every frame's GT must be its world's map."""
+    assert sorted(ds.sequences) == list(range(len(worlds)))
+    for sid, seq in ds.sequences.items():
+        for s in seq.samples:
+            assert np.array_equal(
+                s.gt.values,
+                rasterize_gt(worlds[sid], s.pose, ds.spec).values), sid
+
+
 def test_adapt_dataset_splits_source_and_target_worlds():
     cfg = tiny_config("city-adapt", world={
         "n_frames": 3, "val_worlds": 1, "test_worlds": 1},
-        eval={"seeds": [0], "adapt_source_worlds": 2,
-              "adapt_unlabelled_counts": [0, 2]})
+        eval={"seeds": [0], "adapt_unlabelled_counts": [0, 2]})
     built = _adapt_datasets(cfg)
     assert list(built) == ["adapt@0", "adapt@2", "adapt@oracle"]
-    # worlds 0-1 are the source city, 2-3 the target-city training pool,
-    # 4 and 5 the target-city val and test worlds; each world is rebuilt
-    # from its seed and style, and every frame's GT must be its map's
-    data_seed = Stream(0).child("data").seed
-    worlds = ([generate_world(mix64(data_seed ^ mix64(i)), CITY_A)
-               for i in range(2)]
-              + [generate_world(mix64(data_seed ^ mix64(50000 + i)), CITY_B)
-                 for i in range(4)])
+    # worlds 0-9 are the source city, 10-11 the target-city training pool,
+    # 12 and 13 the target-city val and test worlds
+    worlds = _adapt_worlds(CITY_A, CITY_B, 4)
     for name, ds in built.items():
-        assert sorted(ds.sequences) == list(range(6))
-        for sid, seq in ds.sequences.items():
-            for s in seq.samples:
-                assert np.array_equal(
-                    s.gt.values,
-                    rasterize_gt(worlds[sid], s.pose, ds.spec).values), sid
-        assert (ds.split.val, ds.split.test) == ([4], [5])
+        _assert_frames_of(worlds, ds)
+        assert (ds.split.val, ds.split.test) == ([12], [13])
         assert all(len(seq.samples) == 3 for seq in ds.sequences.values())
     for n in (0, 2):
         split = built[f"adapt@{n}"].split
-        assert split.labelled == [0, 1]
+        assert split.labelled == list(range(10))
         assert len(split.unlabelled) == n
-        assert set(split.unlabelled) <= {2, 3}
+        assert set(split.unlabelled) <= {10, 11}
     # the oracle labels the source worlds and the whole target pool
     oracle = built["adapt@oracle"].split
-    assert (oracle.labelled, oracle.unlabelled) == ([0, 1, 2, 3], [])
+    assert (oracle.labelled, oracle.unlabelled) == (list(range(12)), [])
     # every variant of the seed reads the same frames
     assert all(ds.sequences is built["adapt@0"].sequences
                for ds in built.values())
@@ -388,6 +397,16 @@ def test_adapt_dataset_splits_source_and_target_worlds():
                 assert np.array_equal(a.gt.values, b.gt.values)
 
 
+def test_adapt_target_city_is_the_other_preset():
+    """A `city_B` source adapts to `city_A`: its pool, val and test worlds
+    are `city_A` worlds."""
+    cfg = tiny_config("city-adapt", world={
+        "style": "city_B", "n_frames": 1, "val_worlds": 1, "test_worlds": 1},
+        eval={"seeds": [0], "adapt_unlabelled_counts": [1]})
+    ds = _adapt_datasets(cfg)["adapt@1"]
+    _assert_frames_of(_adapt_worlds(CITY_B, CITY_A, 3), ds)
+
+
 def test_adapt_oracle_trains_without_a_teacher(tmp_path):
     """With nothing unlabelled the oracle trains its student alone, on the
     strongly augmented labelled branch every `adapt@n` run takes."""
@@ -395,8 +414,7 @@ def test_adapt_oracle_trains_without_a_teacher(tmp_path):
         "n_frames": 3, "val_worlds": 1, "test_worlds": 1},
         train={"total_steps": 2, "eval_every": 1,
                "batch_labelled": 1, "batch_unlabelled": 1},
-        eval={"seeds": [0], "adapt_source_worlds": 2,
-              "adapt_unlabelled_counts": [0, 2]})
+        eval={"seeds": [0], "adapt_unlabelled_counts": [0, 2]})
     (spec,) = [s for s in expand_runs(cfg) if s.variant.name == "adapt@oracle"]
     assert spec.variant.ssl
     assert run_one(spec, tmp_path).error is None

@@ -112,12 +112,14 @@ REMOVED_SPELLINGS = {
     "rampup_fraction_0": ("ssl", {"rampup_fraction": 0}, UNKNOWN),
     "focal_gamma_neg": ("train", {"focal_gamma": -1}, UNKNOWN),
     "focal_alpha_above_1": ("train", {"focal_alpha": 1.5}, UNKNOWN),
+    "adapt_target_style": ("eval", {"adapt_target_style": "city_B"}, UNKNOWN),
+    "adapt_source_worlds_0": ("eval", {"adapt_source_worlds": 0}, UNKNOWN),
 }
 
 
 @pytest.mark.parametrize("section,values", [
     ("world", {"grid_preset": "huge"}), ("world", {"style": "city_Z"}),
-    ("eval", {"adapt_target_style": "x"}), ("train", {"eval_every": 0}),
+    ("train", {"eval_every": 0}),
     ("train", {"total_steps": "5"}), ("train", {"eval_model": "techer"}),
     ("train", {"supervised_augment": "sme"}), ("world", {"n_frames": True}),
     ("train", {"total_steps": 0}),
@@ -139,14 +141,14 @@ REMOVED_SPELLINGS = {
     ("eval", {"adapt_unlabelled_counts": [0, -1]}), ("train", {"lr": -1}),
     ("train", {"wd": -1e-4}), ("train", {"beta1": 1.0}),
     ("train", {"beta2": -0.1}), ("train", {"ema_keep": 5.0}),
-    ("eval", {"adapt_source_worlds": 0}), ("eval", {"seeds": [0, 0]}),
+    ("eval", {"seeds": [0, 0]}),
     ("eval", {"sweep_utilisations": [0.5, 0.5]}),
     ("eval", {"sweep_utilisations": [0.1, 0.1000001]}),
     ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
     ("ssl", {"w_cls": -1}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
     *(row[:2] for row in REMOVED_SPELLINGS.values())],
-    ids=["grid_preset", "style", "adapt_target_style", "eval_every",
+    ids=["grid_preset", "style", "eval_every",
          "total_steps", "eval_model", "supervised_augment", "bool_as_int",
          "total_steps_zero", "utilisation_str", "lr_str",
          "wd_bool", "ema_keep_str", "photometric_str",
@@ -158,7 +160,7 @@ REMOVED_SPELLINGS = {
          "n_frames_0", "val_worlds_neg", "test_worlds_0",
          "sweep_utilisations_empty", "adapt_counts_empty",
          "adapt_count_neg", "lr_neg", "wd_neg", "beta1_1", "beta2_neg",
-         "ema_keep_5", "adapt_source_worlds_0", "seeds_repeated",
+         "ema_keep_5", "seeds_repeated",
          "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
          "adapt_counts_repeated",
          "w_cls_neg", "feat_mode_l1", "feat_level_mid",
@@ -230,16 +232,23 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,doc", [
-    (["train", "--seed", "1"], {**TINY_DOC, "eval": {"seeds": [0, 1]}}),
-    (["ablate", "--scenario", "ssl"],
-     {**TINY_DOC, "kind": "city-adapt",
-      "world": {**TINY_DOC["world"], "n_worlds": 2}})],
-    ids=["seed_repeats_a_seed", "kind_needs_more_worlds"])
+    (["train", "--seed", "1"], {**TINY_DOC, "eval": {"seeds": [0, 1]}})],
+    ids=["seed_repeats_a_seed"])
 def test_cli_overrides_are_checked_at_load(tmp_path, capsys, argv, doc):
     # the file alone loads; the config the command would run does not
     cfg = _write_cfg(tmp_path, doc)
     load_config(cfg)
     _rejected_at_load(tmp_path, capsys, argv, cfg)
+
+
+def test_adapt_needs_a_train_world_like_every_kind(tmp_path, capsys):
+    """City adaptation reads no `world.n_worlds`, but its world section
+    meets the world-count rule of every kind."""
+    doc = {**TINY_DOC, "world": {"n_worlds": 2, "val_worlds": 1,
+                                 "test_worlds": 1}}
+    err = _rejected_at_load(tmp_path, capsys, ["adapt"],
+                            _write_cfg(tmp_path, doc))
+    assert "world.n_worlds must be >= 1 val + 1 test + 1 train worlds" in err
 
 
 # a name given twice, which would drop the first `ssl` section or keep the
@@ -351,8 +360,7 @@ def test_adapt_writes_one_variant_per_target_count(tmp_path):
     doc = {**TINY_DOC, "world": {"n_frames": 3, "val_worlds": 1,
                                  "test_worlds": 1},
            "train": {"total_steps": 4, "eval_every": 2},
-           "eval": {"seeds": [0], "adapt_source_worlds": 2,
-                    "adapt_unlabelled_counts": [0, 2]}}
+           "eval": {"seeds": [0], "adapt_unlabelled_counts": [0, 2]}}
     out = tmp_path / "adapt"
     assert main(["adapt", "--config", str(_write_cfg(tmp_path, doc)),
                  "--out", str(out)]) == 0
@@ -395,8 +403,7 @@ RERUN_DOC = {**TINY_DOC,
              "world": {"n_worlds": 6, "n_frames": 3, "val_worlds": 1,
                        "test_worlds": 1, "utilisation": 0.34},
              "train": {"total_steps": 4, "eval_every": 2},
-             "eval": {"seeds": [0], "adapt_source_worlds": 2,
-                      "adapt_unlabelled_counts": [0, 2]}}
+             "eval": {"seeds": [0], "adapt_unlabelled_counts": [0, 2]}}
 
 
 @pytest.mark.parametrize("argv", [["train"],

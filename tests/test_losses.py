@@ -320,8 +320,6 @@ def test_rampup_values():
 
 def test_rampup_contract():
     with pytest.raises(ContractError):
-        rampup_weight(0, 0, 1.0)
-    with pytest.raises(ContractError):
         rampup_weight(-1, 10, 1.0)
 
 

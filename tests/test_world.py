@@ -261,10 +261,14 @@ def test_splits_disjoint_over_many_seeds():
 def test_splits_validation():
     with pytest.raises(ConfigurationError):
         WorldConfig(n_worlds=10, utilisation=0.0)
-    # a WorldConfig outside a ScenarioConfig is not cross-checked
-    with pytest.raises(ConfigurationError, match="cannot cover"):
-        make_splits(WorldConfig(n_worlds=2, utilisation=0.5, val_worlds=1,
-                                test_worlds=2), 1)
+    # counts that leave no train world fail when the section is built
+    with pytest.raises(ConfigurationError, match=r"^world\.n_worlds must be "
+                       r">= 1 val \+ 2 test \+ 1 train worlds, got 3$"):
+        WorldConfig(n_worlds=3, utilisation=0.5, val_worlds=1, test_worlds=2)
+    # one more world is the one labelled train world
+    split = make_splits(WorldConfig(n_worlds=4, utilisation=0.5, val_worlds=1,
+                                    test_worlds=2), 1)
+    assert (len(split.labelled), split.unlabelled) == (1, [])
 
 
 # ----------------------------------------------------------------- dataset --
