@@ -992,10 +992,8 @@ def finite_difference_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
 CHECKPOINT_MAGIC = b"BEVSSL01"
 
 
-def save_checkpoint(path, entries: dict[str, np.ndarray] | ParamSet) -> None:
+def save_checkpoint(path, entries: dict[str, np.ndarray]) -> None:
     """Binary parameter container; round-trips bit-exactly."""
-    if isinstance(entries, ParamSet):
-        entries = {name: p.values for name, p in entries.items()}
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for name, arr in entries.items():

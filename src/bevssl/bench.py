@@ -171,7 +171,10 @@ class EvalConfig:
             ("sweep_utilisations", not alike, "distinct as variant names "
              f"print them ({{u:g}}): {alike} print alike"),
             ("adapt_unlabelled_counts",
-             all(n >= 0 for n in self.adapt_unlabelled_counts), ">= 0 each")))
+             all(n >= 0 for n in self.adapt_unlabelled_counts), ">= 0 each"),
+            ("adapt_unlabelled_counts",
+             any(n >= 1 for n in self.adapt_unlabelled_counts),
+             ">= 1 in some entry: adapt@oracle labels the largest pool")))
 
 
 @dataclass(frozen=True)
@@ -680,8 +683,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 def export_raster_images(out_dir: Path, name: str, values: np.ndarray) -> None:
     for c in range(values.shape[0]):
         write_pgm(out_dir / f"{name}_ch{c}.pgm", values[c])
-    if values.shape[0] >= 3:
-        write_ppm(out_dir / f"{name}_rgb.ppm", values[:3])
+    write_ppm(out_dir / f"{name}_rgb.ppm", values)
 
 
 def _safe(name: str) -> str:
@@ -689,14 +691,11 @@ def _safe(name: str) -> str:
 
 
 def load_checkpoint_params(path, model_cfg: ModelConfig) -> ParamSet:
-    """Rebuild a ParamSet from a run checkpoint's `best.` entries or from a
-    bare checkpoint; it must hold exactly the model's parameters."""
+    """Rebuild a ParamSet from a run checkpoint's `best.` entries; they must
+    be exactly the model's parameters."""
     raw = load_checkpoint(path)
     prefix = "best."
     vals = {k[len(prefix):]: v for k, v in raw.items() if k.startswith(prefix)}
-    if not vals:
-        # bare checkpoint without prefixes
-        vals = raw
     params = init_params(model_cfg, 0)
     missing = set(params.names()) - set(vals)
     if missing:

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen-world, train, eval, ablate, adapt, render.  Exit codes:
+Subcommands: gen-world, train, eval, ablate, adapt.  Exit codes:
 0 success, 2 configuration error, 3 runtime/numeric error.
 """
 
@@ -16,7 +16,7 @@ from .bench import (ScenarioConfig, canonical_json, evaluate_pairs,
                     load_checkpoint_params, load_config, run_scenario)
 from .errors import ConfigurationError, ContractError, NumericError
 from .geometry import GRID_PRESETS
-from .world import STYLE_PRESETS, generate_world, read_raster
+from .world import STYLE_PRESETS, generate_world
 
 
 def _at_least_one(text: str) -> int:
@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--split", choices=("val", "test"), default="test")
     e.add_argument("--out", required=True)
     _add_common(e)
-
-    r = sub.add_parser("render", help="export a raster container as images")
-    r.add_argument("--raster", required=True)
-    r.add_argument("--out", required=True)
     return ap
 
 
@@ -146,18 +142,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    raster = read_raster(args.raster)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    bench.export_raster_images(out, Path(args.raster).stem, raster.values)
-    print(f"wrote {raster.channels} channel map(s) to {out}")
-    return 0
-
-
 _COMMANDS = {"gen-world": cmd_gen_world, "train": cmd_train,
-             "eval": cmd_eval, "ablate": cmd_ablate, "adapt": cmd_adapt,
-             "render": cmd_render}
+             "eval": cmd_eval, "ablate": cmd_ablate, "adapt": cmd_adapt}
 
 
 def main(argv=None) -> int:

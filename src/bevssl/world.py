@@ -32,12 +32,9 @@ its sequences and the split, not the worlds its frames were built from.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -882,86 +879,3 @@ def build_dataset(cfg: WorldConfig, seed: int) -> Dataset:
         generate_worlds(seed, cfg.style, cfg.n_worlds), seed, cfg),
         make_splits(cfg, seed))
 
-
-# -------------------------------------------------------- raster container --
-
-RASTER_MAGIC = b"BEVRAS01"
-
-
-def write_raster(path, raster: Raster) -> None:
-    spec = raster.spec
-    with open(path, "wb") as fh:
-        fh.write(RASTER_MAGIC)
-        fh.write(struct.pack("<5d", spec.x_min, spec.x_max, spec.y_min,
-                             spec.y_max, spec.cell))
-        fh.write(struct.pack("<I", raster.channels))
-        fh.write(raster.values.astype("<f8", copy=False).tobytes(order="C"))
-        fh.write(np.packbits(raster.valid.reshape(-1),
-                             bitorder="little").tobytes())
-
-
-def read_raster(path) -> Raster:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read raster {path!s}: {exc}") from exc
-    if data[:8] != RASTER_MAGIC:
-        raise ConfigurationError(f"bad raster magic in {path!s}")
-    if len(data) < 52:
-        raise ConfigurationError(f"truncated raster header in {path!s}")
-    extent = struct.unpack_from("<5d", data, 8)
-    (channels,) = struct.unpack_from("<I", data, 48)
-    if not all(map(math.isfinite, extent)):
-        raise ConfigurationError(f"non-finite raster extent in {path!s}")
-    spec = GridSpec(*extent)
-    nbits = spec.rows * spec.cols
-    count = channels * nbits
-    size = 52 + 8 * count + (nbits + 7) // 8
-    if len(data) != size:
-        raise ConfigurationError(
-            f"raster {path!s} is {len(data)} bytes; its header implies {size}")
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=52).copy()
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8,
-                                       offset=52 + 8 * count),
-                         bitorder="little")[:nbits]
-    return Raster(spec, values.reshape(channels, spec.rows, spec.cols),
-                  bits.astype(bool).reshape(spec.rows, spec.cols))
-
-
-def export_dataset(out_dir, dataset: Dataset) -> None:
-    """One directory per sequence: per-frame rasters plus a poses CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for sid in sorted(dataset.sequences):
-        seq = dataset.sequences[sid]
-        d = out / f"seq_{sid:04d}"
-        d.mkdir(exist_ok=True)
-        with open(d / "poses.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame", "x", "y", "yaw"])
-            for s in seq.samples:
-                w.writerow([s.frame_index, repr(s.pose.x), repr(s.pose.y),
-                            repr(s.pose.yaw)])
-        for s in seq.samples:
-            write_raster(d / f"frame_{s.frame_index:03d}_obs.bevras",
-                         s.observation)
-            write_raster(d / f"frame_{s.frame_index:03d}_gt.bevras", s.gt)
-
-
-def import_sequence(seq_dir) -> SequenceData:
-    """Read one exported sequence directory."""
-    d = Path(seq_dir)
-    sid = int(d.name.split("_")[1])
-    poses = []
-    with open(d / "poses.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            poses.append((int(row["frame"]),
-                          Pose2(float(row["x"]), float(row["y"]),
-                                float(row["yaw"]))))
-    samples = []
-    for idx, pose in poses:
-        obs = read_raster(d / f"frame_{idx:03d}_obs.bevras")
-        gt = read_raster(d / f"frame_{idx:03d}_gt.bevras")
-        samples.append(Sample(sid, idx, pose, obs, gt))
-    return SequenceData(sid, [p for _, p in poses], samples)

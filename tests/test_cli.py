@@ -6,10 +6,7 @@ import pytest
 from bevssl.autograd import save_checkpoint
 from bevssl.bench import load_config
 from bevssl.cli import main
-from bevssl.geometry import SMALL_GRID, Raster
 from bevssl.model import init_params
-from bevssl.rng import Stream
-from bevssl.world import write_raster
 
 TINY_DOC = {
     "kind": "ssl",
@@ -48,6 +45,13 @@ def test_train_eval_cycle(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
+    # previews of the first test frame: a PGM per class and an RGB PPM
+    for name in ("pred", "gt"):
+        assert sorted(p.name for p in out.glob(f"{name}_*")) == [
+            *(f"{name}_ssl_s0_ch{c}.pgm" for c in range(3)),
+            f"{name}_ssl_s0_rgb.ppm"]
+    assert (out / "gt_ssl_s0_ch0.pgm").read_bytes().startswith(
+        b"P5\n32 96\n255\n")
     ckpt = sorted(out.glob("run_*.ckpt"))[0]
 
     out_eval = tmp_path / "eval"
@@ -145,6 +149,7 @@ REMOVED_SPELLINGS = {
     ("eval", {"sweep_utilisations": [0.5, 0.5]}),
     ("eval", {"sweep_utilisations": [0.1, 0.1000001]}),
     ("eval", {"adapt_unlabelled_counts": [0, 8, 8]}),
+    ("eval", {"adapt_unlabelled_counts": [0]}),
     ("ssl", {"w_cls": -1}),
     ("ssl", {"feat_mode": "l1"}), ("ssl", {"feat_level": "mid"}),
     *(row[:2] for row in REMOVED_SPELLINGS.values())],
@@ -162,7 +167,7 @@ REMOVED_SPELLINGS = {
          "adapt_count_neg", "lr_neg", "wd_neg", "beta1_1", "beta2_neg",
          "ema_keep_5", "seeds_repeated",
          "sweep_utilisations_repeated", "sweep_utilisations_print_alike",
-         "adapt_counts_repeated",
+         "adapt_counts_repeated", "adapt_counts_only_0",
          "w_cls_neg", "feat_mode_l1", "feat_level_mid",
          *REMOVED_SPELLINGS])
 def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
@@ -285,6 +290,17 @@ def test_partial_checkpoint_exits_2(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+def test_checkpoint_without_best_entries_exits_2(tmp_path, capsys):
+    # every parameter of the model, but not under `best.`
+    cfg = _write_cfg(tmp_path)
+    params = init_params(load_config(cfg).model, 0)
+    path = tmp_path / "params.ckpt"
+    save_checkpoint(path, {k: p.values for k, p in params.items()})
+    err = _rejected_at_load(tmp_path, capsys, [
+        "eval", "--checkpoint", str(path)], cfg)
+    assert "lacks parameters" in err
+
+
 def test_train_runs_label_sweep(tmp_path):
     doc = {**TINY_DOC, "kind": "label-sweep",
            "eval": {"seeds": [0], "sweep_utilisations": [0.5, 1.0]}}
@@ -301,58 +317,36 @@ def test_missing_config_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x")]) == 2
 
 
-def test_render_writes_images(tmp_path, capsys):
-    vals = Stream(9).uniforms(3 * 96 * 32).reshape(3, 96, 32)
-    raster_path = tmp_path / "sample.bevras"
-    write_raster(raster_path, Raster(SMALL_GRID, vals))
-    out = tmp_path / "imgs"
-    assert main(["render", "--raster", str(raster_path),
-                 "--out", str(out)]) == 0
-    assert (out / "sample_ch0.pgm").exists()
-    assert (out / "sample_rgb.ppm").exists()
-    assert (out / "sample_ch0.pgm").read_bytes().startswith(b"P5\n32 96\n255\n")
-
-
-@pytest.mark.parametrize("command", ["render", "eval"])
-def test_truncated_container_exits_2(tmp_path, capsys, command):
-    if command == "render":
-        path = tmp_path / "cut.bevras"
-        write_raster(path, Raster(SMALL_GRID, np.zeros((3, 96, 32))))
-        argv = ["render", "--raster", str(path)]
-    else:
-        path = tmp_path / "cut.ckpt"
-        save_checkpoint(path, {"best.head.b": np.zeros(3)})
-        argv = ["eval", "--checkpoint", str(path), "--config",
-                str(_write_cfg(tmp_path))]
+def test_truncated_checkpoint_exits_2(tmp_path, capsys):
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, {"best.head.b": np.zeros(3)})
     path.write_bytes(path.read_bytes()[:-4])
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert main(["eval", "--checkpoint", str(path), "--config",
+                 str(_write_cfg(tmp_path)), "--out", str(tmp_path / "o")]) == 2
     assert "configuration error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
-@pytest.mark.parametrize("command", ["render", "eval"])
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_unreadable_input_file_exits_2(tmp_path, capsys, command, kind):
     path = tmp_path / "input"
     if kind == "directory":
         path.mkdir()
-    argv = (["render", "--raster", str(path)] if command == "render" else
+    argv = (["train", "--config", str(path)] if command == "train" else
             ["eval", "--checkpoint", str(path), "--config",
              str(_write_cfg(tmp_path))])
     assert main([*argv, "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    what = "raster" if command == "render" else "checkpoint"
+    what = "config" if command == "train" else "checkpoint"
     assert err.startswith(f"configuration error: cannot read {what} {path}")
     assert err.count("\n") == 1   # one line, no traceback
     assert not (tmp_path / "x").exists()
 
 
 def test_unwritable_output_exits_3(tmp_path, capsys):
-    raster_path = tmp_path / "sample.bevras"
-    write_raster(raster_path, Raster(SMALL_GRID, np.zeros((3, 96, 32))))
     out = tmp_path / "taken"
     out.write_text("a file, not a directory")
-    assert main(["render", "--raster", str(raster_path),
-                 "--out", str(out)]) == 3
+    assert main(["gen-world", "--seed", "0", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("runtime error:")
 
 

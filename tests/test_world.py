@@ -14,9 +14,8 @@ from bevssl.rng import Stream, mix64
 from bevssl.world import (CITY_A, CITY_B, CLASS_NAMES, Calibration, Sample,
                           StyleParams, WorldConfig, WorldMap, blur3,
                           build_dataset, build_sequence, compute_sector_map,
-                          export_dataset, generate_sequence, generate_world,
-                          import_sequence, make_splits, rasterize_gt,
-                          read_raster, render_observation, write_raster)
+                          generate_sequence, generate_world, make_splits,
+                          rasterize_gt, render_observation)
 
 
 def smoothed_signal(gt_values: np.ndarray) -> np.ndarray:
@@ -312,44 +311,6 @@ def test_build_sequence_rasterizes_each_frame_once(monkeypatch):
     seq = build_sequence(w, 0, 21, SMALL_GRID, 4)
     assert len(calls) == len(seq.samples) == 4
     assert [pose for _, pose, _ in calls] == [s.pose for s in seq.samples]
-
-
-# --------------------------------------------------------------- container --
-
-def test_raster_container_roundtrip(tmp_path):
-    st = Stream(31)
-    vals = st.uniforms(5 * 96 * 32).reshape(5, 96, 32)
-    valid = st.uniforms(96 * 32).reshape(96, 32) < 0.9
-    r = Raster(SMALL_GRID, vals, valid)
-    path = tmp_path / "frame.bevras"
-    write_raster(path, r)
-    back = read_raster(path)
-    assert back.spec == SMALL_GRID
-    assert np.array_equal(back.values, r.values)
-    assert np.array_equal(back.valid, r.valid)
-    assert path.read_bytes()[:8] == b"BEVRAS01"
-
-
-def test_dataset_export_import_roundtrip(tmp_path):
-    d = small_dataset()
-    export_dataset(tmp_path / "a", d)
-    sid = d.split.labelled[0]
-    seq = import_sequence(tmp_path / "a" / f"seq_{sid:04d}")
-    orig = d.sequences[sid]
-    assert len(seq.samples) == len(orig.samples)
-    for a, b in zip(seq.samples, orig.samples):
-        assert a.observation.values.tobytes() == b.observation.values.tobytes()
-        assert a.gt.values.tobytes() == b.gt.values.tobytes()
-        assert abs(a.pose.x - b.pose.x) < 1e-15
-        assert abs(a.pose.yaw - b.pose.yaw) < 1e-15
-    # exporting the imported sequence writes the same bytes again
-    again = world_mod.Dataset(d.spec, {sid: seq}, d.split)
-    export_dataset(tmp_path / "b", again)
-    files = sorted(p.name for p in (tmp_path / "a" / f"seq_{sid:04d}").iterdir())
-    assert len(files) == 2 * 3 + 1
-    for name in files:
-        assert (tmp_path / "a" / f"seq_{sid:04d}" / name).read_bytes() == \
-            (tmp_path / "b" / f"seq_{sid:04d}" / name).read_bytes(), name
 
 
 # ------------------------------------------------ reference frame builder --
@@ -794,67 +755,51 @@ def test_grid_planes_are_cached_read_only(spec):
             plane += 1
 
 
-def exported_frame(tmp_path):
-    d = small_dataset()
-    export_dataset(tmp_path, d)
-    seq_dir = tmp_path / "seq_0000"
-    return seq_dir, seq_dir / "frame_001_obs.bevras", seq_dir / "frame_001_gt.bevras"
-
-
-def test_import_rejects_a_fractional_gt_cell(tmp_path):
-    seq_dir, _, gt_path = exported_frame(tmp_path)
-    r = read_raster(gt_path)
-    r.values[1, 10, 5] = 0.5
-    write_raster(gt_path, r)
-    with pytest.raises(ConfigurationError, match="exactly 0 or 1"):
-        import_sequence(seq_dir)
+def rebuilt(s, observation, gt):
+    """A new `Sample` of `s`'s sequence, frame and pose from these rasters."""
+    return Sample(s.sequence_id, s.frame_index, s.pose, observation, gt)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "-inf"])
-def test_import_rejects_a_non_finite_sensor_cell(tmp_path, bad):
-    seq_dir, obs_path, _ = exported_frame(tmp_path)
-    r = read_raster(obs_path)
-    r.values[2, 30, 9] = bad
-    write_raster(obs_path, r)
+def test_sample_rejects_a_non_finite_sensor_cell(bad):
+    s = small_dataset().sequences[0].samples[1]
+    obs = s.observation
+    obs.values[2, 30, 9] = bad
     with pytest.raises(ConfigurationError, match="finite"):
-        import_sequence(seq_dir)
+        rebuilt(s, obs, s.gt)
 
 
-def test_import_rejects_a_range_channel_off_by_one_ulp(tmp_path):
-    seq_dir, obs_path, _ = exported_frame(tmp_path)
-    r = read_raster(obs_path)
-    r.values[4, 40, 7] = np.nextafter(r.values[4, 40, 7], 2.0)
-    write_raster(obs_path, r)
+def test_sample_rejects_a_range_channel_off_by_one_ulp():
+    s = small_dataset().sequences[0].samples[1]
+    obs = s.observation
+    obs.values[4, 40, 7] = np.nextafter(obs.values[4, 40, 7], 2.0)
     with pytest.raises(ConfigurationError, match="range plane"):
-        import_sequence(seq_dir)
+        rebuilt(s, obs, s.gt)
 
 
 @pytest.mark.parametrize("which", ["obs", "gt"])
-def test_import_rejects_an_invalid_cell(tmp_path, which):
-    seq_dir, obs_path, gt_path = exported_frame(tmp_path)
-    path = obs_path if which == "obs" else gt_path
-    r = read_raster(path)
-    r.valid[3, 3] = False
-    write_raster(path, r)
+def test_sample_rejects_an_invalid_cell(which):
+    s = small_dataset().sequences[0].samples[1]
+    obs, gt = s.observation, s.gt
+    (obs if which == "obs" else gt).valid[3, 3] = False
     with pytest.raises(ConfigurationError, match="invalid cells"):
-        import_sequence(seq_dir)
+        rebuilt(s, obs, gt)
 
 
 def test_sample_rejects_what_it_cannot_hold():
     s = small_dataset().sequences[0].samples[0]
-    for bad in (-0.0, np.nan):
+    for bad in (-0.0, np.nan, 0.5):
         gt = s.gt
         gt.values[2, 0, 0] = bad
         with pytest.raises(ConfigurationError, match="exactly 0 or 1"):
-            Sample(s.sequence_id, s.frame_index, s.pose, s.observation, gt)
+            rebuilt(s, s.observation, gt)
     four = Raster(SMALL_GRID, s.observation.values[:4])
     with pytest.raises(ConfigurationError, match="channels"):
-        Sample(s.sequence_id, s.frame_index, s.pose, four, s.gt)
+        rebuilt(s, four, s.gt)
     shifted = GridSpec(-23.5, 24.5, -8.0, 8.0, 0.5)
     with pytest.raises(ConfigurationError, match="grids differ"):
-        Sample(s.sequence_id, s.frame_index, s.pose,
-               Raster(shifted, s.observation.values), s.gt)
+        rebuilt(s, Raster(shifted, s.observation.values), s.gt)
 
 
 def test_sample_reads_back_every_bit_pattern():
