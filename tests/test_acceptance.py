@@ -217,9 +217,9 @@ def test_criterion_10_reproducibility(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert cli_main(["ablate", "--config", str(cfg_path), "--out",
+    assert cli_main(["train", "--config", str(cfg_path), "--out",
                      str(out1)]) == 0
-    assert cli_main(["ablate", "--config", str(cfg_path), "--out",
+    assert cli_main(["train", "--config", str(cfg_path), "--out",
                      str(out2)]) == 0
     csv1 = (out1 / "metrics.csv").read_bytes()
     csv2 = (out2 / "metrics.csv").read_bytes()

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from bevssl.autograd import save_checkpoint
 from bevssl.bench import load_config
-from bevssl.cli import main
+from bevssl.cli import build_parser, main
 from bevssl.model import init_params
 
 TINY_DOC = {
@@ -66,6 +67,24 @@ def test_train_eval_cycle(tmp_path, capsys):
     rows = [r.split(",") for r in
             (out / "metrics.csv").read_text().splitlines()[1:]]
     (miou,) = [r[7] for r in rows if r[4] == "test" and r[5] == "all"]
+    assert doc["miou"] == float(miou)
+    assert doc["seed"] == 0
+
+
+def test_eval_seed_scores_that_seeds_split_of_an_echoed_config(tmp_path):
+    out = tmp_path / "run"
+    cfg = _write_cfg(tmp_path, {**TINY_DOC, "eval": {"seeds": [0, 1]}})
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    out_eval = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", str(out / "run_ssl_s1.ckpt"),
+                 "--config", str(out / "config_echo.json"), "--seed", "1",
+                 "--out", str(out_eval)]) == 0
+    doc = json.loads((out_eval / "eval.json").read_text())
+    assert doc["seed"] == 1
+    rows = [r.split(",") for r in
+            (out / "metrics.csv").read_text().splitlines()[1:]]
+    (miou,) = [r[7] for r in rows
+               if r[2] == "1" and r[4] == "test" and r[5] == "all"]
     assert doc["miou"] == float(miou)
 
 
@@ -184,7 +203,7 @@ def test_bad_value_exits_2_at_load(tmp_path, capsys, section, values):
 def test_removed_spelling_names_the_one_that_stays(tmp_path, capsys, name):
     section, values, stays = REMOVED_SPELLINGS[name]
     doc = {**TINY_DOC, section: {**TINY_DOC.get(section, {}), **values}}
-    err = _rejected_at_load(tmp_path, capsys, ["ablate"],
+    err = _rejected_at_load(tmp_path, capsys, ["train"],
                             _write_cfg(tmp_path, doc))
     assert stays in err, err
 
@@ -236,22 +255,12 @@ def test_deeply_nested_config_exits_2(tmp_path, capsys):
     assert "nests too deeply" in err
 
 
-@pytest.mark.parametrize("argv,doc", [
-    (["train", "--seed", "1"], {**TINY_DOC, "eval": {"seeds": [0, 1]}})],
-    ids=["seed_repeats_a_seed"])
-def test_cli_overrides_are_checked_at_load(tmp_path, capsys, argv, doc):
-    # the file alone loads; the config the command would run does not
-    cfg = _write_cfg(tmp_path, doc)
-    load_config(cfg)
-    _rejected_at_load(tmp_path, capsys, argv, cfg)
-
-
 def test_adapt_needs_a_train_world_like_every_kind(tmp_path, capsys):
     """City adaptation reads no `world.n_worlds`, but its world section
     meets the world-count rule of every kind."""
-    doc = {**TINY_DOC, "world": {"n_worlds": 2, "val_worlds": 1,
-                                 "test_worlds": 1}}
-    err = _rejected_at_load(tmp_path, capsys, ["adapt"],
+    doc = {**TINY_DOC, "kind": "city-adapt",
+           "world": {"n_worlds": 2, "val_worlds": 1, "test_worlds": 1}}
+    err = _rejected_at_load(tmp_path, capsys, ["train"],
                             _write_cfg(tmp_path, doc))
     assert "world.n_worlds must be >= 1 val + 1 test + 1 train worlds" in err
 
@@ -351,27 +360,16 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
 
 
 def test_adapt_writes_one_variant_per_target_count(tmp_path):
-    doc = {**TINY_DOC, "world": {"n_frames": 3, "val_worlds": 1,
-                                 "test_worlds": 1},
+    doc = {**TINY_DOC, "kind": "city-adapt",
+           "world": {"n_frames": 3, "val_worlds": 1, "test_worlds": 1},
            "train": {"total_steps": 4, "eval_every": 2},
            "eval": {"seeds": [0], "adapt_unlabelled_counts": [0, 2]}}
     out = tmp_path / "adapt"
-    assert main(["adapt", "--config", str(_write_cfg(tmp_path, doc)),
+    assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
                  "--out", str(out)]) == 0
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert list(dict.fromkeys(r.split(",")[1] for r in rows)) \
         == ["adapt@0", "adapt@2", "adapt@oracle"]
-
-
-def test_unknown_template_exits_2(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path)
-    # argparse rejects a name outside the scenario table
-    with pytest.raises(SystemExit) as exc:
-        main(["ablate", "--config", str(cfg), "--scenario", "nonsense",
-              "--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert "invalid choice: 'nonsense'" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -382,6 +380,41 @@ def test_threads_below_one_exits_2(tmp_path, capsys, threads):
               "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# every subcommand and its flags: a run's settings are its config file
+CLI_SURFACE = {
+    "gen-world": ["--seed", "--style", "--out"],
+    "train": ["--config", "--out", "--threads"],
+    "eval": ["--checkpoint", "--config", "--split", "--out", "--seed"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: [flag for a in parser._actions
+                      for flag in a.option_strings if flag not in
+                      ("-h", "--help")]
+               for name, parser in sub.choices.items()}
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--scenario", "components", "--config", "CFG"],
+    ["adapt", "--config", "CFG"],
+    ["train", "--config", "CFG", "--preset", "small"],
+    ["train", "--config", "CFG", "--seed", "1"],
+    ["eval", "--checkpoint", "run.ckpt", "--config", "CFG", "--threads", "2"]],
+    ids=["ablate", "adapt", "train_preset", "train_seed", "eval_threads"])
+def test_removed_flag_or_subcommand_exits_2(tmp_path, capsys, argv):
+    cfg = str(_write_cfg(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main([cfg if a == "CFG" else a for a in argv]
+             + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "usage: bevssl" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -400,26 +433,15 @@ RERUN_DOC = {**TINY_DOC,
              "eval": {"seeds": [0], "adapt_unlabelled_counts": [0, 2]}}
 
 
-@pytest.mark.parametrize("argv", [["train"],
-                                  ["ablate", "--scenario", "fusion-frames"],
-                                  ["adapt"]], ids=["train", "ablate", "adapt"])
-def test_config_echo_reruns_the_same_runs(tmp_path, argv):
+@pytest.mark.parametrize("kind", ["ssl", "fusion-frames", "city-adapt"],
+                         ids=["train", "ablate", "adapt"])
+def test_config_echo_reruns_the_same_runs(tmp_path, kind):
     out, again = tmp_path / "out", tmp_path / "again"
-    assert main([argv[0], "--config", str(_write_cfg(tmp_path, RERUN_DOC)),
-                 "--out", str(out), *argv[1:]]) == 0
+    cfg = _write_cfg(tmp_path, {**RERUN_DOC, "kind": kind})
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["train", "--config", str(out / "config_echo.json"),
                  "--out", str(again)]) == 0
     ckpts = sorted(p.name for p in out.glob("run_*.ckpt"))
     assert ckpts == sorted(p.name for p in again.glob("run_*.ckpt"))
     for name in ["metrics.csv", "aggregates.json", *ckpts]:
         assert (again / name).read_bytes() == (out / name).read_bytes(), name
-
-
-def test_preset_and_seed_overrides(tmp_path):
-    doc = dict(TINY_DOC)
-    cfg = _write_cfg(tmp_path, doc)
-    out = tmp_path / "o"
-    assert main(["train", "--config", str(cfg), "--out", str(out),
-                 "--seed", "7"]) == 0
-    echo = json.loads((out / "config_echo.json").read_text())
-    assert echo["eval"]["seeds"][0] == 7
