@@ -48,9 +48,8 @@ class Metrics:
     tp: list[int]
     fp: list[int]
     fn: list[int]
-    per_class: list[float | None]
+    per_class: list[float | None]   # None: the class is in no raster
     miou: float
-    absent: list[str]
 
 
 class IoUAccumulator:
@@ -67,27 +66,25 @@ class IoUAccumulator:
                 f"prediction {pred_probs.shape} vs gt {gt.shape}")
         pred = pred_probs > 0.5
         truth = gt > 0.5
-        for c in range(N_CLASSES):
-            self.tp[c] += int(np.sum(pred[c] & truth[c]))
-            self.fp[c] += int(np.sum(pred[c] & ~truth[c]))
-            self.fn[c] += int(np.sum(~pred[c] & truth[c]))
+        tp = np.count_nonzero(pred & truth, axis=(1, 2))
+        self.tp += tp
+        self.fp += np.count_nonzero(pred, axis=(1, 2)) - tp
+        self.fn += np.count_nonzero(truth, axis=(1, 2)) - tp
 
     def metrics(self, split: str = "", step: int = 0) -> Metrics:
         per_class: list[float | None] = []
-        absent = []
         present_ious = []
         for c in range(N_CLASSES):
             union = self.tp[c] + self.fp[c] + self.fn[c]
             if union == 0:
                 per_class.append(None)
-                absent.append(CLASS_NAMES[c])
             else:
                 iou = self.tp[c] / union
                 per_class.append(float(iou))
                 present_ious.append(float(iou))
         miou = float(np.mean(present_ious)) if present_ious else 0.0
         return Metrics(split, step, self.tp.tolist(), self.fp.tolist(),
-                       self.fn.tolist(), per_class, miou, absent)
+                       self.fn.tolist(), per_class, miou)
 
 
 def predict_split(params: ParamSet, dataset: Dataset, seq_ids,
@@ -427,7 +424,7 @@ def run_one(spec: RunSpec, out) -> RunResult:
     pred, gt = next(predict_split(best, dataset, dataset.split.test[:1],
                                   cfg.model))
 
-    out, tag = Path(out), f"{_safe(spec.variant.name)}_s{spec.seed}"
+    out, tag = Path(out), run_tag(spec)
     checkpoint = {f"student.{k}": p.values for k, p in trainer.student.items()}
     if trainer.teacher is not None:
         checkpoint.update({f"teacher.{k}": p.values
@@ -435,8 +432,8 @@ def run_one(spec: RunSpec, out) -> RunResult:
     checkpoint.update({f"best.{k}": p.values for k, p in best.items()})
     save_checkpoint(out / f"run_{tag}.ckpt", checkpoint)
     (out / f"train_log_{tag}.csv").write_text("\n".join(log) + "\n")
-    export_raster_images(out, f"pred_{tag}", pred)
-    export_raster_images(out, f"gt_{tag}", gt)
+    write_ppm(out / f"pred_{tag}_rgb.ppm", pred)
+    write_ppm(out / f"gt_{tag}_rgb.ppm", gt)
     return RunResult(spec.scenario, spec.variant.name, spec.seed, best_m.step,
                      best_m, test_m, (report.loss_sup, report.loss_cls,
                                       report.loss_feat))
@@ -614,6 +611,14 @@ def expand_runs(cfg: ScenarioConfig) -> list[RunSpec]:
             for v in scenario_variants(cfg) for seed in cfg.eval.seeds]
 
 
+def run_tag(spec: RunSpec) -> str:
+    """`<variant>_s<seed>`, which names a run's checkpoint, train log and
+    previews; a variant character outside [A-Za-z0-9-_@.] becomes `_`."""
+    name = "".join(ch if ch.isalnum() or ch in "-_@." else "_"
+                   for ch in spec.variant.name)
+    return f"{name}_s{spec.seed}"
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1,
                  ) -> ResultsTable:
     """Run every run of `cfg` into `out_dir`.  Each run writes its own files
@@ -662,32 +667,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir, workers: int = 1,
 
 # --------------------------------------------------------------- artifacts --
 
-def write_pgm(path, channel: np.ndarray) -> None:
-    """8-bit binary portable graymap; 0.0 -> 0, 1.0 -> 255."""
-    data = np.rint(np.clip(channel, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
-
-
 def write_ppm(path, rgb: np.ndarray) -> None:
-    """8-bit binary portable pixmap from three class channels."""
+    """8-bit binary portable pixmap from three class channels; each value
+    is clipped to [0, 1], then 0.0 -> 0 and 1.0 -> 255."""
     data = np.rint(np.clip(rgb, 0.0, 1.0) * 255.0).astype(np.uint8)
     _, h, w = data.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.transpose(1, 2, 0).tobytes())
-
-
-def export_raster_images(out_dir: Path, name: str, values: np.ndarray) -> None:
-    for c in range(values.shape[0]):
-        write_pgm(out_dir / f"{name}_ch{c}.pgm", values[c])
-    write_ppm(out_dir / f"{name}_rgb.ppm", values)
-
-
-def _safe(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_@." else "_" for ch in name)
 
 
 def load_checkpoint_params(path, model_cfg: ModelConfig) -> ParamSet:

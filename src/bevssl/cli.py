@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands: gen-world, train, eval.  A run's settings are its config file;
-the flags say where to read and write.  Exit codes: 0 success,
+Subcommands: gen-world, train, eval.  A run's settings are its config file,
+and a checkpoint's run is named by its file and the `config_echo.json` beside
+it; the flags say where to read and write.  Exit codes: 0 success,
 2 configuration error, 3 runtime/numeric error.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import bench
@@ -43,14 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--threads", type=_at_least_one, default=1,
                    help="worker processes for independent runs")
 
-    e = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--config", required=True)
-    e.add_argument("--split", choices=("val", "test"), default="test")
+    e = sub.add_parser("eval", help="score a run's checkpoint on its val "
+                                    "and test splits")
+    e.add_argument("--checkpoint", required=True,
+                   help="run_<variant>_s<seed>.ckpt beside its grid's "
+                        "config_echo.json")
     e.add_argument("--out", required=True)
-    e.add_argument("--seed", type=int, default=None,
-                   help="the seed whose split is scored "
-                        "(default: the first of eval.seeds)")
     return ap
 
 
@@ -89,22 +87,28 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:   # eval scores the first seed's split
-        cfg = replace(cfg, eval=replace(cfg.eval, seeds=(args.seed,)))
-    params = load_checkpoint_params(args.checkpoint, cfg.model)
-    dataset = bench._build_run_dataset(bench.expand_runs(cfg)[0])
-    seq_ids = dataset.split.val if args.split == "val" else dataset.split.test
-    metrics = evaluate_pairs(bench.predict_split(params, dataset, seq_ids,
-                                                 cfg.model), args.split, 0)
+    ckpt = Path(args.checkpoint)
+    echo = ckpt.parent / "config_echo.json"
+    cfg = load_config(echo)
+    runs = {f"run_{bench.run_tag(s)}.ckpt": s for s in bench.expand_runs(cfg)}
+    if ckpt.name not in runs:
+        raise ConfigurationError(f"checkpoint {ckpt} names no run of {echo}")
+    spec = runs[ckpt.name]
+    params = load_checkpoint_params(ckpt, cfg.model)
+    dataset = bench._build_run_dataset(spec)
+    doc = {"variant": spec.variant.name, "seed": spec.seed}
+    for split in ("val", "test"):
+        metrics = evaluate_pairs(bench.predict_split(
+            params, dataset, getattr(dataset.split, split), cfg.model),
+            split, 0)
+        doc[split] = {"miou": metrics.miou,
+                      "per_class": dict(zip(bench.CLASS_NAMES,
+                                            metrics.per_class))}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    doc = {"split": args.split, "seed": cfg.eval.seeds[0],
-           "miou": metrics.miou,
-           "per_class": {name: metrics.per_class[i]
-                         for i, name in enumerate(bench.CLASS_NAMES)}}
     (out / "eval.json").write_text(canonical_json(doc))
-    print(f"{args.split} mIoU {metrics.miou:.4f}")
+    for split in ("val", "test"):
+        print(f"{split} mIoU {doc[split]['miou']:.4f}")
     return 0
 
 

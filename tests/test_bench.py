@@ -16,7 +16,7 @@ from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           _pseudo_for, _weights_for, canonical_json,
                           config_from_dict, evaluate_pairs, expand_runs,
                           load_checkpoint_params, run_one, run_scenario,
-                          scenario_variants, write_pgm, write_ppm)
+                          scenario_variants, write_ppm)
 from bevssl.bench import RunSpec, Variant
 from bevssl.engine import OptimConfig, SslConfig
 from bevssl.errors import ConfigurationError, NumericError
@@ -86,7 +86,6 @@ def test_iou_absent_class_excluded_with_warning():
     m = evaluate_pairs([(pred, gt)], "", 0)
     assert m.per_class[0] == 1.0
     assert m.per_class[1] is None and m.per_class[2] is None
-    assert m.absent == ["divider", "boundary"]
     assert m.miou == 1.0
 
 
@@ -487,10 +486,8 @@ def read_train_log(path) -> list[dict]:
 
 def run_files(tag: str) -> set[str]:
     """The files one run writes, by its tag `<variant>_s<seed>`."""
-    previews = {f"{kind}_{tag}_{ch}.{ext}" for kind in ("pred", "gt")
-                for ch, ext in (("ch0", "pgm"), ("ch1", "pgm"), ("ch2", "pgm"),
-                                ("rgb", "ppm"))}
-    return {f"run_{tag}.ckpt", f"train_log_{tag}.csv", *previews}
+    return {f"run_{tag}.ckpt", f"train_log_{tag}.csv",
+            f"pred_{tag}_rgb.ppm", f"gt_{tag}_rgb.ppm"}
 
 
 def test_run_one_and_best_selection(tmp_path):
@@ -662,7 +659,7 @@ def test_metrics_csv_quotes_a_name_with_a_separator():
     back through a CSV reader whole, in rows of the header's width."""
     name = 'city A, run "2"\nagain'
     metrics = [Metrics(split, 6, [1] * 3, [0] * 3, [0] * 3, [1.0, None, 0.5],
-                       0.75, []) for split in ("val", "test")]
+                       0.75) for split in ("val", "test")]
     text = bench._metrics_csv([bench.RunResult(name, "ssl", 0, 6, *metrics,
                                                (0.5, 0.25, 0.125))])
     header, *rows = csv.reader(io.StringIO(text))
@@ -741,8 +738,8 @@ def test_grid_files_do_not_depend_on_workers(tmp_path):
         run_scenario(cfg, serial, workers=1)
         run_scenario(cfg, pooled, workers=2)
         names = sorted(p.name for p in serial.iterdir())
-        # variants x 2 seeds x (checkpoint, log, 8 previews) + 3 grid files
-        assert len(names) == n_variants * 2 * 10 + 3
+        # variants x 2 seeds x (checkpoint, log, 2 previews) + 3 grid files
+        assert len(names) == n_variants * 2 * 4 + 3
         assert names == sorted(p.name for p in pooled.iterdir())
         for name in names:
             assert ((serial / name).read_bytes()
@@ -751,14 +748,17 @@ def test_grid_files_do_not_depend_on_workers(tmp_path):
 
 # --------------------------------------------------------------- artifacts --
 
-def test_pgm_scaling_rule(tmp_path):
-    img = np.array([[0.0, 1.0], [0.5, 2.0]])
-    path = tmp_path / "x.pgm"
-    write_pgm(path, img)
+def test_ppm_scaling_rule(tmp_path):
+    rgb = np.array([[[0.0, 1.0], [0.5, 2.0]],
+                    [[-1.0, 0.25], [0.75, 0.002]],
+                    [[0.998, 0.5], [1.0, 0.0]]])
+    path = tmp_path / "x.ppm"
+    write_ppm(path, rgb)
     data = path.read_bytes()
-    assert data.startswith(b"P5\n2 2\n255\n")
-    pix = list(data[len(b"P5\n2 2\n255\n"):])
-    assert pix == [0, 255, 128, 255]  # clamped above 1.0
+    assert data.startswith(b"P6\n2 2\n255\n")
+    pix = list(data[len(b"P6\n2 2\n255\n"):])
+    # pixel by pixel; clamped to [0, 1], then rounded to the nearest level
+    assert pix == [0, 0, 254, 255, 64, 128, 128, 191, 255, 255, 1, 0]
 
 
 def test_ppm_composite(tmp_path):

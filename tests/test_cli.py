@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bevssl.autograd import save_checkpoint
-from bevssl.bench import load_config
+from bevssl.bench import config_from_dict
 from bevssl.cli import build_parser, main
 from bevssl.model import init_params
 
@@ -24,6 +24,14 @@ def _write_cfg(tmp_path, doc=None):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc or TINY_DOC))
     return path
+
+
+def _run_checkpoint(tmp_path, name="run_ssl_s0.ckpt", echo=TINY_DOC):
+    """Where eval looks for a run's checkpoint: `name` beside a
+    `config_echo.json` of `echo` (none if `echo` is None)."""
+    if echo is not None:
+        (tmp_path / "config_echo.json").write_text(json.dumps(echo))
+    return tmp_path / name
 
 
 def test_gen_world_writes_canonical_json(tmp_path, capsys):
@@ -46,46 +54,50 @@ def test_train_eval_cycle(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
-    # previews of the first test frame: a PGM per class and an RGB PPM
+    # previews of the first test frame: one RGB PPM of the class channels
     for name in ("pred", "gt"):
         assert sorted(p.name for p in out.glob(f"{name}_*")) == [
-            *(f"{name}_ssl_s0_ch{c}.pgm" for c in range(3)),
             f"{name}_ssl_s0_rgb.ppm"]
-    assert (out / "gt_ssl_s0_ch0.pgm").read_bytes().startswith(
-        b"P5\n32 96\n255\n")
+    assert (out / "gt_ssl_s0_rgb.ppm").read_bytes().startswith(
+        b"P6\n32 96\n255\n")
     ckpt = sorted(out.glob("run_*.ckpt"))[0]
 
     out_eval = tmp_path / "eval"
-    assert main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg),
-                 "--split", "test", "--out", str(out_eval)]) == 0
-    doc = json.loads((out_eval / "eval.json").read_text())
-    assert doc["split"] == "test"
-    assert 0.0 <= doc["miou"] <= 1.0
-    assert "mIoU" in capsys.readouterr().out
-    # the checkpoint is the run's best one, so both evaluations must agree
-    assert ckpt.name == "run_ssl_s0.ckpt"
-    rows = [r.split(",") for r in
-            (out / "metrics.csv").read_text().splitlines()[1:]]
-    (miou,) = [r[7] for r in rows if r[4] == "test" and r[5] == "all"]
-    assert doc["miou"] == float(miou)
-    assert doc["seed"] == 0
-
-
-def test_eval_seed_scores_that_seeds_split_of_an_echoed_config(tmp_path):
-    out = tmp_path / "run"
-    cfg = _write_cfg(tmp_path, {**TINY_DOC, "eval": {"seeds": [0, 1]}})
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-    out_eval = tmp_path / "eval"
-    assert main(["eval", "--checkpoint", str(out / "run_ssl_s1.ckpt"),
-                 "--config", str(out / "config_echo.json"), "--seed", "1",
+    assert main(["eval", "--checkpoint", str(ckpt),
                  "--out", str(out_eval)]) == 0
     doc = json.loads((out_eval / "eval.json").read_text())
-    assert doc["seed"] == 1
+    assert sorted(doc) == ["seed", "test", "val", "variant"]
+    assert (doc["variant"], doc["seed"]) == ("ssl", 0)
+    assert all(0.0 <= doc[split]["miou"] <= 1.0 for split in ("val", "test"))
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"{split} mIoU {doc[split]['miou']:.4f}" for split in ("val", "test")]
+
+
+def test_eval_scores_each_checkpoint_of_a_grid_as_its_run(tmp_path):
+    """Each checkpoint of a 2-seed label sweep is its run's best-on-val
+    weights, so eval reproduces that run's rows of `metrics.csv`."""
+    doc = {**TINY_DOC, "kind": "label-sweep",
+           "eval": {"seeds": [0, 1], "sweep_utilisations": [0.5, 1.0]}}
+    out = tmp_path / "sweep"
+    assert main(["train", "--config", str(_write_cfg(tmp_path, doc)),
+                 "--out", str(out)]) == 0
     rows = [r.split(",") for r in
             (out / "metrics.csv").read_text().splitlines()[1:]]
-    (miou,) = [r[7] for r in rows
-               if r[2] == "1" and r[4] == "test" and r[5] == "all"]
-    assert doc["miou"] == float(miou)
+    ckpts = sorted(out.glob("run_*.ckpt"))
+    assert len(ckpts) == 3 * 2
+    for ckpt in ckpts:
+        out_eval = tmp_path / "eval" / ckpt.stem
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--out", str(out_eval)]) == 0
+        got = json.loads((out_eval / "eval.json").read_text())
+        assert ckpt.name == f"run_{got['variant']}_s{got['seed']}.ckpt"
+        for split in ("val", "test"):
+            run = {r[5]: r for r in rows if r[1] == got["variant"]
+                   and r[2] == str(got["seed"]) and r[4] == split}
+            assert got[split]["miou"] == float(run["all"][7]), (ckpt, split)
+            assert got[split]["per_class"] == {
+                name: None if r[6] == "" else float(r[6])
+                for name, r in run.items() if name != "all"}, (ckpt, split)
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
@@ -278,36 +290,65 @@ def test_a_repeated_config_name_exits_2(tmp_path, capsys, head, key):
     assert f"config key '{key}' is given twice" in err
 
 
+def _eval_rejected(tmp_path, capsys, ckpt):
+    assert main(["eval", "--checkpoint", str(ckpt), "--out",
+                 str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert not (tmp_path / "x").exists()
+    return err
+
+
+def _best_entries():
+    """A whole set of `best.` weights for TINY_DOC's model."""
+    params = init_params(config_from_dict(TINY_DOC).model, 0)
+    return {f"best.{k}": p.values for k, p in params.items()}
+
+
 def test_a_repeated_checkpoint_entry_exits_2(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path)
-    params = init_params(load_config(cfg).model, 0)
+    path = _run_checkpoint(tmp_path)
+    best = _best_entries()
     whole, again = tmp_path / "whole.ckpt", tmp_path / "again.ckpt"
-    save_checkpoint(whole, {f"best.{k}": p.values for k, p in params.items()})
-    save_checkpoint(again, {"best.head.b": params["head.b"].values + 1.0})
-    path = tmp_path / "repeats.ckpt"
+    save_checkpoint(whole, best)
+    save_checkpoint(again, {"best.head.b": best["best.head.b"] + 1.0})
     path.write_bytes(whole.read_bytes() + again.read_bytes()[8:])
-    err = _rejected_at_load(tmp_path, capsys, [
-        "eval", "--checkpoint", str(path)], cfg)
+    err = _eval_rejected(tmp_path, capsys, path)
     assert "holds the entry 'best.head.b' twice" in err
 
 
 def test_partial_checkpoint_exits_2(tmp_path, capsys):
-    path = tmp_path / "part.ckpt"
+    path = _run_checkpoint(tmp_path)
     save_checkpoint(path, {"best.head.b": np.zeros(3)})
-    assert main(["eval", "--checkpoint", str(path), "--config",
-                 str(_write_cfg(tmp_path)), "--out", str(tmp_path / "o")]) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    assert "configuration error:" in _eval_rejected(tmp_path, capsys, path)
 
 
 def test_checkpoint_without_best_entries_exits_2(tmp_path, capsys):
     # every parameter of the model, but not under `best.`
-    cfg = _write_cfg(tmp_path)
-    params = init_params(load_config(cfg).model, 0)
-    path = tmp_path / "params.ckpt"
-    save_checkpoint(path, {k: p.values for k, p in params.items()})
-    err = _rejected_at_load(tmp_path, capsys, [
-        "eval", "--checkpoint", str(path)], cfg)
+    path = _run_checkpoint(tmp_path)
+    save_checkpoint(path, {k[len("best."):]: v
+                           for k, v in _best_entries().items()})
+    err = _eval_rejected(tmp_path, capsys, path)
     assert "lacks parameters" in err
+
+
+# a checkpoint whose name is no run of the echo beside it, or that has no
+# echo beside it: a valid set of `best.` weights all the same
+@pytest.mark.parametrize("name,echo", [
+    ("run_ssl_s7.ckpt", TINY_DOC), ("best.ckpt", TINY_DOC),
+    ("run_ssl_s1.ckpt", TINY_DOC),
+    ("run_supervised_s0.ckpt", TINY_DOC), ("run_ssl_s0.ckpt", None)],
+    ids=["renamed_seed", "renamed", "seed_not_in_echo", "variant_not_in_echo",
+         "no_echo"])
+def test_checkpoint_that_is_no_run_of_its_echo_exits_2(tmp_path, capsys,
+                                                       name, echo):
+    path = _run_checkpoint(tmp_path, name, echo)
+    save_checkpoint(path, _best_entries())
+    err = _eval_rejected(tmp_path, capsys, path)
+    echo_path = tmp_path / "config_echo.json"
+    if echo is None:
+        assert f"cannot read config {echo_path}" in err
+    else:
+        assert f"checkpoint {path} names no run of {echo_path}" in err
 
 
 def test_train_runs_label_sweep(tmp_path):
@@ -327,24 +368,21 @@ def test_missing_config_exits_2(tmp_path, capsys):
 
 
 def test_truncated_checkpoint_exits_2(tmp_path, capsys):
-    path = tmp_path / "cut.ckpt"
+    path = _run_checkpoint(tmp_path)
     save_checkpoint(path, {"best.head.b": np.zeros(3)})
     path.write_bytes(path.read_bytes()[:-4])
-    assert main(["eval", "--checkpoint", str(path), "--config",
-                 str(_write_cfg(tmp_path)), "--out", str(tmp_path / "o")]) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    assert "configuration error:" in _eval_rejected(tmp_path, capsys, path)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_unreadable_input_file_exits_2(tmp_path, capsys, command, kind):
-    path = tmp_path / "input"
+    path = (tmp_path / "input" if command == "train"
+            else _run_checkpoint(tmp_path))
     if kind == "directory":
         path.mkdir()
-    argv = (["train", "--config", str(path)] if command == "train" else
-            ["eval", "--checkpoint", str(path), "--config",
-             str(_write_cfg(tmp_path))])
-    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    flag = "--config" if command == "train" else "--checkpoint"
+    assert main([command, flag, str(path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     what = "config" if command == "train" else "checkpoint"
     assert err.startswith(f"configuration error: cannot read {what} {path}")
@@ -387,7 +425,7 @@ def test_threads_below_one_exits_2(tmp_path, capsys, threads):
 CLI_SURFACE = {
     "gen-world": ["--seed", "--style", "--out"],
     "train": ["--config", "--out", "--threads"],
-    "eval": ["--checkpoint", "--config", "--split", "--out", "--seed"],
+    "eval": ["--checkpoint", "--out"],
 }
 
 
@@ -406,8 +444,12 @@ def test_cli_surface_is_pinned():
     ["adapt", "--config", "CFG"],
     ["train", "--config", "CFG", "--preset", "small"],
     ["train", "--config", "CFG", "--seed", "1"],
-    ["eval", "--checkpoint", "run.ckpt", "--config", "CFG", "--threads", "2"]],
-    ids=["ablate", "adapt", "train_preset", "train_seed", "eval_threads"])
+    ["eval", "--checkpoint", "run.ckpt", "--threads", "2"],
+    ["eval", "--checkpoint", "run.ckpt", "--config", "CFG"],
+    ["eval", "--checkpoint", "run.ckpt", "--seed", "1"],
+    ["eval", "--checkpoint", "run.ckpt", "--split", "val"]],
+    ids=["ablate", "adapt", "train_preset", "train_seed", "eval_threads",
+         "eval_config", "eval_seed", "eval_split"])
 def test_removed_flag_or_subcommand_exits_2(tmp_path, capsys, argv):
     cfg = str(_write_cfg(tmp_path))
     with pytest.raises(SystemExit) as exc:
