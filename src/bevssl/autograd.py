@@ -9,42 +9,47 @@ the root's shape, which makes the call a vector-Jacobian product.  Forward
 values are recorded on a `Tape` when any input is differentiable;
 inference-style calls (no tape anywhere) pay no recording cost.  A forward
 rule that keeps arrays for its backward returns them next to its output,
-and the node saves them with its attributes.  `featsim`, the
-feature-similarity term, is one such op: in cosine mode it keeps three
-per-cell channel sums, not a product of its two maps; `focal`, the focal
-term, keeps only its targets and mask.  A parameter holds its values and,
-from its first `optimizer_step` on, its optimizer moments; gradients live
-in a name -> array dict that the caller of `backward` owns.
+and the node saves them with its attributes.  Each loss term reads one
+taped map and holds its constant target as an attribute, never as a leaf:
+`featsim`, the feature-similarity term, in cosine mode keeps three per-cell
+channel sums, not a product of its two maps; `focal`, the focal term, keeps
+its targets and include mask and no per-cell value.  A parameter holds its
+values and, from its first `optimizer_step` on, its optimizer moments;
+gradients live in a name -> array dict that the caller of `backward` owns.
 
-The tape keeps no im2col columns: `conv2d` builds the columns of one band
-of output rows at a time in one module-level workspace that never grows past
-a fixed budget, in forward and again for dW in backward, which skips dW
-when the kernel needs no gradient.  At stride 1 dx is the full convolution
-of the output gradient with the flipped, transposed kernel, run through the
+The tape keeps no im2col columns: `conv2d` builds the columns of one band of
+output rows at a time in one module-level workspace that never grows past a
+fixed budget, in forward and again for dW in backward, which skips dW when
+the kernel needs no gradient.  At stride 1 dx is the full convolution of the
+output gradient with the flipped, transposed kernel, run through the
 forward's banded GEMM loop; at stride > 1 it comes from dW's bands, each
-band's column gradient added back into the padded input.  With
-`relu=True`, `conv2d` rectifies its output in place and masks the gradient
-by that output, so a conv block is one node on the tape.  A conv that
-reads a compact map as the larger one it stands for takes exactly that
-map as input.  Its `expand` says where the full map's cells come from:
-per axis, a tuple that gives for each row (column) of the full map the
-row (column) of the compact map it stands for.  `upsampled` describes a
-map nearest-upsampled and cropped, `compact_output` the distinct outputs
-of a conv that read through a description.  The conv computes each
-distinct output once: through 0/1 tap matrices at input resolution or
-from im2col columns gathered through one read index, whichever needs
-fewer multiply-adds.  With `compact=True` it writes only those; without,
-it expands them to the full map as `expand_map` does, so convs can run at
-their distinct cells one after another.  Backward is one loop over taps:
-it reads g back onto the input through one tap's matrices, rows then
-columns, and adds that tap's dW and dx; they and the read index are
-cached per description, read-only.  An `expand` conv reads the cells of a
-`drop` mask as zeros.  The mask's kept taps (whether each output's tap
-reads a kept cell) put the dropped reads of the read index on a zero slot
-in forward and multiply g per tap in backward; that bool mask is the one
-array a conv node saves (3 KB for the small grid's dec0, 30 KB for the
-paper grid's).
-Importing the module also warms the heap (see the note at `_workspace`).
+band's column gradient added back into the padded input.  With `relu=True`,
+`conv2d` rectifies its output in place and masks the gradient by that
+output, so a conv block is one node on the tape.  A conv that reads a
+compact map as the larger one it stands for takes exactly that map as input.
+Its `expand` says where the full map's cells come from: per axis, a tuple
+that gives for each row (column) of the full map the row (column) of the
+compact map it stands for.  `upsampled` describes a map nearest-upsampled
+and cropped (its input is ceil(rows / f) x ceil(cols / f), the lift's input
+after the stride-2 encoder convs), `compact_output` the distinct outputs of
+a conv that read through a description.  The conv computes each distinct
+output once: through 0/1 tap matrices at input resolution (the lift, dec0)
+or from im2col columns gathered through one read index (dec1), whichever
+needs fewer multiply-adds; a 1x1 conv without padding (the head) reads the
+compact cells as they are.  With `compact=True` it writes only those;
+without, it expands them to the full map as `expand_map` does, so convs can
+run at their distinct cells one after another.  Backward is one loop over
+taps: it reads g back onto the input through one tap's matrices, rows then
+columns, and adds that tap's dW and dx; they and the read index are cached
+per description, read-only and off the heap (0.7 MB on the small grid;
+6.5 MB on the paper grid, 4.1 MB of them tap matrices), and the tape saves
+only the description's tuples, which those caches share.  An `expand` conv
+reads the cells of a `drop` mask as zeros.  The mask's kept taps (whether
+each output's tap reads a kept cell) put the dropped reads of the read index
+on a zero slot in forward and multiply g per tap in backward; that bool mask
+is the one array a conv node saves (3 KB for the small grid's dec0, 30 KB
+for the paper grid's).  Importing the module also warms the heap (see the
+note at `_workspace`).
 """
 
 from __future__ import annotations
@@ -596,13 +601,13 @@ def _fw_wsum(vals, attrs):
 
 
 def _fw_featsim(vals, attrs):
-    """Mean feature distance of `s` from the constant target `t`, both
+    """Mean feature distance of `s` from the constant `target` t, both
     (n, c, ...) with channels on axis 1.  mse: the mean of (s - t)^2 over
     all elements.  cosine: the mean over cells of 1 - cos(s, t) of their
     channel vectors, 0 at a cell where either vector is zero.  Cosine keeps
     the per-cell sums s.t, |s|^2 and |t|^2 for its backward; no product of
     whole maps outlives the call."""
-    s, t = vals
+    s, t = vals[0], attrs["target"]
     _require(s.shape == t.shape, "featsim",
              f"shape mismatch {s.shape} vs {t.shape}")
     mode = attrs.get("mode")
@@ -751,11 +756,9 @@ def _bw_sigmoid(node, g, ins):
 
 
 def _bw_featsim(node, g, ins):
-    s, t = ins
-    if node.input_needs[1]:
-        raise ContractError("op 'featsim': the target takes no gradient")
+    s, t = ins[0], node.saved["target"]
     if node.saved["mode"] == "mse":
-        return [(s - t) * (2.0 * float(g) / s.size), None]
+        return [(s - t) * (2.0 * float(g) / s.size)]
     # d(1 - cos)/ds = (s.t / |s|^2 s - t) / (|s| |t|) at a kept cell, 0
     # where either vector is zero
     dot, s_sq, t_sq = (node.saved[k] for k in ("dot", "s_sq", "t_sq"))
@@ -767,7 +770,7 @@ def _bw_featsim(node, g, ins):
     ds = s.reshape(n, c, -1) * r[:, None]
     ds -= t.reshape(n, c, -1)
     ds *= a[:, None]
-    return [ds.reshape(s.shape), None]
+    return [ds.reshape(s.shape)]
 
 
 def _bw_wsum(node, g, ins):

@@ -132,7 +132,10 @@ def make_pseudo_labels(probs: Raster, cfg: SslConfig,
         targets = (p > 0.5).astype(np.float64)
     elif cfg.temperature is not None:
         z = sharpen(prob_logit(p), cfg.temperature)
-        targets = 1.0 / (1.0 + np.exp(-z))
+        # below T ~ 0.039, exp(-z) overflows at confident negatives; the
+        # target there is 1 / (1 + inf) = 0, the exact limit
+        with np.errstate(over="ignore"):
+            targets = 1.0 / (1.0 + np.exp(-z))
     if provenance is None:
         provenance = np.full(p.shape, -1, dtype=np.int64)
     return PseudoLabelBundle(targets.copy(), LossMask(include.copy()),

@@ -63,7 +63,8 @@ def feature_similarity_loss(z_s: Tensor, z_t: np.ndarray,
     tape holds no product of the two maps.  A shape mismatch or an unknown
     mode is a `ConfigurationError`.
     """
-    return forward_op("featsim", z_s, Tensor(z_t), mode=mode)
+    return forward_op("featsim", z_s, target=np.asarray(z_t, dtype=np.float64),
+                      mode=mode)
 
 
 RAMPUP_FRACTION = 1.0 / 3.0   # the share of training a weight ramps over

@@ -681,27 +681,16 @@ def rasterize_gt(world: WorldMap, pose: Pose2, spec: GridSpec) -> Raster:
 # ----------------------------------------------------------- observations --
 
 def blur3(x: np.ndarray) -> np.ndarray:
-    """3x3 binomial blur with zero padding over the last two axes; the
-    observation 'smoothing'."""
-    k = ((1, 2, 1), (2, 4, 2), (1, 2, 1))
-    h, w = x.shape[-2:]
-    padded = np.zeros(x.shape[:-2] + (h + 2, w + 2))
-    padded[..., 1:-1, 1:-1] = x
-    # flattened, tap (i, j) is a shift by (i - 1)(w + 2) + (j - 1): each
-    # interior cell sums its nine taps in order; the border sums are dropped
-    flat = padded.reshape(-1)
-    # scaling by 2 or 4 is exact, so one scaled copy serves every tap of
-    # its weight
-    scaled = {1: flat, 2: 2.0 * flat, 4: 4.0 * flat}
-    m = w + 3
-    n = flat.size - 2 * m
-    out = np.zeros_like(flat)
-    acc = out[m:m + n]
-    for i in range(3):
-        for j in range(3):
-            start = m + (i - 1) * (w + 2) + (j - 1)
-            acc += scaled[k[i][j]][start:start + n]
-    return out.reshape(padded.shape)[..., 1:-1, 1:-1] / 16.0
+    """3x3 binomial blur with zero padding over the last two axes, as a
+    [1, 2, 1] pass along the rows, then one along the columns; the
+    observation 'smoothing'.  Its one caller passes planes of exact 0s and
+    1s (GT cells and clutter marks), on which every partial sum is an
+    integer of at most 16 and the division by 16 is exact, so the result
+    is the nine-tap sum's in any order."""
+    p = np.zeros(x.shape[:-2] + (x.shape[-2] + 2, x.shape[-1] + 2))
+    p[..., 1:-1, 1:-1] = x
+    r = p[..., :-2, :] + 2.0 * p[..., 1:-1, :] + p[..., 2:, :]
+    return (r[..., :-2] + 2.0 * r[..., 1:-1] + r[..., 2:]) / 16.0
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:

@@ -231,7 +231,7 @@ def _featsim_case(stream: Stream):
     def f(ps: ParamSet) -> Tensor:
         tape = Tape()
         s = forward_op("wsum", ps.leaf(tape, "a"), weights=(keep_s,))
-        return forward_op("featsim", s, Tensor(target), mode=mode)
+        return forward_op("featsim", s, target=target, mode=mode)
 
     return params, f, 1.0
 

@@ -83,7 +83,7 @@ def test_backward_sum_gives_ones():
 
 def _mean_square(p):
     """The mean of p^2, as the `featsim` op's mse mode against zeros."""
-    return forward_op("featsim", p, Tensor(np.zeros(p.shape)), mode="mse")
+    return forward_op("featsim", p, target=np.zeros(p.shape), mode="mse")
 
 
 def test_backward_mean_square_hand_oracle():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bevssl import bench
+from bevssl.augment import AugmentConfig
 from bevssl.autograd import load_checkpoint
 from bevssl.bench import (IoUAccumulator, Metrics, ScenarioConfig,
                           _pseudo_for, _weights_for, canonical_json,
@@ -583,6 +584,34 @@ def test_teacher_eval_model_validates_the_teacher_if_there_is_one(
     if tr.teacher is not None:
         assert any(not np.array_equal(values, tr.student[name].values)
                    for name, values in val[-1][2].items())
+
+
+@pytest.mark.parametrize("kind", ["supervised", "ssl"])
+@pytest.mark.parametrize("setting", ["none", "same"])
+def test_supervised_augment_sets_the_labelled_branch(monkeypatch, tmp_path,
+                                                      kind, setting):
+    """`train.supervised_augment` chooses the supervised baseline's
+    labelled-branch augmentations: clean views with "none", the config's
+    `augment` section without BEV dropout with "same".  An ssl run's
+    labelled branch takes that section under either value."""
+    trainers = []
+
+    class SpyTrainer(bench.Trainer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trainers.append(self)
+
+    monkeypatch.setattr(bench, "Trainer", SpyTrainer)
+    cfg = tiny_config(kind, augment={"camdrop": True}, train={
+        "total_steps": 2, "eval_every": 2, "batch_labelled": 1,
+        "batch_unlabelled": 1, "supervised_augment": setting})
+    assert run_one(expand_runs(cfg)[0], tmp_path).error is None
+    (tr,) = trainers
+    if kind == "supervised" and setting == "none":
+        assert tr.sup_augment == AugmentConfig.none()
+    else:
+        assert tr.sup_augment == replace(cfg.augment, bevdrop=False)
+        assert tr.sup_augment != AugmentConfig.none()
 
 
 def test_run_scenario_deterministic_and_exported(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -190,6 +191,26 @@ def test_sharpening_applied_to_targets_in_logit_space():
     z = prob_logit(np.array(0.8)) / 0.5
     assert abs(bundle.targets[0, 0, 0] - 1.0 / (1.0 + np.exp(-z))) < 1e-12
     assert bundle.targets[0, 0, 0] > 0.8
+
+
+@pytest.mark.parametrize("temperature", [0.01, 0.001, 0.05])
+def test_sharpened_targets_stay_in_range_without_warning(temperature):
+    """At any temperature > 0 the sharpened targets lie in [0, 1] and no
+    overflow warning is raised; they are 1 / (1 + exp(-z)) bit for bit."""
+    p = np.concatenate([[1e-12, 1e-9, 1e-6, 8e-4], np.linspace(0.0, 1.0, 41),
+                        [1.0 - 8e-4, 1.0 - 1e-6, 1.0 - 1e-12]])
+    cfg = SslConfig(threshold=None, temperature=temperature,
+                    fusion_mode="none")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        targets = make_pseudo_labels(_prob_raster(p[None, None]), cfg).targets
+    assert ((targets >= 0.0) & (targets <= 1.0)).all()
+    assert targets[0, 0, -1] == 1.0
+    if temperature < 0.039:   # exp(-z) overflows at p = 1e-12
+        assert targets[0, 0, 0] == 0.0
+    else:
+        z = sharpen(prob_logit(p), temperature)
+        assert targets[0, 0].tobytes() == (1.0 / (1.0 + np.exp(-z))).tobytes()
 
 
 # --------------------------------------------------------- frame selection --
@@ -797,8 +818,10 @@ def test_labelled_tape_ends_in_one_focal_node(monkeypatch):
 
 def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
     """The feature term adds one `featsim` node to the unlabelled sample's
-    tape, recorded right after its constant target leaf; no other node on
-    that tape holds a map of the target's shape except the conv outputs."""
+    tape, and that node holds its constant target as an attribute: the
+    student map is its one input, the tape's one constant leaf is the
+    observation, and no other node on it holds a map of the target's shape
+    except the conv outputs."""
     tapes = []
 
     def spy(loss, grads):
@@ -812,15 +835,16 @@ def test_feature_term_is_one_node_next_to_its_target(monkeypatch):
     for _ in range(2):   # the second step runs the feature term
         tr.train_step()
     (tape,) = [t for t in tapes if any(n.kind == "featsim" for n in t.nodes)]
-    (fid,) = [i for i, n in enumerate(tape.nodes) if n.kind == "featsim"]
-    _, tid = tape.nodes[fid].input_ids
-    target = tape.nodes[tid]
-    assert tid == fid - 1
-    assert target.kind == "leaf" and target.saved["param"] is None
-    assert target.values.shape == (1, 64, 96, 32)
-    for i, node in enumerate(tape.nodes):
-        if i != tid and node.values.shape == target.values.shape:
-            assert node.kind == "conv2d", (i, node.kind)
+    (node,) = [n for n in tape.nodes if n.kind == "featsim"]
+    target = node.saved["target"]
+    assert target.shape == (1, 64, 96, 32)
+    (sid,) = node.input_ids
+    assert tape.nodes[sid].kind == "conv2d"
+    assert [n.saved["param"] for n in tape.nodes
+            if n.kind == "leaf"].count(None) == 1
+    for i, n in enumerate(tape.nodes):
+        if n.values.shape == target.shape:
+            assert n.kind == "conv2d", (i, n.kind)
 
 
 def test_the_catalog_is_what_the_program_runs(monkeypatch):

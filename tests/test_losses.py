@@ -297,17 +297,6 @@ def test_featsim_matches_the_composed_formula(mode):
         assert zero.sum() == 3 * n * c and not grad[zero].any()
 
 
-def test_featsim_rejects_a_taped_target():
-    ps = ParamSet()
-    ps.add("s", np.ones((1, 2, 2, 2)))
-    ps.add("t", np.full((1, 2, 2, 2), 0.5))
-    tape = Tape()
-    loss = forward_op("featsim", ps.leaf(tape, "s"), ps.leaf(tape, "t"),
-                      mode="cosine")
-    with pytest.raises(ContractError, match="target takes no gradient"):
-        backward(loss, zero_grads(ps))
-
-
 # ----------------------------------------------------------------- ramp-up --
 
 def test_rampup_values():

@@ -581,15 +581,32 @@ def test_clip_polyline_matches_reference_on_hard_cases():
             assert np.array_equal(g, r), k
 
 
+def ref_blur3_two_pass(x):
+    p = np.pad(x, 1)
+    h, w = x.shape
+    r = np.zeros((h, w + 2))
+    for i, k in enumerate((1, 2, 1)):
+        r += k * p[i:i + h]
+    out = np.zeros((h, w))
+    for j, k in enumerate((1, 2, 1)):
+        out += k * r[:, j:j + w]
+    return out / 16.0
+
+
 def test_blur3_matches_per_plane_reference():
+    """On any floats, the stacked blur is the per-plane two-pass blur bit
+    for bit; on the 0/1 planes the renderer passes, it is also the nine-tap
+    sum bit for bit, which the reference frame builders use."""
     st = Stream(12)
     for shape in [(4, 7, 5), (3, 1, 6), (2, 5, 1), (1, 1, 1)]:
         x = st.normals(int(np.prod(shape))).reshape(shape)
-        stacked = blur3(x)
-        for c in range(shape[0]):
-            ref = ref_blur3(x[c])
-            assert stacked[c].tobytes() == ref.tobytes()
-            assert blur3(x[c]).tobytes() == ref.tobytes()
+        marks = (st.uniforms(int(np.prod(shape))) < 0.5).reshape(shape) * 1.0
+        for planes, ref_blur in ((x, ref_blur3_two_pass), (marks, ref_blur3)):
+            stacked = blur3(planes)
+            for c in range(shape[0]):
+                ref = ref_blur(planes[c])
+                assert stacked[c].tobytes() == ref.tobytes()
+                assert blur3(planes[c]).tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------- rasterizer edge cases ---
